@@ -1,8 +1,7 @@
 """Determinism self-test of the benchmark.
 
-Run from the repository root: ``python -m pytest -q bench``.  Traced passes
-are cut to their first few verdicts (the worker's LIMIT argument) so the
-test stays short; the properties checked hold verdict by verdict.
+Run from the repository root: ``python -m pytest -q bench``.  Each
+workload's two full traced passes run side by side, in two interpreters.
 """
 
 from __future__ import annotations
@@ -22,22 +21,26 @@ import workloads  # noqa: E402
 from run import WORKLOADS  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
-LIMIT = {"corpus": 12, "random-maps": 30, "rank-scale": 8}
 
-
-def _traced_pass(workload: str, seed: int, out: Path) -> dict:
-    argv = [sys.executable, str(BENCH / "worker.py"), workload, str(seed), "1",
-            str(out), str(LIMIT[workload])]
-    subprocess.run(argv, check=True, timeout=120)
-    return json.loads(out.read_text(encoding="utf-8"))
+def _traced_passes(workload: str, seed: int, outs: list[Path]) -> list[dict]:
+    procs = [
+        subprocess.Popen([sys.executable, str(BENCH / "worker.py"), workload, str(seed), "1", str(out)])
+        for out in outs
+    ]
+    try:
+        codes = [proc.wait(timeout=150) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    assert codes == [0] * len(outs)
+    return [json.loads(out.read_text(encoding="utf-8")) for out in outs]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_traced_passes_repeat(workload, tmp_path):
-    first = _traced_pass(workload, 7, tmp_path / "first.json")
-    second = _traced_pass(workload, 7, tmp_path / "second.json")
+    first, second = _traced_passes(workload, 7, [tmp_path / "first.json", tmp_path / "second.json"])
     assert first["failures"] == [] and second["failures"] == []
-    assert len(first["names"]) == LIMIT[workload]
     assert first["names"] == second["names"]
     assert first["outcomes"] == second["outcomes"]
     assert first["trace"]["counters"] == second["trace"]["counters"]

@@ -1,9 +1,8 @@
 """One pass of a workload, in the fresh interpreter ``run.py`` starts for it.
 
-Usage: ``python3 bench/worker.py WORKLOAD SEED TRACE OUT [LIMIT]``.  Writes
-the pass's timings, failures and (when TRACE is 1) its trace to the JSON
-file OUT.  LIMIT keeps only the first LIMIT verdicts; the self-test uses it
-to keep traced passes short.
+Usage: ``python3 bench/worker.py WORKLOAD SEED TRACE OUT``.  Writes
+the pass's timings, failures, outcome digests and (when TRACE is 1) its
+trace to the JSON file OUT.
 
 Set-up time runs from just before ``import cfkit`` to the last generated
 input.  Verdicts run one after another, each waiting for the one before it;
@@ -31,7 +30,7 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
-CALIBRATE_EVERY_S = 0.5
+CALIBRATE_EVERY_S = 0.1
 
 
 def calibrate() -> float:
@@ -43,7 +42,7 @@ def calibrate() -> float:
     return time.perf_counter() - start
 
 
-def run_pass(workload: str, seed: int, traced: bool, limit: int | None) -> dict:
+def run_pass(workload: str, seed: int, traced: bool) -> dict:
     setup_unit = statistics.median(calibrate() for _ in range(3))
     start = time.perf_counter()
     sys.path.insert(0, str(ROOT / "src"))
@@ -62,11 +61,11 @@ def run_pass(workload: str, seed: int, traced: bool, limit: int | None) -> dict:
     workdir.mkdir(parents=True)
     home = os.getcwd()
     try:
-        verdicts = workloads.setup(workload, seed, workdir)[:limit]
+        verdicts = workloads.setup(workload, seed, workdir)
         setup_s = time.perf_counter() - start
         outcomes, latencies = [], []
         units = [setup_unit]
-        last_unit = time.perf_counter()
+        loop_start = last_unit = time.perf_counter()
         for i, verdict in enumerate(verdicts):
             if verdict.cwd is not None:
                 os.chdir(verdict.cwd)
@@ -82,6 +81,7 @@ def run_pass(workload: str, seed: int, traced: bool, limit: int | None) -> dict:
             if end - last_unit >= CALIBRATE_EVERY_S:
                 units.append(calibrate())
                 last_unit = time.perf_counter()
+        loop_s = time.perf_counter() - loop_start
         units += [calibrate() for _ in range(3)]
         trace = None
         if tracer is not None:
@@ -104,6 +104,7 @@ def run_pass(workload: str, seed: int, traced: bool, limit: int | None) -> dict:
         "setup_unit_s": setup_unit,
         "names": [v.name for v in verdicts],
         "latencies_s": latencies,
+        "loop_s": loop_s,
         "outcomes": [_digest(outcome) for outcome, _ in outcomes],
         "failures": failures,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -118,9 +119,8 @@ def _digest(outcome) -> str:
 
 
 def main(argv: list[str]) -> int:
-    workload, seed, trace, out = argv[:4]
-    limit = int(argv[4]) if len(argv) > 4 else None
-    result = run_pass(workload, int(seed), trace == "1", limit)
+    workload, seed, trace, out = argv
+    result = run_pass(workload, int(seed), trace == "1")
     Path(out).write_text(json.dumps(result), encoding="utf-8")
     return 0
 
