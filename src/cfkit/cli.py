@@ -374,18 +374,10 @@ def cmd_structure(args, argv) -> int:
     if algebra.kind != LIE:
         raise _InputError("structure analysis applies to Lie algebras")
     solv = struct.is_solvable(algebra, max_depth=args.max_depth)
-    series = []
-    current = struct.full_submodule(algebra.rank)
-    for _ in range(args.max_depth + 1):
-        series.append(
-            [element_text(g, algebra.basis) for g in current.generator_elements()]
-        )
-        if current.is_zero:
-            break
-        nxt = struct.derived_subalgebra(algebra, current)
-        if struct.submodule_equals(nxt, current):
-            break
-        current = nxt
+    series = [
+        [element_text(g, algebra.basis) for g in sub.generator_elements()]
+        for sub in solv.series
+    ]
     report["structure"] = {
         "algebra": args.algebra,
         "is_abelian": struct.is_abelian(algebra),
@@ -489,6 +481,8 @@ def main(argv: list[str] | None = None) -> int:
             continue
         if token == "--json":
             skip = True
+            continue
+        if token.startswith("--json="):
             continue
         echo.append(token)
     try:

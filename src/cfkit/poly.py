@@ -1,9 +1,14 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 Every structure constant and ansatz coefficient in this package is a value of
-:class:`MultiPoly`: a finite map from monomials to nonzero ``Fraction``
-coefficients.  Arithmetic is exact, values are immutable, and all operations
-are pure functions, so polynomials can be shared freely between threads.
+:class:`MultiPoly`: a finite map from monomials to nonzero exact rational
+coefficients.  An integral coefficient is stored as an ``int`` and only a
+non-integral one as a ``Fraction``, which keeps the common all-integer case
+off ``Fraction``'s slower arithmetic.  ``int`` and ``Fraction`` of equal
+value compare and hash equal, so equality, hashing and rendering do not
+depend on which of the two a coefficient is.
+Arithmetic is exact, values are immutable, and all operations are pure
+functions, so polynomials can be shared freely between threads.
 
 The variable set is fixed once and for all.  Variable ``0`` is the module
 generator, rendered ``d``; variables ``1`` and ``2`` are the two spectral
@@ -61,36 +66,38 @@ def var_name(var: int) -> str:
     raise ValueError(f"invalid variable id {var}")
 
 
-def scalar_text(value: Fraction) -> str:
+def scalar_text(value: Scalar) -> str:
     """Render a rational as ``n`` or ``n/d``."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
 
-def _as_fraction(value: Scalar) -> Fraction:
+def _as_scalar(value: Scalar) -> Scalar:
+    """Canonical stored form of an exact rational: ``int`` when integral."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients.
 
-    The stored term map never contains a zero coefficient, so two values
-    compare equal exactly when they are the same polynomial; no separate
-    normalization step is ever needed.
+    The stored term map never contains a zero coefficient, and every integral
+    coefficient is an ``int`` (a ``Fraction`` always has denominator above
+    one), so two values compare equal exactly when they are the same
+    polynomial; no separate normalization step is ever needed.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        cleaned: dict[Monomial, Fraction] = {}
+        cleaned: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _as_scalar(coeff)
                 if coeff == 0:
                     continue
                 if any(exp <= 0 for _, exp in mono) or list(mono) != sorted(mono):
@@ -109,7 +116,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "MultiPoly":
-        value = _as_fraction(value)
+        value = _as_scalar(value)
         if value == 0:
             return _ZERO
         return cls({(): value})
@@ -120,7 +127,7 @@ class MultiPoly:
             raise ValueError("exponent must be non-negative")
         if exp == 0:
             return cls.const(1)
-        return cls({((var, exp),): Fraction(1)})
+        return _raw({((var, exp),): 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -128,7 +135,7 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
         """Iterate terms in canonical order: graded-lexicographic, descending."""
         return iter(_ordered(self._terms))
 
@@ -148,18 +155,18 @@ class MultiPoly:
                     best = e
         return best
 
-    def constant_value(self) -> Fraction | None:
+    def constant_value(self) -> Scalar | None:
         """The value of a constant polynomial, or None if any variable occurs."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if len(self._terms) == 1 and () in self._terms:
             return self._terms[()]
         return None
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(mono), Fraction(0))
+    def coefficient(self, mono: Monomial) -> Scalar:
+        return self._terms.get(tuple(mono), 0)
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, Scalar]:
         """Leading (monomial, coefficient) in the canonical order."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
@@ -177,9 +184,11 @@ class MultiPoly:
             return self
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = out.get(mono, _F0) + coeff
-            if acc == 0:
+            acc = out.get(mono, 0) + coeff
+            if not acc:
                 out.pop(mono, None)
+            elif type(acc) is not int and acc.denominator == 1:
+                out[mono] = acc.numerator
             else:
                 out[mono] = acc
         return _raw(out)
@@ -207,15 +216,18 @@ class MultiPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return _ZERO
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for mono_a, ca in self._terms.items():
             for mono_b, cb in other._terms.items():
                 mono = _mono_mul(mono_a, mono_b)
-                acc = out.get(mono, _F0) + ca * cb
-                if acc == 0:
+                acc = out.get(mono, 0) + ca * cb
+                if not acc:
                     out.pop(mono, None)
                 else:
                     out[mono] = acc
+        for mono, coeff in out.items():
+            if type(coeff) is not int and coeff.denominator == 1:
+                out[mono] = coeff.numerator
         return _raw(out)
 
     __rmul__ = __mul__
@@ -227,7 +239,7 @@ class MultiPoly:
             if value is None:
                 raise ValueError("can only divide by a constant polynomial")
             other = value
-        other = _as_fraction(other)
+        other = _as_scalar(other)
         if other == 0:
             raise ZeroDivisionError("polynomial division by zero")
         return self * (Fraction(1) / other)
@@ -245,7 +257,7 @@ class MultiPoly:
     def substitute(self, var: int, replacement: "MultiPoly | Scalar") -> "MultiPoly":
         """Ring-homomorphic replacement of every occurrence of ``var``."""
         replacement = _coerce_strict(replacement)
-        if var not in self.variables():
+        if replacement._terms == {((var, 1),): 1} or var not in self.variables():
             return self
         max_exp = self.degree(var)
         powers = [MultiPoly.const(1)]
@@ -286,7 +298,7 @@ class MultiPoly:
         """
         if not self._terms:
             return []
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        buckets: dict[int, dict[Monomial, Scalar]] = {}
         for mono, coeff in self._terms.items():
             exp = 0
             rest = []
@@ -339,10 +351,7 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-_F0 = Fraction(0)
-
-
-def _raw(terms: dict[Monomial, Fraction]) -> MultiPoly:
+def _raw(terms: dict[Monomial, Scalar]) -> MultiPoly:
     """Build from a dict already known to be clean (internal fast path)."""
     poly = MultiPoly.__new__(MultiPoly)
     object.__setattr__(poly, "_terms", terms)
@@ -378,7 +387,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def _ordered(terms: dict[Monomial, Fraction]) -> list[tuple[Monomial, Fraction]]:
+def _ordered(terms: dict[Monomial, Scalar]) -> list[tuple[Monomial, Scalar]]:
     if not terms:
         return []
     support = sorted({v for mono in terms for v, _ in mono})

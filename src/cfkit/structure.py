@@ -9,7 +9,7 @@ comparison, which the derived series and solvability verdicts build on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import ConformalAlgebra, GenElement, LIE, product_eval
@@ -34,10 +34,12 @@ def poly_deg(p: MultiPoly) -> int:
 
 
 def _ucoeffs(p: MultiPoly) -> list[Fraction]:
+    # Fraction, not the stored int: coefficients get divided, and int / int
+    # would give a float
     out = [Fraction(0)] * (poly_deg(p) + 1)
     for mono, coeff in p.terms():
         exp = mono[0][1] if mono else 0
-        out[exp] = coeff
+        out[exp] = Fraction(coeff)
     return out
 
 
@@ -230,6 +232,9 @@ def derived_subalgebra(algebra: ConformalAlgebra, sub: Submodule) -> Submodule:
 class Solvability:
     verdict: str  # "solvable" | "not_solvable" | "unknown"
     depth: int | None = None
+    #: the derived series walked, from the full module to the last term
+    #: examined; it does not enter the verdict's text or equality
+    series: tuple[Submodule, ...] = field(default=(), compare=False, repr=False)
 
     def __str__(self) -> str:
         if self.verdict == "solvable":
@@ -249,16 +254,18 @@ def is_solvable(algebra: ConformalAlgebra, max_depth: int = 10) -> Solvability:
     if max_depth < 1:
         raise ValueError("max_depth must be positive")
     current = full_submodule(algebra.rank)
+    series = [current]
     for depth in range(max_depth + 1):
         if current.is_zero:
-            return Solvability("solvable", depth)
+            return Solvability("solvable", depth, tuple(series))
         if depth == max_depth:
-            return Solvability("unknown")
+            break
         nxt = derived_subalgebra(algebra, current)
         if submodule_equals(nxt, current):
-            return Solvability("not_solvable")
+            return Solvability("not_solvable", series=tuple(series))
         current = nxt
-    return Solvability("unknown")
+        series.append(current)
+    return Solvability("unknown", series=tuple(series))
 
 
 def is_abelian(algebra: ConformalAlgebra) -> bool:
@@ -277,7 +284,6 @@ def change_basis(algebra: ConformalAlgebra, change: PolyMatrix) -> ConformalAlge
         raise ValueError("basis change must have unit determinant")
     # adjugate / det gives the exact polynomial inverse
     inv = []
-    sign_row = 1
     for i in range(n):
         row = []
         for j in range(n):
@@ -289,7 +295,6 @@ def change_basis(algebra: ConformalAlgebra, change: PolyMatrix) -> ConformalAlge
             sign = 1 if (i + j) % 2 == 0 else -1
             row.append(sign * poly_det(minor) / det)
         inv.append(tuple(row))
-        sign_row = -sign_row
     inv = tuple(inv)
     table = []
     for i in range(n):

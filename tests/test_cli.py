@@ -67,6 +67,17 @@ class TestDeterminism:
         b.pop("timings")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_json_path_forms_give_identical_reports(self, workdir):
+        Path("t.cfk").write_text(VIR)
+        run(["check", "t.cfk", "--json", "a.json"])
+        run(["check", "t.cfk", "--json=b.json"])
+        a = json.loads(Path("a.json").read_text())
+        b = json.loads(Path("b.json").read_text())
+        a.pop("timings")
+        b.pop("timings")
+        assert a["command"] == ["check", "t.cfk"]
+        assert a == b
+
 
 class TestSolveCap:
     def test_cap_exceeded_exits_3(self, workdir):
@@ -117,6 +128,21 @@ class TestOutputs:
         report = json.loads(Path("r.json").read_text())
         assert report["checks"][0]["status"] == "fail"
         assert report["checks"][0]["violations"]
+
+    def test_structure_walks_the_derived_series_once(self, workdir, monkeypatch):
+        from cfkit import structure
+
+        calls = []
+        inner = structure.derived_subalgebra
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(structure, "derived_subalgebra", counting)
+        Path("t.cfk").write_text(VIR)
+        assert run(["structure", "t.cfk", "--algebra", "Vir"]) == 0
+        assert len(calls) == 1
 
     def test_structure_report(self, workdir):
         Path("t.cfk").write_text(VIR)

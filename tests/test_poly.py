@@ -5,23 +5,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfkit.poly import D, L1, L2, MultiPoly, unknown, var_name
+from cfkit.structure import hermite_normal_form, poly_divmod
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
 m = MultiPoly.var(L2)
 
 coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# ints and Fractions alike, integral Fractions such as Fraction(2) included
+scalars = st.one_of(st.integers(-4, 4), coefficients)
 
 
 @st.composite
-def polys(draw, variables=(D, L1, L2)):
+def term_maps(draw, variables=(D, L1, L2)):
+    """Raw monomial -> scalar maps; zero coefficients may occur."""
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         mono = draw(
             st.dictionaries(st.sampled_from(variables), st.integers(1, 3), max_size=2)
         )
-        terms[tuple(sorted(mono.items()))] = draw(coefficients)
-    return MultiPoly(terms)
+        terms[tuple(sorted(mono.items()))] = draw(scalars)
+    return terms
+
+
+def polys(variables=(D, L1, L2)):
+    return term_maps(variables).map(MultiPoly)
 
 
 class TestArithmetic:
@@ -158,3 +166,141 @@ class TestEvaluate:
         for var, value in values.items():
             step = step.eval_at(var, value)
         assert step.constant_value() == p.evaluate(values)
+
+
+def assert_canonical(p: MultiPoly):
+    """Every stored coefficient is an int or a non-integral Fraction."""
+    for _, coeff in p.terms():
+        assert type(coeff) is int or (
+            type(coeff) is Fraction and coeff.denominator != 1
+        ), repr(coeff)
+
+
+class TestCoefficientTypes:
+    @given(
+        p=polys(),
+        q=polys(),
+        r=polys(),
+        c=scalars.filter(bool),
+        k=st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_ring_operations_store_canonical_scalars(self, p, q, r, c, k):
+        results = [
+            p,
+            p + q,
+            p - q,
+            p * q,
+            -p,
+            p / c,
+            p / MultiPoly.const(c),
+            c * p,
+            p**k,
+            p.substitute(L1, r),
+            p.eval_at(D, c),
+            *p.coefficient_list(L1),
+        ]
+        for result in results:
+            assert_canonical(result)
+
+    @given(
+        a=polys((D,)),
+        b=polys((D,)).filter(bool),
+        entries=st.lists(polys((D,)), min_size=6, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_division_and_hermite_store_canonical_scalars(self, a, b, entries):
+        quot, rem = poly_divmod(a, b)
+        assert quot * b + rem == a
+        assert_canonical(quot)
+        assert_canonical(rem)
+        matrix = (tuple(entries[:3]), tuple(entries[3:]))
+        for row in hermite_normal_form(matrix):
+            for entry in row:
+                assert_canonical(entry)
+
+    def test_float_is_rejected(self):
+        with pytest.raises(TypeError):
+            MultiPoly({(): 1.5})
+        with pytest.raises(TypeError):
+            MultiPoly.const(1.5)
+        with pytest.raises(TypeError):
+            d / 2.0
+        with pytest.raises(TypeError):
+            d * 1.5
+
+
+# -- Fraction-only reference -------------------------------------------------
+# Plain dicts of Fraction coefficients, no ints and no shortcuts: the
+# arithmetic MultiPoly performed before integral coefficients became ints.
+
+
+def ref(terms):
+    return {mono: Fraction(c) for mono, c in terms.items() if c != 0}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for mono, c in b.items():
+        out[mono] = out.get(mono, Fraction(0)) + c
+    return {mono: c for mono, c in out.items() if c != 0}
+
+
+def ref_mul(a, b):
+    out = {}
+    for mono_a, ca in a.items():
+        for mono_b, cb in b.items():
+            exps = dict(mono_a)
+            for v, e in mono_b:
+                exps[v] = exps.get(v, 0) + e
+            mono = tuple(sorted(exps.items()))
+            out[mono] = out.get(mono, Fraction(0)) + ca * cb
+    return {mono: c for mono, c in out.items() if c != 0}
+
+
+def ref_substitute(a, var, replacement):
+    out = {}
+    for mono, c in a.items():
+        term = {tuple((v, e) for v, e in mono if v != var): c}
+        for _ in range(dict(mono).get(var, 0)):
+            term = ref_mul(term, replacement)
+        out = ref_add(out, term)
+    return out
+
+
+def ref_evaluate(a, values):
+    total = Fraction(0)
+    for mono, c in a.items():
+        for v, e in mono:
+            c *= values[v] ** e
+        total += c
+    return total
+
+
+class TestAgainstFractionReference:
+    @given(a=term_maps(), b=term_maps())
+    @settings(max_examples=80, deadline=None)
+    def test_add_and_mul(self, a, b):
+        p, q = MultiPoly(a), MultiPoly(b)
+        assert dict(p.terms()) == ref(a)
+        assert dict((p + q).terms()) == ref_add(ref(a), ref(b))
+        assert dict((p * q).terms()) == ref_mul(ref(a), ref(b))
+
+    @given(a=term_maps(), r=term_maps(), var=st.sampled_from((D, L1, L2)))
+    @settings(max_examples=80, deadline=None)
+    def test_substitute(self, a, r, var):
+        p = MultiPoly(a)
+        assert dict(p.substitute(var, MultiPoly(r)).terms()) == ref_substitute(
+            ref(a), var, ref(r)
+        )
+        identity = p.substitute(var, MultiPoly.var(var))
+        assert identity is p
+        assert dict(identity.terms()) == ref_substitute(
+            ref(a), var, {((var, 1),): Fraction(1)}
+        )
+
+    @given(a=term_maps(), values=st.tuples(scalars, scalars, scalars))
+    @settings(max_examples=80, deadline=None)
+    def test_evaluate(self, a, values):
+        assignment = dict(zip((D, L1, L2), map(Fraction, values)))
+        assert MultiPoly(a).evaluate(assignment) == ref_evaluate(ref(a), assignment)

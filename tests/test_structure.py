@@ -185,6 +185,21 @@ class TestSolvability:
         assert not is_abelian(vir_algebra())
         assert is_abelian(abelian(LIE, ("A", "B", "C")))
 
+    def test_series_is_the_walk(self):
+        alg = sv_doc(a=0, b=1).find("algebra", "Qab")
+        verdict = is_solvable(alg)
+        series = verdict.series
+        assert len(series) == verdict.depth + 1
+        assert series[0] == full_submodule(alg.rank)
+        assert series[-1].is_zero
+        for prev, nxt in zip(series, series[1:]):
+            assert submodule_equals(derived_subalgebra(alg, prev), nxt)
+
+    def test_series_stops_at_stabilization_and_cap(self):
+        assert is_solvable(vir_algebra()).series == (full_submodule(1),)
+        capped = is_solvable(sv_doc(a=0, b=1).find("algebra", "Qab"), max_depth=1)
+        assert str(capped) == "unknown" and len(capped.series) == 2
+
     def test_lie_only(self):
         from cfkit.algebra import ASSOCIATIVE
 
