@@ -15,7 +15,6 @@ from .actions import (
     check_bimodule,
     check_matched_pair,
     check_module,
-    right_to_left,
     trivial_pair,
 )
 from .algebra import (

@@ -190,36 +190,6 @@ def check_bimodule(left: ModuleAction, right: ModuleAction) -> CheckReport:
     return CheckReport(tuple(violations))
 
 
-def right_to_left(act: ModuleAction) -> ModuleAction:
-    """Convert a Lie right action to the equivalent left action."""
-    if act.kind != LIE or act.side != RIGHT:
-        raise ValueError("conversion applies to Lie right actions")
-    neg = -_PL1 - _PD
-    table = tuple(
-        tuple(
-            tuple(-c.substitute(L1, neg) for c in act.table[v][a])
-            for v in range(act.carrier_rank)
-        )
-        for a in range(act.acting.rank)
-    )
-    return ModuleAction(LEFT, act.acting, act.carrier_rank, table)
-
-
-def left_to_right(act: ModuleAction) -> ModuleAction:
-    """Inverse of :func:`right_to_left`."""
-    if act.kind != LIE or act.side != LEFT:
-        raise ValueError("conversion applies to Lie left actions")
-    neg = -_PL1 - _PD
-    table = tuple(
-        tuple(
-            tuple(-c.substitute(L1, neg) for c in act.table[a][v])
-            for a in range(act.acting.rank)
-        )
-        for v in range(act.carrier_rank)
-    )
-    return ModuleAction(RIGHT, act.acting, act.carrier_rank, table)
-
-
 @dataclass(frozen=True)
 class MatchedPair:
     """Two algebras with the cross actions that glue them into one.

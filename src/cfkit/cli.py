@@ -393,20 +393,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfkit",
         description="Exact checks and constructions for finite conformal algebras.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+
+    # argparse would accept a unique prefix such as ``--js`` for ``--json``,
+    # which the report's command echo in ``main`` does not strip
+    def command(name, help_text):
+        return sub.add_parser(name, help=help_text, allow_abbrev=False)
 
     def common(p):
         p.add_argument("--param", action="append", default=[], metavar="NAME=RAT")
         p.add_argument("--json", metavar="PATH", help="write the JSON report here")
 
-    p = sub.add_parser("check", help="run axiom/module/map checks")
+    p = command("check", "run axiom/module/map checks")
     p.add_argument("file")
     p.add_argument("names", nargs="*")
     common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("bicrossed", help="build the glued algebra of a matched pair")
+    p = command("bicrossed", "build the glued algebra of a matched pair")
     p.add_argument("file")
     p.add_argument("--pair", required=True)
     p.add_argument("--expect", help="compare against this declared algebra")
@@ -414,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_bicrossed)
 
-    p = sub.add_parser("deform", help="twist Q by a deformation map")
+    p = command("deform", "twist Q by a deformation map")
     p.add_argument("file")
     p.add_argument("--pair", required=True)
     p.add_argument("--map", required=True)
@@ -423,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_deform)
 
-    p = sub.add_parser("constraints", help="compile the deformation identity")
+    p = command("constraints", "compile the deformation identity")
     p.add_argument("file")
     p.add_argument("--pair", required=True)
     p.add_argument("--degree", type=int, default=0)
@@ -431,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_constraints)
 
-    p = sub.add_parser("solve", help="eliminate then grid-search a system")
+    p = command("solve", "eliminate then grid-search a system")
     p.add_argument("system")
     p.add_argument("--grid-num", type=int, default=2)
     p.add_argument("--grid-den", type=int, default=1)
@@ -439,25 +445,24 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("equiv", help="compare two deformation maps up to a module automorphism")
+    p = command("equiv", "compare two deformation maps up to a module automorphism")
     p.add_argument("file")
     p.add_argument("--pair", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--alpha", help="declared witness; omit to search diagonally")
-    p.add_argument("--search-diagonal", action="store_true")
     p.add_argument("--grid-num", type=int, default=3)
     p.add_argument("--grid-den", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_equiv)
 
-    p = sub.add_parser("morphism", help="check a declared morphism")
+    p = command("morphism", "check a declared morphism")
     p.add_argument("file")
     p.add_argument("--name", required=True)
     common(p)
     p.set_defaults(func=cmd_morphism)
 
-    p = sub.add_parser("structure", help="abelian/solvability invariants")
+    p = command("structure", "abelian/solvability invariants")
     p.add_argument("file")
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-depth", type=int, default=10)

@@ -1,31 +1,32 @@
 """Deformation maps, deformed algebras, graph embeddings, and equivalence.
 
-A deformation map is a module homomorphism from Q into R, stored as a matrix
-of ``d``-polynomials.  Checking one, twisting Q by one, and comparing two of
-them up to a module automorphism of Q are all basis computations through the
-shared evaluation kernel.  Non-equivalence is only ever reported relative to
-the family of automorphisms actually searched.
+A deformation map ``φ: Q -> R`` is a module homomorphism, stored as a matrix
+of ``d``-polynomials.  Every identity here is read off the products of graph
+elements ``(φe_i, e_i)`` in the bicrossed product ``E = R ⋈ Q``, split into
+an R part ``r`` and a Q part ``q``: ``φ`` is a deformation map when
+``φ(q) = r``, ``q`` is the deformed product, and ``α`` makes two maps
+equivalent when it is a morphism between their deformed algebras.  Only
+:func:`build_bicrossed` expands the cross actions.  Non-equivalence is only
+ever reported relative to the family of automorphisms actually searched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .actions import MatchedPair, action_eval
+from .actions import MatchedPair, build_bicrossed
 from .algebra import (
     CheckReport,
     ConformalAlgebra,
     GenElement,
-    LIE,
     Violation,
     product_eval,
 )
 from .poly import D, L1, MultiPoly
 from .structure import poly_det
 
-_PD = MultiPoly.var(D)
 _PL1 = MultiPoly.var(L1)
 
 Matrix = tuple[tuple[MultiPoly, ...], ...]
@@ -104,50 +105,39 @@ def apply_map(mapping: Morphism | DeformationMap, x: GenElement) -> GenElement:
     return GenElement(apply_matrix(matrix, x.coords))
 
 
+def _graph_products(mp: MatchedPair, matrix: Matrix):
+    """Yield ``(i, j, r_part, q_part)`` for every pair of Q-basis indices.
+
+    The two parts split the product, at spectral parameter ``l``, of the
+    graph elements ``(φe_i, e_i)`` and ``(φe_j, e_j)`` inside the bicrossed
+    product, where ``φ`` is ``matrix``.
+    """
+    big = build_bicrossed(mp)
+    nr, nq = mp.R.rank, mp.Q.rank
+    graph = [
+        GenElement(tuple(matrix[i]) + mp.Q.basis_element(i).coords)
+        for i in range(nq)
+    ]
+    for i in range(nq):
+        for j in range(nq):
+            prod = product_eval(big, graph[i], graph[j], _PL1).coords
+            yield i, j, GenElement(prod[:nr]), GenElement(prod[nr:])
+
+
 def _deformation_residuals(mp: MatchedPair, matrix: Matrix):
-    """Residuals of the deformation identity on all Q-basis pairs.
+    """Residuals ``φ(q_part) - r_part`` of the deformation identity.
 
     Works for symbolic matrices whose entries carry ansatz unknowns; all
-    substitutions act on ``d`` alone, so unknowns ride along inertly.
+    substitutions act on ``d`` and ``l`` alone, so unknowns ride along
+    inertly.
     """
-    nq = mp.Q.rank
-    neg = -_PL1 - _PD
-    q_basis = [mp.Q.basis_element(i) for i in range(nq)]
-    images = [GenElement(apply_matrix(matrix, q.coords)) for q in q_basis]
-    for i in range(nq):
-        x, fx = q_basis[i], images[i]
-        for j in range(nq):
-            y, fy = q_basis[j], images[j]
-            lhs = GenElement(
-                apply_matrix(matrix, product_eval(mp.Q, x, y, _PL1).coords)
-            ) - product_eval(mp.R, fx, fy, _PL1)
-            if mp.kind == LIE:
-                rhs = (
-                    GenElement(
-                        apply_matrix(matrix, action_eval(mp.lhd, y, fx, neg).coords)
-                    )
-                    - GenElement(
-                        apply_matrix(matrix, action_eval(mp.lhd, x, fy, _PL1).coords)
-                    )
-                    + action_eval(mp.rhd, x, fy, _PL1)
-                    - action_eval(mp.rhd, y, fx, neg)
-                )
-            else:
-                rhs = (
-                    action_eval(mp.lhu, fx, y, _PL1)
-                    + action_eval(mp.rhd, x, fy, _PL1)
-                    - GenElement(
-                        apply_matrix(matrix, action_eval(mp.rhu, fx, y, _PL1).coords)
-                    )
-                    - GenElement(
-                        apply_matrix(matrix, action_eval(mp.lhd, x, fy, _PL1).coords)
-                    )
-                )
-            yield i, j, lhs - rhs
+    for i, j, r_part, q_part in _graph_products(mp, matrix):
+        yield i, j, GenElement(apply_matrix(matrix, q_part.coords)) - r_part
 
 
 def check_deformation_map(mp: MatchedPair, dm: DeformationMap) -> CheckReport:
-    """The quadratic identity a map must satisfy to twist Q into a complement."""
+    """The quadratic identity a map must satisfy to twist Q into a complement:
+    the graph is closed under the bicrossed product."""
     if dm.pair is not mp and dm.pair != mp:
         raise ValueError("map is attached to a different matched pair")
     violations = [
@@ -159,35 +149,17 @@ def check_deformation_map(mp: MatchedPair, dm: DeformationMap) -> CheckReport:
 
 
 def deformed_algebra(mp: MatchedPair, dm: DeformationMap) -> ConformalAlgebra:
-    """Q with its product twisted by the map through the cross actions.
+    """Q with the product of the graph carried back to it: the table of the
+    Q parts of the graph products.
 
     Computed unconditionally so that a failing candidate can still be
     inspected; when the map passes its check the output passes the axioms.
     """
     nq = mp.Q.rank
-    neg = -_PL1 - _PD
-    q_basis = [mp.Q.basis_element(i) for i in range(nq)]
-    images = [GenElement(apply_matrix(dm.matrix, q.coords)) for q in q_basis]
-    table = []
-    for i in range(nq):
-        row = []
-        for j in range(nq):
-            entry = GenElement(mp.Q.table[i][j])
-            if mp.kind == LIE:
-                entry = (
-                    entry
-                    + action_eval(mp.lhd, q_basis[i], images[j], _PL1)
-                    - action_eval(mp.lhd, q_basis[j], images[i], neg)
-                )
-            else:
-                entry = (
-                    entry
-                    + action_eval(mp.lhd, q_basis[i], images[j], _PL1)
-                    + action_eval(mp.rhu, images[i], q_basis[j], _PL1)
-                )
-            row.append(entry.coords)
-        table.append(tuple(row))
-    return ConformalAlgebra(mp.kind, mp.Q.basis, tuple(table))
+    table = [[None] * nq for _ in range(nq)]
+    for i, j, _, q_part in _graph_products(mp, dm.matrix):
+        table[i][j] = q_part.coords
+    return ConformalAlgebra(mp.kind, mp.Q.basis, tuple(tuple(row) for row in table))
 
 
 def check_morphism(h: Morphism) -> CheckReport:
@@ -207,55 +179,40 @@ def check_morphism(h: Morphism) -> CheckReport:
     return CheckReport(tuple(violations))
 
 
-def is_isomorphism(h: Morphism) -> bool:
-    """True iff the map intertwines products and its matrix is invertible.
+def _is_invertible(matrix: Matrix) -> bool:
+    """Over the d-polynomial ring a square matrix is invertible exactly when
+    its determinant is a nonzero constant."""
+    return poly_det(matrix).constant_value() not in (None, 0)
 
-    Over the d-polynomial ring a square matrix is invertible exactly when
-    its determinant is a nonzero constant.
-    """
+
+def is_isomorphism(h: Morphism) -> bool:
+    """True iff the map intertwines products and its matrix is invertible."""
     if h.source.rank != h.target.rank:
         raise ValueError("isomorphism candidates must have a square matrix")
-    det = poly_det(h.matrix)
-    if det.constant_value() in (None, Fraction(0)):
-        return False
-    return check_morphism(h).passed
+    return _is_invertible(h.matrix) and check_morphism(h).passed
 
 
 def graph_embedding_check(mp: MatchedPair, dm: DeformationMap) -> CheckReport:
     """The graph of the map inside the bicrossed product is a subalgebra.
 
-    Checks (i) closure: the product of two graph elements is again the graph
-    image of its own Q part, and (ii) that x -> (map(x), x) is a morphism
-    from the deformed algebra into the bicrossed product.
+    Both parts read the deformation residual ``φ(q) - r``: (i) ``x -> (φx, x)``
+    is a morphism from the deformed algebra into E, failing by
+    ``(φ(q) - r, 0)``; (ii) closure, failing by ``r - φ(q)`` over R.
     """
-    from .actions import build_bicrossed
-
-    big = build_bicrossed(mp)
-    nq, nr = mp.Q.rank, mp.R.rank
-    zero = MultiPoly.zero()
-    one = MultiPoly.const(1)
-    embed = tuple(
-        tuple(dm.matrix[i]) + tuple(one if j == i else zero for j in range(nq))
-        for i in range(nq)
-    )
-    deformed = deformed_algebra(mp, dm)
-    morph = Morphism(deformed, big, embed)
-    violations = list(check_morphism(morph).violations)
-    for i in range(nq):
-        gi = apply_map(morph, deformed.basis_element(i))
-        for j in range(nq):
-            gj = apply_map(morph, deformed.basis_element(j))
-            prod = product_eval(big, gi, gj, _PL1)
-            q_part = GenElement(prod.coords[nr:])
-            r_part = tuple(prod.coords[:nr])
-            expect_r = apply_matrix(dm.matrix, q_part.coords)
-            residual = GenElement(
-                tuple(a - b for a, b in zip(r_part, expect_r))
-            )
-            if not residual.is_zero:
-                violations.append(
-                    Violation("graph-closure", (i, j), residual, mp.R.basis)
-                )
+    failures = [
+        (i, j, residual)
+        for i, j, residual in _deformation_residuals(mp, dm.matrix)
+        if not residual.is_zero
+    ]
+    pad = (MultiPoly.zero(),) * mp.Q.rank
+    big_basis = mp.R.basis + mp.Q.basis
+    violations = [
+        Violation("morphism", (i, j), GenElement(res.coords + pad), big_basis)
+        for i, j, res in failures
+    ]
+    violations += [
+        Violation("graph-closure", (i, j), -res, mp.R.basis) for i, j, res in failures
+    ]
     return CheckReport(tuple(violations))
 
 
@@ -264,53 +221,15 @@ def check_equivalence(
 ) -> CheckReport:
     """Whether ``alpha`` witnesses equivalence of the two deformation maps.
 
-    Implemented literally: ``alpha`` is only required to be a module
-    isomorphism of Q; the identity below is what makes it an algebra
-    isomorphism between the two deformed products.
+    ``alpha`` is only required to be a module isomorphism of Q; it witnesses
+    the equivalence when it is also a morphism from the algebra deformed by
+    ``phi`` to the one deformed by ``psi``.
     """
-    det = poly_det(alpha.matrix)
-    if det.constant_value() in (None, Fraction(0)):
+    if not _is_invertible(alpha.matrix):
         raise ValueError("equivalence witness must be an invertible module map")
-    nq = mp.Q.rank
-    neg = -_PL1 - _PD
-    q_basis = [mp.Q.basis_element(i) for i in range(nq)]
-    a_img = [apply_map(alpha, q) for q in q_basis]
-    psi_a = [GenElement(apply_matrix(psi.matrix, e.coords)) for e in a_img]
-    phi_img = [GenElement(apply_matrix(phi.matrix, q.coords)) for q in q_basis]
-    violations = []
-    for i in range(nq):
-        for j in range(nq):
-            lhs = apply_map(
-                alpha, product_eval(mp.Q, q_basis[i], q_basis[j], _PL1)
-            ) - product_eval(mp.Q, a_img[i], a_img[j], _PL1)
-            if mp.kind == LIE:
-                rhs = (
-                    action_eval(mp.lhd, a_img[i], psi_a[j], _PL1)
-                    - apply_map(
-                        alpha, action_eval(mp.lhd, q_basis[i], phi_img[j], _PL1)
-                    )
-                    - action_eval(mp.lhd, a_img[j], psi_a[i], neg)
-                    + apply_map(
-                        alpha, action_eval(mp.lhd, q_basis[j], phi_img[i], neg)
-                    )
-                )
-            else:
-                rhs = (
-                    action_eval(mp.lhd, a_img[i], psi_a[j], _PL1)
-                    - apply_map(
-                        alpha, action_eval(mp.lhd, q_basis[i], phi_img[j], _PL1)
-                    )
-                    + action_eval(mp.rhu, psi_a[i], a_img[j], _PL1)
-                    - apply_map(
-                        alpha, action_eval(mp.rhu, phi_img[i], q_basis[j], _PL1)
-                    )
-                )
-            residual = lhs - rhs
-            if not residual.is_zero:
-                violations.append(
-                    Violation("equivalence", (i, j), residual, mp.Q.basis)
-                )
-    return CheckReport(tuple(violations))
+    h = Morphism(deformed_algebra(mp, phi), deformed_algebra(mp, psi), alpha.matrix)
+    violations = check_morphism(h).violations
+    return CheckReport(tuple(replace(v, identity="equivalence") for v in violations))
 
 
 def search_equivalence_diagonal(
@@ -321,11 +240,14 @@ def search_equivalence_diagonal(
 ) -> list[Morphism]:
     """Exhaust diagonal automorphisms with entries from ``values``.
 
-    Returns every witness found, in deterministic grid order.  An empty
-    result means "not found within the searched family", nothing stronger.
+    Each candidate is checked as a morphism between the two deformed
+    algebras, which are built once.  Returns every witness found, as a
+    module map of Q, in deterministic grid order.  An empty result means
+    "not found within the searched family", nothing stronger.
     """
     nq = mp.Q.rank
     zero = MultiPoly.zero()
+    source, target = deformed_algebra(mp, phi), deformed_algebra(mp, psi)
     found = []
     nonzero = [v for v in values if v != 0]
     for diag in iter_product(nonzero, repeat=nq):
@@ -333,7 +255,6 @@ def search_equivalence_diagonal(
             tuple(MultiPoly.const(diag[i]) if i == j else zero for j in range(nq))
             for i in range(nq)
         )
-        alpha = Morphism(mp.Q, mp.Q, matrix)
-        if check_equivalence(mp, phi, psi, alpha).passed:
-            found.append(alpha)
+        if check_morphism(Morphism(source, target, matrix)).passed:
+            found.append(Morphism(mp.Q, mp.Q, matrix))
     return found

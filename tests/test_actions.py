@@ -11,8 +11,6 @@ from cfkit.actions import (
     check_bimodule,
     check_matched_pair,
     check_module,
-    left_to_right,
-    right_to_left,
     trivial_action,
     trivial_pair,
 )
@@ -117,27 +115,6 @@ class TestCheckBimodule:
         # here so this parses, but the compatibility identity breaks
         wrong = ModuleAction(RIGHT, pair.R, pair.Q.rank, pair.rhu.table)
         assert not check_bimodule(pair.rhu, wrong).passed
-
-
-class TestRightToLeft:
-    def test_wab_conversion(self):
-        pair = wab_doc(2, 0).find("matched", "WP")
-        converted = right_to_left(pair.lhd)
-        assert converted.side == LEFT
-        assert converted.table[0][0] == (d + 2 * l,)
-
-    def test_trivial_stays_trivial(self):
-        act = trivial_action(RIGHT, vir_algebra(), 2)
-        assert right_to_left(act).is_trivial()
-
-    def test_involution_on_sv(self):
-        act = sv_doc().find("matched", "SVP").lhd
-        assert left_to_right(right_to_left(act)) == act
-
-    def test_side_guard(self):
-        act = trivial_action(LEFT, vir_algebra(), 1)
-        with pytest.raises(ValueError):
-            right_to_left(act)
 
 
 class TestBuildBicrossed:

@@ -77,6 +77,12 @@ class TestDeterminism:
         b.pop("timings")
         assert a["command"] == ["check", "t.cfk"]
         assert a == b
+        # a prefix of --json would slip past the command echo, so it is refused
+        for path_args in (["--js", "c.json"], ["--jso=c.json"]):
+            with pytest.raises(SystemExit) as exc:
+                run(["check", "t.cfk", *path_args])
+            assert exc.value.code == 2
+        assert not Path("c.json").exists()
 
 
 class TestSolveCap:

@@ -1,14 +1,25 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from cfkit.actions import build_bicrossed
-from cfkit.algebra import GenElement, check_axioms
+from cfkit.actions import action_eval, build_bicrossed
+from cfkit.algebra import (
+    LIE,
+    ConformalAlgebra,
+    GenElement,
+    Violation,
+    check_axioms,
+    product_eval,
+)
 from cfkit.constraints import grid_values
 from cfkit.deform import (
     DeformationMap,
     Morphism,
+    _deformation_residuals,
     apply_map,
+    apply_matrix,
     check_deformation_map,
     check_equivalence,
     check_morphism,
@@ -298,3 +309,222 @@ class TestBicrossedInterplay:
         )
         morph = Morphism(twisted, big, embed)
         assert check_morphism(morph).passed
+
+
+# -- differential reference: the cross actions expanded by hand ---------------
+#
+# The identities below spell out, for each kind, what the product of two
+# graph elements inside the bicrossed product amounts to.  ``deform`` reads
+# them off that product instead; these literal expansions are kept as the
+# reference it must match residual for residual.
+
+_NEG = -l - d
+
+
+def _phi(matrix, elem):
+    return GenElement(apply_matrix(matrix, elem.coords))
+
+
+def reference_residuals(mp, matrix):
+    q_basis = [mp.Q.basis_element(i) for i in range(mp.Q.rank)]
+    images = [_phi(matrix, q) for q in q_basis]
+    out = []
+    for i, (x, fx) in enumerate(zip(q_basis, images)):
+        for j, (y, fy) in enumerate(zip(q_basis, images)):
+            lhs = _phi(matrix, product_eval(mp.Q, x, y, l)) - product_eval(mp.R, fx, fy, l)
+            if mp.kind == LIE:
+                rhs = (
+                    _phi(matrix, action_eval(mp.lhd, y, fx, _NEG))
+                    - _phi(matrix, action_eval(mp.lhd, x, fy, l))
+                    + action_eval(mp.rhd, x, fy, l)
+                    - action_eval(mp.rhd, y, fx, _NEG)
+                )
+            else:
+                rhs = (
+                    action_eval(mp.lhu, fx, y, l)
+                    + action_eval(mp.rhd, x, fy, l)
+                    - _phi(matrix, action_eval(mp.rhu, fx, y, l))
+                    - _phi(matrix, action_eval(mp.lhd, x, fy, l))
+                )
+            out.append((i, j, lhs - rhs))
+    return out
+
+
+def reference_table(mp, matrix):
+    q_basis = [mp.Q.basis_element(i) for i in range(mp.Q.rank)]
+    images = [_phi(matrix, q) for q in q_basis]
+    table = []
+    for i, x in enumerate(q_basis):
+        row = []
+        for j, y in enumerate(q_basis):
+            entry = GenElement(mp.Q.table[i][j]) + action_eval(mp.lhd, x, images[j], l)
+            if mp.kind == LIE:
+                entry = entry - action_eval(mp.lhd, y, images[i], _NEG)
+            else:
+                entry = entry + action_eval(mp.rhu, images[i], y, l)
+            row.append(entry.coords)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def reference_equivalence(mp, phi, psi, alpha):
+    q_basis = [mp.Q.basis_element(i) for i in range(mp.Q.rank)]
+    a_img = [apply_map(alpha, q) for q in q_basis]
+    psi_a = [_phi(psi.matrix, e) for e in a_img]
+    phi_img = [_phi(phi.matrix, q) for q in q_basis]
+    violations = []
+    for i, x in enumerate(q_basis):
+        for j, y in enumerate(q_basis):
+            lhs = apply_map(alpha, product_eval(mp.Q, x, y, l)) - product_eval(
+                mp.Q, a_img[i], a_img[j], l
+            )
+            rhs = action_eval(mp.lhd, a_img[i], psi_a[j], l) - apply_map(
+                alpha, action_eval(mp.lhd, x, phi_img[j], l)
+            )
+            if mp.kind == LIE:
+                rhs = (
+                    rhs
+                    - action_eval(mp.lhd, a_img[j], psi_a[i], _NEG)
+                    + apply_map(alpha, action_eval(mp.lhd, y, phi_img[i], _NEG))
+                )
+            else:
+                rhs = (
+                    rhs
+                    + action_eval(mp.rhu, psi_a[i], a_img[j], l)
+                    - apply_map(alpha, action_eval(mp.rhu, phi_img[i], y, l))
+                )
+            residual = lhs - rhs
+            if not residual.is_zero:
+                violations.append(Violation("equivalence", (i, j), residual, mp.Q.basis))
+    return tuple(violations)
+
+
+def explicit_graph_embedding(mp, dm):
+    """Morphism check of ``x -> (φx, x)`` into the bicrossed product, then
+    closure of the graph, both evaluated in the bicrossed product itself."""
+    big = build_bicrossed(mp)
+    nq, nr = mp.Q.rank, mp.R.rank
+    twisted = ConformalAlgebra(mp.kind, mp.Q.basis, reference_table(mp, dm.matrix))
+    embed = tuple(
+        tuple(dm.matrix[i])
+        + tuple(MultiPoly.const(1) if j == i else MultiPoly.zero() for j in range(nq))
+        for i in range(nq)
+    )
+    morph = Morphism(twisted, big, embed)
+    violations = list(check_morphism(morph).violations)
+    for i in range(nq):
+        gi = apply_map(morph, twisted.basis_element(i))
+        for j in range(nq):
+            gj = apply_map(morph, twisted.basis_element(j))
+            prod = product_eval(big, gi, gj, l).coords
+            residual = GenElement(prod[:nr]) - _phi(dm.matrix, GenElement(prod[nr:]))
+            if not residual.is_zero:
+                violations.append(Violation("graph-closure", (i, j), residual, mp.R.basis))
+    return tuple(violations)
+
+
+# the six pairs the random-maps benchmark draws from
+BENCH_PAIRS = {
+    "WP(a=1,b=0)": lambda: wab_doc(1, 0).find("matched", "WP"),
+    "WP(a=1,b=3)": lambda: wab_doc(1, 3).find("matched", "WP"),
+    "WP(a=2,b=0)": lambda: wab_doc(2, 0).find("matched", "WP"),
+    "NP": lambda: nfold_doc(b=2, a1=0, a2=0, a3=0).find("matched", "NP"),
+    "SVP": lambda: sv_doc().find("matched", "SVP"),
+    "AP": lambda: assoc4_doc().find("matched", "AP"),
+}
+
+
+def _random_poly(rng, degree):
+    return MultiPoly(
+        {((D, t),) if t else (): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+         for t in range(degree + 1)}
+    )
+
+
+def _random_maps(pair, rng, count=6):
+    return [
+        DeformationMap(
+            pair,
+            tuple(
+                tuple(_random_poly(rng, k % 3) for _ in range(pair.R.rank))
+                for _ in range(pair.Q.rank)
+            ),
+        )
+        for k in range(count)
+    ]
+
+
+def _random_alphas(pair, rng):
+    """A random diagonal and a random unit upper-triangular automorphism."""
+    n = pair.Q.rank
+    zero, one = MultiPoly.zero(), MultiPoly.const(1)
+    diag = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)) for _ in range(n)]
+    diagonal = tuple(
+        tuple(MultiPoly.const(diag[i]) if i == j else zero for j in range(n))
+        for i in range(n)
+    )
+    triangular = tuple(
+        tuple(
+            one if i == j else _random_poly(rng, rng.randint(0, 2)) if j > i else zero
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return [Morphism(pair.Q, pair.Q, m) for m in (diagonal, triangular)]
+
+
+@pytest.mark.parametrize("label", sorted(BENCH_PAIRS))
+class TestGraphProductsMatchHandExpansion:
+    def test_residuals_tables_and_graph_embedding(self, label):
+        pair = BENCH_PAIRS[label]()
+        maps = _random_maps(pair, random.Random(f"residuals:{label}"))
+        failing = 0
+        for dm in maps:
+            want = reference_residuals(pair, dm.matrix)
+            assert list(_deformation_residuals(pair, dm.matrix)) == want
+            assert deformed_algebra(pair, dm).table == reference_table(pair, dm.matrix)
+            graph = graph_embedding_check(pair, dm)
+            assert graph.violations == explicit_graph_embedding(pair, dm)
+            failing += not graph.passed
+        assert failing  # the comparison must see failing embeddings
+
+    def test_equivalence_residuals(self, label):
+        pair = BENCH_PAIRS[label]()
+        rng = random.Random(f"equivalence:{label}")
+        maps = _random_maps(pair, rng)
+        failing = 0
+        for phi, psi in zip(maps, maps[1:] + maps[:1]):
+            for alpha in _random_alphas(pair, rng):
+                report = check_equivalence(pair, phi, psi, alpha)
+                assert report.violations == reference_equivalence(pair, phi, psi, alpha)
+                failing += not report.passed
+        assert failing
+
+    def test_diagonal_search(self, label):
+        pair = BENCH_PAIRS[label]()
+        phi, psi = _random_maps(pair, random.Random(f"search:{label}"), count=2)
+        values = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
+        for a, b in ((phi, phi), (phi, psi)):
+            want = [
+                alpha.matrix
+                for alpha in _diagonal_family(pair, values)
+                if not reference_equivalence(pair, a, b, alpha)
+            ]
+            got = [alpha.matrix for alpha in search_equivalence_diagonal(pair, a, b, values)]
+            assert got == want
+        assert search_equivalence_diagonal(pair, phi, phi, values)  # the identity
+
+
+def _diagonal_family(pair, values):
+    n = pair.Q.rank
+    nonzero = [v for v in values if v != 0]
+    for diag in itertools.product(nonzero, repeat=n):
+        yield Morphism(
+            pair.Q,
+            pair.Q,
+            tuple(
+                tuple(MultiPoly.const(diag[i]) if i == j else MultiPoly.zero()
+                      for j in range(n))
+                for i in range(n)
+            ),
+        )
