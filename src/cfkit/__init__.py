@@ -12,9 +12,7 @@ from .actions import (
     action_eval,
     build_bicrossed,
     check_b1_b2_direct,
-    check_bimodule,
     check_matched_pair,
-    check_module,
     trivial_pair,
 )
 from .algebra import (

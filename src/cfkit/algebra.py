@@ -54,10 +54,6 @@ class GenElement:
         return self.scale(factor)
 
 
-def zero_element(rank: int) -> GenElement:
-    return GenElement((MultiPoly.zero(),) * rank)
-
-
 def element_text(elem: GenElement, names: tuple[str, ...]) -> str:
     """Canonical rendering ``(poly) name + ...``, or ``0``."""
     parts = []

@@ -1,9 +1,10 @@
 """Command-line front end emitting deterministic JSON reports.
 
 Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
-(parse or reference errors), 3 a resource cap was exceeded.  Reports are
-byte-identical across runs for identical inputs, except for the ``timings``
-field, which golden comparisons drop.
+(parse or reference errors, an exponent over the parser's cap, or a
+``--param`` name the document never uses), 3 a resource cap was exceeded.
+Reports are byte-identical across runs for identical inputs, except for the
+``timings`` field, which golden comparisons drop.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from . import constraints as cons
 from . import deform as dfm
 from . import structure as struct
-from .actions import build_bicrossed, check_b1_b2_direct, check_matched_pair
+from .actions import check_b1_b2_direct, check_matched_pair
 from .algebra import CheckReport, ConformalAlgebra, LIE, check_axioms, element_text
 from .dsl import Document, Item, serialize, try_parse
 from .poly import scalar_text
@@ -58,7 +59,19 @@ def _load(path: str, params: dict[str, Fraction]) -> tuple[Document, str]:
     if document is None:
         lines = [f"{path}:{d.text()}" for d in diagnostics]
         raise _InputError("\n".join(lines))
+    unused = sorted(set(params) - document.used_params)
+    if unused:
+        raise _InputError(
+            f"{path}: --param {', '.join(unused)} is neither declared nor read"
+        )
     return document, text
+
+
+def _find(document: Document, kind: str, name: str):
+    try:
+        return document.find(kind, name)
+    except KeyError as exc:
+        raise _InputError(str(exc))
 
 
 def _digest(text: str) -> str:
@@ -179,7 +192,7 @@ def _write_algebra(document_name: str, algebra: ConformalAlgebra, path: str | No
 
 
 def _expect_compare(report, document, expect_name, constructed) -> bool:
-    expected = document.find("algebra", expect_name)
+    expected = _find(document, "algebra", expect_name)
     match = expected == constructed
     report["checks"].append(
         {
@@ -204,13 +217,10 @@ def cmd_bicrossed(args, argv) -> int:
     params = _parse_params(args.param)
     document, text = _load(args.file, params)
     report = _report_skeleton(argv, {Path(args.file).name: text}, params)
-    try:
-        pair = document.find("matched", args.pair)
-    except KeyError as exc:
-        raise _InputError(str(exc))
+    pair = _find(document, "matched", args.pair)
     entries, ok = _matched_pair_checks(args.pair, pair)
     report["checks"].extend(entries)
-    big = build_bicrossed(pair)
+    big = pair.bicrossed
     report["output"] = _write_algebra(f"{args.pair}_E", big, args.out)
     if args.expect:
         ok = _expect_compare(report, document, args.expect, big) and ok
@@ -222,11 +232,8 @@ def cmd_deform(args, argv) -> int:
     params = _parse_params(args.param)
     document, text = _load(args.file, params)
     report = _report_skeleton(argv, {Path(args.file).name: text}, params)
-    try:
-        pair = document.find("matched", args.pair)
-        mapping = document.find("defmap", args.map)
-    except KeyError as exc:
-        raise _InputError(str(exc))
+    pair = _find(document, "matched", args.pair)
+    mapping = _find(document, "defmap", args.map)
     if mapping.pair != pair:
         raise _InputError(f"map {args.map!r} is not defined on pair {args.pair!r}")
     rep = dfm.check_deformation_map(pair, mapping)
@@ -249,10 +256,7 @@ def cmd_constraints(args, argv) -> int:
     params = _parse_params(args.param)
     document, text = _load(args.file, params)
     report = _report_skeleton(argv, {Path(args.file).name: text}, params)
-    try:
-        pair = document.find("matched", args.pair)
-    except KeyError as exc:
-        raise _InputError(str(exc))
+    pair = _find(document, "matched", args.pair)
     ansatz = cons.AnsatzSpec.uniform(pair.Q.rank, pair.R.rank, args.degree)
     system = cons.compile_deformation_constraints(pair, ansatz)
     system_json = cons.system_to_json(system)
@@ -312,17 +316,11 @@ def cmd_equiv(args, argv) -> int:
     params = _parse_params(args.param)
     document, text = _load(args.file, params)
     report = _report_skeleton(argv, {Path(args.file).name: text}, params)
-    try:
-        pair = document.find("matched", args.pair)
-        phi = document.find("defmap", args.phi)
-        psi = document.find("defmap", args.psi)
-    except KeyError as exc:
-        raise _InputError(str(exc))
+    pair = _find(document, "matched", args.pair)
+    phi = _find(document, "defmap", args.phi)
+    psi = _find(document, "defmap", args.psi)
     if args.alpha:
-        try:
-            alpha = document.find("morphism", args.alpha)
-        except KeyError as exc:
-            raise _InputError(str(exc))
+        alpha = _find(document, "morphism", args.alpha)
         rep = dfm.check_equivalence(pair, phi, psi, alpha)
         report["checks"].append(_check_entry(f"equivalence:{args.alpha}", rep))
         return _finish(report, args.json, started, EXIT_PASS if rep.passed else EXIT_FAIL)
@@ -349,10 +347,7 @@ def cmd_morphism(args, argv) -> int:
     params = _parse_params(args.param)
     document, text = _load(args.file, params)
     report = _report_skeleton(argv, {Path(args.file).name: text}, params)
-    try:
-        morphism = document.find("morphism", args.name)
-    except KeyError as exc:
-        raise _InputError(str(exc))
+    morphism = _find(document, "morphism", args.name)
     rep = dfm.check_morphism(morphism)
     report["checks"].append(
         _check_entry(
@@ -367,10 +362,7 @@ def cmd_structure(args, argv) -> int:
     params = _parse_params(args.param)
     document, text = _load(args.file, params)
     report = _report_skeleton(argv, {Path(args.file).name: text}, params)
-    try:
-        algebra = document.find("algebra", args.algebra)
-    except KeyError as exc:
-        raise _InputError(str(exc))
+    algebra = _find(document, "algebra", args.algebra)
     if algebra.kind != LIE:
         raise _InputError("structure analysis applies to Lie algebras")
     solv = struct.is_solvable(algebra, max_depth=args.max_depth)
@@ -402,8 +394,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name, help_text):
         return sub.add_parser(name, help=help_text, allow_abbrev=False)
 
-    def common(p):
-        p.add_argument("--param", action="append", default=[], metavar="NAME=RAT")
+    def common(p, params=True):
+        if params:
+            p.add_argument("--param", action="append", default=[], metavar="NAME=RAT")
         p.add_argument("--json", metavar="PATH", help="write the JSON report here")
 
     p = command("check", "run axiom/module/map checks")
@@ -442,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-num", type=int, default=2)
     p.add_argument("--grid-den", type=int, default=1)
     p.add_argument("--cap", type=int, default=6)
-    common(p)
+    common(p, params=False)
     p.set_defaults(func=cmd_solve)
 
     p = command("equiv", "compare two deformation maps up to a module automorphism")

@@ -129,13 +129,6 @@ class AnsatzSpec:
                     out[unknown(off + t)] = value
         return out
 
-    def concrete_map(self, mp: MatchedPair, assignment: Assignment) -> DeformationMap:
-        matrix = tuple(
-            tuple(_eval_unknowns(entry, assignment) for entry in row)
-            for row in self.symbolic_matrix()
-        )
-        return DeformationMap(mp, matrix)
-
 
 @dataclass(frozen=True)
 class Provenance:

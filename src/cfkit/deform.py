@@ -6,8 +6,9 @@ elements ``(φe_i, e_i)`` in the bicrossed product ``E = R ⋈ Q``, split into
 an R part ``r`` and a Q part ``q``: ``φ`` is a deformation map when
 ``φ(q) = r``, ``q`` is the deformed product, and ``α`` makes two maps
 equivalent when it is a morphism between their deformed algebras.  Only
-:func:`build_bicrossed` expands the cross actions.  Non-equivalence is only
-ever reported relative to the family of automorphisms actually searched.
+:func:`build_bicrossed` expands the cross actions, once per pair
+(``mp.bicrossed``).  Non-equivalence is only ever reported relative to the
+family of automorphisms actually searched.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .actions import MatchedPair, build_bicrossed
+from .actions import MatchedPair
 from .algebra import (
     CheckReport,
     ConformalAlgebra,
@@ -112,7 +113,7 @@ def _graph_products(mp: MatchedPair, matrix: Matrix):
     graph elements ``(φe_i, e_i)`` and ``(φe_j, e_j)`` inside the bicrossed
     product, where ``φ`` is ``matrix``.
     """
-    big = build_bicrossed(mp)
+    big = mp.bicrossed
     nr, nq = mp.R.rank, mp.Q.rank
     graph = [
         GenElement(tuple(matrix[i]) + mp.Q.basis_element(i).coords)

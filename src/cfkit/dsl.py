@@ -30,7 +30,7 @@ that parses back to an identical document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .actions import LEFT, MatchedPair, ModuleAction, RIGHT
@@ -44,6 +44,10 @@ _KIND_WORDS = {LIE: "lie", ASSOCIATIVE: "assoc"}
 _WORD_KINDS = {w: k for k, w in _KIND_WORDS.items()}
 
 _MAX_DIAGNOSTICS = 20
+
+#: Largest exponent ``^n`` the parser expands; a larger one is an input error
+#: rather than a power computed and carried through every later check.
+MAX_EXPONENT = 64
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,8 @@ class Item:
 @dataclass(frozen=True)
 class Document:
     items: tuple[Item, ...]
+    # parameter names the text declares or reads in a polynomial
+    used_params: frozenset[str] = field(default=frozenset(), compare=False)
 
     def find(self, kind: str, name: str):
         for item in self.items:
@@ -174,6 +180,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.params = dict(params)
+        self.used_params: set[str] = set()
         self.diagnostics: list[Diagnostic] = []
         self.items: list[Item] = []
         self.by_kind: dict[tuple[str, str], object] = {}
@@ -286,8 +293,12 @@ class _Parser:
             exp_tok = self.peek()
             if exp_tok.kind != "number":
                 self.fail("exponent must be a number", exp_tok)
+            # compare digit counts first, so a huge literal is never converted
+            digits = exp_tok.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                self.fail(f"exponent {exp_tok.text} exceeds the cap {MAX_EXPONENT}", exp_tok)
             self.advance()
-            return base ** int(exp_tok.text)
+            return base ** int(digits)
         return base
 
     def _poly_primary(self) -> MultiPoly:
@@ -309,6 +320,7 @@ class _Parser:
             if len(name) > 1 and name[0] == "u" and name[1:].isdigit():
                 return MultiPoly.var(unknown(int(name[1:])))
             if name in self.params:
+                self.used_params.add(name)
                 return MultiPoly.const(self.params[name])
             self.fail(f"unbound parameter {name!r}", tok)
         self.fail(f"expected a polynomial, found {tok.text!r}", tok)
@@ -377,7 +389,7 @@ class _Parser:
                 break
         if self.diagnostics:
             return None
-        return Document(tuple(self.items))
+        return Document(tuple(self.items), frozenset(self.used_params))
 
     def register(self, kind: str, name_tok: _Token, value: object, refs=()) -> None:
         key = (kind, name_tok.text)
@@ -403,6 +415,7 @@ class _Parser:
         self.expect(";")
         # command-line bindings take precedence over in-file defaults
         self.params.setdefault(name, value)
+        self.used_params.add(name)
         self.register("param", name_tok, self.params[name])
 
     def _parse_rational(self) -> Fraction:

@@ -47,12 +47,6 @@ def is_unknown(var: int) -> bool:
     return var >= _U_BASE
 
 
-def unknown_index(var: int) -> int:
-    if not is_unknown(var):
-        raise ValueError(f"variable {var} is not an ansatz unknown")
-    return var - _U_BASE
-
-
 def var_name(var: int) -> str:
     """Normative textual name of a variable (``d``, ``l``, ``m``, ``u0``...)."""
     if var == D:

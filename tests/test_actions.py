@@ -1,5 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+import cfkit.actions
 from cfkit.actions import (
     LEFT,
     MatchedPair,
@@ -8,19 +12,143 @@ from cfkit.actions import (
     action_eval,
     build_bicrossed,
     check_b1_b2_direct,
-    check_bimodule,
     check_matched_pair,
-    check_module,
     trivial_action,
     trivial_pair,
 )
-from cfkit.algebra import ConformalAlgebra, LIE, abelian, check_axioms
-from cfkit.poly import D, L1, MultiPoly
+from cfkit.algebra import (
+    ASSOCIATIVE,
+    CheckReport,
+    ConformalAlgebra,
+    GenElement,
+    LIE,
+    Violation,
+    abelian,
+    check_axioms,
+    merge_reports,
+    product_eval,
+)
+from cfkit.deform import check_deformation_map, deformed_algebra, graph_embedding_check
+from cfkit.poly import D, L1, L2, MultiPoly
 
 from helpers import assoc4_doc, nfold_doc, sv_doc, vir_algebra, wab_doc
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
+
+_PD = d
+_PL1 = l
+_PL2 = MultiPoly.var(L2)
+
+
+# -- reference: the composite matched-pair check, identity by identity ----------
+#
+# ``check_matched_pair`` decides a pair by the axioms of its bicrossed product
+# alone.  The functions below are the composite check it replaces: component
+# axioms, the module laws expanded by hand, the bimodule compatibilities of an
+# associative pair, and then E's axioms.  They are kept as the reference for
+# the differential test at the end of this file.
+
+
+def _carrier_basis(rank: int) -> list[GenElement]:
+    out = []
+    for i in range(rank):
+        coords = [MultiPoly.zero()] * rank
+        coords[i] = MultiPoly.const(1)
+        out.append(GenElement(tuple(coords)))
+    return out
+
+
+def check_module(act: ModuleAction) -> CheckReport:
+    """The side- and kind-appropriate module law, expanded by hand on a basis."""
+    alg = act.acting
+    carrier = _carrier_basis(act.carrier_rank)
+    names = tuple(f"v{i}" for i in range(act.carrier_rank))
+    violations = []
+    for i in range(alg.rank):
+        ei = alg.basis_element(i)
+        for j in range(alg.rank):
+            ej = alg.basis_element(j)
+            for k, vk in enumerate(carrier):
+                if act.kind == LIE and act.side == LEFT:
+                    residual = (
+                        action_eval(act, product_eval(alg, ei, ej, _PL1), vk, _PL1 + _PL2)
+                        - action_eval(act, ei, action_eval(act, ej, vk, _PL2), _PL1)
+                        + action_eval(act, ej, action_eval(act, ei, vk, _PL1), _PL2)
+                    )
+                    name = "left-module"
+                elif act.kind == LIE and act.side == RIGHT:
+                    residual = (
+                        action_eval(act, vk, product_eval(alg, ei, ej, _PL1), _PL2)
+                        - action_eval(
+                            act, action_eval(act, vk, ei, _PL2), ej, _PL1 + _PL2
+                        )
+                        + action_eval(
+                            act, action_eval(act, vk, ej, _PL2), ei, -_PL1 - _PD
+                        )
+                    )
+                    name = "right-module"
+                elif act.side == LEFT:
+                    residual = action_eval(
+                        act, product_eval(alg, ei, ej, _PL1), vk, _PL1 + _PL2
+                    ) - action_eval(act, ei, action_eval(act, ej, vk, _PL2), _PL1)
+                    name = "left-module"
+                else:
+                    residual = action_eval(
+                        act, action_eval(act, vk, ei, _PL1), ej, _PL1 + _PL2
+                    ) - action_eval(act, vk, product_eval(alg, ei, ej, _PL2), _PL1)
+                    name = "right-module"
+                if not residual.is_zero:
+                    violations.append(Violation(name, (i, j, k), residual, names))
+    return CheckReport(tuple(violations))
+
+
+def check_bimodule(left: ModuleAction, right: ModuleAction) -> CheckReport:
+    """Full bimodule check: both module laws plus their compatibility.
+
+    Compatibility alone is not discriminating enough; a table can satisfy it
+    while failing to be a module at all, so both one-sided laws are included
+    in the verdict.
+    """
+    if left.kind != ASSOCIATIVE or right.kind != ASSOCIATIVE:
+        raise ValueError("bimodule compatibility applies to associative kind only")
+    if left.side != LEFT or right.side != RIGHT:
+        raise ValueError("expected a (left, right) action pair")
+    if left.acting != right.acting or left.carrier_rank != right.carrier_rank:
+        raise ValueError("actions must share the acting algebra and carrier")
+    alg = left.acting
+    carrier = _carrier_basis(left.carrier_rank)
+    names = tuple(f"v{i}" for i in range(left.carrier_rank))
+    violations = list(check_module(left).violations)
+    violations.extend(check_module(right).violations)
+    for i in range(alg.rank):
+        ei = alg.basis_element(i)
+        for k, vk in enumerate(carrier):
+            lv = action_eval(left, ei, vk, _PL1)
+            for j in range(alg.rank):
+                ej = alg.basis_element(j)
+                residual = action_eval(right, lv, ej, _PL1 + _PL2) - action_eval(
+                    left, ei, action_eval(right, vk, ej, _PL2), _PL1
+                )
+                if not residual.is_zero:
+                    violations.append(Violation("bimodule", (i, k, j), residual, names))
+    return CheckReport(tuple(violations))
+
+
+def reference_check_matched_pair(mp: MatchedPair) -> CheckReport:
+    parts = [
+        ("R", check_axioms(mp.R)),
+        ("Q", check_axioms(mp.Q)),
+        ("lhd", check_module(mp.lhd)),
+        ("rhd", check_module(mp.rhd)),
+    ]
+    if mp.kind == ASSOCIATIVE:
+        parts.append(("lhu", check_module(mp.lhu)))
+        parts.append(("rhu", check_module(mp.rhu)))
+        parts.append(("Q-bimodule", check_bimodule(mp.rhu, mp.lhd)))
+        parts.append(("R-bimodule", check_bimodule(mp.rhd, mp.lhu)))
+    parts.append(("E", check_axioms(build_bicrossed(mp))))
+    return merge_reports(parts)
 
 
 def corpus_lie_pairs():
@@ -68,6 +196,7 @@ class TestActionEval:
             action_eval(pair.lhd, pair.R.basis_element(0), pair.R.basis_element(0), l)
 
 
+# the reference laws must hold on the bundled actions and catch broken ones
 class TestCheckModule:
     @pytest.mark.parametrize("a,b", [(1, 0), (1, 3), (2, 0)])
     def test_wab_right_action(self, a, b):
@@ -209,3 +338,100 @@ class TestDirectCompatibility:
     def test_lie_only(self):
         with pytest.raises(ValueError):
             check_b1_b2_direct(assoc4_doc().find("matched", "AP"))
+
+
+class TestBicrossedBuiltOnce:
+    def test_one_build_per_pair(self, monkeypatch):
+        calls = []
+        original = cfkit.actions.build_bicrossed
+
+        def counting(mp):
+            calls.append(mp)
+            return original(mp)
+
+        monkeypatch.setattr(cfkit.actions, "build_bicrossed", counting)
+        doc = wab_doc(1, 0, 3)
+        pair, phi = doc.find("matched", "WP"), doc.find("defmap", "phi")
+        assert check_matched_pair(pair).passed
+        assert check_deformation_map(pair, phi).passed
+        deformed_algebra(pair, phi)
+        assert graph_embedding_check(pair, phi).passed
+        assert calls == [pair]
+
+    def test_cache_is_not_a_field(self):
+        first = wab_doc(1, 0).find("matched", "WP")
+        second = wab_doc(1, 0).find("matched", "WP")
+        hash_before = hash(first)
+        assert first.bicrossed == build_bicrossed(second)
+        assert first == second
+        assert hash(first) == hash_before == hash(second)
+
+
+# -- differential test: E's axioms against the composite reference --------------
+
+# eight pairs: the Lie pairs of the corpus, the associative pair AP and the
+# direct sum of its two components
+PERTURBED_PAIRS = {
+    "WP(1,0)": lambda: wab_doc(1, 0).find("matched", "WP"),
+    "WP(1,3)": lambda: wab_doc(1, 3).find("matched", "WP"),
+    "WP(2,0)": lambda: wab_doc(2, 0).find("matched", "WP"),
+    "WP(0,1)": lambda: wab_doc(0, 1).find("matched", "WP"),
+    "NP": lambda: nfold_doc().find("matched", "NP"),
+    "SVP": lambda: sv_doc().find("matched", "SVP"),
+    "AP": lambda: assoc4_doc().find("matched", "AP"),
+    "A2+Q2": lambda: trivial_pair(
+        assoc4_doc().find("algebra", "A2"), assoc4_doc().find("algebra", "Q2")
+    ),
+}
+
+
+def _bump(table, i, j, k, delta):
+    rows = [list(row) for row in table]
+    entry = list(rows[i][j])
+    entry[k] = entry[k] + delta
+    rows[i][j] = tuple(entry)
+    return tuple(tuple(row) for row in rows)
+
+
+def perturb(pair: MatchedPair, rng: random.Random) -> MatchedPair:
+    """The pair with one entry of one component or action table shifted by a
+    small multiple of ``1``, ``d``, ``l`` or ``d + 2l``."""
+    names = ["R", "Q", "lhd", "rhd"] + (["lhu", "rhu"] if pair.kind == ASSOCIATIVE else [])
+    target = rng.choice(names)
+    table = getattr(pair, target).table
+    i, j = rng.randrange(len(table)), rng.randrange(len(table[0]))
+    k = rng.randrange(len(table[0][0]))
+    delta = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2)) * rng.choice(
+        (MultiPoly.const(1), d, l, d + 2 * l)
+    )
+    algebras = {"R": pair.R, "Q": pair.Q}
+    if target in algebras:
+        old = algebras[target]
+        algebras[target] = ConformalAlgebra(old.kind, old.basis, _bump(table, i, j, k, delta))
+    acting = {"lhd": "R", "rhd": "Q", "lhu": "Q", "rhu": "R"}
+    actions = {}
+    for name in names[2:]:
+        act = getattr(pair, name)
+        new_table = _bump(act.table, i, j, k, delta) if name == target else act.table
+        actions[name] = ModuleAction(
+            act.side, algebras[acting[name]], act.carrier_rank, new_table
+        )
+    return MatchedPair(pair.kind, algebras["R"], algebras["Q"], **actions)
+
+
+class TestMatchedPairMatchesComposite:
+    def test_perturbed_pairs(self):
+        rng = random.Random("matched-pair-differential")
+        pairs = {label: make() for label, make in PERTURBED_PAIRS.items()}
+        verdicts = {True: 0, False: 0}
+        for n in range(320):
+            label = sorted(pairs)[n % len(pairs)]
+            pair = perturb(pairs[label], rng)
+            got = check_matched_pair(pair)
+            want = reference_check_matched_pair(pair)
+            assert got.passed == want.passed, label
+            assert got.violations == tuple(
+                v for v in want.violations if v.identity.startswith("E:")
+            ), label
+            verdicts[got.passed] += 1
+        assert verdicts[True] and verdicts[False], verdicts

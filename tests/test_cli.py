@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,24 @@ class TestCheck:
         assert run(["check", "t.cfk", "--param", "a"]) == 2
         assert run(["check", "t.cfk", "--param", "a=x"]) == 2
 
+    def test_unused_param_exits_2(self, workdir, capsys):
+        Path("t.cfk").write_text("param a = 1;\n" + VIR.replace("2*l", "b*l"))
+        assert run(["check", "t.cfk", "--param", "a=2", "--param", "b=2"]) == 0
+        assert run(["check", "t.cfk", "--param", "b=2", "--param", "c=1"]) == 2
+        assert "--param c" in capsys.readouterr().err
+
+    def test_exponent_over_cap_exits_2(self, workdir, capsys):
+        Path("t.cfk").write_text(VIR.replace("(d + 2*l)", "(d^100000)"))
+        started = time.monotonic()
+        assert run(["check", "t.cfk"]) == 2
+        assert time.monotonic() - started < 1
+        assert "t.cfk:3:15:" in capsys.readouterr().err
+
+    def test_unknown_expect_exits_2(self, workdir):
+        Path("t.cfk").write_text(VIR + "algebra Q : lie { gens W; }\n"
+                                 "matched P : lie { R = Vir; Q = Q; }\n")
+        assert run(["bicrossed", "t.cfk", "--pair", "P", "--expect", "Nope"]) == 2
+
 
 class TestDeterminism:
     def test_reports_identical_modulo_timings(self, workdir):
@@ -95,6 +114,12 @@ class TestSolveCap:
         assert run(["solve", "sys.json", "--json", "r.json"]) == 3
         report = json.loads(Path("r.json").read_text())
         assert "error" in report
+
+    def test_solve_takes_no_param(self, workdir):
+        Path("sys.json").write_text(json.dumps({"unknowns": [], "equations": []}))
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "sys.json", "--param", "a=1"])
+        assert exc.value.code == 2
 
     def test_accepts_full_report_as_input(self, workdir):
         Path("t.cfk").write_text(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cfkit.algebra import ASSOCIATIVE, ConformalAlgebra, LIE
 from cfkit.dsl import (
+    MAX_EXPONENT,
     Document,
     Item,
     ParseError,
@@ -67,6 +68,15 @@ class TestParse:
         )
         assert doc.find("algebra", "A").table[0][0] == (2 * l,)
 
+    def test_used_params_are_declared_or_read(self):
+        doc = parse_document(
+            "param a = 1; algebra A : lie { gens X; [X, X] = (b*l) X; }",
+            {"a": Fraction(2), "b": Fraction(3), "c": Fraction(4)},
+        )
+        assert doc.used_params == {"a", "b"}
+        # the record is not part of the document's value
+        assert doc == Document(doc.items)
+
 
 class TestDiagnostics:
     def test_unbound_parameter(self):
@@ -119,6 +129,24 @@ class TestDiagnostics:
     def test_parse_error_exception(self):
         with pytest.raises(ParseError):
             parse_document("algebra A : lie { gens X; [X, X] = (q) X; }")
+
+    def test_exponent_over_cap_rejected_before_expanding(self, monkeypatch):
+        powers = []
+        pow_ = MultiPoly.__pow__
+        monkeypatch.setattr(
+            MultiPoly, "__pow__", lambda p, n: powers.append(n) or pow_(p, n)
+        )
+        for exponent in (MAX_EXPONENT + 1, 100000, "0" * 8 + "65", "9" * 5000):
+            text = f"algebra A : lie {{ gens X;\n[X, X] = (d^{exponent}) X; }}"
+            document, diags = try_parse(text)
+            assert document is None
+            assert [(x.line, x.col) for x in diags] == [(2, 13)]
+            assert "exceeds the cap" in diags[0].message
+        assert powers == []
+
+    def test_exponent_at_cap_parses(self):
+        doc = parse_document(f"algebra A : lie {{ gens X; [X, X] = (d^{MAX_EXPONENT}) X; }}")
+        assert doc.find("algebra", "A").table[0][0] == (MultiPoly.var(D, MAX_EXPONENT),)
 
     def test_duplicate_names(self):
         _, diags = try_parse(
