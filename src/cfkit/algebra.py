@@ -162,11 +162,6 @@ class ConformalAlgebra:
             coords[self.index(name)] = MultiPoly.const(0) + value
         return GenElement(tuple(coords))
 
-    def is_abelian_table(self) -> bool:
-        return all(
-            coeff.is_zero for row in self.table for entry in row for coeff in entry
-        )
-
 
 def abelian(kind: str, names: tuple[str, ...]) -> ConformalAlgebra:
     n = len(names)

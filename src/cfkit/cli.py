@@ -1,8 +1,10 @@
 """Command-line front end emitting deterministic JSON reports.
 
 Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
-(parse or reference errors, an exponent over the parser's cap, or a
-``--param`` name the document never uses), 3 a resource cap was exceeded.
+(parse or reference errors, an exponent or a numeric literal over the
+parser's caps, or a ``--param`` name the document never uses), 3 a resource
+cap was exceeded (the grid-search unknown cap in ``solve`` and ``equiv``, or
+the derived-series depth in ``structure``).
 Reports are byte-identical across runs for identical inputs, except for the
 ``timings`` field, which golden comparisons drop.
 """
@@ -50,21 +52,22 @@ def _parse_params(pairs: list[str]) -> dict[str, Fraction]:
     return params
 
 
-def _load(path: str, params: dict[str, Fraction]) -> tuple[Document, str]:
+def _load(args, argv: list[str]) -> tuple[Document, dict]:
+    """Parse ``args.file`` under its ``--param`` bindings and open the report."""
+    params = _parse_params(args.param)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}")
+        raise _InputError(f"cannot read {args.file}: {exc}")
     document, diagnostics = try_parse(text, params)
     if document is None:
-        lines = [f"{path}:{d.text()}" for d in diagnostics]
-        raise _InputError("\n".join(lines))
+        raise _InputError("\n".join(f"{args.file}:{d.text()}" for d in diagnostics))
     unused = sorted(set(params) - document.used_params)
     if unused:
         raise _InputError(
-            f"{path}: --param {', '.join(unused)} is neither declared nor read"
+            f"{args.file}: --param {', '.join(unused)} is neither declared nor read"
         )
-    return document, text
+    return document, _report_skeleton(argv, {Path(args.file).name: text}, params)
 
 
 def _find(document: Document, kind: str, name: str):
@@ -147,9 +150,7 @@ def _matched_pair_checks(name: str, pair) -> tuple[list[dict], bool]:
 
 def cmd_check(args, argv) -> int:
     started = time.monotonic()
-    params = _parse_params(args.param)
-    document, text = _load(args.file, params)
-    report = _report_skeleton(argv, {Path(args.file).name: text}, params)
+    document, report = _load(args, argv)
     names = args.names or [item.name for item in document.items if item.kind != "param"]
     by_name: dict[str, Item] = {}
     for item in document.items:
@@ -214,9 +215,7 @@ def _expect_compare(report, document, expect_name, constructed) -> bool:
 
 def cmd_bicrossed(args, argv) -> int:
     started = time.monotonic()
-    params = _parse_params(args.param)
-    document, text = _load(args.file, params)
-    report = _report_skeleton(argv, {Path(args.file).name: text}, params)
+    document, report = _load(args, argv)
     pair = _find(document, "matched", args.pair)
     entries, ok = _matched_pair_checks(args.pair, pair)
     report["checks"].extend(entries)
@@ -229,9 +228,7 @@ def cmd_bicrossed(args, argv) -> int:
 
 def cmd_deform(args, argv) -> int:
     started = time.monotonic()
-    params = _parse_params(args.param)
-    document, text = _load(args.file, params)
-    report = _report_skeleton(argv, {Path(args.file).name: text}, params)
+    document, report = _load(args, argv)
     pair = _find(document, "matched", args.pair)
     mapping = _find(document, "defmap", args.map)
     if mapping.pair != pair:
@@ -253,9 +250,7 @@ def cmd_deform(args, argv) -> int:
 
 def cmd_constraints(args, argv) -> int:
     started = time.monotonic()
-    params = _parse_params(args.param)
-    document, text = _load(args.file, params)
-    report = _report_skeleton(argv, {Path(args.file).name: text}, params)
+    document, report = _load(args, argv)
     pair = _find(document, "matched", args.pair)
     ansatz = cons.AnsatzSpec.uniform(pair.Q.rank, pair.R.rank, args.degree)
     system = cons.compile_deformation_constraints(pair, ansatz)
@@ -313,9 +308,7 @@ def cmd_solve(args, argv) -> int:
 
 def cmd_equiv(args, argv) -> int:
     started = time.monotonic()
-    params = _parse_params(args.param)
-    document, text = _load(args.file, params)
-    report = _report_skeleton(argv, {Path(args.file).name: text}, params)
+    document, report = _load(args, argv)
     pair = _find(document, "matched", args.pair)
     phi = _find(document, "defmap", args.phi)
     psi = _find(document, "defmap", args.psi)
@@ -325,7 +318,11 @@ def cmd_equiv(args, argv) -> int:
         report["checks"].append(_check_entry(f"equivalence:{args.alpha}", rep))
         return _finish(report, args.json, started, EXIT_PASS if rep.passed else EXIT_FAIL)
     values = cons.grid_values(args.grid_num, args.grid_den)
-    witnesses = dfm.search_equivalence_diagonal(pair, phi, psi, values)
+    try:
+        witnesses = cons.search_equivalence_diagonal(pair, phi, psi, values)
+    except cons.GridCapExceeded as exc:
+        report["error"] = str(exc)
+        return _finish(report, args.json, started, EXIT_CAP)
     report["witnesses"] = [
         [str(w.matrix[i][i]) for i in range(len(w.matrix))] for w in witnesses
     ]
@@ -344,9 +341,7 @@ def cmd_equiv(args, argv) -> int:
 
 def cmd_morphism(args, argv) -> int:
     started = time.monotonic()
-    params = _parse_params(args.param)
-    document, text = _load(args.file, params)
-    report = _report_skeleton(argv, {Path(args.file).name: text}, params)
+    document, report = _load(args, argv)
     morphism = _find(document, "morphism", args.name)
     rep = dfm.check_morphism(morphism)
     report["checks"].append(
@@ -359,9 +354,7 @@ def cmd_morphism(args, argv) -> int:
 
 def cmd_structure(args, argv) -> int:
     started = time.monotonic()
-    params = _parse_params(args.param)
-    document, text = _load(args.file, params)
-    report = _report_skeleton(argv, {Path(args.file).name: text}, params)
+    document, report = _load(args, argv)
     algebra = _find(document, "algebra", args.algebra)
     if algebra.kind != LIE:
         raise _InputError("structure analysis applies to Lie algebras")

@@ -1,17 +1,21 @@
-"""Compile the deformation identity into exact equations over ansatz unknowns.
+"""Compile quadratic identities into exact equations over ansatz unknowns.
 
 Each candidate map entry is a d-polynomial with undetermined rational
-coefficients ``u0, u1, ...``.  Running the deformation check symbolically
-and collecting the coefficient of every (d, l)-monomial of every residual
+coefficients ``u0, u1, ...``.  Running an identity symbolically and
+collecting the coefficient of every (d, l)-monomial of every residual
 coordinate yields a finite system of polynomial equations in the unknowns
 alone.  This subsumes ad-hoc specializations like setting the spectral
 variable to zero or comparing degrees: every such consequence is one of the
-collected coefficients.
+collected coefficients.  Two identities are compiled: the deformation
+identity of a candidate map, and the morphism identity of a diagonal
+automorphism between two deformed algebras, which is how
+:func:`search_equivalence_diagonal` looks for equivalence witnesses.
 
 Solving is deliberately modest: repeated elimination through equations that
 are degree one in some unknown with a constant leading coefficient, then an
-exhaustive search of a finite rational grid.  Residual nonlinear systems are
-reported as-is; non-existence claims never extend beyond the searched grid.
+exhaustive search of a finite rational grid, capped in the number of
+residual unknowns.  Residual nonlinear systems are reported as-is;
+non-existence claims never extend beyond the searched grid.
 """
 
 from __future__ import annotations
@@ -21,7 +25,14 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .actions import MatchedPair
-from .deform import DeformationMap, Matrix, _deformation_residuals
+from .deform import (
+    DeformationMap,
+    Matrix,
+    Morphism,
+    _deformation_residuals,
+    _morphism_residuals,
+    deformed_algebra,
+)
 from .poly import (
     D,
     L1,
@@ -155,15 +166,6 @@ class ConstraintSystem:
         return tuple(var_name(v) for v in self.unknowns)
 
 
-def _eval_unknowns(poly: MultiPoly, assignment: Assignment) -> MultiPoly:
-    for var in sorted(poly.variables()):
-        if is_unknown(var):
-            if var not in assignment:
-                raise ValueError(f"assignment is missing {var_name(var)}")
-            poly = poly.eval_at(var, assignment[var])
-    return poly
-
-
 def _monomial_text(mono: Monomial) -> str:
     if not mono:
         return "1"
@@ -177,21 +179,12 @@ def _normalize(poly: MultiPoly) -> MultiPoly:
     return poly if lead == 1 else poly / lead
 
 
-def compile_deformation_constraints(
-    mp: MatchedPair, ansatz: AnsatzSpec
-) -> ConstraintSystem:
-    """Collect every (d, l)-monomial coefficient of every residual coordinate.
-
-    The resulting equations mention the unknowns only and have total degree
-    at most two, because the identity is quadratic in the candidate map.
-    The system is empty exactly when every map inside the ansatz passes.
-    """
-    if ansatz.q_rank != mp.Q.rank or ansatz.r_rank != mp.R.rank:
-        raise ValueError("ansatz shape does not match the matched pair")
-    symbolic = ansatz.symbolic_matrix()
+def _compile(residuals, unknowns, row_names, col_names, coord_names) -> ConstraintSystem:
+    """Collect every (d, l)-monomial coefficient of every residual coordinate
+    as a normalized equation in the unknowns, dropping repeats."""
     equations: list[Equation] = []
     seen: set[MultiPoly] = set()
-    for i, j, residual in _deformation_residuals(mp, symbolic):
+    for i, j, residual in residuals:
         for k, coord in enumerate(residual.coords):
             buckets: dict[Monomial, dict] = {}
             for mono, coeff in coord.terms():
@@ -207,7 +200,7 @@ def compile_deformation_constraints(
                 if not all(is_unknown(v) for v in eq_poly.variables()):
                     raise AssertionError("collected equation still has d/l variables")
                 if eq_poly.degree() > 2:
-                    raise AssertionError("deformation equations must be quadratic")
+                    raise AssertionError("compiled equations must be quadratic")
                 eq_poly = _normalize(eq_poly)
                 if eq_poly in seen:
                     continue
@@ -216,14 +209,26 @@ def compile_deformation_constraints(
                     Equation(
                         eq_poly,
                         Provenance(
-                            mp.Q.basis[i],
-                            mp.Q.basis[j],
-                            mp.R.basis[k],
-                            _monomial_text(dl),
+                            row_names[i], col_names[j], coord_names[k], _monomial_text(dl)
                         ),
                     )
                 )
-    return ConstraintSystem(ansatz.unknowns, tuple(equations))
+    return ConstraintSystem(tuple(unknowns), tuple(equations))
+
+
+def compile_deformation_constraints(
+    mp: MatchedPair, ansatz: AnsatzSpec
+) -> ConstraintSystem:
+    """Compile the deformation identity over the ansatz.
+
+    The resulting equations mention the unknowns only and have total degree
+    at most two, because the identity is quadratic in the candidate map.
+    The system is empty exactly when every map inside the ansatz passes.
+    """
+    if ansatz.q_rank != mp.Q.rank or ansatz.r_rank != mp.R.rank:
+        raise ValueError("ansatz shape does not match the matched pair")
+    residuals = _deformation_residuals(mp, ansatz.symbolic_matrix())
+    return _compile(residuals, ansatz.unknowns, mp.Q.basis, mp.Q.basis, mp.R.basis)
 
 
 def verify_assignment(system: ConstraintSystem, assignment: Assignment) -> bool:
@@ -250,16 +255,18 @@ class EliminationResult:
 
     def extend(self, partial: Assignment) -> Assignment:
         """Complete a solution of the residual system to one of the original."""
-        full = dict(partial)
-        full.update(self.assignment)
-        for record in reversed(self.records):
-            if record.var in full:
-                continue
-            value = _eval_unknowns(record.replacement, full).constant_value()
-            if value is None:
-                raise ValueError("substitution chain did not resolve to a constant")
-            full[record.var] = value
-        return full
+        return _back_substitute(self.records, {**partial, **self.assignment})
+
+
+def _back_substitute(records: list[SubstitutionRecord], known: Assignment) -> Assignment:
+    """Add to ``known`` every eliminated unknown whose replacement evaluates
+    to a constant.  A replacement never mentions an unknown eliminated before
+    it, so one pass, last record first, resolves every chain that can be."""
+    full = dict(known)
+    for record in reversed(records):
+        if record.var not in full and record.replacement.variables() <= full.keys():
+            full[record.var] = record.replacement.evaluate(full)
+    return full
 
 
 def linear_eliminate(system: ConstraintSystem) -> EliminationResult:
@@ -311,26 +318,12 @@ def linear_eliminate(system: ConstraintSystem) -> EliminationResult:
             seen.add(poly)
             updated.append(Equation(poly, other.provenance))
         equations = updated
-    result = EliminationResult(
-        ConstraintSystem(tuple(known), tuple(equations)), {}, records, unsat
+    return EliminationResult(
+        ConstraintSystem(tuple(known), tuple(equations)),
+        _back_substitute(records, {}),
+        records,
+        unsat,
     )
-    # resolve whatever chains bottom out in constants
-    resolved: Assignment = {}
-    progress = True
-    while progress:
-        progress = False
-        for record in records:
-            if record.var in resolved:
-                continue
-            try:
-                value = _eval_unknowns(record.replacement, resolved).constant_value()
-            except ValueError:
-                continue
-            if value is not None:
-                resolved[record.var] = value
-                progress = True
-    result.assignment = resolved
-    return result
 
 
 def grid_values(num_bound: int, den_bound: int) -> tuple[Fraction, ...]:
@@ -362,6 +355,49 @@ def grid_search(
         if verify_assignment(system, assignment):
             solutions.append(assignment)
     return solutions
+
+
+def search_equivalence_diagonal(
+    mp: MatchedPair,
+    phi: DeformationMap,
+    psi: DeformationMap,
+    values: tuple[Fraction, ...],
+) -> list[Morphism]:
+    """Diagonal module automorphisms of Q with entries from the nonzero
+    ``values`` that are morphisms from the algebra deformed by ``phi`` to the
+    one deformed by ``psi``, in grid order.
+
+    The morphism identity over ``diag(u0, ..., u_{n-1})`` is compiled,
+    eliminated and grid-searched, so :class:`GridCapExceeded` bounds the
+    work.  An empty result means "not found within the searched family".
+    """
+    n = mp.Q.rank
+    unknowns = tuple(unknown(k) for k in range(n))
+
+    def diagonal(entries):
+        return tuple(
+            tuple(entries[i] if i == j else MultiPoly.zero() for j in range(n))
+            for i in range(n)
+        )
+
+    source, target = deformed_algebra(mp, phi), deformed_algebra(mp, psi)
+    symbolic = diagonal([MultiPoly.var(u) for u in unknowns])
+    residuals = _morphism_residuals(source, target, symbolic)
+    basis = mp.Q.basis
+    elimination = linear_eliminate(_compile(residuals, unknowns, basis, basis, basis))
+    if elimination.unsatisfiable is not None:
+        return []
+    nonzero = tuple(v for v in values if v != 0)
+    index = {v: k for k, v in enumerate(nonzero)}
+    found = []
+    for partial in grid_search(elimination.system, nonzero):
+        full = elimination.extend(partial)
+        if all(full[u] in index for u in unknowns):
+            found.append([index[full[u]] for u in unknowns])
+    return [
+        Morphism(mp.Q, mp.Q, diagonal([MultiPoly.const(nonzero[k]) for k in ks]))
+        for ks in sorted(found)
+    ]
 
 
 # -- JSON round trip ---------------------------------------------------------

@@ -7,15 +7,15 @@ an R part ``r`` and a Q part ``q``: ``φ`` is a deformation map when
 ``φ(q) = r``, ``q`` is the deformed product, and ``α`` makes two maps
 equivalent when it is a morphism between their deformed algebras.  Only
 :func:`build_bicrossed` expands the cross actions, once per pair
-(``mp.bicrossed``).  Non-equivalence is only ever reported relative to the
-family of automorphisms actually searched.
+(``mp.bicrossed``).  The morphism identity is read off
+:func:`_morphism_residuals`, which accepts symbolic matrices, so
+``constraints.search_equivalence_diagonal`` compiles it into equations
+instead of checking candidates one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from itertools import product as iter_product
 
 from .actions import MatchedPair
 from .algebra import (
@@ -51,9 +51,6 @@ class DeformationMap:
 
     def __post_init__(self):
         _check_matrix(self.matrix, self.pair.Q.rank, self.pair.R.rank, "deformation")
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.matrix for e in row)
 
 
 def zero_map(pair: MatchedPair) -> DeformationMap:
@@ -163,20 +160,27 @@ def deformed_algebra(mp: MatchedPair, dm: DeformationMap) -> ConformalAlgebra:
     return ConformalAlgebra(mp.kind, mp.Q.basis, tuple(tuple(row) for row in table))
 
 
+def _morphism_residuals(
+    source: ConformalAlgebra, target: ConformalAlgebra, matrix: Matrix
+):
+    """Yield ``(i, j, h(e_i e_j) - h(e_i) h(e_j))`` for the map ``h`` given by
+    ``matrix``; symbolic entries carrying ansatz unknowns ride along inertly."""
+    images = [GenElement(row) for row in matrix]
+    for i in range(source.rank):
+        ei = source.basis_element(i)
+        for j in range(source.rank):
+            prod = product_eval(source, ei, source.basis_element(j), _PL1)
+            lhs = GenElement(apply_matrix(matrix, prod.coords))
+            yield i, j, lhs - product_eval(target, images[i], images[j], _PL1)
+
+
 def check_morphism(h: Morphism) -> CheckReport:
     """A morphism must intertwine the source and target products."""
-    violations = []
-    src, tgt = h.source, h.target
-    for i in range(src.rank):
-        ei = src.basis_element(i)
-        hi = apply_map(h, ei)
-        for j in range(src.rank):
-            ej = src.basis_element(j)
-            lhs = apply_map(h, product_eval(src, ei, ej, _PL1))
-            rhs = product_eval(tgt, hi, apply_map(h, ej), _PL1)
-            residual = lhs - rhs
-            if not residual.is_zero:
-                violations.append(Violation("morphism", (i, j), residual, tgt.basis))
+    violations = [
+        Violation("morphism", (i, j), residual, h.target.basis)
+        for i, j, residual in _morphism_residuals(h.source, h.target, h.matrix)
+        if not residual.is_zero
+    ]
     return CheckReport(tuple(violations))
 
 
@@ -231,31 +235,3 @@ def check_equivalence(
     h = Morphism(deformed_algebra(mp, phi), deformed_algebra(mp, psi), alpha.matrix)
     violations = check_morphism(h).violations
     return CheckReport(tuple(replace(v, identity="equivalence") for v in violations))
-
-
-def search_equivalence_diagonal(
-    mp: MatchedPair,
-    phi: DeformationMap,
-    psi: DeformationMap,
-    values: tuple[Fraction, ...],
-) -> list[Morphism]:
-    """Exhaust diagonal automorphisms with entries from ``values``.
-
-    Each candidate is checked as a morphism between the two deformed
-    algebras, which are built once.  Returns every witness found, as a
-    module map of Q, in deterministic grid order.  An empty result means
-    "not found within the searched family", nothing stronger.
-    """
-    nq = mp.Q.rank
-    zero = MultiPoly.zero()
-    source, target = deformed_algebra(mp, phi), deformed_algebra(mp, psi)
-    found = []
-    nonzero = [v for v in values if v != 0]
-    for diag in iter_product(nonzero, repeat=nq):
-        matrix = tuple(
-            tuple(MultiPoly.const(diag[i]) if i == j else zero for j in range(nq))
-            for i in range(nq)
-        )
-        if check_morphism(Morphism(source, target, matrix)).passed:
-            found.append(Morphism(mp.Q, mp.Q, matrix))
-    return found

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .actions import LEFT, MatchedPair, ModuleAction, RIGHT
-from .algebra import ASSOCIATIVE, ConformalAlgebra, LIE
+from .algebra import ASSOCIATIVE, ConformalAlgebra, GenElement, LIE, element_text
 from .deform import DeformationMap, Morphism
 from .poly import D, L1, L2, MultiPoly, scalar_text, unknown
 
@@ -48,6 +48,11 @@ _MAX_DIAGNOSTICS = 20
 #: Largest exponent ``^n`` the parser expands; a larger one is an input error
 #: rather than a power computed and carried through every later check.
 MAX_EXPONENT = 64
+
+#: Most significant digits a numeric literal may have: the smallest limit
+#: Python lets ``int()`` conversion be set to, so a longer literal is an input
+#: error instead of a ``ValueError`` from ``int()``.
+MAX_DIGITS = 640
 
 
 @dataclass(frozen=True)
@@ -91,9 +96,6 @@ class Document:
             if item.kind == kind and item.name == name:
                 return item.value
         raise KeyError(f"no {kind} named {name!r}")
-
-    def names(self, kind: str) -> list[str]:
-        return [item.name for item in self.items if item.kind == kind]
 
 
 # -- lexer --------------------------------------------------------------------
@@ -143,9 +145,9 @@ def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("number", text[i:j], line, col))
             col += j - i
@@ -221,6 +223,17 @@ class _Parser:
             self.fail(f"expected {what}, found {tok.text!r}", tok)
         return self.advance()
 
+    def integer(self, tok: _Token, digits: str) -> int:
+        """``int(digits)`` for digits read from ``tok``, refused at the token
+        when too long, before any conversion."""
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > MAX_DIGITS:
+            self.fail(
+                f"numeric literal of {len(digits)} digits exceeds the cap {MAX_DIGITS}",
+                tok,
+            )
+        return int(digits)
+
     def sync_decl(self) -> None:
         """Skip past the current declaration: to its closing brace, or to the
         next declaration keyword at nesting depth zero."""
@@ -293,18 +306,17 @@ class _Parser:
             exp_tok = self.peek()
             if exp_tok.kind != "number":
                 self.fail("exponent must be a number", exp_tok)
-            # compare digit counts first, so a huge literal is never converted
-            digits = exp_tok.text.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            exponent = self.integer(exp_tok, exp_tok.text)
+            if exponent > MAX_EXPONENT:
                 self.fail(f"exponent {exp_tok.text} exceeds the cap {MAX_EXPONENT}", exp_tok)
             self.advance()
-            return base ** int(digits)
+            return base ** exponent
         return base
 
     def _poly_primary(self) -> MultiPoly:
         tok = self.advance()
         if tok.kind == "number":
-            return MultiPoly.const(int(tok.text))
+            return MultiPoly.const(self.integer(tok, tok.text))
         if tok.text == "(":
             inner = self._poly_sum()
             self.expect(")")
@@ -317,8 +329,8 @@ class _Parser:
                 return MultiPoly.var(L1)
             if name == "m":
                 return MultiPoly.var(L2)
-            if len(name) > 1 and name[0] == "u" and name[1:].isdigit():
-                return MultiPoly.var(unknown(int(name[1:])))
+            if len(name) > 1 and name[0] == "u" and name[1:].isdecimal():
+                return MultiPoly.var(unknown(self.integer(tok, name[1:])))
             if name in self.params:
                 self.used_params.add(name)
                 return MultiPoly.const(self.params[name])
@@ -408,7 +420,7 @@ class _Parser:
         self.expect("param")
         name_tok = self.expect_ident("a parameter name")
         name = name_tok.text
-        if name in _RESERVED or (len(name) > 1 and name[0] == "u" and name[1:].isdigit()):
+        if name in _RESERVED or (len(name) > 1 and name[0] == "u" and name[1:].isdecimal()):
             self.fail(f"{name!r} is reserved and cannot be a parameter", name_tok)
         self.expect("=")
         value = self._parse_rational()
@@ -426,15 +438,16 @@ class _Parser:
         num_tok = self.peek()
         if num_tok.kind != "number":
             self.fail("expected a rational constant", num_tok)
+        value = Fraction(self.integer(num_tok, num_tok.text))
         self.advance()
-        value = Fraction(int(num_tok.text))
         if self.peek().text == "/":
             self.advance()
             den_tok = self.peek()
-            if den_tok.kind != "number" or int(den_tok.text) == 0:
+            den = self.integer(den_tok, den_tok.text) if den_tok.kind == "number" else 0
+            if den == 0:
                 self.fail("expected a nonzero denominator", den_tok)
             self.advance()
-            value = Fraction(int(num_tok.text), int(den_tok.text))
+            value /= den
         return sign * value
 
     def _check_gen_name(self, tok: _Token) -> None:
@@ -670,18 +683,6 @@ def parse_poly_text(text: str) -> MultiPoly:
 # -- serializer ---------------------------------------------------------------
 
 
-def _terms_text(vec: tuple[MultiPoly, ...], names: tuple[str, ...]) -> str:
-    parts = []
-    for coeff, name in zip(vec, names):
-        if coeff.is_zero:
-            continue
-        if coeff == 1:
-            parts.append(name)
-        else:
-            parts.append(f"({coeff}) {name}")
-    return " + ".join(parts) if parts else "0"
-
-
 def serialize(document: Document) -> str:
     blocks = []
     for item in document.items:
@@ -696,7 +697,7 @@ def serialize(document: Document) -> str:
                     entry = alg.table[i][j]
                     if all(c.is_zero for c in entry):
                         continue
-                    lines.append(f"  [{a}, {b}] = {_terms_text(entry, alg.basis)};")
+                    lines.append(f"  [{a}, {b}] = {element_text(GenElement(entry), alg.basis)};")
             lines.append("}")
             blocks.append("\n".join(lines))
         elif item.kind == "matched":
@@ -718,28 +719,22 @@ def serialize(document: Document) -> str:
                         if all(c.is_zero for c in entry):
                             continue
                         lines.append(
-                            f"  {left} {op} {right} = {_terms_text(entry, out_names)};"
+                            f"  {left} {op} {right} = {element_text(GenElement(entry), out_names)};"
                         )
             lines.append("}")
             blocks.append("\n".join(lines))
-        elif item.kind == "defmap":
-            dm: DeformationMap = item.value
-            lines = [f"defmap {item.name} on {item.refs[0]} {{"]
-            for i, src in enumerate(dm.pair.Q.basis):
-                row = dm.matrix[i]
-                if all(c.is_zero for c in row):
-                    continue
-                lines.append(f"  {src} -> {_terms_text(row, dm.pair.R.basis)};")
-            lines.append("}")
-            blocks.append("\n".join(lines))
-        elif item.kind == "morphism":
-            mor: Morphism = item.value
-            lines = [f"morphism {item.name} : {item.refs[0]} -> {item.refs[1]} {{"]
-            for i, src in enumerate(mor.source.basis):
-                row = mor.matrix[i]
-                if all(c.is_zero for c in row):
-                    continue
-                lines.append(f"  {src} -> {_terms_text(row, mor.target.basis)};")
+        elif item.kind in ("defmap", "morphism"):
+            mapping = item.value
+            if item.kind == "defmap":
+                head = f"defmap {item.name} on {item.refs[0]} {{"
+                sources, targets = mapping.pair.Q.basis, mapping.pair.R.basis
+            else:
+                head = f"morphism {item.name} : {item.refs[0]} -> {item.refs[1]} {{"
+                sources, targets = mapping.source.basis, mapping.target.basis
+            lines = [head]
+            for src, row in zip(sources, mapping.matrix):
+                if not all(c.is_zero for c in row):
+                    lines.append(f"  {src} -> {element_text(GenElement(row), targets)};")
             lines.append("}")
             blocks.append("\n".join(lines))
         else:  # pragma: no cover - registry is closed

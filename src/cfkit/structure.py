@@ -269,7 +269,9 @@ def is_solvable(algebra: ConformalAlgebra, max_depth: int = 10) -> Solvability:
 
 
 def is_abelian(algebra: ConformalAlgebra) -> bool:
-    return algebra.is_abelian_table()
+    return all(
+        coeff.is_zero for row in algebra.table for entry in row for coeff in entry
+    )
 
 
 def change_basis(algebra: ConformalAlgebra, change: PolyMatrix) -> ConformalAlgebra:

@@ -18,6 +18,7 @@ from cfkit.constraints import (
     AnsatzSpec,
     compile_deformation_constraints,
     grid_values,
+    search_equivalence_diagonal,
     verify_assignment,
 )
 from cfkit.deform import (
@@ -26,7 +27,6 @@ from cfkit.deform import (
     check_deformation_map,
     check_morphism,
     is_isomorphism,
-    search_equivalence_diagonal,
 )
 from cfkit.poly import D, L1, MultiPoly, unknown
 from cfkit.structure import is_abelian, is_solvable

@@ -69,6 +69,11 @@ class TestCheck:
         assert time.monotonic() - started < 1
         assert "t.cfk:3:15:" in capsys.readouterr().err
 
+    def test_too_long_literal_exits_2(self, workdir, capsys):
+        Path("t.cfk").write_text(VIR.replace("(d + 2*l)", "(d + " + "1" * 5000 + ")"))
+        assert run(["check", "t.cfk"]) == 2
+        assert "t.cfk:3:17: error: numeric literal of 5000 digits" in capsys.readouterr().err
+
     def test_unknown_expect_exits_2(self, workdir):
         Path("t.cfk").write_text(VIR + "algebra Q : lie { gens W; }\n"
                                  "matched P : lie { R = Vir; Q = Q; }\n")
@@ -114,6 +119,23 @@ class TestSolveCap:
         assert run(["solve", "sys.json", "--json", "r.json"]) == 3
         report = json.loads(Path("r.json").read_text())
         assert "error" in report
+
+    def test_equiv_past_the_cap_exits_3_before_searching(self, workdir, monkeypatch):
+        # zero maps on an abelian Q of rank 7: no equations, 7 residual unknowns
+        gens = ", ".join(f"Q{k}" for k in range(7))
+        Path("t.cfk").write_text(
+            VIR
+            + f"algebra Q : lie {{ gens {gens}; }}\n"
+            + "matched P : lie { R = Vir; Q = Q; }\n"
+            + "defmap z on P { }\n"
+        )
+        checked = []
+        monkeypatch.setattr(cli.cons, "verify_assignment", lambda *a: checked.append(a))
+        argv = ["equiv", "t.cfk", "--pair", "P", "--phi", "z", "--psi", "z"]
+        assert run(argv + ["--json", "r.json"]) == 3
+        report = json.loads(Path("r.json").read_text())
+        assert report["error"] == "7 unknowns exceed the exhaustive-search cap of 6"
+        assert checked == []
 
     def test_solve_takes_no_param(self, workdir):
         Path("sys.json").write_text(json.dumps({"unknowns": [], "equations": []}))

@@ -155,6 +155,53 @@ class TestLinearEliminate:
                     assert tuple(sorted(sol.items())) in keyed
 
 
+    def test_back_substitution_matches_fixed_point(self):
+        """One reverse pass over the records resolves what repeating forward
+        passes until nothing changes resolved, on random chained systems."""
+        rng = random.Random(5)
+        us = [MultiPoly.var(unknown(k)) for k in range(5)]
+        seen = {"unresolved": 0, "chained": 0}
+        for _ in range(300):
+            polys = []
+            for _ in range(rng.randint(1, 4)):
+                a, b, c = rng.sample(us, 3)
+                polys.append(
+                    rng.randint(1, 3) * a
+                    + rng.randint(-2, 2) * b * c
+                    + rng.randint(-2, 2) * b
+                    + rng.randint(-2, 2)
+                )
+            result = linear_eliminate(system([unknown(k) for k in range(5)], polys))
+            if result.unsatisfiable is not None:
+                continue
+            assert result.assignment == reference_resolve(result.records, {})
+            residual = {v: Fraction(rng.randint(-3, 3)) for v in result.system.unknowns}
+            assert result.extend(residual) == reference_resolve(
+                result.records, {**residual, **result.assignment}
+            )
+            seen["unresolved"] += len(result.records) > len(result.assignment)
+            seen["chained"] += any(
+                set(rec.replacement.variables()) & {r.var for r in result.records}
+                for rec in result.records
+            )
+        assert seen["unresolved"] and seen["chained"]
+
+
+def reference_resolve(records, known):
+    """The forward fixed-point loop the reverse pass replaced."""
+    resolved = dict(known)
+    progress = True
+    while progress:
+        progress = False
+        for record in records:
+            if record.var in resolved:
+                continue
+            if record.replacement.variables() <= resolved.keys():
+                resolved[record.var] = record.replacement.evaluate(resolved)
+                progress = True
+    return resolved
+
+
 class TestGrid:
     def test_values(self):
         values = grid_values(2, 2)

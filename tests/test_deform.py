@@ -13,7 +13,8 @@ from cfkit.algebra import (
     check_axioms,
     product_eval,
 )
-from cfkit.constraints import grid_values
+from cfkit import constraints
+from cfkit.constraints import grid_values, search_equivalence_diagonal
 from cfkit.deform import (
     DeformationMap,
     Morphism,
@@ -27,9 +28,9 @@ from cfkit.deform import (
     graph_embedding_check,
     identity_morphism,
     is_isomorphism,
-    search_equivalence_diagonal,
     zero_map,
 )
+from cfkit.dsl import parse_document
 from cfkit.poly import D, L1, MultiPoly
 
 from helpers import assoc4_doc, nfold_doc, sv_doc, vir_algebra, wab_doc
@@ -505,14 +506,67 @@ class TestGraphProductsMatchHandExpansion:
         phi, psi = _random_maps(pair, random.Random(f"search:{label}"), count=2)
         values = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
         for a, b in ((phi, phi), (phi, psi)):
-            want = [
-                alpha.matrix
-                for alpha in _diagonal_family(pair, values)
-                if not reference_equivalence(pair, a, b, alpha)
-            ]
             got = [alpha.matrix for alpha in search_equivalence_diagonal(pair, a, b, values)]
-            assert got == want
+            assert got == brute_force_search(pair, a, b, values)
         assert search_equivalence_diagonal(pair, phi, phi, values)  # the identity
+
+
+# Q has a central A and [B, B] = (d + 2l) A, so a diagonal witness needs
+# u0 = u1^2: u0 is eliminated and ordering by u1 alone is not grid order
+SQUARE = parse_document(
+    "algebra R1 : lie { gens X; }\n"
+    "algebra Q2 : lie { gens A, B; [B, B] = (d + 2*l) A; }\n"
+    "matched P : lie { R = R1; Q = Q2; }\n"
+    "defmap zero on P { }\n"
+)
+
+
+class TestCompiledSearchMatchesBruteForce:
+    # (document, pair, phi, psi, grid, diagonal entries of the witnesses)
+    CASES = [
+        (sv_doc(a=0, b=5), "SVP", "psib", "psi1", grid_values(25, 1), [(5, 25)]),
+        # u1 = 25 falls off the grid
+        (sv_doc(a=0, b=5), "SVP", "psib", "psi1", grid_values(5, 1), []),
+        (SQUARE, "P", "zero", "zero", grid_values(4, 1), [(1, -1), (1, 1), (4, -2), (4, 2)]),
+    ]
+
+    def test_cases(self, monkeypatch):
+        seen = {"eliminated": 0, "candidates": 0, "witnesses": 0}
+        eliminate, search = constraints.linear_eliminate, constraints.grid_search
+
+        def counting_eliminate(system):
+            result = eliminate(system)
+            seen["eliminated"] += len(result.records)
+            return result
+
+        def counting_search(system, values):
+            partials = search(system, values)
+            seen["candidates"] += len(partials)
+            return partials
+
+        monkeypatch.setattr(constraints, "linear_eliminate", counting_eliminate)
+        monkeypatch.setattr(constraints, "grid_search", counting_search)
+        for doc, pair, phi, psi, values, want in self.CASES:
+            pair = doc.find("matched", pair)
+            phi, psi = doc.find("defmap", phi), doc.find("defmap", psi)
+            got = [alpha.matrix for alpha in search_equivalence_diagonal(pair, phi, psi, values)]
+            assert got == brute_force_search(pair, phi, psi, values)
+            assert [(m[0][0], m[1][1]) for m in got] == [
+                (MultiPoly.const(x), MultiPoly.const(y)) for x, y in want
+            ]
+            seen["witnesses"] += len(got)
+        # an unknown was eliminated, and a grid candidate was dropped because
+        # an eliminated entry fell off the grid
+        assert seen["eliminated"] and seen["candidates"] > seen["witnesses"]
+
+
+def brute_force_search(pair, phi, psi, values):
+    """Every diagonal candidate, checked with the hand-expanded reference."""
+    return [
+        alpha.matrix
+        for alpha in _diagonal_family(pair, values)
+        if not reference_equivalence(pair, phi, psi, alpha)
+    ]
 
 
 def _diagonal_family(pair, values):

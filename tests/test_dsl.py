@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cfkit.algebra import ASSOCIATIVE, ConformalAlgebra, LIE
 from cfkit.dsl import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     Document,
     Item,
@@ -143,6 +144,36 @@ class TestDiagnostics:
             assert [(x.line, x.col) for x in diags] == [(2, 13)]
             assert "exceeds the cap" in diags[0].message
         assert powers == []
+
+    @pytest.mark.parametrize(
+        "template, col",
+        [
+            ("[X, X] = (d + {}) X;", 15),  # coefficient
+            ("[X, X] = (d + 1/{}) X;", 17),  # denominator
+            ("[X, X] = (d + u{}) X;", 15),  # unknown index
+        ],
+    )
+    def test_too_long_literal_rejected_at_its_token(self, template, col):
+        long = "7" * (MAX_DIGITS + 1)
+        text = "algebra A : lie { gens X;\n" + template.format(long) + " }"
+        _, diags = try_parse(text)
+        assert [(x.line, x.col) for x in diags] == [(2, col)]
+        assert f"literal of {MAX_DIGITS + 1} digits exceeds the cap" in diags[0].message
+        # leading zeros do not count: a padded literal at the cap is read
+        _, diags = try_parse(text.replace(long, "0" * 5000 + "7" * MAX_DIGITS))
+        assert not any("literal" in x.message for x in diags)
+
+    def test_too_long_param_value_and_denominator_rejected(self):
+        long = "3" * 5000
+        for text, col in ((f"param a = {long};", 11), (f"param a = -1/{long};", 14)):
+            _, diags = try_parse(text)
+            assert [(x.line, x.col) for x in diags] == [(1, col)]
+            assert "exceeds the cap" in diags[0].message
+
+    def test_non_decimal_digits_are_input_errors(self):
+        for poly, message in (("(²)", "unexpected character"), ("(u²)", "unbound")):
+            _, diags = try_parse(f"algebra A : lie {{ gens X; [X, X] = {poly} X; }}")
+            assert diags and message in diags[0].message
 
     def test_exponent_at_cap_parses(self):
         doc = parse_document(f"algebra A : lie {{ gens X; [X, X] = (d^{MAX_EXPONENT}) X; }}")
