@@ -24,7 +24,7 @@ from . import deform as dfm
 from . import structure as struct
 from .actions import check_b1_b2_direct, check_matched_pair
 from .algebra import CheckReport, ConformalAlgebra, LIE, check_axioms, element_text
-from .dsl import Document, Item, serialize, try_parse
+from .dsl import Document, Item, ParseError, serialize, try_parse
 from .poly import scalar_text
 
 SCHEMA = 1
@@ -281,9 +281,12 @@ def cmd_solve(args, argv) -> int:
         data = json.loads(Path(args.system).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise _InputError(f"cannot read system {args.system}: {exc}")
-    if "system" in data:
+    if isinstance(data, dict) and "system" in data:
         data = data["system"]
-    system = cons.system_from_json(data)
+    try:
+        system = cons.system_from_json(data)
+    except (KeyError, TypeError, AttributeError, ValueError, ParseError) as exc:
+        raise _InputError(f"bad system {args.system}: {type(exc).__name__}: {exc}")
     report = _report_skeleton(argv, {Path(args.system).name: json.dumps(data)}, {})
     elimination = cons.linear_eliminate(system)
     values = cons.grid_values(args.grid_num, args.grid_den)

@@ -426,7 +426,7 @@ def system_from_json(data: dict) -> ConstraintSystem:
 
     unknowns = []
     for name in data["unknowns"]:
-        if not name.startswith("u") or not name[1:].isdigit():
+        if not name.startswith("u") or not name[1:].isdecimal():
             raise ValueError(f"bad unknown name {name!r}")
         unknowns.append(unknown(int(name[1:])))
     equations = []

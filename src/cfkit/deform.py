@@ -53,12 +53,6 @@ class DeformationMap:
         _check_matrix(self.matrix, self.pair.Q.rank, self.pair.R.rank, "deformation")
 
 
-def zero_map(pair: MatchedPair) -> DeformationMap:
-    zero = MultiPoly.zero()
-    matrix = tuple((zero,) * pair.R.rank for _ in range(pair.Q.rank))
-    return DeformationMap(pair, matrix)
-
-
 @dataclass(frozen=True)
 class Morphism:
     """Module map between algebras of the same kind, matrix over d-polynomials."""
@@ -71,16 +65,6 @@ class Morphism:
         if self.source.kind != self.target.kind:
             raise ValueError("morphism endpoints must have the same kind")
         _check_matrix(self.matrix, self.source.rank, self.target.rank, "morphism")
-
-
-def identity_morphism(algebra: ConformalAlgebra) -> Morphism:
-    n = algebra.rank
-    zero = MultiPoly.zero()
-    one = MultiPoly.const(1)
-    matrix = tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-    return Morphism(algebra, algebra, matrix)
 
 
 def apply_matrix(matrix: Matrix, coords: tuple[MultiPoly, ...]) -> tuple[MultiPoly, ...]:

@@ -60,11 +60,26 @@ def var_name(var: int) -> str:
     raise ValueError(f"invalid variable id {var}")
 
 
+#: Rendered in chunks of 600 digits, below 640: the lowest int-to-str digit
+#: limit that ``sys.set_int_max_str_digits`` accepts.
+_CHUNK = 10**600
+
+
+def _int_text(n: int) -> str:
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    chunks, rest = [], abs(n)
+    while rest:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(str(low).zfill(600))
+    return ("-" if n < 0 else "") + "".join(reversed(chunks)).lstrip("0")
+
+
 def scalar_text(value: Scalar) -> str:
-    """Render a rational as ``n`` or ``n/d``."""
+    """Render a rational as ``n`` or ``n/d``, exactly at any size."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_text(value.numerator)
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
 def _as_scalar(value: Scalar) -> Scalar:

@@ -4,7 +4,9 @@ for the worked examples, so tests parse them rather than duplicating tables."""
 from fractions import Fraction
 
 from cfkit import corpus
+from cfkit.deform import DeformationMap, Morphism
 from cfkit.dsl import Document, parse_document
+from cfkit.poly import MultiPoly
 
 
 def load_fixture(name: str, **params) -> Document:
@@ -34,3 +36,19 @@ def assoc4_doc(p=0, q=0, r=0, s=0) -> Document:
 
 def vir_algebra():
     return load_fixture("vir").find("algebra", "Vir")
+
+
+def zero_map(pair) -> DeformationMap:
+    zero = MultiPoly.zero()
+    matrix = tuple((zero,) * pair.R.rank for _ in range(pair.Q.rank))
+    return DeformationMap(pair, matrix)
+
+
+def identity_morphism(algebra) -> Morphism:
+    n = algebra.rank
+    zero = MultiPoly.zero()
+    one = MultiPoly.const(1)
+    matrix = tuple(
+        tuple(one if i == j else zero for j in range(n)) for i in range(n)
+    )
+    return Morphism(algebra, algebra, matrix)

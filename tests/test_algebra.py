@@ -1,7 +1,11 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfkit import algebra as algebra_module
 from cfkit.algebra import (
     ASSOCIATIVE,
     ConformalAlgebra,
@@ -34,6 +38,93 @@ affine = st.sampled_from([l, m, l + m, -l - d, -m - d, -l - m - d])
 
 def bad_vir():
     return ConformalAlgebra(LIE, ("L",), (((d + 3 * l,),),))
+
+
+def reference_jacobi(algebra):
+    """The full n^3 Jacobi loop, five products per triple: the reference
+    of the orbit-reduced check."""
+    violations = []
+    n = algebra.rank
+    basis = [algebra.basis_element(i) for i in range(n)]
+    for i, j, k in product(range(n), repeat=3):
+        ij = product_eval(algebra, basis[i], basis[j], l)
+        lhs = product_eval(algebra, basis[i], product_eval(algebra, basis[j], basis[k], m), l)
+        mid = product_eval(algebra, ij, basis[k], l + m)
+        rhs = product_eval(algebra, basis[j], product_eval(algebra, basis[i], basis[k], l), m)
+        residual = lhs - mid - rhs
+        if not residual.is_zero:
+            violations.append(f"jacobi[{i},{j},{k}]: {element_text(residual, algebra.basis)}")
+    return violations
+
+
+def reference_associativity(algebra):
+    """The associativity loop without hoisted pair products."""
+    violations = []
+    n = algebra.rank
+    basis = [algebra.basis_element(i) for i in range(n)]
+    for i, j, k in product(range(n), repeat=3):
+        ij = product_eval(algebra, basis[i], basis[j], l)
+        lhs = product_eval(algebra, ij, basis[k], l + m)
+        rhs = product_eval(algebra, basis[i], product_eval(algebra, basis[j], basis[k], m), l)
+        residual = lhs - rhs
+        if not residual.is_zero:
+            violations.append(
+                f"associativity[{i},{j},{k}]: {element_text(residual, algebra.basis)}"
+            )
+    return violations
+
+
+def texts(report):
+    return [v.text() for v in report.violations]
+
+
+def random_poly(rng):
+    """A sparse integer polynomial in d and l of degree at most 1 in each."""
+    poly = MultiPoly.zero()
+    for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        if rng.random() < 0.4:
+            poly = poly + rng.choice((-2, -1, 1, 2)) * d**a * l**b
+    return poly
+
+
+def random_table(rng, n, shape):
+    """A rank-n table: ``raw`` is arbitrary, ``skew`` is skew-symmetric by
+    construction, ``diagonal`` is skew-symmetric with only [e_i _l e_i] =
+    c e_i nonzero, so Jacobi can fail only at (i, i, i)."""
+    zero = MultiPoly.zero()
+    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    flip = -l - d
+
+    def skew_diagonal_entry():
+        q = random_poly(rng)
+        return q - q.substitute(L1, flip)
+
+    for i in range(n):
+        if shape == "diagonal":
+            table[i][i][i] = skew_diagonal_entry()
+            continue
+        for j in range(n):
+            if shape == "skew" and j < i:
+                continue
+            for k in range(n):
+                if rng.random() > 1.5 / n:  # keep about 1.5 terms per product
+                    continue
+                if shape == "raw":
+                    table[i][j][k] = random_poly(rng)
+                elif i == j:
+                    table[i][i][k] = skew_diagonal_entry()
+                else:
+                    table[i][j][k] = random_poly(rng)
+                    table[j][i][k] = -table[i][j][k].substitute(L1, flip)
+    return tuple(tuple(tuple(entry) for entry in row) for row in table)
+
+
+def random_algebra(seed, kind=LIE):
+    rng = random.Random(seed)
+    n = 1 + seed % 4
+    shape = ("skew", "raw", "diagonal")[seed % 3] if kind == LIE else "raw"
+    names = tuple(f"E{i}" for i in range(n))
+    return shape, ConformalAlgebra(kind, names, random_table(rng, n, shape))
 
 
 class TestProductEval:
@@ -130,6 +221,53 @@ class TestJacobi:
     def test_corrupted_table_fails(self):
         assert not check_jacobi(bad_vir()).passed
 
+    def test_orbit_path_matches_full_loop(self):
+        seen = {"skew-pass-jacobi-fail": 0, "skew-fail": 0, "diagonal-only": 0}
+        for seed in range(300):
+            shape, alg = random_algebra(seed)
+            expected = reference_jacobi(alg)
+            if seed % 5 == 0:
+                assert texts(check_jacobi(alg)) == expected, seed
+            skew = check_skew_symmetry(alg)
+            axioms = check_axioms(alg)
+            assert texts(axioms) == [f"skew:{t}" for t in texts(skew)] + [
+                f"jacobi:{t}" for t in expected
+            ], seed
+            if not skew.passed:
+                seen["skew-fail"] += 1
+            elif expected:
+                seen["skew-pass-jacobi-fail"] += 1
+                if shape == "diagonal" and alg.rank > 1:
+                    assert all(len(set(v.indices)) == 1 for v in axioms.violations)
+                    seen["diagonal-only"] += 1
+        assert min(seen.values()) >= 30, seen
+
+    @pytest.mark.parametrize(
+        "algebra",
+        [
+            vir_algebra(),
+            abelian(LIE, ("A", "B", "C")),
+            sv_doc().find("algebra", "SV"),
+            wab_doc(1, 2).find("algebra", "Wab"),
+        ],
+        ids=["vir", "abelian3", "sv", "wab"],
+    )
+    def test_passing_table_evaluates_one_triple_per_orbit(self, algebra, monkeypatch):
+        calls = []
+        inner = algebra_module._jacobiator
+
+        def counting(*args):
+            calls.append(args[-3:])
+            return inner(*args)
+
+        monkeypatch.setattr(algebra_module, "_jacobiator", counting)
+        n = algebra.rank
+        for check in (check_jacobi, check_axioms):
+            calls.clear()
+            assert check(algebra).passed
+            assert len(calls) == n * (n + 1) * (n + 2) // 6
+            assert all(i <= j <= k for i, j, k in calls)
+
     @given(
         coeffs=st.lists(d_polys, min_size=12, max_size=12),
         s=st.just(None),
@@ -162,6 +300,16 @@ class TestAssociativity:
     def test_kind_mismatch(self):
         with pytest.raises(ValueError):
             check_associativity(vir_algebra())
+
+    def test_hoisted_loop_matches_full_loop(self):
+        fixtures = [
+            assoc4_doc().find("algebra", "E4"),
+            load_fixture("negative").find("algebra", "BadE"),
+            abelian(ASSOCIATIVE, ("A", "B")),
+        ]
+        randoms = [random_algebra(seed, ASSOCIATIVE)[1] for seed in range(100)]
+        for alg in fixtures + randoms:
+            assert texts(check_associativity(alg)) == reference_associativity(alg)
 
 
 class TestCheckAxioms:

@@ -74,6 +74,26 @@ class TestCheck:
         assert run(["check", "t.cfk"]) == 2
         assert "t.cfk:3:17: error: numeric literal of 5000 digits" in capsys.readouterr().err
 
+    def test_residual_past_the_str_digit_limit_is_rendered_exactly(self, workdir, capsys):
+        # c has 4800 digits; skew-symmetry leaves 2c, Jacobi -c^2 (9600 digits)
+        nines = "9" * 600
+        Path("t.cfk").write_text(f"algebra A : lie {{ gens L; [L, L] = ({nines}^8) L; }}\n")
+        assert run(["check", "t.cfk", "--json", "r.json"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        violations = json.loads(Path("r.json").read_text())["checks"][0]["violations"]
+        c = (10**600 - 1) ** 8
+        values = []
+        for v in violations:
+            digits = v["residual"].removeprefix("(").removesuffix(") L")
+            sign = -1 if digits.startswith("-") else 1
+            digits = digits.lstrip("-")
+            value = 0
+            for start in range(0, len(digits), 500):  # int() is capped at 4300 digits
+                chunk = digits[start:start + 500]
+                value = value * 10 ** len(chunk) + int(chunk)
+            values.append(sign * value)
+        assert values == [2 * c, -c * c]
+
     def test_unknown_expect_exits_2(self, workdir):
         Path("t.cfk").write_text(VIR + "algebra Q : lie { gens W; }\n"
                                  "matched P : lie { R = Vir; Q = Q; }\n")
@@ -136,6 +156,31 @@ class TestSolveCap:
         report = json.loads(Path("r.json").read_text())
         assert report["error"] == "7 unknowns exceed the exhaustive-search cap of 6"
         assert checked == []
+
+    @pytest.mark.parametrize(
+        "system, error",
+        [
+            ({"unknowns": ["x1"], "equations": []}, "ValueError: bad unknown name 'x1'"),
+            ({"unknowns": ["u²"], "equations": []}, "ValueError: bad unknown name 'u²'"),
+            ({"equations": []}, "KeyError: 'unknowns'"),
+            (
+                {
+                    "unknowns": ["u0"],
+                    "equations": [{"poly": "u0 +", "provenance": {
+                        "left": 0, "right": 0, "coord": 0, "monomial": "1"}}],
+                },
+                "ParseError: 1:5: error: expected a polynomial",
+            ),
+            ("system", "TypeError: string indices must be integers"),
+        ],
+        ids=["unknown-name", "superscript-digit", "no-unknowns", "bad-equation", "not-an-object"],
+    )
+    def test_malformed_system_exits_2(self, workdir, capsys, system, error):
+        Path("sys.json").write_text(json.dumps(system))
+        assert run(["solve", "sys.json"]) == 2
+        err = capsys.readouterr().err
+        assert f"bad system sys.json: {error}" in err
+        assert "Traceback" not in err
 
     def test_solve_takes_no_param(self, workdir):
         Path("sys.json").write_text(json.dumps({"unknowns": [], "equations": []}))

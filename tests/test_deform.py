@@ -26,14 +26,20 @@ from cfkit.deform import (
     check_morphism,
     deformed_algebra,
     graph_embedding_check,
-    identity_morphism,
     is_isomorphism,
-    zero_map,
 )
 from cfkit.dsl import parse_document
 from cfkit.poly import D, L1, MultiPoly
 
-from helpers import assoc4_doc, nfold_doc, sv_doc, vir_algebra, wab_doc
+from helpers import (
+    assoc4_doc,
+    identity_morphism,
+    nfold_doc,
+    sv_doc,
+    vir_algebra,
+    wab_doc,
+    zero_map,
+)
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfkit.poly import D, L1, L2, MultiPoly, unknown, var_name
+from cfkit.poly import D, L1, L2, MultiPoly, scalar_text, unknown, var_name
 from cfkit.structure import hermite_normal_form, poly_divmod
 
 d = MultiPoly.var(D)
@@ -135,6 +135,21 @@ class TestRendering:
     )
     def test_text(self, poly, text):
         assert str(poly) == text
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (10**600 - 1, "9" * 600),
+            (10**600, "1" + "0" * 600),
+            (-(10**1200) - 7, "-1" + "0" * 1199 + "7"),
+            (123 * 10**5000 + 45, "123" + "0" * 4998 + "45"),
+            (10**1500 - 1, "9" * 1500),
+            (Fraction(-(10**700), 3), "-1" + "0" * 700 + "/3"),
+        ],
+        ids=["600-nines", "601-digits", "negative", "zero-chunks", "1500-nines", "fraction"],
+    )
+    def test_scalar_text_past_the_str_digit_limit(self, value, text):
+        assert scalar_text(value) == text
 
     def test_var_names(self):
         assert [var_name(v) for v in (D, L1, L2, unknown(0), unknown(12))] == [

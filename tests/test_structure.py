@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from cfkit.algebra import GenElement, LIE, abelian, check_axioms
+from cfkit.algebra import ConformalAlgebra, GenElement, LIE, abelian, check_axioms, product_eval
 from cfkit.poly import D, L1, MultiPoly
 from cfkit.structure import (
     Submodule,
-    change_basis,
     derived_subalgebra,
     full_submodule,
     hermite_normal_form,
@@ -222,6 +221,50 @@ def random_unimodular(rng, n):
         elif i != j:
             rows[i], rows[j] = rows[j], rows[i]
     return tuple(tuple(r) for r in rows)
+
+
+def change_basis(algebra, change):
+    """Rewrite the product table in the basis given by the rows of ``change``.
+
+    The change matrix must be invertible over the d-polynomial ring, i.e.
+    have nonzero constant determinant; its inverse is then polynomial.
+    """
+    n = algebra.rank
+    det = poly_det(change).constant_value()
+    if det in (None, Fraction(0)):
+        raise ValueError("basis change must have unit determinant")
+    # adjugate / det gives the exact polynomial inverse
+    inv = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = tuple(
+                tuple(change[r][c] for c in range(n) if c != i)
+                for r in range(n)
+                if r != j
+            )
+            sign = 1 if (i + j) % 2 == 0 else -1
+            row.append(sign * poly_det(minor) / det)
+        inv.append(tuple(row))
+    inv = tuple(inv)
+    table = []
+    for i in range(n):
+        gi = GenElement(change[i])
+        row = []
+        for j in range(n):
+            gj = GenElement(change[j])
+            prod = product_eval(algebra, gi, gj, l)
+            # express the product in the new basis: coords . inv
+            coords = tuple(
+                sum(
+                    (prod.coords[k] * inv[k][t] for k in range(n)),
+                    MultiPoly.zero(),
+                )
+                for t in range(n)
+            )
+            row.append(coords)
+        table.append(tuple(row))
+    return ConformalAlgebra(algebra.kind, algebra.basis, tuple(table))
 
 
 class TestBasisChangeInvariance:
