@@ -248,15 +248,6 @@ def _skew_violations(algebra: ConformalAlgebra, basis, at_l) -> tuple[Violation,
     )
 
 
-def check_skew_symmetry(algebra: ConformalAlgebra) -> CheckReport:
-    """x_l y + (y x evaluated at -l-d) must vanish on all basis pairs."""
-    if algebra.kind != LIE:
-        raise ValueError("skew-symmetry applies to Lie kind only")
-    basis = [algebra.basis_element(i) for i in range(algebra.rank)]
-    at_l = _pair_products(algebra, basis, _PL1)
-    return CheckReport(_skew_violations(algebra, basis, at_l))
-
-
 def _jacobiator(algebra, basis, at_l, at_m, i, j, k) -> GenElement:
     """J(e_i, e_j, e_k) from the pair products ``at_l`` and ``at_m``."""
     lhs = product_eval(algebra, basis[i], at_m[j][k], _PL1)
@@ -300,15 +291,6 @@ def _jacobi_violations(algebra: ConformalAlgebra, basis, at_l, skew_holds: bool)
             for perm in permutations(rep)
         })
     return _violations("jacobi", algebra.basis, triples, jacobiator)
-
-
-def check_jacobi(algebra: ConformalAlgebra) -> CheckReport:
-    if algebra.kind != LIE:
-        raise ValueError("the Jacobi identity applies to Lie kind only")
-    basis = [algebra.basis_element(i) for i in range(algebra.rank)]
-    at_l = _pair_products(algebra, basis, _PL1)
-    skew_holds = not _skew_violations(algebra, basis, at_l)
-    return CheckReport(_jacobi_violations(algebra, basis, at_l, skew_holds))
 
 
 def check_associativity(algebra: ConformalAlgebra) -> CheckReport:

@@ -1,8 +1,14 @@
 """Command-line front end emitting deterministic JSON reports.
 
+One argparse tree, built at import, parses every call; ``main`` runs the
+handler the subcommand names and owns the report's lifecycle: the clock,
+the exit code, the ``--json`` file and the printed check lines.  Handlers
+only fill in the report they are given.
+
 Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
 (parse or reference errors, an exponent or a numeric literal over the
-parser's caps, or a ``--param`` name the document never uses), 3 a resource
+parser's caps, a ``--param`` value with an exponent or more digits than the
+literal cap, or a ``--param`` name the document never uses), 3 a resource
 cap was exceeded (the grid-search unknown cap in ``solve`` and ``equiv``, or
 the derived-series depth in ``structure``).
 Reports are byte-identical across runs for identical inputs, except for the
@@ -23,8 +29,8 @@ from . import constraints as cons
 from . import deform as dfm
 from . import structure as struct
 from .actions import check_b1_b2_direct, check_matched_pair
-from .algebra import CheckReport, ConformalAlgebra, LIE, check_axioms, element_text
-from .dsl import Document, Item, ParseError, serialize, try_parse
+from .algebra import CheckReport, LIE, check_axioms, element_text
+from .dsl import MAX_DIGITS, Document, Item, ParseError, serialize, try_parse
 from .poly import scalar_text
 
 SCHEMA = 1
@@ -41,19 +47,31 @@ class _InputError(Exception):
 
 def _parse_params(pairs: list[str]) -> dict[str, Fraction]:
     params: dict[str, Fraction] = {}
-    for pair in pairs or []:
+    for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise _InputError(f"bad --param {pair!r}, expected NAME=RATIONAL")
+        # Fraction() expands an exponent into all of its digits, so a value
+        # is held to the parser's literal cap before it is converted
         try:
+            if "e" in value.lower() or sum(ch.isdigit() for ch in value) > MAX_DIGITS:
+                raise ValueError
             params[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise _InputError(f"bad rational {value!r} in --param {pair!r}")
     return params
 
 
-def _load(args, argv: list[str]) -> tuple[Document, dict]:
-    """Parse ``args.file`` under its ``--param`` bindings and open the report."""
+def _inputs(report: dict, files: dict[str, str], params: dict[str, Fraction]) -> None:
+    report["inputs"] = {
+        name: "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, text in files.items()
+    }
+    report["params"] = {k: scalar_text(v) for k, v in sorted(params.items())}
+
+
+def _load(args, report: dict) -> Document:
+    """Parse ``args.file`` under its ``--param`` bindings into the report."""
     params = _parse_params(args.param)
     try:
         text = Path(args.file).read_text(encoding="utf-8")
@@ -67,7 +85,8 @@ def _load(args, argv: list[str]) -> tuple[Document, dict]:
         raise _InputError(
             f"{args.file}: --param {', '.join(unused)} is neither declared nor read"
         )
-    return document, _report_skeleton(argv, {Path(args.file).name: text}, params)
+    _inputs(report, {Path(args.file).name: text}, params)
+    return document
 
 
 def _find(document: Document, kind: str, name: str):
@@ -77,22 +96,8 @@ def _find(document: Document, kind: str, name: str):
         raise _InputError(str(exc))
 
 
-def _digest(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _report_skeleton(argv: list[str], files: dict[str, str], params) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": list(argv),
-        "inputs": {name: _digest(text) for name, text in files.items()},
-        "params": {k: scalar_text(v) for k, v in sorted(params.items())},
-        "checks": [],
-    }
-
-
-def _violations_json(report: CheckReport) -> list[dict]:
-    return [
+def _entry(name: str, report: CheckReport, **extra) -> dict:
+    violations = [
         {
             "identity": v.identity,
             "indices": list(v.indices),
@@ -100,157 +105,93 @@ def _violations_json(report: CheckReport) -> list[dict]:
         }
         for v in report.violations
     ]
+    return {"name": name, "status": report.status, "violations": violations, **extra}
 
 
-def _check_entry(name: str, report: CheckReport, **extra) -> dict:
-    entry = {"name": name, "status": report.status, "violations": _violations_json(report)}
-    entry.update(extra)
-    return entry
+def _message_entry(name: str, ok: bool, identity: str, message: str) -> dict:
+    """An entry whose one violation is a message, not a residual."""
+    violations = [] if ok else [{"identity": identity, "indices": [], "residual": message}]
+    return {"name": name, "status": "pass" if ok else "fail", "violations": violations}
 
 
-def _finish(report: dict, path: str | None, started: float, code: int) -> int:
-    report["timings"] = {"total_ms": int((time.monotonic() - started) * 1000)}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    for entry in report.get("checks", []):
-        print(f"{entry['name']}: {entry['status']}")
-    return code
-
-
-def _matched_pair_checks(name: str, pair) -> tuple[list[dict], bool]:
-    normative = check_matched_pair(pair)
-    entries = [_check_entry(f"matched_pair:{name}", normative)]
-    ok = normative.passed
-    if pair.kind == LIE:
-        direct = check_b1_b2_direct(pair)
-        agree = direct.passed == normative.passed
-        entries.append(
-            _check_entry(
-                f"cross_compat_direct:{name}", direct, convention_match=agree
-            )
+def _item_checks(kind: str, name: str, value):
+    """The check entries of one declaration."""
+    if kind == "algebra":
+        yield _entry(f"axioms:{name}", check_axioms(value))
+    elif kind == "matched":
+        normative = check_matched_pair(value)
+        yield _entry(f"matched_pair:{name}", normative)
+        if value.kind == LIE:
+            direct = check_b1_b2_direct(value)
+            agree = direct.passed == normative.passed
+            yield _entry(f"cross_compat_direct:{name}", direct, convention_match=agree)
+            if not agree:
+                yield _message_entry(
+                    f"convention-mismatch:{name}", False, "convention-mismatch",
+                    "direct and normative verdicts disagree",
+                )
+    elif kind == "defmap":
+        yield _entry(f"deformation_map:{name}", dfm.check_deformation_map(value.pair, value))
+    elif kind == "morphism":
+        yield _entry(
+            f"morphism:{name}", dfm.check_morphism(value),
+            is_isomorphism=dfm.is_isomorphism(value),
         )
-        if not agree:
-            entries.append(
-                {
-                    "name": f"convention-mismatch:{name}",
-                    "status": "fail",
-                    "violations": [
-                        {
-                            "identity": "convention-mismatch",
-                            "indices": [],
-                            "residual": "direct and normative verdicts disagree",
-                        }
-                    ],
-                }
-            )
-            ok = False
-    return entries, ok
+    else:
+        raise _InputError(f"{name!r} is not checkable")
 
 
-def cmd_check(args, argv) -> int:
-    started = time.monotonic()
-    document, report = _load(args, argv)
+def _output(args, report: dict, document: Document, name: str, algebra) -> None:
+    """Serialize a constructed algebra into the report (and ``-o``), then
+    compare it with the ``--expect`` declaration."""
+    text = serialize(Document((Item("algebra", name, algebra),)))
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    report["output"] = text
+    if args.expect:
+        report["checks"].append(_message_entry(
+            f"expect:{args.expect}", _find(document, "algebra", args.expect) == algebra,
+            "table-mismatch", "constructed table differs from declaration",
+        ))
+
+
+def cmd_check(args, report: dict) -> None:
+    document = _load(args, report)
     names = args.names or [item.name for item in document.items if item.kind != "param"]
     by_name: dict[str, Item] = {}
     for item in document.items:
         by_name.setdefault(item.name, item)
-    ok = True
     for name in names:
         item = by_name.get(name)
         if item is None:
             raise _InputError(f"no declaration named {name!r}")
-        if item.kind == "algebra":
-            rep = check_axioms(item.value)
-            report["checks"].append(_check_entry(f"axioms:{name}", rep))
-            ok = ok and rep.passed
-        elif item.kind == "matched":
-            entries, pair_ok = _matched_pair_checks(name, item.value)
-            report["checks"].extend(entries)
-            ok = ok and pair_ok
-        elif item.kind == "defmap":
-            rep = dfm.check_deformation_map(item.value.pair, item.value)
-            report["checks"].append(_check_entry(f"deformation_map:{name}", rep))
-            ok = ok and rep.passed
-        elif item.kind == "morphism":
-            rep = dfm.check_morphism(item.value)
-            report["checks"].append(
-                _check_entry(
-                    f"morphism:{name}", rep, is_isomorphism=dfm.is_isomorphism(item.value)
-                )
-            )
-            ok = ok and rep.passed
-        else:
-            raise _InputError(f"{name!r} is not checkable")
-    return _finish(report, args.json, started, EXIT_PASS if ok else EXIT_FAIL)
+        report["checks"].extend(_item_checks(item.kind, name, item.value))
 
 
-def _write_algebra(document_name: str, algebra: ConformalAlgebra, path: str | None) -> str:
-    text = serialize(Document((Item("algebra", document_name, algebra),)))
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
-
-
-def _expect_compare(report, document, expect_name, constructed) -> bool:
-    expected = _find(document, "algebra", expect_name)
-    match = expected == constructed
-    report["checks"].append(
-        {
-            "name": f"expect:{expect_name}",
-            "status": "pass" if match else "fail",
-            "violations": []
-            if match
-            else [
-                {
-                    "identity": "table-mismatch",
-                    "indices": [],
-                    "residual": "constructed table differs from declaration",
-                }
-            ],
-        }
-    )
-    return match
-
-
-def cmd_bicrossed(args, argv) -> int:
-    started = time.monotonic()
-    document, report = _load(args, argv)
+def cmd_bicrossed(args, report: dict) -> None:
+    document = _load(args, report)
     pair = _find(document, "matched", args.pair)
-    entries, ok = _matched_pair_checks(args.pair, pair)
-    report["checks"].extend(entries)
-    big = pair.bicrossed
-    report["output"] = _write_algebra(f"{args.pair}_E", big, args.out)
-    if args.expect:
-        ok = _expect_compare(report, document, args.expect, big) and ok
-    return _finish(report, args.json, started, EXIT_PASS if ok else EXIT_FAIL)
+    report["checks"].extend(_item_checks("matched", args.pair, pair))
+    _output(args, report, document, f"{args.pair}_E", pair.bicrossed)
 
 
-def cmd_deform(args, argv) -> int:
-    started = time.monotonic()
-    document, report = _load(args, argv)
+def cmd_deform(args, report: dict) -> None:
+    document = _load(args, report)
     pair = _find(document, "matched", args.pair)
     mapping = _find(document, "defmap", args.map)
     if mapping.pair != pair:
         raise _InputError(f"map {args.map!r} is not defined on pair {args.pair!r}")
-    rep = dfm.check_deformation_map(pair, mapping)
-    report["checks"].append(_check_entry(f"deformation_map:{args.map}", rep))
-    ok = rep.passed
-    # the deformed table is still produced on failure, for diagnostics
-    deformed = dfm.deformed_algebra(pair, mapping)
-    report["output"] = _write_algebra(f"{args.map}_Q", deformed, args.out)
-    if ok:
+    checks = report["checks"]
+    checks.extend(_item_checks("defmap", args.map, mapping))
+    if checks[-1]["status"] == "pass":
         graph = dfm.graph_embedding_check(pair, mapping)
-        report["checks"].append(_check_entry(f"graph_embedding:{args.map}", graph))
-        ok = ok and graph.passed
-    if args.expect:
-        ok = _expect_compare(report, document, args.expect, deformed) and ok
-    return _finish(report, args.json, started, EXIT_PASS if ok else EXIT_FAIL)
+        checks.append(_entry(f"graph_embedding:{args.map}", graph))
+    # the deformed table is still produced on failure, for diagnostics
+    _output(args, report, document, f"{args.map}_Q", dfm.deformed_algebra(pair, mapping))
 
 
-def cmd_constraints(args, argv) -> int:
-    started = time.monotonic()
-    document, report = _load(args, argv)
+def cmd_constraints(args, report: dict) -> None:
+    document = _load(args, report)
     pair = _find(document, "matched", args.pair)
     ansatz = cons.AnsatzSpec.uniform(pair.Q.rank, pair.R.rank, args.degree)
     system = cons.compile_deformation_constraints(pair, ansatz)
@@ -272,11 +213,9 @@ def cmd_constraints(args, argv) -> int:
             json.dumps(system_json, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     print(f"constraints:{args.pair}: {len(system.equations)} equations")
-    return _finish(report, args.json, started, EXIT_PASS)
 
 
-def cmd_solve(args, argv) -> int:
-    started = time.monotonic()
+def cmd_solve(args, report: dict) -> None:
     try:
         data = json.loads(Path(args.system).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -287,17 +226,11 @@ def cmd_solve(args, argv) -> int:
         system = cons.system_from_json(data)
     except (KeyError, TypeError, AttributeError, ValueError, ParseError) as exc:
         raise _InputError(f"bad system {args.system}: {type(exc).__name__}: {exc}")
-    report = _report_skeleton(argv, {Path(args.system).name: json.dumps(data)}, {})
+    _inputs(report, {Path(args.system).name: json.dumps(data)}, {})
     elimination = cons.linear_eliminate(system)
     values = cons.grid_values(args.grid_num, args.grid_den)
-    try:
-        partials = cons.grid_search(elimination.system, values, cap=args.cap)
-    except cons.GridCapExceeded as exc:
-        report["error"] = str(exc)
-        return _finish(report, args.json, started, EXIT_CAP)
-    solutions = []
-    for partial in partials:
-        solutions.append(cons.assignment_text(elimination.extend(partial)))
+    partials = cons.grid_search(elimination.system, values, cap=args.cap)
+    solutions = [cons.assignment_text(elimination.extend(p)) for p in partials]
     report["elimination"] = {
         "assignment": cons.assignment_text(elimination.assignment),
         "residual_unknowns": list(elimination.system.unknown_names()),
@@ -306,58 +239,43 @@ def cmd_solve(args, argv) -> int:
     report["solutions"] = solutions
     report["grid"] = {"num": args.grid_num, "den": args.grid_den}
     print(f"solve: {len(solutions)} solutions")
-    return _finish(report, args.json, started, EXIT_PASS)
 
 
-def cmd_equiv(args, argv) -> int:
-    started = time.monotonic()
-    document, report = _load(args, argv)
+def cmd_equiv(args, report: dict) -> None:
+    document = _load(args, report)
     pair = _find(document, "matched", args.pair)
     phi = _find(document, "defmap", args.phi)
     psi = _find(document, "defmap", args.psi)
     if args.alpha:
         alpha = _find(document, "morphism", args.alpha)
         rep = dfm.check_equivalence(pair, phi, psi, alpha)
-        report["checks"].append(_check_entry(f"equivalence:{args.alpha}", rep))
-        return _finish(report, args.json, started, EXIT_PASS if rep.passed else EXIT_FAIL)
+        report["checks"].append(_entry(f"equivalence:{args.alpha}", rep))
+        return
     values = cons.grid_values(args.grid_num, args.grid_den)
-    try:
-        witnesses = cons.search_equivalence_diagonal(pair, phi, psi, values)
-    except cons.GridCapExceeded as exc:
-        report["error"] = str(exc)
-        return _finish(report, args.json, started, EXIT_CAP)
+    witnesses = cons.search_equivalence_diagonal(pair, phi, psi, values)
     report["witnesses"] = [
         [str(w.matrix[i][i]) for i in range(len(w.matrix))] for w in witnesses
     ]
-    status = "pass" if witnesses else "not-found-in-family"
     report["checks"].append(
         {
             "name": f"equivalence_search:{args.phi}~{args.psi}",
-            "status": status,
+            "status": "pass" if witnesses else "not-found-in-family",
             "violations": [],
             "family": "diagonal",
             "grid": {"num": args.grid_num, "den": args.grid_den},
         }
     )
-    return _finish(report, args.json, started, EXIT_PASS if witnesses else EXIT_FAIL)
 
 
-def cmd_morphism(args, argv) -> int:
-    started = time.monotonic()
-    document, report = _load(args, argv)
+def cmd_morphism(args, report: dict) -> None:
+    document = _load(args, report)
     morphism = _find(document, "morphism", args.name)
-    rep = dfm.check_morphism(morphism)
-    report["checks"].append(
-        _check_entry(
-            f"morphism:{args.name}", rep, is_isomorphism=dfm.is_isomorphism(morphism)
-        )
-    )
-    return _finish(report, args.json, started, EXIT_PASS if rep.passed else EXIT_FAIL)
+    report["checks"].extend(_item_checks("morphism", args.name, morphism))
 
 
-def cmd_structure(args, argv) -> int:
-    started = time.monotonic()
-    document, report = _load(args, argv)
+def cmd_structure(args, report: dict) -> bool:
+    """Fill in the structure report; true when the depth cap was hit."""
+    document = _load(args, report)
     algebra = _find(document, "algebra", args.algebra)
     if algebra.kind != LIE:
         raise _InputError("structure analysis applies to Lie algebras")
@@ -373,8 +291,7 @@ def cmd_structure(args, argv) -> int:
         "derived_series": series,
     }
     print(f"structure:{args.algebra}: {solv}")
-    code = EXIT_CAP if solv.verdict == "unknown" else EXIT_PASS
-    return _finish(report, args.json, started, code)
+    return solv.verdict == "unknown"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -387,27 +304,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # argparse would accept a unique prefix such as ``--js`` for ``--json``,
     # which the report's command echo in ``main`` does not strip
-    def command(name, help_text):
-        return sub.add_parser(name, help=help_text, allow_abbrev=False)
-
-    def common(p, params=True):
+    def command(name, help_text, params=True):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if params:
             p.add_argument("--param", action="append", default=[], metavar="NAME=RAT")
         p.add_argument("--json", metavar="PATH", help="write the JSON report here")
+        return p
 
     p = command("check", "run axiom/module/map checks")
     p.add_argument("file")
     p.add_argument("names", nargs="*")
-    common(p)
-    p.set_defaults(func=cmd_check)
 
     p = command("bicrossed", "build the glued algebra of a matched pair")
     p.add_argument("file")
     p.add_argument("--pair", required=True)
     p.add_argument("--expect", help="compare against this declared algebra")
     p.add_argument("-o", dest="out", metavar="PATH")
-    common(p)
-    p.set_defaults(func=cmd_bicrossed)
 
     p = command("deform", "twist Q by a deformation map")
     p.add_argument("file")
@@ -415,24 +327,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--expect")
     p.add_argument("-o", dest="out", metavar="PATH")
-    common(p)
-    p.set_defaults(func=cmd_deform)
 
     p = command("constraints", "compile the deformation identity")
     p.add_argument("file")
     p.add_argument("--pair", required=True)
     p.add_argument("--degree", type=int, default=0)
     p.add_argument("-o", dest="out", metavar="PATH", help="write the system JSON here")
-    common(p)
-    p.set_defaults(func=cmd_constraints)
 
-    p = command("solve", "eliminate then grid-search a system")
+    p = command("solve", "eliminate then grid-search a system", params=False)
     p.add_argument("system")
     p.add_argument("--grid-num", type=int, default=2)
     p.add_argument("--grid-den", type=int, default=1)
     p.add_argument("--cap", type=int, default=6)
-    common(p, params=False)
-    p.set_defaults(func=cmd_solve)
 
     p = command("equiv", "compare two deformation maps up to a module automorphism")
     p.add_argument("file")
@@ -442,29 +348,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", help="declared witness; omit to search diagonally")
     p.add_argument("--grid-num", type=int, default=3)
     p.add_argument("--grid-den", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_equiv)
 
     p = command("morphism", "check a declared morphism")
     p.add_argument("file")
     p.add_argument("--name", required=True)
-    common(p)
-    p.set_defaults(func=cmd_morphism)
 
     p = command("structure", "abelian/solvability invariants")
     p.add_argument("file")
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-depth", type=int, default=10)
-    common(p)
-    p.set_defaults(func=cmd_structure)
 
     return parser
 
 
+# parse_args leaves the tree as it found it (an appended ``--param`` list is a
+# copy of the default), so one tree serves every call in the process
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    started = time.monotonic()
     # the report echoes the command without the report-path plumbing, so two
     # runs writing to different paths still produce identical reports
     echo = []
@@ -472,18 +377,30 @@ def main(argv: list[str] | None = None) -> int:
     for token in argv:
         if skip:
             skip = False
-            continue
-        if token == "--json":
+        elif token == "--json":
             skip = True
-            continue
-        if token.startswith("--json="):
-            continue
-        echo.append(token)
+        elif not token.startswith("--json="):
+            echo.append(token)
+    report = {"schema": SCHEMA, "command": echo, "checks": []}
+    # looked up per call, so a wrapper rebound on this module is what runs
+    handler = globals()[f"cmd_{args.cmd}"]
     try:
-        return args.func(args, echo)
+        capped = handler(args, report)
     except _InputError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
+    except cons.GridCapExceeded as exc:
+        report["error"] = str(exc)
+        capped = True
+    report["timings"] = {"total_ms": int((time.monotonic() - started) * 1000)}
+    if args.json:
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        Path(args.json).write_text(text, encoding="utf-8")
+    for entry in report["checks"]:
+        print(f"{entry['name']}: {entry['status']}")
+    if capped:
+        return EXIT_CAP
+    return EXIT_FAIL if any(e["status"] != "pass" for e in report["checks"]) else EXIT_PASS
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from cfkit import algebra as algebra_module
 from cfkit.algebra import (
     ASSOCIATIVE,
+    CheckReport,
     ConformalAlgebra,
     GenElement,
     LIE,
     abelian,
     check_associativity,
     check_axioms,
-    check_jacobi,
-    check_skew_symmetry,
     element_text,
     product_eval,
 )
@@ -76,6 +75,22 @@ def reference_associativity(algebra):
 
 def texts(report):
     return [v.text() for v in report.violations]
+
+
+def axiom_part(algebra, prefix):
+    """The violations ``check_axioms`` reports under one identity prefix."""
+    report = check_axioms(algebra)
+    return CheckReport(
+        tuple(v for v in report.violations if v.identity.startswith(f"{prefix}:"))
+    )
+
+
+def skew_part(algebra):
+    return axiom_part(algebra, "skew")
+
+
+def jacobi_part(algebra):
+    return axiom_part(algebra, "jacobi")
 
 
 def random_poly(rng):
@@ -178,15 +193,15 @@ class TestProductEval:
 
 class TestSkewSymmetry:
     def test_vir_passes(self):
-        assert check_skew_symmetry(vir_algebra()).passed
+        assert skew_part(vir_algebra()).passed
 
     def test_corrupted_table_residual(self):
-        report = check_skew_symmetry(bad_vir())
+        report = skew_part(bad_vir())
         assert not report.passed
         assert report.violations[0].residual.coords == (-d,)
 
     def test_abelian_passes(self):
-        assert check_skew_symmetry(abelian(LIE, ("A", "B", "C"))).passed
+        assert skew_part(abelian(LIE, ("A", "B", "C"))).passed
 
     @pytest.mark.parametrize("algebra", [vir_algebra(), bad_vir()])
     def test_table_level_restatement(self, algebra):
@@ -199,41 +214,42 @@ class TestSkewSymmetry:
             for j in range(n)
             for k in range(n)
         )
-        assert check_skew_symmetry(algebra).passed == table_ok
+        assert skew_part(algebra).passed == table_ok
 
     def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            check_skew_symmetry(abelian(ASSOCIATIVE, ("A",)))
+        # [A_l A] = A fails skew-symmetry but is associative: skew-symmetry is
+        # checked on Lie tables only
+        table = (((MultiPoly.const(1),),),)
+        assert not skew_part(ConformalAlgebra(LIE, ("A",), table)).passed
+        assoc = ConformalAlgebra(ASSOCIATIVE, ("A",), table)
+        assert check_axioms(assoc).passed
+        assert not skew_part(assoc).violations
 
 
 class TestJacobi:
     def test_vir_passes(self):
-        assert check_jacobi(vir_algebra()).passed
+        assert jacobi_part(vir_algebra()).passed
 
     def test_current_algebra_passes(self):
         cur = load_fixture("cur2").find("algebra", "Cur2")
-        assert check_jacobi(cur).passed
+        assert jacobi_part(cur).passed
 
     def test_wab_passes(self):
         alg = wab_doc(1, 2).find("algebra", "Wab")
-        assert check_jacobi(alg).passed
+        assert jacobi_part(alg).passed
 
     def test_corrupted_table_fails(self):
-        assert not check_jacobi(bad_vir()).passed
+        assert not jacobi_part(bad_vir()).passed
 
     def test_orbit_path_matches_full_loop(self):
         seen = {"skew-pass-jacobi-fail": 0, "skew-fail": 0, "diagonal-only": 0}
         for seed in range(300):
             shape, alg = random_algebra(seed)
             expected = reference_jacobi(alg)
-            if seed % 5 == 0:
-                assert texts(check_jacobi(alg)) == expected, seed
-            skew = check_skew_symmetry(alg)
             axioms = check_axioms(alg)
-            assert texts(axioms) == [f"skew:{t}" for t in texts(skew)] + [
-                f"jacobi:{t}" for t in expected
-            ], seed
-            if not skew.passed:
+            skew = [t for t in texts(axioms) if t.startswith("skew:")]
+            assert texts(axioms) == skew + [f"jacobi:{t}" for t in expected], seed
+            if skew:
                 seen["skew-fail"] += 1
             elif expected:
                 seen["skew-pass-jacobi-fail"] += 1
@@ -262,11 +278,9 @@ class TestJacobi:
 
         monkeypatch.setattr(algebra_module, "_jacobiator", counting)
         n = algebra.rank
-        for check in (check_jacobi, check_axioms):
-            calls.clear()
-            assert check(algebra).passed
-            assert len(calls) == n * (n + 1) * (n + 2) // 6
-            assert all(i <= j <= k for i, j, k in calls)
+        assert check_axioms(algebra).passed
+        assert len(calls) == n * (n + 1) * (n + 2) // 6
+        assert all(i <= j <= k for i, j, k in calls)
 
     @given(
         coeffs=st.lists(d_polys, min_size=12, max_size=12),

@@ -1,13 +1,18 @@
+import argparse
 import json
 import time
 from pathlib import Path
 
 import pytest
 
-from cfkit import cli
+from cfkit import cli, corpus
+from cfkit.algebra import CheckReport, GenElement, Violation
+from cfkit.poly import MultiPoly
 
 VIR = "algebra Vir : lie {\n  gens L;\n  [L, L] = (d + 2*l) L;\n}\n"
 BAD = "algebra Bad : lie {\n  gens L;\n  [L, L] = (d + 3*l) L;\n}\n"
+# a multiple of a Lie bracket is one, so every value of a passes
+SCALED_VIR = "param a = 1;\n" + VIR.replace("(d + 2*l)", "(a*d + 2*a*l)")
 
 
 @pytest.fixture
@@ -55,6 +60,19 @@ class TestCheck:
         Path("t.cfk").write_text(VIR)
         assert run(["check", "t.cfk", "--param", "a"]) == 2
         assert run(["check", "t.cfk", "--param", "a=x"]) == 2
+
+    def test_param_over_the_literal_cap_exits_2(self, workdir, capsys):
+        # Fraction() would expand 1e200000 into a 200 001-digit integer
+        Path("t.cfk").write_text(SCALED_VIR)
+        started = time.monotonic()
+        assert run(["check", "t.cfk", "--param", "a=1e200000"]) == 2
+        assert time.monotonic() - started < 1
+        assert "bad rational '1e200000'" in capsys.readouterr().err
+        assert run(["check", "t.cfk", "--param", "a=" + "1" * 641]) == 2
+        assert "bad rational" in capsys.readouterr().err
+        for value, text in [("-3/2", "-3/2"), ("0.5", "1/2"), ("1" * 640, "1" * 640)]:
+            assert run(["check", "t.cfk", "--param", f"a={value}", "--json", "r.json"]) == 0
+            assert json.loads(Path("r.json").read_text())["params"] == {"a": text}
 
     def test_unused_param_exits_2(self, workdir, capsys):
         Path("t.cfk").write_text("param a = 1;\n" + VIR.replace("2*l", "b*l"))
@@ -249,3 +267,64 @@ class TestOutputs:
         assert report["structure"]["solvability"] == "not_solvable"
         assert report["structure"]["is_abelian"] is False
         assert report["structure"]["derived_series"][0] == ["L"]
+
+
+class TestReportPipeline:
+    def test_convention_mismatch_fails_the_check(self, workdir, monkeypatch):
+        # the direct reading disagrees with a pair the normative check passes
+        one = GenElement((MultiPoly.const(1),))
+        broken = CheckReport((Violation("b1", (0, 0, 0), one, ("W",)),))
+        monkeypatch.setattr(cli, "check_b1_b2_direct", lambda pair: broken)
+        Path("t.cfk").write_text(
+            VIR + "algebra Q : lie { gens W; }\nmatched P : lie { R = Vir; Q = Q; }\n"
+        )
+        assert run(["check", "t.cfk", "P", "--json", "r.json"]) == 1
+        checks = json.loads(Path("r.json").read_text())["checks"]
+        assert [c["name"] for c in checks] == [
+            "matched_pair:P", "cross_compat_direct:P", "convention-mismatch:P"
+        ]
+        assert checks[0]["status"] == "pass"
+        assert checks[1]["convention_match"] is False
+        assert checks[2] == {
+            "name": "convention-mismatch:P",
+            "status": "fail",
+            "violations": [{
+                "identity": "convention-mismatch",
+                "indices": [],
+                "residual": "direct and normative verdicts disagree",
+            }],
+        }
+
+    def test_structure_depth_cap_exits_3(self, workdir):
+        # QYM at a = 0 is solvable(2): one derived step does not reach zero
+        source = str(corpus.fixture_dir("sv") / "input.cfk")
+        params = ["--param", "a=0", "--param", "b=0", "--param", "c=0", "--param", "ai=1"]
+        argv = ["structure", source, "--algebra", "QYM", *params, "--json", "r.json"]
+        assert run(argv) == 0
+        report = json.loads(Path("r.json").read_text())
+        assert report["structure"]["solvability"] == "solvable(2)"
+        assert run(argv + ["--max-depth", "1"]) == 3
+        report = json.loads(Path("r.json").read_text())
+        assert report["structure"]["solvability"] == "unknown"
+        assert "error" not in report
+
+    def test_one_parser_serves_every_call(self, workdir, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        Path("t.cfk").write_text(SCALED_VIR)
+        assert run(["check", "t.cfk", "--param", "a=3", "--json", "a.json"]) == 0
+        assert run(["check", "t.cfk", "--json", "b.json"]) == 0
+        assert built == []
+        assert json.loads(Path("a.json").read_text())["params"] == {"a": "3"}
+        assert json.loads(Path("b.json").read_text())["params"] == {}
+        # the handler is looked up when the call runs, not when the parser was built
+        ran = []
+        monkeypatch.setattr(cli, "cmd_check", lambda args, report: ran.append(args.file))
+        assert run(["check", "t.cfk"]) == 0
+        assert ran == ["t.cfk"]
