@@ -241,14 +241,22 @@ def check_b1_b2_direct(mp: MatchedPair) -> CheckReport:
     s_l = -_PL1 - _PD
     s_m = -_PL2 - _PD
     s_lm = -_PL1 - _PL2 - _PD
+    l_plus_m = _PL1 + _PL2
+    # every inner evaluation depends on two of the three indices only
+    rhd_l = [[action_eval(mp.rhd, x, a, s_l) for a in r_basis] for x in q_basis]
+    rhd_m = [[action_eval(mp.rhd, x, a, s_m) for a in r_basis] for x in q_basis]
+    lhd_l = [[action_eval(mp.lhd, x, a, s_l) for a in r_basis] for x in q_basis]
+    lhd_m = [[action_eval(mp.lhd, x, a, s_m) for a in r_basis] for x in q_basis]
+    r_at_l = [[product_eval(mp.R, a, b, _PL1) for b in r_basis] for a in r_basis]
+    q_at_m = [[product_eval(mp.Q, x, y, _PL2) for y in q_basis] for x in q_basis]
     for x_i, x in enumerate(q_basis):
         for a_i, a in enumerate(r_basis):
             for b_i, b in enumerate(r_basis):
-                lhs = action_eval(mp.rhd, x, product_eval(mp.R, a, b, _PL1), s_lm)
-                t1 = product_eval(mp.R, action_eval(mp.rhd, x, a, s_l), b, s_m)
-                t2 = product_eval(mp.R, a, action_eval(mp.rhd, x, b, s_m), _PL1)
-                t3 = action_eval(mp.rhd, action_eval(mp.lhd, x, a, s_l), b, s_m)
-                t4 = action_eval(mp.rhd, action_eval(mp.lhd, x, b, s_m), a, s_l)
+                lhs = action_eval(mp.rhd, x, r_at_l[a_i][b_i], s_lm)
+                t1 = product_eval(mp.R, rhd_l[x_i][a_i], b, s_m)
+                t2 = product_eval(mp.R, a, rhd_m[x_i][b_i], _PL1)
+                t3 = action_eval(mp.rhd, lhd_l[x_i][a_i], b, s_m)
+                t4 = action_eval(mp.rhd, lhd_m[x_i][b_i], a, s_l)
                 residual = lhs - t1 - t2 - t3 + t4
                 if not residual.is_zero:
                     violations.append(
@@ -257,11 +265,11 @@ def check_b1_b2_direct(mp: MatchedPair) -> CheckReport:
     for x_i, x in enumerate(q_basis):
         for y_i, y in enumerate(q_basis):
             for a_i, a in enumerate(r_basis):
-                lhs = action_eval(mp.lhd, product_eval(mp.Q, x, y, _PL2), a, s_l)
-                t1 = product_eval(mp.Q, x, action_eval(mp.lhd, y, a, s_l), _PL2)
-                t2 = product_eval(mp.Q, action_eval(mp.lhd, x, a, s_l), y, _PL1 + _PL2)
-                t3 = action_eval(mp.lhd, x, action_eval(mp.rhd, y, a, s_l), _PL2)
-                t4 = action_eval(mp.lhd, y, action_eval(mp.rhd, x, a, s_l), s_lm)
+                lhs = action_eval(mp.lhd, q_at_m[x_i][y_i], a, s_l)
+                t1 = product_eval(mp.Q, x, lhd_l[y_i][a_i], _PL2)
+                t2 = product_eval(mp.Q, lhd_l[x_i][a_i], y, l_plus_m)
+                t3 = action_eval(mp.lhd, x, rhd_l[y_i][a_i], _PL2)
+                t4 = action_eval(mp.lhd, y, rhd_l[x_i][a_i], s_lm)
                 residual = lhs - t1 - t2 - t3 + t4
                 if not residual.is_zero:
                     violations.append(

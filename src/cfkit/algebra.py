@@ -168,9 +168,12 @@ def abelian(kind: str, names: tuple[str, ...]) -> ConformalAlgebra:
     return ConformalAlgebra(kind, tuple(names), table)
 
 
+_AFFINE_MONOMIALS = frozenset({(), ((D, 1),), ((L1, 1),), ((L2, 1),)})
+
+
 def require_affine(s: MultiPoly) -> None:
     """Spectral parameters must be affine in d, l, m."""
-    if s.degree() > 1 or not s.variables() <= {D, L1, L2}:
+    if not _AFFINE_MONOMIALS.issuperset(s._terms):
         raise ValueError(f"spectral parameter must be affine in d, l, m: {s}")
 
 

@@ -8,9 +8,10 @@ only fill in the report they are given.
 Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
 (parse or reference errors, an exponent or a numeric literal over the
 parser's caps, a ``--param`` value with an exponent or more digits than the
-literal cap, or a ``--param`` name the document never uses), 3 a resource
-cap was exceeded (the grid-search unknown cap in ``solve`` and ``equiv``, or
-the derived-series depth in ``structure``).
+literal cap, a ``--param`` name the document never uses, or an integer
+option below its least value), 3 a resource cap was exceeded (the
+grid-search unknown cap or point budget in ``solve`` and ``equiv``, or the
+derived-series depth in ``structure``).
 Reports are byte-identical across runs for identical inputs, except for the
 ``timings`` field, which golden comparisons drop.
 """
@@ -294,6 +295,21 @@ def cmd_structure(args, report: dict) -> bool:
     return solv.verdict == "unknown"
 
 
+def _int_at_least(least: int):
+    """argparse type for an integer option no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfkit",
@@ -331,13 +347,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("constraints", "compile the deformation identity")
     p.add_argument("file")
     p.add_argument("--pair", required=True)
-    p.add_argument("--degree", type=int, default=0)
+    p.add_argument("--degree", type=_int_at_least(0), default=0)
     p.add_argument("-o", dest="out", metavar="PATH", help="write the system JSON here")
 
     p = command("solve", "eliminate then grid-search a system", params=False)
     p.add_argument("system")
-    p.add_argument("--grid-num", type=int, default=2)
-    p.add_argument("--grid-den", type=int, default=1)
+    p.add_argument("--grid-num", type=_int_at_least(0), default=2)
+    p.add_argument("--grid-den", type=_int_at_least(1), default=1)
     p.add_argument("--cap", type=int, default=6)
 
     p = command("equiv", "compare two deformation maps up to a module automorphism")
@@ -346,8 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--alpha", help="declared witness; omit to search diagonally")
-    p.add_argument("--grid-num", type=int, default=3)
-    p.add_argument("--grid-den", type=int, default=1)
+    p.add_argument("--grid-num", type=_int_at_least(0), default=3)
+    p.add_argument("--grid-den", type=_int_at_least(1), default=1)
 
     p = command("morphism", "check a declared morphism")
     p.add_argument("file")
@@ -356,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("structure", "abelian/solvability invariants")
     p.add_argument("file")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--max-depth", type=int, default=10)
+    p.add_argument("--max-depth", type=_int_at_least(1), default=10)
 
     return parser
 

@@ -2,11 +2,13 @@
 
 Every structure constant and ansatz coefficient in this package is a value of
 :class:`MultiPoly`: a finite map from monomials to nonzero exact rational
-coefficients.  An integral coefficient is stored as an ``int`` and only a
-non-integral one as a ``Fraction``, which keeps the common all-integer case
-off ``Fraction``'s slower arithmetic.  ``int`` and ``Fraction`` of equal
-value compare and hash equal, so equality, hashing and rendering do not
-depend on which of the two a coefficient is.
+coefficients.  A polynomial is stored as integer numerators over one positive
+common denominator kept in lowest terms, the representation of FLINT's
+``fmpq_poly``: no factor above one divides the denominator and all the
+numerators, so an integral polynomial has denominator ``1``.  Ring operations therefore run on
+``int`` alone and reduce by one gcd per result; ``Fraction`` appears only
+where a coefficient is handed out, as an ``int`` when it is integral and as a
+``Fraction`` otherwise.
 Arithmetic is exact, values are immutable, and all operations are pure
 functions, so polynomials can be shared freely between threads.
 
@@ -22,6 +24,7 @@ golden-file stability.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
 D = 0
@@ -83,7 +86,7 @@ def scalar_text(value: Scalar) -> str:
 
 
 def _as_scalar(value: Scalar) -> Scalar:
-    """Canonical stored form of an exact rational: ``int`` when integral."""
+    """Canonical form of an exact rational: ``int`` when integral."""
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
@@ -91,19 +94,28 @@ def _as_scalar(value: Scalar) -> Scalar:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _ratio(num: int, den: int) -> Scalar:
+    """``num / den`` in the canonical scalar form."""
+    if den == 1 or num % den == 0:
+        return num // den
+    return Fraction(num, den)
+
+
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients.
 
-    The stored term map never contains a zero coefficient, and every integral
-    coefficient is an ``int`` (a ``Fraction`` always has denominator above
-    one), so two values compare equal exactly when they are the same
-    polynomial; no separate normalization step is ever needed.
+    ``_terms`` maps each monomial to a nonzero ``int`` numerator and ``_den``
+    is the positive common denominator, with ``gcd(_den, *numerators) == 1``.
+    Every result is reduced to that form, so two values compare equal exactly
+    when they are the same polynomial; no separate normalization step is ever
+    needed.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         cleaned: dict[Monomial, Scalar] = {}
+        den = 1
         if terms:
             for mono, coeff in terms.items():
                 coeff = _as_scalar(coeff)
@@ -112,7 +124,16 @@ class MultiPoly:
                 if any(exp <= 0 for _, exp in mono) or list(mono) != sorted(mono):
                     raise ValueError(f"malformed monomial {mono!r}")
                 cleaned[tuple(mono)] = coeff
-        object.__setattr__(self, "_terms", cleaned)
+                den = lcm(den, coeff.denominator)
+        # the lcm of reduced denominators is in lowest terms already: each prime
+        # of it has its full power in some denominator, so that coefficient's
+        # scaled numerator is not a multiple of the prime
+        object.__setattr__(
+            self,
+            "_terms",
+            {mono: c.numerator * (den // c.denominator) for mono, c in cleaned.items()},
+        )
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MultiPoly is immutable")
@@ -128,7 +149,7 @@ class MultiPoly:
         value = _as_scalar(value)
         if value == 0:
             return _ZERO
-        return cls({(): value})
+        return _raw({(): value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, var: int, exp: int = 1) -> "MultiPoly":
@@ -136,7 +157,7 @@ class MultiPoly:
             raise ValueError("exponent must be non-negative")
         if exp == 0:
             return cls.const(1)
-        return _raw({((var, exp),): 1})
+        return _raw({((var, exp),): 1}, 1)
 
     # -- inspection --------------------------------------------------------
 
@@ -146,7 +167,11 @@ class MultiPoly:
 
     def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
         """Iterate terms in canonical order: graded-lexicographic, descending."""
-        return iter(_ordered(self._terms))
+        ordered = _ordered(self._terms)
+        den = self._den
+        if den != 1:
+            ordered = [(mono, _ratio(num, den)) for mono, num in ordered]
+        return iter(ordered)
 
     def variables(self) -> frozenset[int]:
         return frozenset(v for mono in self._terms for v, _ in mono)
@@ -169,17 +194,18 @@ class MultiPoly:
         if not self._terms:
             return 0
         if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
+            return _ratio(self._terms[()], self._den)
         return None
 
     def coefficient(self, mono: Monomial) -> Scalar:
-        return self._terms.get(tuple(mono), 0)
+        return _ratio(self._terms.get(tuple(mono), 0), self._den)
 
     def leading(self) -> tuple[Monomial, Scalar]:
         """Leading (monomial, coefficient) in the canonical order."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        return _ordered(self._terms)[0]
+        mono, num = _ordered(self._terms)[0]
+        return mono, _ratio(num, self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -191,16 +217,23 @@ class MultiPoly:
             return other
         if not other._terms:
             return self
-        out = dict(self._terms)
+        den, other_den = self._den, other._den
+        if den == other_den:
+            out = dict(self._terms)
+            scale = 1
+        else:
+            # bring both over lcm(den, other_den)
+            g = gcd(den, other_den)
+            out = {mono: c * (other_den // g) for mono, c in self._terms.items()}
+            scale = den // g
+            den *= other_den // g
         for mono, coeff in other._terms.items():
-            acc = out.get(mono, 0) + coeff
-            if not acc:
-                out.pop(mono, None)
-            elif type(acc) is not int and acc.denominator == 1:
-                out[mono] = acc.numerator
-            else:
+            acc = out.get(mono, 0) + coeff * scale
+            if acc:
                 out[mono] = acc
-        return _raw(out)
+            else:
+                del out[mono]
+        return _normal(out, den)
 
     __radd__ = __add__
 
@@ -217,7 +250,7 @@ class MultiPoly:
         return other + (-self)
 
     def __neg__(self) -> "MultiPoly":
-        return _raw({mono: -coeff for mono, coeff in self._terms.items()})
+        return _raw({mono: -coeff for mono, coeff in self._terms.items()}, self._den)
 
     def __mul__(self, other) -> "MultiPoly":
         other = _coerce(other)
@@ -225,19 +258,16 @@ class MultiPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return _ZERO
-        out: dict[Monomial, Scalar] = {}
+        out: dict[Monomial, int] = {}
         for mono_a, ca in self._terms.items():
             for mono_b, cb in other._terms.items():
                 mono = _mono_mul(mono_a, mono_b)
                 acc = out.get(mono, 0) + ca * cb
-                if not acc:
-                    out.pop(mono, None)
-                else:
+                if acc:
                     out[mono] = acc
-        for mono, coeff in out.items():
-            if type(coeff) is not int and coeff.denominator == 1:
-                out[mono] = coeff.numerator
-        return _raw(out)
+                else:
+                    del out[mono]
+        return _normal(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -266,12 +296,15 @@ class MultiPoly:
     def substitute(self, var: int, replacement: "MultiPoly | Scalar") -> "MultiPoly":
         """Ring-homomorphic replacement of every occurrence of ``var``."""
         replacement = _coerce_strict(replacement)
-        if replacement._terms == {((var, 1),): 1} or var not in self.variables():
+        if (
+            replacement._den == 1 and replacement._terms == {((var, 1),): 1}
+        ) or var not in self.variables():
             return self
         max_exp = self.degree(var)
         powers = [MultiPoly.const(1)]
         for _ in range(max_exp):
             powers.append(powers[-1] * replacement)
+        # the numerators are substituted, then the sum is put over our _den
         out = _ZERO
         for mono, coeff in self._terms.items():
             exp = 0
@@ -281,8 +314,10 @@ class MultiPoly:
                     exp = e
                 else:
                     rest.append((v, e))
-            out = out + _raw({tuple(rest): coeff}) * powers[exp]
-        return out
+            out = out + _raw({tuple(rest): coeff}, 1) * powers[exp]
+        if self._den == 1:
+            return out
+        return _normal(out._terms, out._den * self._den)
 
     def eval_at(self, var: int, value: Scalar) -> "MultiPoly":
         """Substitute the constant ``value`` for ``var``."""
@@ -296,7 +331,7 @@ class MultiPoly:
             for var, exp in mono:
                 term *= values[var] ** exp
             total += term
-        return total
+        return total / self._den
 
     def coefficient_list(self, var: int) -> list["MultiPoly"]:
         """Decompose as coefficients of powers ``var^0, var^1, ...``.
@@ -307,7 +342,7 @@ class MultiPoly:
         """
         if not self._terms:
             return []
-        buckets: dict[int, dict[Monomial, Scalar]] = {}
+        buckets: dict[int, dict[Monomial, int]] = {}
         for mono, coeff in self._terms.items():
             exp = 0
             rest = []
@@ -318,19 +353,19 @@ class MultiPoly:
                     rest.append((v, e))
             buckets.setdefault(exp, {})[tuple(rest)] = coeff
         top = max(buckets)
-        return [_raw(dict(buckets.get(k, {}))) for k in range(top + 1)]
+        return [_normal(buckets.get(k, {}), self._den) for k in range(top + 1)]
 
     # -- equality / rendering ----------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self._terms == MultiPoly.const(other)._terms
-        if not isinstance(other, MultiPoly):
+            other = MultiPoly.const(other)
+        elif not isinstance(other, MultiPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -360,14 +395,33 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _raw(terms: dict[Monomial, Scalar]) -> MultiPoly:
-    """Build from a dict already known to be clean (internal fast path)."""
-    poly = MultiPoly.__new__(MultiPoly)
-    object.__setattr__(poly, "_terms", terms)
+# the slot setters themselves: immutability blocks ``__setattr__``, and these
+# skip the attribute lookup of ``object.__setattr__`` on every result
+_set_terms = MultiPoly._terms.__set__
+_set_den = MultiPoly._den.__set__
+
+
+def _raw(terms: dict[Monomial, int], den: int) -> MultiPoly:
+    """Build from numerators already in lowest terms over ``den`` (internal
+    fast path)."""
+    poly = object.__new__(MultiPoly)
+    _set_terms(poly, terms)
+    _set_den(poly, den)
     return poly
 
 
-_ZERO = _raw({})
+def _normal(terms: dict[Monomial, int], den: int) -> MultiPoly:
+    """Build from nonzero numerators over a positive ``den``, dividing out
+    their common factor; the zero polynomial gets ``den`` 1."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {mono: num // g for mono, num in terms.items()}
+            den //= g
+    return _raw(terms, den)
+
+
+_ZERO = _raw({}, 1)
 
 
 def _coerce(value) -> "MultiPoly":

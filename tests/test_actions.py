@@ -435,3 +435,59 @@ class TestMatchedPairMatchesComposite:
             ), label
             verdicts[got.passed] += 1
         assert verdicts[True] and verdicts[False], verdicts
+
+
+# -- differential test: the tabulated direct cross check against nested loops ---
+
+
+def reference_check_b1_b2_direct(mp: MatchedPair) -> CheckReport:
+    """``check_b1_b2_direct`` with every nested term evaluated afresh for
+    each triple, before its inner evaluations were tabulated."""
+    violations = []
+    r_basis = [mp.R.basis_element(i) for i in range(mp.R.rank)]
+    q_basis = [mp.Q.basis_element(i) for i in range(mp.Q.rank)]
+    s_l = -_PL1 - _PD
+    s_m = -_PL2 - _PD
+    s_lm = -_PL1 - _PL2 - _PD
+    for x_i, x in enumerate(q_basis):
+        for a_i, a in enumerate(r_basis):
+            for b_i, b in enumerate(r_basis):
+                lhs = action_eval(mp.rhd, x, product_eval(mp.R, a, b, _PL1), s_lm)
+                t1 = product_eval(mp.R, action_eval(mp.rhd, x, a, s_l), b, s_m)
+                t2 = product_eval(mp.R, a, action_eval(mp.rhd, x, b, s_m), _PL1)
+                t3 = action_eval(mp.rhd, action_eval(mp.lhd, x, a, s_l), b, s_m)
+                t4 = action_eval(mp.rhd, action_eval(mp.lhd, x, b, s_m), a, s_l)
+                residual = lhs - t1 - t2 - t3 + t4
+                if not residual.is_zero:
+                    violations.append(
+                        Violation("cross-left", (x_i, a_i, b_i), residual, mp.R.basis)
+                    )
+    for x_i, x in enumerate(q_basis):
+        for y_i, y in enumerate(q_basis):
+            for a_i, a in enumerate(r_basis):
+                lhs = action_eval(mp.lhd, product_eval(mp.Q, x, y, _PL2), a, s_l)
+                t1 = product_eval(mp.Q, x, action_eval(mp.lhd, y, a, s_l), _PL2)
+                t2 = product_eval(mp.Q, action_eval(mp.lhd, x, a, s_l), y, _PL1 + _PL2)
+                t3 = action_eval(mp.lhd, x, action_eval(mp.rhd, y, a, s_l), _PL2)
+                t4 = action_eval(mp.lhd, y, action_eval(mp.rhd, x, a, s_l), s_lm)
+                residual = lhs - t1 - t2 - t3 + t4
+                if not residual.is_zero:
+                    violations.append(
+                        Violation("cross-right", (x_i, y_i, a_i), residual, mp.Q.basis)
+                    )
+    return CheckReport(tuple(violations))
+
+
+class TestDirectCompatibilityMatchesNestedLoops:
+    def test_perturbed_lie_pairs(self):
+        rng = random.Random("direct-compatibility-differential")
+        pairs = {label: make() for label, make in PERTURBED_PAIRS.items()}
+        lie = sorted(label for label, pair in pairs.items() if pair.kind == LIE)
+        verdicts = {True: 0, False: 0}
+        for n in range(300):
+            label = lie[n % len(lie)]
+            pair = perturb(pairs[label], rng)
+            got = check_b1_b2_direct(pair)
+            assert got.violations == reference_check_b1_b2_direct(pair).violations, label
+            verdicts[got.passed] += 1
+        assert verdicts[True] and verdicts[False], verdicts

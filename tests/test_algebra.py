@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -17,8 +19,9 @@ from cfkit.algebra import (
     check_axioms,
     element_text,
     product_eval,
+    require_affine,
 )
-from cfkit.poly import D, L1, L2, MultiPoly
+from cfkit.poly import D, L1, L2, MultiPoly, unknown
 
 from helpers import assoc4_doc, load_fixture, sv_doc, vir_algebra, wab_doc
 
@@ -164,6 +167,21 @@ class TestProductEval:
         L = vir.basis_element(0)
         with pytest.raises(ValueError):
             product_eval(vir, L, L, l * l)
+
+    @pytest.mark.parametrize(
+        "s",
+        [l * m, d**2, MultiPoly.var(unknown(0)), l + 2 * l * d],
+        ids=["l*m", "d^2", "u0", "l+2*d*l"],
+    )
+    def test_require_affine_rejects(self, s):
+        message = f"spectral parameter must be affine in d, l, m: {s}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            require_affine(s)
+
+    def test_require_affine_accepts(self):
+        half = MultiPoly.const(Fraction(3, 2))
+        for s in (MultiPoly.zero(), half, l / 2 - d + 3, d + l + m):
+            require_affine(s)
 
     def test_rejects_rank_mismatch(self):
         vir = vir_algebra()

@@ -328,3 +328,47 @@ class TestReportPipeline:
         monkeypatch.setattr(cli, "cmd_check", lambda args, report: ran.append(args.file))
         assert run(["check", "t.cfk"]) == 0
         assert ran == ["t.cfk"]
+
+
+SV_PARAMS = ["--param", "a=0", "--param", "b=0", "--param", "c=0", "--param", "ai=1"]
+EQUIV = ["equiv", "SV", "--pair", "SVP", "--phi", "psi1", "--psi", "zero", *SV_PARAMS]
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize(
+        "argv, option, least",
+        [
+            (["structure", "VIR", "--algebra", "Vir", "--max-depth", "0"], "--max-depth", 1),
+            (["constraints", "SV", "--pair", "SVP", "--degree", "-1", *SV_PARAMS], "--degree", 0),
+            (["solve", "sys.json", "--grid-num", "-1"], "--grid-num", 0),
+            (["solve", "sys.json", "--grid-den", "0"], "--grid-den", 1),
+            ([*EQUIV, "--grid-num", "-1"], "--grid-num", 0),
+            ([*EQUIV, "--grid-den", "0"], "--grid-den", 1),
+        ],
+        ids=[
+            "structure-max-depth",
+            "constraints-degree",
+            "solve-grid-num",
+            "solve-grid-den",
+            "equiv-grid-num",
+            "equiv-grid-den",
+        ],
+    )
+    def test_below_least_value_exits_2(self, workdir, capsys, argv, option, least):
+        Path("sys.json").write_text(json.dumps({"unknowns": ["u0"], "equations": []}))
+        files = {
+            "VIR": str(corpus.fixture_dir("vir") / "input.cfk"),
+            "SV": str(corpus.fixture_dir("sv") / "input.cfk"),
+        }
+        with pytest.raises(SystemExit) as exc:
+            run([files.get(token, token) for token in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be at least {least}, got " in err
+        assert "Traceback" not in err
+
+    def test_non_integer_keeps_the_argparse_message(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "sys.json", "--grid-num", "two"])
+        assert exc.value.code == 2
+        assert "argument --grid-num: invalid int value: 'two'" in capsys.readouterr().err

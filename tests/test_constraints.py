@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cfkit.constraints
 from cfkit.constraints import (
     AnsatzSpec,
     GridCapExceeded,
@@ -217,6 +218,16 @@ class TestGrid:
         sys_ = system([unknown(k) for k in range(7)], [])
         with pytest.raises(GridCapExceeded):
             grid_search(sys_, grid_values(1, 1))
+
+    def test_point_budget_enumerates_nothing(self, monkeypatch):
+        # 799^6, about 2.6e17 points, is within the unknown cap of 6
+        def visited(system, assignment):
+            raise AssertionError("a grid point was enumerated")
+
+        monkeypatch.setattr(cfkit.constraints, "verify_assignment", visited)
+        sys_ = system([unknown(k) for k in range(6)], [])
+        with pytest.raises(GridCapExceeded, match="799\\^6 grid points"):
+            grid_search(sys_, grid_values(25, 25))
 
     def test_four_generator_relation(self):
         pair = assoc4_doc().find("matched", "AP")

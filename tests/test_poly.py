@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,17 +15,21 @@ m = MultiPoly.var(L2)
 coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 # ints and Fractions alike, integral Fractions such as Fraction(2) included
 scalars = st.one_of(st.integers(-4, 4), coefficients)
+# unreduced fractions over denominators with shared and distinct prime factors
+mixed_scalars = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 9, 12))
+)
 
 
 @st.composite
-def term_maps(draw, variables=(D, L1, L2)):
+def term_maps(draw, variables=(D, L1, L2), values=scalars):
     """Raw monomial -> scalar maps; zero coefficients may occur."""
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         mono = draw(
             st.dictionaries(st.sampled_from(variables), st.integers(1, 3), max_size=2)
         )
-        terms[tuple(sorted(mono.items()))] = draw(scalars)
+        terms[tuple(sorted(mono.items()))] = draw(values)
     return terms
 
 
@@ -191,6 +196,14 @@ def assert_canonical(p: MultiPoly):
         ), repr(coeff)
 
 
+def assert_stored_canonical(p: MultiPoly):
+    """Integer numerators, none zero, over a positive denominator in lowest
+    terms; the zero polynomial has denominator 1."""
+    assert type(p._den) is int and p._den >= 1, p._den
+    assert all(type(num) is int and num != 0 for num in p._terms.values()), p._terms
+    assert gcd(p._den, *p._terms.values()) == 1, (p._terms, p._den)
+
+
 class TestCoefficientTypes:
     @given(
         p=polys(),
@@ -217,6 +230,7 @@ class TestCoefficientTypes:
         ]
         for result in results:
             assert_canonical(result)
+            assert_stored_canonical(result)
 
     @given(
         a=polys((D,)),
@@ -227,12 +241,42 @@ class TestCoefficientTypes:
     def test_division_and_hermite_store_canonical_scalars(self, a, b, entries):
         quot, rem = poly_divmod(a, b)
         assert quot * b + rem == a
-        assert_canonical(quot)
-        assert_canonical(rem)
+        for poly in (quot, rem):
+            assert_canonical(poly)
+            assert_stored_canonical(poly)
         matrix = (tuple(entries[:3]), tuple(entries[3:]))
         for row in hermite_normal_form(matrix):
             for entry in row:
                 assert_canonical(entry)
+                assert_stored_canonical(entry)
+
+    @pytest.mark.parametrize(
+        "built, twin",
+        [
+            (d / 2 + d / 2, d),
+            ((d / 3) * 3, d),
+            (MultiPoly({((D, 1),): Fraction(2, 4)}), Fraction(1, 2) * d),
+            (MultiPoly({((D, 1),): Fraction(4, 2), (): 0}), 2 * d),
+            ((l / 6 + d / 4) * 12, 2 * l + 3 * d),
+            (d / 2 - d / 2, MultiPoly.zero()),
+            ((d / 2 + l / 3).substitute(L1, 3 * l), d / 2 + l),
+            ((d / 2 + l / 2).coefficient_list(L1)[1], MultiPoly.const(Fraction(1, 2))),
+        ],
+        ids=[
+            "half-plus-half",
+            "third-times-three",
+            "two-quarters",
+            "four-halves",
+            "common-denominator",
+            "cancelled",
+            "substituted",
+            "coefficient-list",
+        ],
+    )
+    def test_routes_to_one_value_are_equal_and_hash_equal(self, built, twin):
+        assert built == twin
+        assert hash(built) == hash(twin)
+        assert (built._terms, built._den) == (twin._terms, twin._den)
 
     def test_float_is_rejected(self):
         with pytest.raises(TypeError):
@@ -313,6 +357,27 @@ class TestAgainstFractionReference:
         assert dict(identity.terms()) == ref_substitute(
             ref(a), var, {((var, 1),): Fraction(1)}
         )
+
+    @given(
+        a=term_maps(values=mixed_scalars),
+        b=term_maps(values=mixed_scalars),
+        r=term_maps(values=mixed_scalars),
+        var=st.sampled_from((D, L1, L2)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_denominators(self, a, b, r, var):
+        p, q = MultiPoly(a), MultiPoly(b)
+        assert dict(p.terms()) == ref(a)
+        assert dict((p + q).terms()) == ref_add(ref(a), ref(b))
+        assert dict((p - q).terms()) == ref_add(
+            ref(a), {mono: -c for mono, c in ref(b).items()}
+        )
+        assert dict((p * q).terms()) == ref_mul(ref(a), ref(b))
+        assert dict(p.substitute(var, MultiPoly(r)).terms()) == ref_substitute(
+            ref(a), var, ref(r)
+        )
+        assignment = {D: Fraction(2), L1: Fraction(-1, 2), L2: Fraction(3, 4)}
+        assert p.evaluate(assignment) == ref_evaluate(ref(a), assignment)
 
     @given(a=term_maps(), values=st.tuples(scalars, scalars, scalars))
     @settings(max_examples=80, deadline=None)
