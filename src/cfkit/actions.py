@@ -3,13 +3,19 @@
 An action table is evaluated with the same kernel as an algebra product;
 ``action_eval(act, x, v, s)`` takes its two arguments in the order they
 appear in the infix notation, so ``x <| a`` and ``a ~> x`` both read
-left-to-right.  A matched pair is decided by one test: its bicrossed product
-``E = R ⋈ Q`` must satisfy the Lie (or associative) conformal axioms, which
-contain the axioms of R and Q, the module laws and the cross conditions.
-:func:`build_bicrossed` is the only place the cross actions are expanded,
-and a pair builds its ``E`` once.  The direct two-identity check of Lie
-pairs is a second reading of the cross conditions that the CLI reports
-beside the verdict and compares against it, never a substitute for it.
+left-to-right.  Where each cross action sits is written down once, in the
+layout table :data:`_LAYOUT`: the pair field, the arrow that spells it, the
+components of its two operands and the component its values lie in.  The
+pair's validation, :func:`trivial_pair`, the ``.cfk`` parser and serializer
+and :func:`build_bicrossed` all read it.  The bicrossed product
+``E = R ⋈ Q`` is built by placing tables: R's and Q's on the diagonal, each
+action's into the carrier coordinates of its operands' block, and for a Lie
+pair the remaining block by skew-symmetry.  A matched pair is decided by one
+test: ``E`` must satisfy the Lie (or associative) conformal axioms, which
+contain the axioms of R and Q, the module laws and the cross conditions.  A
+pair builds its ``E`` once.  The direct two-identity check of Lie pairs is a
+second reading of the cross conditions that the CLI reports beside the
+verdict and compares against it, never a substitute for it.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from .algebra import (
     GenElement,
     LIE,
     Violation,
+    _check_table,
+    _table,
     check_axioms,
     merge_reports,
     product_eval,
@@ -39,6 +47,30 @@ _PL1 = MultiPoly.var(L1)
 _PL2 = MultiPoly.var(L2)
 
 ActionTable = tuple[tuple[tuple[MultiPoly, ...], ...], ...]
+
+#: The cross actions of a matched pair, one row each: the :class:`MatchedPair`
+#: field, the arrow of its infix notation ``x op y``, the components x and y
+#: belong to, and the carrier component its values lie in; the other operand's
+#: component acts.  Entry ``[i][j]`` of the table is the product of the i-th
+#: x and j-th y generators in ``E = R ⋈ Q``, so the table fills the carrier
+#: coordinates of E's (x, y) block.  A Lie pair has the first two rows.
+_LAYOUT = (
+    ("lhd", "<|", "Q", "R", "Q"),
+    ("rhd", "|>", "Q", "R", "R"),
+    ("lhu", "<~", "R", "Q", "R"),
+    ("rhu", "~>", "R", "Q", "Q"),
+)
+
+
+def _layout(kind: str) -> tuple[tuple[str, str, str, str, str], ...]:
+    """The rows of :data:`_LAYOUT` a pair of ``kind`` has."""
+    return _LAYOUT if kind == ASSOCIATIVE else _LAYOUT[:2]
+
+
+def _side(left: str, right: str, carrier: str) -> tuple[str, str]:
+    """The side of an action with operands in ``left`` and ``right``, and
+    the component that acts."""
+    return (LEFT, left) if carrier == right else (RIGHT, right)
 
 
 @dataclass(frozen=True)
@@ -58,18 +90,7 @@ class ModuleAction:
     def __post_init__(self):
         if self.side not in (LEFT, RIGHT):
             raise ValueError(f"unknown action side {self.side!r}")
-        rows, cols = self.shape
-        if len(self.table) != rows or any(len(r) != cols for r in self.table):
-            raise ValueError("action table shape mismatch")
-        for row in self.table:
-            for entry in row:
-                if len(entry) != self.carrier_rank:
-                    raise ValueError("action entry length must equal carrier rank")
-                for coeff in entry:
-                    if not coeff.variables() <= {D, L1}:
-                        raise ValueError(
-                            f"action entry {coeff} uses variables other than d, l"
-                        )
+        _check_table(self.table, (*self.shape, self.carrier_rank), "action")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -83,11 +104,8 @@ class ModuleAction:
 
 
 def trivial_action(side: str, acting: ConformalAlgebra, carrier_rank: int) -> ModuleAction:
-    rows = acting.rank if side == LEFT else carrier_rank
-    cols = carrier_rank if side == LEFT else acting.rank
-    zero = MultiPoly.zero()
-    table = tuple(tuple((zero,) * carrier_rank for _ in range(cols)) for _ in range(rows))
-    return ModuleAction(side, acting, carrier_rank, table)
+    rows, cols = (acting.rank, carrier_rank) if side == LEFT else (carrier_rank, acting.rank)
+    return ModuleAction(side, acting, carrier_rank, _table((rows, cols, carrier_rank)))
 
 
 def action_eval(
@@ -129,16 +147,18 @@ class MatchedPair:
             raise ValueError(f"unknown pair kind {self.kind!r}")
         if self.R.kind != self.kind or self.Q.kind != self.kind:
             raise ValueError("component algebra kinds must match the pair kind")
-        _expect_action(self.lhd, RIGHT, self.R, self.Q.rank, "lhd")
-        _expect_action(self.rhd, LEFT, self.Q, self.R.rank, "rhd")
-        if self.kind == LIE:
-            if self.lhu is not None or self.rhu is not None:
-                raise ValueError("harpoon actions are for the associative kind")
-        else:
-            if self.lhu is None or self.rhu is None:
-                raise ValueError("associative pairs need all four actions")
-            _expect_action(self.lhu, RIGHT, self.Q, self.R.rank, "lhu")
-            _expect_action(self.rhu, LEFT, self.R, self.Q.rank, "rhu")
+        if self.kind == LIE and (self.lhu is not None or self.rhu is not None):
+            raise ValueError("harpoon actions are for the associative kind")
+        if self.kind == ASSOCIATIVE and (self.lhu is None or self.rhu is None):
+            raise ValueError("associative pairs need all four actions")
+        parts = {"R": self.R, "Q": self.Q}
+        for field, _, left, right, carrier in _layout(self.kind):
+            side, acting = _side(left, right, carrier)
+            act = getattr(self, field)
+            if (act.side, act.acting, act.carrier_rank) != (
+                side, parts[acting], parts[carrier].rank
+            ):
+                raise ValueError(f"action {field} has inconsistent side or dimensions")
 
     @cached_property
     def bicrossed(self) -> ConformalAlgebra:
@@ -149,68 +169,57 @@ class MatchedPair:
         return build_bicrossed(self)
 
 
-def _expect_action(act, side, acting, carrier_rank, label):
-    if act.side != side or act.acting != acting or act.carrier_rank != carrier_rank:
-        raise ValueError(f"action {label} has inconsistent side or dimensions")
+def _matched_pair(
+    kind: str, R: ConformalAlgebra, Q: ConformalAlgebra, entries: dict[str, dict]
+) -> MatchedPair:
+    """The ``kind`` pair over R and Q whose action ``field`` has entry
+    ``entries[field][i, j]`` where given and zero elsewhere."""
+    parts = {"R": R, "Q": Q}
+    actions = {}
+    for field, _, left, right, carrier in _layout(kind):
+        side, acting = _side(left, right, carrier)
+        rank = parts[carrier].rank
+        table = _table((parts[left].rank, parts[right].rank, rank), entries.get(field))
+        actions[field] = ModuleAction(side, parts[acting], rank, table)
+    return MatchedPair(kind, R, Q, **actions)
 
 
 def trivial_pair(R: ConformalAlgebra, Q: ConformalAlgebra) -> MatchedPair:
     """Matched pair with every cross action zero (direct sum)."""
     if R.kind != Q.kind:
         raise ValueError("component kinds differ")
-    kind = R.kind
-    lhd = trivial_action(RIGHT, R, Q.rank)
-    rhd = trivial_action(LEFT, Q, R.rank)
-    if kind == LIE:
-        return MatchedPair(kind, R, Q, lhd, rhd)
-    lhu = trivial_action(RIGHT, Q, R.rank)
-    rhu = trivial_action(LEFT, R, Q.rank)
-    return MatchedPair(kind, R, Q, lhd, rhd, lhu, rhu)
+    return _matched_pair(R.kind, R, Q, {})
 
 
 def build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
-    """Algebra on R + Q (R basis first) defined by the pair's actions."""
-    nr, nq = mp.R.rank, mp.Q.rank
-    n = nr + nq
+    """Algebra on R + Q (R basis first) defined by the pair's actions.
+
+    Each table is placed as it stands: R's and Q's on the diagonal, each
+    action's into the carrier coordinates of its operands' block.  A Lie
+    pair has no action on R x Q; skew-symmetry gives that block from Q x R,
+    ``[a_l x] = -[x_{-l-d} a]``.
+    """
+    nr = mp.R.rank
+    n = nr + mp.Q.rank
+    at = {"R": 0, "Q": nr}
     zero = MultiPoly.zero()
-    neg = -_PL1 - _PD
-
-    def pad(r_part: tuple[MultiPoly, ...] | None, q_part: tuple[MultiPoly, ...] | None):
-        return tuple(r_part or (zero,) * nr) + tuple(q_part or (zero,) * nq)
-
-    r_basis = [mp.R.basis_element(i) for i in range(nr)]
-    q_basis = [mp.Q.basis_element(i) for i in range(nq)]
-    table = [[None] * n for _ in range(n)]
-    for i in range(nr):
-        for j in range(nr):
-            table[i][j] = pad(mp.R.table[i][j], None)
-    for i in range(nq):
-        for j in range(nq):
-            table[nr + i][nr + j] = pad(None, mp.Q.table[i][j])
+    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    blocks = [("R", "R", "R", mp.R.table), ("Q", "Q", "Q", mp.Q.table)] + [
+        (left, right, carrier, getattr(mp, field).table)
+        for field, _, left, right, carrier in _layout(mp.kind)
+    ]
+    for left, right, carrier, block in blocks:
+        k = at[carrier]
+        for i, row in enumerate(block):
+            for j, entry in enumerate(row):
+                table[at[left] + i][at[right] + j][k : k + len(entry)] = entry
     if mp.kind == LIE:
+        neg = -_PL1 - _PD
         for i in range(nr):
-            for j in range(nq):
-                r_part = -action_eval(mp.rhd, q_basis[j], r_basis[i], neg)
-                q_part = -action_eval(mp.lhd, q_basis[j], r_basis[i], neg)
-                table[i][nr + j] = pad(r_part.coords, q_part.coords)
-        for i in range(nq):
-            for j in range(nr):
-                r_part = action_eval(mp.rhd, q_basis[i], r_basis[j], _PL1)
-                q_part = action_eval(mp.lhd, q_basis[i], r_basis[j], _PL1)
-                table[nr + i][j] = pad(r_part.coords, q_part.coords)
-    else:
-        for i in range(nr):
-            for j in range(nq):
-                r_part = action_eval(mp.lhu, r_basis[i], q_basis[j], _PL1)
-                q_part = action_eval(mp.rhu, r_basis[i], q_basis[j], _PL1)
-                table[i][nr + j] = pad(r_part.coords, q_part.coords)
-        for i in range(nq):
-            for j in range(nr):
-                r_part = action_eval(mp.rhd, q_basis[i], r_basis[j], _PL1)
-                q_part = action_eval(mp.lhd, q_basis[i], r_basis[j], _PL1)
-                table[nr + i][j] = pad(r_part.coords, q_part.coords)
+            for j in range(nr, n):
+                table[i][j] = [-c.substitute(L1, neg) for c in table[j][i]]
     names = mp.R.basis + mp.Q.basis
-    return ConformalAlgebra(mp.kind, names, tuple(tuple(row) for row in table))
+    return ConformalAlgebra(mp.kind, names, tuple(tuple(map(tuple, row)) for row in table))
 
 
 def check_matched_pair(mp: MatchedPair) -> CheckReport:

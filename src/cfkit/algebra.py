@@ -126,18 +126,7 @@ class ConformalAlgebra:
         n = len(self.basis)
         if len(set(self.basis)) != n:
             raise ValueError("basis names must be distinct")
-        if len(self.table) != n or any(
-            len(row) != n or any(len(entry) != n for entry in row)
-            for row in self.table
-        ):
-            raise ValueError("table shape must be rank x rank x rank")
-        for row in self.table:
-            for entry in row:
-                for coeff in entry:
-                    if not coeff.variables() <= {D, L1}:
-                        raise ValueError(
-                            f"table entry {coeff} uses variables other than d, l"
-                        )
+        _check_table(self.table, (n, n, n), "table")
 
     @property
     def rank(self) -> int:
@@ -161,11 +150,32 @@ class ConformalAlgebra:
         return GenElement(tuple(coords))
 
 
+def _check_table(table: Table, shape: tuple[int, int, int], what: str) -> None:
+    """Raise unless ``table`` is rows x columns x entry length as in
+    ``shape`` and its coefficients use no variable but ``d`` and ``l``."""
+    rows, cols, width = shape
+    if len(table) != rows or any(
+        len(row) != cols or any(len(entry) != width for entry in row) for row in table
+    ):
+        raise ValueError(f"{what} shape must be {rows} x {cols} x {width}")
+    for row in table:
+        for entry in row:
+            for coeff in entry:
+                if not coeff.variables() <= {D, L1}:
+                    raise ValueError(f"{what} entry {coeff} uses variables other than d, l")
+
+
+def _table(shape: tuple[int, int, int], entries: dict | None = None) -> Table:
+    """A table of ``shape`` holding ``entries[i, j]`` where given, else zero."""
+    rows, cols, width = shape
+    entries = entries or {}
+    zero = (MultiPoly.zero(),) * width
+    return tuple(tuple(entries.get((i, j), zero) for j in range(cols)) for i in range(rows))
+
+
 def abelian(kind: str, names: tuple[str, ...]) -> ConformalAlgebra:
     n = len(names)
-    zero = MultiPoly.zero()
-    table = tuple(tuple((zero,) * n for _ in range(n)) for _ in range(n))
-    return ConformalAlgebra(kind, tuple(names), table)
+    return ConformalAlgebra(kind, tuple(names), _table((n, n, n)))
 
 
 _AFFINE_MONOMIALS = frozenset({(), ((D, 1),), ((L1, 1),), ((L2, 1),)})

@@ -354,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("--grid-num", type=_int_at_least(0), default=2)
     p.add_argument("--grid-den", type=_int_at_least(1), default=1)
-    p.add_argument("--cap", type=int, default=6)
+    p.add_argument("--cap", type=_int_at_least(0), default=6)
 
     p = command("equiv", "compare two deformation maps up to a module automorphism")
     p.add_argument("file")

@@ -60,61 +60,42 @@ MAX_GRID_POINTS = 10**6
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Degree bounds for the candidate map's matrix entries.
+    """One bound on the d-degree of every entry of the candidate map.
 
-    ``degrees[j][i]`` bounds the d-degree of the entry sending the j-th
-    Q-generator to the i-th R-generator; -1 means the entry is absent.
-    Unknowns are numbered row-major, low powers first.
+    The map sends each of ``q_rank`` Q-generators to the ``r_rank``
+    R-generators.  Unknowns are numbered row-major, low powers first, so
+    entry ``(j, i)`` has the ``degree + 1`` unknowns from
+    ``(j * r_rank + i) * (degree + 1)`` on.
     """
 
     q_rank: int
     r_rank: int
-    degrees: tuple[tuple[int, ...], ...]
+    degree: int
 
     def __post_init__(self):
-        if len(self.degrees) != self.q_rank or any(
-            len(row) != self.r_rank for row in self.degrees
-        ):
-            raise ValueError("degree grid shape mismatch")
+        if self.degree < 0:
+            raise ValueError("degree bound must be non-negative")
 
     @classmethod
     def uniform(cls, q_rank: int, r_rank: int, degree: int) -> "AnsatzSpec":
-        if degree < 0:
-            raise ValueError("degree bound must be non-negative")
-        return cls(q_rank, r_rank, tuple((degree,) * r_rank for _ in range(q_rank)))
+        return cls(q_rank, r_rank, degree)
 
-    def _offsets(self) -> list[list[int | None]]:
-        offsets: list[list[int | None]] = []
-        k = 0
-        for j in range(self.q_rank):
-            row: list[int | None] = []
-            for i in range(self.r_rank):
-                deg = self.degrees[j][i]
-                if deg < 0:
-                    row.append(None)
-                else:
-                    row.append(k)
-                    k += deg + 1
-            offsets.append(row)
-        return offsets
+    def _offset(self, j: int, i: int) -> int:
+        return (j * self.r_rank + i) * (self.degree + 1)
 
     @property
     def unknowns(self) -> tuple[int, ...]:
-        count = sum(d + 1 for row in self.degrees for d in row if d >= 0)
+        count = self.q_rank * self.r_rank * (self.degree + 1)
         return tuple(unknown(k) for k in range(count))
 
     def symbolic_matrix(self) -> Matrix:
-        offsets = self._offsets()
         rows = []
         for j in range(self.q_rank):
             row = []
             for i in range(self.r_rank):
-                off = offsets[j][i]
-                if off is None:
-                    row.append(MultiPoly.zero())
-                    continue
+                off = self._offset(j, i)
                 entry = MultiPoly.zero()
-                for t in range(self.degrees[j][i] + 1):
+                for t in range(self.degree + 1):
                     entry = entry + MultiPoly.var(unknown(off + t)) * MultiPoly.var(
                         D, t
                     )
@@ -124,27 +105,19 @@ class AnsatzSpec:
 
     def coefficients_of(self, dm: DeformationMap) -> Assignment:
         """Read a concrete map's entries off as an assignment of the unknowns."""
-        offsets = self._offsets()
         out: Assignment = {}
         for j in range(self.q_rank):
             for i in range(self.r_rank):
-                entry = dm.matrix[j][i]
-                off = offsets[j][i]
-                bound = self.degrees[j][i]
-                if off is None:
-                    if not entry.is_zero:
-                        raise ValueError("map has an entry outside the ansatz")
-                    continue
-                coeffs = entry.coefficient_list(D)
-                if len(coeffs) > bound + 1:
+                coeffs = dm.matrix[j][i].coefficient_list(D)
+                if len(coeffs) > self.degree + 1:
                     raise ValueError("map entry degree exceeds the ansatz bound")
-                for t in range(bound + 1):
+                for t in range(self.degree + 1):
                     value = (
                         coeffs[t].constant_value() if t < len(coeffs) else Fraction(0)
                     )
                     if value is None:
                         raise ValueError("map entries must be d-polynomials")
-                    out[unknown(off + t)] = value
+                    out[unknown(self._offset(j, i) + t)] = value
         return out
 
 

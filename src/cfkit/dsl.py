@@ -24,17 +24,23 @@ bound to rationals before parsing.  Declarations:
 
 Missing bracket, action, or map entries default to zero.  The four action
 arrows are ``<|`` ``|>`` ``<~`` ``~>``; each line reads exactly like the
-infix notation it encodes.  ``serialize`` produces a canonical rendering
+infix notation it encodes.  Which arrow is which action, and which
+generators its operands and terms name, is read off the layout table in
+:mod:`cfkit.actions`.  Product and action entries, ``left op right =
+terms;`` with ``[a, b]`` as the product's spelling, go through one entry
+parser and one entry renderer.  ``serialize`` produces a canonical rendering
 that parses back to an identical document.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .actions import LEFT, MatchedPair, ModuleAction, RIGHT
-from .algebra import ASSOCIATIVE, ConformalAlgebra, GenElement, LIE, element_text
+from .actions import _LAYOUT, MatchedPair, _layout, _matched_pair
+from .algebra import ASSOCIATIVE, ConformalAlgebra, GenElement, LIE, _table, element_text
 from .deform import DeformationMap, Morphism
 from .poly import D, L1, L2, MultiPoly, scalar_text, unknown
 
@@ -101,72 +107,45 @@ class Document:
 # -- lexer --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "number" | "punct" | "eof"
     text: str
     line: int
     col: int
 
 
-_MULTI = ("->", "<|", "|>", "<~", "~>")
-_SINGLE = set("{}()[],;:=+-*/^")
+# One alternative per lexeme, tried in order.  ``\d`` is ``str.isdecimal``
+# and ``\w`` is ``str.isalnum`` or ``_``.
+_LEXEME = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)"
+    r"|(?P<punct>->|<\||\|>|<~|~>|[{}()\[\],;:=+\-*/^])"
+    r"|(?P<number>\d+)|(?P<ident>\w+)|(?P<other>.)"
+)
 
 
 def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
     tokens: list[_Token] = []
     diagnostics: list[Diagnostic] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _MULTI:
-            tokens.append(_Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SINGLE:
-            tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        diagnostics.append(
-            Diagnostic("error", f"unexpected character {ch!r}", line, col, 1)
-        )
-        i += 1
-        col += 1
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        match = _LEXEME.match(text, pos)
+        kind, lexeme, col = match.lastgroup, match.group(), pos - line_start + 1
+        pos = match.end()
+        if kind == "ident" and not (lexeme[0].isalpha() or lexeme[0] == "_"):
+            kind = "other"  # ``\w`` also takes ``²`` and ``Ⅻ``, which start no name
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind == "comment":
+            # the column stays at the ``#``, where an eof after it is placed
+            line_start += len(lexeme)
+        elif kind == "other":
+            diagnostics.append(
+                Diagnostic("error", f"unexpected character {lexeme[0]!r}", line, col, 1)
+            )
+            pos = match.start() + 1
+        elif kind != "space":
+            tokens.append(_Token(kind, lexeme, line, col))
+    tokens.append(_Token("eof", "", line, pos - line_start + 1))
     return tokens, diagnostics
 
 
@@ -457,15 +436,35 @@ class _Parser:
         if name in self.params:
             self.fail(f"{name!r} is already a parameter name", tok)
 
-    def parse_algebra(self) -> None:
-        self.expect("algebra")
-        name_tok = self.expect_ident("an algebra name")
+    def _header(self, keyword: str, what: str) -> tuple[_Token, str]:
+        """``keyword name : kind {``; the name token and the kind."""
+        self.expect(keyword)
+        name_tok = self.expect_ident(what)
         self.expect(":")
         kind_tok = self.expect_ident("a kind (lie or assoc)")
         kind = _WORD_KINDS.get(kind_tok.text)
         if kind is None:
             self.fail(f"unknown kind {kind_tok.text!r}", kind_tok)
         self.expect("{")
+        return name_tok, kind
+
+    def _entry(self, operands, bases, entries: dict, what: str, duplicate: str) -> None:
+        """The rest of ``left op right = terms;`` once both operand tokens
+        are read: ``bases`` are the left, right and output generators, and
+        the entry lands in ``entries[i, j]``."""
+        for tok, basis in zip(operands, bases):
+            if tok.text not in basis:
+                self.fail(f"unknown generator {tok.text!r}", tok)
+        self.expect("=")
+        vec = self.parse_terms(bases[2], frozenset({D, L1}), what)
+        self.expect(";")
+        key = tuple(basis.index(tok.text) for tok, basis in zip(operands, bases))
+        if key in entries:
+            self.fail(duplicate, operands[0])
+        entries[key] = tuple(vec)
+
+    def parse_algebra(self) -> None:
+        name_tok, kind = self._header("algebra", "an algebra name")
         self.expect("gens")
         gens = []
         while True:
@@ -480,113 +479,52 @@ class _Parser:
             break
         self.expect(";")
         gens = tuple(gens)
-        n = len(gens)
-        table = [[None] * n for _ in range(n)]
-        allow = frozenset({D, L1})
+        entries = {}
         while self.peek().text == "[":
             self.advance()
             a_tok = self.expect_ident("a generator name")
             self.expect(",")
             b_tok = self.expect_ident("a generator name")
             self.expect("]")
-            for tok in (a_tok, b_tok):
-                if tok.text not in gens:
-                    self.fail(f"unknown generator {tok.text!r}", tok)
-            self.expect("=")
-            vec = self.parse_terms(gens, allow, "a product table")
-            self.expect(";")
-            i, j = gens.index(a_tok.text), gens.index(b_tok.text)
-            if table[i][j] is not None:
-                self.fail(
-                    f"duplicate product entry [{a_tok.text}, {b_tok.text}]", a_tok
-                )
-            table[i][j] = tuple(vec)
+            self._entry(
+                (a_tok, b_tok), (gens, gens, gens), entries, "a product table",
+                f"duplicate product entry [{a_tok.text}, {b_tok.text}]",
+            )
         self.expect("}")
-        zero_row = (MultiPoly.zero(),) * n
-        full = tuple(
-            tuple(table[i][j] if table[i][j] is not None else zero_row for j in range(n))
-            for i in range(n)
-        )
-        self.register("algebra", name_tok, ConformalAlgebra(kind, gens, full))
+        n = len(gens)
+        table = _table((n, n, n), entries)
+        self.register("algebra", name_tok, ConformalAlgebra(kind, gens, table))
 
     def parse_matched(self) -> None:
-        self.expect("matched")
-        name_tok = self.expect_ident("a matched-pair name")
-        self.expect(":")
-        kind_tok = self.expect_ident("a kind (lie or assoc)")
-        kind = _WORD_KINDS.get(kind_tok.text)
-        if kind is None:
-            self.fail(f"unknown kind {kind_tok.text!r}", kind_tok)
-        self.expect("{")
-        self.expect("R")
-        self.expect("=")
-        r_tok = self.expect_ident("an algebra name")
-        big_r = self.lookup("algebra", r_tok)
-        self.expect(";")
-        self.expect("Q")
-        self.expect("=")
-        q_tok = self.expect_ident("an algebra name")
-        big_q = self.lookup("algebra", q_tok)
-        self.expect(";")
-        for tok, alg in ((r_tok, big_r), (q_tok, big_q)):
+        name_tok, kind = self._header("matched", "a matched-pair name")
+        parts, refs = {}, []
+        for part in ("R", "Q"):
+            self.expect(part)
+            self.expect("=")
+            refs.append(self.expect_ident("an algebra name"))
+            parts[part] = self.lookup("algebra", refs[-1])
+            self.expect(";")
+        for tok, alg in zip(refs, parts.values()):
             if alg.kind != kind:
                 self.fail(f"algebra {tok.text!r} has the wrong kind", tok)
-        if set(big_r.basis) & set(big_q.basis):
+        if set(parts["R"].basis) & set(parts["Q"].basis):
             self.fail("R and Q generator names must not overlap", name_tok)
-        allow = frozenset({D, L1})
-        zero = MultiPoly.zero()
-        tables = {
-            "<|": [[( zero,) * big_q.rank for _ in range(big_r.rank)] for _ in range(big_q.rank)],
-            "|>": [[(zero,) * big_r.rank for _ in range(big_r.rank)] for _ in range(big_q.rank)],
-            "<~": [[(zero,) * big_r.rank for _ in range(big_q.rank)] for _ in range(big_r.rank)],
-            "~>": [[(zero,) * big_q.rank for _ in range(big_q.rank)] for _ in range(big_r.rank)],
-        }
-        # op -> (left basis, right basis, output basis)
-        layout = {
-            "<|": (big_q.basis, big_r.basis, big_q.basis),
-            "|>": (big_q.basis, big_r.basis, big_r.basis),
-            "<~": (big_r.basis, big_q.basis, big_r.basis),
-            "~>": (big_r.basis, big_q.basis, big_q.basis),
-        }
-        seen = set()
-        while self.peek().kind == "ident" and self.peek(1).text in tables:
+        arrows = {row[1]: row for row in _LAYOUT}
+        entries = {}
+        while self.peek().kind == "ident" and self.peek(1).text in arrows:
             left_tok = self.advance()
-            op = self.advance().text
-            if kind == LIE and op in ("<~", "~>"):
-                self.fail(f"action {op!r} is for associative pairs", left_tok)
+            row = arrows[self.advance().text]
+            if row not in _layout(kind):
+                self.fail(f"action {row[1]!r} is for associative pairs", left_tok)
             right_tok = self.expect_ident("a generator name")
-            left_basis, right_basis, out_basis = layout[op]
-            if left_tok.text not in left_basis:
-                self.fail(f"unknown generator {left_tok.text!r}", left_tok)
-            if right_tok.text not in right_basis:
-                self.fail(f"unknown generator {right_tok.text!r}", right_tok)
-            self.expect("=")
-            vec = self.parse_terms(out_basis, allow, "an action table")
-            self.expect(";")
-            i = left_basis.index(left_tok.text)
-            j = right_basis.index(right_tok.text)
-            if (op, i, j) in seen:
-                self.fail("duplicate action entry", left_tok)
-            seen.add((op, i, j))
-            tables[op][i][j] = tuple(vec)
+            attr, _, *operands = row
+            self._entry(
+                (left_tok, right_tok), tuple(parts[c].basis for c in operands),
+                entries.setdefault(attr, {}), "an action table", "duplicate action entry",
+            )
         self.expect("}")
-        lhd = ModuleAction(
-            RIGHT, big_r, big_q.rank, tuple(tuple(r) for r in tables["<|"])
-        )
-        rhd = ModuleAction(
-            LEFT, big_q, big_r.rank, tuple(tuple(r) for r in tables["|>"])
-        )
-        if kind == LIE:
-            pair = MatchedPair(kind, big_r, big_q, lhd, rhd)
-        else:
-            lhu = ModuleAction(
-                RIGHT, big_q, big_r.rank, tuple(tuple(r) for r in tables["<~"])
-            )
-            rhu = ModuleAction(
-                LEFT, big_r, big_q.rank, tuple(tuple(r) for r in tables["~>"])
-            )
-            pair = MatchedPair(kind, big_r, big_q, lhd, rhd, lhu, rhu)
-        self.register("matched", name_tok, pair, refs=(r_tok.text, q_tok.text))
+        pair = _matched_pair(kind, parts["R"], parts["Q"], entries)
+        self.register("matched", name_tok, pair, refs=tuple(tok.text for tok in refs))
 
     def _parse_map_rows(
         self, src_basis: tuple[str, ...], tgt_basis: tuple[str, ...], what: str
@@ -683,6 +621,18 @@ def parse_poly_text(text: str) -> MultiPoly:
 # -- serializer ---------------------------------------------------------------
 
 
+def _entry_lines(table, spell: str, left, right, out) -> list[str]:
+    """One ``  spell = terms;`` line per nonzero entry of ``table``, whose
+    rows and columns are the ``left`` and ``right`` generators; ``spell``
+    is a format of the two generator names."""
+    return [
+        f"  {spell.format(a, b)} = {element_text(GenElement(table[i][j]), out)};"
+        for i, a in enumerate(left)
+        for j, b in enumerate(right)
+        if not all(c.is_zero for c in table[i][j])
+    ]
+
+
 def serialize(document: Document) -> str:
     blocks = []
     for item in document.items:
@@ -692,12 +642,7 @@ def serialize(document: Document) -> str:
             alg: ConformalAlgebra = item.value
             lines = [f"algebra {item.name} : {_KIND_WORDS[alg.kind]} {{"]
             lines.append("  gens " + ", ".join(alg.basis) + ";")
-            for i, a in enumerate(alg.basis):
-                for j, b in enumerate(alg.basis):
-                    entry = alg.table[i][j]
-                    if all(c.is_zero for c in entry):
-                        continue
-                    lines.append(f"  [{a}, {b}] = {element_text(GenElement(entry), alg.basis)};")
+            lines += _entry_lines(alg.table, "[{}, {}]", alg.basis, alg.basis, alg.basis)
             lines.append("}")
             blocks.append("\n".join(lines))
         elif item.kind == "matched":
@@ -705,22 +650,12 @@ def serialize(document: Document) -> str:
             lines = [f"matched {item.name} : {_KIND_WORDS[pair.kind]} {{"]
             lines.append(f"  R = {item.refs[0]};")
             lines.append(f"  Q = {item.refs[1]};")
-            actions = [
-                ("<|", pair.lhd, pair.Q.basis, pair.R.basis, pair.Q.basis),
-                ("|>", pair.rhd, pair.Q.basis, pair.R.basis, pair.R.basis),
-            ]
-            if pair.kind == ASSOCIATIVE:
-                actions.append(("<~", pair.lhu, pair.R.basis, pair.Q.basis, pair.R.basis))
-                actions.append(("~>", pair.rhu, pair.R.basis, pair.Q.basis, pair.Q.basis))
-            for op, act, left_names, right_names, out_names in actions:
-                for i, left in enumerate(left_names):
-                    for j, right in enumerate(right_names):
-                        entry = act.table[i][j]
-                        if all(c.is_zero for c in entry):
-                            continue
-                        lines.append(
-                            f"  {left} {op} {right} = {element_text(GenElement(entry), out_names)};"
-                        )
+            parts = {"R": pair.R.basis, "Q": pair.Q.basis}
+            for attr, op, left, right, carrier in _layout(pair.kind):
+                lines += _entry_lines(
+                    getattr(pair, attr).table, f"{{}} {op} {{}}",
+                    parts[left], parts[right], parts[carrier],
+                )
             lines.append("}")
             blocks.append("\n".join(lines))
         elif item.kind in ("defmap", "morphism"):

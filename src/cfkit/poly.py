@@ -365,6 +365,10 @@ class MultiPoly:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant compares equal to its scalar, so it hashes as that scalar
+        value = self.constant_value()
+        if value is not None:
+            return hash(value)
         return hash((self._den, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:

@@ -31,6 +31,8 @@ from cfkit.algebra import (
 from cfkit.deform import check_deformation_map, deformed_algebra, graph_embedding_check
 from cfkit.poly import D, L1, L2, MultiPoly
 
+from cfkit import corpus
+from cfkit.dsl import parse_document
 from helpers import assoc4_doc, nfold_doc, sv_doc, vir_algebra, wab_doc
 
 d = MultiPoly.var(D)
@@ -435,6 +437,96 @@ class TestMatchedPairMatchesComposite:
             ), label
             verdicts[got.passed] += 1
         assert verdicts[True] and verdicts[False], verdicts
+
+
+# -- differential test: E built by placing tables against E built by evaluation -
+
+
+def reference_build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
+    """``build_bicrossed`` as it was before E was built by placing the action
+    tables: every cross entry evaluated with ``action_eval`` on basis
+    elements, with separate Lie and associative branches."""
+    nr, nq = mp.R.rank, mp.Q.rank
+    n = nr + nq
+    zero = MultiPoly.zero()
+    neg = -_PL1 - _PD
+
+    def pad(r_part, q_part):
+        return tuple(r_part or (zero,) * nr) + tuple(q_part or (zero,) * nq)
+
+    r_basis = [mp.R.basis_element(i) for i in range(nr)]
+    q_basis = [mp.Q.basis_element(i) for i in range(nq)]
+    table = [[None] * n for _ in range(n)]
+    for i in range(nr):
+        for j in range(nr):
+            table[i][j] = pad(mp.R.table[i][j], None)
+    for i in range(nq):
+        for j in range(nq):
+            table[nr + i][nr + j] = pad(None, mp.Q.table[i][j])
+    if mp.kind == LIE:
+        for i in range(nr):
+            for j in range(nq):
+                r_part = -action_eval(mp.rhd, q_basis[j], r_basis[i], neg)
+                q_part = -action_eval(mp.lhd, q_basis[j], r_basis[i], neg)
+                table[i][nr + j] = pad(r_part.coords, q_part.coords)
+        for i in range(nq):
+            for j in range(nr):
+                r_part = action_eval(mp.rhd, q_basis[i], r_basis[j], _PL1)
+                q_part = action_eval(mp.lhd, q_basis[i], r_basis[j], _PL1)
+                table[nr + i][j] = pad(r_part.coords, q_part.coords)
+    else:
+        for i in range(nr):
+            for j in range(nq):
+                r_part = action_eval(mp.lhu, r_basis[i], q_basis[j], _PL1)
+                q_part = action_eval(mp.rhu, r_basis[i], q_basis[j], _PL1)
+                table[i][nr + j] = pad(r_part.coords, q_part.coords)
+        for i in range(nq):
+            for j in range(nr):
+                r_part = action_eval(mp.rhd, q_basis[i], r_basis[j], _PL1)
+                q_part = action_eval(mp.lhd, q_basis[i], r_basis[j], _PL1)
+                table[nr + i][j] = pad(r_part.coords, q_part.coords)
+    names = mp.R.basis + mp.Q.basis
+    return ConformalAlgebra(mp.kind, names, tuple(tuple(row) for row in table))
+
+
+def bundled_pairs():
+    """Every matched pair the corpus fixtures declare, at generic parameters."""
+    params = {p: Fraction(k + 2, 3) for k, p in enumerate(
+        ("a", "b", "c", "p", "q", "r", "s", "a1", "a2", "a3", "ai"))}
+    for name in corpus.fixture_names():
+        text = (corpus.fixture_dir(name) / "input.cfk").read_text()
+        for item in parse_document(text, params).items:
+            if item.kind == "matched":
+                yield f"{name}:{item.name}", item.value
+
+
+class TestBicrossedMatchesEvaluation:
+    def test_perturbed_pairs(self):
+        # the 320 pairs of TestMatchedPairMatchesComposite: same seed, same draws
+        rng = random.Random("matched-pair-differential")
+        pairs = {label: make() for label, make in PERTURBED_PAIRS.items()}
+        for n in range(320):
+            label = sorted(pairs)[n % len(pairs)]
+            pair = perturb(pairs[label], rng)
+            assert build_bicrossed(pair) == reference_build_bicrossed(pair), label
+
+    def test_trivial_pairs(self):
+        nfold, sv, assoc = nfold_doc(), sv_doc(a=2, b=1), assoc4_doc(q=2, s=3)
+        for r, q in [
+            (vir_algebra(), abelian(LIE, ("W", "V"))),
+            (nfold.find("algebra", "VirR"), nfold.find("algebra", "D3")),
+            (sv.find("algebra", "RLN"), sv.find("algebra", "QYM")),
+            (assoc.find("algebra", "A2"), assoc.find("algebra", "Qbd")),
+        ]:
+            pair = trivial_pair(r, q)
+            assert build_bicrossed(pair) == reference_build_bicrossed(pair)
+
+    def test_bundled_pairs(self):
+        seen = []
+        for label, pair in bundled_pairs():
+            assert build_bicrossed(pair) == reference_build_bicrossed(pair), label
+            seen.append(pair.kind)
+        assert LIE in seen and ASSOCIATIVE in seen
 
 
 # -- differential test: the tabulated direct cross check against nested loops ---

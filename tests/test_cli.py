@@ -342,6 +342,7 @@ class TestIntegerOptions:
             (["constraints", "SV", "--pair", "SVP", "--degree", "-1", *SV_PARAMS], "--degree", 0),
             (["solve", "sys.json", "--grid-num", "-1"], "--grid-num", 0),
             (["solve", "sys.json", "--grid-den", "0"], "--grid-den", 1),
+            (["solve", "sys.json", "--cap", "-1"], "--cap", 0),
             ([*EQUIV, "--grid-num", "-1"], "--grid-num", 0),
             ([*EQUIV, "--grid-den", "0"], "--grid-den", 1),
         ],
@@ -350,6 +351,7 @@ class TestIntegerOptions:
             "constraints-degree",
             "solve-grid-num",
             "solve-grid-den",
+            "solve-cap",
             "equiv-grid-num",
             "equiv-grid-den",
         ],

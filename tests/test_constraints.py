@@ -68,6 +68,23 @@ class TestCompile:
         b = compile_deformation_constraints(pair, AnsatzSpec.uniform(2, 2, 1))
         assert a == b
 
+    def test_unknowns_are_row_major_low_powers_first(self):
+        ansatz = AnsatzSpec.uniform(2, 3, 1)
+        assert ansatz.unknowns == tuple(unknown(k) for k in range(12))
+        matrix = ansatz.symbolic_matrix()
+        for j in range(2):
+            for i in range(3):
+                k = 2 * (3 * j + i)
+                assert matrix[j][i] == MultiPoly.var(unknown(k)) + MultiPoly.var(
+                    unknown(k + 1)
+                ) * d
+
+    def test_negative_degree_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            AnsatzSpec.uniform(1, 1, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            AnsatzSpec(1, 1, -1)
+
     def test_shape_mismatch(self):
         pair = wab_doc(1, 0).find("matched", "WP")
         with pytest.raises(ValueError):

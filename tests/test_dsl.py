@@ -1,3 +1,5 @@
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -5,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfkit.algebra import ASSOCIATIVE, ConformalAlgebra, LIE
+from cfkit import corpus
 from cfkit.dsl import (
     MAX_DIGITS,
     MAX_EXPONENT,
+    Diagnostic,
     Document,
     Item,
     ParseError,
     parse_document,
     parse_poly_text,
     serialize,
+    _lex,
     try_parse,
 )
 from cfkit.poly import D, L1, MultiPoly
@@ -184,6 +189,223 @@ class TestDiagnostics:
             "algebra A : lie { gens X; }\nalgebra A : lie { gens Y; }"
         )
         assert any("duplicate" in x.message for x in diags)
+
+
+_A = "algebra A : lie { gens X, Y; [X, Y] = X; }\n"
+_B = "algebra B : lie { gens W; }\n"
+_ST = "algebra S : assoc { gens U; }\nalgebra T : assoc { gens V; }\n"
+
+# every table-entry and matched-pair header diagnostic, with its full text
+# as the parser printed it before product and action entries shared a parser
+PINNED_DIAGNOSTICS = {
+    "unknown-kind-algebra": ("algebra A : jordan { gens X; }", "1:13: error: unknown kind 'jordan'"),
+    "unknown-kind-matched": (
+        _A + _B + "matched P : jordan { R = A; Q = B; }",
+        "3:13: error: unknown kind 'jordan'",
+    ),
+    "product-unknown-left": (
+        "algebra A : lie { gens X; [Z, X] = X; }", "1:28: error: unknown generator 'Z'"
+    ),
+    "product-unknown-right": (
+        "algebra A : lie { gens X; [X, Z] = X; }", "1:31: error: unknown generator 'Z'"
+    ),
+    "product-unknown-output": (
+        "algebra A : lie { gens X; [X, X] = (d) Z; }", "1:40: error: unknown generator 'Z'"
+    ),
+    "action-unknown-left": (
+        _A + _B + "matched P : lie { R = A; Q = B; Z <| X = W; }",
+        "3:33: error: unknown generator 'Z'",
+    ),
+    "action-unknown-right": (
+        _A + _B + "matched P : lie { R = A; Q = B; W |> Z = X; }",
+        "3:38: error: unknown generator 'Z'",
+    ),
+    "action-operand-of-the-other-component": (
+        _A + _B + "matched P : lie { R = A; Q = B; X <| W = W; }",
+        "3:33: error: unknown generator 'X'",
+    ),
+    "action-unknown-output": (
+        _A + _B + "matched P : lie { R = A; Q = B; W |> X = (d) W; }",
+        "3:46: error: unknown generator 'W'",
+    ),
+    "harpoon-unknown-right": (
+        _ST + "matched P : assoc { R = S; Q = T; U ~> Q = V; }",
+        "3:40: error: unknown generator 'Q'",
+    ),
+    "product-duplicate": (
+        "algebra A : lie { gens X;\n  [X, X] = X;\n  [X, X] = (d) X; }",
+        "3:4: error: duplicate product entry [X, X]",
+    ),
+    "action-duplicate": (
+        _A + _B + "matched P : lie { R = A; Q = B;\n  W <| X = W;\n  W <| X = (l) W; }",
+        "5:3: error: duplicate action entry",
+    ),
+    "harpoon-in-lie": (
+        _A + _B + "matched P : lie { R = A; Q = B;\n  X ~> W = W; }",
+        "4:3: error: action '~>' is for associative pairs",
+    ),
+    "wrong-kind-R": (
+        _A + _ST + "matched P : assoc { R = A; Q = T; }",
+        "4:25: error: algebra 'A' has the wrong kind",
+    ),
+    "wrong-kind-Q": (
+        _A + _ST + "matched P : lie { R = A; Q = S; }",
+        "4:30: error: algebra 'S' has the wrong kind",
+    ),
+    "overlapping-names": (
+        _A + "algebra C : lie { gens Y; }\nmatched P : lie { R = A; Q = C; }",
+        "3:9: error: R and Q generator names must not overlap",
+    ),
+    "unknown-algebra-R": (
+        _A + "matched P : lie { R = Nope; Q = A; }", "2:23: error: unknown algebra 'Nope'"
+    ),
+    "unknown-algebra-Q": (
+        _A + "matched P : lie { R = A; Q = Nope; }", "2:30: error: unknown algebra 'Nope'"
+    ),
+    "product-variable": (
+        "algebra A : lie { gens X; [X, X] = (m) X; }",
+        "1:36: error: variable m not allowed in a product table",
+    ),
+    "action-variable": (
+        _A + _B + "matched P : lie { R = A; Q = B; W <| X = (m) W; }",
+        "3:42: error: variable m not allowed in an action table",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, expected", PINNED_DIAGNOSTICS.values(), ids=PINNED_DIAGNOSTICS.keys()
+)
+def test_pinned_diagnostic_text(text, expected):
+    doc, diags = try_parse(text)
+    assert doc is None
+    assert [x.text() for x in diags] == [expected]
+
+
+# -- reference: the character-at-a-time lexer ---------------------------------
+
+
+@dataclass(frozen=True)
+class _ReferenceToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+_MULTI = ("->", "<|", "|>", "<~", "~>")
+_SINGLE = set("{}()[],;:=+-*/^")
+
+
+def reference_lex(text: str) -> tuple[list[_ReferenceToken], list[Diagnostic]]:
+    """The lexer before it became one compiled pattern, kept as the
+    reference of the differential test below."""
+    tokens: list[_ReferenceToken] = []
+    diagnostics: list[Diagnostic] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        two = text[i : i + 2]
+        if two in _MULTI:
+            tokens.append(_ReferenceToken("punct", two, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _SINGLE:
+            tokens.append(_ReferenceToken("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(_ReferenceToken("number", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_ReferenceToken("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        diagnostics.append(
+            Diagnostic("error", f"unexpected character {ch!r}", line, col, 1)
+        )
+        i += 1
+        col += 1
+    tokens.append(_ReferenceToken("eof", "", line, col))
+    return tokens, diagnostics
+
+
+# decimal digits of other scripts (٣), digits and numerals that are not
+# decimal (², Ⅻ), a non-ASCII letter (é), every punctuator and the
+# characters that start one without completing it
+_FRAGMENTS = (
+    ["a", "Xy", "_", "u1", "é", "²", "٣", "Ⅻ", "7", "09", " ", "\t", "\r", "\n", "#", "# c"]
+    + list(_MULTI) + sorted(_SINGLE) + ["<", "|", "~", ">", "!", "$", "\x0b", "\u00a0"]
+)
+
+
+def _random_texts(count: int):
+    rng = random.Random("lexer-differential")
+    for n in range(count):
+        text = "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randrange(24)))
+        yield text + "# trailing comment" if n % 4 == 0 else text
+
+
+def _lexed(lex, text):
+    tokens, diagnostics = lex(text)
+    return [(t.kind, t.text, t.line, t.col) for t in tokens], diagnostics
+
+
+class TestLexerMatchesReference:
+    def test_fixtures(self):
+        for name in corpus.fixture_names():
+            text = (corpus.fixture_dir(name) / "input.cfk").read_text()
+            assert _lexed(_lex, text) == _lexed(reference_lex, text), name
+
+    def test_random_texts(self):
+        seen = set()
+        for text in _random_texts(12_000):
+            assert _lexed(_lex, text) == _lexed(reference_lex, text), repr(text)
+            seen.update(text)
+        assert seen >= set("²٣Ⅻé\t\r#") | _SINGLE
+
+    @pytest.mark.parametrize(
+        "text, eof",
+        [("X # note", (1, 3)), ("X\n  # note", (2, 3)), ("#", (1, 1)), ("a²Ⅻ", (1, 4))],
+    )
+    def test_eof_position(self, text, eof):
+        tokens, _ = _lex(text)
+        assert (tokens[-1].line, tokens[-1].col) == eof
+
+    def test_numerals_that_are_not_letters_start_no_identifier(self):
+        tokens, diagnostics = _lex("²a Ⅻ1 a²Ⅻ ٣")
+        assert [(t.kind, t.text) for t in tokens] == [
+            ("ident", "a"), ("number", "1"), ("ident", "a²Ⅻ"), ("number", "٣"), ("eof", "")
+        ]
+        assert [(x.message, x.col) for x in diagnostics] == [
+            ("unexpected character '²'", 1), ("unexpected character 'Ⅻ'", 4)
+        ]
 
 
 names = st.sampled_from(["A", "B", "C", "E", "F", "G", "W", "X", "Y", "Z"])

@@ -278,6 +278,20 @@ class TestCoefficientTypes:
         assert hash(built) == hash(twin)
         assert (built._terms, built._den) == (twin._terms, twin._den)
 
+    @pytest.mark.parametrize(
+        "scalar", [3, Fraction(-7, 2), 0], ids=["int", "fraction", "zero"]
+    )
+    def test_constant_hashes_as_its_scalar(self, scalar):
+        poly = MultiPoly.const(scalar)
+        assert poly == scalar
+        assert hash(poly) == hash(scalar)
+        assert scalar in {poly} and poly in {scalar}
+
+    def test_non_constant_is_not_its_constant_term(self):
+        poly = d + 3
+        assert poly != 3 and 3 not in {poly}
+        assert poly in {3 + d}
+
     def test_float_is_rejected(self):
         with pytest.raises(TypeError):
             MultiPoly({(): 1.5})
