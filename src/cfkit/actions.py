@@ -149,12 +149,12 @@ class MatchedPair:
             raise ValueError("component algebra kinds must match the pair kind")
         if self.kind == LIE and (self.lhu is not None or self.rhu is not None):
             raise ValueError("harpoon actions are for the associative kind")
-        if self.kind == ASSOCIATIVE and (self.lhu is None or self.rhu is None):
-            raise ValueError("associative pairs need all four actions")
         parts = {"R": self.R, "Q": self.Q}
         for field, _, left, right, carrier in _layout(self.kind):
             side, acting = _side(left, right, carrier)
             act = getattr(self, field)
+            if act is None:
+                raise ValueError(f"{self.kind} pairs need the {field} action")
             if (act.side, act.acting, act.carrier_rank) != (
                 side, parts[acting], parts[carrier].rank
             ):

@@ -28,6 +28,17 @@ _PLM = _PL1 + _PL2
 
 Table = tuple[tuple[tuple[MultiPoly, ...], ...], ...]
 
+#: Largest (d, l)-degree a table coefficient may have for the CLI to check
+#: it.  Every check multiplies entries through the kernel, and its cost
+#: climbs steeply with their degree: a rank-one Lie table with one entry of
+#: degree 16 takes about 1 s to check and one of degree 24 about 5 s
+#: (Python 3.11, 2-core x86 host).  See :func:`require_degree_budget`.
+MAX_ENTRY_DEGREE = 16
+
+
+class DegreeCapExceeded(ValueError):
+    """A table coefficient's (d, l)-degree is above :data:`MAX_ENTRY_DEGREE`."""
+
 
 @dataclass(frozen=True)
 class GenElement:
@@ -163,6 +174,21 @@ def _check_table(table: Table, shape: tuple[int, int, int], what: str) -> None:
             for coeff in entry:
                 if not coeff.variables() <= {D, L1}:
                     raise ValueError(f"{what} entry {coeff} uses variables other than d, l")
+
+
+def require_degree_budget(table: Table, entry_name) -> None:
+    """Raise :class:`DegreeCapExceeded` at the first entry of ``table`` with a
+    coefficient of (d, l)-degree above :data:`MAX_ENTRY_DEGREE`, which
+    ``entry_name(i, j)`` names.  Only degrees are read; nothing is multiplied.
+    """
+    for i, row in enumerate(table):
+        for j, entry in enumerate(row):
+            degree = max((coeff.degree() for coeff in entry), default=-1)
+            if degree > MAX_ENTRY_DEGREE:
+                raise DegreeCapExceeded(
+                    f"{entry_name(i, j)} has (d, l)-degree {degree},"
+                    f" over the budget of {MAX_ENTRY_DEGREE}"
+                )
 
 
 def _table(shape: tuple[int, int, int], entries: dict | None = None) -> Table:

@@ -9,9 +9,10 @@ Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
 (parse or reference errors, an exponent or a numeric literal over the
 parser's caps, a ``--param`` value with an exponent or more digits than the
 literal cap, a ``--param`` name the document never uses, or an integer
-option below its least value), 3 a resource cap was exceeded (the
-grid-search unknown cap or point budget in ``solve`` and ``equiv``, or the
-derived-series depth in ``structure``).
+option below its least value), 3 a resource cap was exceeded (a table
+coefficient over the (d, l)-degree budget, the grid-search unknown cap or
+point budget in ``solve`` and ``equiv``, or the derived-series depth in
+``structure``).
 Reports are byte-identical across runs for identical inputs, except for the
 ``timings`` field, which golden comparisons drop.
 """
@@ -29,8 +30,11 @@ from pathlib import Path
 from . import constraints as cons
 from . import deform as dfm
 from . import structure as struct
-from .actions import check_b1_b2_direct, check_matched_pair
-from .algebra import CheckReport, LIE, check_axioms, element_text
+from .actions import _layout, check_b1_b2_direct, check_matched_pair
+from .algebra import (
+    CheckReport, DegreeCapExceeded, LIE, check_axioms, element_text,
+    require_degree_budget,
+)
 from .dsl import MAX_DIGITS, Document, Item, ParseError, serialize, try_parse
 from .poly import scalar_text
 
@@ -87,7 +91,28 @@ def _load(args, report: dict) -> Document:
             f"{args.file}: --param {', '.join(unused)} is neither declared nor read"
         )
     _inputs(report, {Path(args.file).name: text}, params)
+    _require_degree_budget(document)
     return document
+
+
+def _require_degree_budget(document: Document) -> None:
+    """Refuse a table coefficient over the (d, l)-degree budget, naming its
+    declaration and entry, before any check multiplies table entries."""
+    for item in document.items:
+        value = item.value
+        if item.kind == "algebra":
+            names = value.basis
+            require_degree_budget(
+                value.table, lambda i, j: f"algebra {item.name}: [{names[i]}, {names[j]}]"
+            )
+        elif item.kind == "matched":
+            parts = {"R": value.R.basis, "Q": value.Q.basis}
+            for field, arrow, left, right, _ in _layout(value.kind):
+                xs, ys = parts[left], parts[right]
+                require_degree_budget(
+                    getattr(value, field).table,
+                    lambda i, j: f"matched {item.name}: {xs[i]} {arrow} {ys[j]}",
+                )
 
 
 def _find(document: Document, kind: str, name: str):
@@ -405,7 +430,8 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    except cons.GridCapExceeded as exc:
+    except (cons.GridCapExceeded, DegreeCapExceeded) as exc:
+        print(str(exc), file=sys.stderr)
         report["error"] = str(exc)
         capped = True
     report["timings"] = {"total_ms": int((time.monotonic() - started) * 1000)}

@@ -14,16 +14,21 @@ automorphism between two deformed algebras, which is how
 Solving is deliberately modest: repeated elimination through equations that
 are degree one in some unknown with a constant leading coefficient, then an
 exhaustive search of a finite rational grid, capped in the number of
-residual unknowns and in the number of grid points.  Residual nonlinear
-systems are reported as-is; non-existence claims never extend beyond the
-searched grid.
+residual unknowns and in the number of grid points.  The search is exact
+integer arithmetic: over the grid's common denominator each equation is
+cleared to an integer form in the numerators, and each is tested once, on
+the prefix of the point that assigns its last unknown, so a failing prefix
+prunes every point that extends it.  The point budget still counts every
+point of the grid, |values|^k, pruned or not.  Residual nonlinear systems
+are reported as-is; non-existence claims never extend beyond the searched
+grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
+from math import lcm
 
 from .actions import MatchedPair
 from .deform import (
@@ -52,9 +57,9 @@ class GridCapExceeded(ValueError):
     """Too many residual unknowns or grid points for an exhaustive search."""
 
 
-#: Most grid points one search may visit.  The corpus's largest search visits
-#: 7^4 = 2401 points at about 57 us each (Python 3.11, 2-core x86 host), so
-#: the budget ends a search within about a minute.
+#: Most grid points one search may cover, counted as |values|^k whether or
+#: not pruning skips them: 400 times the corpus's largest search, 7^4 = 2401
+#: points.
 MAX_GRID_POINTS = 10**6
 
 
@@ -139,8 +144,24 @@ class Equation:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
+    """Equations in the listed unknowns, each listed once; an equation may
+    mention no other variable, ``d`` and ``l`` included."""
+
     unknowns: tuple[int, ...]
     equations: tuple[Equation, ...]
+
+    def __post_init__(self):
+        listed = set(self.unknowns)
+        if len(listed) != len(self.unknowns):
+            twice = next(v for v in self.unknowns if self.unknowns.count(v) > 1)
+            raise ValueError(f"unknown {var_name(twice)} is listed twice")
+        for eq in self.equations:
+            stray = sorted(eq.poly.variables() - listed)
+            if stray:
+                raise ValueError(
+                    f"equation {eq.poly} mentions {var_name(stray[0])},"
+                    " which is not an unknown of the system"
+                )
 
     def unknown_names(self) -> tuple[str, ...]:
         return tuple(var_name(v) for v in self.unknowns)
@@ -318,12 +339,48 @@ def grid_values(num_bound: int, den_bound: int) -> tuple[Fraction, ...]:
     return tuple(sorted(values))
 
 
+def _integer_form(poly: MultiPoly, place: dict[int, int], den: int):
+    """``poly`` as ``(coefficient, places)`` terms that sum to zero at the
+    integer numerators ``n`` exactly when ``poly`` vanishes at ``n / den``.
+
+    ``places`` lists the unknown's position in the point once per power.  A
+    term of degree e in a poly of total degree t is scaled by den^(t - e), so
+    the sum is den^t times ``poly``'s numerator sum at ``n / den``.
+    """
+    top = poly.degree()
+    form = []
+    for mono, num in poly._terms.items():
+        places = tuple(place[v] for v, e in mono for _ in range(e))
+        form.append((num * den ** (top - len(places)), places))
+    return form
+
+
+def _satisfies(stage, point: tuple[int, ...]) -> bool:
+    """True iff every integer form of ``stage`` sums to zero at ``point``."""
+    for form in stage:
+        total = 0
+        for coeff, places in form:
+            for p in places:
+                coeff *= point[p]
+            total += coeff
+        if total:
+            return False
+    return True
+
+
 def grid_search(
     system: ConstraintSystem,
     values: tuple[Fraction, ...],
     cap: int = 6,
 ) -> list[Assignment]:
-    """Exhaustively test every grid assignment of the system's unknowns."""
+    """Every assignment of the system's unknowns from ``values`` that solves
+    it, in the order of ``itertools.product(values, repeat=k)``.
+
+    Points are walked as prefixes, first unknown slowest.  Each equation is
+    tested once, on every prefix that has just assigned the last of its
+    unknowns, in the integer form of :func:`_integer_form`; constant
+    equations are tested once, before the walk.
+    """
     k = len(system.unknowns)
     if k > cap:
         raise GridCapExceeded(
@@ -334,12 +391,25 @@ def grid_search(
             f"{len(values)}^{k} grid points exceed the exhaustive-search budget"
             f" of {MAX_GRID_POINTS}"
         )
-    solutions: list[Assignment] = []
-    for combo in iter_product(values, repeat=k):
-        assignment = dict(zip(system.unknowns, combo))
-        if verify_assignment(system, assignment):
-            solutions.append(assignment)
-    return solutions
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    value_of = dict(zip(nums, values))
+    place = {var: p for p, var in enumerate(system.unknowns)}
+    # stage s holds the equations whose last unknown is the s-th; stage 0 the
+    # constant ones
+    stages: list[list] = [[] for _ in range(k + 1)]
+    for eq in system.equations:
+        form = _integer_form(eq.poly, place, den)
+        stages[max((p + 1 for _, places in form for p in places), default=0)].append(form)
+    points = [()] if _satisfies(stages[0], ()) else []
+    for stage in stages[1:]:
+        points = [
+            point
+            for prefix in points
+            for n in nums
+            if _satisfies(stage, point := prefix + (n,))
+        ]
+    return [dict(zip(system.unknowns, [value_of[n] for n in point])) for point in points]
 
 
 def search_equivalence_diagonal(

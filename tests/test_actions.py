@@ -318,6 +318,13 @@ class TestCheckMatchedPair:
     def test_split_current_pair_passes(self):
         assert check_matched_pair(split_current_pair()).passed
 
+    @pytest.mark.parametrize("field", ["lhd", "rhd"])
+    def test_missing_lie_action_is_named(self, field):
+        pair = wab_doc(2, 0).find("matched", "WP")
+        actions = {"lhd": pair.lhd, "rhd": pair.rhd, field: None}
+        with pytest.raises(ValueError, match=f"lie pairs need the {field} action"):
+            MatchedPair(LIE, pair.R, pair.Q, **actions)
+
 
 class TestDirectCompatibility:
     def test_agrees_with_normative_on_corpus(self):

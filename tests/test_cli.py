@@ -6,8 +6,15 @@ from pathlib import Path
 import pytest
 
 from cfkit import cli, corpus
-from cfkit.algebra import CheckReport, GenElement, Violation
-from cfkit.poly import MultiPoly
+from cfkit.algebra import (
+    MAX_ENTRY_DEGREE,
+    CheckReport,
+    DegreeCapExceeded,
+    GenElement,
+    Violation,
+    require_degree_budget,
+)
+from cfkit.poly import D, L1, MultiPoly
 
 VIR = "algebra Vir : lie {\n  gens L;\n  [L, L] = (d + 2*l) L;\n}\n"
 BAD = "algebra Bad : lie {\n  gens L;\n  [L, L] = (d + 3*l) L;\n}\n"
@@ -147,6 +154,46 @@ class TestDeterminism:
         assert not Path("c.json").exists()
 
 
+def _equation(poly: str) -> dict:
+    provenance = {"left": 0, "right": 0, "coord": 0, "monomial": "1"}
+    return {"poly": poly, "provenance": provenance}
+
+
+class TestDegreeBudget:
+    def test_entry_over_budget_exits_3_before_any_product(self, workdir, monkeypatch):
+        Path("t.cfk").write_text("algebra A : lie { gens L; [L, L] = ((d+l+1)^64) L; }\n")
+
+        def multiplied(*args):
+            raise AssertionError("a table product was formed")
+
+        monkeypatch.setattr(cli, "check_axioms", multiplied)
+        started = time.monotonic()
+        assert run(["check", "t.cfk", "--json", "r.json"]) == 3
+        assert time.monotonic() - started < 1.0
+        report = json.loads(Path("r.json").read_text())
+        assert report["error"] == (
+            f"algebra A: [L, L] has (d, l)-degree 64, over the budget of {MAX_ENTRY_DEGREE}"
+        )
+        assert report["checks"] == []
+
+    def test_action_entry_is_named_as_spelled(self, workdir, capsys):
+        Path("t.cfk").write_text(
+            VIR
+            + "algebra Q : lie { gens W; }\n"
+            + "matched P : lie { R = Vir; Q = Q; W <| L = ((d + l)^20) W; }\n"
+        )
+        assert run(["bicrossed", "t.cfk", "--pair", "P"]) == 3
+        assert "matched P: W <| L has (d, l)-degree 20" in capsys.readouterr().err
+
+    def test_budget_boundary(self):
+        at = (((MultiPoly.var(D, MAX_ENTRY_DEGREE - 1) * MultiPoly.var(L1),),),)
+        over = (((MultiPoly.var(D, MAX_ENTRY_DEGREE) * MultiPoly.var(L1),),),)
+        require_degree_budget(at, lambda i, j: "entry")
+        with pytest.raises(DegreeCapExceeded) as exc:
+            require_degree_budget(over, lambda i, j: "entry")
+        assert str(exc.value).startswith(f"entry has (d, l)-degree {MAX_ENTRY_DEGREE + 1},")
+
+
 class TestSolveCap:
     def test_cap_exceeded_exits_3(self, workdir):
         system = {
@@ -168,7 +215,7 @@ class TestSolveCap:
             + "defmap z on P { }\n"
         )
         checked = []
-        monkeypatch.setattr(cli.cons, "verify_assignment", lambda *a: checked.append(a))
+        monkeypatch.setattr(cli.cons, "_satisfies", lambda *a: checked.append(a) or True)
         argv = ["equiv", "t.cfk", "--pair", "P", "--phi", "z", "--psi", "z"]
         assert run(argv + ["--json", "r.json"]) == 3
         report = json.loads(Path("r.json").read_text())
@@ -190,8 +237,28 @@ class TestSolveCap:
                 "ParseError: 1:5: error: expected a polynomial",
             ),
             ("system", "TypeError: string indices must be integers"),
+            (
+                {"unknowns": ["u0"], "equations": [_equation("u1")]},
+                "ValueError: equation u1 mentions u1, which is not an unknown of the system",
+            ),
+            (
+                {"unknowns": ["u0"], "equations": [_equation("u0*u1^2 + u0")]},
+                "ValueError: equation u0*u1^2 + u0 mentions u1, which is not an unknown",
+            ),
+            (
+                {"unknowns": ["u0"], "equations": [_equation("d*u0")]},
+                "ValueError: equation d*u0 mentions d, which is not an unknown",
+            ),
+            (
+                {"unknowns": ["u0", "u0"], "equations": []},
+                "ValueError: unknown u0 is listed twice",
+            ),
         ],
-        ids=["unknown-name", "superscript-digit", "no-unknowns", "bad-equation", "not-an-object"],
+        ids=[
+            "unknown-name", "superscript-digit", "no-unknowns", "bad-equation",
+            "not-an-object", "unlisted-unknown", "unlisted-unknown-squared",
+            "spectral-variable", "duplicate-unknown",
+        ],
     )
     def test_malformed_system_exits_2(self, workdir, capsys, system, error):
         Path("sys.json").write_text(json.dumps(system))

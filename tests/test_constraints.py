@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -237,11 +239,12 @@ class TestGrid:
             grid_search(sys_, grid_values(1, 1))
 
     def test_point_budget_enumerates_nothing(self, monkeypatch):
-        # 799^6, about 2.6e17 points, is within the unknown cap of 6
-        def visited(system, assignment):
+        # 799^6, about 2.6e17 points, is within the unknown cap of 6; the walk
+        # tests every prefix it visits, and the constant equations before it
+        def visited(stage, point):
             raise AssertionError("a grid point was enumerated")
 
-        monkeypatch.setattr(cfkit.constraints, "verify_assignment", visited)
+        monkeypatch.setattr(cfkit.constraints, "_satisfies", visited)
         sys_ = system([unknown(k) for k in range(6)], [])
         with pytest.raises(GridCapExceeded, match="799\\^6 grid points"):
             grid_search(sys_, grid_values(25, 25))
@@ -257,6 +260,78 @@ class TestGrid:
         member = {unknown(0): Fraction(0), unknown(1): Fraction(0),
                   unknown(2): Fraction(1), unknown(3): Fraction(1)}
         assert member in found
+
+
+def brute_force_grid(sys_, values):
+    """Every point of the grid, in product order, checked by verify_assignment."""
+    found = []
+    for combo in product(values, repeat=len(sys_.unknowns)):
+        assignment = dict(zip(sys_.unknowns, combo))
+        if verify_assignment(sys_, assignment):
+            found.append(assignment)
+    return found
+
+
+class TestGridSearchMatchesBruteForce:
+    GRIDS = {
+        "empty": (),
+        "integers": grid_values(1, 1),
+        "halves": grid_values(2, 2),
+        "thirds": grid_values(1, 3),
+        "zero-free": tuple(v for v in grid_values(2, 2) if v != 0),
+        "zero-free integers": tuple(v for v in grid_values(2, 1) if v != 0),
+    }
+
+    def random_poly(self, rng, unknowns):
+        """Up to four terms of degree up to three in a random subset of
+        ``unknowns``, with coefficients that may have denominators."""
+        used = rng.sample(unknowns, rng.randint(0, len(unknowns)))
+        poly = MultiPoly.zero()
+        for _ in range(rng.randint(1, 4)):
+            term = MultiPoly.const(Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])))
+            for _ in range(rng.randint(0, 3) if used else 0):
+                term = term * MultiPoly.var(rng.choice(used))
+            poly = poly + term
+        return poly
+
+    def test_seeded_systems(self):
+        rng = random.Random(1010)
+        seen = Counter()
+        for trial in range(400):
+            k = trial % 5
+            unknowns = rng.sample([unknown(i) for i in range(6)], k)
+            name = rng.choice(
+                [g for g, vals in self.GRIDS.items() if len(vals) ** k <= 400]
+            )
+            values = self.GRIDS[name]
+            polys = []
+            for _ in range(rng.randint(0, 3)):
+                poly = self.random_poly(rng, unknowns)
+                if values and rng.random() < 0.7:
+                    # plant a root, so that solutions are common
+                    root = {u: rng.choice(values) for u in unknowns}
+                    poly = poly - poly.evaluate(root)
+                polys.append(poly)
+            if rng.random() < 0.15:
+                polys.insert(rng.randint(0, len(polys)), MultiPoly.zero())
+                seen["zero constant"] += 1
+            if rng.random() < 0.05:
+                polys.insert(rng.randint(0, len(polys)), MultiPoly.const(Fraction(3, 2)))
+                seen["nonzero constant"] += 1
+            sys_ = system(unknowns, polys)
+            got = grid_search(sys_, values, cap=4)
+            assert got == brute_force_grid(sys_, values), (unknowns, polys, values)
+            seen[f"k={k}"] += 1
+            seen[name] += 1
+            seen["solutions" if got else "no solutions"] += 1
+            seen["denominators"] += any(
+                c.denominator > 1 for p in polys for _, c in p.terms()
+            )
+        assert all(seen[f"k={k}"] for k in range(5))
+        assert all(seen[name] for name in self.GRIDS)
+        for case in ("solutions", "no solutions", "zero constant", "nonzero constant",
+                     "denominators"):
+            assert seen[case], case
 
 
 class TestOracleAgreement:
