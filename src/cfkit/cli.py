@@ -30,12 +30,14 @@ from pathlib import Path
 from . import constraints as cons
 from . import deform as dfm
 from . import structure as struct
-from .actions import _layout, check_b1_b2_direct, check_matched_pair
+from .actions import check_b1_b2_direct, check_matched_pair
 from .algebra import (
     CheckReport, DegreeCapExceeded, LIE, check_axioms, element_text,
     require_degree_budget,
 )
-from .dsl import MAX_DIGITS, Document, Item, ParseError, serialize, try_parse
+from .dsl import (
+    MAX_DIGITS, Document, Item, ParseError, item_tables, serialize, try_parse,
+)
 from .poly import scalar_text
 
 SCHEMA = 1
@@ -99,20 +101,11 @@ def _require_degree_budget(document: Document) -> None:
     """Refuse a table coefficient over the (d, l)-degree budget, naming its
     declaration and entry, before any check multiplies table entries."""
     for item in document.items:
-        value = item.value
-        if item.kind == "algebra":
-            names = value.basis
+        for table, spell, left, right, _ in item_tables(item):
             require_degree_budget(
-                value.table, lambda i, j: f"algebra {item.name}: [{names[i]}, {names[j]}]"
+                table,
+                lambda i, j: f"{item.kind} {item.name}: {spell.format(left[i], right[j])}",
             )
-        elif item.kind == "matched":
-            parts = {"R": value.R.basis, "Q": value.Q.basis}
-            for field, arrow, left, right, _ in _layout(value.kind):
-                xs, ys = parts[left], parts[right]
-                require_degree_budget(
-                    getattr(value, field).table,
-                    lambda i, j: f"matched {item.name}: {xs[i]} {arrow} {ys[j]}",
-                )
 
 
 def _find(document: Document, kind: str, name: str):
@@ -431,7 +424,9 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
     except (cons.GridCapExceeded, DegreeCapExceeded) as exc:
-        print(str(exc), file=sys.stderr)
+        if isinstance(exc, DegreeCapExceeded):
+            # the entry it names is the one thing to edit in the input
+            print(str(exc), file=sys.stderr)
         report["error"] = str(exc)
         capped = True
     report["timings"] = {"total_ms": int((time.monotonic() - started) * 1000)}

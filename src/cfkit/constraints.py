@@ -15,10 +15,10 @@ Solving is deliberately modest: repeated elimination through equations that
 are degree one in some unknown with a constant leading coefficient, then an
 exhaustive search of a finite rational grid, capped in the number of
 residual unknowns and in the number of grid points.  The search is exact
-integer arithmetic: over the grid's common denominator each equation is
-cleared to an integer form in the numerators, and each is tested once, on
-the prefix of the point that assigns its last unknown, so a failing prefix
-prunes every point that extends it.  The point budget still counts every
+integer arithmetic: each equation is cleared to an integer form, every
+unknown by its own value's denominator, so no integer outgrows the values
+visited, and each is tested once, on the prefix of the point that assigns
+its last unknown, so a failing prefix prunes every point that extends it.  The point budget still counts every
 point of the grid, |values|^k, pruned or not.  Residual nonlinear systems
 are reported as-is; non-existence claims never extend beyond the searched
 grid.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .actions import MatchedPair
 from .deform import (
@@ -339,29 +338,39 @@ def grid_values(num_bound: int, den_bound: int) -> tuple[Fraction, ...]:
     return tuple(sorted(values))
 
 
-def _integer_form(poly: MultiPoly, place: dict[int, int], den: int):
-    """``poly`` as ``(coefficient, places)`` terms that sum to zero at the
-    integer numerators ``n`` exactly when ``poly`` vanishes at ``n / den``.
+def _integer_form(poly: MultiPoly, place: dict[int, int], powers):
+    """``poly`` as ``(coefficient, factors)`` terms whose sum is zero at a
+    grid point exactly when ``poly`` vanishes there.
 
-    ``places`` lists the unknown's position in the point once per power.  A
-    term of degree e in a poly of total degree t is scaled by den^(t - e), so
-    the sum is den^t times ``poly``'s numerator sum at ``n / den``.
+    Each unknown v is cleared by its own value's denominator: if v reaches
+    degree e in ``poly``, a term holding it to power a is scaled by
+    q^(e - a) at v = n/q, so the sum is ``poly``'s numerator sum times the
+    positive product of every q^e.  ``factors`` pairs the unknown's position
+    in the point with the table ``powers(a, e)`` of n^a q^(e - a) over the
+    value indices, or ``None`` for an all-ones table, which is left out.
+    Also returns the stage of ``poly``: one past the last position of its
+    unknowns, 0 if it has none.
     """
-    top = poly.degree()
+    tops: dict[int, int] = {}
+    for mono in poly._terms:
+        for v, e in mono:
+            tops[v] = max(tops.get(v, 0), e)
     form = []
     for mono, num in poly._terms.items():
-        places = tuple(place[v] for v, e in mono for _ in range(e))
-        form.append((num * den ** (top - len(places)), places))
-    return form
+        held = dict(mono)
+        factors = [(place[v], powers(held.get(v, 0), e)) for v, e in tops.items()]
+        form.append((num, tuple((p, table) for p, table in factors if table)))
+    return form, max((place[v] + 1 for v in tops), default=0)
 
 
 def _satisfies(stage, point: tuple[int, ...]) -> bool:
-    """True iff every integer form of ``stage`` sums to zero at ``point``."""
+    """True iff every integer form of ``stage`` sums to zero at the point of
+    value indices ``point``."""
     for form in stage:
         total = 0
-        for coeff, places in form:
-            for p in places:
-                coeff *= point[p]
+        for coeff, factors in form:
+            for p, table in factors:
+                coeff *= table[point[p]]
             total += coeff
         if total:
             return False
@@ -379,7 +388,9 @@ def grid_search(
     Points are walked as prefixes, first unknown slowest.  Each equation is
     tested once, on every prefix that has just assigned the last of its
     unknowns, in the integer form of :func:`_integer_form`; constant
-    equations are tested once, before the walk.
+    equations are tested once, before the walk.  Every integer met is a
+    product of the equation's coefficients and powers of the visited
+    values' own numerators and denominators.
     """
     k = len(system.unknowns)
     if k > cap:
@@ -391,25 +402,31 @@ def grid_search(
             f"{len(values)}^{k} grid points exceed the exhaustive-search budget"
             f" of {MAX_GRID_POINTS}"
         )
-    den = lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (den // v.denominator) for v in values]
-    value_of = dict(zip(nums, values))
+    tables: dict[tuple[int, int], list[int] | None] = {}
+
+    def powers(a: int, e: int) -> list[int] | None:
+        if (a, e) not in tables:
+            table = [v.numerator**a * v.denominator ** (e - a) for v in values]
+            tables[a, e] = None if all(x == 1 for x in table) else table
+        return tables[a, e]
+
     place = {var: p for p, var in enumerate(system.unknowns)}
     # stage s holds the equations whose last unknown is the s-th; stage 0 the
     # constant ones
     stages: list[list] = [[] for _ in range(k + 1)]
     for eq in system.equations:
-        form = _integer_form(eq.poly, place, den)
-        stages[max((p + 1 for _, places in form for p in places), default=0)].append(form)
+        form, stage = _integer_form(eq.poly, place, powers)
+        stages[stage].append(form)
     points = [()] if _satisfies(stages[0], ()) else []
+    indices = range(len(values))
     for stage in stages[1:]:
         points = [
             point
             for prefix in points
-            for n in nums
-            if _satisfies(stage, point := prefix + (n,))
+            for i in indices
+            if _satisfies(stage, point := prefix + (i,))
         ]
-    return [dict(zip(system.unknowns, [value_of[n] for n in point])) for point in points]
+    return [dict(zip(system.unknowns, [values[i] for i in point])) for point in points]
 
 
 def search_equivalence_diagonal(

@@ -621,6 +621,24 @@ def parse_poly_text(text: str) -> MultiPoly:
 # -- serializer ---------------------------------------------------------------
 
 
+def item_tables(item: Item):
+    """The product and action tables ``item`` declares, each as
+    ``(table, spell, left, right, carrier)``: entry ``[i][j]`` of ``table``
+    is written ``spell.format(left[i], right[j])`` and its values lie in
+    the ``carrier`` generators.  Other kinds of item declare none."""
+    if item.kind == "algebra":
+        alg: ConformalAlgebra = item.value
+        yield alg.table, "[{}, {}]", alg.basis, alg.basis, alg.basis
+    elif item.kind == "matched":
+        pair: MatchedPair = item.value
+        parts = {"R": pair.R.basis, "Q": pair.Q.basis}
+        for attr, op, left, right, carrier in _layout(pair.kind):
+            yield (
+                getattr(pair, attr).table, f"{{}} {op} {{}}",
+                parts[left], parts[right], parts[carrier],
+            )
+
+
 def _entry_lines(table, spell: str, left, right, out) -> list[str]:
     """One ``  spell = terms;`` line per nonzero entry of ``table``, whose
     rows and columns are the ``left`` and ``right`` generators; ``spell``
@@ -642,7 +660,8 @@ def serialize(document: Document) -> str:
             alg: ConformalAlgebra = item.value
             lines = [f"algebra {item.name} : {_KIND_WORDS[alg.kind]} {{"]
             lines.append("  gens " + ", ".join(alg.basis) + ";")
-            lines += _entry_lines(alg.table, "[{}, {}]", alg.basis, alg.basis, alg.basis)
+            for table in item_tables(item):
+                lines += _entry_lines(*table)
             lines.append("}")
             blocks.append("\n".join(lines))
         elif item.kind == "matched":
@@ -650,12 +669,8 @@ def serialize(document: Document) -> str:
             lines = [f"matched {item.name} : {_KIND_WORDS[pair.kind]} {{"]
             lines.append(f"  R = {item.refs[0]};")
             lines.append(f"  Q = {item.refs[1]};")
-            parts = {"R": pair.R.basis, "Q": pair.Q.basis}
-            for attr, op, left, right, carrier in _layout(pair.kind):
-                lines += _entry_lines(
-                    getattr(pair, attr).table, f"{{}} {op} {{}}",
-                    parts[left], parts[right], parts[carrier],
-                )
+            for table in item_tables(item):
+                lines += _entry_lines(*table)
             lines.append("}")
             blocks.append("\n".join(lines))
         elif item.kind in ("defmap", "morphism"):

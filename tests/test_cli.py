@@ -1,6 +1,7 @@
 import argparse
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -195,7 +196,7 @@ class TestDegreeBudget:
 
 
 class TestSolveCap:
-    def test_cap_exceeded_exits_3(self, workdir):
+    def test_cap_exceeded_exits_3(self, workdir, capsys):
         system = {
             "unknowns": [f"u{k}" for k in range(7)],
             "equations": [],
@@ -204,6 +205,26 @@ class TestSolveCap:
         assert run(["solve", "sys.json", "--json", "r.json"]) == 3
         report = json.loads(Path("r.json").read_text())
         assert "error" in report
+        # a grid cap is reported in the report only
+        assert capsys.readouterr().err == ""
+
+    def test_fine_grid_stays_small(self, workdir):
+        # 16001 values with denominators up to 8000, whose common denominator
+        # has about 11 500 bits; each value is cleared by its own denominator
+        system = {"unknowns": ["u0"], "equations": [_equation("4*u0^2 - 1")]}
+        Path("sys.json").write_text(json.dumps(system))
+        argv = ["solve", "sys.json", "--grid-num", "1", "--grid-den", "8000"]
+        tracemalloc.start()
+        started = time.monotonic()
+        try:
+            assert run(argv + ["--json", "r.json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - started < 10.0
+        assert peak < 8 * 2**20
+        report = json.loads(Path("r.json").read_text())
+        assert report["solutions"] == [{"u0": "-1/2"}, {"u0": "1/2"}]
 
     def test_equiv_past_the_cap_exits_3_before_searching(self, workdir, monkeypatch):
         # zero maps on an abelian Q of rank 7: no equations, 7 residual unknowns

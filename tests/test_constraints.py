@@ -278,6 +278,7 @@ class TestGridSearchMatchesBruteForce:
         "integers": grid_values(1, 1),
         "halves": grid_values(2, 2),
         "thirds": grid_values(1, 3),
+        "mixed denominators": grid_values(1, 4),
         "zero-free": tuple(v for v in grid_values(2, 2) if v != 0),
         "zero-free integers": tuple(v for v in grid_values(2, 1) if v != 0),
     }
