@@ -32,6 +32,7 @@ from .algebra import (
     Violation,
     _check_table,
     _table,
+    _table_at,
     check_axioms,
     merge_reports,
     product_eval,
@@ -236,9 +237,9 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
 def check_b1_b2_direct(mp: MatchedPair) -> CheckReport:
     """Direct evaluation of the two Lie cross-compatibility identities.
 
-    Nested terms are computed innermost first: each inner action is
-    evaluated at its literal spectral polynomial and the outer kernel
-    rewrites whatever ``d`` dependence the inner result carries.  The CLI
+    Nested terms are computed innermost first: each inner product of two
+    basis vectors is its table entry at its literal spectral polynomial, and
+    the outer kernel rewrites whatever ``d`` dependence that entry carries.  The CLI
     reports this reading beside :func:`check_matched_pair` and flags any
     disagreement between the two verdicts; it is never silently resolved.
     """
@@ -251,13 +252,12 @@ def check_b1_b2_direct(mp: MatchedPair) -> CheckReport:
     s_m = -_PL2 - _PD
     s_lm = -_PL1 - _PL2 - _PD
     l_plus_m = _PL1 + _PL2
-    # every inner evaluation depends on two of the three indices only
-    rhd_l = [[action_eval(mp.rhd, x, a, s_l) for a in r_basis] for x in q_basis]
-    rhd_m = [[action_eval(mp.rhd, x, a, s_m) for a in r_basis] for x in q_basis]
-    lhd_l = [[action_eval(mp.lhd, x, a, s_l) for a in r_basis] for x in q_basis]
-    lhd_m = [[action_eval(mp.lhd, x, a, s_m) for a in r_basis] for x in q_basis]
-    r_at_l = [[product_eval(mp.R, a, b, _PL1) for b in r_basis] for a in r_basis]
-    q_at_m = [[product_eval(mp.Q, x, y, _PL2) for y in q_basis] for x in q_basis]
+    rhd_l = _table_at(mp.rhd.table, s_l)
+    rhd_m = _table_at(mp.rhd.table, s_m)
+    lhd_l = _table_at(mp.lhd.table, s_l)
+    lhd_m = _table_at(mp.lhd.table, s_m)
+    r_at_l = _table_at(mp.R.table, _PL1)
+    q_at_m = _table_at(mp.Q.table, _PL2)
     for x_i, x in enumerate(q_basis):
         for a_i, a in enumerate(r_basis):
             for b_i, b in enumerate(r_basis):

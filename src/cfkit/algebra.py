@@ -4,9 +4,10 @@ A single evaluation kernel, :func:`spectral_eval`, implements the two
 rewriting rules that extend a basis product table to arbitrary elements: a
 ``d``-polynomial multiplying the left argument is re-evaluated at the negated
 spectral parameter, one multiplying the right argument at ``d`` shifted by
-it.  Every nested product in the package is computed through this one rule,
-innermost first, which makes the treatment of expressions like a product
-evaluated at ``-l - d`` completely uniform.
+it.  The kernel rewrites general elements; a basis product is its table
+entry at ``s`` (:func:`_table_at`).  Nested products are computed innermost
+first, which makes the treatment of expressions like a product evaluated at
+``-l - d`` completely uniform.
 """
 
 from __future__ import annotations
@@ -264,9 +265,12 @@ def product_eval(
     return GenElement(spectral_eval(algebra.table, n, x.coords, y.coords, s))
 
 
-def _pair_products(algebra: ConformalAlgebra, basis, s: MultiPoly) -> list[list[GenElement]]:
-    """``[e_i _s e_j]`` for every pair of basis elements, indexed ``[i][j]``."""
-    return [[product_eval(algebra, x, y, s) for y in basis] for x in basis]
+def _table_at(table: Table, s: MultiPoly) -> list[list[GenElement]]:
+    """``table`` with ``l`` set to ``s``: entry ``[i][j]`` is the product of
+    the i-th and j-th basis vectors at ``s``, exactly what the kernel returns
+    on those two unit vectors."""
+    return [[GenElement(tuple(c.substitute(L1, s) for c in entry)) for entry in row]
+            for row in table]
 
 
 def _violations(identity: str, names, indices, residual) -> tuple[Violation, ...]:
@@ -279,11 +283,11 @@ def _violations(identity: str, names, indices, residual) -> tuple[Violation, ...
     return tuple(found)
 
 
-def _skew_violations(algebra: ConformalAlgebra, basis, at_l) -> tuple[Violation, ...]:
-    neg = -_PL1 - _PD
+def _skew_violations(algebra: ConformalAlgebra, at_l) -> tuple[Violation, ...]:
+    at_neg = _table_at(algebra.table, -_PL1 - _PD)
     return _violations(
         "skew-symmetry", algebra.basis, product(range(algebra.rank), repeat=2),
-        lambda i, j: at_l[i][j] + product_eval(algebra, basis[j], basis[i], neg),
+        lambda i, j: at_l[i][j] + at_neg[j][i],
     )
 
 
@@ -295,7 +299,7 @@ def _jacobiator(algebra, basis, at_l, at_m, i, j, k) -> GenElement:
     return lhs - mid - rhs
 
 
-def _jacobi_violations(algebra: ConformalAlgebra, basis, at_l, skew_holds: bool):
+def _jacobi_violations(algebra: ConformalAlgebra, at_l, skew_holds: bool):
     """Violations of J(a,b,c)(l,m) = [a_l[b_m c]] - [[a_l b]_{l+m} c] - [b_m[a_l c]]
     on basis triples, in the lexicographic order of the full n^3 loop.
 
@@ -319,7 +323,8 @@ def _jacobi_violations(algebra: ConformalAlgebra, basis, at_l, skew_holds: bool)
     runs as it is when skew-symmetry fails.
     """
     n = algebra.rank
-    at_m = _pair_products(algebra, basis, _PL2)
+    basis = [algebra.basis_element(i) for i in range(n)]
+    at_m = _table_at(algebra.table, _PL2)
     jacobiator = partial(_jacobiator, algebra, basis, at_l, at_m)
     triples = product(range(n), repeat=3)
     if skew_holds:
@@ -336,8 +341,8 @@ def check_associativity(algebra: ConformalAlgebra) -> CheckReport:
     if algebra.kind != ASSOCIATIVE:
         raise ValueError("associativity applies to associative kind only")
     basis = [algebra.basis_element(i) for i in range(algebra.rank)]
-    at_l = _pair_products(algebra, basis, _PL1)
-    at_m = _pair_products(algebra, basis, _PL2)
+    at_l = _table_at(algebra.table, _PL1)
+    at_m = _table_at(algebra.table, _PL2)
     return CheckReport(_violations(
         "associativity", algebra.basis, product(range(algebra.rank), repeat=3),
         lambda i, j, k: product_eval(algebra, at_l[i][j], basis[k], _PLM)
@@ -351,9 +356,8 @@ def check_axioms(algebra: ConformalAlgebra) -> CheckReport:
     The Lie checks share one table of pair products at ``l``.
     """
     if algebra.kind == LIE:
-        basis = [algebra.basis_element(i) for i in range(algebra.rank)]
-        at_l = _pair_products(algebra, basis, _PL1)
-        skew = _skew_violations(algebra, basis, at_l)
-        jacobi = _jacobi_violations(algebra, basis, at_l, skew_holds=not skew)
+        at_l = _table_at(algebra.table, _PL1)
+        skew = _skew_violations(algebra, at_l)
+        jacobi = _jacobi_violations(algebra, at_l, skew_holds=not skew)
         return merge_reports([("skew", CheckReport(skew)), ("jacobi", CheckReport(jacobi))])
     return merge_reports([("assoc", check_associativity(algebra))])

@@ -6,8 +6,8 @@ the exit code, the ``--json`` file and the printed check lines.  Handlers
 only fill in the report they are given.
 
 Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
-(parse or reference errors, an exponent or a numeric literal over the
-parser's caps, a ``--param`` value with an exponent or more digits than the
+(parse or reference errors, an exponent, a power's or product's degree or
+a numeric literal over the parser's caps, a ``--param`` value with an exponent or more digits than the
 literal cap, a ``--param`` name the document never uses, or an integer
 option below its least value), 3 a resource cap was exceeded (a table
 coefficient over the (d, l)-degree budget, the grid-search unknown cap or

@@ -151,10 +151,8 @@ def _morphism_residuals(
     ``matrix``; symbolic entries carrying ansatz unknowns ride along inertly."""
     images = [GenElement(row) for row in matrix]
     for i in range(source.rank):
-        ei = source.basis_element(i)
         for j in range(source.rank):
-            prod = product_eval(source, ei, source.basis_element(j), _PL1)
-            lhs = GenElement(apply_matrix(matrix, prod.coords))
+            lhs = GenElement(apply_matrix(matrix, source.table[i][j]))
             yield i, j, lhs - product_eval(target, images[i], images[j], _PL1)
 
 

@@ -51,8 +51,12 @@ _WORD_KINDS = {w: k for k, w in _KIND_WORDS.items()}
 
 _MAX_DIAGNOSTICS = 20
 
-#: Largest exponent ``^n`` the parser expands; a larger one is an input error
-#: rather than a power computed and carried through every later check.
+#: The declaration keywords; ``_Parser.parse_<keyword>`` reads each.
+_DECLARATIONS = ("algebra", "matched", "defmap", "morphism", "param")
+
+#: Largest exponent ``^n`` the parser expands, and the largest degree a power
+#: or product it forms may have; more is an input error rather than a
+#: polynomial computed and carried through every later check.
 MAX_EXPONENT = 64
 
 #: Most significant digits a numeric literal may have: the smallest limit
@@ -85,7 +89,7 @@ class ParseError(Exception):
 class Item:
     """One resolved declaration; ``refs`` keeps names needed to re-serialize."""
 
-    kind: str  # "algebra" | "matched" | "defmap" | "morphism" | "param"
+    kind: str  # one of _DECLARATIONS
     name: str
     value: object
     refs: tuple[str, ...] = ()
@@ -221,13 +225,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "eof":
                 return
-            if depth == 0 and tok.text in (
-                "algebra",
-                "matched",
-                "defmap",
-                "morphism",
-                "param",
-            ):
+            if depth == 0 and tok.text in _DECLARATIONS:
                 return
             self.advance()
             if tok.text == "{":
@@ -258,13 +256,20 @@ class _Parser:
             acc = acc + rhs if op == "+" else acc - rhs
         return acc
 
+    def require_degree(self, degree: int, what: str, tok: _Token) -> None:
+        """Refuse at ``tok`` a ``what`` of degree above :data:`MAX_EXPONENT`,
+        before it is formed."""
+        if degree > MAX_EXPONENT:
+            self.fail(f"{what} of degree {degree} exceeds the cap {MAX_EXPONENT}", tok)
+
     def _poly_product(self) -> MultiPoly:
         acc = self._poly_factor()
         while self.peek().text in ("*", "/"):
-            op = self.advance().text
+            op_tok = self.advance()
             tok = self.peek()
             rhs = self._poly_factor()
-            if op == "*":
+            if op_tok.text == "*":
+                self.require_degree(acc.degree() + rhs.degree(), "product", op_tok)
                 acc = acc * rhs
             else:
                 value = rhs.constant_value()
@@ -288,6 +293,7 @@ class _Parser:
             exponent = self.integer(exp_tok, exp_tok.text)
             if exponent > MAX_EXPONENT:
                 self.fail(f"exponent {exp_tok.text} exceeds the cap {MAX_EXPONENT}", exp_tok)
+            self.require_degree(base.degree() * exponent, "power", exp_tok)
             self.advance()
             return base ** exponent
         return base
@@ -361,16 +367,8 @@ class _Parser:
             if tok.kind == "eof":
                 break
             try:
-                if tok.text == "algebra":
-                    self.parse_algebra()
-                elif tok.text == "matched":
-                    self.parse_matched()
-                elif tok.text == "defmap":
-                    self.parse_defmap()
-                elif tok.text == "morphism":
-                    self.parse_morphism()
-                elif tok.text == "param":
-                    self.parse_param()
+                if tok.text in _DECLARATIONS:
+                    getattr(self, f"parse_{tok.text}")()
                 else:
                     self.advance()
                     self.fail(f"expected a declaration, found {tok.text!r}", tok)

@@ -197,9 +197,6 @@ class MultiPoly:
             return _ratio(self._terms[()], self._den)
         return None
 
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return _ratio(self._terms.get(tuple(mono), 0), self._den)
-
     def leading(self) -> tuple[Monomial, Scalar]:
         """Leading (monomial, coefficient) in the canonical order."""
         if not self._terms:

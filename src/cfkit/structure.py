@@ -3,8 +3,11 @@
 The ring of polynomials in ``d`` over the rationals is Euclidean, so
 submodules of a free module have a unique row-style Hermite normal form:
 echelon by pivot column, monic pivots, entries above each pivot reduced to
-smaller degree.  Storing that form makes submodule equality a syntactic
-comparison, which the derived series and solvability verdicts build on.
+smaller degree.  Division works on :class:`MultiPoly` values directly, one
+leading term at a time, and one row-reduction step serves the echelon pass,
+the reduction above each pivot and membership.  Storing that form makes
+submodule equality a syntactic comparison, which the derived series and
+solvability verdicts build on.
 """
 
 from __future__ import annotations
@@ -33,41 +36,28 @@ def poly_deg(p: MultiPoly) -> int:
     return p.degree(D)
 
 
-def _ucoeffs(p: MultiPoly) -> list[Fraction]:
-    # Fraction, not the stored int: coefficients get divided, and int / int
-    # would give a float
-    out = [Fraction(0)] * (poly_deg(p) + 1)
-    for mono, coeff in p.terms():
-        exp = mono[0][1] if mono else 0
-        out[exp] = Fraction(coeff)
-    return out
-
-
-def _from_ucoeffs(coeffs: list[Fraction]) -> MultiPoly:
-    acc = MultiPoly.zero()
-    for exp, c in enumerate(coeffs):
-        if c:
-            acc = acc + MultiPoly.const(c) * MultiPoly.var(D, exp) if exp else acc + c
-    return acc
-
-
 def poly_divmod(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Euclidean division in the d-polynomial ring."""
+    """Euclidean division in the d-polynomial ring, one leading term of the
+    quotient at a time."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    ca, cb = _ucoeffs(a), _ucoeffs(b)
-    if len(ca) < len(cb):
-        return MultiPoly.zero(), a
-    quot = [Fraction(0)] * (len(ca) - len(cb) + 1)
-    rem = list(ca)
-    lead = cb[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        factor = rem[k + len(cb) - 1] / lead
-        quot[k] = factor
-        if factor:
-            for i, c in enumerate(cb):
-                rem[k + i] -= factor * c
-    return _from_ucoeffs(quot), _from_ucoeffs(rem)
+    deg_b = poly_deg(b)
+    # Fraction, not the stored int: int / int would give a float
+    lead = Fraction(b.leading()[1])
+    quot, rem = MultiPoly.zero(), a
+    while poly_deg(rem) >= deg_b:
+        term = MultiPoly.var(D, poly_deg(rem) - deg_b) * (rem.leading()[1] / lead)
+        quot, rem = quot + term, rem - term * b
+    return quot, rem
+
+
+def _reduce(row: list[MultiPoly], by: PolyRow, col: int) -> list[MultiPoly]:
+    """``row`` minus the multiple of ``by`` that leaves its ``col`` entry the
+    remainder of dividing it by ``by[col]``."""
+    if row[col].is_zero:
+        return row
+    q, _ = poly_divmod(row[col], by[col])
+    return row if q.is_zero else [x - q * y for x, y in zip(row, by)]
 
 
 def poly_det(matrix: PolyMatrix) -> MultiPoly:
@@ -113,27 +103,17 @@ def hermite_normal_form(matrix: PolyMatrix) -> PolyMatrix:
                 break
             best = min(live, key=lambda r: poly_deg(rows[r][col]))
             rows[pivot], rows[best] = rows[best], rows[pivot]
-            done = True
             for r in range(pivot + 1, len(rows)):
-                if rows[r][col].is_zero:
-                    continue
-                q, _ = poly_divmod(rows[r][col], rows[pivot][col])
-                if not q.is_zero:
-                    rows[r] = [x - q * y for x, y in zip(rows[r], rows[pivot])]
-                if not rows[r][col].is_zero:
-                    done = False
-            if done:
+                rows[r] = _reduce(rows[r], rows[pivot], col)
+            if all(rows[r][col].is_zero for r in range(pivot + 1, len(rows))):
                 break
         if rows[pivot][col].is_zero:
             continue
-        lead = _ucoeffs(rows[pivot][col])[-1]
+        lead = rows[pivot][col].leading()[1]
         if lead != 1:
             rows[pivot] = [x / lead for x in rows[pivot]]
         for r in range(pivot):
-            if not rows[r][col].is_zero:
-                q, _ = poly_divmod(rows[r][col], rows[pivot][col])
-                if not q.is_zero:
-                    rows[r] = [x - q * y for x, y in zip(rows[r], rows[pivot])]
+            rows[r] = _reduce(rows[r], rows[pivot], col)
         pivot += 1
     result = [tuple(r) for r in rows[:pivot] if any(not e.is_zero for e in r)]
     return tuple(result)
@@ -186,12 +166,9 @@ def member(sub: Submodule, v: GenElement) -> bool:
             raise ValueError(f"membership is defined for d-vectors only: {c}")
     for row in sub.generators:
         col = next(i for i, e in enumerate(row) if not e.is_zero)
-        if coords[col].is_zero:
-            continue
-        q, rem = poly_divmod(coords[col], row[col])
-        if not rem.is_zero:
+        coords = _reduce(coords, row, col)
+        if not coords[col].is_zero:
             return False
-        coords = [x - q * y for x, y in zip(coords, row)]
     return all(c.is_zero for c in coords)
 
 

@@ -9,6 +9,7 @@ from cfkit.actions import (
     MatchedPair,
     ModuleAction,
     RIGHT,
+    _layout,
     action_eval,
     build_bicrossed,
     check_b1_b2_direct,
@@ -23,6 +24,7 @@ from cfkit.algebra import (
     GenElement,
     LIE,
     Violation,
+    _table_at,
     abelian,
     check_axioms,
     merge_reports,
@@ -496,14 +498,14 @@ def reference_build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
     return ConformalAlgebra(mp.kind, names, tuple(tuple(row) for row in table))
 
 
-def bundled_pairs():
-    """Every matched pair the corpus fixtures declare, at generic parameters."""
+def bundled(kind: str):
+    """Every ``kind`` declaration of the corpus fixtures, at generic parameters."""
     params = {p: Fraction(k + 2, 3) for k, p in enumerate(
         ("a", "b", "c", "p", "q", "r", "s", "a1", "a2", "a3", "ai"))}
     for name in corpus.fixture_names():
         text = (corpus.fixture_dir(name) / "input.cfk").read_text()
         for item in parse_document(text, params).items:
-            if item.kind == "matched":
+            if item.kind == kind:
                 yield f"{name}:{item.name}", item.value
 
 
@@ -530,10 +532,43 @@ class TestBicrossedMatchesEvaluation:
 
     def test_bundled_pairs(self):
         seen = []
-        for label, pair in bundled_pairs():
+        for label, pair in bundled("matched"):
             assert build_bicrossed(pair) == reference_build_bicrossed(pair), label
             seen.append(pair.kind)
         assert LIE in seen and ASSOCIATIVE in seen
+
+
+# -- basis products read off the table against the kernel -----------------------
+
+#: The spectral parameters at which the checks read basis products.
+CHECK_PARAMETERS = (
+    _PL1, _PL2, _PL1 + _PL2, -_PL1 - _PD, -_PL2 - _PD, -_PL1 - _PL2 - _PD
+)
+
+
+@pytest.mark.parametrize("s", CHECK_PARAMETERS, ids=str)
+class TestTableAt:
+    """``_table_at`` is the kernel on two unit vectors, entry for entry."""
+
+    def test_bundled_algebras(self, s):
+        labels = []
+        for label, alg in bundled("algebra"):
+            basis = _carrier_basis(alg.rank)
+            expected = [[product_eval(alg, x, y, s) for y in basis] for x in basis]
+            assert _table_at(alg.table, s) == expected, label
+            labels.append(label)
+        assert len(labels) >= 10
+
+    def test_bundled_action_tables(self, s):
+        kinds = set()
+        for label, pair in bundled("matched"):
+            for field, *_ in _layout(pair.kind):
+                act = getattr(pair, field)
+                rows, cols = (_carrier_basis(n) for n in act.shape)
+                expected = [[action_eval(act, x, y, s) for y in cols] for x in rows]
+                assert _table_at(act.table, s) == expected, f"{label}.{field}"
+                kinds.add(pair.kind)
+        assert kinds == {LIE, ASSOCIATIVE}
 
 
 # -- differential test: the tabulated direct cross check against nested loops ---

@@ -95,6 +95,17 @@ class TestCheck:
         assert time.monotonic() - started < 1
         assert "t.cfk:3:15:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "coeff, where",
+        [("(((d+l+1)^64)^2)", "t.cfk:3:26:"), ("((d+l+1)^64 * (d+l+1)^64)", "t.cfk:3:24:")],
+    )
+    def test_nested_power_over_cap_exits_2(self, workdir, capsys, coeff, where):
+        Path("t.cfk").write_text(VIR.replace("(d + 2*l)", coeff))
+        started = time.monotonic()
+        assert run(["check", "t.cfk"]) == 2
+        assert time.monotonic() - started < 1
+        assert f"{where} error:" in capsys.readouterr().err
+
     def test_too_long_literal_exits_2(self, workdir, capsys):
         Path("t.cfk").write_text(VIR.replace("(d + 2*l)", "(d + " + "1" * 5000 + ")"))
         assert run(["check", "t.cfk"]) == 2

@@ -151,6 +151,34 @@ class TestDiagnostics:
         assert powers == []
 
     @pytest.mark.parametrize(
+        "coeff, col, message",
+        [
+            ("(((d+l+1)^64)^2)", 24, "power of degree 128"),  # at the outer exponent
+            ("((d+l+1)^64 * (d+l+1)^64)", 22, "product of degree 128"),  # at the *
+        ],
+    )
+    def test_nested_power_over_cap_rejected_before_forming(
+        self, monkeypatch, coeff, col, message
+    ):
+        formed = []
+        mul, pow_ = MultiPoly.__mul__, MultiPoly.__pow__
+        monkeypatch.setattr(
+            MultiPoly, "__mul__",
+            lambda p, q: formed.append(p.degree() + q.degree()) or mul(p, q),
+        )
+        monkeypatch.setattr(
+            MultiPoly, "__pow__",
+            lambda p, n: formed.append(p.degree() * n) or pow_(p, n),
+        )
+        text = f"algebra A : lie {{ gens X;\n[X, X] = {coeff} X; }}"
+        document, diags = try_parse(text)
+        assert document is None
+        assert [(x.line, x.col) for x in diags] == [(2, col)]
+        assert diags[0].message == f"{message} exceeds the cap {MAX_EXPONENT}"
+        # the inner powers are formed, nothing above the cap is
+        assert formed and max(formed) <= MAX_EXPONENT
+
+    @pytest.mark.parametrize(
         "template, col",
         [
             ("[X, X] = (d + {}) X;", 15),  # coefficient

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfkit.poly import D, L1, L2, MultiPoly, scalar_text, unknown, var_name
-from cfkit.structure import hermite_normal_form, poly_divmod
+from cfkit.structure import hermite_normal_form, poly_deg, poly_divmod
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
@@ -241,6 +241,7 @@ class TestCoefficientTypes:
     def test_division_and_hermite_store_canonical_scalars(self, a, b, entries):
         quot, rem = poly_divmod(a, b)
         assert quot * b + rem == a
+        assert poly_deg(rem) < poly_deg(b)
         for poly in (quot, rem):
             assert_canonical(poly)
             assert_stored_canonical(poly)
