@@ -64,6 +64,10 @@ MAX_EXPONENT = 64
 #: error instead of a ``ValueError`` from ``int()``.
 MAX_DIGITS = 640
 
+#: Largest coefficient bit length a power may build: that of one
+#: ``^MAX_EXPONENT`` of a ``MAX_DIGITS``-digit literal.
+MAX_POWER_BITS = MAX_EXPONENT * (10**MAX_DIGITS - 1).bit_length()
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -256,11 +260,11 @@ class _Parser:
             acc = acc + rhs if op == "+" else acc - rhs
         return acc
 
-    def require_degree(self, degree: int, what: str, tok: _Token) -> None:
-        """Refuse at ``tok`` a ``what`` of degree above :data:`MAX_EXPONENT`,
-        before it is formed."""
-        if degree > MAX_EXPONENT:
-            self.fail(f"{what} of degree {degree} exceeds the cap {MAX_EXPONENT}", tok)
+    def within_cap(self, value: int, cap: int, what: str, tok: _Token) -> None:
+        """Refuse at ``tok`` a ``what`` of ``value`` above ``cap``, before the
+        power or product it measures is formed."""
+        if value > cap:
+            self.fail(f"{what} {value} exceeds the cap {cap}", tok)
 
     def _poly_product(self) -> MultiPoly:
         acc = self._poly_factor()
@@ -269,7 +273,8 @@ class _Parser:
             tok = self.peek()
             rhs = self._poly_factor()
             if op_tok.text == "*":
-                self.require_degree(acc.degree() + rhs.degree(), "product", op_tok)
+                degree = acc.degree() + rhs.degree()
+                self.within_cap(degree, MAX_EXPONENT, "product of degree", op_tok)
                 acc = acc * rhs
             else:
                 value = rhs.constant_value()
@@ -293,7 +298,9 @@ class _Parser:
             exponent = self.integer(exp_tok, exp_tok.text)
             if exponent > MAX_EXPONENT:
                 self.fail(f"exponent {exp_tok.text} exceeds the cap {MAX_EXPONENT}", exp_tok)
-            self.require_degree(base.degree() * exponent, "power", exp_tok)
+            self.within_cap(base.degree() * exponent, MAX_EXPONENT, "power of degree", exp_tok)
+            bits = base.bit_length() * exponent
+            self.within_cap(bits, MAX_POWER_BITS, "power of coefficient bit length", exp_tok)
             self.advance()
             return base ** exponent
         return base

@@ -189,6 +189,10 @@ class MultiPoly:
                     best = e
         return best
 
+    def bit_length(self) -> int:
+        """The largest bit length among the numerators and the denominator."""
+        return max([self._den.bit_length(), *(n.bit_length() for n in self._terms.values())])
+
     def constant_value(self) -> Scalar | None:
         """The value of a constant polynomial, or None if any variable occurs."""
         if not self._terms:

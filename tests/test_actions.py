@@ -378,6 +378,32 @@ class TestBicrossedBuiltOnce:
         assert hash(first) == hash_before == hash(second)
 
 
+class TestAxiomsCheckedOnce:
+    def test_one_check_per_pair(self, monkeypatch):
+        calls = []
+        original = cfkit.actions.check_axioms
+
+        def counting(algebra):
+            calls.append(algebra)
+            return original(algebra)
+
+        monkeypatch.setattr(cfkit.actions, "check_axioms", counting)
+        for pair in (wab_doc(1, 3).find("matched", "WP"), split_current_pair()):
+            calls.clear()
+            assert check_matched_pair(pair).passed
+            assert check_b1_b2_direct(pair).passed
+            assert check_matched_pair(pair).passed
+            assert calls == [pair.bicrossed]
+
+    def test_cache_is_not_a_field(self):
+        first = wab_doc(1, 0).find("matched", "WP")
+        second = wab_doc(1, 0).find("matched", "WP")
+        hash_before = hash(first)
+        assert first.axioms == check_axioms(build_bicrossed(second))
+        assert first == second
+        assert hash(first) == hash_before == hash(second)
+
+
 # -- differential test: E's axioms against the composite reference --------------
 
 # eight pairs: the Lie pairs of the corpus, the associative pair AP and the
@@ -618,10 +644,52 @@ class TestDirectCompatibilityMatchesNestedLoops:
         pairs = {label: make() for label, make in PERTURBED_PAIRS.items()}
         lie = sorted(label for label, pair in pairs.items() if pair.kind == LIE)
         verdicts = {True: 0, False: 0}
+        # both branches of E's Jacobi check: the full loop, and orbits
+        failing = {"skew": 0, "jacobi": 0}
         for n in range(300):
             label = lie[n % len(lie)]
             pair = perturb(pairs[label], rng)
             got = check_b1_b2_direct(pair)
             assert got.violations == reference_check_b1_b2_direct(pair).violations, label
             verdicts[got.passed] += 1
+            first = {v.identity.split(":")[0] for v in pair.axioms.violations}
+            for part in ("skew", "jacobi"):
+                if part in first:
+                    failing[part] += 1
+                    break
         assert verdicts[True] and verdicts[False], verdicts
+        assert failing["skew"] and failing["jacobi"], failing
+
+
+class TestCrossLeftOffTheLieLocus:
+    """Where R's skew-symmetry fails, the projection of E's Jacobiator and
+    the nested evaluation of cross-left differ by R's skew defect at
+    (b, x |>_{-l-d} a), and by nothing else."""
+
+    def test_doubly_perturbed_pairs(self):
+        rng = random.Random("cross-left-off-the-lie-locus")
+        pairs = [make() for label, make in sorted(PERTURBED_PAIRS.items())]
+        lie = [pair for pair in pairs if pair.kind == LIE]
+        differ = 0
+        for n in range(60):
+            pair = perturb(perturb(lie[n % len(lie)], rng), rng)
+            got = check_b1_b2_direct(pair).violations
+            want = reference_check_b1_b2_direct(pair).violations
+            assert [v for v in got if v.identity == "cross-right"] == [
+                v for v in want if v.identity == "cross-right"
+            ]
+            got = {v.indices: v.residual for v in got if v.identity == "cross-left"}
+            want = {v.indices: v.residual for v in want if v.identity == "cross-left"}
+            zero = GenElement((MultiPoly.zero(),) * pair.R.rank)
+            r_basis = [pair.R.basis_element(i) for i in range(pair.R.rank)]
+            for x, x_el in enumerate(pair.Q.basis_element(i) for i in range(pair.Q.rank)):
+                for a, a_el in enumerate(r_basis):
+                    y = action_eval(pair.rhd, x_el, a_el, -_PL1 - _PD)
+                    for b, b_el in enumerate(r_basis):
+                        defect = product_eval(pair.R, b_el, y, _PL2) + product_eval(
+                            pair.R, y, b_el, -_PL2 - _PD
+                        )
+                        projected = got.get((x, a, b), zero)
+                        assert projected - defect == want.get((x, a, b), zero)
+                        differ += not defect.is_zero
+        assert differ

@@ -13,9 +13,12 @@ from cfkit.algebra import (
     DegreeCapExceeded,
     GenElement,
     Violation,
+    element_text,
     require_degree_budget,
 )
+from cfkit.dsl import parse_document
 from cfkit.poly import D, L1, MultiPoly
+from test_actions import reference_check_b1_b2_direct
 
 VIR = "algebra Vir : lie {\n  gens L;\n  [L, L] = (d + 2*l) L;\n}\n"
 BAD = "algebra Bad : lie {\n  gens L;\n  [L, L] = (d + 3*l) L;\n}\n"
@@ -97,7 +100,11 @@ class TestCheck:
 
     @pytest.mark.parametrize(
         "coeff, where",
-        [("(((d+l+1)^64)^2)", "t.cfk:3:26:"), ("((d+l+1)^64 * (d+l+1)^64)", "t.cfk:3:24:")],
+        [
+            ("(((d+l+1)^64)^2)", "t.cfk:3:26:"),
+            ("((d+l+1)^64 * (d+l+1)^64)", "t.cfk:3:24:"),
+            ("((((2^64)^64)^64)^64)", "t.cfk:3:26:"),  # coefficient bit length
+        ],
     )
     def test_nested_power_over_cap_exits_2(self, workdir, capsys, coeff, where):
         Path("t.cfk").write_text(VIR.replace("(d + 2*l)", coeff))
@@ -105,6 +112,36 @@ class TestCheck:
         assert run(["check", "t.cfk"]) == 2
         assert time.monotonic() - started < 1
         assert f"{where} error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "action, agree",
+        [
+            # the sign-flipped WP breaks only a module law: the direct
+            # identities hold vacuously and the verdicts disagree
+            ("  W <| L = -((a - 1)*d + a*l - b) W;\n", False),
+            # a left action of W on L breaks both cross identities
+            ("  W <| L = ((a - 1)*d + a*l - b) W;\n  W |> L = (l) L;\n", True),
+        ],
+    )
+    def test_direct_residuals_of_a_broken_pair(self, workdir, action, agree):
+        text = (corpus.fixture_dir("wab") / "input.cfk").read_text()
+        text = text.replace("  W <| L = ((a - 1)*d + a*l - b) W;\n", action)
+        Path("t.cfk").write_text(text)
+        params = ["--param", "a=2", "--param", "b=0", "--param", "c=0"]
+        assert run(["check", "t.cfk", "WP", *params, "--json", "r.json"]) == 1
+        entries = {c["name"]: c for c in json.loads(Path("r.json").read_text())["checks"]}
+        normative, direct = entries["matched_pair:WP"], entries["cross_compat_direct:WP"]
+        pair = parse_document(text, {"a": 2, "b": 0, "c": 0}).find("matched", "WP")
+        want = reference_check_b1_b2_direct(pair)
+        assert direct["violations"] == [
+            {"identity": v.identity, "indices": list(v.indices),
+             "residual": element_text(v.residual, v.basis)}
+            for v in want.violations
+        ]
+        assert bool(want.violations) == agree
+        assert normative["status"] == "fail"
+        assert direct["convention_match"] == (direct["status"] == normative["status"]) == agree
+        assert ("convention-mismatch:WP" in entries) != agree
 
     def test_too_long_literal_exits_2(self, workdir, capsys):
         Path("t.cfk").write_text(VIR.replace("(d + 2*l)", "(d + " + "1" * 5000 + ")"))

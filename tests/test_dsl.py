@@ -11,6 +11,7 @@ from cfkit import corpus
 from cfkit.dsl import (
     MAX_DIGITS,
     MAX_EXPONENT,
+    MAX_POWER_BITS,
     Diagnostic,
     Document,
     Item,
@@ -177,6 +178,36 @@ class TestDiagnostics:
         assert diags[0].message == f"{message} exceeds the cap {MAX_EXPONENT}"
         # the inner powers are formed, nothing above the cap is
         assert formed and max(formed) <= MAX_EXPONENT
+
+    def test_constant_power_over_bit_cap_rejected_before_forming(self, monkeypatch):
+        formed = []
+        pow_ = MultiPoly.__pow__
+        monkeypatch.setattr(
+            MultiPoly, "__pow__", lambda p, n: formed.append(p.bit_length() * n) or pow_(p, n)
+        )
+        text = "algebra A : lie { gens X;\n[X, X] = ((((2^64)^64)^64)^64) X; }"
+        document, diags = try_parse(text)
+        assert document is None
+        assert [(x.line, x.col) for x in diags] == [(2, 24)]  # at the third exponent
+        assert diags[0].message == (
+            f"power of coefficient bit length {4097 * 64} exceeds the cap {MAX_POWER_BITS}"
+        )
+        # 2^64 and 2^4096 are formed, nothing above the cap is
+        assert formed and max(formed) <= MAX_POWER_BITS
+
+    @pytest.mark.parametrize(
+        "coeff, value",
+        [
+            ("((2^64)^64)", 2**4096),
+            (f"({'9' * MAX_DIGITS}^{MAX_EXPONENT})", (10**MAX_DIGITS - 1) ** MAX_EXPONENT),
+            (f"(1/{'9' * MAX_DIGITS}^{MAX_EXPONENT})",
+             Fraction(1, (10**MAX_DIGITS - 1) ** MAX_EXPONENT)),
+        ],
+        ids=["2^4096", "literal^cap", "1/literal^cap"],
+    )
+    def test_constant_power_at_bit_cap_parses(self, coeff, value):
+        doc = parse_document(f"algebra A : lie {{ gens X; [X, X] = {coeff} X; }}")
+        assert doc.find("algebra", "A").table[0][0] == (MultiPoly.const(value),)
 
     @pytest.mark.parametrize(
         "template, col",

@@ -188,6 +188,14 @@ class TestEvaluate:
         assert step.constant_value() == p.evaluate(values)
 
 
+class TestBitLength:
+    def test_numerators_and_denominator(self):
+        d = MultiPoly.var(D)
+        assert MultiPoly.zero().bit_length() == 1
+        assert (Fraction(-5, 3) * d + 2).bit_length() == 3  # (-5 d + 6) / 3
+        assert (d / 1024).bit_length() == 11
+
+
 def assert_canonical(p: MultiPoly):
     """Every stored coefficient is an int or a non-integral Fraction."""
     for _, coeff in p.terms():
