@@ -268,8 +268,10 @@ def product_eval(
 def _table_at(table: Table, s: MultiPoly) -> list[list[GenElement]]:
     """``table`` with ``l`` set to ``s``: entry ``[i][j]`` is the product of
     the i-th and j-th basis vectors at ``s``, exactly what the kernel returns
-    on those two unit vectors."""
-    return [[GenElement(tuple(c.substitute(L1, s) for c in entry)) for entry in row]
+    on those two unit vectors.  Zero coefficients, most of a sparse table,
+    are kept as they are."""
+    return [[GenElement(tuple(c.substitute(L1, s) if c else c for c in entry))
+             for entry in row]
             for row in table]
 
 

@@ -19,15 +19,18 @@ integer arithmetic: each equation is cleared to an integer form, every
 unknown by its own value's denominator, so no integer outgrows the values
 visited, and each is tested once, on the prefix of the point that assigns
 its last unknown, so a failing prefix prunes every point that extends it.  The point budget still counts every
-point of the grid, |values|^k, pruned or not.  Residual nonlinear systems
+point of the grid, |values|^k, pruned or not, and is checked before any value
+is built: :func:`grid_values` counts the grid without listing it.  Residual nonlinear systems
 are reported as-is; non-existence claims never extend beyond the searched
 grid.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .actions import MatchedPair
 from .deform import (
@@ -60,6 +63,9 @@ class GridCapExceeded(ValueError):
 #: not pruning skips them: 400 times the corpus's largest search, 7^4 = 2401
 #: points.
 MAX_GRID_POINTS = 10**6
+
+#: Most residual unknowns a grid search takes by default.
+MAX_UNKNOWNS = 6
 
 
 @dataclass(frozen=True)
@@ -326,16 +332,91 @@ def linear_eliminate(system: ConstraintSystem) -> EliminationResult:
     )
 
 
-def grid_values(num_bound: int, den_bound: int) -> tuple[Fraction, ...]:
-    """All distinct fractions with numerator in -N..N and denominator 1..Dmax."""
-    if num_bound < 0 or den_bound < 1:
-        raise ValueError("invalid grid bounds")
-    values = {
-        Fraction(p, q)
-        for p in range(-num_bound, num_bound + 1)
-        for q in range(1, den_bound + 1)
-    }
-    return tuple(sorted(values))
+class _Grid(Sequence):
+    """The distinct fractions with numerator in -N..N and denominator 1..Dmax,
+    in increasing order.
+
+    The length is counted without listing the values, so a search checks its
+    point budget before any value is built; the values are listed once, on
+    first access.
+    """
+
+    def __init__(self, num_bound: int, den_bound: int):
+        if num_bound < 0 or den_bound < 1:
+            raise ValueError("invalid grid bounds")
+        self.num_bound, self.den_bound = num_bound, den_bound
+
+    @cached_property
+    def _size(self) -> int:
+        # 0, and +-n/q for the coprime pairs 1 <= n <= N, 1 <= q <= Dmax; by
+        # Moebius inversion there are sum_{k <= min(N, Dmax)} mu(k)
+        # floor(N/k) floor(Dmax/k) of those
+        num, den = self.num_bound, self.den_bound
+        top = min(num, den)
+        if top > MAX_GRID_POINTS // 2:
+            # at least 2 * top + 1 values: more than any search may visit,
+            # and too many to sieve for
+            raise GridCapExceeded(
+                f"a grid of numerators up to {num} and denominators up to {den}"
+                f" has more than {MAX_GRID_POINTS} values"
+            )
+        mu = [1] * (top + 1)
+        prime = [True] * (top + 1)
+        pairs = 0
+        for k in range(1, top + 1):
+            if k > 1 and prime[k]:
+                for j in range(k, top + 1, k):
+                    prime[j] = False
+                    mu[j] = -mu[j]
+                for j in range(k * k, top + 1, k * k):
+                    mu[j] = 0
+            pairs += mu[k] * (num // k) * (den // k)
+        return 1 + 2 * pairs
+
+    @cached_property
+    def _values(self) -> tuple[Fraction, ...]:
+        values = {
+            Fraction(p, q)
+            for p in range(-self.num_bound, self.num_bound + 1)
+            for q in range(1, self.den_bound + 1)
+        }
+        return tuple(sorted(values))
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        return self._values[index]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __contains__(self, value) -> bool:
+        return (
+            isinstance(value, (int, Fraction))
+            and value.denominator <= self.den_bound
+            and abs(value.numerator) <= self.num_bound
+        )
+
+
+def grid_values(num_bound: int, den_bound: int) -> Sequence[Fraction]:
+    """All distinct fractions with numerator in -N..N and denominator 1..Dmax,
+    in increasing order: a sequence that is counted before it is listed."""
+    return _Grid(num_bound, den_bound)
+
+
+def _check_grid(k: int, size: int, cap: int) -> None:
+    """Refuse a search of ``k`` unknowns over ``size`` values past the cap on
+    unknowns or the point budget."""
+    if k > cap:
+        raise GridCapExceeded(
+            f"{k} unknowns exceed the exhaustive-search cap of {cap}"
+        )
+    if size**k > MAX_GRID_POINTS:
+        raise GridCapExceeded(
+            f"{size}^{k} grid points exceed the exhaustive-search budget"
+            f" of {MAX_GRID_POINTS}"
+        )
 
 
 def _integer_form(poly: MultiPoly, place: dict[int, int], powers):
@@ -379,8 +460,8 @@ def _satisfies(stage, point: tuple[int, ...]) -> bool:
 
 def grid_search(
     system: ConstraintSystem,
-    values: tuple[Fraction, ...],
-    cap: int = 6,
+    values: Sequence[Fraction],
+    cap: int = MAX_UNKNOWNS,
 ) -> list[Assignment]:
     """Every assignment of the system's unknowns from ``values`` that solves
     it, in the order of ``itertools.product(values, repeat=k)``.
@@ -393,15 +474,9 @@ def grid_search(
     values' own numerators and denominators.
     """
     k = len(system.unknowns)
-    if k > cap:
-        raise GridCapExceeded(
-            f"{k} unknowns exceed the exhaustive-search cap of {cap}"
-        )
-    if len(values) ** k > MAX_GRID_POINTS:
-        raise GridCapExceeded(
-            f"{len(values)}^{k} grid points exceed the exhaustive-search budget"
-            f" of {MAX_GRID_POINTS}"
-        )
+    # with no unknowns there is one point, (), and no value is counted or listed
+    _check_grid(k, len(values) if k else 0, cap)
+    values = tuple(values) if k else ()
     tables: dict[tuple[int, int], list[int] | None] = {}
 
     def powers(a: int, e: int) -> list[int] | None:
@@ -433,7 +508,7 @@ def search_equivalence_diagonal(
     mp: MatchedPair,
     phi: DeformationMap,
     psi: DeformationMap,
-    values: tuple[Fraction, ...],
+    values: Sequence[Fraction],
 ) -> list[Morphism]:
     """Diagonal module automorphisms of Q with entries from the nonzero
     ``values`` that are morphisms from the algebra deformed by ``phi`` to the
@@ -459,6 +534,9 @@ def search_equivalence_diagonal(
     elimination = linear_eliminate(_compile(residuals, unknowns, basis, basis, basis))
     if elimination.unsatisfiable is not None:
         return []
+    # the budget of the search below, checked before the values are listed
+    nonzero_count = len(values) - (0 in values)
+    _check_grid(len(elimination.system.unknowns), nonzero_count, MAX_UNKNOWNS)
     nonzero = tuple(v for v in values if v != 0)
     index = {v: k for k, v in enumerate(nonzero)}
     found = []

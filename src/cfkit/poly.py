@@ -8,7 +8,11 @@ common denominator kept in lowest terms, the representation of FLINT's
 numerators, so an integral polynomial has denominator ``1``.  Ring operations therefore run on
 ``int`` alone and reduce by one gcd per result; ``Fraction`` appears only
 where a coefficient is handed out, as an ``int`` when it is integral and as a
-``Fraction`` otherwise.
+``Fraction`` otherwise.  Substitution works the same way: each term is
+multiplied out against a power of the replacement's numerators, scaled to
+one common denominator, and accumulated into a single dict of ``int``
+numerators, with no intermediate polynomial (the sparse accumulation of
+Monagan and Pearce, *Sparse polynomial arithmetic*).
 Arithmetic is exact, values are immutable, and all operations are pure
 functions, so polynomials can be shared freely between threads.
 
@@ -259,16 +263,7 @@ class MultiPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return _ZERO
-        out: dict[Monomial, int] = {}
-        for mono_a, ca in self._terms.items():
-            for mono_b, cb in other._terms.items():
-                mono = _mono_mul(mono_a, mono_b)
-                acc = out.get(mono, 0) + ca * cb
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        return _normal(out, self._den * other._den)
+        return _normal(_mul_terms(self._terms, other._terms), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -295,18 +290,28 @@ class MultiPoly:
     # -- substitution ------------------------------------------------------
 
     def substitute(self, var: int, replacement: "MultiPoly | Scalar") -> "MultiPoly":
-        """Ring-homomorphic replacement of every occurrence of ``var``."""
+        """Ring-homomorphic replacement of every occurrence of ``var``.
+
+        One pass over the terms, in integer numerators: with the replacement
+        ``r`` stored as ``R / rden`` and ``top`` the degree of ``var``, a term
+        ``c * rest * var^e`` contributes ``c * rden^(top - e) * rest * R^e``,
+        so every product lands over the one denominator
+        ``self._den * rden^top``, in one dict, reduced once at the end.
+        """
         replacement = _coerce_strict(replacement)
-        if (
+        top = self.degree(var)  # 0 when var does not occur, -1 for zero
+        if top <= 0 or (
             replacement._den == 1 and replacement._terms == {((var, 1),): 1}
-        ) or var not in self.variables():
+        ):
             return self
-        max_exp = self.degree(var)
-        powers = [MultiPoly.const(1)]
-        for _ in range(max_exp):
-            powers.append(powers[-1] * replacement)
-        # the numerators are substituted, then the sum is put over our _den
-        out = _ZERO
+        rterms, rden = replacement._terms, replacement._den
+        # powers[k] holds the numerators of r^k over rden^k, scales[k] rden^k
+        powers = [{(): 1}]
+        scales = [1]
+        for _ in range(top):
+            powers.append(_mul_terms(powers[-1], rterms))
+            scales.append(scales[-1] * rden)
+        out: dict[Monomial, int] = {}
         for mono, coeff in self._terms.items():
             exp = 0
             rest = []
@@ -315,10 +320,16 @@ class MultiPoly:
                     exp = e
                 else:
                     rest.append((v, e))
-            out = out + _raw({tuple(rest): coeff}, 1) * powers[exp]
-        if self._den == 1:
-            return out
-        return _normal(out._terms, out._den * self._den)
+            rest = tuple(rest)
+            coeff *= scales[top - exp]
+            for pmono, pnum in powers[exp].items():
+                mono = _mono_mul(rest, pmono)
+                acc = out.get(mono, 0) + coeff * pnum
+                if acc:
+                    out[mono] = acc
+                else:
+                    del out[mono]
+        return _normal(out, self._den * scales[top])
 
     def eval_at(self, var: int, value: Scalar) -> "MultiPoly":
         """Substitute the constant ``value`` for ``var``."""
@@ -444,15 +455,48 @@ def _coerce_strict(value) -> MultiPoly:
     return poly
 
 
+def _mul_terms(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The nonzero numerators of the product of two numerator maps."""
+    out: dict[Monomial, int] = {}
+    for mono_a, ca in a.items():
+        for mono_b, cb in b.items():
+            mono = _mono_mul(mono_a, mono_b)
+            acc = out.get(mono, 0) + ca * cb
+            if acc:
+                out[mono] = acc
+            else:
+                del out[mono]
+    return out
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials, by merging their sorted variables."""
     if not a:
         return b
     if not b:
         return a
-    exps: dict[int, int] = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+    # disjoint, one wholly before the other: the common d/l/m times u case
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif vb < va:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def _ordered(terms: dict[Monomial, Scalar]) -> list[tuple[Monomial, Scalar]]:

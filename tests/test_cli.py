@@ -274,6 +274,46 @@ class TestSolveCap:
         report = json.loads(Path("r.json").read_text())
         assert report["solutions"] == [{"u0": "-1/2"}, {"u0": "1/2"}]
 
+    def test_grid_budget_is_checked_before_any_value_is_built(self, workdir):
+        # 10 944 751 values: the old grid built about 18 M Fractions first
+        Path("sys.json").write_text(
+            json.dumps({"unknowns": ["u0"], "equations": [_equation("u0^2 - 1")]})
+        )
+        Path("t.cfk").write_text(
+            VIR
+            + "algebra Q : lie { gens Q0; }\n"
+            + "matched P : lie { R = Vir; Q = Q; }\n"
+            + "defmap z on P { }\n"
+        )
+        grid = ["--grid-num", "3000", "--grid-den", "3000"]
+        equiv = ["equiv", "t.cfk", "--pair", "P", "--phi", "z", "--psi", "z"]
+        for argv, size in [(["solve", "sys.json"], 10944751), (equiv, 10944750)]:
+            started = time.monotonic()
+            assert run(argv + grid + ["--json", "r.json"]) == 3
+            assert time.monotonic() - started < 1.0
+            report = json.loads(Path("r.json").read_text())
+            assert report["error"] == (
+                f"{size}^1 grid points exceed the exhaustive-search budget of 1000000"
+            )
+
+    def test_grid_past_counting_exits_3(self, workdir):
+        Path("sys.json").write_text(json.dumps({"unknowns": ["u0"], "equations": []}))
+        grid = ["--grid-num", "10" * 20, "--grid-den", "10" * 20]
+        started = time.monotonic()
+        assert run(["solve", "sys.json", *grid, "--json", "r.json"]) == 3
+        assert time.monotonic() - started < 1.0
+        assert json.loads(Path("r.json").read_text())["error"].endswith(
+            "has more than 1000000 values"
+        )
+
+    def test_no_unknowns_lists_no_value(self, workdir):
+        Path("sys.json").write_text(json.dumps({"unknowns": [], "equations": []}))
+        grid = ["--grid-num", "10" * 20, "--grid-den", "10" * 20]
+        started = time.monotonic()
+        assert run(["solve", "sys.json", *grid, "--json", "r.json"]) == 0
+        assert time.monotonic() - started < 1.0
+        assert json.loads(Path("r.json").read_text())["solutions"] == [{}]
+
     def test_equiv_past_the_cap_exits_3_before_searching(self, workdir, monkeypatch):
         # zero maps on an abelian Q of rank 7: no equations, 7 residual unknowns
         gens = ", ".join(f"Q{k}" for k in range(7))

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -227,6 +228,25 @@ class TestGrid:
         values = grid_values(2, 2)
         assert [str(v) for v in values] == ["-2", "-1", "-1/2", "0", "1/2", "1", "2"]
         assert len(values) == 7
+
+    def test_count_matches_listing(self):
+        # 1 + 2 * sum_{k <= min(N, D)} mu(k) floor(N/k) floor(D/k), and 1 for N = 0
+        rng = random.Random(7)
+        bounds = [(n, q) for n in range(9) for q in range(1, 9)]
+        bounds += [(rng.randint(0, 80), rng.randint(1, 80)) for _ in range(100)]
+        for num, den in bounds:
+            reduced = {
+                (p // gcd(p, q), q // gcd(p, q))
+                for p in range(-num, num + 1)
+                for q in range(1, den + 1)
+            }
+            assert len(grid_values(num, den)) == len(reduced), (num, den)
+        for num, den in bounds[:: len(bounds) // 12]:
+            values = grid_values(num, den)
+            listed = {Fraction(p, q) for p in range(-num, num + 1) for q in range(1, den + 1)}
+            assert list(values) == sorted(listed)
+            assert all(v in values for v in listed)
+            assert Fraction(num + 1, 1) not in values and Fraction(1, den + 1) not in values
 
     def test_search_on_empty_system_lists_all_values(self):
         sys_ = system([unknown(0)], [])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfkit.poly import D, L1, L2, MultiPoly, scalar_text, unknown, var_name
+from cfkit.poly import D, L1, L2, MultiPoly, _mono_mul, scalar_text, unknown, var_name
 from cfkit.structure import hermite_normal_form, poly_deg, poly_divmod
 
 d = MultiPoly.var(D)
@@ -407,3 +407,95 @@ class TestAgainstFractionReference:
     def test_evaluate(self, a, values):
         assignment = dict(zip((D, L1, L2), map(Fraction, values)))
         assert MultiPoly(a).evaluate(assignment) == ref_evaluate(ref(a), assignment)
+
+
+# -- one-pass substitution against the power-list form -----------------------
+
+U = tuple(unknown(k) for k in range(4))
+EVERY_VARIABLE = (D, L1, L2, *U)
+
+
+def reference_substitute(p: MultiPoly, var: int, replacement) -> MultiPoly:
+    """The power-list substitution ``MultiPoly.substitute`` made before its
+    one-pass form: the powers of the replacement as polynomials, then one
+    product and one sum per term, over the numerators, divided by ``p``'s
+    denominator at the end."""
+    if not isinstance(replacement, MultiPoly):
+        replacement = MultiPoly.const(replacement)
+    if replacement == MultiPoly.var(var) or var not in p.variables():
+        return p
+    powers = [MultiPoly.const(1)]
+    for _ in range(p.degree(var)):
+        powers.append(powers[-1] * replacement)
+    out = MultiPoly.zero()
+    for mono, num in p._terms.items():
+        rest = tuple((v, e) for v, e in mono if v != var)
+        out = out + MultiPoly({rest: num}) * powers[dict(mono).get(var, 0)]
+    return out / p._den
+
+
+def replacements(var: int):
+    """Polynomials over every variable, ``var`` itself included (as in
+    ``d -> d + l``), the zero polynomial and rational constants."""
+    return st.one_of(
+        term_maps(EVERY_VARIABLE, mixed_scalars).map(MultiPoly),
+        term_maps(EVERY_VARIABLE, mixed_scalars).map(
+            lambda t: MultiPoly(t) + MultiPoly.var(var)
+        ),
+        st.just(MultiPoly.zero()),
+        mixed_scalars,
+    )
+
+
+@st.composite
+def substitutions(draw):
+    var = draw(st.sampled_from(EVERY_VARIABLE))
+    return draw(term_maps(EVERY_VARIABLE, mixed_scalars)), var, draw(replacements(var))
+
+
+def reference_mono_mul(a, b):
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+monomials = st.dictionaries(
+    st.sampled_from(EVERY_VARIABLE), st.integers(1, 4), max_size=4
+).map(lambda exps: tuple(sorted(exps.items())))
+
+
+class TestOnePassSubstitution:
+    @given(case=substitutions())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_power_list(self, case):
+        terms, var, replacement = case
+        p = MultiPoly(terms)
+        got = p.substitute(var, replacement)
+        assert got == reference_substitute(p, var, replacement)
+        assert_stored_canonical(got)
+
+    @given(
+        terms=term_maps(EVERY_VARIABLE, mixed_scalars),
+        var=st.sampled_from(EVERY_VARIABLE),
+        value=st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_eval_at_a_fraction(self, terms, var, value):
+        p = MultiPoly(terms)
+        assert p.eval_at(var, value) == reference_substitute(p, var, value)
+
+    def test_cases_by_hand(self):
+        p = Fraction(3, 7) * d**2 * l - Fraction(1, 2) * d + MultiPoly.var(U[2], 2)
+        assert p.eval_at(L1, Fraction(3, 7)) == reference_substitute(p, L1, Fraction(3, 7))
+        assert p.substitute(D, d + l) == reference_substitute(p, D, d + l)
+        assert p.substitute(D, MultiPoly.zero()) == MultiPoly.var(U[2], 2)
+        assert p.substitute(U[2], d / 3) == reference_substitute(p, U[2], d / 3)
+        assert p.substitute(L2, d + l) is p  # m does not occur
+        assert MultiPoly.zero().substitute(D, d / 3) is MultiPoly.zero()
+
+    @given(a=monomials, b=monomials)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_monomial_merge(self, a, b):
+        assert _mono_mul(a, b) == reference_mono_mul(a, b)
+        assert _mono_mul(b, a) == reference_mono_mul(a, b)
