@@ -352,14 +352,16 @@ class _Grid(Sequence):
         # Moebius inversion there are sum_{k <= min(N, Dmax)} mu(k)
         # floor(N/k) floor(Dmax/k) of those
         num, den = self.num_bound, self.den_bound
-        top = min(num, den)
-        if top > MAX_GRID_POINTS // 2:
-            # at least 2 * top + 1 values: more than any search may visit,
-            # and too many to sieve for
+        if num and num + den - 1 > MAX_GRID_POINTS // 2:
+            # +-n/1 and +-1/q alone give 1 + 2 (N + Dmax - 1) values: more
+            # than any search may visit.  Past this check min(N, Dmax) is at
+            # most MAX_GRID_POINTS / 4, so the sieve stays small and the
+            # count fits an index
             raise GridCapExceeded(
                 f"a grid of numerators up to {num} and denominators up to {den}"
                 f" has more than {MAX_GRID_POINTS} values"
             )
+        top = min(num, den)
         mu = [1] * (top + 1)
         prime = [True] * (top + 1)
         pairs = 0
@@ -375,6 +377,9 @@ class _Grid(Sequence):
 
     @cached_property
     def _values(self) -> tuple[Fraction, ...]:
+        if not self.num_bound:
+            # 0 alone, whatever the denominator bound
+            return (Fraction(0),)
         values = {
             Fraction(p, q)
             for p in range(-self.num_bound, self.num_bound + 1)

@@ -471,15 +471,6 @@ def _mul_terms(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial,
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """The product of two monomials, by merging their sorted variables."""
-    if not a:
-        return b
-    if not b:
-        return a
-    # disjoint, one wholly before the other: the common d/l/m times u case
-    if a[-1][0] < b[0][0]:
-        return a + b
-    if b[-1][0] < a[0][0]:
-        return b + a
     out = []
     i = j = 0
     na, nb = len(a), len(b)

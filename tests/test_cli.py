@@ -296,15 +296,42 @@ class TestSolveCap:
                 f"{size}^1 grid points exceed the exhaustive-search budget of 1000000"
             )
 
-    def test_grid_past_counting_exits_3(self, workdir):
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            ("10" * 20, "10" * 20),
+            # one bound small: the exact count would pass sys.maxsize
+            ("1" + "0" * 19, "1"),
+            ("1", "1" + "0" * 19),
+            ("1" + "0" * 14, "100000"),
+            ("100000", "1" + "0" * 14),
+        ],
+    )
+    def test_grid_past_counting_exits_3(self, workdir, num, den):
         Path("sys.json").write_text(json.dumps({"unknowns": ["u0"], "equations": []}))
-        grid = ["--grid-num", "10" * 20, "--grid-den", "10" * 20]
-        started = time.monotonic()
-        assert run(["solve", "sys.json", *grid, "--json", "r.json"]) == 3
-        assert time.monotonic() - started < 1.0
-        assert json.loads(Path("r.json").read_text())["error"].endswith(
-            "has more than 1000000 values"
+        Path("t.cfk").write_text(
+            VIR
+            + "algebra Q : lie { gens Q0; }\n"
+            + "matched P : lie { R = Vir; Q = Q; }\n"
+            + "defmap z on P { }\n"
         )
+        grid = ["--grid-num", num, "--grid-den", den]
+        equiv = ["equiv", "t.cfk", "--pair", "P", "--phi", "z", "--psi", "z"]
+        for argv in (["solve", "sys.json"], equiv):
+            started = time.monotonic()
+            assert run(argv + grid + ["--json", "r.json"]) == 3
+            assert time.monotonic() - started < 1.0
+            assert json.loads(Path("r.json").read_text())["error"].endswith(
+                "has more than 1000000 values"
+            )
+
+    def test_zero_numerator_bound_lists_zero_alone(self, workdir):
+        Path("sys.json").write_text(json.dumps({"unknowns": ["u0"], "equations": []}))
+        grid = ["--grid-num", "0", "--grid-den", "1" + "0" * 19]
+        started = time.monotonic()
+        assert run(["solve", "sys.json", *grid, "--json", "r.json"]) == 0
+        assert time.monotonic() - started < 1.0
+        assert json.loads(Path("r.json").read_text())["solutions"] == [{"u0": "0"}]
 
     def test_no_unknowns_lists_no_value(self, workdir):
         Path("sys.json").write_text(json.dumps({"unknowns": [], "equations": []}))
