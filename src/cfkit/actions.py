@@ -264,10 +264,10 @@ def check_b1_b2_direct(mp: MatchedPair) -> CheckReport:
     jacobi = {v.indices: v.residual.coords
               for v in mp.axioms.violations if v.identity == "jacobi:jacobi"}
     zero = (MultiPoly.zero(),) * (nr + nq)
-    return CheckReport(_violations(
-        "cross-left", mp.R.basis, product(range(nq), range(nr), range(nr)),
-        lambda x, a, b: GenElement(jacobi.get((a, b, nr + x), zero)[:nr]),
-    ) + _violations(
-        "cross-right", mp.Q.basis, product(range(nq), range(nq), range(nr)),
-        lambda x, y, a: -GenElement(jacobi.get((a, nr + x, nr + y), zero)[nr:]),
-    ))
+    return CheckReport(_violations("cross-left", mp.R.basis, (
+        (x, a, b, GenElement(jacobi.get((a, b, nr + x), zero)[:nr]))
+        for x, a, b in product(range(nq), range(nr), range(nr))
+    )) + _violations("cross-right", mp.Q.basis, (
+        (x, y, a, -GenElement(jacobi.get((a, nr + x, nr + y), zero)[nr:]))
+        for x, y, a in product(range(nq), range(nq), range(nr))
+    )))

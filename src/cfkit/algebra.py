@@ -29,18 +29,6 @@ _PLM = _PL1 + _PL2
 
 Table = tuple[tuple[tuple[MultiPoly, ...], ...], ...]
 
-#: Largest (d, l)-degree a table coefficient may have for the CLI to check
-#: it.  Every check multiplies entries through the kernel, and its cost
-#: climbs steeply with their degree: a rank-one Lie table with one entry of
-#: degree 16 takes about 1 s to check and one of degree 24 about 5 s
-#: (Python 3.11, 2-core x86 host).  See :func:`require_degree_budget`.
-MAX_ENTRY_DEGREE = 16
-
-
-class DegreeCapExceeded(ValueError):
-    """A table coefficient's (d, l)-degree is above :data:`MAX_ENTRY_DEGREE`."""
-
-
 @dataclass(frozen=True)
 class GenElement:
     """Element of a free module, as a coordinate vector of polynomials."""
@@ -177,21 +165,6 @@ def _check_table(table: Table, shape: tuple[int, int, int], what: str) -> None:
                     raise ValueError(f"{what} entry {coeff} uses variables other than d, l")
 
 
-def require_degree_budget(table: Table, entry_name) -> None:
-    """Raise :class:`DegreeCapExceeded` at the first entry of ``table`` with a
-    coefficient of (d, l)-degree above :data:`MAX_ENTRY_DEGREE`, which
-    ``entry_name(i, j)`` names.  Only degrees are read; nothing is multiplied.
-    """
-    for i, row in enumerate(table):
-        for j, entry in enumerate(row):
-            degree = max((coeff.degree() for coeff in entry), default=-1)
-            if degree > MAX_ENTRY_DEGREE:
-                raise DegreeCapExceeded(
-                    f"{entry_name(i, j)} has (d, l)-degree {degree},"
-                    f" over the budget of {MAX_ENTRY_DEGREE}"
-                )
-
-
 def _table(shape: tuple[int, int, int], entries: dict | None = None) -> Table:
     """A table of ``shape`` holding ``entries[i, j]`` where given, else zero."""
     rows, cols, width = shape
@@ -275,21 +248,13 @@ def _table_at(table: Table, s: MultiPoly) -> list[list[GenElement]]:
             for row in table]
 
 
-def _violations(identity: str, names, indices, residual) -> tuple[Violation, ...]:
-    """The nonzero ``residual(*index)`` over ``indices``, in their order."""
-    found = []
-    for index in indices:
-        value = residual(*index)
-        if not value.is_zero:
-            found.append(Violation(identity, index, value, names))
-    return tuple(found)
-
-
-def _skew_violations(algebra: ConformalAlgebra, at_l) -> tuple[Violation, ...]:
-    at_neg = _table_at(algebra.table, -_PL1 - _PD)
-    return _violations(
-        "skew-symmetry", algebra.basis, product(range(algebra.rank), repeat=2),
-        lambda i, j: at_l[i][j] + at_neg[j][i],
+def _violations(identity: str, names, rows) -> tuple[Violation, ...]:
+    """One violation per row ``(*indices, residual)`` whose residual is
+    nonzero, in the order of ``rows``: every check reports through this."""
+    return tuple(
+        Violation(identity, tuple(indices), residual, names)
+        for *indices, residual in rows
+        if not residual.is_zero
     )
 
 
@@ -336,7 +301,9 @@ def _jacobi_violations(algebra: ConformalAlgebra, at_l, skew_holds: bool):
             if not jacobiator(*rep).is_zero
             for perm in permutations(rep)
         })
-    return _violations("jacobi", algebra.basis, triples, jacobiator)
+    return _violations(
+        "jacobi", algebra.basis, ((*t, jacobiator(*t)) for t in triples)
+    )
 
 
 def check_associativity(algebra: ConformalAlgebra) -> CheckReport:
@@ -345,11 +312,11 @@ def check_associativity(algebra: ConformalAlgebra) -> CheckReport:
     basis = [algebra.basis_element(i) for i in range(algebra.rank)]
     at_l = _table_at(algebra.table, _PL1)
     at_m = _table_at(algebra.table, _PL2)
-    return CheckReport(_violations(
-        "associativity", algebra.basis, product(range(algebra.rank), repeat=3),
-        lambda i, j, k: product_eval(algebra, at_l[i][j], basis[k], _PLM)
-        - product_eval(algebra, basis[i], at_m[j][k], _PL1),
-    ))
+    return CheckReport(_violations("associativity", algebra.basis, (
+        (i, j, k, product_eval(algebra, at_l[i][j], basis[k], _PLM)
+         - product_eval(algebra, basis[i], at_m[j][k], _PL1))
+        for i, j, k in product(range(algebra.rank), repeat=3)
+    )))
 
 
 def check_axioms(algebra: ConformalAlgebra) -> CheckReport:
@@ -359,7 +326,11 @@ def check_axioms(algebra: ConformalAlgebra) -> CheckReport:
     """
     if algebra.kind == LIE:
         at_l = _table_at(algebra.table, _PL1)
-        skew = _skew_violations(algebra, at_l)
+        at_neg = _table_at(algebra.table, -_PL1 - _PD)
+        skew = _violations("skew-symmetry", algebra.basis, (
+            (i, j, at_l[i][j] + at_neg[j][i])
+            for i, j in product(range(algebra.rank), repeat=2)
+        ))
         jacobi = _jacobi_violations(algebra, at_l, skew_holds=not skew)
         return merge_reports([("skew", CheckReport(skew)), ("jacobi", CheckReport(jacobi))])
     return merge_reports([("assoc", check_associativity(algebra))])

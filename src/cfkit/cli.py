@@ -9,10 +9,10 @@ Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
 (parse or reference errors, an exponent, a power's or product's degree or
 a numeric literal over the parser's caps, a ``--param`` value with an exponent or more digits than the
 literal cap, a ``--param`` name the document never uses, or an integer
-option below its least value), 3 a resource cap was exceeded (a table
-coefficient over the (d, l)-degree budget, the grid-search unknown cap or
-point budget in ``solve`` and ``equiv``, or the derived-series depth in
-``structure``).
+option below its least value, or a file that is not UTF-8), 3 a resource cap
+was exceeded (a table coefficient over the (d, l)-degree budget, the
+grid-search unknown cap, point budget or power-table budget in ``solve`` and
+``equiv``, or the derived-series depth in ``structure``).
 Reports are byte-identical across runs for identical inputs, except for the
 ``timings`` field, which golden comparisons drop.
 """
@@ -31,10 +31,7 @@ from . import constraints as cons
 from . import deform as dfm
 from . import structure as struct
 from .actions import check_b1_b2_direct, check_matched_pair
-from .algebra import (
-    CheckReport, DegreeCapExceeded, LIE, check_axioms, element_text,
-    require_degree_budget,
-)
+from .algebra import CheckReport, LIE, check_axioms, element_text
 from .dsl import (
     MAX_DIGITS, Document, Item, ParseError, item_tables, serialize, try_parse,
 )
@@ -47,9 +44,20 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
+#: Largest (d, l)-degree a table coefficient may have for the CLI to check
+#: it.  Every check multiplies entries through the kernel, and its cost
+#: climbs steeply with their degree: a rank-one Lie table with one entry of
+#: degree 16 takes about 1 s to check and one of degree 24 about 5 s
+#: (Python 3.11, 2-core x86 host).
+MAX_ENTRY_DEGREE = 16
+
 
 class _InputError(Exception):
     pass
+
+
+class DegreeCapExceeded(ValueError):
+    """A table coefficient's (d, l)-degree is above :data:`MAX_ENTRY_DEGREE`."""
 
 
 def _parse_params(pairs: list[str]) -> dict[str, Fraction]:
@@ -82,7 +90,7 @@ def _load(args, report: dict) -> Document:
     params = _parse_params(args.param)
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {args.file}: {exc}")
     document, diagnostics = try_parse(text, params)
     if document is None:
@@ -99,13 +107,19 @@ def _load(args, report: dict) -> Document:
 
 def _require_degree_budget(document: Document) -> None:
     """Refuse a table coefficient over the (d, l)-degree budget, naming its
-    declaration and entry, before any check multiplies table entries."""
+    declaration and entry, before any check multiplies table entries.  Only
+    degrees are read; nothing is multiplied."""
     for item in document.items:
         for table, spell, left, right, _ in item_tables(item):
-            require_degree_budget(
-                table,
-                lambda i, j: f"{item.kind} {item.name}: {spell.format(left[i], right[j])}",
-            )
+            for i, row in enumerate(table):
+                for j, entry in enumerate(row):
+                    degree = max((coeff.degree() for coeff in entry), default=-1)
+                    if degree > MAX_ENTRY_DEGREE:
+                        raise DegreeCapExceeded(
+                            f"{item.kind} {item.name}: {spell.format(left[i], right[j])}"
+                            f" has (d, l)-degree {degree},"
+                            f" over the budget of {MAX_ENTRY_DEGREE}"
+                        )
 
 
 def _find(document: Document, kind: str, name: str):
@@ -158,6 +172,15 @@ def _item_checks(kind: str, name: str, value):
         )
     else:
         raise _InputError(f"{name!r} is not checkable")
+
+
+def _elimination(result: cons.EliminationResult) -> dict:
+    """The elimination fields that ``constraints`` and ``solve`` both report."""
+    return {
+        "assignment": cons.assignment_text(result.assignment),
+        "residual_unknowns": list(result.system.unknown_names()),
+        "unsatisfiable": result.unsatisfiable is not None,
+    }
 
 
 def _output(args, report: dict, document: Document, name: str, algebra) -> None:
@@ -218,14 +241,12 @@ def cmd_constraints(args, report: dict) -> None:
     report["system"] = system_json
     elimination = cons.linear_eliminate(system)
     report["elimination"] = {
-        "assignment": cons.assignment_text(elimination.assignment),
+        **_elimination(elimination),
         "records": [
             {"unknown": cons.var_name(rec.var), "replacement": str(rec.replacement)}
             for rec in elimination.records
         ],
-        "residual_unknowns": list(elimination.system.unknown_names()),
         "residual_equations": [str(eq.poly) for eq in elimination.system.equations],
-        "unsatisfiable": elimination.unsatisfiable is not None,
     }
     if args.out:
         Path(args.out).write_text(
@@ -237,7 +258,7 @@ def cmd_constraints(args, report: dict) -> None:
 def cmd_solve(args, report: dict) -> None:
     try:
         data = json.loads(Path(args.system).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _InputError(f"cannot read system {args.system}: {exc}")
     if isinstance(data, dict) and "system" in data:
         data = data["system"]
@@ -250,11 +271,7 @@ def cmd_solve(args, report: dict) -> None:
     values = cons.grid_values(args.grid_num, args.grid_den)
     partials = cons.grid_search(elimination.system, values, cap=args.cap)
     solutions = [cons.assignment_text(elimination.extend(p)) for p in partials]
-    report["elimination"] = {
-        "assignment": cons.assignment_text(elimination.assignment),
-        "residual_unknowns": list(elimination.system.unknown_names()),
-        "unsatisfiable": elimination.unsatisfiable is not None,
-    }
+    report["elimination"] = _elimination(elimination)
     report["solutions"] = solutions
     report["grid"] = {"num": args.grid_num, "den": args.grid_den}
     print(f"solve: {len(solutions)} solutions")

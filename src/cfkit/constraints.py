@@ -14,13 +14,15 @@ automorphism between two deformed algebras, which is how
 Solving is deliberately modest: repeated elimination through equations that
 are degree one in some unknown with a constant leading coefficient, then an
 exhaustive search of a finite rational grid, capped in the number of
-residual unknowns and in the number of grid points.  The search is exact
+residual unknowns, in the number of grid points and in the cells of the
+power tables its integer forms read.  The search is exact
 integer arithmetic: each equation is cleared to an integer form, every
 unknown by its own value's denominator, so no integer outgrows the values
 visited, and each is tested once, on the prefix of the point that assigns
 its last unknown, so a failing prefix prunes every point that extends it.  The point budget still counts every
 point of the grid, |values|^k, pruned or not, and is checked before any value
-is built: :func:`grid_values` counts the grid without listing it.  Residual nonlinear systems
+is built: :func:`grid_values` counts the grid without listing it.  So is the
+table budget, which the equations' exponents alone determine.  Residual nonlinear systems
 are reported as-is; non-existence claims never extend beyond the searched
 grid.
 """
@@ -28,9 +30,10 @@ grid.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .actions import MatchedPair
 from .deform import (
@@ -67,6 +70,12 @@ MAX_GRID_POINTS = 10**6
 #: Most residual unknowns a grid search takes by default.
 MAX_UNKNOWNS = 6
 
+#: Most power-table cells one search may build, each weighted by its
+#: exponent e, since a cell n^a q^(e - a) has about e times the bits of a
+#: value.  Every quadratic system stays inside it at the full point budget:
+#: its tables have the shapes 0 <= a <= e <= 2, e >= 1, of total weight 8.
+MAX_TABLE_CELLS = 8 * MAX_GRID_POINTS
+
 
 @dataclass(frozen=True)
 class AnsatzSpec:
@@ -99,19 +108,18 @@ class AnsatzSpec:
         return tuple(unknown(k) for k in range(count))
 
     def symbolic_matrix(self) -> Matrix:
-        rows = []
-        for j in range(self.q_rank):
-            row = []
-            for i in range(self.r_rank):
-                off = self._offset(j, i)
-                entry = MultiPoly.zero()
-                for t in range(self.degree + 1):
-                    entry = entry + MultiPoly.var(unknown(off + t)) * MultiPoly.var(
-                        D, t
-                    )
-                row.append(entry)
-            rows.append(tuple(row))
-        return tuple(rows)
+        """The candidate map: entry ``(j, i)`` is the sum of its unknowns
+        times ``d^0``, ``d^1``, ... in turn."""
+        return tuple(
+            tuple(
+                MultiPoly({
+                    (((D, t),) if t else ()) + ((unknown(self._offset(j, i) + t), 1),): 1
+                    for t in range(self.degree + 1)
+                })
+                for i in range(self.r_rank)
+            )
+            for j in range(self.q_rank)
+        )
 
     def coefficients_of(self, dm: DeformationMap) -> Assignment:
         """Read a concrete map's entries off as an assignment of the unknowns."""
@@ -377,15 +385,18 @@ class _Grid(Sequence):
 
     @cached_property
     def _values(self) -> tuple[Fraction, ...]:
-        if not self.num_bound:
-            # 0 alone, whatever the denominator bound
-            return (Fraction(0),)
-        values = {
-            Fraction(p, q)
-            for p in range(-self.num_bound, self.num_bound + 1)
+        # two distinct values whose denominators are at most Dmax differ by at
+        # least 1/Dmax^2 > 2^-shift, so floor(p/q * 2^shift) orders the
+        # positive values exactly, in integers
+        shift = 2 * self.den_bound.bit_length()
+        keyed = sorted(
+            ((p << shift) // q, p, q)
+            for p in range(1, self.num_bound + 1)
             for q in range(1, self.den_bound + 1)
-        }
-        return tuple(sorted(values))
+            if gcd(p, q) == 1
+        )
+        positive = [Fraction(p, q) for _, p, q in keyed]
+        return (*[-v for v in reversed(positive)], Fraction(0), *positive)
 
     def __len__(self) -> int:
         return self._size
@@ -424,7 +435,7 @@ def _check_grid(k: int, size: int, cap: int) -> None:
         )
 
 
-def _integer_form(poly: MultiPoly, place: dict[int, int], powers):
+def _integer_form(poly: MultiPoly, place: dict[int, int]):
     """``poly`` as ``(coefficient, factors)`` terms whose sum is zero at a
     grid point exactly when ``poly`` vanishes there.
 
@@ -432,10 +443,9 @@ def _integer_form(poly: MultiPoly, place: dict[int, int], powers):
     degree e in ``poly``, a term holding it to power a is scaled by
     q^(e - a) at v = n/q, so the sum is ``poly``'s numerator sum times the
     positive product of every q^e.  ``factors`` pairs the unknown's position
-    in the point with the table ``powers(a, e)`` of n^a q^(e - a) over the
-    value indices, or ``None`` for an all-ones table, which is left out.
-    Also returns the stage of ``poly``: one past the last position of its
-    unknowns, 0 if it has none.
+    in the point with the shape ``(a, e)`` of the table of n^a q^(e - a)
+    over the value indices.  Also returns the stage of ``poly``: one past
+    the last position of its unknowns, 0 if it has none.
     """
     tops: dict[int, int] = {}
     for mono in poly._terms:
@@ -444,8 +454,7 @@ def _integer_form(poly: MultiPoly, place: dict[int, int], powers):
     form = []
     for mono, num in poly._terms.items():
         held = dict(mono)
-        factors = [(place[v], powers(held.get(v, 0), e)) for v, e in tops.items()]
-        form.append((num, tuple((p, table) for p, table in factors if table)))
+        form.append((num, tuple((place[v], (held.get(v, 0), e)) for v, e in tops.items())))
     return form, max((place[v] + 1 for v in tops), default=0)
 
 
@@ -480,23 +489,31 @@ def grid_search(
     """
     k = len(system.unknowns)
     # with no unknowns there is one point, (), and no value is counted or listed
-    _check_grid(k, len(values) if k else 0, cap)
-    values = tuple(values) if k else ()
-    tables: dict[tuple[int, int], list[int] | None] = {}
-
-    def powers(a: int, e: int) -> list[int] | None:
-        if (a, e) not in tables:
-            table = [v.numerator**a * v.denominator ** (e - a) for v in values]
-            tables[a, e] = None if all(x == 1 for x in table) else table
-        return tables[a, e]
-
+    size = len(values) if k else 0
+    _check_grid(k, size, cap)
     place = {var: p for p, var in enumerate(system.unknowns)}
+    forms = [_integer_form(eq.poly, place) for eq in system.equations]
+    shapes = {shape for form, _ in forms for _, factors in form for _, shape in factors}
+    weight = sum(e for _, e in shapes)
+    if size * weight > MAX_TABLE_CELLS:
+        raise GridCapExceeded(
+            f"{size}*{weight} power-table cells exceed the exhaustive-search"
+            f" budget of {MAX_TABLE_CELLS}"
+        )
+    values = tuple(values) if k else ()
+    tables = {}
+    for a, e in shapes:
+        table = [v.numerator**a * v.denominator ** (e - a) for v in values]
+        # an all-ones table is left out of the forms
+        tables[a, e] = None if all(x == 1 for x in table) else table
     # stage s holds the equations whose last unknown is the s-th; stage 0 the
     # constant ones
     stages: list[list] = [[] for _ in range(k + 1)]
-    for eq in system.equations:
-        form, stage = _integer_form(eq.poly, place, powers)
-        stages[stage].append(form)
+    for form, stage in forms:
+        stages[stage].append([
+            (num, tuple((p, tables[shape]) for p, shape in factors if tables[shape]))
+            for num, factors in form
+        ])
     points = [()] if _satisfies(stages[0], ()) else []
     indices = range(len(values))
     for stage in stages[1:]:
@@ -562,15 +579,7 @@ def system_to_json(system: ConstraintSystem) -> dict:
     return {
         "unknowns": list(system.unknown_names()),
         "equations": [
-            {
-                "poly": str(eq.poly),
-                "provenance": {
-                    "left": eq.provenance.left,
-                    "right": eq.provenance.right,
-                    "coord": eq.provenance.coord,
-                    "monomial": eq.provenance.monomial,
-                },
-            }
+            {"poly": str(eq.poly), "provenance": asdict(eq.provenance)}
             for eq in system.equations
         ],
     }

@@ -17,7 +17,6 @@ import os
 import shlex
 import shutil
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import cli
@@ -47,37 +46,9 @@ def fixture_lines(name: str) -> list[list[str]]:
     return lines
 
 
-@dataclass
-class FixtureResult:
-    name: str
-    reports: list[dict]
-    diffs: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.diffs
-
-
-@dataclass
-class CorpusSummary:
-    results: list[FixtureResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def describe(self) -> str:
-        lines = []
-        for r in self.results:
-            lines.append(f"{r.name}: {'pass' if r.passed else 'FAIL'}")
-            lines.extend(f"  {d}" for d in r.diffs)
-        return "\n".join(lines)
-
-
 def _run_line(workdir: Path, argv: list[str]) -> dict:
     report_path = workdir / "report.json"
-    if report_path.exists():
-        report_path.unlink()
+    report_path.unlink(missing_ok=True)
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -91,53 +62,25 @@ def _run_line(workdir: Path, argv: list[str]) -> dict:
     return {"args": argv, "exit": code, "report": report}
 
 
-def run_fixture(name: str, regen: bool = False) -> FixtureResult:
-    directory = fixture_dir(name)
-    collected = []
+def run_fixture(name: str) -> list[dict]:
+    """The reports of ``name``'s invocations, run in a scratch directory."""
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        shutil.copy(directory / "input.cfk", workdir / "input.cfk")
-        for argv in fixture_lines(name):
-            collected.append(_run_line(workdir, argv))
-    expected_path = directory / "expected.json"
-    notes = []
-    if expected_path.exists():
-        notes = json.loads(expected_path.read_text()).get("notes", [])
-    if regen:
-        payload = {"notes": notes, "reports": collected}
-        expected_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        return FixtureResult(name, collected)
-    result = FixtureResult(name, collected)
-    if not expected_path.exists():
-        result.diffs.append("expected.json is missing (run --regen)")
-        return result
-    golden = json.loads(expected_path.read_text())["reports"]
-    if len(golden) != len(collected):
-        result.diffs.append(
-            f"command count changed: golden {len(golden)}, got {len(collected)}"
-        )
-        return result
-    for i, (want, got) in enumerate(zip(golden, collected)):
-        if want != got:
-            result.diffs.append(f"command {i} ({' '.join(got['args'])}) differs")
-    return result
+        shutil.copy(fixture_dir(name) / "input.cfk", workdir / "input.cfk")
+        return [_run_line(workdir, argv) for argv in fixture_lines(name)]
+
+
+def _golden(name: str) -> dict:
+    path = fixture_dir(name) / "expected.json"
+    return json.loads(path.read_text()) if path.exists() else {"reports": []}
 
 
 def fixture_notes(name: str) -> list[str]:
-    data = json.loads((fixture_dir(name) / "expected.json").read_text())
-    return data.get("notes", [])
+    return _golden(name).get("notes", [])
 
 
 def fixture_reports(name: str) -> list[dict]:
-    data = json.loads((fixture_dir(name) / "expected.json").read_text())
-    return data["reports"]
-
-
-def run_corpus(names: list[str] | None = None, regen: bool = False) -> CorpusSummary:
-    results = [run_fixture(name, regen=regen) for name in (names or fixture_names())]
-    return CorpusSummary(results)
+    return _golden(name)["reports"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -145,6 +88,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("names", nargs="*", help="fixtures to run (default: all)")
     parser.add_argument("--regen", action="store_true", help="rewrite the goldens")
     args = parser.parse_args(argv)
-    summary = run_corpus(args.names or None, regen=args.regen)
-    print(summary.describe())
-    return 0 if summary.passed else 1
+    failed = False
+    for name in args.names or fixture_names():
+        reports = run_fixture(name)
+        if args.regen:
+            payload = {"notes": fixture_notes(name), "reports": reports}
+            (fixture_dir(name) / "expected.json").write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
+        # after --regen this reads back what was just written
+        golden = fixture_reports(name)
+        if len(golden) != len(reports):
+            diffs = [f"command count changed: golden {len(golden)}, got {len(reports)}"]
+        else:
+            diffs = [
+                f"command {i} ({' '.join(got['args'])}) differs"
+                for i, (want, got) in enumerate(zip(golden, reports))
+                if want != got
+            ]
+        print(f"{name}: {'FAIL' if diffs else 'pass'}")
+        for diff in diffs:
+            print(f"  {diff}")
+        failed = failed or bool(diffs)
+    return 1 if failed else 0

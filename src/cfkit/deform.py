@@ -15,7 +15,7 @@ instead of checking candidates one by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .actions import MatchedPair
 from .algebra import (
@@ -23,6 +23,7 @@ from .algebra import (
     ConformalAlgebra,
     GenElement,
     Violation,
+    _violations,
     product_eval,
 )
 from .poly import D, L1, MultiPoly
@@ -122,12 +123,9 @@ def check_deformation_map(mp: MatchedPair, dm: DeformationMap) -> CheckReport:
     the graph is closed under the bicrossed product."""
     if dm.pair is not mp and dm.pair != mp:
         raise ValueError("map is attached to a different matched pair")
-    violations = [
-        Violation("deformation", (i, j), residual, mp.R.basis)
-        for i, j, residual in _deformation_residuals(mp, dm.matrix)
-        if not residual.is_zero
-    ]
-    return CheckReport(tuple(violations))
+    return CheckReport(
+        _violations("deformation", mp.R.basis, _deformation_residuals(mp, dm.matrix))
+    )
 
 
 def deformed_algebra(mp: MatchedPair, dm: DeformationMap) -> ConformalAlgebra:
@@ -158,12 +156,9 @@ def _morphism_residuals(
 
 def check_morphism(h: Morphism) -> CheckReport:
     """A morphism must intertwine the source and target products."""
-    violations = [
-        Violation("morphism", (i, j), residual, h.target.basis)
-        for i, j, residual in _morphism_residuals(h.source, h.target, h.matrix)
-        if not residual.is_zero
-    ]
-    return CheckReport(tuple(violations))
+    return CheckReport(_violations(
+        "morphism", h.target.basis, _morphism_residuals(h.source, h.target, h.matrix)
+    ))
 
 
 def _is_invertible(matrix: Matrix) -> bool:
@@ -182,25 +177,20 @@ def is_isomorphism(h: Morphism) -> bool:
 def graph_embedding_check(mp: MatchedPair, dm: DeformationMap) -> CheckReport:
     """The graph of the map inside the bicrossed product is a subalgebra.
 
-    Both parts read the deformation residual ``φ(q) - r``: (i) ``x -> (φx, x)``
-    is a morphism from the deformed algebra into E, failing by
-    ``(φ(q) - r, 0)``; (ii) closure, failing by ``r - φ(q)`` over R.
+    Both parts relabel the violations of :func:`check_deformation_map`, the
+    residual ``φ(q) - r``: (i) ``x -> (φx, x)`` is a morphism from the
+    deformed algebra into E, failing by ``(φ(q) - r, 0)``; (ii) closure,
+    failing by ``r - φ(q)`` over R.
     """
-    failures = [
-        (i, j, residual)
-        for i, j, residual in _deformation_residuals(mp, dm.matrix)
-        if not residual.is_zero
-    ]
+    failures = check_deformation_map(mp, dm).violations
     pad = (MultiPoly.zero(),) * mp.Q.rank
     big_basis = mp.R.basis + mp.Q.basis
-    violations = [
-        Violation("morphism", (i, j), GenElement(res.coords + pad), big_basis)
-        for i, j, res in failures
-    ]
-    violations += [
-        Violation("graph-closure", (i, j), -res, mp.R.basis) for i, j, res in failures
-    ]
-    return CheckReport(tuple(violations))
+    return CheckReport(tuple(
+        Violation("morphism", v.indices, GenElement(v.residual.coords + pad), big_basis)
+        for v in failures
+    ) + tuple(
+        Violation("graph-closure", v.indices, -v.residual, v.basis) for v in failures
+    ))
 
 
 def check_equivalence(
@@ -212,8 +202,9 @@ def check_equivalence(
     the equivalence when it is also a morphism from the algebra deformed by
     ``phi`` to the one deformed by ``psi``.
     """
+    _check_matrix(alpha.matrix, mp.Q.rank, mp.Q.rank, "equivalence witness")
     if not _is_invertible(alpha.matrix):
         raise ValueError("equivalence witness must be an invertible module map")
-    h = Morphism(deformed_algebra(mp, phi), deformed_algebra(mp, psi), alpha.matrix)
-    violations = check_morphism(h).violations
-    return CheckReport(tuple(replace(v, identity="equivalence") for v in violations))
+    return CheckReport(_violations("equivalence", mp.Q.basis, _morphism_residuals(
+        deformed_algebra(mp, phi), deformed_algebra(mp, psi), alpha.matrix
+    )))

@@ -40,14 +40,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .actions import _LAYOUT, MatchedPair, _layout, _matched_pair
-from .algebra import ASSOCIATIVE, ConformalAlgebra, GenElement, LIE, _table, element_text
+from .algebra import KINDS, ConformalAlgebra, GenElement, _table, element_text
 from .deform import DeformationMap, Morphism
 from .poly import D, L1, L2, MultiPoly, scalar_text, unknown
 
 _RESERVED = {"d", "l", "m"}
-
-_KIND_WORDS = {LIE: "lie", ASSOCIATIVE: "assoc"}
-_WORD_KINDS = {w: k for k, w in _KIND_WORDS.items()}
 
 _MAX_DIAGNOSTICS = 20
 
@@ -447,11 +444,10 @@ class _Parser:
         name_tok = self.expect_ident(what)
         self.expect(":")
         kind_tok = self.expect_ident("a kind (lie or assoc)")
-        kind = _WORD_KINDS.get(kind_tok.text)
-        if kind is None:
+        if kind_tok.text not in KINDS:
             self.fail(f"unknown kind {kind_tok.text!r}", kind_tok)
         self.expect("{")
-        return name_tok, kind
+        return name_tok, kind_tok.text
 
     def _entry(self, operands, bases, entries: dict, what: str, duplicate: str) -> None:
         """The rest of ``left op right = terms;`` once both operand tokens
@@ -534,6 +530,8 @@ class _Parser:
     def _parse_map_rows(
         self, src_basis: tuple[str, ...], tgt_basis: tuple[str, ...], what: str
     ) -> tuple[tuple[MultiPoly, ...], ...]:
+        """``{ src -> terms; ... }``: a map's body, braces included."""
+        self.expect("{")
         allow = frozenset({D})
         zero_row = (MultiPoly.zero(),) * len(tgt_basis)
         rows = {name: zero_row for name in src_basis}
@@ -549,6 +547,7 @@ class _Parser:
             vec = self.parse_terms(tgt_basis, allow, what)
             self.expect(";")
             rows[src_tok.text] = tuple(vec)
+        self.expect("}")
         return tuple(rows[name] for name in src_basis)
 
     def parse_defmap(self) -> None:
@@ -557,9 +556,7 @@ class _Parser:
         self.expect("on")
         pair_tok = self.expect_ident("a matched-pair name")
         pair = self.lookup("matched", pair_tok)
-        self.expect("{")
         matrix = self._parse_map_rows(pair.Q.basis, pair.R.basis, "a deformation map")
-        self.expect("}")
         self.register(
             "defmap", name_tok, DeformationMap(pair, matrix), refs=(pair_tok.text,)
         )
@@ -575,9 +572,7 @@ class _Parser:
         target = self.lookup("algebra", tgt_tok)
         if source.kind != target.kind:
             self.fail("morphism endpoints must have the same kind", tgt_tok)
-        self.expect("{")
         matrix = self._parse_map_rows(source.basis, target.basis, "a morphism")
-        self.expect("}")
         self.register(
             "morphism",
             name_tok,
@@ -661,23 +656,16 @@ def serialize(document: Document) -> str:
     for item in document.items:
         if item.kind == "param":
             blocks.append(f"param {item.name} = {scalar_text(item.value)};")
-        elif item.kind == "algebra":
-            alg: ConformalAlgebra = item.value
-            lines = [f"algebra {item.name} : {_KIND_WORDS[alg.kind]} {{"]
-            lines.append("  gens " + ", ".join(alg.basis) + ";")
+            continue
+        if item.kind in ("algebra", "matched"):
+            # an algebra or pair's kind is the word that spells it
+            lines = [f"{item.kind} {item.name} : {item.value.kind} {{"]
+            if item.kind == "algebra":
+                lines.append("  gens " + ", ".join(item.value.basis) + ";")
+            else:
+                lines += [f"  R = {item.refs[0]};", f"  Q = {item.refs[1]};"]
             for table in item_tables(item):
                 lines += _entry_lines(*table)
-            lines.append("}")
-            blocks.append("\n".join(lines))
-        elif item.kind == "matched":
-            pair: MatchedPair = item.value
-            lines = [f"matched {item.name} : {_KIND_WORDS[pair.kind]} {{"]
-            lines.append(f"  R = {item.refs[0]};")
-            lines.append(f"  Q = {item.refs[1]};")
-            for table in item_tables(item):
-                lines += _entry_lines(*table)
-            lines.append("}")
-            blocks.append("\n".join(lines))
         elif item.kind in ("defmap", "morphism"):
             mapping = item.value
             if item.kind == "defmap":
@@ -690,8 +678,8 @@ def serialize(document: Document) -> str:
             for src, row in zip(sources, mapping.matrix):
                 if not all(c.is_zero for c in row):
                     lines.append(f"  {src} -> {element_text(GenElement(row), targets)};")
-            lines.append("}")
-            blocks.append("\n".join(lines))
         else:  # pragma: no cover - registry is closed
             raise AssertionError(f"unknown item kind {item.kind}")
+        lines.append("}")
+        blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

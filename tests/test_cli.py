@@ -7,17 +7,10 @@ from pathlib import Path
 import pytest
 
 from cfkit import cli, corpus
-from cfkit.algebra import (
-    MAX_ENTRY_DEGREE,
-    CheckReport,
-    DegreeCapExceeded,
-    GenElement,
-    Violation,
-    element_text,
-    require_degree_budget,
-)
+from cfkit.algebra import CheckReport, GenElement, Violation, element_text
+from cfkit.cli import MAX_ENTRY_DEGREE
 from cfkit.dsl import parse_document
-from cfkit.poly import D, L1, MultiPoly
+from cfkit.poly import MultiPoly
 from test_actions import reference_check_b1_b2_direct
 
 VIR = "algebra Vir : lie {\n  gens L;\n  [L, L] = (d + 2*l) L;\n}\n"
@@ -234,13 +227,16 @@ class TestDegreeBudget:
         assert run(["bicrossed", "t.cfk", "--pair", "P"]) == 3
         assert "matched P: W <| L has (d, l)-degree 20" in capsys.readouterr().err
 
-    def test_budget_boundary(self):
-        at = (((MultiPoly.var(D, MAX_ENTRY_DEGREE - 1) * MultiPoly.var(L1),),),)
-        over = (((MultiPoly.var(D, MAX_ENTRY_DEGREE) * MultiPoly.var(L1),),),)
-        require_degree_budget(at, lambda i, j: "entry")
-        with pytest.raises(DegreeCapExceeded) as exc:
-            require_degree_budget(over, lambda i, j: "entry")
-        assert str(exc.value).startswith(f"entry has (d, l)-degree {MAX_ENTRY_DEGREE + 1},")
+    def test_budget_boundary(self, workdir, capsys):
+        # d^15*l has degree 16, the budget: it is checked, and fails skew-symmetry
+        Path("t.cfk").write_text("algebra A : lie { gens L; [L, L] = (d^15*l) L; }\n")
+        assert run(["check", "t.cfk"]) == 1
+        Path("t.cfk").write_text("algebra A : lie { gens L; [L, L] = (d^16*l) L; }\n")
+        assert run(["check", "t.cfk"]) == 3
+        assert capsys.readouterr().err == (
+            f"algebra A: [L, L] has (d, l)-degree {MAX_ENTRY_DEGREE + 1},"
+            f" over the budget of {MAX_ENTRY_DEGREE}\n"
+        )
 
 
 class TestSolveCap:
@@ -273,6 +269,21 @@ class TestSolveCap:
         assert peak < 8 * 2**20
         report = json.loads(Path("r.json").read_text())
         assert report["solutions"] == [{"u0": "-1/2"}, {"u0": "1/2"}]
+
+    def test_power_tables_are_budgeted_before_any_is_built(self, workdir):
+        # a degree-64 equation needs 65 tables of 64th powers, about 5.9 GB at
+        # these 800 001 values, which the point budget alone admits
+        poly = " + ".join(f"u0^{k}" for k in range(64, 1, -1)) + " + u0 + 1"
+        Path("sys.json").write_text(
+            json.dumps({"unknowns": ["u0"], "equations": [_equation(poly)]})
+        )
+        grid = ["--grid-num", "1", "--grid-den", "400000"]
+        started = time.monotonic()
+        assert run(["solve", "sys.json", *grid, "--json", "r.json"]) == 3
+        assert time.monotonic() - started < 1.0
+        assert json.loads(Path("r.json").read_text())["error"] == (
+            "800001*4160 power-table cells exceed the exhaustive-search budget of 8000000"
+        )
 
     def test_grid_budget_is_checked_before_any_value_is_built(self, workdir):
         # 10 944 751 values: the old grid built about 18 M Fractions first

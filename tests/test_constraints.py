@@ -241,7 +241,10 @@ class TestGrid:
                 for q in range(1, den + 1)
             }
             assert len(grid_values(num, den)) == len(reduced), (num, den)
-        for num, den in bounds[:: len(bounds) // 12]:
+        # the integer-keyed listing against the Fraction sort it replaced; its
+        # key's shift steps where the denominator bound crosses a power of two
+        steps = [(rng.randint(1, 9), 2**b + s) for b in range(1, 12) for s in (-1, 0, 1)]
+        for num, den in bounds[:: len(bounds) // 12] + steps:
             values = grid_values(num, den)
             listed = {Fraction(p, q) for p in range(-num, num + 1) for q in range(1, den + 1)}
             assert list(values) == sorted(listed)

@@ -4,8 +4,8 @@ from cfkit import corpus
 
 
 def test_every_fixture_matches_its_golden():
-    summary = corpus.run_corpus()
-    assert summary.passed, summary.describe()
+    for name in corpus.fixture_names():
+        assert corpus.run_fixture(name) == corpus.fixture_reports(name), name
 
 
 def test_fixture_layout():
