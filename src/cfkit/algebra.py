@@ -158,10 +158,11 @@ def _check_table(table: Table, shape: tuple[int, int, int], what: str) -> None:
         len(row) != cols or any(len(entry) != width for entry in row) for row in table
     ):
         raise ValueError(f"{what} shape must be {rows} x {cols} x {width}")
+    # zero coefficients, most of a sparse table, hold no variable
     for row in table:
         for entry in row:
             for coeff in entry:
-                if not coeff.variables() <= {D, L1}:
+                if coeff and not coeff.variables() <= {D, L1}:
                     raise ValueError(f"{what} entry {coeff} uses variables other than d, l")
 
 

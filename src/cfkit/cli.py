@@ -9,7 +9,8 @@ Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
 (parse or reference errors, an exponent, a power's or product's degree or
 a numeric literal over the parser's caps, a ``--param`` value with an exponent or more digits than the
 literal cap, a ``--param`` name the document never uses, or an integer
-option below its least value, or a file that is not UTF-8), 3 a resource cap
+option below its least value, or a file that is not UTF-8, or an ``equiv
+--alpha`` witness that is not a square, invertible map of Q), 3 a resource cap
 was exceeded (a table coefficient over the (d, l)-degree budget, the
 grid-search unknown cap, point budget or power-table budget in ``solve`` and
 ``equiv``, or the derived-series depth in ``structure``).
@@ -166,9 +167,10 @@ def _item_checks(kind: str, name: str, value):
     elif kind == "defmap":
         yield _entry(f"deformation_map:{name}", dfm.check_deformation_map(value.pair, value))
     elif kind == "morphism":
+        report = dfm.check_morphism(value)
         yield _entry(
-            f"morphism:{name}", dfm.check_morphism(value),
-            is_isomorphism=dfm.is_isomorphism(value),
+            f"morphism:{name}", report,
+            is_isomorphism=report.passed and dfm._is_invertible(value.matrix),
         )
     else:
         raise _InputError(f"{name!r} is not checkable")
@@ -223,11 +225,11 @@ def cmd_deform(args, report: dict) -> None:
     mapping = _find(document, "defmap", args.map)
     if mapping.pair != pair:
         raise _InputError(f"map {args.map!r} is not defined on pair {args.pair!r}")
-    checks = report["checks"]
-    checks.extend(_item_checks("defmap", args.map, mapping))
-    if checks[-1]["status"] == "pass":
-        graph = dfm.graph_embedding_check(pair, mapping)
-        checks.append(_entry(f"graph_embedding:{args.map}", graph))
+    deformation = dfm.check_deformation_map(pair, mapping)
+    report["checks"].append(_entry(f"deformation_map:{args.map}", deformation))
+    if deformation.passed:
+        graph = dfm._graph_embedding(pair, deformation)
+        report["checks"].append(_entry(f"graph_embedding:{args.map}", graph))
     # the deformed table is still produced on failure, for diagnostics
     _output(args, report, document, f"{args.map}_Q", dfm.deformed_algebra(pair, mapping))
 
@@ -284,7 +286,10 @@ def cmd_equiv(args, report: dict) -> None:
     psi = _find(document, "defmap", args.psi)
     if args.alpha:
         alpha = _find(document, "morphism", args.alpha)
-        rep = dfm.check_equivalence(pair, phi, psi, alpha)
+        try:
+            rep = dfm.check_equivalence(pair, phi, psi, alpha)
+        except ValueError as exc:  # a witness of the wrong shape or singular
+            raise _InputError(f"--alpha {args.alpha}: {exc}")
         report["checks"].append(_entry(f"equivalence:{args.alpha}", rep))
         return
     values = cons.grid_values(args.grid_num, args.grid_den)

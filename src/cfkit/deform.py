@@ -162,27 +162,32 @@ def check_morphism(h: Morphism) -> CheckReport:
 
 
 def _is_invertible(matrix: Matrix) -> bool:
-    """Over the d-polynomial ring a square matrix is invertible exactly when
-    its determinant is a nonzero constant."""
+    """Over the d-polynomial ring a matrix is invertible exactly when it is
+    square and its determinant is a nonzero constant."""
+    if any(len(row) != len(matrix) for row in matrix):
+        return False
     return poly_det(matrix).constant_value() not in (None, 0)
 
 
 def is_isomorphism(h: Morphism) -> bool:
     """True iff the map intertwines products and its matrix is invertible."""
-    if h.source.rank != h.target.rank:
-        raise ValueError("isomorphism candidates must have a square matrix")
     return _is_invertible(h.matrix) and check_morphism(h).passed
 
 
 def graph_embedding_check(mp: MatchedPair, dm: DeformationMap) -> CheckReport:
-    """The graph of the map inside the bicrossed product is a subalgebra.
+    """The graph of the map inside the bicrossed product is a subalgebra."""
+    return _graph_embedding(mp, check_deformation_map(mp, dm))
 
-    Both parts relabel the violations of :func:`check_deformation_map`, the
-    residual ``φ(q) - r``: (i) ``x -> (φx, x)`` is a morphism from the
-    deformed algebra into E, failing by ``(φ(q) - r, 0)``; (ii) closure,
-    failing by ``r - φ(q)`` over R.
+
+def _graph_embedding(mp: MatchedPair, deformation: CheckReport) -> CheckReport:
+    """:func:`graph_embedding_check` read off ``deformation``, the map's
+    :func:`check_deformation_map` report.
+
+    Both parts relabel its violations, the residual ``φ(q) - r``:
+    (i) ``x -> (φx, x)`` is a morphism from the deformed algebra into E,
+    failing by ``(φ(q) - r, 0)``; (ii) closure, failing by ``r - φ(q)`` over R.
     """
-    failures = check_deformation_map(mp, dm).violations
+    failures = deformation.violations
     pad = (MultiPoly.zero(),) * mp.Q.rank
     big_basis = mp.R.basis + mp.Q.basis
     return CheckReport(tuple(

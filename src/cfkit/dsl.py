@@ -30,6 +30,14 @@ generators its operands and terms name, is read off the layout table in
 terms;`` with ``[a, b]`` as the product's spelling, go through one entry
 parser and one entry renderer.  ``serialize`` produces a canonical rendering
 that parses back to an identical document.
+
+The lexer is one search over the text for a pattern with no alternative for
+blanks, so the search itself skips them.  The expression parser folds
+constants: numbers and parameters are ``int`` or ``Fraction`` values, and
+``*``, ``/``, ``+``, ``-`` and unary minus combine them as such.  A value
+becomes a ``MultiPoly`` where it meets a variable, where it is the base of a
+``^`` (so the power caps measure a polynomial), or at the end of the
+expression; from there on the polynomial's ring operations combine it.
 """
 
 from __future__ import annotations
@@ -40,9 +48,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .actions import _LAYOUT, MatchedPair, _layout, _matched_pair
-from .algebra import KINDS, ConformalAlgebra, GenElement, _table, element_text
+from .algebra import (
+    _PD, _PL1, _PL2, KINDS, ConformalAlgebra, GenElement, _table, element_text,
+)
 from .deform import DeformationMap, Morphism
-from .poly import D, L1, L2, MultiPoly, scalar_text, unknown
+from .poly import D, L1, MultiPoly, Scalar, scalar_text, unknown
 
 _RESERVED = {"d", "l", "m"}
 
@@ -119,12 +129,13 @@ class _Token(NamedTuple):
     col: int
 
 
-# One alternative per lexeme, tried in order.  ``\d`` is ``str.isdecimal``
-# and ``\w`` is ``str.isalnum`` or ``_``.
+# One alternative per lexeme, tried in order; blanks match none, so the search
+# skips them.  ``\d`` is ``str.isdecimal`` and ``\w`` is ``str.isalnum`` or
+# ``_``.
 _LEXEME = re.compile(
-    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)"
+    r"(?P<newline>\n)|(?P<comment>#[^\n]*)"
     r"|(?P<punct>->|<\||\|>|<~|~>|[{}()\[\],;:=+\-*/^])"
-    r"|(?P<number>\d+)|(?P<ident>\w+)|(?P<other>.)"
+    r"|(?P<number>\d+)|(?P<ident>\w+)|(?P<other>[^ \t\r])"
 )
 
 
@@ -132,25 +143,31 @@ def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
     tokens: list[_Token] = []
     diagnostics: list[Diagnostic] = []
     line, line_start, pos = 1, 0, 0
-    while pos < len(text):
-        match = _LEXEME.match(text, pos)
-        kind, lexeme, col = match.lastgroup, match.group(), pos - line_start + 1
-        pos = match.end()
-        if kind == "ident" and not (lexeme[0].isalpha() or lexeme[0] == "_"):
-            kind = "other"  # ``\w`` also takes ``²`` and ``Ⅻ``, which start no name
-        if kind == "newline":
-            line, line_start = line + 1, pos
-        elif kind == "comment":
-            # the column stays at the ``#``, where an eof after it is placed
-            line_start += len(lexeme)
-        elif kind == "other":
-            diagnostics.append(
-                Diagnostic("error", f"unexpected character {lexeme[0]!r}", line, col, 1)
-            )
-            pos = match.start() + 1
-        elif kind != "space":
-            tokens.append(_Token(kind, lexeme, line, col))
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+    while pos is not None:
+        resume, pos = pos, None
+        for match in _LEXEME.finditer(text, resume):
+            kind, start = match.lastgroup, match.start()
+            if kind == "punct" or kind == "number" or kind == "ident" and (
+                # ``\w`` also takes ``²`` and ``Ⅻ``, which start no name
+                text[start].isalpha() or text[start] == "_"
+            ):
+                tokens.append(
+                    tuple.__new__(_Token, (kind, match.group(), line, start - line_start + 1))
+                )
+            elif kind == "newline":
+                line, line_start = line + 1, start + 1
+            elif kind == "comment":
+                # the column stays at the ``#``, where an eof after it is placed
+                line_start += match.end() - start
+            else:
+                diagnostics.append(Diagnostic(
+                    "error", f"unexpected character {text[start]!r}", line,
+                    start - line_start + 1, 1,
+                ))
+                if kind == "ident":
+                    pos = start + 1  # lex the rest of the run afresh
+                    break
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens, diagnostics
 
 
@@ -161,9 +178,15 @@ class _Bail(Exception):
     """Internal: abandon the current declaration and resynchronize."""
 
 
+def _as_poly(value: MultiPoly | Scalar) -> MultiPoly:
+    """A folded constant as a polynomial; a polynomial as it is."""
+    return value if type(value) is MultiPoly else MultiPoly.const(value)
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], params: dict[str, Fraction]):
-        self.tokens = tokens
+        # a second eof past the first, so ``peek(1)`` indexes directly
+        self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
         self.params = dict(params)
         self.used_params: set[str] = set()
@@ -174,7 +197,7 @@ class _Parser:
     # basic machinery
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -236,11 +259,11 @@ class _Parser:
                     return
                 depth -= 1
 
-    # polynomial expressions
+    # polynomial expressions, folding constants as the module docstring says
 
     def parse_poly(self, allow: frozenset[int], what: str) -> MultiPoly:
         start = self.peek()
-        poly = self._poly_sum()
+        poly = _as_poly(self._poly_sum())
         bad = sorted(poly.variables() - allow)
         if bad:
             from .poly import var_name
@@ -249,7 +272,7 @@ class _Parser:
             self.fail(f"variable {names} not allowed in {what}", start)
         return poly
 
-    def _poly_sum(self) -> MultiPoly:
+    def _poly_sum(self) -> MultiPoly | Scalar:
         acc = self._poly_product()
         while self.peek().text in ("+", "-"):
             op = self.advance().text
@@ -263,24 +286,27 @@ class _Parser:
         if value > cap:
             self.fail(f"{what} {value} exceeds the cap {cap}", tok)
 
-    def _poly_product(self) -> MultiPoly:
+    def _poly_product(self) -> MultiPoly | Scalar:
         acc = self._poly_factor()
         while self.peek().text in ("*", "/"):
             op_tok = self.advance()
             tok = self.peek()
             rhs = self._poly_factor()
             if op_tok.text == "*":
-                degree = acc.degree() + rhs.degree()
-                self.within_cap(degree, MAX_EXPONENT, "product of degree", op_tok)
+                # a scalar has degree at most 0, so only two polynomials can
+                # pass the cap that each of them is already within
+                if type(acc) is MultiPoly and type(rhs) is MultiPoly:
+                    degree = acc.degree() + rhs.degree()
+                    self.within_cap(degree, MAX_EXPONENT, "product of degree", op_tok)
                 acc = acc * rhs
             else:
-                value = rhs.constant_value()
+                value = rhs.constant_value() if type(rhs) is MultiPoly else rhs
                 if value is None or value == 0:
                     self.fail("division is only by nonzero constants", tok)
-                acc = acc / value
+                acc = acc / value if type(acc) is MultiPoly else Fraction(acc) / value
         return acc
 
-    def _poly_factor(self) -> MultiPoly:
+    def _poly_factor(self) -> MultiPoly | Scalar:
         tok = self.peek()
         if tok.text in ("-", "+"):
             self.advance()
@@ -295,6 +321,7 @@ class _Parser:
             exponent = self.integer(exp_tok, exp_tok.text)
             if exponent > MAX_EXPONENT:
                 self.fail(f"exponent {exp_tok.text} exceeds the cap {MAX_EXPONENT}", exp_tok)
+            base = _as_poly(base)
             self.within_cap(base.degree() * exponent, MAX_EXPONENT, "power of degree", exp_tok)
             bits = base.bit_length() * exponent
             self.within_cap(bits, MAX_POWER_BITS, "power of coefficient bit length", exp_tok)
@@ -302,10 +329,10 @@ class _Parser:
             return base ** exponent
         return base
 
-    def _poly_primary(self) -> MultiPoly:
+    def _poly_primary(self) -> MultiPoly | Scalar:
         tok = self.advance()
         if tok.kind == "number":
-            return MultiPoly.const(self.integer(tok, tok.text))
+            return self.integer(tok, tok.text)
         if tok.text == "(":
             inner = self._poly_sum()
             self.expect(")")
@@ -313,16 +340,16 @@ class _Parser:
         if tok.kind == "ident":
             name = tok.text
             if name == "d":
-                return MultiPoly.var(D)
+                return _PD
             if name == "l":
-                return MultiPoly.var(L1)
+                return _PL1
             if name == "m":
-                return MultiPoly.var(L2)
+                return _PL2
             if len(name) > 1 and name[0] == "u" and name[1:].isdecimal():
                 return MultiPoly.var(unknown(self.integer(tok, name[1:])))
             if name in self.params:
                 self.used_params.add(name)
-                return MultiPoly.const(self.params[name])
+                return self.params[name]
             self.fail(f"unbound parameter {name!r}", tok)
         self.fail(f"expected a polynomial, found {tok.text!r}", tok)
 
@@ -346,7 +373,9 @@ class _Parser:
                 self.advance()
                 coeff = MultiPoly.const(sign)
             else:
-                coeff = self.parse_poly(allow, what) * sign
+                coeff = self.parse_poly(allow, what)
+                if sign < 0:
+                    coeff = -coeff
                 gen_tok = self.expect_ident("a generator name")
                 if gen_tok.text not in gens:
                     self.fail(f"unknown generator {gen_tok.text!r}", gen_tok)
@@ -607,7 +636,7 @@ def parse_poly_text(text: str) -> MultiPoly:
     parser = _Parser(tokens, {})
     parser.diagnostics.extend(diagnostics)
     try:
-        poly = parser._poly_sum()
+        poly = _as_poly(parser._poly_sum())
     except _Bail:
         poly = None
     if parser.diagnostics or parser.peek().kind != "eof" or poly is None:

@@ -483,6 +483,88 @@ class TestOutputs:
         assert report["structure"]["derived_series"][0] == ["L"]
 
 
+def _counting(monkeypatch, module, name):
+    """Rebind ``module.name`` to a wrapper that records each call."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+# a morphism of rank one into rank two, and two witnesses --alpha refuses
+RANKS = (
+    "algebra A : lie { gens X; }\nalgebra B : lie { gens Y, Z; }\n"
+    "morphism h : A -> B { X -> Y; }\n"
+)
+WITNESSES = (
+    VIR + "algebra AbQ : lie { gens W; }\n"
+    "algebra One : lie { gens Z; }\nalgebra Two : lie { gens Z1, Z2; }\n"
+    "matched P : lie { R = Vir; Q = AbQ; W <| L = (l) W; }\n"
+    "defmap phi on P { W -> 0; }\n"
+    "morphism bad1 : One -> Two { Z -> Z1; }\n"
+    "morphism sing : AbQ -> AbQ { W -> (0) W; }\n"
+)
+
+
+class TestMorphismReport:
+    @pytest.mark.parametrize("argv", [["morphism", "t.cfk", "--name", "h"], ["check", "t.cfk"]])
+    def test_rank_mismatch_is_no_isomorphism(self, workdir, monkeypatch, argv):
+        from cfkit import deform
+
+        calls = _counting(monkeypatch, deform, "check_morphism")
+        Path("t.cfk").write_text(RANKS)
+        assert run(argv + ["--json", "r.json"]) == 0
+        entry = json.loads(Path("r.json").read_text())["checks"][-1]
+        assert (entry["name"], entry["status"]) == ("morphism:h", "pass")
+        assert entry["is_isomorphism"] is False
+        assert len(calls) == 1
+
+    def test_isomorphism_is_checked_once(self, workdir, monkeypatch):
+        from cfkit import deform
+
+        calls = _counting(monkeypatch, deform, "check_morphism")
+        argv = ["morphism", str(corpus.fixture_dir("sv") / "input.cfk"), "--name", "iso"]
+        argv += ["--param", "a=2", "--param", "b=1", "--param", "c=1/2", "--param", "ai=1/2"]
+        assert run(argv + ["--json", "r.json"]) == 0
+        assert json.loads(Path("r.json").read_text())["checks"][0]["is_isomorphism"] is True
+        assert len(calls) == 1
+
+
+class TestEquivWitness:
+    @pytest.mark.parametrize("alpha, message", [
+        ("bad1", "equivalence witness matrix must be 1x1"),
+        ("sing", "equivalence witness must be an invertible module map"),
+    ])
+    def test_refused_witness_exits_2(self, workdir, capsys, alpha, message):
+        Path("t.cfk").write_text(WITNESSES)
+        argv = ["equiv", "t.cfk", "--pair", "P", "--phi", "phi", "--psi", "phi", "--alpha", alpha]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"--alpha {alpha}: {message}\n"
+
+
+class TestDeformReport:
+    def test_residuals_are_computed_once(self, workdir, monkeypatch):
+        from cfkit import deform
+
+        calls = _counting(monkeypatch, deform, "check_deformation_map")
+        Path("t.cfk").write_text(
+            VIR + "algebra Q : lie { gens W; }\n"
+            "matched P : lie { R = Vir; Q = Q; W <| L = (l) W; }\n"
+            "defmap phi on P { W -> 0; }\n"
+        )
+        assert run(["deform", "t.cfk", "--pair", "P", "--map", "phi", "--json", "r.json"]) == 0
+        checks = json.loads(Path("r.json").read_text())["checks"]
+        assert [(c["name"], c["status"]) for c in checks] == [
+            ("deformation_map:phi", "pass"), ("graph_embedding:phi", "pass")
+        ]
+        assert len(calls) == 1
+
+
 class TestReportPipeline:
     def test_convention_mismatch_fails_the_check(self, workdir, monkeypatch):
         # the direct reading disagrees with a pair the normative check passes

@@ -1,9 +1,11 @@
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfkit.algebra import ASSOCIATIVE, ConformalAlgebra, LIE
@@ -19,10 +21,17 @@ from cfkit.dsl import (
     parse_document,
     parse_poly_text,
     serialize,
+    _Bail,
     _lex,
+    _Parser,
     try_parse,
 )
-from cfkit.poly import D, L1, MultiPoly
+from cfkit.cli import _parse_params
+from cfkit.poly import D, L1, L2, MultiPoly, unknown, var_name
+
+# the benchmark's generator of rank-scale documents
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
@@ -559,3 +568,208 @@ class TestPolyText:
     def test_rejects_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_poly_text("d + ;")
+
+
+# -- reference: the parser that builds a MultiPoly per literal ----------------
+
+
+def reference_poly(parser: _Parser, allow: frozenset[int], what: str) -> MultiPoly:
+    """``_Parser.parse_poly`` before it folded constants: every number,
+    variable and parameter is a ``MultiPoly``, combined by ring operations.
+    Kept as the reference of the differential tests below."""
+    start = parser.peek()
+    poly = _reference_sum(parser)
+    bad = sorted(poly.variables() - allow)
+    if bad:
+        names = ", ".join(var_name(v) for v in bad)
+        parser.fail(f"variable {names} not allowed in {what}", start)
+    return poly
+
+
+def _reference_sum(p: _Parser) -> MultiPoly:
+    acc = _reference_product(p)
+    while p.peek().text in ("+", "-"):
+        op = p.advance().text
+        rhs = _reference_product(p)
+        acc = acc + rhs if op == "+" else acc - rhs
+    return acc
+
+
+def _reference_product(p: _Parser) -> MultiPoly:
+    acc = _reference_factor(p)
+    while p.peek().text in ("*", "/"):
+        op_tok = p.advance()
+        tok = p.peek()
+        rhs = _reference_factor(p)
+        if op_tok.text == "*":
+            degree = acc.degree() + rhs.degree()
+            p.within_cap(degree, MAX_EXPONENT, "product of degree", op_tok)
+            acc = acc * rhs
+        else:
+            value = rhs.constant_value()
+            if value is None or value == 0:
+                p.fail("division is only by nonzero constants", tok)
+            acc = acc / value
+    return acc
+
+
+def _reference_factor(p: _Parser) -> MultiPoly:
+    tok = p.peek()
+    if tok.text in ("-", "+"):
+        p.advance()
+        inner = _reference_factor(p)
+        return -inner if tok.text == "-" else inner
+    base = _reference_primary(p)
+    if p.peek().text == "^":
+        p.advance()
+        exp_tok = p.peek()
+        if exp_tok.kind != "number":
+            p.fail("exponent must be a number", exp_tok)
+        exponent = p.integer(exp_tok, exp_tok.text)
+        if exponent > MAX_EXPONENT:
+            p.fail(f"exponent {exp_tok.text} exceeds the cap {MAX_EXPONENT}", exp_tok)
+        p.within_cap(base.degree() * exponent, MAX_EXPONENT, "power of degree", exp_tok)
+        bits = base.bit_length() * exponent
+        p.within_cap(bits, MAX_POWER_BITS, "power of coefficient bit length", exp_tok)
+        p.advance()
+        return base ** exponent
+    return base
+
+
+def _reference_primary(p: _Parser) -> MultiPoly:
+    tok = p.advance()
+    if tok.kind == "number":
+        return MultiPoly.const(p.integer(tok, tok.text))
+    if tok.text == "(":
+        inner = _reference_sum(p)
+        p.expect(")")
+        return inner
+    if tok.kind == "ident":
+        name = tok.text
+        if name == "d":
+            return MultiPoly.var(D)
+        if name == "l":
+            return MultiPoly.var(L1)
+        if name == "m":
+            return MultiPoly.var(L2)
+        if len(name) > 1 and name[0] == "u" and name[1:].isdecimal():
+            return MultiPoly.var(unknown(p.integer(tok, name[1:])))
+        if name in p.params:
+            p.used_params.add(name)
+            return MultiPoly.const(p.params[name])
+        p.fail(f"unbound parameter {name!r}", tok)
+    p.fail(f"expected a polynomial, found {tok.text!r}", tok)
+
+
+_PARAMS = {"a": Fraction(1, 2), "b": Fraction(-3, 4), "c": Fraction(0), "e": Fraction(7)}
+_ALLOW = (
+    frozenset({D, L1, L2, unknown(0), unknown(2), unknown(10)}),
+    frozenset({D, L1}), frozenset({D}),
+)
+
+
+def _parsed(parse, text: str, allow: frozenset[int]):
+    """What ``parse`` makes of ``text`` as one polynomial: its value, the
+    diagnostics' text, the token it stopped at and the parameters it read."""
+    tokens, diagnostics = _lex(text)
+    parser = _Parser(tokens, _PARAMS)
+    parser.diagnostics.extend(diagnostics)
+    try:
+        value = parse(parser, allow, "an expression")
+    except _Bail:
+        value = None
+    assert value is None or type(value) is MultiPoly
+    return value, [x.text() for x in parser.diagnostics], parser.pos, parser.used_params
+
+
+# leaves at and past each cap, each forming at most one term
+_CAP_LEAVES = (
+    f"{'9' * MAX_DIGITS}^{MAX_EXPONENT}",  # coefficient bit length at the cap
+    f"({'9' * MAX_DIGITS}^2)^{MAX_EXPONENT}",  # past it
+    "((2^64)^64)^64",  # past it at the third exponent
+    "(d^32)^2", "(d^33)^2", "d^64*l", "u2^64*3",  # power and product degree
+    "7" * (MAX_DIGITS + 1), "0" * 700 + "7" * MAX_DIGITS,  # digits
+    "d^x", "d^", "()", ")", "l^-1", "2^0065",  # malformed
+)
+_EXPONENTS = ("2", "3", "1", "064", "64", "65", "0000065", "99999", "0")
+
+
+@st.composite
+def _atoms(draw, *kinds: str) -> str:
+    kind = draw(st.sampled_from(kinds or ["variable", "parameter", "number"]))
+    if kind == "number":
+        digits = draw(st.sampled_from([3, 12, 0, 1, 2, 10**12 + 1]))
+        return "0" * draw(st.integers(0, 2)) + str(digits)
+    if kind == "variable":
+        return draw(st.sampled_from(["d", "l", "m", "u0", "u2", "u010", "u3"]))
+    return draw(st.sampled_from([*_PARAMS, "zz"]))
+
+
+@st.composite
+def expressions(draw, depth: int = 3) -> tuple[str, int]:
+    """``(text, bound)``: an expression of the grammar and a bound on its
+    degree.  Products and powers that would form more than degree 6 are not
+    built, so no example is slow; the fixed leaves reach the caps."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        leaf = draw(st.sampled_from(["atom", "ratio", "atom", "power", "binomial", "cap"]))
+        if leaf == "cap":
+            return draw(st.sampled_from(_CAP_LEAVES)), 0
+        if leaf == "ratio":  # how the files spell a rational
+            return f"{draw(_atoms('number', 'parameter'))}/{draw(_atoms('number', 'parameter'))}", 0
+        atom = draw(_atoms())
+        if leaf == "atom":
+            return atom, 1
+        if leaf == "power":
+            exponent = draw(st.sampled_from(_EXPONENTS))
+            return f"{atom}^{exponent}", 0 if atom[0] not in "dlmu" else int(exponent)
+        op, other = draw(st.sampled_from(["+", "-"])), draw(_atoms())
+        return f"({atom} {op} {other})^{draw(st.sampled_from(['2', '3']))}", 3
+    form = draw(st.sampled_from(["binary", "unary", "paren", "power"]))
+    text, bound = draw(expressions(depth - 1))
+    if form == "unary":
+        return draw(st.sampled_from(["-", "+", "- ", "--"])) + text, bound
+    if form == "paren":
+        return f"({text})", bound
+    if form == "power":
+        exponent = draw(st.sampled_from(["2", "3", "1", "65", "0065"]))
+        if exponent in ("2", "3") and bound * int(exponent) > 6:
+            exponent = "65"
+        return f"({text})^{exponent}", bound * int(exponent)
+    other, other_bound = draw(expressions(depth - 1))
+    op = draw(st.sampled_from(["+", "-", "*", "/", " * ", " / "]))
+    if op.strip() == "*" and bound + other_bound > 6:
+        op = "+"
+    return text + op + other, bound + other_bound
+
+
+class TestParserMatchesReference:
+    @given(expression=expressions(), allow=st.sampled_from(_ALLOW))
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @example(expression=("-a/b + 3/012 - e/2/a", 0), allow=_ALLOW[0])
+    @example(expression=("-(3)/(0)", 0), allow=_ALLOW[1])
+    @example(expression=("(d + 1 - d)/(l - l + 2) - -a*b", 0), allow=_ALLOW[1])
+    @example(expression=("1/(d - d) + m", 0), allow=_ALLOW[1])
+    def test_expressions(self, expression, allow):
+        text = expression[0]
+        assert _parsed(_Parser.parse_poly, text, allow) == _parsed(reference_poly, text, allow)
+
+    def test_documents(self, monkeypatch):
+        inputs = [
+            (text, {}) for seed in (1, 2, 3)
+            for text in workloads.describe_inputs("rank-scale", seed)
+        ]
+        for name in corpus.fixture_names():
+            text = (corpus.fixture_dir(name) / "input.cfk").read_text()
+            for argv in corpus.fixture_lines(name):
+                bindings = [argv[i + 1] for i, arg in enumerate(argv) if arg == "--param"]
+                inputs.append((text, _parse_params(bindings)))
+        assert len(inputs) > 24 + 50
+        folded = [try_parse(text, params) for text, params in inputs]
+        monkeypatch.setattr(_Parser, "parse_poly", reference_poly)
+        for (text, params), (document, diagnostics) in zip(inputs, folded):
+            want, want_diagnostics = try_parse(text, params)
+            assert diagnostics == want_diagnostics
+            assert document == want
+            if document is not None:
+                assert document.used_params == want.used_params
+                assert serialize(document) == serialize(want)
