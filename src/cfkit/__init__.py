@@ -9,11 +9,9 @@ invariants.  Everything is computed in exact rational arithmetic.
 from .actions import (
     MatchedPair,
     ModuleAction,
-    action_eval,
     build_bicrossed,
     check_b1_b2_direct,
     check_matched_pair,
-    trivial_pair,
 )
 from .algebra import (
     ASSOCIATIVE,
@@ -36,13 +34,10 @@ from .constraints import (
 from .deform import (
     DeformationMap,
     Morphism,
-    apply_map,
     check_deformation_map,
     check_equivalence,
     check_morphism,
     deformed_algebra,
-    graph_embedding_check,
-    is_isomorphism,
 )
 from .dsl import Document, ParseError, parse_document, serialize, try_parse
 from .poly import D, L1, L2, MultiPoly, unknown
@@ -52,9 +47,7 @@ from .structure import (
     hermite_normal_form,
     is_abelian,
     is_solvable,
-    member,
     span,
-    submodule_equals,
 )
 
 __version__ = "0.1.0"

@@ -1,22 +1,22 @@
 """Module actions over conformal algebras, matched pairs, bicrossed products.
 
-An action table is evaluated with the same kernel as an algebra product;
-``action_eval(act, x, v, s)`` takes its two arguments in the order they
-appear in the infix notation, so ``x <| a`` and ``a ~> x`` both read
-left-to-right.  Where each cross action sits is written down once, in the
-layout table :data:`_LAYOUT`: the pair field, the arrow that spells it, the
-components of its two operands and the component its values lie in.  The
-pair's validation, :func:`trivial_pair`, the ``.cfk`` parser and serializer
-and :func:`build_bicrossed` all read it.  The bicrossed product
-``E = R ⋈ Q`` is built by placing tables: R's and Q's on the diagonal, each
-action's into the carrier coordinates of its operands' block, and for a Lie
-pair the remaining block by skew-symmetry.  A matched pair is decided by one
-test: ``E`` must satisfy the Lie (or associative) conformal axioms, which
-contain the axioms of R and Q, the module laws and the cross conditions.  A
-pair builds its ``E`` and checks E's axioms once.  The direct check of a Lie
-pair's two cross identities is a projection of that report: the R and Q
-parts of E's Jacobiator on mixed triples.  The CLI reports it beside the
-verdict and compares the two, never substituting one for the other.
+An action table has the layout of a product table: entry ``[i][j]``
+indexes its two arguments in the order they appear in the infix notation,
+so ``x <| a`` and ``a ~> x`` both read left-to-right.  Where each cross
+action sits is written down once, in the layout table :data:`_LAYOUT`: the
+pair field, the arrow that spells it, the components of its two operands
+and the component its values lie in.  The pair's validation, the ``.cfk``
+parser and serializer and :func:`build_bicrossed` all read it.  The
+bicrossed product ``E = R ⋈ Q`` is built by placing tables: R's and Q's on
+the diagonal, each action's into the carrier coordinates of its operands'
+block, and for a Lie pair the remaining block by skew-symmetry.  A matched
+pair is decided by one test: ``E`` must satisfy the Lie (or associative)
+conformal axioms, which contain the axioms of R and Q, the module laws and
+the cross conditions.  A pair builds its ``E`` and checks E's axioms once.
+The direct check of a Lie pair's two cross identities is a projection of
+that report: the R and Q parts of E's Jacobiator on mixed triples.  The CLI
+reports it beside the verdict and compares the two, never substituting one
+for the other.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from .algebra import (
     _violations,
     check_axioms,
     merge_reports,
-    spectral_eval,
 )
-from .poly import D, L1, MultiPoly, Scalar
+from .poly import D, L1, MultiPoly
 
 LEFT = "left"
 RIGHT = "right"
@@ -103,28 +102,6 @@ class ModuleAction:
         return self.acting.kind
 
 
-def trivial_action(side: str, acting: ConformalAlgebra, carrier_rank: int) -> ModuleAction:
-    rows, cols = (acting.rank, carrier_rank) if side == LEFT else (carrier_rank, acting.rank)
-    return ModuleAction(side, acting, carrier_rank, _table((rows, cols, carrier_rank)))
-
-
-def action_eval(
-    act: ModuleAction, first: GenElement, second: GenElement, s: MultiPoly | Scalar
-) -> GenElement:
-    """Evaluate ``first_s second`` where one argument is an algebra element.
-
-    For a left action the first argument belongs to the acting algebra; for
-    a right action it is the carrier element.  Same kernel as the product.
-    """
-    s = MultiPoly.const(0) + s
-    rows, cols = act.shape
-    if len(first.coords) != rows or len(second.coords) != cols:
-        raise ValueError("action argument rank mismatch")
-    return GenElement(
-        spectral_eval(act.table, act.carrier_rank, first.coords, second.coords, s)
-    )
-
-
 @dataclass(frozen=True)
 class MatchedPair:
     """Two algebras with the cross actions that glue them into one.
@@ -187,13 +164,6 @@ def _matched_pair(
         table = _table((parts[left].rank, parts[right].rank, rank), entries.get(field))
         actions[field] = ModuleAction(side, parts[acting], rank, table)
     return MatchedPair(kind, R, Q, **actions)
-
-
-def trivial_pair(R: ConformalAlgebra, Q: ConformalAlgebra) -> MatchedPair:
-    """Matched pair with every cross action zero (direct sum)."""
-    if R.kind != Q.kind:
-        raise ValueError("component kinds differ")
-    return _matched_pair(R.kind, R, Q, {})
 
 
 def build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:

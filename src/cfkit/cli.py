@@ -10,7 +10,8 @@ Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
 a numeric literal over the parser's caps, a ``--param`` value with an exponent or more digits than the
 literal cap, a ``--param`` name the document never uses, or an integer
 option below its least value, or a file that is not UTF-8, or an ``equiv
---alpha`` witness that is not a square, invertible map of Q), 3 a resource cap
+--alpha`` witness that is not a square, invertible map of Q, or a ``deform``
+or ``equiv`` map not defined on ``--pair``), 3 a resource cap
 was exceeded (a table coefficient over the (d, l)-degree budget, the
 grid-search unknown cap, point budget or power-table budget in ``solve`` and
 ``equiv``, or the derived-series depth in ``structure``).
@@ -130,6 +131,14 @@ def _find(document: Document, kind: str, name: str):
         raise _InputError(str(exc))
 
 
+def _defmap(document: Document, name: str, pair, pair_name: str):
+    """The defmap ``name``, refused as input unless it is defined on ``pair``."""
+    mapping = _find(document, "defmap", name)
+    if mapping.pair != pair:
+        raise _InputError(f"map {name!r} is not defined on pair {pair_name!r}")
+    return mapping
+
+
 def _entry(name: str, report: CheckReport, **extra) -> dict:
     violations = [
         {
@@ -222,9 +231,7 @@ def cmd_bicrossed(args, report: dict) -> None:
 def cmd_deform(args, report: dict) -> None:
     document = _load(args, report)
     pair = _find(document, "matched", args.pair)
-    mapping = _find(document, "defmap", args.map)
-    if mapping.pair != pair:
-        raise _InputError(f"map {args.map!r} is not defined on pair {args.pair!r}")
+    mapping = _defmap(document, args.map, pair, args.pair)
     deformation = dfm.check_deformation_map(pair, mapping)
     report["checks"].append(_entry(f"deformation_map:{args.map}", deformation))
     if deformation.passed:
@@ -282,8 +289,8 @@ def cmd_solve(args, report: dict) -> None:
 def cmd_equiv(args, report: dict) -> None:
     document = _load(args, report)
     pair = _find(document, "matched", args.pair)
-    phi = _find(document, "defmap", args.phi)
-    psi = _find(document, "defmap", args.psi)
+    phi = _defmap(document, args.phi, pair, args.pair)
+    psi = _defmap(document, args.psi, pair, args.pair)
     if args.alpha:
         alpha = _find(document, "morphism", args.alpha)
         try:

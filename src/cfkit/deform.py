@@ -80,14 +80,6 @@ def apply_matrix(matrix: Matrix, coords: tuple[MultiPoly, ...]) -> tuple[MultiPo
     return tuple(out)
 
 
-def apply_map(mapping: Morphism | DeformationMap, x: GenElement) -> GenElement:
-    """Extend the matrix d-linearly to an arbitrary element."""
-    matrix = mapping.matrix
-    if len(x.coords) != len(matrix):
-        raise ValueError("element rank does not match map source rank")
-    return GenElement(apply_matrix(matrix, x.coords))
-
-
 def _graph_products(mp: MatchedPair, matrix: Matrix):
     """Yield ``(i, j, r_part, q_part)`` for every pair of Q-basis indices.
 
@@ -118,11 +110,15 @@ def _deformation_residuals(mp: MatchedPair, matrix: Matrix):
         yield i, j, GenElement(apply_matrix(matrix, q_part.coords)) - r_part
 
 
+def _require_pair(mp: MatchedPair, dm: DeformationMap) -> None:
+    if dm.pair is not mp and dm.pair != mp:
+        raise ValueError("map is attached to a different matched pair")
+
+
 def check_deformation_map(mp: MatchedPair, dm: DeformationMap) -> CheckReport:
     """The quadratic identity a map must satisfy to twist Q into a complement:
     the graph is closed under the bicrossed product."""
-    if dm.pair is not mp and dm.pair != mp:
-        raise ValueError("map is attached to a different matched pair")
+    _require_pair(mp, dm)
     return CheckReport(
         _violations("deformation", mp.R.basis, _deformation_residuals(mp, dm.matrix))
     )
@@ -135,6 +131,7 @@ def deformed_algebra(mp: MatchedPair, dm: DeformationMap) -> ConformalAlgebra:
     Computed unconditionally so that a failing candidate can still be
     inspected; when the map passes its check the output passes the axioms.
     """
+    _require_pair(mp, dm)
     nq = mp.Q.rank
     table = [[None] * nq for _ in range(nq)]
     for i, j, _, q_part in _graph_products(mp, dm.matrix):
@@ -169,19 +166,9 @@ def _is_invertible(matrix: Matrix) -> bool:
     return poly_det(matrix).constant_value() not in (None, 0)
 
 
-def is_isomorphism(h: Morphism) -> bool:
-    """True iff the map intertwines products and its matrix is invertible."""
-    return _is_invertible(h.matrix) and check_morphism(h).passed
-
-
-def graph_embedding_check(mp: MatchedPair, dm: DeformationMap) -> CheckReport:
-    """The graph of the map inside the bicrossed product is a subalgebra."""
-    return _graph_embedding(mp, check_deformation_map(mp, dm))
-
-
 def _graph_embedding(mp: MatchedPair, deformation: CheckReport) -> CheckReport:
-    """:func:`graph_embedding_check` read off ``deformation``, the map's
-    :func:`check_deformation_map` report.
+    """The graph of the map inside the bicrossed product is a subalgebra:
+    read off ``deformation``, the map's :func:`check_deformation_map` report.
 
     Both parts relabel its violations, the residual ``φ(q) - r``:
     (i) ``x -> (φx, x)`` is a morphism from the deformed algebra into E,

@@ -4,10 +4,10 @@ The ring of polynomials in ``d`` over the rationals is Euclidean, so
 submodules of a free module have a unique row-style Hermite normal form:
 echelon by pivot column, monic pivots, entries above each pivot reduced to
 smaller degree.  Division works on :class:`MultiPoly` values directly, one
-leading term at a time, and one row-reduction step serves the echelon pass,
-the reduction above each pivot and membership.  Storing that form makes
-submodule equality a syntactic comparison, which the derived series and
-solvability verdicts build on.
+leading term at a time, and one row-reduction step serves the echelon pass
+and the reduction above each pivot.  Storing that form makes submodule
+equality a syntactic comparison, ``==`` on :class:`Submodule`, which the
+derived series and solvability verdicts build on.
 """
 
 from __future__ import annotations
@@ -156,28 +156,6 @@ def span(ambient_rank: int, vectors: list[GenElement]) -> Submodule:
     return Submodule(ambient_rank, hermite_normal_form(tuple(rows)))
 
 
-def member(sub: Submodule, v: GenElement) -> bool:
-    """Exact membership by successive division against the pivots."""
-    if len(v.coords) != sub.ambient_rank:
-        raise ValueError("vector rank does not match ambient rank")
-    coords = list(v.coords)
-    for c in coords:
-        if not c.variables() <= {D}:
-            raise ValueError(f"membership is defined for d-vectors only: {c}")
-    for row in sub.generators:
-        col = next(i for i, e in enumerate(row) if not e.is_zero)
-        coords = _reduce(coords, row, col)
-        if not coords[col].is_zero:
-            return False
-    return all(c.is_zero for c in coords)
-
-
-def submodule_equals(a: Submodule, b: Submodule) -> bool:
-    if a.ambient_rank != b.ambient_rank:
-        raise ValueError("ambient ranks differ")
-    return a.generators == b.generators
-
-
 def derived_subalgebra(algebra: ConformalAlgebra, sub: Submodule) -> Submodule:
     """Span of all spectral coefficients of products of the generators.
 
@@ -238,7 +216,7 @@ def is_solvable(algebra: ConformalAlgebra, max_depth: int = 10) -> Solvability:
         if depth == max_depth:
             break
         nxt = derived_subalgebra(algebra, current)
-        if submodule_equals(nxt, current):
+        if nxt == current:
             return Solvability("not_solvable", series=tuple(series))
         current = nxt
         series.append(current)

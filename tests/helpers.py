@@ -1,12 +1,27 @@
 """Shared builders: the bundled fixture files are the single source of truth
-for the worked examples, so tests parse them rather than duplicating tables."""
+for the worked examples, so tests parse them rather than duplicating tables.
+Also the references that tests check cfkit against: ``action_eval``, the
+kernel evaluation of one action, and ``member``, submodule membership."""
 
 from fractions import Fraction
 
 from cfkit import corpus
+from cfkit.actions import ModuleAction
+from cfkit.algebra import GenElement, spectral_eval
 from cfkit.deform import DeformationMap, Morphism
 from cfkit.dsl import Document, parse_document
-from cfkit.poly import MultiPoly
+from cfkit.poly import D, MultiPoly
+from cfkit.structure import Submodule, _reduce
+
+#: ``psi2`` is a map of ``P2``, not of ``P``: a map of another pair, which
+#: ``P``'s checks refuse rather than read through its first rows
+FOREIGN = (
+    "algebra Vir : lie { gens L; [L, L] = (d + 2*l) L; }\n"
+    "algebra One : lie { gens W; }\nalgebra Two : lie { gens W1, W2; }\n"
+    "matched P : lie { R = Vir; Q = One; }\nmatched P2 : lie { R = Vir; Q = Two; }\n"
+    "defmap phi on P { W -> (0) L; }\ndefmap psi2 on P2 { W1 -> L; }\n"
+    "morphism a1 : One -> One { W -> W; }\n"
+)
 
 
 def load_fixture(name: str, **params) -> Document:
@@ -52,3 +67,35 @@ def identity_morphism(algebra) -> Morphism:
         tuple(one if i == j else zero for j in range(n)) for i in range(n)
     )
     return Morphism(algebra, algebra, matrix)
+
+
+def action_eval(act: ModuleAction, first: GenElement, second: GenElement, s) -> GenElement:
+    """Evaluate ``first_s second`` where one argument is an algebra element.
+
+    The arguments come in the order of the infix notation: for a left action
+    the first belongs to the acting algebra, for a right action it is the
+    carrier element.  Same kernel as the product.
+    """
+    s = MultiPoly.const(0) + s
+    rows, cols = act.shape
+    if len(first.coords) != rows or len(second.coords) != cols:
+        raise ValueError("action argument rank mismatch")
+    return GenElement(
+        spectral_eval(act.table, act.carrier_rank, first.coords, second.coords, s)
+    )
+
+
+def member(sub: Submodule, v: GenElement) -> bool:
+    """Exact membership by successive division against the pivots."""
+    if len(v.coords) != sub.ambient_rank:
+        raise ValueError("vector rank does not match ambient rank")
+    coords = list(v.coords)
+    for c in coords:
+        if not c.variables() <= {D}:
+            raise ValueError(f"membership is defined for d-vectors only: {c}")
+    for row in sub.generators:
+        col = next(i for i, e in enumerate(row) if not e.is_zero)
+        coords = _reduce(coords, row, col)
+        if not coords[col].is_zero:
+            return False
+    return all(c.is_zero for c in coords)

@@ -24,9 +24,9 @@ from cfkit.constraints import (
 from cfkit.deform import (
     DeformationMap,
     Morphism,
+    _is_invertible,
     check_deformation_map,
     check_morphism,
-    is_isomorphism,
 )
 from cfkit.poly import D, L1, MultiPoly, unknown
 from cfkit.structure import is_abelian, is_solvable
@@ -149,7 +149,7 @@ def test_criterion_05_morphisms():
     for a, b in [(2, 1), (1, 0)]:
         doc = sv_doc(a=a, b=b)
         iso = doc.find("morphism", "iso")
-        assert check_morphism(iso).passed and is_isomorphism(iso), (a, b)
+        assert check_morphism(iso).passed and _is_invertible(iso.matrix), (a, b)
     doc = sv_doc(a=2, b=1)
     qab = doc.find("algebra", "Qab")
     qtilde = doc.find("algebra", "Qtilde")
@@ -262,7 +262,7 @@ def test_criterion_09_convention_cross_check():
 def test_criterion_10_honesty_fixture():
     doc = assoc4_doc()
     theta = doc.find("morphism", "theta")
-    verdict = is_isomorphism(theta)
+    verdict = check_morphism(theta).passed and _is_invertible(theta.matrix)
 
     # the golden records the same verdict the checker produces now
     recorded = None

@@ -10,12 +10,10 @@ from cfkit.actions import (
     ModuleAction,
     RIGHT,
     _layout,
-    action_eval,
+    _matched_pair,
     build_bicrossed,
     check_b1_b2_direct,
     check_matched_pair,
-    trivial_action,
-    trivial_pair,
 )
 from cfkit.algebra import (
     ASSOCIATIVE,
@@ -30,12 +28,12 @@ from cfkit.algebra import (
     merge_reports,
     product_eval,
 )
-from cfkit.deform import check_deformation_map, deformed_algebra, graph_embedding_check
+from cfkit.deform import _graph_embedding, check_deformation_map, deformed_algebra
 from cfkit.poly import D, L1, L2, MultiPoly
 
 from cfkit import corpus
 from cfkit.dsl import parse_document
-from helpers import assoc4_doc, nfold_doc, sv_doc, vir_algebra, wab_doc
+from helpers import action_eval, assoc4_doc, nfold_doc, sv_doc, vir_algebra, wab_doc
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
@@ -170,8 +168,7 @@ def split_current_pair():
     """Current-algebra split with a nontrivial left cross action."""
     r = abelian(LIE, ("E",))
     q = abelian(LIE, ("F",))
-    rhd = ModuleAction(LEFT, q, 1, (((MultiPoly.const(-1),),),))
-    return MatchedPair(LIE, r, q, trivial_action(RIGHT, r, 1), rhd)
+    return _matched_pair(LIE, r, q, {"rhd": {(0, 0): (MultiPoly.const(-1),)}})
 
 
 class TestActionEval:
@@ -183,7 +180,7 @@ class TestActionEval:
         assert out.coords == (d + 2 * l,)
 
     def test_trivial_action_is_zero(self):
-        pair = trivial_pair(vir_algebra(), abelian(LIE, ("W",)))
+        pair = _matched_pair(LIE, vir_algebra(), abelian(LIE, ("W",)), {})
         out = action_eval(pair.lhd, pair.Q.basis_element(0), pair.R.basis_element(0), l)
         assert out.is_zero
 
@@ -208,7 +205,7 @@ class TestCheckModule:
         assert check_module(pair.lhd).passed
 
     def test_trivial_passes(self):
-        pair = trivial_pair(vir_algebra(), abelian(LIE, ("W",)))
+        pair = _matched_pair(LIE, vir_algebra(), abelian(LIE, ("W",)), {})
         assert check_module(pair.lhd).passed
         assert check_module(pair.rhd).passed
 
@@ -238,9 +235,8 @@ class TestCheckBimodule:
 
     def test_both_trivial(self):
         a2 = assoc4_doc().find("algebra", "A2")
-        left = trivial_action(LEFT, a2, 2)
-        right = trivial_action(RIGHT, a2, 2)
-        assert check_bimodule(left, right).passed
+        pair = _matched_pair(ASSOCIATIVE, a2, a2, {})
+        assert check_bimodule(pair.rhu, pair.lhd).passed
 
     def test_wrong_side_copy_fails(self):
         pair = assoc4_doc().find("matched", "AP")
@@ -259,7 +255,7 @@ class TestBuildBicrossed:
     def test_trivial_actions_give_direct_sum(self):
         r = vir_algebra()
         q = abelian(LIE, ("W",))
-        big = build_bicrossed(trivial_pair(r, q))
+        big = build_bicrossed(_matched_pair(LIE, r, q, {}))
         assert big.table[0][0] == (d + 2 * l, MultiPoly.zero())
         assert all(c.is_zero for c in big.table[0][1])
         assert all(c.is_zero for c in big.table[1][0])
@@ -291,8 +287,8 @@ class TestBuildBicrossed:
     def test_direct_sum_fails_iff_component_fails(self):
         bad = ConformalAlgebra(LIE, ("L",), (((d + 3 * l,),),))
         good = abelian(LIE, ("W",))
-        assert not check_axioms(build_bicrossed(trivial_pair(bad, good))).passed
-        assert check_axioms(build_bicrossed(trivial_pair(vir_algebra(), good))).passed
+        assert not check_axioms(build_bicrossed(_matched_pair(LIE, bad, good, {}))).passed
+        assert check_axioms(build_bicrossed(_matched_pair(LIE, vir_algebra(), good, {}))).passed
 
 
 class TestCheckMatchedPair:
@@ -301,7 +297,7 @@ class TestCheckMatchedPair:
         assert check_matched_pair(wab_doc(a, b).find("matched", "WP")).passed
 
     def test_trivial_pair_passes(self):
-        assert check_matched_pair(trivial_pair(vir_algebra(), abelian(LIE, ("W",)))).passed
+        assert check_matched_pair(_matched_pair(LIE, vir_algebra(), abelian(LIE, ("W",)), {})).passed
 
     def test_sign_flip_fails(self):
         pair = wab_doc(2, 0).find("matched", "WP")
@@ -366,7 +362,7 @@ class TestBicrossedBuiltOnce:
         assert check_matched_pair(pair).passed
         assert check_deformation_map(pair, phi).passed
         deformed_algebra(pair, phi)
-        assert graph_embedding_check(pair, phi).passed
+        assert _graph_embedding(pair, check_deformation_map(pair, phi)).passed
         assert calls == [pair]
 
     def test_cache_is_not_a_field(self):
@@ -416,8 +412,11 @@ PERTURBED_PAIRS = {
     "NP": lambda: nfold_doc().find("matched", "NP"),
     "SVP": lambda: sv_doc().find("matched", "SVP"),
     "AP": lambda: assoc4_doc().find("matched", "AP"),
-    "A2+Q2": lambda: trivial_pair(
-        assoc4_doc().find("algebra", "A2"), assoc4_doc().find("algebra", "Q2")
+    "A2+Q2": lambda: _matched_pair(
+        ASSOCIATIVE,
+        assoc4_doc().find("algebra", "A2"),
+        assoc4_doc().find("algebra", "Q2"),
+        {},
     ),
 }
 
@@ -553,7 +552,7 @@ class TestBicrossedMatchesEvaluation:
             (sv.find("algebra", "RLN"), sv.find("algebra", "QYM")),
             (assoc.find("algebra", "A2"), assoc.find("algebra", "Qbd")),
         ]:
-            pair = trivial_pair(r, q)
+            pair = _matched_pair(r.kind, r, q, {})
             assert build_bicrossed(pair) == reference_build_bicrossed(pair)
 
     def test_bundled_pairs(self):

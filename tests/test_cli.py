@@ -11,6 +11,7 @@ from cfkit.algebra import CheckReport, GenElement, Violation, element_text
 from cfkit.cli import MAX_ENTRY_DEGREE
 from cfkit.dsl import parse_document
 from cfkit.poly import MultiPoly
+from helpers import FOREIGN
 from test_actions import reference_check_b1_b2_direct
 
 VIR = "algebra Vir : lie {\n  gens L;\n  [L, L] = (d + 2*l) L;\n}\n"
@@ -545,6 +546,20 @@ class TestEquivWitness:
         argv = ["equiv", "t.cfk", "--pair", "P", "--phi", "phi", "--psi", "phi", "--alpha", alpha]
         assert run(argv) == 2
         assert capsys.readouterr().err == f"--alpha {alpha}: {message}\n"
+
+
+class TestForeignMap:
+    @pytest.mark.parametrize("argv", [
+        ["deform", "--map", "psi2"],
+        ["equiv", "--phi", "phi", "--psi", "psi2", "--grid-num", "1", "--grid-den", "1"],
+        ["equiv", "--phi", "psi2", "--psi", "phi"],
+        ["equiv", "--phi", "phi", "--psi", "psi2", "--alpha", "a1"],
+        ["equiv", "--phi", "psi2", "--psi", "phi", "--alpha", "a1"],
+    ], ids=["deform", "search-psi", "search-phi", "alpha-psi", "alpha-phi"])
+    def test_exits_2_as_deform_does(self, workdir, capsys, argv):
+        Path("t.cfk").write_text(FOREIGN)
+        assert run([argv[0], "t.cfk", "--pair", "P", *argv[1:]]) == 2
+        assert capsys.readouterr().err == "map 'psi2' is not defined on pair 'P'\n"
 
 
 class TestDeformReport:

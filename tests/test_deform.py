@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfkit.actions import action_eval, build_bicrossed
+from cfkit.actions import build_bicrossed
 from cfkit.algebra import (
     LIE,
     ConformalAlgebra,
@@ -19,19 +19,20 @@ from cfkit.deform import (
     DeformationMap,
     Morphism,
     _deformation_residuals,
-    apply_map,
+    _graph_embedding,
+    _is_invertible,
     apply_matrix,
     check_deformation_map,
     check_equivalence,
     check_morphism,
     deformed_algebra,
-    graph_embedding_check,
-    is_isomorphism,
 )
 from cfkit.dsl import parse_document
 from cfkit.poly import D, L1, MultiPoly
 
 from helpers import (
+    FOREIGN,
+    action_eval,
     assoc4_doc,
     identity_morphism,
     nfold_doc,
@@ -53,23 +54,18 @@ def wab_map(a, b, c):
 class TestApplyMap:
     def test_d_linearity(self):
         _, pair, phi = wab_map(1, 0, 3)
-        out = apply_map(phi, GenElement((d,)))
-        assert out.coords == (3 * d,)
+        assert apply_matrix(phi.matrix, (d,)) == (3 * d,)
 
     def test_zero_map(self):
         pair = wab_doc(1, 0).find("matched", "WP")
-        assert apply_map(zero_map(pair), pair.Q.basis_element(0)).is_zero
+        out = apply_matrix(zero_map(pair).matrix, pair.Q.basis_element(0).coords)
+        assert all(c.is_zero for c in out)
 
     def test_sv_family_image(self):
         doc = sv_doc(a=2, b=1)
         phi = doc.find("defmap", "phiab")
-        out = apply_map(phi, GenElement((MultiPoly.const(1), MultiPoly.zero())))
-        assert out.coords == (MultiPoly.const(2), d + 1)
-
-    def test_dimension_mismatch(self):
-        _, pair, phi = wab_map(1, 0, 3)
-        with pytest.raises(ValueError):
-            apply_map(phi, GenElement((d, d)))
+        out = apply_matrix(phi.matrix, (MultiPoly.const(1), MultiPoly.zero()))
+        assert out == (MultiPoly.const(2), d + 1)
 
 
 class TestCheckDeformationMap:
@@ -155,29 +151,30 @@ class TestDeformedAlgebra:
 class TestGraphEmbedding:
     def test_wab(self):
         _, pair, phi = wab_map(1, 0, 1)
-        assert graph_embedding_check(pair, phi).passed
+        assert _graph_embedding(pair, check_deformation_map(pair, phi)).passed
 
     def test_zero_map(self):
         pair = sv_doc().find("matched", "SVP")
-        assert graph_embedding_check(pair, zero_map(pair)).passed
+        assert _graph_embedding(pair, check_deformation_map(pair, zero_map(pair))).passed
 
     def test_sv_family(self):
         doc = sv_doc(a=2, b=1)
         pair = doc.find("matched", "SVP")
-        assert graph_embedding_check(pair, doc.find("defmap", "phiab")).passed
+        phi = doc.find("defmap", "phiab")
+        assert _graph_embedding(pair, check_deformation_map(pair, phi)).passed
 
     def test_assoc_family(self):
         doc = assoc4_doc(p=1, q=2, r=Fraction(3, 2), s=3)
         pair = doc.find("matched", "AP")
-        assert graph_embedding_check(pair, doc.find("defmap", "phi4")).passed
+        phi = doc.find("defmap", "phi4")
+        assert _graph_embedding(pair, check_deformation_map(pair, phi)).passed
 
 
 class TestMorphism:
     def test_embedding_into_rank_one(self):
         doc = wab_doc(1, 0, c=3)
         emb = doc.find("morphism", "emb")
-        assert check_morphism(emb).passed
-        assert is_isomorphism(emb)
+        assert check_morphism(emb).passed and _is_invertible(emb.matrix)
 
     def test_unscaled_map_fails(self):
         doc = wab_doc(1, 0, c=3)
@@ -188,36 +185,31 @@ class TestMorphism:
 
     def test_identity(self):
         vir = vir_algebra()
-        assert check_morphism(identity_morphism(vir)).passed
-        assert is_isomorphism(identity_morphism(vir))
+        identity = identity_morphism(vir)
+        assert check_morphism(identity).passed and _is_invertible(identity.matrix)
 
     def test_multiplication_by_d_is_not_invertible(self):
         from cfkit.algebra import LIE, abelian
 
         ab = abelian(LIE, ("W",))
         h = Morphism(ab, ab, ((d,),))
-        assert check_morphism(h).passed
-        assert not is_isomorphism(h)
+        assert check_morphism(h).passed and not _is_invertible(h.matrix)
 
     def test_sv_rescaling(self):
         doc = sv_doc(a=2, b=1)
         iso = doc.find("morphism", "iso")
-        assert check_morphism(iso).passed
-        assert is_isomorphism(iso)
+        assert check_morphism(iso).passed and _is_invertible(iso.matrix)
 
     def test_assoc_rescalings(self):
-        for q, s in [(2, 3), (3, 2)]:
-            doc = assoc4_doc(q=q, s=s)
-            assert is_isomorphism(doc.find("morphism", "psiBD"))
-        for q in (2, 3):
-            doc = assoc4_doc(q=q)
-            assert is_isomorphism(doc.find("morphism", "psiB"))
+        rescalings = [assoc4_doc(q=q, s=s).find("morphism", "psiBD") for q, s in [(2, 3), (3, 2)]]
+        rescalings += [assoc4_doc(q=q).find("morphism", "psiB") for q in (2, 3)]
+        for h in rescalings:
+            assert check_morphism(h).passed and _is_invertible(h.matrix)
 
     def test_unit_triangular_candidate_is_isomorphism(self):
         doc = assoc4_doc()
         theta = doc.find("morphism", "theta")
-        assert check_morphism(theta).passed
-        assert is_isomorphism(theta)
+        assert check_morphism(theta).passed and _is_invertible(theta.matrix)
 
 
 class TestEquivalence:
@@ -295,6 +287,26 @@ class TestEquivalence:
         assert check_equivalence(pair, psi1, phi3, diag(Fraction(1, 3), Fraction(1, 9))).passed
         composed = diag(Fraction(5, 3), Fraction(25, 9))
         assert check_equivalence(pair, phi5, phi3, composed).passed
+
+
+class TestForeignMap:
+    @pytest.mark.parametrize("call", [
+        lambda pair, phi, psi2: check_deformation_map(pair, psi2),
+        lambda pair, phi, psi2: deformed_algebra(pair, psi2),
+        lambda pair, phi, psi2: check_equivalence(pair, phi, psi2, identity_morphism(pair.Q)),
+        lambda pair, phi, psi2: check_equivalence(pair, psi2, phi, identity_morphism(pair.Q)),
+        lambda pair, phi, psi2: search_equivalence_diagonal(pair, phi, psi2, grid_values(1, 1)),
+    ], ids=["check", "deformed", "equivalence-psi", "equivalence-phi", "search"])
+    def test_is_refused(self, call):
+        doc = parse_document(FOREIGN)
+        pair, phi = doc.find("matched", "P"), doc.find("defmap", "phi")
+        with pytest.raises(ValueError, match="map is attached to a different matched pair"):
+            call(pair, phi, doc.find("defmap", "psi2"))
+
+    def test_map_of_an_equal_pair_is_accepted(self):
+        pair, phi = sv_doc().find("matched", "SVP"), sv_doc().find("defmap", "zero")
+        assert phi.pair is not pair
+        assert deformed_algebra(pair, phi) == pair.Q
 
 
 class TestBicrossedInterplay:
@@ -376,29 +388,29 @@ def reference_table(mp, matrix):
 
 def reference_equivalence(mp, phi, psi, alpha):
     q_basis = [mp.Q.basis_element(i) for i in range(mp.Q.rank)]
-    a_img = [apply_map(alpha, q) for q in q_basis]
+    a_img = [_phi(alpha.matrix, q) for q in q_basis]
     psi_a = [_phi(psi.matrix, e) for e in a_img]
     phi_img = [_phi(phi.matrix, q) for q in q_basis]
     violations = []
     for i, x in enumerate(q_basis):
         for j, y in enumerate(q_basis):
-            lhs = apply_map(alpha, product_eval(mp.Q, x, y, l)) - product_eval(
+            lhs = _phi(alpha.matrix, product_eval(mp.Q, x, y, l)) - product_eval(
                 mp.Q, a_img[i], a_img[j], l
             )
-            rhs = action_eval(mp.lhd, a_img[i], psi_a[j], l) - apply_map(
-                alpha, action_eval(mp.lhd, x, phi_img[j], l)
+            rhs = action_eval(mp.lhd, a_img[i], psi_a[j], l) - _phi(
+                alpha.matrix, action_eval(mp.lhd, x, phi_img[j], l)
             )
             if mp.kind == LIE:
                 rhs = (
                     rhs
                     - action_eval(mp.lhd, a_img[j], psi_a[i], _NEG)
-                    + apply_map(alpha, action_eval(mp.lhd, y, phi_img[i], _NEG))
+                    + _phi(alpha.matrix, action_eval(mp.lhd, y, phi_img[i], _NEG))
                 )
             else:
                 rhs = (
                     rhs
                     + action_eval(mp.rhu, psi_a[i], a_img[j], l)
-                    - apply_map(alpha, action_eval(mp.rhu, phi_img[i], y, l))
+                    - _phi(alpha.matrix, action_eval(mp.rhu, phi_img[i], y, l))
                 )
             residual = lhs - rhs
             if not residual.is_zero:
@@ -420,9 +432,9 @@ def explicit_graph_embedding(mp, dm):
     morph = Morphism(twisted, big, embed)
     violations = list(check_morphism(morph).violations)
     for i in range(nq):
-        gi = apply_map(morph, twisted.basis_element(i))
+        gi = _phi(embed, twisted.basis_element(i))
         for j in range(nq):
-            gj = apply_map(morph, twisted.basis_element(j))
+            gj = _phi(embed, twisted.basis_element(j))
             prod = product_eval(big, gi, gj, l).coords
             residual = GenElement(prod[:nr]) - _phi(dm.matrix, GenElement(prod[nr:]))
             if not residual.is_zero:
@@ -490,7 +502,7 @@ class TestGraphProductsMatchHandExpansion:
             want = reference_residuals(pair, dm.matrix)
             assert list(_deformation_residuals(pair, dm.matrix)) == want
             assert deformed_algebra(pair, dm).table == reference_table(pair, dm.matrix)
-            graph = graph_embedding_check(pair, dm)
+            graph = _graph_embedding(pair, check_deformation_map(pair, dm))
             assert graph.violations == explicit_graph_embedding(pair, dm)
             failing += not graph.passed
         assert failing  # the comparison must see failing embeddings
