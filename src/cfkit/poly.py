@@ -218,27 +218,7 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        den, other_den = self._den, other._den
-        if den == other_den:
-            out = dict(self._terms)
-            scale = 1
-        else:
-            # bring both over lcm(den, other_den)
-            g = gcd(den, other_den)
-            out = {mono: c * (other_den // g) for mono, c in self._terms.items()}
-            scale = den // g
-            den *= other_den // g
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono, 0) + coeff * scale
-            if acc:
-                out[mono] = acc
-            else:
-                del out[mono]
-        return _normal(out, den)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
@@ -246,15 +226,17 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _combine(other, self, -1)
 
     def __neg__(self) -> "MultiPoly":
+        if not self._terms:
+            return _ZERO
         return _raw({mono: -coeff for mono, coeff in self._terms.items()}, self._den)
 
     def __mul__(self, other) -> "MultiPoly":
@@ -438,6 +420,32 @@ def _normal(terms: dict[Monomial, int], den: int) -> MultiPoly:
 
 
 _ZERO = _raw({}, 1)
+
+
+def _combine(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
+    """``a + sign * b`` for ``sign`` in {1, -1}, in one pass over integer
+    numerators: no negated copy of ``b`` is built for a difference."""
+    if not b._terms:
+        return a
+    if not a._terms:
+        return b if sign > 0 else -b
+    den, b_den = a._den, b._den
+    if den == b_den:
+        out = dict(a._terms)
+        scale = sign
+    else:
+        # bring both over lcm(den, b_den)
+        g = gcd(den, b_den)
+        out = {mono: c * (b_den // g) for mono, c in a._terms.items()}
+        scale = sign * (den // g)
+        den *= b_den // g
+    for mono, coeff in b._terms.items():
+        acc = out.get(mono, 0) + coeff * scale
+        if acc:
+            out[mono] = acc
+        else:
+            del out[mono]
+    return _normal(out, den)
 
 
 def _coerce(value) -> "MultiPoly":

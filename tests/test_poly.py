@@ -499,3 +499,61 @@ class TestOnePassSubstitution:
     def test_monomial_merge(self, a, b):
         assert _mono_mul(a, b) == reference_mono_mul(a, b)
         assert _mono_mul(b, a) == reference_mono_mul(a, b)
+
+
+# -- one-pass subtraction against adding the negation ------------------------
+
+
+def assert_same_stored(got: MultiPoly, expected: MultiPoly):
+    assert (got._terms, got._den) == (expected._terms, expected._den)
+    assert hash(got) == hash(expected)
+
+
+def ref_sub(a, b):
+    return ref_add(a, {mono: -c for mono, c in b.items()})
+
+
+class TestOnePassSubtraction:
+    """``p - q`` and ``s - p`` make one pass; ``p + (-q)`` and ``s + (-p)``
+    are the two-step forms they replaced.  The Fraction reference pins the
+    value too, since a sum and a difference share one pass."""
+
+    @given(
+        a=term_maps(EVERY_VARIABLE, mixed_scalars),
+        b=term_maps(EVERY_VARIABLE, mixed_scalars),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_adding_the_negation(self, a, b):
+        p, q, zero = MultiPoly(a), MultiPoly(b), MultiPoly.zero()
+        for (x, tx), (y, ty) in [
+            ((p, a), (q, b)),
+            ((q, b), (p, a)),
+            ((p, a), (p, a)),
+            ((p, a), (zero, {})),
+            ((zero, {}), (q, b)),
+        ]:
+            got = x - y
+            assert_same_stored(got, x + (-y))
+            assert_stored_canonical(got)
+            assert dict(got.terms()) == ref_sub(ref(tx), ref(ty))
+
+    @given(
+        a=term_maps(EVERY_VARIABLE, mixed_scalars),
+        s=st.one_of(scalars, mixed_scalars),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_scalar_operands(self, a, s):
+        for p, terms in ((MultiPoly(a), a), (MultiPoly.zero(), {})):
+            assert_same_stored(s - p, s + (-p))
+            assert_same_stored(p - s, p + (-s))
+            assert dict((s - p).terms()) == ref_sub({(): Fraction(s)}, ref(terms))
+
+    def test_zero_operands(self):
+        zero = MultiPoly.zero()
+        assert -zero is zero
+        p = d / 3 - 1
+        assert p - zero is p
+        assert p - 0 is p
+        assert_same_stored(zero - p, -p)
+        assert_same_stored(0 - p, -p)
+        assert zero - zero is zero
