@@ -1,18 +1,20 @@
 """Conformal algebras: finite free basis, spectral product table, axiom checks.
 
-A single evaluation kernel, :func:`spectral_eval`, implements the two
-rewriting rules that extend a basis product table to arbitrary elements: a
-``d``-polynomial multiplying the left argument is re-evaluated at the negated
-spectral parameter, one multiplying the right argument at ``d`` shifted by
-it.  The kernel rewrites general elements; a basis product is its table
-entry at ``s`` (:func:`_table_at`).  Nested products are computed innermost
-first, which makes the treatment of expressions like a product evaluated at
-``-l - d`` completely uniform.
+Two rewriting rules extend a basis product table to arbitrary elements at a
+spectral parameter ``s``: a ``d``-polynomial multiplying the left argument
+is re-evaluated at ``-s`` (:func:`_as_left`), one multiplying the right
+argument at ``d + s`` (:func:`_as_right`), and the table's ``l`` is set to
+``s`` (:func:`_table_at`, the stored table itself at ``s = l``).  The kernel,
+:func:`spectral_eval`, is the bilinear contraction of arguments already
+rewritten against a table already at ``s``; :func:`product_eval` composes
+the three.  So each argument and table is rewritten once, however many
+products it enters.
 
-The axiom checks call the kernel once per product of an identity, on the
-coordinate tuples of unit vectors and tabulated pair products, and build
-each residual with one subtraction per coordinate; no intermediate element
-is formed.
+The axiom checks build, once per check, the table at ``l``, ``m`` and
+``l + m`` and the pair products already rewritten as arguments, the
+structure constants c_jk(d+l, m), c_ij(-l-m, l) and c_ik(d+m, l); each
+product of an identity is one contraction of a unit vector against them,
+and each residual one subtraction per coordinate.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement, permutations, product
+from typing import NamedTuple
 
 from .poly import D, L1, L2, MultiPoly, Scalar
 
@@ -200,36 +203,63 @@ def spectral_eval(
     out_rank: int,
     left: tuple[MultiPoly, ...],
     right: tuple[MultiPoly, ...],
-    s: MultiPoly,
 ) -> tuple[MultiPoly, ...]:
-    """Evaluate a bilinear spectral product at parameter ``s``.
+    """The bilinear contraction ``sum_ij left_i * right_j * table[i][j]``.
 
     ``table[i][j]`` gives the product of the i-th left and j-th right basis
-    vectors as a coefficient vector of length ``out_rank``.  Coordinate
-    polynomials of the arguments are rewritten by ``d -> -s`` (left) and
-    ``d -> d + s`` (right); the table's spectral variable is set to ``s``.
+    vectors as a coefficient vector of length ``out_rank``.  All three are
+    taken as already at the spectral parameter: the table from
+    :func:`_table_at`, the arguments from :func:`_as_left` and
+    :func:`_as_right`.  Nothing is substituted here, so a caller that
+    contracts one argument or table many times rewrites it once.
     """
-    require_affine(s)
-    minus_s = -s
-    shifted = _PD + s
     out = [MultiPoly.zero()] * out_rank
-    for i, xi in enumerate(left):
-        if xi.is_zero:
+    for i, a in enumerate(left):
+        if a.is_zero:
             continue
-        a = xi.substitute(D, minus_s)
         row = table[i]
-        for j, yj in enumerate(right):
-            if yj.is_zero:
+        for j, b in enumerate(right):
+            if b.is_zero:
                 continue
-            entry = row[j]
             factor = None
-            for k, coeff in enumerate(entry):
+            for k, coeff in enumerate(row[j]):
                 if coeff.is_zero:
                     continue
                 if factor is None:
-                    factor = a * yj.substitute(D, shifted)
-                out[k] = out[k] + factor * coeff.substitute(L1, s)
+                    factor = a * b
+                out[k] = out[k] + factor * coeff
     return tuple(out)
+
+
+def _as_left(coords: tuple[MultiPoly, ...], s: MultiPoly) -> tuple[MultiPoly, ...]:
+    """A left argument at ``s``: a ``d``-polynomial multiplying the left
+    factor is re-evaluated at the negated spectral parameter, ``d -> -s``."""
+    if not any(coords):
+        return coords
+    minus_s = -s
+    return tuple(c.substitute(D, minus_s) if c else c for c in coords)
+
+
+def _as_right(coords: tuple[MultiPoly, ...], s: MultiPoly) -> tuple[MultiPoly, ...]:
+    """A right argument at ``s``: a ``d``-polynomial multiplying the right
+    factor is re-evaluated at ``d`` shifted by the parameter, ``d -> d + s``."""
+    if not any(coords):
+        return coords
+    shifted = _PD + s
+    return tuple(c.substitute(D, shifted) if c else c for c in coords)
+
+
+def _table_at(table: Table, s: MultiPoly) -> Table:
+    """``table`` with ``l`` set to ``s``: entry ``[i][j]`` is the product of
+    the i-th and j-th basis vectors at ``s``.  At ``s = l`` this is the
+    stored table itself; otherwise zero coefficients, most of a sparse
+    table, are kept as they are."""
+    if s == _PL1:
+        return table
+    return tuple(
+        tuple(tuple(c.substitute(L1, s) if c else c for c in entry) for entry in row)
+        for row in table
+    )
 
 
 def product_eval(
@@ -238,22 +268,17 @@ def product_eval(
     y: GenElement,
     s: MultiPoly | Scalar,
 ) -> GenElement:
-    """Product of two elements at spectral parameter ``s``."""
+    """Product of two elements at spectral parameter ``s``: the kernel's
+    contraction of ``x`` rewritten as a left argument and ``y`` as a right
+    one against the table at ``s``."""
     s = MultiPoly.const(0) + s
     n = algebra.rank
     if len(x.coords) != n or len(y.coords) != n:
         raise ValueError("element rank does not match algebra rank")
-    return GenElement(spectral_eval(algebra.table, n, x.coords, y.coords, s))
-
-
-def _table_at(table: Table, s: MultiPoly) -> list[list[GenElement]]:
-    """``table`` with ``l`` set to ``s``: entry ``[i][j]`` is the product of
-    the i-th and j-th basis vectors at ``s``, exactly what the kernel returns
-    on those two unit vectors.  Zero coefficients, most of a sparse table,
-    are kept as they are."""
-    return [[GenElement(tuple(c.substitute(L1, s) if c else c for c in entry))
-             for entry in row]
-            for row in table]
+    require_affine(s)
+    return GenElement(spectral_eval(
+        _table_at(algebra.table, s), n, _as_left(x.coords, s), _as_right(y.coords, s)
+    ))
 
 
 def _violations(identity: str, names, rows) -> tuple[Violation, ...]:
@@ -266,22 +291,47 @@ def _violations(identity: str, names, rows) -> tuple[Violation, ...]:
     )
 
 
-def _jacobiator(table, n, unit, at_l, at_m, i, j, k) -> GenElement:
-    """J(e_i, e_j, e_k)(l, m) = [e_i_l [e_j_m e_k]] - [[e_i_l e_j]_{l+m} e_k]
-    - [e_j_m [e_i_l e_k]], from the coordinate tuples ``unit`` of the unit
-    vectors and the pair products ``at_l`` and ``at_m``.
+class _AxiomTables(NamedTuple):
+    """What the axiom checks contract unit vectors against, each built once
+    per check: the table at ``l``, ``m`` and ``l + m``, and the pair
+    products already rewritten as kernel arguments (the structure constants
+    of D'Andrea and Kac's form of the identities)."""
 
-    The kernel is called once per product, directly on coordinate tuples,
-    and the residual is built with one subtraction per coordinate.  The
-    triple comes last, so the orbit-count test can read it off the call.
+    l: Table
+    m: Table
+    lm: Table
+    jk: list  # c_jk(d+l, m): [e_j _m e_k] as a right argument at l
+    ij: list  # c_ij(-l-m, l): [e_i _l e_j] as a left argument at l+m
+    ik: list  # c_ik(d+m, l): [e_i _l e_k] as a right argument at m
+
+
+def _axiom_tables(table: Table) -> _AxiomTables:
+    at_m = _table_at(table, _PL2)
+    return _AxiomTables(
+        table,
+        at_m,
+        _table_at(table, _PLM),
+        [[_as_right(entry, _PL1) for entry in row] for row in at_m],
+        [[_as_left(entry, _PLM) for entry in row] for row in table],
+        [[_as_right(entry, _PL2) for entry in row] for row in table],
+    )
+
+
+def _jacobiator(at: _AxiomTables, unit, i, j, k) -> GenElement:
+    """J(e_i, e_j, e_k)(l, m) = [e_i_l [e_j_m e_k]] - [[e_i_l e_j]_{l+m} e_k]
+    - [e_j_m [e_i_l e_k]]: one contraction per product, of a unit vector
+    against a pair product rewritten once per check (``at``), and one
+    subtraction per coordinate.  The triple comes last, so the orbit-count
+    test can read it off the call.
     """
-    lhs = spectral_eval(table, n, unit[i], at_m[j][k].coords, _PL1)
-    mid = spectral_eval(table, n, at_l[i][j].coords, unit[k], _PLM)
-    rhs = spectral_eval(table, n, unit[j], at_l[i][k].coords, _PL2)
+    n = len(unit)
+    lhs = spectral_eval(at.l, n, unit[i], at.jk[j][k])
+    mid = spectral_eval(at.lm, n, at.ij[i][j], unit[k])
+    rhs = spectral_eval(at.m, n, unit[j], at.ik[i][k])
     return GenElement(tuple(a - b - c for a, b, c in zip(lhs, mid, rhs)))
 
 
-def _jacobi_violations(algebra: ConformalAlgebra, at_l, skew_holds: bool):
+def _jacobi_violations(algebra: ConformalAlgebra, skew_holds: bool):
     """Violations of J(a,b,c)(l,m) = [a_l[b_m c]] - [[a_l b]_{l+m} c] - [b_m[a_l c]]
     on basis triples, in the lexicographic order of the full n^3 loop.
 
@@ -306,8 +356,7 @@ def _jacobi_violations(algebra: ConformalAlgebra, at_l, skew_holds: bool):
     """
     n = algebra.rank
     unit = [algebra.basis_element(i).coords for i in range(n)]
-    at_m = _table_at(algebra.table, _PL2)
-    jacobiator = partial(_jacobiator, algebra.table, n, unit, at_l, at_m)
+    jacobiator = partial(_jacobiator, _axiom_tables(algebra.table), unit)
     triples = product(range(n), repeat=3)
     if skew_holds:
         triples = sorted({
@@ -322,18 +371,18 @@ def _jacobi_violations(algebra: ConformalAlgebra, at_l, skew_holds: bool):
 
 
 def check_associativity(algebra: ConformalAlgebra) -> CheckReport:
-    """[[a_l b]_{l+m} c] - [a_l [b_m c]] on basis triples: one kernel call per
-    product, on coordinate tuples, and one subtraction per coordinate."""
+    """[[a_l b]_{l+m} c] - [a_l [b_m c]] on basis triples: one contraction per
+    product, of a unit vector against a rewritten pair product, and one
+    subtraction per coordinate."""
     if algebra.kind != ASSOCIATIVE:
         raise ValueError("associativity applies to associative kind only")
-    table, n = algebra.table, algebra.rank
+    n = algebra.rank
+    at = _axiom_tables(algebra.table)
     unit = [algebra.basis_element(i).coords for i in range(n)]
-    at_l = _table_at(table, _PL1)
-    at_m = _table_at(table, _PL2)
 
     def associator(i, j, k):
-        outer = spectral_eval(table, n, at_l[i][j].coords, unit[k], _PLM)
-        inner = spectral_eval(table, n, unit[i], at_m[j][k].coords, _PL1)
+        outer = spectral_eval(at.lm, n, at.ij[i][j], unit[k])
+        inner = spectral_eval(at.l, n, unit[i], at.jk[j][k])
         return GenElement(tuple(a - b for a, b in zip(outer, inner)))
 
     return CheckReport(_violations("associativity", algebra.basis, (
@@ -344,15 +393,15 @@ def check_associativity(algebra: ConformalAlgebra) -> CheckReport:
 def check_axioms(algebra: ConformalAlgebra) -> CheckReport:
     """Skew-symmetry plus Jacobi for Lie kind, associativity otherwise.
 
-    The Lie checks share one table of pair products at ``l``.
+    Skew-symmetry reads c_ij(d, l) + c_ji(d, -l-d) straight off the table.
     """
     if algebra.kind == LIE:
-        at_l = _table_at(algebra.table, _PL1)
-        at_neg = _table_at(algebra.table, -_PL1 - _PD)
+        table = algebra.table
+        at_neg = _table_at(table, -_PL1 - _PD)
         skew = _violations("skew-symmetry", algebra.basis, (
-            (i, j, at_l[i][j] + at_neg[j][i])
+            (i, j, GenElement(tuple(a + b for a, b in zip(table[i][j], at_neg[j][i]))))
             for i, j in product(range(algebra.rank), repeat=2)
         ))
-        jacobi = _jacobi_violations(algebra, at_l, skew_holds=not skew)
+        jacobi = _jacobi_violations(algebra, skew_holds=not skew)
         return merge_reports([("skew", CheckReport(skew)), ("jacobi", CheckReport(jacobi))])
     return merge_reports([("assoc", check_associativity(algebra))])

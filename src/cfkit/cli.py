@@ -10,8 +10,9 @@ Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
 a numeric literal over the parser's caps, a ``--param`` value with an exponent or more digits than the
 literal cap, a ``--param`` name the document never uses, or an integer
 option below its least value, or a file that is not UTF-8, or an ``equiv
---alpha`` witness that is not a square, invertible map of Q, or a ``deform``
-or ``equiv`` map not defined on ``--pair``), 3 a resource cap
+--alpha`` witness that is not a square, invertible map of Q, a ``deform``
+or ``equiv`` map not defined on ``--pair``, or a ``--json`` or ``-o`` path
+that cannot be written), 3 a resource cap
 was exceeded (a table coefficient over the (d, l)-degree budget, the
 grid-search unknown cap, point budget or power-table budget in ``solve`` and
 ``equiv``, or the derived-series depth in ``structure``).
@@ -60,6 +61,14 @@ class _InputError(Exception):
 
 class DegreeCapExceeded(ValueError):
     """A table coefficient's (d, l)-degree is above :data:`MAX_ENTRY_DEGREE`."""
+
+
+def _write(path: str, text: str) -> None:
+    """Write an output file, refused as input when the path cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}")
 
 
 def _parse_params(pairs: list[str]) -> dict[str, Fraction]:
@@ -199,7 +208,7 @@ def _output(args, report: dict, document: Document, name: str, algebra) -> None:
     compare it with the ``--expect`` declaration."""
     text = serialize(Document((Item("algebra", name, algebra),)))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     report["output"] = text
     if args.expect:
         report["checks"].append(_message_entry(
@@ -258,9 +267,7 @@ def cmd_constraints(args, report: dict) -> None:
         "residual_equations": [str(eq.poly) for eq in elimination.system.equations],
     }
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(system_json, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write(args.out, json.dumps(system_json, indent=2, sort_keys=True) + "\n")
     print(f"constraints:{args.pair}: {len(system.equations)} equations")
 
 
@@ -460,8 +467,11 @@ def main(argv: list[str] | None = None) -> int:
         capped = True
     report["timings"] = {"total_ms": int((time.monotonic() - started) * 1000)}
     if args.json:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        Path(args.json).write_text(text, encoding="utf-8")
+        try:
+            _write(args.json, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        except _InputError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_INPUT
     for entry in report["checks"]:
         print(f"{entry['name']}: {entry['status']}")
     if capped:

@@ -23,8 +23,11 @@ from .algebra import (
     ConformalAlgebra,
     GenElement,
     Violation,
+    _as_left,
+    _as_right,
     _violations,
     product_eval,
+    spectral_eval,
 )
 from .poly import D, L1, MultiPoly
 from .structure import poly_det
@@ -85,17 +88,18 @@ def _graph_products(mp: MatchedPair, matrix: Matrix):
 
     The two parts split the product, at spectral parameter ``l``, of the
     graph elements ``(φe_i, e_i)`` and ``(φe_j, e_j)`` inside the bicrossed
-    product, where ``φ`` is ``matrix``.
+    product, where ``φ`` is ``matrix``.  Each graph element is rewritten
+    once as a left and once as a right kernel argument, and each pair is
+    one contraction against E's table, stored at ``l``.
     """
-    big = mp.bicrossed
+    table = mp.bicrossed.table
     nr, nq = mp.R.rank, mp.Q.rank
-    graph = [
-        GenElement(tuple(matrix[i]) + mp.Q.basis_element(i).coords)
-        for i in range(nq)
-    ]
+    graph = [tuple(matrix[i]) + mp.Q.basis_element(i).coords for i in range(nq)]
+    left = [_as_left(g, _PL1) for g in graph]
+    right = [_as_right(g, _PL1) for g in graph]
     for i in range(nq):
         for j in range(nq):
-            prod = product_eval(big, graph[i], graph[j], _PL1).coords
+            prod = spectral_eval(table, nr + nq, left[i], right[j])
             yield i, j, GenElement(prod[:nr]), GenElement(prod[nr:])
 
 

@@ -1,16 +1,18 @@
 """Shared builders: the bundled fixture files are the single source of truth
 for the worked examples, so tests parse them rather than duplicating tables.
-Also the references that tests check cfkit against: ``action_eval``, the
-kernel evaluation of one action, and ``member``, submodule membership."""
+Also the references that tests check cfkit against:
+``reference_spectral_eval``, the kernel that rewrites its arguments and
+table entries on every call, ``action_eval``, the evaluation of one action
+through it, and ``member``, submodule membership."""
 
 from fractions import Fraction
 
 from cfkit import corpus
 from cfkit.actions import ModuleAction
-from cfkit.algebra import GenElement, spectral_eval
+from cfkit.algebra import GenElement, require_affine
 from cfkit.deform import DeformationMap, Morphism
 from cfkit.dsl import Document, parse_document
-from cfkit.poly import D, MultiPoly
+from cfkit.poly import D, L1, MultiPoly
 from cfkit.structure import Submodule, _reduce
 
 #: ``psi2`` is a map of ``P2``, not of ``P``: a map of another pair, which
@@ -69,19 +71,54 @@ def identity_morphism(algebra) -> Morphism:
     return Morphism(algebra, algebra, matrix)
 
 
+_PD = MultiPoly.var(D)
+
+
+def reference_spectral_eval(table, out_rank, left, right, s):
+    """Evaluate a bilinear spectral product at parameter ``s``.
+
+    ``table[i][j]`` gives the product of the i-th left and j-th right basis
+    vectors as a coefficient vector of length ``out_rank``.  Coordinate
+    polynomials of the arguments are rewritten by ``d -> -s`` (left) and
+    ``d -> d + s`` (right); the table's spectral variable is set to ``s``.
+    """
+    require_affine(s)
+    minus_s = -s
+    shifted = _PD + s
+    out = [MultiPoly.zero()] * out_rank
+    for i, xi in enumerate(left):
+        if xi.is_zero:
+            continue
+        a = xi.substitute(D, minus_s)
+        row = table[i]
+        for j, yj in enumerate(right):
+            if yj.is_zero:
+                continue
+            entry = row[j]
+            factor = None
+            for k, coeff in enumerate(entry):
+                if coeff.is_zero:
+                    continue
+                if factor is None:
+                    factor = a * yj.substitute(D, shifted)
+                out[k] = out[k] + factor * coeff.substitute(L1, s)
+    return tuple(out)
+
+
 def action_eval(act: ModuleAction, first: GenElement, second: GenElement, s) -> GenElement:
     """Evaluate ``first_s second`` where one argument is an algebra element.
 
     The arguments come in the order of the infix notation: for a left action
     the first belongs to the acting algebra, for a right action it is the
-    carrier element.  Same kernel as the product.
+    carrier element.  Same rules as the product, through the reference
+    kernel.
     """
     s = MultiPoly.const(0) + s
     rows, cols = act.shape
     if len(first.coords) != rows or len(second.coords) != cols:
         raise ValueError("action argument rank mismatch")
     return GenElement(
-        spectral_eval(act.table, act.carrier_rank, first.coords, second.coords, s)
+        reference_spectral_eval(act.table, act.carrier_rank, first.coords, second.coords, s)
     )
 
 

@@ -33,7 +33,9 @@ from cfkit.poly import D, L1, L2, MultiPoly
 
 from cfkit import corpus
 from cfkit.dsl import parse_document
-from helpers import action_eval, assoc4_doc, nfold_doc, sv_doc, vir_algebra, wab_doc
+from helpers import (
+    action_eval, assoc4_doc, nfold_doc, reference_spectral_eval, sv_doc, vir_algebra, wab_doc,
+)
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
@@ -573,13 +575,18 @@ CHECK_PARAMETERS = (
 
 @pytest.mark.parametrize("s", CHECK_PARAMETERS, ids=str)
 class TestTableAt:
-    """``_table_at`` is the kernel on two unit vectors, entry for entry."""
+    """``_table_at`` is the reference kernel on two unit vectors, entry for
+    entry."""
 
     def test_bundled_algebras(self, s):
         labels = []
         for label, alg in bundled("algebra"):
             basis = _carrier_basis(alg.rank)
-            expected = [[product_eval(alg, x, y, s) for y in basis] for x in basis]
+            expected = tuple(
+                tuple(reference_spectral_eval(alg.table, alg.rank, x.coords, y.coords, s)
+                      for y in basis)
+                for x in basis
+            )
             assert _table_at(alg.table, s) == expected, label
             labels.append(label)
         assert len(labels) >= 10
@@ -590,7 +597,8 @@ class TestTableAt:
             for field, *_ in _layout(pair.kind):
                 act = getattr(pair, field)
                 rows, cols = (_carrier_basis(n) for n in act.shape)
-                expected = [[action_eval(act, x, y, s) for y in cols] for x in rows]
+                expected = tuple(tuple(action_eval(act, x, y, s).coords for y in cols)
+                                 for x in rows)
                 assert _table_at(act.table, s) == expected, f"{label}.{field}"
                 kinds.add(pair.kind)
         assert kinds == {LIE, ASSOCIATIVE}

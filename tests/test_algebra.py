@@ -23,7 +23,9 @@ from cfkit.algebra import (
 )
 from cfkit.poly import D, L1, L2, MultiPoly, unknown
 
-from helpers import assoc4_doc, load_fixture, sv_doc, vir_algebra, wab_doc
+from helpers import (
+    assoc4_doc, load_fixture, reference_spectral_eval, sv_doc, vir_algebra, wab_doc,
+)
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
@@ -35,7 +37,27 @@ d_polys = st.builds(
     st.fractions(min_value=-3, max_value=3, max_denominator=2),
 )
 
-affine = st.sampled_from([l, m, l + m, -l - d, -m - d, -l - m - d])
+AFFINE = (l, m, l + m, -l - d, -m - d, -l - m - d)
+affine = st.sampled_from(AFFINE)
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+#: a table coefficient in d and l, zero in about half of the draws
+dl_polys = st.one_of(
+    st.just(MultiPoly.zero()),
+    st.builds(lambda a, b, c, e: a + b * d + c * l + e * d * l, _small, _small, _small, _small),
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random table of rank 1 to 3 and two elements with d-polynomial
+    coordinates."""
+    n = draw(st.integers(1, 3))
+    table = tuple(
+        tuple(tuple(draw(dl_polys) for _ in range(n)) for _ in range(n)) for _ in range(n)
+    )
+    x, y = (GenElement(tuple(draw(d_polys) for _ in range(n))) for _ in range(2))
+    return ConformalAlgebra(LIE, tuple(f"E{i}" for i in range(n)), table), x, y
 
 
 def bad_vir():
@@ -207,6 +229,20 @@ class TestProductEval:
         scaled = product_eval(sv, x, y.scale(p), s)
         plain = product_eval(sv, x, y, s).scale(p.substitute(D, d + s))
         assert scaled.coords == plain.coords
+
+
+class TestKernelMatchesReference:
+    """``product_eval``, composed of the argument rules, the table at ``s``
+    and the contraction, against the kernel that rewrites everything on
+    every call."""
+
+    @given(case=kernel_cases())
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    def test_random_tables(self, case):
+        algebra, x, y = case
+        for s in AFFINE:
+            expected = reference_spectral_eval(algebra.table, algebra.rank, x.coords, y.coords, s)
+            assert product_eval(algebra, x, y, s).coords == expected, s
 
 
 class TestSkewSymmetry:

@@ -484,6 +484,29 @@ class TestOutputs:
         assert report["structure"]["derived_series"][0] == ["L"]
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is bad input: exit 2 with the
+    path on stderr, as an unreadable input file is, not a traceback."""
+
+    PAIR = VIR + "algebra Q : lie { gens W; }\nmatched P : lie { R = Vir; Q = Q; }\n"
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["check", "t.cfk", "--json", "missing/r.json"], "missing/r.json"),
+            (["bicrossed", "t.cfk", "--pair", "P", "-o", "."], "."),
+            (["constraints", "t.cfk", "--pair", "P", "-o", "missing/s.json"], "missing/s.json"),
+        ],
+        ids=["json-into-missing-directory", "o-onto-directory", "constraints-o"],
+    )
+    def test_exits_2(self, workdir, capsys, argv, path):
+        Path("t.cfk").write_text(self.PAIR)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {path}: ")
+        assert "Traceback" not in err
+
+
 def _counting(monkeypatch, module, name):
     """Rebind ``module.name`` to a wrapper that records each call."""
     calls = []
