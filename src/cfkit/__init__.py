@@ -20,7 +20,6 @@ from .algebra import (
     GenElement,
     LIE,
     check_axioms,
-    product_eval,
 )
 from .constraints import (
     AnsatzSpec,

@@ -6,9 +6,10 @@ is re-evaluated at ``-s`` (:func:`_as_left`), one multiplying the right
 argument at ``d + s`` (:func:`_as_right`), and the table's ``l`` is set to
 ``s`` (:func:`_table_at`, the stored table itself at ``s = l``).  The kernel,
 :func:`spectral_eval`, is the bilinear contraction of arguments already
-rewritten against a table already at ``s``; :func:`product_eval` composes
-the three.  So each argument and table is rewritten once, however many
-products it enters.
+rewritten against a table already at ``s``.  :func:`_products` multiplies
+every ordered pair of a list of elements at ``l``, rewriting each element
+once as a left and once as a right argument, so each argument and table is
+rewritten once, however many products it enters.
 
 The axiom checks build, once per check, the table at ``l``, ``m`` and
 ``l + m`` and the pair products already rewritten as arguments, the
@@ -24,7 +25,7 @@ from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 from typing import NamedTuple
 
-from .poly import D, L1, L2, MultiPoly, Scalar
+from .poly import D, L1, L2, MultiPoly
 
 LIE = "lie"
 ASSOCIATIVE = "assoc"
@@ -47,11 +48,6 @@ class GenElement:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coords)
 
-    def __add__(self, other: "GenElement") -> "GenElement":
-        if len(self.coords) != len(other.coords):
-            raise ValueError("element length mismatch")
-        return GenElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
     def __sub__(self, other: "GenElement") -> "GenElement":
         if len(self.coords) != len(other.coords):
             raise ValueError("element length mismatch")
@@ -59,12 +55,6 @@ class GenElement:
 
     def __neg__(self) -> "GenElement":
         return GenElement(tuple(-c for c in self.coords))
-
-    def scale(self, factor: MultiPoly | Scalar) -> "GenElement":
-        return GenElement(tuple(c * factor for c in self.coords))
-
-    def __rmul__(self, factor) -> "GenElement":
-        return self.scale(factor)
 
 
 def element_text(elem: GenElement, names: tuple[str, ...]) -> str:
@@ -142,21 +132,9 @@ class ConformalAlgebra:
     def rank(self) -> int:
         return len(self.basis)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.basis.index(name)
-        except ValueError:
-            raise ValueError(f"no basis element named {name!r}") from None
-
     def basis_element(self, i: int) -> GenElement:
         coords = [MultiPoly.zero()] * self.rank
         coords[i] = MultiPoly.const(1)
-        return GenElement(tuple(coords))
-
-    def element(self, coeffs: dict[str, MultiPoly | Scalar]) -> GenElement:
-        coords = [MultiPoly.zero()] * self.rank
-        for name, value in coeffs.items():
-            coords[self.index(name)] = MultiPoly.const(0) + value
         return GenElement(tuple(coords))
 
 
@@ -182,20 +160,6 @@ def _table(shape: tuple[int, int, int], entries: dict | None = None) -> Table:
     entries = entries or {}
     zero = (MultiPoly.zero(),) * width
     return tuple(tuple(entries.get((i, j), zero) for j in range(cols)) for i in range(rows))
-
-
-def abelian(kind: str, names: tuple[str, ...]) -> ConformalAlgebra:
-    n = len(names)
-    return ConformalAlgebra(kind, tuple(names), _table((n, n, n)))
-
-
-_AFFINE_MONOMIALS = frozenset({(), ((D, 1),), ((L1, 1),), ((L2, 1),)})
-
-
-def require_affine(s: MultiPoly) -> None:
-    """Spectral parameters must be affine in d, l, m."""
-    if not _AFFINE_MONOMIALS.issuperset(s._terms):
-        raise ValueError(f"spectral parameter must be affine in d, l, m: {s}")
 
 
 def spectral_eval(
@@ -262,23 +226,16 @@ def _table_at(table: Table, s: MultiPoly) -> Table:
     )
 
 
-def product_eval(
-    algebra: ConformalAlgebra,
-    x: GenElement,
-    y: GenElement,
-    s: MultiPoly | Scalar,
-) -> GenElement:
-    """Product of two elements at spectral parameter ``s``: the kernel's
-    contraction of ``x`` rewritten as a left argument and ``y`` as a right
-    one against the table at ``s``."""
-    s = MultiPoly.const(0) + s
-    n = algebra.rank
-    if len(x.coords) != n or len(y.coords) != n:
-        raise ValueError("element rank does not match algebra rank")
-    require_affine(s)
-    return GenElement(spectral_eval(
-        _table_at(algebra.table, s), n, _as_left(x.coords, s), _as_right(y.coords, s)
-    ))
+def _products(table: Table, n: int, elements):
+    """Yield ``(i, j, [x_i _l x_j])`` for every ordered pair of ``elements``,
+    coordinate tuples multiplied through ``table`` (stored at ``l``) into
+    coefficient vectors of length ``n``.  Each element is rewritten once as
+    a left and once as a right argument, however many pairs it enters."""
+    left = [_as_left(x, _PL1) for x in elements]
+    right = [_as_right(x, _PL1) for x in elements]
+    for i, x in enumerate(left):
+        for j, y in enumerate(right):
+            yield i, j, spectral_eval(table, n, x, y)
 
 
 def _violations(identity: str, names, rows) -> tuple[Violation, ...]:

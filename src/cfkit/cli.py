@@ -7,15 +7,16 @@ only fill in the report they are given.
 
 Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
 (parse or reference errors, an exponent, a power's or product's degree or
-a numeric literal over the parser's caps, a ``--param`` value with an exponent or more digits than the
-literal cap, a ``--param`` name the document never uses, or an integer
-option below its least value, or a file that is not UTF-8, or an ``equiv
---alpha`` witness that is not a square, invertible map of Q, a ``deform``
-or ``equiv`` map not defined on ``--pair``, or a ``--json`` or ``-o`` path
-that cannot be written), 3 a resource cap
-was exceeded (a table coefficient over the (d, l)-degree budget, the
-grid-search unknown cap, point budget or power-table budget in ``solve`` and
-``equiv``, or the derived-series depth in ``structure``).
+a numeric literal over the parser's caps, a ``--param`` value with an
+exponent or more digits than the literal cap, a ``--param`` name the
+document never uses, or an integer option below its least value, or a file
+that is not UTF-8, or an ``equiv --alpha`` witness that is not a square,
+invertible map of Q, a ``deform`` or ``equiv`` map not defined on
+``--pair``, or a ``--json`` or ``-o`` path that cannot be written), 3 a
+resource cap was exceeded (a table coefficient over the (d, l)-degree
+budget, a ``constraints --degree`` over its budget, the grid-search unknown
+cap, point budget or power-table budget in ``solve`` and ``equiv``, or the
+derived-series depth in ``structure``).
 Reports are byte-identical across runs for identical inputs, except for the
 ``timings`` field, which golden comparisons drop.
 """
@@ -54,13 +55,20 @@ EXIT_CAP = 3
 #: (Python 3.11, 2-core x86 host).
 MAX_ENTRY_DEGREE = 16
 
+#: Largest ``constraints --degree``.  The ansatz's unknowns grow with it,
+#: and compilation and elimination climb steeply: on ``sv``'s pair SVP,
+#: degree 4 takes 0.35 s, degree 6 2.2 s, degree 8 6.4 s and degree 16 over
+#: 100 s (Python 3.11, 2-core x86 host).  The corpus uses at most 2.
+MAX_ANSATZ_DEGREE = 4
+
 
 class _InputError(Exception):
     pass
 
 
 class DegreeCapExceeded(ValueError):
-    """A table coefficient's (d, l)-degree is above :data:`MAX_ENTRY_DEGREE`."""
+    """A table coefficient's (d, l)-degree is above :data:`MAX_ENTRY_DEGREE`,
+    or a ``constraints --degree`` above :data:`MAX_ANSATZ_DEGREE`."""
 
 
 def _write(path: str, text: str) -> None:
@@ -253,6 +261,10 @@ def cmd_deform(args, report: dict) -> None:
 def cmd_constraints(args, report: dict) -> None:
     document = _load(args, report)
     pair = _find(document, "matched", args.pair)
+    if args.degree > MAX_ANSATZ_DEGREE:
+        raise DegreeCapExceeded(
+            f"--degree {args.degree} is over the budget of {MAX_ANSATZ_DEGREE}"
+        )
     ansatz = cons.AnsatzSpec.uniform(pair.Q.rank, pair.R.rank, args.degree)
     system = cons.compile_deformation_constraints(pair, ansatz)
     system_json = cons.system_to_json(system)

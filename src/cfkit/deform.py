@@ -7,7 +7,9 @@ an R part ``r`` and a Q part ``q``: ``φ`` is a deformation map when
 ``φ(q) = r``, ``q`` is the deformed product, and ``α`` makes two maps
 equivalent when it is a morphism between their deformed algebras.  Only
 :func:`build_bicrossed` expands the cross actions, once per pair
-(``mp.bicrossed``).  The morphism identity is read off
+(``mp.bicrossed``).  Every product here, of graph elements or of morphism
+images, is taken by :func:`cfkit.algebra._products`, which rewrites each
+element once for all the pairs it enters.  The morphism identity is read off
 :func:`_morphism_residuals`, which accepts symbolic matrices, so
 ``constraints.search_equivalence_diagonal`` compiles it into equations
 instead of checking candidates one by one.
@@ -23,16 +25,11 @@ from .algebra import (
     ConformalAlgebra,
     GenElement,
     Violation,
-    _as_left,
-    _as_right,
+    _products,
     _violations,
-    product_eval,
-    spectral_eval,
 )
-from .poly import D, L1, MultiPoly
+from .poly import D, MultiPoly
 from .structure import poly_det
-
-_PL1 = MultiPoly.var(L1)
 
 Matrix = tuple[tuple[MultiPoly, ...], ...]
 
@@ -88,19 +85,13 @@ def _graph_products(mp: MatchedPair, matrix: Matrix):
 
     The two parts split the product, at spectral parameter ``l``, of the
     graph elements ``(φe_i, e_i)`` and ``(φe_j, e_j)`` inside the bicrossed
-    product, where ``φ`` is ``matrix``.  Each graph element is rewritten
-    once as a left and once as a right kernel argument, and each pair is
-    one contraction against E's table, stored at ``l``.
+    product, where ``φ`` is ``matrix``: :func:`_products` of the graph
+    elements against E's table.
     """
-    table = mp.bicrossed.table
     nr, nq = mp.R.rank, mp.Q.rank
     graph = [tuple(matrix[i]) + mp.Q.basis_element(i).coords for i in range(nq)]
-    left = [_as_left(g, _PL1) for g in graph]
-    right = [_as_right(g, _PL1) for g in graph]
-    for i in range(nq):
-        for j in range(nq):
-            prod = spectral_eval(table, nr + nq, left[i], right[j])
-            yield i, j, GenElement(prod[:nr]), GenElement(prod[nr:])
+    for i, j, prod in _products(mp.bicrossed.table, nr + nq, graph):
+        yield i, j, GenElement(prod[:nr]), GenElement(prod[nr:])
 
 
 def _deformation_residuals(mp: MatchedPair, matrix: Matrix):
@@ -147,12 +138,11 @@ def _morphism_residuals(
     source: ConformalAlgebra, target: ConformalAlgebra, matrix: Matrix
 ):
     """Yield ``(i, j, h(e_i e_j) - h(e_i) h(e_j))`` for the map ``h`` given by
-    ``matrix``; symbolic entries carrying ansatz unknowns ride along inertly."""
-    images = [GenElement(row) for row in matrix]
-    for i in range(source.rank):
-        for j in range(source.rank):
-            lhs = GenElement(apply_matrix(matrix, source.table[i][j]))
-            yield i, j, lhs - product_eval(target, images[i], images[j], _PL1)
+    ``matrix``; symbolic entries carrying ansatz unknowns ride along inertly.
+    The products ``h(e_i) h(e_j)`` are :func:`_products` of the rows."""
+    for i, j, prod in _products(target.table, target.rank, matrix):
+        lhs = GenElement(apply_matrix(matrix, source.table[i][j]))
+        yield i, j, lhs - GenElement(prod)
 
 
 def check_morphism(h: Morphism) -> CheckReport:

@@ -7,7 +7,10 @@ smaller degree.  Division works on :class:`MultiPoly` values directly, one
 leading term at a time, and one row-reduction step serves the echelon pass
 and the reduction above each pivot.  Storing that form makes submodule
 equality a syntactic comparison, ``==`` on :class:`Submodule`, which the
-derived series and solvability verdicts build on.
+derived series and solvability verdicts build on.  Each term of the series
+is spanned by the spectral coefficients of the pairwise products of the
+previous term's generators, all taken in one pass of
+:func:`cfkit.algebra._products`.
 """
 
 from __future__ import annotations
@@ -15,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import ConformalAlgebra, GenElement, LIE, product_eval
+from .algebra import ConformalAlgebra, GenElement, LIE, _products
 from .poly import D, L1, MultiPoly
-
-_PL1 = MultiPoly.var(L1)
 
 PolyRow = tuple[MultiPoly, ...]
 PolyMatrix = tuple[PolyRow, ...]
@@ -162,24 +163,22 @@ def derived_subalgebra(algebra: ConformalAlgebra, sub: Submodule) -> Submodule:
     Sesquilinearity moves d-polynomial coefficients through the product, so
     the spectral coefficients of products of arbitrary submodule elements
     stay inside the span computed from canonical generators alone; the test
-    suite asserts this rather than assuming it.
+    suite asserts this rather than assuming it.  Generators of another
+    rank than the algebra's are refused here, where they come in.
     """
     if sub.ambient_rank != algebra.rank:
         raise ValueError("submodule does not live in the algebra's module")
-    gens = sub.generator_elements()
+    if any(len(row) != algebra.rank for row in sub.generators):
+        raise ValueError("element rank does not match algebra rank")
     vectors: list[GenElement] = []
-    for g in gens:
-        for h in gens:
-            prod = product_eval(algebra, g, h, _PL1)
-            split = [c.coefficient_list(L1) for c in prod.coords]
-            depth = max((len(s) for s in split), default=0)
-            for t in range(depth):
-                coords = tuple(
-                    s[t] if t < len(s) else MultiPoly.zero() for s in split
-                )
-                vec = GenElement(coords)
-                if not vec.is_zero:
-                    vectors.append(vec)
+    for _, _, prod in _products(algebra.table, algebra.rank, sub.generators):
+        split = [c.coefficient_list(L1) for c in prod]
+        depth = max((len(s) for s in split), default=0)
+        for t in range(depth):
+            coords = tuple(s[t] if t < len(s) else MultiPoly.zero() for s in split)
+            vec = GenElement(coords)
+            if not vec.is_zero:
+                vectors.append(vec)
     return span(algebra.rank, vectors)
 
 

@@ -3,16 +3,20 @@ for the worked examples, so tests parse them rather than duplicating tables.
 Also the references that tests check cfkit against:
 ``reference_spectral_eval``, the kernel that rewrites its arguments and
 table entries on every call, ``action_eval``, the evaluation of one action
-through it, and ``member``, submodule membership."""
+through it, ``product_at``, one product at any spectral parameter composed
+of cfkit's own rules, and ``member``, submodule membership; and builders of
+elements and algebras that cfkit itself never needs."""
 
 from fractions import Fraction
 
 from cfkit import corpus
 from cfkit.actions import ModuleAction
-from cfkit.algebra import GenElement, require_affine
+from cfkit.algebra import (
+    ConformalAlgebra, GenElement, _as_left, _as_right, _table, _table_at, spectral_eval,
+)
 from cfkit.deform import DeformationMap, Morphism
 from cfkit.dsl import Document, parse_document
-from cfkit.poly import D, L1, MultiPoly
+from cfkit.poly import D, L1, L2, MultiPoly
 from cfkit.structure import Submodule, _reduce
 
 #: ``psi2`` is a map of ``P2``, not of ``P``: a map of another pair, which
@@ -71,7 +75,40 @@ def identity_morphism(algebra) -> Morphism:
     return Morphism(algebra, algebra, matrix)
 
 
+def abelian(kind: str, names: tuple[str, ...]) -> ConformalAlgebra:
+    """The algebra on ``names`` whose products all vanish."""
+    n = len(names)
+    return ConformalAlgebra(kind, tuple(names), _table((n, n, n)))
+
+
+def element(algebra, coeffs: dict) -> GenElement:
+    """The element with coefficient ``coeffs[name]`` on each named basis
+    vector and zero elsewhere."""
+    coords = [MultiPoly.zero()] * algebra.rank
+    for name, value in coeffs.items():
+        coords[algebra.basis.index(name)] = MultiPoly.const(0) + value
+    return GenElement(tuple(coords))
+
+
+def scale(x: GenElement, factor) -> GenElement:
+    return GenElement(tuple(c * factor for c in x.coords))
+
+
+def add(*terms: GenElement) -> GenElement:
+    """The sum of elements of one rank."""
+    return GenElement(tuple(sum(coords, MultiPoly.zero()) for coords in zip(
+        *(t.coords for t in terms), strict=True
+    )))
+
+
 _PD = MultiPoly.var(D)
+_AFFINE_MONOMIALS = frozenset({(), ((D, 1),), ((L1, 1),), ((L2, 1),)})
+
+
+def require_affine(s: MultiPoly) -> None:
+    """Spectral parameters must be affine in d, l, m."""
+    if not _AFFINE_MONOMIALS.issuperset(s._terms):
+        raise ValueError(f"spectral parameter must be affine in d, l, m: {s}")
 
 
 def reference_spectral_eval(table, out_rank, left, right, s):
@@ -120,6 +157,20 @@ def action_eval(act: ModuleAction, first: GenElement, second: GenElement, s) -> 
     return GenElement(
         reference_spectral_eval(act.table, act.carrier_rank, first.coords, second.coords, s)
     )
+
+
+def product_at(algebra, x: GenElement, y: GenElement, s) -> GenElement:
+    """The product ``x_s y`` at any affine ``s``, composed of cfkit's rules:
+    ``x`` as a left and ``y`` as a right argument, contracted against the
+    table at ``s``.  cfkit itself multiplies only at ``s = l``."""
+    s = MultiPoly.const(0) + s
+    n = algebra.rank
+    if len(x.coords) != n or len(y.coords) != n:
+        raise ValueError("element rank does not match algebra rank")
+    require_affine(s)
+    return GenElement(spectral_eval(
+        _table_at(algebra.table, s), n, _as_left(x.coords, s), _as_right(y.coords, s)
+    ))
 
 
 def member(sub: Submodule, v: GenElement) -> bool:

@@ -23,10 +23,8 @@ from cfkit.algebra import (
     LIE,
     Violation,
     _table_at,
-    abelian,
     check_axioms,
     merge_reports,
-    product_eval,
 )
 from cfkit.deform import _graph_embedding, check_deformation_map, deformed_algebra
 from cfkit.poly import D, L1, L2, MultiPoly
@@ -34,7 +32,8 @@ from cfkit.poly import D, L1, L2, MultiPoly
 from cfkit import corpus
 from cfkit.dsl import parse_document
 from helpers import (
-    action_eval, assoc4_doc, nfold_doc, reference_spectral_eval, sv_doc, vir_algebra, wab_doc,
+    abelian, action_eval, add, assoc4_doc, element, nfold_doc, product_at, reference_spectral_eval,
+    sv_doc, vir_algebra, wab_doc,
 )
 
 d = MultiPoly.var(D)
@@ -75,32 +74,28 @@ def check_module(act: ModuleAction) -> CheckReport:
             ej = alg.basis_element(j)
             for k, vk in enumerate(carrier):
                 if act.kind == LIE and act.side == LEFT:
-                    residual = (
-                        action_eval(act, product_eval(alg, ei, ej, _PL1), vk, _PL1 + _PL2)
-                        - action_eval(act, ei, action_eval(act, ej, vk, _PL2), _PL1)
-                        + action_eval(act, ej, action_eval(act, ei, vk, _PL1), _PL2)
+                    residual = add(
+                        action_eval(act, product_at(alg, ei, ej, _PL1), vk, _PL1 + _PL2),
+                        -action_eval(act, ei, action_eval(act, ej, vk, _PL2), _PL1),
+                        action_eval(act, ej, action_eval(act, ei, vk, _PL1), _PL2),
                     )
                     name = "left-module"
                 elif act.kind == LIE and act.side == RIGHT:
-                    residual = (
-                        action_eval(act, vk, product_eval(alg, ei, ej, _PL1), _PL2)
-                        - action_eval(
-                            act, action_eval(act, vk, ei, _PL2), ej, _PL1 + _PL2
-                        )
-                        + action_eval(
-                            act, action_eval(act, vk, ej, _PL2), ei, -_PL1 - _PD
-                        )
+                    residual = add(
+                        action_eval(act, vk, product_at(alg, ei, ej, _PL1), _PL2),
+                        -action_eval(act, action_eval(act, vk, ei, _PL2), ej, _PL1 + _PL2),
+                        action_eval(act, action_eval(act, vk, ej, _PL2), ei, -_PL1 - _PD),
                     )
                     name = "right-module"
                 elif act.side == LEFT:
                     residual = action_eval(
-                        act, product_eval(alg, ei, ej, _PL1), vk, _PL1 + _PL2
+                        act, product_at(alg, ei, ej, _PL1), vk, _PL1 + _PL2
                     ) - action_eval(act, ei, action_eval(act, ej, vk, _PL2), _PL1)
                     name = "left-module"
                 else:
                     residual = action_eval(
                         act, action_eval(act, vk, ei, _PL1), ej, _PL1 + _PL2
-                    ) - action_eval(act, vk, product_eval(alg, ei, ej, _PL2), _PL1)
+                    ) - action_eval(act, vk, product_at(alg, ei, ej, _PL2), _PL1)
                     name = "right-module"
                 if not residual.is_zero:
                     violations.append(Violation(name, (i, j, k), residual, names))
@@ -188,8 +183,8 @@ class TestActionEval:
 
     def test_sv_constant_action(self):
         pair = sv_doc().find("matched", "SVP")
-        m_el = pair.Q.element({"M": 1})
-        n_el = pair.R.element({"N": 1})
+        m_el = element(pair.Q, {"M": 1})
+        n_el = element(pair.R, {"N": 1})
         out = action_eval(pair.lhd, m_el, n_el, l)
         assert out.coords == (MultiPoly.zero(), MultiPoly.const(-2))
 
@@ -619,12 +614,12 @@ def reference_check_b1_b2_direct(mp: MatchedPair) -> CheckReport:
     for x_i, x in enumerate(q_basis):
         for a_i, a in enumerate(r_basis):
             for b_i, b in enumerate(r_basis):
-                lhs = action_eval(mp.rhd, x, product_eval(mp.R, a, b, _PL1), s_lm)
-                t1 = product_eval(mp.R, action_eval(mp.rhd, x, a, s_l), b, s_m)
-                t2 = product_eval(mp.R, a, action_eval(mp.rhd, x, b, s_m), _PL1)
+                lhs = action_eval(mp.rhd, x, product_at(mp.R, a, b, _PL1), s_lm)
+                t1 = product_at(mp.R, action_eval(mp.rhd, x, a, s_l), b, s_m)
+                t2 = product_at(mp.R, a, action_eval(mp.rhd, x, b, s_m), _PL1)
                 t3 = action_eval(mp.rhd, action_eval(mp.lhd, x, a, s_l), b, s_m)
                 t4 = action_eval(mp.rhd, action_eval(mp.lhd, x, b, s_m), a, s_l)
-                residual = lhs - t1 - t2 - t3 + t4
+                residual = lhs - t1 - t2 - (t3 - t4)
                 if not residual.is_zero:
                     violations.append(
                         Violation("cross-left", (x_i, a_i, b_i), residual, mp.R.basis)
@@ -632,12 +627,12 @@ def reference_check_b1_b2_direct(mp: MatchedPair) -> CheckReport:
     for x_i, x in enumerate(q_basis):
         for y_i, y in enumerate(q_basis):
             for a_i, a in enumerate(r_basis):
-                lhs = action_eval(mp.lhd, product_eval(mp.Q, x, y, _PL2), a, s_l)
-                t1 = product_eval(mp.Q, x, action_eval(mp.lhd, y, a, s_l), _PL2)
-                t2 = product_eval(mp.Q, action_eval(mp.lhd, x, a, s_l), y, _PL1 + _PL2)
+                lhs = action_eval(mp.lhd, product_at(mp.Q, x, y, _PL2), a, s_l)
+                t1 = product_at(mp.Q, x, action_eval(mp.lhd, y, a, s_l), _PL2)
+                t2 = product_at(mp.Q, action_eval(mp.lhd, x, a, s_l), y, _PL1 + _PL2)
                 t3 = action_eval(mp.lhd, x, action_eval(mp.rhd, y, a, s_l), _PL2)
                 t4 = action_eval(mp.lhd, y, action_eval(mp.rhd, x, a, s_l), s_lm)
-                residual = lhs - t1 - t2 - t3 + t4
+                residual = lhs - t1 - t2 - (t3 - t4)
                 if not residual.is_zero:
                     violations.append(
                         Violation("cross-right", (x_i, y_i, a_i), residual, mp.Q.basis)
@@ -693,8 +688,9 @@ class TestCrossLeftOffTheLieLocus:
                 for a, a_el in enumerate(r_basis):
                     y = action_eval(pair.rhd, x_el, a_el, -_PL1 - _PD)
                     for b, b_el in enumerate(r_basis):
-                        defect = product_eval(pair.R, b_el, y, _PL2) + product_eval(
-                            pair.R, y, b_el, -_PL2 - _PD
+                        defect = add(
+                            product_at(pair.R, b_el, y, _PL2),
+                            product_at(pair.R, y, b_el, -_PL2 - _PD),
                         )
                         projected = got.get((x, a, b), zero)
                         assert projected - defect == want.get((x, a, b), zero)

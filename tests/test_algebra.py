@@ -14,17 +14,16 @@ from cfkit.algebra import (
     ConformalAlgebra,
     GenElement,
     LIE,
-    abelian,
+    _products,
     check_associativity,
     check_axioms,
     element_text,
-    product_eval,
-    require_affine,
 )
 from cfkit.poly import D, L1, L2, MultiPoly, unknown
 
 from helpers import (
-    assoc4_doc, load_fixture, reference_spectral_eval, sv_doc, vir_algebra, wab_doc,
+    abelian, assoc4_doc, element, load_fixture, product_at, reference_spectral_eval,
+    require_affine, scale, sv_doc, vir_algebra, wab_doc,
 )
 
 d = MultiPoly.var(D)
@@ -71,10 +70,10 @@ def reference_jacobi(algebra):
     n = algebra.rank
     basis = [algebra.basis_element(i) for i in range(n)]
     for i, j, k in product(range(n), repeat=3):
-        ij = product_eval(algebra, basis[i], basis[j], l)
-        lhs = product_eval(algebra, basis[i], product_eval(algebra, basis[j], basis[k], m), l)
-        mid = product_eval(algebra, ij, basis[k], l + m)
-        rhs = product_eval(algebra, basis[j], product_eval(algebra, basis[i], basis[k], l), m)
+        ij = product_at(algebra, basis[i], basis[j], l)
+        lhs = product_at(algebra, basis[i], product_at(algebra, basis[j], basis[k], m), l)
+        mid = product_at(algebra, ij, basis[k], l + m)
+        rhs = product_at(algebra, basis[j], product_at(algebra, basis[i], basis[k], l), m)
         residual = lhs - mid - rhs
         if not residual.is_zero:
             violations.append(f"jacobi[{i},{j},{k}]: {element_text(residual, algebra.basis)}")
@@ -87,9 +86,9 @@ def reference_associativity(algebra):
     n = algebra.rank
     basis = [algebra.basis_element(i) for i in range(n)]
     for i, j, k in product(range(n), repeat=3):
-        ij = product_eval(algebra, basis[i], basis[j], l)
-        lhs = product_eval(algebra, ij, basis[k], l + m)
-        rhs = product_eval(algebra, basis[i], product_eval(algebra, basis[j], basis[k], m), l)
+        ij = product_at(algebra, basis[i], basis[j], l)
+        lhs = product_at(algebra, ij, basis[k], l + m)
+        rhs = product_at(algebra, basis[i], product_at(algebra, basis[j], basis[k], m), l)
         residual = lhs - rhs
         if not residual.is_zero:
             violations.append(
@@ -171,24 +170,24 @@ class TestProductEval:
     def test_vir_bracket(self):
         vir = vir_algebra()
         L = vir.basis_element(0)
-        assert product_eval(vir, L, L, l).coords == (d + 2 * l,)
+        assert product_at(vir, L, L, l).coords == (d + 2 * l,)
 
     def test_left_derivation_argument(self):
         vir = vir_algebra()
         L = vir.basis_element(0)
-        out = product_eval(vir, GenElement((d,)), L, l)
+        out = product_at(vir, GenElement((d,)), L, l)
         assert out.coords == (-l * (d + 2 * l),)
 
     def test_skew_parameter(self):
         vir = vir_algebra()
         L = vir.basis_element(0)
-        assert product_eval(vir, L, L, -l - d).coords == (-(d + 2 * l),)
+        assert product_at(vir, L, L, -l - d).coords == (-(d + 2 * l),)
 
     def test_rejects_nonaffine_parameter(self):
         vir = vir_algebra()
         L = vir.basis_element(0)
         with pytest.raises(ValueError):
-            product_eval(vir, L, L, l * l)
+            product_at(vir, L, L, l * l)
 
     @pytest.mark.parametrize(
         "s",
@@ -208,33 +207,33 @@ class TestProductEval:
     def test_rejects_rank_mismatch(self):
         vir = vir_algebra()
         with pytest.raises(ValueError):
-            product_eval(vir, GenElement((d, d)), vir.basis_element(0), l)
+            product_at(vir, GenElement((d, d)), vir.basis_element(0), l)
 
     @given(p=d_polys, s=affine)
     @settings(max_examples=50, deadline=None)
     def test_left_sesquilinearity(self, p, s):
         sv = sv_doc().find("algebra", "SV")
-        x = sv.element({"Y": p, "L": 1})
-        y = sv.element({"M": 1, "N": d})
-        scaled = product_eval(sv, x.scale(p), y, s)
-        plain = product_eval(sv, x, y, s).scale(p.substitute(D, -s))
+        x = element(sv, {"Y": p, "L": 1})
+        y = element(sv, {"M": 1, "N": d})
+        scaled = product_at(sv, scale(x, p), y, s)
+        plain = scale(product_at(sv, x, y, s), p.substitute(D, -s))
         assert scaled.coords == plain.coords
 
     @given(p=d_polys, s=affine)
     @settings(max_examples=50, deadline=None)
     def test_right_sesquilinearity(self, p, s):
         sv = sv_doc().find("algebra", "SV")
-        x = sv.element({"Y": 1, "N": 2})
-        y = sv.element({"M": d, "L": 1})
-        scaled = product_eval(sv, x, y.scale(p), s)
-        plain = product_eval(sv, x, y, s).scale(p.substitute(D, d + s))
+        x = element(sv, {"Y": 1, "N": 2})
+        y = element(sv, {"M": d, "L": 1})
+        scaled = product_at(sv, x, scale(y, p), s)
+        plain = scale(product_at(sv, x, y, s), p.substitute(D, d + s))
         assert scaled.coords == plain.coords
 
 
 class TestKernelMatchesReference:
-    """``product_eval``, composed of the argument rules, the table at ``s``
-    and the contraction, against the kernel that rewrites everything on
-    every call."""
+    """cfkit's rules against the kernel that rewrites everything on every
+    call: ``_products``, the pairwise products at ``l``, and ``product_at``,
+    the argument rules, the table at ``s`` and the contraction composed."""
 
     @given(case=kernel_cases())
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -242,7 +241,20 @@ class TestKernelMatchesReference:
         algebra, x, y = case
         for s in AFFINE:
             expected = reference_spectral_eval(algebra.table, algebra.rank, x.coords, y.coords, s)
-            assert product_eval(algebra, x, y, s).coords == expected, s
+            assert product_at(algebra, x, y, s).coords == expected, s
+
+    @given(case=kernel_cases())
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    def test_products_at_l(self, case):
+        algebra, x, y = case
+        elements = (x.coords, y.coords)
+        products = list(_products(algebra.table, algebra.rank, elements))
+        assert [(i, j) for i, j, _ in products] == list(product(range(2), repeat=2))
+        for i, j, prod in products:
+            expected = reference_spectral_eval(
+                algebra.table, algebra.rank, elements[i], elements[j], l
+            )
+            assert prod == expected, (i, j)
 
 
 class TestSkewSymmetry:
@@ -346,9 +358,9 @@ class TestJacobi:
         x = GenElement(tuple(coeffs[0:4]))
         y = GenElement(tuple(coeffs[4:8]))
         z = GenElement(tuple(coeffs[8:12]))
-        lhs = product_eval(sv, x, product_eval(sv, y, z, m), l)
-        mid = product_eval(sv, product_eval(sv, x, y, l), z, l + m)
-        rhs = product_eval(sv, y, product_eval(sv, x, z, l), m)
+        lhs = product_at(sv, x, product_at(sv, y, z, m), l)
+        mid = product_at(sv, product_at(sv, x, y, l), z, l + m)
+        rhs = product_at(sv, y, product_at(sv, x, z, l), m)
         assert (lhs - mid - rhs).is_zero
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from cfkit import cli, corpus
 from cfkit.algebra import CheckReport, GenElement, Violation, element_text
-from cfkit.cli import MAX_ENTRY_DEGREE
+from cfkit.cli import MAX_ANSATZ_DEGREE, MAX_ENTRY_DEGREE
 from cfkit.dsl import parse_document
 from cfkit.poly import MultiPoly
 from helpers import FOREIGN
@@ -238,6 +238,28 @@ class TestDegreeBudget:
             f"algebra A: [L, L] has (d, l)-degree {MAX_ENTRY_DEGREE + 1},"
             f" over the budget of {MAX_ENTRY_DEGREE}\n"
         )
+
+
+class TestAnsatzDegreeBudget:
+    SV = [str(corpus.fixture_dir("sv") / "input.cfk"), "--pair", "SVP"] + [
+        arg for value in ("a=0", "b=0", "c=0", "ai=1") for arg in ("--param", value)
+    ]
+
+    def test_over_budget_exits_3_before_the_ansatz(self, workdir, monkeypatch, capsys):
+        def built(*args):
+            raise AssertionError("an ansatz was built")
+
+        monkeypatch.setattr(cli.cons.AnsatzSpec, "uniform", built)
+        started = time.monotonic()
+        assert run(["constraints", *self.SV, "--degree", "64", "--json", "r.json"]) == 3
+        assert time.monotonic() - started < 1.0
+        message = f"--degree 64 is over the budget of {MAX_ANSATZ_DEGREE}"
+        assert json.loads(Path("r.json").read_text())["error"] == message
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_budget_boundary(self):
+        assert run(["constraints", *self.SV, "--degree", str(MAX_ANSATZ_DEGREE)]) == 0
+        assert run(["constraints", *self.SV, "--degree", str(MAX_ANSATZ_DEGREE + 1)]) == 3
 
 
 class TestSolveCap:

@@ -11,7 +11,6 @@ from cfkit.algebra import (
     GenElement,
     Violation,
     check_axioms,
-    product_eval,
 )
 from cfkit import constraints
 from cfkit.constraints import grid_values, search_equivalence_diagonal
@@ -32,10 +31,13 @@ from cfkit.poly import D, L1, MultiPoly
 
 from helpers import (
     FOREIGN,
+    abelian,
     action_eval,
+    add,
     assoc4_doc,
     identity_morphism,
     nfold_doc,
+    product_at,
     sv_doc,
     vir_algebra,
     wab_doc,
@@ -189,8 +191,6 @@ class TestMorphism:
         assert check_morphism(identity).passed and _is_invertible(identity.matrix)
 
     def test_multiplication_by_d_is_not_invertible(self):
-        from cfkit.algebra import LIE, abelian
-
         ab = abelian(LIE, ("W",))
         h = Morphism(ab, ab, ((d,),))
         assert check_morphism(h).passed and not _is_invertible(h.matrix)
@@ -350,20 +350,20 @@ def reference_residuals(mp, matrix):
     out = []
     for i, (x, fx) in enumerate(zip(q_basis, images)):
         for j, (y, fy) in enumerate(zip(q_basis, images)):
-            lhs = _phi(matrix, product_eval(mp.Q, x, y, l)) - product_eval(mp.R, fx, fy, l)
+            lhs = _phi(matrix, product_at(mp.Q, x, y, l)) - product_at(mp.R, fx, fy, l)
             if mp.kind == LIE:
-                rhs = (
-                    _phi(matrix, action_eval(mp.lhd, y, fx, _NEG))
-                    - _phi(matrix, action_eval(mp.lhd, x, fy, l))
-                    + action_eval(mp.rhd, x, fy, l)
-                    - action_eval(mp.rhd, y, fx, _NEG)
+                rhs = add(
+                    _phi(matrix, action_eval(mp.lhd, y, fx, _NEG)),
+                    -_phi(matrix, action_eval(mp.lhd, x, fy, l)),
+                    action_eval(mp.rhd, x, fy, l),
+                    -action_eval(mp.rhd, y, fx, _NEG),
                 )
             else:
-                rhs = (
-                    action_eval(mp.lhu, fx, y, l)
-                    + action_eval(mp.rhd, x, fy, l)
-                    - _phi(matrix, action_eval(mp.rhu, fx, y, l))
-                    - _phi(matrix, action_eval(mp.lhd, x, fy, l))
+                rhs = add(
+                    action_eval(mp.lhu, fx, y, l),
+                    action_eval(mp.rhd, x, fy, l),
+                    -_phi(matrix, action_eval(mp.rhu, fx, y, l)),
+                    -_phi(matrix, action_eval(mp.lhd, x, fy, l)),
                 )
             out.append((i, j, lhs - rhs))
     return out
@@ -376,11 +376,11 @@ def reference_table(mp, matrix):
     for i, x in enumerate(q_basis):
         row = []
         for j, y in enumerate(q_basis):
-            entry = GenElement(mp.Q.table[i][j]) + action_eval(mp.lhd, x, images[j], l)
+            entry = add(GenElement(mp.Q.table[i][j]), action_eval(mp.lhd, x, images[j], l))
             if mp.kind == LIE:
                 entry = entry - action_eval(mp.lhd, y, images[i], _NEG)
             else:
-                entry = entry + action_eval(mp.rhu, images[i], y, l)
+                entry = add(entry, action_eval(mp.rhu, images[i], y, l))
             row.append(entry.coords)
         table.append(tuple(row))
     return tuple(table)
@@ -394,23 +394,23 @@ def reference_equivalence(mp, phi, psi, alpha):
     violations = []
     for i, x in enumerate(q_basis):
         for j, y in enumerate(q_basis):
-            lhs = _phi(alpha.matrix, product_eval(mp.Q, x, y, l)) - product_eval(
+            lhs = _phi(alpha.matrix, product_at(mp.Q, x, y, l)) - product_at(
                 mp.Q, a_img[i], a_img[j], l
             )
             rhs = action_eval(mp.lhd, a_img[i], psi_a[j], l) - _phi(
                 alpha.matrix, action_eval(mp.lhd, x, phi_img[j], l)
             )
             if mp.kind == LIE:
-                rhs = (
-                    rhs
-                    - action_eval(mp.lhd, a_img[j], psi_a[i], _NEG)
-                    + _phi(alpha.matrix, action_eval(mp.lhd, y, phi_img[i], _NEG))
+                rhs = add(
+                    rhs,
+                    -action_eval(mp.lhd, a_img[j], psi_a[i], _NEG),
+                    _phi(alpha.matrix, action_eval(mp.lhd, y, phi_img[i], _NEG)),
                 )
             else:
-                rhs = (
-                    rhs
-                    + action_eval(mp.rhu, psi_a[i], a_img[j], l)
-                    - _phi(alpha.matrix, action_eval(mp.rhu, phi_img[i], y, l))
+                rhs = add(
+                    rhs,
+                    action_eval(mp.rhu, psi_a[i], a_img[j], l),
+                    -_phi(alpha.matrix, action_eval(mp.rhu, phi_img[i], y, l)),
                 )
             residual = lhs - rhs
             if not residual.is_zero:
@@ -435,7 +435,7 @@ def explicit_graph_embedding(mp, dm):
         gi = _phi(embed, twisted.basis_element(i))
         for j in range(nq):
             gj = _phi(embed, twisted.basis_element(j))
-            prod = product_eval(big, gi, gj, l).coords
+            prod = product_at(big, gi, gj, l).coords
             residual = GenElement(prod[:nr]) - _phi(dm.matrix, GenElement(prod[nr:]))
             if not residual.is_zero:
                 violations.append(Violation("graph-closure", (i, j), residual, mp.R.basis))

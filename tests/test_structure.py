@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfkit.algebra import ConformalAlgebra, GenElement, LIE, abelian, check_axioms, product_eval
+from cfkit.algebra import ConformalAlgebra, GenElement, LIE, check_axioms
 from cfkit.poly import D, L1, MultiPoly
 from cfkit.structure import (
     Submodule,
@@ -17,7 +17,7 @@ from cfkit.structure import (
     span,
 )
 
-from helpers import member, sv_doc, vir_algebra, wab_doc
+from helpers import abelian, element, member, product_at, sv_doc, vir_algebra, wab_doc
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
@@ -115,6 +115,13 @@ class TestDerivedSubalgebra:
         alg = abelian(LIE, ("A", "B"))
         assert derived_subalgebra(alg, full_submodule(2)).is_zero
 
+    @pytest.mark.parametrize("width", [1, 3], ids=["shorter", "longer"])
+    def test_rejects_generators_of_another_rank(self, width):
+        alg = sv_doc(a=0, b=1).find("algebra", "Qab")
+        rows = ((one,) * width,)
+        with pytest.raises(ValueError, match="element rank does not match algebra rank"):
+            derived_subalgebra(alg, Submodule(alg.rank, rows))
+
     def test_vir_derives_to_full(self):
         vir = vir_algebra()
         derived = derived_subalgebra(vir, full_submodule(1))
@@ -146,13 +153,10 @@ class TestDerivedSubalgebra:
     def test_coefficients_of_arbitrary_products_stay_inside(self):
         alg = sv_doc(a=1, b=0).find("algebra", "Qab")
         derived = derived_subalgebra(alg, full_submodule(2))
-        from cfkit.algebra import product_eval
-        from cfkit.poly import L1 as L1v
-
-        x = alg.element({"Y": d**2 + 1, "M": d})
-        y = alg.element({"Y": 2 * d, "M": 3})
-        prod = product_eval(alg, x, y, l)
-        splits = [c.coefficient_list(L1v) for c in prod.coords]
+        x = element(alg, {"Y": d**2 + 1, "M": d})
+        y = element(alg, {"Y": 2 * d, "M": 3})
+        prod = product_at(alg, x, y, l)
+        splits = [c.coefficient_list(L1) for c in prod.coords]
         depth = max(len(s) for s in splits)
         for t in range(depth):
             vec = GenElement(
@@ -251,7 +255,7 @@ def change_basis(algebra, change):
         row = []
         for j in range(n):
             gj = GenElement(change[j])
-            prod = product_eval(algebra, gi, gj, l)
+            prod = product_at(algebra, gi, gj, l)
             # express the product in the new basis: coords . inv
             coords = tuple(
                 sum(
