@@ -17,7 +17,6 @@ from .algebra import (
     ASSOCIATIVE,
     CheckReport,
     ConformalAlgebra,
-    GenElement,
     LIE,
     check_axioms,
 )

@@ -29,7 +29,6 @@ from .algebra import (
     ASSOCIATIVE,
     CheckReport,
     ConformalAlgebra,
-    GenElement,
     LIE,
     _check_table,
     _table,
@@ -231,13 +230,13 @@ def check_b1_b2_direct(mp: MatchedPair) -> CheckReport:
     if mp.kind != LIE:
         raise ValueError("direct compatibility check applies to Lie pairs")
     nr, nq = mp.R.rank, mp.Q.rank
-    jacobi = {v.indices: v.residual.coords
+    jacobi = {v.indices: v.residual
               for v in mp.axioms.violations if v.identity == "jacobi:jacobi"}
     zero = (MultiPoly.zero(),) * (nr + nq)
     return CheckReport(_violations("cross-left", mp.R.basis, (
-        (x, a, b, GenElement(jacobi.get((a, b, nr + x), zero)[:nr]))
+        (x, a, b, jacobi.get((a, b, nr + x), zero)[:nr])
         for x, a, b in product(range(nq), range(nr), range(nr))
     )) + _violations("cross-right", mp.Q.basis, (
-        (x, y, a, -GenElement(jacobi.get((a, nr + x, nr + y), zero)[nr:]))
+        (x, y, a, tuple(-c for c in jacobi.get((a, nr + x, nr + y), zero)[nr:]))
         for x, y, a in product(range(nq), range(nq), range(nr))
     )))

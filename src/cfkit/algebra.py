@@ -1,5 +1,9 @@
 """Conformal algebras: finite free basis, spectral product table, axiom checks.
 
+An element of a free module is the tuple of its coordinates, one
+polynomial per basis vector; table entries, products and residuals are
+all such tuples.
+
 Two rewriting rules extend a basis product table to arbitrary elements at a
 spectral parameter ``s``: a ``d``-polynomial multiplying the left argument
 is re-evaluated at ``-s`` (:func:`_as_left`), one multiplying the right
@@ -36,31 +40,14 @@ _PL1 = MultiPoly.var(L1)
 _PL2 = MultiPoly.var(L2)
 _PLM = _PL1 + _PL2
 
-Table = tuple[tuple[tuple[MultiPoly, ...], ...], ...]
-
-@dataclass(frozen=True)
-class GenElement:
-    """Element of a free module, as a coordinate vector of polynomials."""
-
-    coords: tuple[MultiPoly, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coords)
-
-    def __sub__(self, other: "GenElement") -> "GenElement":
-        if len(self.coords) != len(other.coords):
-            raise ValueError("element length mismatch")
-        return GenElement(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "GenElement":
-        return GenElement(tuple(-c for c in self.coords))
+Element = tuple[MultiPoly, ...]
+Table = tuple[tuple[Element, ...], ...]
 
 
-def element_text(elem: GenElement, names: tuple[str, ...]) -> str:
+def element_text(coords: Element, names: tuple[str, ...]) -> str:
     """Canonical rendering ``(poly) name + ...``, or ``0``."""
     parts = []
-    for coeff, name in zip(elem.coords, names):
+    for coeff, name in zip(coords, names):
         if coeff.is_zero:
             continue
         if coeff == 1:
@@ -76,12 +63,8 @@ class Violation:
 
     identity: str
     indices: tuple[int, ...]
-    residual: GenElement
+    residual: Element
     basis: tuple[str, ...]
-
-    def text(self) -> str:
-        where = ",".join(str(i) for i in self.indices)
-        return f"{self.identity}[{where}]: {element_text(self.residual, self.basis)}"
 
 
 @dataclass(frozen=True)
@@ -132,10 +115,10 @@ class ConformalAlgebra:
     def rank(self) -> int:
         return len(self.basis)
 
-    def basis_element(self, i: int) -> GenElement:
+    def basis_element(self, i: int) -> Element:
         coords = [MultiPoly.zero()] * self.rank
         coords[i] = MultiPoly.const(1)
-        return GenElement(tuple(coords))
+        return tuple(coords)
 
 
 def _check_table(table: Table, shape: tuple[int, int, int], what: str) -> None:
@@ -244,7 +227,7 @@ def _violations(identity: str, names, rows) -> tuple[Violation, ...]:
     return tuple(
         Violation(identity, tuple(indices), residual, names)
         for *indices, residual in rows
-        if not residual.is_zero
+        if any(residual)
     )
 
 
@@ -274,7 +257,7 @@ def _axiom_tables(table: Table) -> _AxiomTables:
     )
 
 
-def _jacobiator(at: _AxiomTables, unit, i, j, k) -> GenElement:
+def _jacobiator(at: _AxiomTables, unit, i, j, k) -> Element:
     """J(e_i, e_j, e_k)(l, m) = [e_i_l [e_j_m e_k]] - [[e_i_l e_j]_{l+m} e_k]
     - [e_j_m [e_i_l e_k]]: one contraction per product, of a unit vector
     against a pair product rewritten once per check (``at``), and one
@@ -285,7 +268,7 @@ def _jacobiator(at: _AxiomTables, unit, i, j, k) -> GenElement:
     lhs = spectral_eval(at.l, n, unit[i], at.jk[j][k])
     mid = spectral_eval(at.lm, n, at.ij[i][j], unit[k])
     rhs = spectral_eval(at.m, n, unit[j], at.ik[i][k])
-    return GenElement(tuple(a - b - c for a, b, c in zip(lhs, mid, rhs)))
+    return tuple(a - b - c for a, b, c in zip(lhs, mid, rhs))
 
 
 def _jacobi_violations(algebra: ConformalAlgebra, skew_holds: bool):
@@ -312,14 +295,14 @@ def _jacobi_violations(algebra: ConformalAlgebra, skew_holds: bool):
     runs as it is when skew-symmetry fails.
     """
     n = algebra.rank
-    unit = [algebra.basis_element(i).coords for i in range(n)]
+    unit = [algebra.basis_element(i) for i in range(n)]
     jacobiator = partial(_jacobiator, _axiom_tables(algebra.table), unit)
     triples = product(range(n), repeat=3)
     if skew_holds:
         triples = sorted({
             perm
             for rep in combinations_with_replacement(range(n), 3)
-            if not jacobiator(*rep).is_zero
+            if any(jacobiator(*rep))
             for perm in permutations(rep)
         })
     return _violations(
@@ -335,12 +318,12 @@ def check_associativity(algebra: ConformalAlgebra) -> CheckReport:
         raise ValueError("associativity applies to associative kind only")
     n = algebra.rank
     at = _axiom_tables(algebra.table)
-    unit = [algebra.basis_element(i).coords for i in range(n)]
+    unit = [algebra.basis_element(i) for i in range(n)]
 
     def associator(i, j, k):
         outer = spectral_eval(at.lm, n, at.ij[i][j], unit[k])
         inner = spectral_eval(at.l, n, unit[i], at.jk[j][k])
-        return GenElement(tuple(a - b for a, b in zip(outer, inner)))
+        return tuple(a - b for a, b in zip(outer, inner))
 
     return CheckReport(_violations("associativity", algebra.basis, (
         (i, j, k, associator(i, j, k)) for i, j, k in product(range(n), repeat=3)
@@ -356,7 +339,7 @@ def check_axioms(algebra: ConformalAlgebra) -> CheckReport:
         table = algebra.table
         at_neg = _table_at(table, -_PL1 - _PD)
         skew = _violations("skew-symmetry", algebra.basis, (
-            (i, j, GenElement(tuple(a + b for a, b in zip(table[i][j], at_neg[j][i]))))
+            (i, j, tuple(a + b for a, b in zip(table[i][j], at_neg[j][i])))
             for i, j in product(range(algebra.rank), repeat=2)
         ))
         jacobi = _jacobi_violations(algebra, skew_holds=not skew)

@@ -123,6 +123,12 @@ class AnsatzSpec:
 
     def coefficients_of(self, dm: DeformationMap) -> Assignment:
         """Read a concrete map's entries off as an assignment of the unknowns."""
+        shape = (dm.pair.Q.rank, dm.pair.R.rank)
+        if shape != (self.q_rank, self.r_rank):
+            raise ValueError(
+                f"map shape {shape[0]}x{shape[1]} does not match"
+                f" the ansatz shape {self.q_rank}x{self.r_rank}"
+            )
         out: Assignment = {}
         for j in range(self.q_rank):
             for i in range(self.r_rank):
@@ -193,13 +199,15 @@ def _normalize(poly: MultiPoly) -> MultiPoly:
     return poly if lead == 1 else poly / lead
 
 
-def _compile(residuals, unknowns, row_names, col_names, coord_names) -> ConstraintSystem:
+def _compile(residuals, unknowns, pair_names, coord_names) -> ConstraintSystem:
     """Collect every (d, l)-monomial coefficient of every residual coordinate
-    as a normalized equation in the unknowns, dropping repeats."""
+    as a normalized equation in the unknowns, dropping repeats.  A residual
+    ``(i, j, coords)`` comes from the pair of generators ``pair_names[i]``,
+    ``pair_names[j]``."""
     equations: list[Equation] = []
     seen: set[MultiPoly] = set()
     for i, j, residual in residuals:
-        for k, coord in enumerate(residual.coords):
+        for k, coord in enumerate(residual):
             buckets: dict[Monomial, dict] = {}
             for mono, coeff in coord.terms():
                 dl = tuple((v, e) for v, e in mono if v in (D, L1))
@@ -223,7 +231,7 @@ def _compile(residuals, unknowns, row_names, col_names, coord_names) -> Constrai
                     Equation(
                         eq_poly,
                         Provenance(
-                            row_names[i], col_names[j], coord_names[k], _monomial_text(dl)
+                            pair_names[i], pair_names[j], coord_names[k], _monomial_text(dl)
                         ),
                     )
                 )
@@ -242,7 +250,7 @@ def compile_deformation_constraints(
     if ansatz.q_rank != mp.Q.rank or ansatz.r_rank != mp.R.rank:
         raise ValueError("ansatz shape does not match the matched pair")
     residuals = _deformation_residuals(mp, ansatz.symbolic_matrix())
-    return _compile(residuals, ansatz.unknowns, mp.Q.basis, mp.Q.basis, mp.R.basis)
+    return _compile(residuals, ansatz.unknowns, mp.Q.basis, mp.R.basis)
 
 
 def verify_assignment(system: ConstraintSystem, assignment: Assignment) -> bool:
@@ -553,7 +561,7 @@ def search_equivalence_diagonal(
     symbolic = diagonal([MultiPoly.var(u) for u in unknowns])
     residuals = _morphism_residuals(source, target, symbolic)
     basis = mp.Q.basis
-    elimination = linear_eliminate(_compile(residuals, unknowns, basis, basis, basis))
+    elimination = linear_eliminate(_compile(residuals, unknowns, basis, basis))
     if elimination.unsatisfiable is not None:
         return []
     # the budget of the search below, checked before the values are listed

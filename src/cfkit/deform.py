@@ -1,11 +1,13 @@
-"""Deformation maps, deformed algebras, graph embeddings, and equivalence.
+"""Deformation maps, deformed algebras, and equivalence.
 
 A deformation map ``φ: Q -> R`` is a module homomorphism, stored as a matrix
 of ``d``-polynomials.  Every identity here is read off the products of graph
-elements ``(φe_i, e_i)`` in the bicrossed product ``E = R ⋈ Q``, split into
-an R part ``r`` and a Q part ``q``: ``φ`` is a deformation map when
-``φ(q) = r``, ``q`` is the deformed product, and ``α`` makes two maps
-equivalent when it is a morphism between their deformed algebras.  Only
+elements ``(φe_i, e_i)`` in the bicrossed product ``E = R ⋈ Q``, coordinate
+tuples split into an R part ``r`` and a Q part ``q``: ``φ`` is a deformation
+map when ``φ(q) = r``, which is when the graph is a subalgebra of ``E``,
+``q`` is the deformed product, and ``α`` makes two maps equivalent when it
+is a morphism between their deformed algebras.  Residuals are subtracted
+coordinate by coordinate.  Only
 :func:`build_bicrossed` expands the cross actions, once per pair
 (``mp.bicrossed``).  Every product here, of graph elements or of morphism
 images, is taken by :func:`cfkit.algebra._products`, which rewrites each
@@ -23,8 +25,6 @@ from .actions import MatchedPair
 from .algebra import (
     CheckReport,
     ConformalAlgebra,
-    GenElement,
-    Violation,
     _products,
     _violations,
 )
@@ -89,9 +89,9 @@ def _graph_products(mp: MatchedPair, matrix: Matrix):
     elements against E's table.
     """
     nr, nq = mp.R.rank, mp.Q.rank
-    graph = [tuple(matrix[i]) + mp.Q.basis_element(i).coords for i in range(nq)]
+    graph = [tuple(matrix[i]) + mp.Q.basis_element(i) for i in range(nq)]
     for i, j, prod in _products(mp.bicrossed.table, nr + nq, graph):
-        yield i, j, GenElement(prod[:nr]), GenElement(prod[nr:])
+        yield i, j, prod[:nr], prod[nr:]
 
 
 def _deformation_residuals(mp: MatchedPair, matrix: Matrix):
@@ -102,7 +102,7 @@ def _deformation_residuals(mp: MatchedPair, matrix: Matrix):
     inertly.
     """
     for i, j, r_part, q_part in _graph_products(mp, matrix):
-        yield i, j, GenElement(apply_matrix(matrix, q_part.coords)) - r_part
+        yield i, j, tuple(a - b for a, b in zip(apply_matrix(matrix, q_part), r_part))
 
 
 def _require_pair(mp: MatchedPair, dm: DeformationMap) -> None:
@@ -130,7 +130,7 @@ def deformed_algebra(mp: MatchedPair, dm: DeformationMap) -> ConformalAlgebra:
     nq = mp.Q.rank
     table = [[None] * nq for _ in range(nq)]
     for i, j, _, q_part in _graph_products(mp, dm.matrix):
-        table[i][j] = q_part.coords
+        table[i][j] = q_part
     return ConformalAlgebra(mp.kind, mp.Q.basis, tuple(tuple(row) for row in table))
 
 
@@ -141,8 +141,8 @@ def _morphism_residuals(
     ``matrix``; symbolic entries carrying ansatz unknowns ride along inertly.
     The products ``h(e_i) h(e_j)`` are :func:`_products` of the rows."""
     for i, j, prod in _products(target.table, target.rank, matrix):
-        lhs = GenElement(apply_matrix(matrix, source.table[i][j]))
-        yield i, j, lhs - GenElement(prod)
+        lhs = apply_matrix(matrix, source.table[i][j])
+        yield i, j, tuple(a - b for a, b in zip(lhs, prod))
 
 
 def check_morphism(h: Morphism) -> CheckReport:
@@ -158,25 +158,6 @@ def _is_invertible(matrix: Matrix) -> bool:
     if any(len(row) != len(matrix) for row in matrix):
         return False
     return poly_det(matrix).constant_value() not in (None, 0)
-
-
-def _graph_embedding(mp: MatchedPair, deformation: CheckReport) -> CheckReport:
-    """The graph of the map inside the bicrossed product is a subalgebra:
-    read off ``deformation``, the map's :func:`check_deformation_map` report.
-
-    Both parts relabel its violations, the residual ``φ(q) - r``:
-    (i) ``x -> (φx, x)`` is a morphism from the deformed algebra into E,
-    failing by ``(φ(q) - r, 0)``; (ii) closure, failing by ``r - φ(q)`` over R.
-    """
-    failures = deformation.violations
-    pad = (MultiPoly.zero(),) * mp.Q.rank
-    big_basis = mp.R.basis + mp.Q.basis
-    return CheckReport(tuple(
-        Violation("morphism", v.indices, GenElement(v.residual.coords + pad), big_basis)
-        for v in failures
-    ) + tuple(
-        Violation("graph-closure", v.indices, -v.residual, v.basis) for v in failures
-    ))
 
 
 def check_equivalence(

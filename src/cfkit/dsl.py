@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from .actions import _LAYOUT, MatchedPair, _layout, _matched_pair
 from .algebra import (
-    _PD, _PL1, _PL2, KINDS, ConformalAlgebra, GenElement, _table, element_text,
+    _PD, _PL1, _PL2, KINDS, ConformalAlgebra, _table, element_text,
 )
 from .deform import DeformationMap, Morphism
 from .poly import D, L1, MultiPoly, Scalar, scalar_text, unknown
@@ -673,10 +673,10 @@ def _entry_lines(table, spell: str, left, right, out) -> list[str]:
     rows and columns are the ``left`` and ``right`` generators; ``spell``
     is a format of the two generator names."""
     return [
-        f"  {spell.format(a, b)} = {element_text(GenElement(table[i][j]), out)};"
+        f"  {spell.format(a, b)} = {element_text(table[i][j], out)};"
         for i, a in enumerate(left)
         for j, b in enumerate(right)
-        if not all(c.is_zero for c in table[i][j])
+        if any(table[i][j])
     ]
 
 
@@ -705,8 +705,8 @@ def serialize(document: Document) -> str:
                 sources, targets = mapping.source.basis, mapping.target.basis
             lines = [head]
             for src, row in zip(sources, mapping.matrix):
-                if not all(c.is_zero for c in row):
-                    lines.append(f"  {src} -> {element_text(GenElement(row), targets)};")
+                if any(row):
+                    lines.append(f"  {src} -> {element_text(row, targets)};")
         else:  # pragma: no cover - registry is closed
             raise AssertionError(f"unknown item kind {item.kind}")
         lines.append("}")

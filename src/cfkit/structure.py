@@ -7,9 +7,10 @@ smaller degree.  Division works on :class:`MultiPoly` values directly, one
 leading term at a time, and one row-reduction step serves the echelon pass
 and the reduction above each pivot.  Storing that form makes submodule
 equality a syntactic comparison, ``==`` on :class:`Submodule`, which the
-derived series and solvability verdicts build on.  Each term of the series
-is spanned by the spectral coefficients of the pairwise products of the
-previous term's generators, all taken in one pass of
+derived series and solvability verdicts build on.  Generators, like every
+element, are coordinate tuples: the rows of that form.  Each term of the
+series is spanned by the spectral coefficients of the pairwise products of
+the previous term's generators, all taken in one pass of
 :func:`cfkit.algebra._products`.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import ConformalAlgebra, GenElement, LIE, _products
+from .algebra import ConformalAlgebra, LIE, _products
 from .poly import D, L1, MultiPoly
 
 PolyRow = tuple[MultiPoly, ...]
@@ -131,9 +132,6 @@ class Submodule:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def generator_elements(self) -> list[GenElement]:
-        return [GenElement(row) for row in self.generators]
-
 
 def full_submodule(rank: int) -> Submodule:
     one = MultiPoly.const(1)
@@ -144,16 +142,14 @@ def full_submodule(rank: int) -> Submodule:
     return Submodule(rank, rows)
 
 
-def span(ambient_rank: int, vectors: list[GenElement]) -> Submodule:
-    """Canonical submodule generated by vectors with d-polynomial coordinates."""
-    rows = []
-    for v in vectors:
-        if len(v.coords) != ambient_rank:
+def span(ambient_rank: int, rows: list[PolyRow]) -> Submodule:
+    """Canonical submodule generated by rows of d-polynomial coordinates."""
+    for row in rows:
+        if len(row) != ambient_rank:
             raise ValueError("vector rank does not match ambient rank")
-        for c in v.coords:
+        for c in row:
             if not c.variables() <= {D}:
                 raise ValueError(f"spectral variable leaked into a generator: {c}")
-        rows.append(tuple(v.coords))
     return Submodule(ambient_rank, hermite_normal_form(tuple(rows)))
 
 
@@ -170,16 +166,15 @@ def derived_subalgebra(algebra: ConformalAlgebra, sub: Submodule) -> Submodule:
         raise ValueError("submodule does not live in the algebra's module")
     if any(len(row) != algebra.rank for row in sub.generators):
         raise ValueError("element rank does not match algebra rank")
-    vectors: list[GenElement] = []
+    rows: list[PolyRow] = []
     for _, _, prod in _products(algebra.table, algebra.rank, sub.generators):
         split = [c.coefficient_list(L1) for c in prod]
         depth = max((len(s) for s in split), default=0)
         for t in range(depth):
-            coords = tuple(s[t] if t < len(s) else MultiPoly.zero() for s in split)
-            vec = GenElement(coords)
-            if not vec.is_zero:
-                vectors.append(vec)
-    return span(algebra.rank, vectors)
+            row = tuple(s[t] if t < len(s) else MultiPoly.zero() for s in split)
+            if any(row):
+                rows.append(row)
+    return span(algebra.rank, rows)
 
 
 @dataclass(frozen=True)

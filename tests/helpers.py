@@ -12,7 +12,7 @@ from fractions import Fraction
 from cfkit import corpus
 from cfkit.actions import ModuleAction
 from cfkit.algebra import (
-    ConformalAlgebra, GenElement, _as_left, _as_right, _table, _table_at, spectral_eval,
+    ConformalAlgebra, _as_left, _as_right, _table, _table_at, spectral_eval,
 )
 from cfkit.deform import DeformationMap, Morphism
 from cfkit.dsl import Document, parse_document
@@ -81,24 +81,31 @@ def abelian(kind: str, names: tuple[str, ...]) -> ConformalAlgebra:
     return ConformalAlgebra(kind, tuple(names), _table((n, n, n)))
 
 
-def element(algebra, coeffs: dict) -> GenElement:
+def element(algebra, coeffs: dict) -> tuple:
     """The element with coefficient ``coeffs[name]`` on each named basis
     vector and zero elsewhere."""
     coords = [MultiPoly.zero()] * algebra.rank
     for name, value in coeffs.items():
         coords[algebra.basis.index(name)] = MultiPoly.const(0) + value
-    return GenElement(tuple(coords))
+    return tuple(coords)
 
 
-def scale(x: GenElement, factor) -> GenElement:
-    return GenElement(tuple(c * factor for c in x.coords))
+def scale(x: tuple, factor) -> tuple:
+    return tuple(c * factor for c in x)
 
 
-def add(*terms: GenElement) -> GenElement:
+def add(*terms: tuple) -> tuple:
     """The sum of elements of one rank."""
-    return GenElement(tuple(sum(coords, MultiPoly.zero()) for coords in zip(
-        *(t.coords for t in terms), strict=True
-    )))
+    return tuple(sum(coords, MultiPoly.zero()) for coords in zip(*terms, strict=True))
+
+
+def sub(x: tuple, y: tuple) -> tuple:
+    """The difference of two elements of one rank."""
+    return tuple(a - b for a, b in zip(x, y, strict=True))
+
+
+def neg(x: tuple) -> tuple:
+    return tuple(-c for c in x)
 
 
 _PD = MultiPoly.var(D)
@@ -142,7 +149,7 @@ def reference_spectral_eval(table, out_rank, left, right, s):
     return tuple(out)
 
 
-def action_eval(act: ModuleAction, first: GenElement, second: GenElement, s) -> GenElement:
+def action_eval(act: ModuleAction, first: tuple, second: tuple, s) -> tuple:
     """Evaluate ``first_s second`` where one argument is an algebra element.
 
     The arguments come in the order of the infix notation: for a left action
@@ -152,32 +159,28 @@ def action_eval(act: ModuleAction, first: GenElement, second: GenElement, s) -> 
     """
     s = MultiPoly.const(0) + s
     rows, cols = act.shape
-    if len(first.coords) != rows or len(second.coords) != cols:
+    if len(first) != rows or len(second) != cols:
         raise ValueError("action argument rank mismatch")
-    return GenElement(
-        reference_spectral_eval(act.table, act.carrier_rank, first.coords, second.coords, s)
-    )
+    return reference_spectral_eval(act.table, act.carrier_rank, first, second, s)
 
 
-def product_at(algebra, x: GenElement, y: GenElement, s) -> GenElement:
+def product_at(algebra, x: tuple, y: tuple, s) -> tuple:
     """The product ``x_s y`` at any affine ``s``, composed of cfkit's rules:
     ``x`` as a left and ``y`` as a right argument, contracted against the
     table at ``s``.  cfkit itself multiplies only at ``s = l``."""
     s = MultiPoly.const(0) + s
     n = algebra.rank
-    if len(x.coords) != n or len(y.coords) != n:
+    if len(x) != n or len(y) != n:
         raise ValueError("element rank does not match algebra rank")
     require_affine(s)
-    return GenElement(spectral_eval(
-        _table_at(algebra.table, s), n, _as_left(x.coords, s), _as_right(y.coords, s)
-    ))
+    return spectral_eval(_table_at(algebra.table, s), n, _as_left(x, s), _as_right(y, s))
 
 
-def member(sub: Submodule, v: GenElement) -> bool:
+def member(sub: Submodule, v: tuple) -> bool:
     """Exact membership by successive division against the pivots."""
-    if len(v.coords) != sub.ambient_rank:
+    if len(v) != sub.ambient_rank:
         raise ValueError("vector rank does not match ambient rank")
-    coords = list(v.coords)
+    coords = list(v)
     for c in coords:
         if not c.variables() <= {D}:
             raise ValueError(f"membership is defined for d-vectors only: {c}")

@@ -19,22 +19,22 @@ from cfkit.algebra import (
     ASSOCIATIVE,
     CheckReport,
     ConformalAlgebra,
-    GenElement,
     LIE,
     Violation,
     _table_at,
     check_axioms,
     merge_reports,
 )
-from cfkit.deform import _graph_embedding, check_deformation_map, deformed_algebra
+from cfkit.deform import check_deformation_map, deformed_algebra
 from cfkit.poly import D, L1, L2, MultiPoly
 
 from cfkit import corpus
 from cfkit.dsl import parse_document
 from helpers import (
-    abelian, action_eval, add, assoc4_doc, element, nfold_doc, product_at, reference_spectral_eval,
-    sv_doc, vir_algebra, wab_doc,
+    abelian, action_eval, add, assoc4_doc, element, neg, nfold_doc, product_at,
+    reference_spectral_eval, sub, sv_doc, vir_algebra, wab_doc,
 )
+from test_deform import explicit_graph_embedding
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
@@ -53,12 +53,12 @@ _PL2 = MultiPoly.var(L2)
 # the differential test at the end of this file.
 
 
-def _carrier_basis(rank: int) -> list[GenElement]:
+def _carrier_basis(rank: int) -> list[tuple]:
     out = []
     for i in range(rank):
         coords = [MultiPoly.zero()] * rank
         coords[i] = MultiPoly.const(1)
-        out.append(GenElement(tuple(coords)))
+        out.append(tuple(coords))
     return out
 
 
@@ -76,28 +76,30 @@ def check_module(act: ModuleAction) -> CheckReport:
                 if act.kind == LIE and act.side == LEFT:
                     residual = add(
                         action_eval(act, product_at(alg, ei, ej, _PL1), vk, _PL1 + _PL2),
-                        -action_eval(act, ei, action_eval(act, ej, vk, _PL2), _PL1),
+                        neg(action_eval(act, ei, action_eval(act, ej, vk, _PL2), _PL1)),
                         action_eval(act, ej, action_eval(act, ei, vk, _PL1), _PL2),
                     )
                     name = "left-module"
                 elif act.kind == LIE and act.side == RIGHT:
                     residual = add(
                         action_eval(act, vk, product_at(alg, ei, ej, _PL1), _PL2),
-                        -action_eval(act, action_eval(act, vk, ei, _PL2), ej, _PL1 + _PL2),
+                        neg(action_eval(act, action_eval(act, vk, ei, _PL2), ej, _PL1 + _PL2)),
                         action_eval(act, action_eval(act, vk, ej, _PL2), ei, -_PL1 - _PD),
                     )
                     name = "right-module"
                 elif act.side == LEFT:
-                    residual = action_eval(
-                        act, product_at(alg, ei, ej, _PL1), vk, _PL1 + _PL2
-                    ) - action_eval(act, ei, action_eval(act, ej, vk, _PL2), _PL1)
+                    residual = sub(
+                        action_eval(act, product_at(alg, ei, ej, _PL1), vk, _PL1 + _PL2),
+                        action_eval(act, ei, action_eval(act, ej, vk, _PL2), _PL1),
+                    )
                     name = "left-module"
                 else:
-                    residual = action_eval(
-                        act, action_eval(act, vk, ei, _PL1), ej, _PL1 + _PL2
-                    ) - action_eval(act, vk, product_at(alg, ei, ej, _PL2), _PL1)
+                    residual = sub(
+                        action_eval(act, action_eval(act, vk, ei, _PL1), ej, _PL1 + _PL2),
+                        action_eval(act, vk, product_at(alg, ei, ej, _PL2), _PL1),
+                    )
                     name = "right-module"
-                if not residual.is_zero:
+                if any(residual):
                     violations.append(Violation(name, (i, j, k), residual, names))
     return CheckReport(tuple(violations))
 
@@ -126,10 +128,11 @@ def check_bimodule(left: ModuleAction, right: ModuleAction) -> CheckReport:
             lv = action_eval(left, ei, vk, _PL1)
             for j in range(alg.rank):
                 ej = alg.basis_element(j)
-                residual = action_eval(right, lv, ej, _PL1 + _PL2) - action_eval(
-                    left, ei, action_eval(right, vk, ej, _PL2), _PL1
+                residual = sub(
+                    action_eval(right, lv, ej, _PL1 + _PL2),
+                    action_eval(left, ei, action_eval(right, vk, ej, _PL2), _PL1),
                 )
-                if not residual.is_zero:
+                if any(residual):
                     violations.append(Violation("bimodule", (i, k, j), residual, names))
     return CheckReport(tuple(violations))
 
@@ -174,19 +177,19 @@ class TestActionEval:
         w = pair.Q.basis_element(0)
         big_l = pair.R.basis_element(0)
         out = action_eval(pair.lhd, w, big_l, l)
-        assert out.coords == (d + 2 * l,)
+        assert out == (d + 2 * l,)
 
     def test_trivial_action_is_zero(self):
         pair = _matched_pair(LIE, vir_algebra(), abelian(LIE, ("W",)), {})
         out = action_eval(pair.lhd, pair.Q.basis_element(0), pair.R.basis_element(0), l)
-        assert out.is_zero
+        assert not any(out)
 
     def test_sv_constant_action(self):
         pair = sv_doc().find("matched", "SVP")
         m_el = element(pair.Q, {"M": 1})
         n_el = element(pair.R, {"N": 1})
         out = action_eval(pair.lhd, m_el, n_el, l)
-        assert out.coords == (MultiPoly.zero(), MultiPoly.const(-2))
+        assert out == (MultiPoly.zero(), MultiPoly.const(-2))
 
     def test_dimension_mismatch(self):
         pair = nfold_doc().find("matched", "NP")
@@ -359,7 +362,7 @@ class TestBicrossedBuiltOnce:
         assert check_matched_pair(pair).passed
         assert check_deformation_map(pair, phi).passed
         deformed_algebra(pair, phi)
-        assert _graph_embedding(pair, check_deformation_map(pair, phi)).passed
+        assert explicit_graph_embedding(pair, phi) == ()
         assert calls == [pair]
 
     def test_cache_is_not_a_field(self):
@@ -480,7 +483,7 @@ def reference_build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
     nr, nq = mp.R.rank, mp.Q.rank
     n = nr + nq
     zero = MultiPoly.zero()
-    neg = -_PL1 - _PD
+    flip = -_PL1 - _PD
 
     def pad(r_part, q_part):
         return tuple(r_part or (zero,) * nr) + tuple(q_part or (zero,) * nq)
@@ -497,25 +500,25 @@ def reference_build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
     if mp.kind == LIE:
         for i in range(nr):
             for j in range(nq):
-                r_part = -action_eval(mp.rhd, q_basis[j], r_basis[i], neg)
-                q_part = -action_eval(mp.lhd, q_basis[j], r_basis[i], neg)
-                table[i][nr + j] = pad(r_part.coords, q_part.coords)
+                r_part = neg(action_eval(mp.rhd, q_basis[j], r_basis[i], flip))
+                q_part = neg(action_eval(mp.lhd, q_basis[j], r_basis[i], flip))
+                table[i][nr + j] = pad(r_part, q_part)
         for i in range(nq):
             for j in range(nr):
                 r_part = action_eval(mp.rhd, q_basis[i], r_basis[j], _PL1)
                 q_part = action_eval(mp.lhd, q_basis[i], r_basis[j], _PL1)
-                table[nr + i][j] = pad(r_part.coords, q_part.coords)
+                table[nr + i][j] = pad(r_part, q_part)
     else:
         for i in range(nr):
             for j in range(nq):
                 r_part = action_eval(mp.lhu, r_basis[i], q_basis[j], _PL1)
                 q_part = action_eval(mp.rhu, r_basis[i], q_basis[j], _PL1)
-                table[i][nr + j] = pad(r_part.coords, q_part.coords)
+                table[i][nr + j] = pad(r_part, q_part)
         for i in range(nq):
             for j in range(nr):
                 r_part = action_eval(mp.rhd, q_basis[i], r_basis[j], _PL1)
                 q_part = action_eval(mp.lhd, q_basis[i], r_basis[j], _PL1)
-                table[nr + i][j] = pad(r_part.coords, q_part.coords)
+                table[nr + i][j] = pad(r_part, q_part)
     names = mp.R.basis + mp.Q.basis
     return ConformalAlgebra(mp.kind, names, tuple(tuple(row) for row in table))
 
@@ -578,7 +581,7 @@ class TestTableAt:
         for label, alg in bundled("algebra"):
             basis = _carrier_basis(alg.rank)
             expected = tuple(
-                tuple(reference_spectral_eval(alg.table, alg.rank, x.coords, y.coords, s)
+                tuple(reference_spectral_eval(alg.table, alg.rank, x, y, s)
                       for y in basis)
                 for x in basis
             )
@@ -592,7 +595,7 @@ class TestTableAt:
             for field, *_ in _layout(pair.kind):
                 act = getattr(pair, field)
                 rows, cols = (_carrier_basis(n) for n in act.shape)
-                expected = tuple(tuple(action_eval(act, x, y, s).coords for y in cols)
+                expected = tuple(tuple(action_eval(act, x, y, s) for y in cols)
                                  for x in rows)
                 assert _table_at(act.table, s) == expected, f"{label}.{field}"
                 kinds.add(pair.kind)
@@ -619,8 +622,8 @@ def reference_check_b1_b2_direct(mp: MatchedPair) -> CheckReport:
                 t2 = product_at(mp.R, a, action_eval(mp.rhd, x, b, s_m), _PL1)
                 t3 = action_eval(mp.rhd, action_eval(mp.lhd, x, a, s_l), b, s_m)
                 t4 = action_eval(mp.rhd, action_eval(mp.lhd, x, b, s_m), a, s_l)
-                residual = lhs - t1 - t2 - (t3 - t4)
-                if not residual.is_zero:
+                residual = sub(lhs, add(t1, t2, sub(t3, t4)))
+                if any(residual):
                     violations.append(
                         Violation("cross-left", (x_i, a_i, b_i), residual, mp.R.basis)
                     )
@@ -632,8 +635,8 @@ def reference_check_b1_b2_direct(mp: MatchedPair) -> CheckReport:
                 t2 = product_at(mp.Q, action_eval(mp.lhd, x, a, s_l), y, _PL1 + _PL2)
                 t3 = action_eval(mp.lhd, x, action_eval(mp.rhd, y, a, s_l), _PL2)
                 t4 = action_eval(mp.lhd, y, action_eval(mp.rhd, x, a, s_l), s_lm)
-                residual = lhs - t1 - t2 - (t3 - t4)
-                if not residual.is_zero:
+                residual = sub(lhs, add(t1, t2, sub(t3, t4)))
+                if any(residual):
                     violations.append(
                         Violation("cross-right", (x_i, y_i, a_i), residual, mp.Q.basis)
                     )
@@ -682,7 +685,7 @@ class TestCrossLeftOffTheLieLocus:
             ]
             got = {v.indices: v.residual for v in got if v.identity == "cross-left"}
             want = {v.indices: v.residual for v in want if v.identity == "cross-left"}
-            zero = GenElement((MultiPoly.zero(),) * pair.R.rank)
+            zero = (MultiPoly.zero(),) * pair.R.rank
             r_basis = [pair.R.basis_element(i) for i in range(pair.R.rank)]
             for x, x_el in enumerate(pair.Q.basis_element(i) for i in range(pair.Q.rank)):
                 for a, a_el in enumerate(r_basis):
@@ -693,6 +696,6 @@ class TestCrossLeftOffTheLieLocus:
                             product_at(pair.R, y, b_el, -_PL2 - _PD),
                         )
                         projected = got.get((x, a, b), zero)
-                        assert projected - defect == want.get((x, a, b), zero)
-                        differ += not defect.is_zero
+                        assert sub(projected, defect) == want.get((x, a, b), zero)
+                        differ += any(defect)
         assert differ

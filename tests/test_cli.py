@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cfkit import cli, corpus
-from cfkit.algebra import CheckReport, GenElement, Violation, element_text
+from cfkit.algebra import CheckReport, Violation, element_text
 from cfkit.cli import MAX_ANSATZ_DEGREE, MAX_ENTRY_DEGREE
 from cfkit.dsl import parse_document
 from cfkit.poly import MultiPoly
@@ -628,7 +628,7 @@ class TestDeformReport:
 class TestReportPipeline:
     def test_convention_mismatch_fails_the_check(self, workdir, monkeypatch):
         # the direct reading disagrees with a pair the normative check passes
-        one = GenElement((MultiPoly.const(1),))
+        one = (MultiPoly.const(1),)
         broken = CheckReport((Violation("b1", (0, 0, 0), one, ("W",)),))
         monkeypatch.setattr(cli, "check_b1_b2_direct", lambda pair: broken)
         Path("t.cfk").write_text(

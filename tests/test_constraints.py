@@ -120,6 +120,17 @@ class TestVerifyAssignment:
         assert verify_assignment(sys_, assignment)
 
 
+class TestCoefficientsOf:
+    @pytest.mark.parametrize(
+        "q_rank, r_rank", [(1, 1), (3, 3)], ids=["map-larger", "map-smaller"]
+    )
+    def test_refuses_a_map_of_another_shape(self, q_rank, r_rank):
+        phi = sv_doc(a=2, b=1).find("defmap", "phiab")  # a 2x2 map of SVP
+        message = f"map shape 2x2 does not match the ansatz shape {q_rank}x{r_rank}"
+        with pytest.raises(ValueError, match=message):
+            AnsatzSpec.uniform(q_rank, r_rank, 1).coefficients_of(phi)
+
+
 class TestLinearEliminate:
     def test_two_pass_example(self):
         sys_ = system([unknown(0), unknown(1)], [u1 - 3, u0 * u1])

@@ -6,6 +6,7 @@ none of them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +55,18 @@ def used_names() -> set[str]:
 
 def test_every_export_is_used_outside_its_definition():
     assert sorted(exports() - used_names()) == []
+
+
+def readme_exports() -> set[str]:
+    """The names README's "The package exports, by module:" sentence lists,
+    without the module names in parentheses after each group."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"The package exports, by module:(.*?)\.\s", text, re.S).group(1)
+    return set(re.findall(r"`([^`]+)`", re.sub(r"\(`[^`]+`\)", "", sentence)))
+
+
+def test_readme_lists_exactly_the_exports():
+    assert readme_exports() == exports()
 
 
 def test_a_name_used_only_by_itself_counts_as_unused():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfkit.algebra import ConformalAlgebra, GenElement, LIE, check_axioms
+from cfkit.algebra import ConformalAlgebra, LIE, check_axioms
 from cfkit.poly import D, L1, MultiPoly
 from cfkit.structure import (
     Submodule,
@@ -26,7 +26,7 @@ one = MultiPoly.const(1)
 
 
 def elem(*coords):
-    return GenElement(tuple(MultiPoly.const(0) + c for c in coords))
+    return tuple(MultiPoly.const(0) + c for c in coords)
 
 
 class TestDivmod:
@@ -75,8 +75,8 @@ class TestHermiteNormalForm:
             assert hermite_normal_form(normal) == normal
             before = Submodule(3, normal)
             for row in rows:
-                assert member(before, GenElement(row))
-            rebuilt = span(3, [GenElement(r) for r in rows])
+                assert member(before, row)
+            rebuilt = span(3, list(rows))
             assert rebuilt.generators == normal
 
 
@@ -107,7 +107,7 @@ class TestSpanAndMembership:
 
     def test_spectral_leakage_rejected(self):
         with pytest.raises(ValueError):
-            span(1, [GenElement((l,))])
+            span(1, [(l,)])
 
 
 class TestDerivedSubalgebra:
@@ -144,11 +144,11 @@ class TestDerivedSubalgebra:
                 ],
             )
             extra = [elem(rng.randint(-2, 2) * d, rng.randint(-2, 2))]
-            big = span(2, [GenElement(r) for r in small.generators] + extra)
+            big = span(2, list(small.generators) + extra)
             derived_small = derived_subalgebra(alg, small)
             derived_big = derived_subalgebra(alg, big)
             for row in derived_small.generators:
-                assert member(derived_big, GenElement(row))
+                assert member(derived_big, row)
 
     def test_coefficients_of_arbitrary_products_stay_inside(self):
         alg = sv_doc(a=1, b=0).find("algebra", "Qab")
@@ -156,12 +156,10 @@ class TestDerivedSubalgebra:
         x = element(alg, {"Y": d**2 + 1, "M": d})
         y = element(alg, {"Y": 2 * d, "M": 3})
         prod = product_at(alg, x, y, l)
-        splits = [c.coefficient_list(L1) for c in prod.coords]
+        splits = [c.coefficient_list(L1) for c in prod]
         depth = max(len(s) for s in splits)
         for t in range(depth):
-            vec = GenElement(
-                tuple(s[t] if t < len(s) else zero for s in splits)
-            )
+            vec = tuple(s[t] if t < len(s) else zero for s in splits)
             assert member(derived, vec)
 
 
@@ -251,15 +249,15 @@ def change_basis(algebra, change):
     inv = tuple(inv)
     table = []
     for i in range(n):
-        gi = GenElement(change[i])
+        gi = change[i]
         row = []
         for j in range(n):
-            gj = GenElement(change[j])
+            gj = change[j]
             prod = product_at(algebra, gi, gj, l)
             # express the product in the new basis: coords . inv
             coords = tuple(
                 sum(
-                    (prod.coords[k] * inv[k][t] for k in range(n)),
+                    (prod[k] * inv[k][t] for k in range(n)),
                     MultiPoly.zero(),
                 )
                 for t in range(n)
