@@ -8,7 +8,6 @@ invariants.  Everything is computed in exact rational arithmetic.
 
 from .actions import (
     MatchedPair,
-    ModuleAction,
     build_bicrossed,
     check_b1_b2_direct,
     check_matched_pair,

@@ -6,7 +6,9 @@ so ``x <| a`` and ``a ~> x`` both read left-to-right.  Where each cross
 action sits is written down once, in the layout table :data:`_LAYOUT`: the
 pair field, the arrow that spells it, the components of its two operands
 and the component its values lie in.  The pair's validation, the ``.cfk``
-parser and serializer and :func:`build_bicrossed` all read it.  The
+parser and serializer and :func:`build_bicrossed` all read it.  A pair
+stores each action as a plain table, and :data:`_LAYOUT` gives its shape:
+the ranks of its two operands' components and of its carrier.  The
 bicrossed product ``E = R ⋈ Q`` is built by placing tables: R's and Q's on
 the diagonal, each action's into the carrier coordinates of its operands'
 block, and for a Lie pair the remaining block by skew-symmetry.  A matched
@@ -30,6 +32,7 @@ from .algebra import (
     CheckReport,
     ConformalAlgebra,
     LIE,
+    Table,
     _check_table,
     _table,
     _violations,
@@ -38,13 +41,8 @@ from .algebra import (
 )
 from .poly import D, L1, MultiPoly
 
-LEFT = "left"
-RIGHT = "right"
-
 _PD = MultiPoly.var(D)
 _PL1 = MultiPoly.var(L1)
-
-ActionTable = tuple[tuple[tuple[MultiPoly, ...], ...], ...]
 
 #: The cross actions of a matched pair, one row each: the :class:`MatchedPair`
 #: field, the arrow of its infix notation ``x op y``, the components x and y
@@ -65,42 +63,6 @@ def _layout(kind: str) -> tuple[tuple[str, str, str, str, str], ...]:
     return _LAYOUT if kind == ASSOCIATIVE else _LAYOUT[:2]
 
 
-def _side(left: str, right: str, carrier: str) -> tuple[str, str]:
-    """The side of an action with operands in ``left`` and ``right``, and
-    the component that acts."""
-    return (LEFT, left) if carrier == right else (RIGHT, right)
-
-
-@dataclass(frozen=True)
-class ModuleAction:
-    """A left or right action of ``acting`` on a free carrier module.
-
-    Left table layout is acting x carrier, right is carrier x acting; either
-    way ``table[i][j]`` indexes the first and second infix argument, and the
-    entry is a coefficient vector over the carrier basis.
-    """
-
-    side: str
-    acting: ConformalAlgebra
-    carrier_rank: int
-    table: ActionTable
-
-    def __post_init__(self):
-        if self.side not in (LEFT, RIGHT):
-            raise ValueError(f"unknown action side {self.side!r}")
-        _check_table(self.table, (*self.shape, self.carrier_rank), "action")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        if self.side == LEFT:
-            return (self.acting.rank, self.carrier_rank)
-        return (self.carrier_rank, self.acting.rank)
-
-    @property
-    def kind(self) -> str:
-        return self.acting.kind
-
-
 @dataclass(frozen=True)
 class MatchedPair:
     """Two algebras with the cross actions that glue them into one.
@@ -113,10 +75,10 @@ class MatchedPair:
     kind: str
     R: ConformalAlgebra
     Q: ConformalAlgebra
-    lhd: ModuleAction
-    rhd: ModuleAction
-    lhu: ModuleAction | None = None
-    rhu: ModuleAction | None = None
+    lhd: Table
+    rhd: Table
+    lhu: Table | None = None
+    rhu: Table | None = None
 
     def __post_init__(self):
         if self.kind not in (LIE, ASSOCIATIVE):
@@ -125,16 +87,12 @@ class MatchedPair:
             raise ValueError("component algebra kinds must match the pair kind")
         if self.kind == LIE and (self.lhu is not None or self.rhu is not None):
             raise ValueError("harpoon actions are for the associative kind")
-        parts = {"R": self.R, "Q": self.Q}
+        ranks = {"R": self.R.rank, "Q": self.Q.rank}
         for field, _, left, right, carrier in _layout(self.kind):
-            side, acting = _side(left, right, carrier)
-            act = getattr(self, field)
-            if act is None:
+            table = getattr(self, field)
+            if table is None:
                 raise ValueError(f"{self.kind} pairs need the {field} action")
-            if (act.side, act.acting, act.carrier_rank) != (
-                side, parts[acting], parts[carrier].rank
-            ):
-                raise ValueError(f"action {field} has inconsistent side or dimensions")
+            _check_table(table, (ranks[left], ranks[right], ranks[carrier]), field)
 
     @cached_property
     def bicrossed(self) -> ConformalAlgebra:
@@ -155,14 +113,11 @@ def _matched_pair(
 ) -> MatchedPair:
     """The ``kind`` pair over R and Q whose action ``field`` has entry
     ``entries[field][i, j]`` where given and zero elsewhere."""
-    parts = {"R": R, "Q": Q}
-    actions = {}
-    for field, _, left, right, carrier in _layout(kind):
-        side, acting = _side(left, right, carrier)
-        rank = parts[carrier].rank
-        table = _table((parts[left].rank, parts[right].rank, rank), entries.get(field))
-        actions[field] = ModuleAction(side, parts[acting], rank, table)
-    return MatchedPair(kind, R, Q, **actions)
+    ranks = {"R": R.rank, "Q": Q.rank}
+    return MatchedPair(kind, R, Q, **{
+        field: _table((ranks[left], ranks[right], ranks[carrier]), entries.get(field))
+        for field, _, left, right, carrier in _layout(kind)
+    })
 
 
 def build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
@@ -179,7 +134,7 @@ def build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
     zero = MultiPoly.zero()
     table = [[[zero] * n for _ in range(n)] for _ in range(n)]
     blocks = [("R", "R", "R", mp.R.table), ("Q", "Q", "Q", mp.Q.table)] + [
-        (left, right, carrier, getattr(mp, field).table)
+        (left, right, carrier, getattr(mp, field))
         for field, _, left, right, carrier in _layout(mp.kind)
     ]
     for left, right, carrier, block in blocks:

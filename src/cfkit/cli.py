@@ -227,15 +227,18 @@ def _output(args, report: dict, document: Document, name: str, algebra) -> None:
 
 def cmd_check(args, report: dict) -> None:
     document = _load(args, report)
-    names = args.names or [item.name for item in document.items if item.kind != "param"]
-    by_name: dict[str, Item] = {}
-    for item in document.items:
-        by_name.setdefault(item.name, item)
-    for name in names:
-        item = by_name.get(name)
-        if item is None:
-            raise _InputError(f"no declaration named {name!r}")
-        report["checks"].extend(_item_checks(item.kind, name, item.value))
+    # two declarations of different kinds may share a name: each is checked
+    if args.names:
+        items = []
+        for name in args.names:
+            named = [item for item in document.items if item.name == name]
+            if not named:
+                raise _InputError(f"no declaration named {name!r}")
+            items += named
+    else:
+        items = [item for item in document.items if item.kind != "param"]
+    for item in items:
+        report["checks"].extend(_item_checks(item.kind, item.name, item.value))
 
 
 def cmd_bicrossed(args, report: dict) -> None:

@@ -663,7 +663,7 @@ def item_tables(item: Item):
         parts = {"R": pair.R.basis, "Q": pair.Q.basis}
         for attr, op, left, right, carrier in _layout(pair.kind):
             yield (
-                getattr(pair, attr).table, f"{{}} {op} {{}}",
+                getattr(pair, attr), f"{{}} {op} {{}}",
                 parts[left], parts[right], parts[carrier],
             )
 

@@ -3,14 +3,14 @@ for the worked examples, so tests parse them rather than duplicating tables.
 Also the references that tests check cfkit against:
 ``reference_spectral_eval``, the kernel that rewrites its arguments and
 table entries on every call, ``action_eval``, the evaluation of one action
-through it, ``product_at``, one product at any spectral parameter composed
-of cfkit's own rules, and ``member``, submodule membership; and builders of
-elements and algebras that cfkit itself never needs."""
+table through it, which reads the argument and carrier ranks off the table,
+``product_at``, one product at any spectral parameter composed of cfkit's
+own rules, and ``member``, submodule membership; and builders of elements
+and algebras that cfkit itself never needs."""
 
 from fractions import Fraction
 
 from cfkit import corpus
-from cfkit.actions import ModuleAction
 from cfkit.algebra import (
     ConformalAlgebra, _as_left, _as_right, _table, _table_at, spectral_eval,
 )
@@ -149,19 +149,20 @@ def reference_spectral_eval(table, out_rank, left, right, s):
     return tuple(out)
 
 
-def action_eval(act: ModuleAction, first: tuple, second: tuple, s) -> tuple:
-    """Evaluate ``first_s second`` where one argument is an algebra element.
+def action_eval(table, first: tuple, second: tuple, s) -> tuple:
+    """Evaluate ``first_s second`` through the action table ``table``.
 
-    The arguments come in the order of the infix notation: for a left action
-    the first belongs to the acting algebra, for a right action it is the
-    carrier element.  Same rules as the product, through the reference
+    The arguments come in the order of the infix notation, as the rows and
+    columns of the table do: for a left action the first belongs to the
+    acting algebra, for a right action it is the carrier element.  The
+    table's rows, columns and entry length give the two argument ranks and
+    the carrier rank.  Same rules as the product, through the reference
     kernel.
     """
     s = MultiPoly.const(0) + s
-    rows, cols = act.shape
-    if len(first) != rows or len(second) != cols:
+    if len(first) != len(table) or len(second) != len(table[0]):
         raise ValueError("action argument rank mismatch")
-    return reference_spectral_eval(act.table, act.carrier_rank, first, second, s)
+    return reference_spectral_eval(table, len(table[0][0]), first, second, s)
 
 
 def product_at(algebra, x: tuple, y: tuple, s) -> tuple:

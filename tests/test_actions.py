@@ -1,14 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 import cfkit.actions
 from cfkit.actions import (
-    LEFT,
     MatchedPair,
-    ModuleAction,
-    RIGHT,
     _layout,
     _matched_pair,
     build_bicrossed,
@@ -43,6 +41,11 @@ _PD = d
 _PL1 = l
 _PL2 = MultiPoly.var(L2)
 
+#: The sides of a module action: the acting algebra's elements come first
+#: in the infix notation of a left action and second in that of a right one.
+LEFT = "left"
+RIGHT = "right"
+
 
 # -- reference: the composite matched-pair check, identity by identity ----------
 #
@@ -62,32 +65,33 @@ def _carrier_basis(rank: int) -> list[tuple]:
     return out
 
 
-def check_module(act: ModuleAction) -> CheckReport:
-    """The side- and kind-appropriate module law, expanded by hand on a basis."""
-    alg = act.acting
-    carrier = _carrier_basis(act.carrier_rank)
-    names = tuple(f"v{i}" for i in range(act.carrier_rank))
+def check_module(side: str, alg: ConformalAlgebra, act) -> CheckReport:
+    """The module law of the ``side`` action of ``alg`` whose table is
+    ``act``, for ``alg``'s kind, expanded by hand on a basis."""
+    rank = len(act[0][0])
+    carrier = _carrier_basis(rank)
+    names = tuple(f"v{i}" for i in range(rank))
     violations = []
     for i in range(alg.rank):
         ei = alg.basis_element(i)
         for j in range(alg.rank):
             ej = alg.basis_element(j)
             for k, vk in enumerate(carrier):
-                if act.kind == LIE and act.side == LEFT:
+                if alg.kind == LIE and side == LEFT:
                     residual = add(
                         action_eval(act, product_at(alg, ei, ej, _PL1), vk, _PL1 + _PL2),
                         neg(action_eval(act, ei, action_eval(act, ej, vk, _PL2), _PL1)),
                         action_eval(act, ej, action_eval(act, ei, vk, _PL1), _PL2),
                     )
                     name = "left-module"
-                elif act.kind == LIE and act.side == RIGHT:
+                elif alg.kind == LIE and side == RIGHT:
                     residual = add(
                         action_eval(act, vk, product_at(alg, ei, ej, _PL1), _PL2),
                         neg(action_eval(act, action_eval(act, vk, ei, _PL2), ej, _PL1 + _PL2)),
                         action_eval(act, action_eval(act, vk, ej, _PL2), ei, -_PL1 - _PD),
                     )
                     name = "right-module"
-                elif act.side == LEFT:
+                elif side == LEFT:
                     residual = sub(
                         action_eval(act, product_at(alg, ei, ej, _PL1), vk, _PL1 + _PL2),
                         action_eval(act, ei, action_eval(act, ej, vk, _PL2), _PL1),
@@ -104,24 +108,26 @@ def check_module(act: ModuleAction) -> CheckReport:
     return CheckReport(tuple(violations))
 
 
-def check_bimodule(left: ModuleAction, right: ModuleAction) -> CheckReport:
-    """Full bimodule check: both module laws plus their compatibility.
+def check_bimodule(alg: ConformalAlgebra, left, right) -> CheckReport:
+    """Full bimodule check of the left and right actions of ``alg`` whose
+    tables are ``left`` and ``right``: both module laws plus their
+    compatibility.
 
     Compatibility alone is not discriminating enough; a table can satisfy it
     while failing to be a module at all, so both one-sided laws are included
     in the verdict.
     """
-    if left.kind != ASSOCIATIVE or right.kind != ASSOCIATIVE:
+    if alg.kind != ASSOCIATIVE:
         raise ValueError("bimodule compatibility applies to associative kind only")
-    if left.side != LEFT or right.side != RIGHT:
-        raise ValueError("expected a (left, right) action pair")
-    if left.acting != right.acting or left.carrier_rank != right.carrier_rank:
+    rank = len(left[0][0])
+    if (len(left), len(left[0]), len(right), len(right[0]), len(right[0][0])) != (
+        alg.rank, rank, rank, alg.rank, rank
+    ):
         raise ValueError("actions must share the acting algebra and carrier")
-    alg = left.acting
-    carrier = _carrier_basis(left.carrier_rank)
-    names = tuple(f"v{i}" for i in range(left.carrier_rank))
-    violations = list(check_module(left).violations)
-    violations.extend(check_module(right).violations)
+    carrier = _carrier_basis(rank)
+    names = tuple(f"v{i}" for i in range(rank))
+    violations = list(check_module(LEFT, alg, left).violations)
+    violations.extend(check_module(RIGHT, alg, right).violations)
     for i in range(alg.rank):
         ei = alg.basis_element(i)
         for k, vk in enumerate(carrier):
@@ -141,14 +147,14 @@ def reference_check_matched_pair(mp: MatchedPair) -> CheckReport:
     parts = [
         ("R", check_axioms(mp.R)),
         ("Q", check_axioms(mp.Q)),
-        ("lhd", check_module(mp.lhd)),
-        ("rhd", check_module(mp.rhd)),
+        ("lhd", check_module(RIGHT, mp.R, mp.lhd)),
+        ("rhd", check_module(LEFT, mp.Q, mp.rhd)),
     ]
     if mp.kind == ASSOCIATIVE:
-        parts.append(("lhu", check_module(mp.lhu)))
-        parts.append(("rhu", check_module(mp.rhu)))
-        parts.append(("Q-bimodule", check_bimodule(mp.rhu, mp.lhd)))
-        parts.append(("R-bimodule", check_bimodule(mp.rhd, mp.lhu)))
+        parts.append(("lhu", check_module(RIGHT, mp.Q, mp.lhu)))
+        parts.append(("rhu", check_module(LEFT, mp.R, mp.rhu)))
+        parts.append(("Q-bimodule", check_bimodule(mp.R, mp.rhu, mp.lhd)))
+        parts.append(("R-bimodule", check_bimodule(mp.Q, mp.rhd, mp.lhu)))
     parts.append(("E", check_axioms(build_bicrossed(mp))))
     return merge_reports(parts)
 
@@ -202,48 +208,46 @@ class TestCheckModule:
     @pytest.mark.parametrize("a,b", [(1, 0), (1, 3), (2, 0)])
     def test_wab_right_action(self, a, b):
         pair = wab_doc(a, b).find("matched", "WP")
-        assert check_module(pair.lhd).passed
+        assert check_module(RIGHT, pair.R, pair.lhd).passed
 
     def test_trivial_passes(self):
         pair = _matched_pair(LIE, vir_algebra(), abelian(LIE, ("W",)), {})
-        assert check_module(pair.lhd).passed
-        assert check_module(pair.rhd).passed
+        assert check_module(RIGHT, pair.R, pair.lhd).passed
+        assert check_module(LEFT, pair.Q, pair.rhd).passed
 
     def test_sv_right_action(self):
         pair = sv_doc().find("matched", "SVP")
-        assert check_module(pair.lhd).passed
+        assert check_module(RIGHT, pair.R, pair.lhd).passed
 
     def test_broken_action_fails(self):
         vir = vir_algebra()
         # wrong coefficient: not a module over the rank-one table
-        act = ModuleAction(RIGHT, vir, 1, (((d + l,),),))
-        assert not check_module(act).passed
+        assert not check_module(RIGHT, vir, (((d + l,),),)).passed
 
     def test_associative_left_and_right(self):
         pair = assoc4_doc().find("matched", "AP")
-        assert check_module(pair.rhu).passed
-        assert check_module(pair.lhd).passed
-        assert check_module(pair.rhd).passed
-        assert check_module(pair.lhu).passed
+        assert check_module(LEFT, pair.R, pair.rhu).passed
+        assert check_module(RIGHT, pair.R, pair.lhd).passed
+        assert check_module(LEFT, pair.Q, pair.rhd).passed
+        assert check_module(RIGHT, pair.Q, pair.lhu).passed
 
 
 class TestCheckBimodule:
     def test_four_generator_example(self):
         pair = assoc4_doc().find("matched", "AP")
-        assert check_bimodule(pair.rhu, pair.lhd).passed
-        assert check_bimodule(pair.rhd, pair.lhu).passed
+        assert check_bimodule(pair.R, pair.rhu, pair.lhd).passed
+        assert check_bimodule(pair.Q, pair.rhd, pair.lhu).passed
 
     def test_both_trivial(self):
         a2 = assoc4_doc().find("algebra", "A2")
         pair = _matched_pair(ASSOCIATIVE, a2, a2, {})
-        assert check_bimodule(pair.rhu, pair.lhd).passed
+        assert check_bimodule(a2, pair.rhu, pair.lhd).passed
 
     def test_wrong_side_copy_fails(self):
         pair = assoc4_doc().find("matched", "AP")
         # feed the left-action table in as a right action: shapes are square
         # here so this parses, but the compatibility identity breaks
-        wrong = ModuleAction(RIGHT, pair.R, pair.Q.rank, pair.rhu.table)
-        assert not check_bimodule(pair.rhu, wrong).passed
+        assert not check_bimodule(pair.R, pair.rhu, pair.rhu).passed
 
 
 class TestBuildBicrossed:
@@ -301,12 +305,7 @@ class TestCheckMatchedPair:
 
     def test_sign_flip_fails(self):
         pair = wab_doc(2, 0).find("matched", "WP")
-        flipped = ModuleAction(
-            RIGHT,
-            pair.R,
-            1,
-            (((-pair.lhd.table[0][0][0],),),),
-        )
+        flipped = (((-pair.lhd[0][0][0],),),)
         broken = MatchedPair(LIE, pair.R, pair.Q, flipped, pair.rhd)
         assert not check_matched_pair(broken).passed
 
@@ -315,6 +314,15 @@ class TestCheckMatchedPair:
 
     def test_split_current_pair_passes(self):
         assert check_matched_pair(split_current_pair()).passed
+
+    @pytest.mark.parametrize("lhd, message", [
+        ((((d,),), ((d,),)), "lhd shape must be 1 x 1 x 1"),
+        ((((d + MultiPoly.var(L2),),),), "lhd entry d + m uses variables other than d, l"),
+    ], ids=["shape", "m-coefficient"])
+    def test_bad_action_table_is_named(self, lhd, message):
+        pair = wab_doc(2, 0).find("matched", "WP")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MatchedPair(LIE, pair.R, pair.Q, lhd, pair.rhd)
 
     @pytest.mark.parametrize("field", ["lhd", "rhd"])
     def test_missing_lie_action_is_named(self, field):
@@ -338,7 +346,7 @@ class TestDirectCompatibility:
         # whose module law is broken they can still hold vacuously; only the
         # normative check is the arbiter there
         pair = wab_doc(2, 0).find("matched", "WP")
-        flipped = ModuleAction(RIGHT, pair.R, 1, (((-pair.lhd.table[0][0][0],),),))
+        flipped = (((-pair.lhd[0][0][0],),),)
         broken = MatchedPair(LIE, pair.R, pair.Q, flipped, pair.rhd)
         assert not check_matched_pair(broken).passed
 
@@ -434,25 +442,19 @@ def perturb(pair: MatchedPair, rng: random.Random) -> MatchedPair:
     small multiple of ``1``, ``d``, ``l`` or ``d + 2l``."""
     names = ["R", "Q", "lhd", "rhd"] + (["lhu", "rhu"] if pair.kind == ASSOCIATIVE else [])
     target = rng.choice(names)
-    table = getattr(pair, target).table
+    fields = {name: getattr(pair, name) for name in names}
+    old = fields[target]
+    table = old.table if target in ("R", "Q") else old
     i, j = rng.randrange(len(table)), rng.randrange(len(table[0]))
     k = rng.randrange(len(table[0][0]))
     delta = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2)) * rng.choice(
         (MultiPoly.const(1), d, l, d + 2 * l)
     )
-    algebras = {"R": pair.R, "Q": pair.Q}
-    if target in algebras:
-        old = algebras[target]
-        algebras[target] = ConformalAlgebra(old.kind, old.basis, _bump(table, i, j, k, delta))
-    acting = {"lhd": "R", "rhd": "Q", "lhu": "Q", "rhu": "R"}
-    actions = {}
-    for name in names[2:]:
-        act = getattr(pair, name)
-        new_table = _bump(act.table, i, j, k, delta) if name == target else act.table
-        actions[name] = ModuleAction(
-            act.side, algebras[acting[name]], act.carrier_rank, new_table
-        )
-    return MatchedPair(pair.kind, algebras["R"], algebras["Q"], **actions)
+    bumped = _bump(table, i, j, k, delta)
+    fields[target] = (
+        ConformalAlgebra(old.kind, old.basis, bumped) if target in ("R", "Q") else bumped
+    )
+    return MatchedPair(pair.kind, **fields)
 
 
 class TestMatchedPairMatchesComposite:
@@ -592,12 +594,13 @@ class TestTableAt:
     def test_bundled_action_tables(self, s):
         kinds = set()
         for label, pair in bundled("matched"):
-            for field, *_ in _layout(pair.kind):
+            ranks = {"R": pair.R.rank, "Q": pair.Q.rank}
+            for field, _, left, right, _ in _layout(pair.kind):
                 act = getattr(pair, field)
-                rows, cols = (_carrier_basis(n) for n in act.shape)
+                rows, cols = _carrier_basis(ranks[left]), _carrier_basis(ranks[right])
                 expected = tuple(tuple(action_eval(act, x, y, s) for y in cols)
                                  for x in rows)
-                assert _table_at(act.table, s) == expected, f"{label}.{field}"
+                assert _table_at(act, s) == expected, f"{label}.{field}"
                 kinds.add(pair.kind)
         assert kinds == {LIE, ASSOCIATIVE}
 

@@ -405,6 +405,20 @@ class TestCheckAxioms:
         assert not check_axioms(bad_vir()).passed
 
 
+class TestTableRefused:
+    """A table of the wrong shape, or one whose coefficients use ``m``, is
+    refused by name."""
+
+    @pytest.mark.parametrize("table, message", [
+        ((((d, d), (d, d)), ((d, d),)), "table shape must be 2 x 2 x 2"),
+        ((((d + m,),),), "table entry d + m uses variables other than d, l"),
+    ], ids=["ragged", "m-coefficient"])
+    def test_algebra(self, table, message):
+        names = ("A", "B")[:len(table)]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ConformalAlgebra(LIE, names, table)
+
+
 class TestElementText:
     def test_rendering(self):
         vir = vir_algebra()

@@ -18,6 +18,11 @@ VIR = "algebra Vir : lie {\n  gens L;\n  [L, L] = (d + 2*l) L;\n}\n"
 BAD = "algebra Bad : lie {\n  gens L;\n  [L, L] = (d + 3*l) L;\n}\n"
 # a multiple of a Lie bracket is one, so every value of a passes
 SCALED_VIR = "param a = 1;\n" + VIR.replace("(d + 2*l)", "(a*d + 2*a*l)")
+# an algebra and a pair may share a name; the pair is not matched
+SHARED_NAME = VIR + (
+    "algebra P : lie { gens W; }\n"
+    "matched P : lie { R = Vir; Q = P; W <| L = (d + 5*l) W; }\n"
+)
 
 
 @pytest.fixture
@@ -60,6 +65,15 @@ class TestCheck:
     def test_unknown_name_exits_2(self, workdir):
         Path("t.cfk").write_text(VIR)
         assert run(["check", "t.cfk", "Nope"]) == 2
+
+    @pytest.mark.parametrize("names", [[], ["P"]], ids=["all", "named"])
+    def test_every_declaration_of_a_shared_name_is_checked(self, workdir, capsys, names):
+        Path("t.cfk").write_text(SHARED_NAME)
+        assert run(["check", "t.cfk", *names]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count("axioms:P: pass") == 1
+        assert lines.count("matched_pair:P: fail") == 1
+        assert ("axioms:Vir: pass" in lines) == (not names)
 
     def test_bad_param_exits_2(self, workdir):
         Path("t.cfk").write_text(VIR)
