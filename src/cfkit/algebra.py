@@ -10,16 +10,21 @@ is re-evaluated at ``-s`` (:func:`_as_left`), one multiplying the right
 argument at ``d + s`` (:func:`_as_right`), and the table's ``l`` is set to
 ``s`` (:func:`_table_at`, the stored table itself at ``s = l``).  The kernel,
 :func:`spectral_eval`, is the bilinear contraction of arguments already
-rewritten against a table already at ``s``.  :func:`_products` multiplies
-every ordered pair of a list of elements at ``l``, rewriting each element
-once as a left and once as a right argument, so each argument and table is
-rewritten once, however many products it enters.
+rewritten against a table already at ``s``, read as its nonzero structure
+constants only (:func:`_sparse`, after D'Andrea and Kac): row ``i`` lists
+``(j, ((k, c_ij^k), ...))`` for each entry with a nonzero coefficient, so a
+contraction walks no zero entry and no zero coefficient of a sparse table.
+:func:`_products` multiplies every ordered pair of a list of elements at
+``l``, rewriting each element once as a left and once as a right argument,
+so each argument and table is rewritten once, however many products it
+enters.
 
-The axiom checks build, once per check, the table at ``l``, ``m`` and
+The axiom checks build, once per check, the sparse table at ``l``, ``m`` and
 ``l + m`` and the pair products already rewritten as arguments, the
 structure constants c_jk(d+l, m), c_ij(-l-m, l) and c_ik(d+m, l); each
 product of an identity is one contraction of a unit vector against them,
-and each residual one subtraction per coordinate.
+and each residual subtracts only at coordinates where some product is
+nonzero.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ _PLM = _PL1 + _PL2
 
 Element = tuple[MultiPoly, ...]
 Table = tuple[tuple[Element, ...], ...]
+#: A table's nonzero structure constants: row ``i`` holds
+#: ``(j, ((k, coefficient), ...))`` for each entry ``[i][j]`` with a
+#: nonzero coefficient, listing only its nonzero ones.
+Sparse = tuple[tuple[tuple[int, tuple[tuple[int, MultiPoly], ...]], ...], ...]
 
 
 def element_text(coords: Element, names: tuple[str, ...]) -> str:
@@ -145,35 +154,44 @@ def _table(shape: tuple[int, int, int], entries: dict | None = None) -> Table:
     return tuple(tuple(entries.get((i, j), zero) for j in range(cols)) for i in range(rows))
 
 
+def _sparse(table: Table) -> Sparse:
+    """The nonzero structure constants of ``table``, row by row."""
+    return tuple(
+        tuple(
+            (j, nonzero)
+            for j, entry in enumerate(row)
+            if (nonzero := tuple((k, c) for k, c in enumerate(entry) if c))
+        )
+        for row in table
+    )
+
+
 def spectral_eval(
-    table: Table,
+    table: Sparse,
     out_rank: int,
     left: tuple[MultiPoly, ...],
     right: tuple[MultiPoly, ...],
 ) -> tuple[MultiPoly, ...]:
     """The bilinear contraction ``sum_ij left_i * right_j * table[i][j]``.
 
-    ``table[i][j]`` gives the product of the i-th left and j-th right basis
-    vectors as a coefficient vector of length ``out_rank``.  All three are
-    taken as already at the spectral parameter: the table from
-    :func:`_table_at`, the arguments from :func:`_as_left` and
-    :func:`_as_right`.  Nothing is substituted here, so a caller that
-    contracts one argument or table many times rewrites it once.
+    ``table`` holds the nonzero structure constants (:func:`_sparse`) of the
+    products of the i-th left and j-th right basis vectors, as coordinates
+    ``k < out_rank``.  All three are taken as already at the spectral
+    parameter: the table from :func:`_table_at`, the arguments from
+    :func:`_as_left` and :func:`_as_right`.  Nothing is substituted here, so
+    a caller that contracts one argument or table many times rewrites it
+    once.
     """
     out = [MultiPoly.zero()] * out_rank
     for i, a in enumerate(left):
-        if a.is_zero:
+        if not a:
             continue
-        row = table[i]
-        for j, b in enumerate(right):
-            if b.is_zero:
+        for j, entry in table[i]:
+            b = right[j]
+            if not b:
                 continue
-            factor = None
-            for k, coeff in enumerate(row[j]):
-                if coeff.is_zero:
-                    continue
-                if factor is None:
-                    factor = a * b
+            factor = a * b
+            for k, coeff in entry:
                 out[k] = out[k] + factor * coeff
     return tuple(out)
 
@@ -214,11 +232,12 @@ def _products(table: Table, n: int, elements):
     coordinate tuples multiplied through ``table`` (stored at ``l``) into
     coefficient vectors of length ``n``.  Each element is rewritten once as
     a left and once as a right argument, however many pairs it enters."""
+    sparse = _sparse(table)
     left = [_as_left(x, _PL1) for x in elements]
     right = [_as_right(x, _PL1) for x in elements]
     for i, x in enumerate(left):
         for j, y in enumerate(right):
-            yield i, j, spectral_eval(table, n, x, y)
+            yield i, j, spectral_eval(sparse, n, x, y)
 
 
 def _violations(identity: str, names, rows) -> tuple[Violation, ...]:
@@ -233,13 +252,13 @@ def _violations(identity: str, names, rows) -> tuple[Violation, ...]:
 
 class _AxiomTables(NamedTuple):
     """What the axiom checks contract unit vectors against, each built once
-    per check: the table at ``l``, ``m`` and ``l + m``, and the pair
+    per check: the sparse table at ``l``, ``m`` and ``l + m``, and the pair
     products already rewritten as kernel arguments (the structure constants
     of D'Andrea and Kac's form of the identities)."""
 
-    l: Table
-    m: Table
-    lm: Table
+    l: Sparse
+    m: Sparse
+    lm: Sparse
     jk: list  # c_jk(d+l, m): [e_j _m e_k] as a right argument at l
     ij: list  # c_ij(-l-m, l): [e_i _l e_j] as a left argument at l+m
     ik: list  # c_ik(d+m, l): [e_i _l e_k] as a right argument at m
@@ -248,9 +267,9 @@ class _AxiomTables(NamedTuple):
 def _axiom_tables(table: Table) -> _AxiomTables:
     at_m = _table_at(table, _PL2)
     return _AxiomTables(
-        table,
-        at_m,
-        _table_at(table, _PLM),
+        _sparse(table),
+        _sparse(at_m),
+        _sparse(_table_at(table, _PLM)),
         [[_as_right(entry, _PL1) for entry in row] for row in at_m],
         [[_as_left(entry, _PLM) for entry in row] for row in table],
         [[_as_right(entry, _PL2) for entry in row] for row in table],
@@ -260,15 +279,16 @@ def _axiom_tables(table: Table) -> _AxiomTables:
 def _jacobiator(at: _AxiomTables, unit, i, j, k) -> Element:
     """J(e_i, e_j, e_k)(l, m) = [e_i_l [e_j_m e_k]] - [[e_i_l e_j]_{l+m} e_k]
     - [e_j_m [e_i_l e_k]]: one contraction per product, of a unit vector
-    against a pair product rewritten once per check (``at``), and one
-    subtraction per coordinate.  The triple comes last, so the orbit-count
-    test can read it off the call.
+    against a pair product rewritten once per check (``at``), and
+    subtractions only at coordinates where the second or third product is
+    nonzero.  The triple comes last, so the orbit-count test can read it
+    off the call.
     """
     n = len(unit)
     lhs = spectral_eval(at.l, n, unit[i], at.jk[j][k])
     mid = spectral_eval(at.lm, n, at.ij[i][j], unit[k])
     rhs = spectral_eval(at.m, n, unit[j], at.ik[i][k])
-    return tuple(a - b - c for a, b, c in zip(lhs, mid, rhs))
+    return tuple(a - b - c if b or c else a for a, b, c in zip(lhs, mid, rhs))
 
 
 def _jacobi_violations(algebra: ConformalAlgebra, skew_holds: bool):
@@ -313,7 +333,7 @@ def _jacobi_violations(algebra: ConformalAlgebra, skew_holds: bool):
 def check_associativity(algebra: ConformalAlgebra) -> CheckReport:
     """[[a_l b]_{l+m} c] - [a_l [b_m c]] on basis triples: one contraction per
     product, of a unit vector against a rewritten pair product, and one
-    subtraction per coordinate."""
+    subtraction at each coordinate where the inner product is nonzero."""
     if algebra.kind != ASSOCIATIVE:
         raise ValueError("associativity applies to associative kind only")
     n = algebra.rank
@@ -323,7 +343,7 @@ def check_associativity(algebra: ConformalAlgebra) -> CheckReport:
     def associator(i, j, k):
         outer = spectral_eval(at.lm, n, at.ij[i][j], unit[k])
         inner = spectral_eval(at.l, n, unit[i], at.jk[j][k])
-        return tuple(a - b for a, b in zip(outer, inner))
+        return tuple(a - b if b else a for a, b in zip(outer, inner))
 
     return CheckReport(_violations("associativity", algebra.basis, (
         (i, j, k, associator(i, j, k)) for i, j, k in product(range(n), repeat=3)

@@ -6,17 +6,19 @@ the exit code, the ``--json`` file and the printed check lines.  Handlers
 only fill in the report they are given.
 
 Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
-(parse or reference errors, an exponent, a power's or product's degree or
-a numeric literal over the parser's caps, a ``--param`` value with an
+(parse or reference errors, an exponent, a power's or product's degree, a
+numeric literal or an unknown's index over the parser's caps, an unknown's
+index over the cap in a ``solve`` system, a ``--param`` value with an
 exponent or more digits than the literal cap, a ``--param`` name the
 document never uses, or an integer option below its least value, or a file
 that is not UTF-8, or an ``equiv --alpha`` witness that is not a square,
 invertible map of Q, a ``deform`` or ``equiv`` map not defined on
 ``--pair``, or a ``--json`` or ``-o`` path that cannot be written), 3 a
 resource cap was exceeded (a table coefficient over the (d, l)-degree
-budget, a ``constraints --degree`` over its budget, the grid-search unknown
-cap, point budget or power-table budget in ``solve`` and ``equiv``, or the
-derived-series depth in ``structure``).
+budget, a ``constraints --degree`` over its budget, a ``constraints``
+ansatz with more unknowns than the index cap allows, the grid-search
+unknown cap, point budget or power-table budget in ``solve`` and ``equiv``,
+or the derived-series depth in ``structure``).
 Reports are byte-identical across runs for identical inputs, except for the
 ``timings`` field, which golden comparisons drop.
 """
@@ -39,7 +41,7 @@ from .algebra import CheckReport, LIE, check_axioms, element_text
 from .dsl import (
     MAX_DIGITS, Document, Item, ParseError, item_tables, serialize, try_parse,
 )
-from .poly import scalar_text
+from .poly import MAX_UNKNOWN, scalar_text
 
 SCHEMA = 1
 
@@ -68,7 +70,8 @@ class _InputError(Exception):
 
 class DegreeCapExceeded(ValueError):
     """A table coefficient's (d, l)-degree is above :data:`MAX_ENTRY_DEGREE`,
-    or a ``constraints --degree`` above :data:`MAX_ANSATZ_DEGREE`."""
+    a ``constraints --degree`` above :data:`MAX_ANSATZ_DEGREE`, or an ansatz
+    with more unknowns than ``u0`` to ``u{MAX_UNKNOWN}``."""
 
 
 def _write(path: str, text: str) -> None:
@@ -267,6 +270,12 @@ def cmd_constraints(args, report: dict) -> None:
     if args.degree > MAX_ANSATZ_DEGREE:
         raise DegreeCapExceeded(
             f"--degree {args.degree} is over the budget of {MAX_ANSATZ_DEGREE}"
+        )
+    count = pair.Q.rank * pair.R.rank * (args.degree + 1)
+    if count > MAX_UNKNOWN + 1:
+        raise DegreeCapExceeded(
+            f"the ansatz needs {count} unknowns, over the cap of {MAX_UNKNOWN + 1}"
+            f" (u0 to u{MAX_UNKNOWN})"
         )
     ansatz = cons.AnsatzSpec.uniform(pair.Q.rank, pair.R.rank, args.degree)
     system = cons.compile_deformation_constraints(pair, ansatz)

@@ -49,6 +49,7 @@ from .poly import (
     L1,
     Monomial,
     MultiPoly,
+    _monomial,
     is_unknown,
     scalar_text,
     unknown,
@@ -455,13 +456,10 @@ def _integer_form(poly: MultiPoly, place: dict[int, int]):
     over the value indices.  Also returns the stage of ``poly``: one past
     the last position of its unknowns, 0 if it has none.
     """
-    tops: dict[int, int] = {}
-    for mono in poly._terms:
-        for v, e in mono:
-            tops[v] = max(tops.get(v, 0), e)
+    tops = {v: poly.degree(v) for v in sorted(poly.variables())}
     form = []
-    for mono, num in poly._terms.items():
-        held = dict(mono)
+    for key, num in poly._terms.items():
+        held = dict(_monomial(key))
         form.append((num, tuple((place[v], (held.get(v, 0), e)) for v, e in tops.items())))
     return form, max((place[v] + 1 for v in tops), default=0)
 

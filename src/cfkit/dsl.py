@@ -52,7 +52,7 @@ from .algebra import (
     _PD, _PL1, _PL2, KINDS, ConformalAlgebra, _table, element_text,
 )
 from .deform import DeformationMap, Morphism
-from .poly import D, L1, MultiPoly, Scalar, scalar_text, unknown
+from .poly import D, L1, MAX_UNKNOWN, MultiPoly, Scalar, scalar_text, unknown
 
 _RESERVED = {"d", "l", "m"}
 
@@ -346,7 +346,10 @@ class _Parser:
             if name == "m":
                 return _PL2
             if len(name) > 1 and name[0] == "u" and name[1:].isdecimal():
-                return MultiPoly.var(unknown(self.integer(tok, name[1:])))
+                index = self.integer(tok, name[1:])
+                if index > MAX_UNKNOWN:
+                    self.fail(f"unknown index is over the cap of u{MAX_UNKNOWN}", tok)
+                return MultiPoly.var(unknown(index))
             if name in self.params:
                 self.used_params.add(name)
                 return self.params[name]

@@ -19,15 +19,31 @@ functions, so polynomials can be shared freely between threads.
 The variable set is fixed once and for all.  Variable ``0`` is the module
 generator, rendered ``d``; variables ``1`` and ``2`` are the two spectral
 parameters, rendered ``l`` and ``m``; variable ``3 + k`` is the inert ansatz
-unknown ``uk``.  The integer ids double as the variable order
-``d < l < m < u0 < u1 < ...`` underlying the canonical graded-lexicographic
-term order, which in turn fixes iteration order, textual rendering, and
-golden-file stability.
+unknown ``uk``, for ``k`` up to :data:`MAX_UNKNOWN`.  The integer ids double
+as the variable order ``d < l < m < u0 < u1 < ...`` underlying the canonical
+graded-lexicographic term order, which in turn fixes iteration order,
+textual rendering, and golden-file stability.
+
+Internally a monomial is one ``int``, its packed exponent vector (Monagan
+and Pearce, *Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors*): the total degree sits in bits 0 to 15 and the exponent
+of variable ``v`` in bits ``16(v + 1)`` to ``16(v + 2)``, so the product of
+two monomials is the sum of their keys.  No monomial of total degree
+``2^15`` or more is ever formed: every exponent and every total degree is
+then below ``2^15``, a sum of two keys carries from no field into the next,
+and a key whose bit 15 is set marks a product over the degree guard, which
+raises :class:`DegreeOverflow` instead of yielding wrong exponents.  Keys
+are decoded back to ``(variable, exponent)`` tuples only where a term is
+handed out (:meth:`MultiPoly.terms`, :meth:`MultiPoly.leading`, rendering),
+through two bounded memos of the decoded monomial and its sort key; degrees,
+variables, substitution and coefficient lists read the key's fields with
+shifts and masks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
@@ -36,17 +52,36 @@ L1 = 1
 L2 = 2
 _U_BASE = 3
 
-#: A monomial is a tuple of (variable id, exponent) pairs, sorted by variable,
-#: with every exponent positive.  The empty tuple is the constant monomial.
+#: Largest index ``k`` of an ansatz unknown ``uk``.  Its exponent sits in
+#: bits ``16(k + 4)`` on of a packed key, so an index past the cap would
+#: make every key holding it that much longer.
+MAX_UNKNOWN = 1020
+
+#: Largest total degree of a monomial: the degree field's bit 15 stays clear.
+MAX_DEGREE = 2**15 - 1
+
+#: A monomial as handed out: a tuple of (variable id, exponent) pairs,
+#: sorted by variable, with every exponent positive.  The empty tuple is the
+#: constant monomial.
 Monomial = tuple[tuple[int, int], ...]
 
 Scalar = Union[int, Fraction]
 
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+_OVER = MAX_DEGREE + 1  # bit 15: set in a key exactly when its degree is over
+
+
+class DegreeOverflow(ArithmeticError):
+    """A monomial of total degree over :data:`MAX_DEGREE` would be formed."""
+
 
 def unknown(k: int) -> int:
-    """Variable id of the ansatz unknown ``u<k>``."""
+    """Variable id of the ansatz unknown ``u<k>``, for ``0 <= k <= MAX_UNKNOWN``."""
     if k < 0:
         raise ValueError("unknown index must be non-negative")
+    if k > MAX_UNKNOWN:
+        raise ValueError(f"unknown index {k} is over the cap of {MAX_UNKNOWN}")
     return _U_BASE + k
 
 
@@ -65,6 +100,66 @@ def var_name(var: int) -> str:
     if var >= _U_BASE:
         return f"u{var - _U_BASE}"
     raise ValueError(f"invalid variable id {var}")
+
+
+def _shift(var: int) -> int:
+    """Bit offset of ``var``'s exponent field, refusing ids with no field."""
+    if not 0 <= var <= _U_BASE + MAX_UNKNOWN:
+        raise ValueError(f"invalid variable id {var}")
+    return _BITS * (var + 1)
+
+
+def _pack(mono: Monomial) -> int:
+    """The key of a tuple monomial."""
+    key = degree = 0
+    last = -1
+    for var, exp in mono:
+        if var <= last or exp <= 0:
+            raise ValueError(f"malformed monomial {mono!r}")
+        degree += exp
+        if degree > MAX_DEGREE:
+            raise DegreeOverflow(f"monomial {mono!r} is over the degree guard {MAX_DEGREE}")
+        key |= exp << _shift(var)
+        last = var
+    return key | degree
+
+
+def _guard(keys) -> None:
+    """Raise unless every key is under the degree guard.  Keys summed from
+    keys under it carry from no field into the next, so bit 15 of such a sum
+    is set exactly when its degree is over."""
+    for key in keys:
+        if key & _OVER:
+            raise DegreeOverflow(f"a product is over the degree guard {MAX_DEGREE}")
+
+
+@lru_cache(maxsize=4096)
+def _monomial(key: int) -> Monomial:
+    """The tuple monomial of a key."""
+    out = []
+    key >>= _BITS
+    var = 0
+    while key:
+        exp = key & _FIELD
+        if exp:
+            out.append((var, exp))
+        key >>= _BITS
+        var += 1
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _grlex(key: int) -> tuple[int, ...]:
+    """Sort key of the graded-lexicographic order: the total degree, then the
+    exponents of ``d``, ``l``, ``m``, ``u0``, ... up to the last one present.
+    Two monomials of one degree differ within the shorter of their sort keys,
+    so keys of different lengths compare as the padded vectors would."""
+    out = [key & _FIELD]
+    key >>= _BITS
+    while key:
+        out.append(key & _FIELD)
+        key >>= _BITS
+    return tuple(out)
 
 
 #: Rendered in chunks of 600 digits, below 640: the lowest int-to-str digit
@@ -108,26 +203,24 @@ def _ratio(num: int, den: int) -> Scalar:
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients.
 
-    ``_terms`` maps each monomial to a nonzero ``int`` numerator and ``_den``
-    is the positive common denominator, with ``gcd(_den, *numerators) == 1``.
-    Every result is reduced to that form, so two values compare equal exactly
-    when they are the same polynomial; no separate normalization step is ever
-    needed.
+    ``_terms`` maps each packed monomial key to a nonzero ``int`` numerator
+    and ``_den`` is the positive common denominator, with
+    ``gcd(_den, *numerators) == 1``.  Every result is reduced to that form,
+    so two values compare equal exactly when they are the same polynomial;
+    no separate normalization step is ever needed.
     """
 
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        cleaned: dict[Monomial, Scalar] = {}
+        cleaned: dict[int, Scalar] = {}
         den = 1
         if terms:
             for mono, coeff in terms.items():
                 coeff = _as_scalar(coeff)
                 if coeff == 0:
                     continue
-                if any(exp <= 0 for _, exp in mono) or list(mono) != sorted(mono):
-                    raise ValueError(f"malformed monomial {mono!r}")
-                cleaned[tuple(mono)] = coeff
+                cleaned[_pack(mono)] = coeff
                 den = lcm(den, coeff.denominator)
         # the lcm of reduced denominators is in lowest terms already: each prime
         # of it has its full power in some denominator, so that coefficient's
@@ -135,7 +228,7 @@ class MultiPoly:
         object.__setattr__(
             self,
             "_terms",
-            {mono: c.numerator * (den // c.denominator) for mono, c in cleaned.items()},
+            {key: c.numerator * (den // c.denominator) for key, c in cleaned.items()},
         )
         object.__setattr__(self, "_den", den)
 
@@ -153,15 +246,17 @@ class MultiPoly:
         value = _as_scalar(value)
         if value == 0:
             return _ZERO
-        return _raw({(): value.numerator}, value.denominator)
+        if value == 1:
+            return _ONE
+        return _raw({0: value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, var: int, exp: int = 1) -> "MultiPoly":
         if exp < 0:
             raise ValueError("exponent must be non-negative")
         if exp == 0:
-            return cls.const(1)
-        return _raw({((var, exp),): 1}, 1)
+            return _ONE
+        return MultiPoly({((var, exp),): 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -171,27 +266,34 @@ class MultiPoly:
 
     def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
         """Iterate terms in canonical order: graded-lexicographic, descending."""
-        ordered = _ordered(self._terms)
-        den = self._den
-        if den != 1:
-            ordered = [(mono, _ratio(num, den)) for mono, num in ordered]
-        return iter(ordered)
+        terms, den = self._terms, self._den
+        ordered = sorted(terms, key=_grlex, reverse=True)
+        if den == 1:
+            return iter([(_monomial(key), terms[key]) for key in ordered])
+        return iter([(_monomial(key), _ratio(terms[key], den)) for key in ordered])
 
     def variables(self) -> frozenset[int]:
-        return frozenset(v for mono in self._terms for v, _ in mono)
+        present = 0
+        for key in self._terms:
+            present |= key
+        present >>= _BITS
+        out = []
+        var = 0
+        while present:
+            if present & _FIELD:
+                out.append(var)
+            present >>= _BITS
+            var += 1
+        return frozenset(out)
 
     def degree(self, var: int | None = None) -> int:
         """Degree in ``var`` (total degree when ``var`` is None); -1 for zero."""
         if not self._terms:
             return -1
         if var is None:
-            return max(sum(e for _, e in mono) for mono in self._terms)
-        best = 0
-        for mono in self._terms:
-            for v, e in mono:
-                if v == var and e > best:
-                    best = e
-        return best
+            return max(key & _FIELD for key in self._terms)
+        shift = _shift(var)
+        return max((key >> shift) & _FIELD for key in self._terms)
 
     def bit_length(self) -> int:
         """The largest bit length among the numerators and the denominator."""
@@ -201,16 +303,16 @@ class MultiPoly:
         """The value of a constant polynomial, or None if any variable occurs."""
         if not self._terms:
             return 0
-        if len(self._terms) == 1 and () in self._terms:
-            return _ratio(self._terms[()], self._den)
+        if len(self._terms) == 1 and 0 in self._terms:
+            return _ratio(self._terms[0], self._den)
         return None
 
     def leading(self) -> tuple[Monomial, Scalar]:
         """Leading (monomial, coefficient) in the canonical order."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        mono, num = _ordered(self._terms)[0]
-        return mono, _ratio(num, self._den)
+        key = max(self._terms, key=_grlex)
+        return _monomial(key), _ratio(self._terms[key], self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -237,12 +339,17 @@ class MultiPoly:
     def __neg__(self) -> "MultiPoly":
         if not self._terms:
             return _ZERO
-        return _raw({mono: -coeff for mono, coeff in self._terms.items()}, self._den)
+        return _raw({key: -coeff for key, coeff in self._terms.items()}, self._den)
 
     def __mul__(self, other) -> "MultiPoly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # the shared constant one: a unit vector's coordinate, most often
+        if other is _ONE:
+            return self
+        if self is _ONE:
+            return other
         if not self._terms or not other._terms:
             return _ZERO
         return _normal(_mul_terms(self._terms, other._terms), self._den * other._den)
@@ -264,7 +371,7 @@ class MultiPoly:
     def __pow__(self, exp: int) -> "MultiPoly":
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = MultiPoly.const(1)
+        out = _ONE
         for _ in range(exp):
             out = out * self
         return out
@@ -282,35 +389,31 @@ class MultiPoly:
         """
         replacement = _coerce_strict(replacement)
         top = self.degree(var)  # 0 when var does not occur, -1 for zero
+        shift = _shift(var)
         if top <= 0 or (
-            replacement._den == 1 and replacement._terms == {((var, 1),): 1}
+            replacement._den == 1 and replacement._terms == {(1 << shift) | 1: 1}
         ):
             return self
         rterms, rden = replacement._terms, replacement._den
         # powers[k] holds the numerators of r^k over rden^k, scales[k] rden^k
-        powers = [{(): 1}]
+        powers = [{0: 1}]
         scales = [1]
         for _ in range(top):
             powers.append(_mul_terms(powers[-1], rterms))
             scales.append(scales[-1] * rden)
-        out: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            exp = 0
-            rest = []
-            for v, e in mono:
-                if v == var:
-                    exp = e
-                else:
-                    rest.append((v, e))
-            rest = tuple(rest)
+        out: dict[int, int] = {}
+        for key, coeff in self._terms.items():
+            exp = (key >> shift) & _FIELD
+            rest = key - (exp << shift) - exp
             coeff *= scales[top - exp]
-            for pmono, pnum in powers[exp].items():
-                mono = _mono_mul(rest, pmono)
-                acc = out.get(mono, 0) + coeff * pnum
+            for pkey, pnum in powers[exp].items():
+                key = rest + pkey
+                acc = out.get(key, 0) + coeff * pnum
                 if acc:
-                    out[mono] = acc
+                    out[key] = acc
                 else:
-                    del out[mono]
+                    del out[key]
+        _guard(out)
         return _normal(out, self._den * scales[top])
 
     def eval_at(self, var: int, value: Scalar) -> "MultiPoly":
@@ -320,9 +423,9 @@ class MultiPoly:
     def evaluate(self, values: Mapping[int, Fraction]) -> Fraction:
         """Numeric value under a total assignment of every occurring variable."""
         total = Fraction(0)
-        for mono, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             term = coeff
-            for var, exp in mono:
+            for var, exp in _monomial(key):
                 term *= values[var] ** exp
             total += term
         return total / self._den
@@ -336,16 +439,11 @@ class MultiPoly:
         """
         if not self._terms:
             return []
-        buckets: dict[int, dict[Monomial, int]] = {}
-        for mono, coeff in self._terms.items():
-            exp = 0
-            rest = []
-            for v, e in mono:
-                if v == var:
-                    exp = e
-                else:
-                    rest.append((v, e))
-            buckets.setdefault(exp, {})[tuple(rest)] = coeff
+        shift = _shift(var)
+        buckets: dict[int, dict[int, int]] = {}
+        for key, coeff in self._terms.items():
+            exp = (key >> shift) & _FIELD
+            buckets.setdefault(exp, {})[key - (exp << shift) - exp] = coeff
         top = max(buckets)
         return [_normal(buckets.get(k, {}), self._den) for k in range(top + 1)]
 
@@ -399,7 +497,7 @@ _set_terms = MultiPoly._terms.__set__
 _set_den = MultiPoly._den.__set__
 
 
-def _raw(terms: dict[Monomial, int], den: int) -> MultiPoly:
+def _raw(terms: dict[int, int], den: int) -> MultiPoly:
     """Build from numerators already in lowest terms over ``den`` (internal
     fast path)."""
     poly = object.__new__(MultiPoly)
@@ -408,18 +506,21 @@ def _raw(terms: dict[Monomial, int], den: int) -> MultiPoly:
     return poly
 
 
-def _normal(terms: dict[Monomial, int], den: int) -> MultiPoly:
+def _normal(terms: dict[int, int], den: int) -> MultiPoly:
     """Build from nonzero numerators over a positive ``den``, dividing out
     their common factor; the zero polynomial gets ``den`` 1."""
     if den != 1:
         g = gcd(den, *terms.values())
         if g != 1:
-            terms = {mono: num // g for mono, num in terms.items()}
+            terms = {key: num // g for key, num in terms.items()}
             den //= g
     return _raw(terms, den)
 
 
 _ZERO = _raw({}, 1)
+#: The one constant polynomial ``1`` that ``MultiPoly.const(1)`` returns, so
+#: a product can skip it by identity.
+_ONE = _raw({0: 1}, 1)
 
 
 def _combine(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
@@ -436,15 +537,15 @@ def _combine(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
     else:
         # bring both over lcm(den, b_den)
         g = gcd(den, b_den)
-        out = {mono: c * (b_den // g) for mono, c in a._terms.items()}
+        out = {key: c * (b_den // g) for key, c in a._terms.items()}
         scale = sign * (den // g)
         den *= b_den // g
-    for mono, coeff in b._terms.items():
-        acc = out.get(mono, 0) + coeff * scale
+    for key, coeff in b._terms.items():
+        acc = out.get(key, 0) + coeff * scale
         if acc:
-            out[mono] = acc
+            out[key] = acc
         else:
-            del out[mono]
+            del out[key]
     return _normal(out, den)
 
 
@@ -463,58 +564,18 @@ def _coerce_strict(value) -> MultiPoly:
     return poly
 
 
-def _mul_terms(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
-    """The nonzero numerators of the product of two numerator maps."""
-    out: dict[Monomial, int] = {}
-    for mono_a, ca in a.items():
-        for mono_b, cb in b.items():
-            mono = _mono_mul(mono_a, mono_b)
-            acc = out.get(mono, 0) + ca * cb
+def _mul_terms(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The nonzero numerators of the product of two numerator maps: the
+    product of two monomials is the sum of their keys."""
+    out: dict[int, int] = {}
+    get = out.get
+    for key_a, ca in a.items():
+        for key_b, cb in b.items():
+            key = key_a + key_b
+            acc = get(key, 0) + ca * cb
             if acc:
-                out[mono] = acc
+                out[key] = acc
             else:
-                del out[mono]
+                del out[key]
+    _guard(out)
     return out
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """The product of two monomials, by merging their sorted variables."""
-    # most products have a constant side: 59 to 85 % of the calls per
-    # benchmark workload
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va < vb:
-            out.append(a[i])
-            i += 1
-        elif vb < va:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-    return tuple(out) + a[i:] + b[j:]
-
-
-def _ordered(terms: dict[Monomial, Scalar]) -> list[tuple[Monomial, Scalar]]:
-    if not terms:
-        return []
-    support = sorted({v for mono in terms for v, _ in mono})
-    index = {v: i for i, v in enumerate(support)}
-
-    def key(item):
-        mono, _ = item
-        vec = [0] * len(support)
-        for v, e in mono:
-            vec[index[v]] = e
-        return (sum(vec), tuple(vec))
-
-    return sorted(terms.items(), key=key, reverse=True)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from cfkit import corpus
 from cfkit.algebra import (
-    ConformalAlgebra, _as_left, _as_right, _table, _table_at, spectral_eval,
+    ConformalAlgebra, _as_left, _as_right, _sparse, _table, _table_at, spectral_eval,
 )
 from cfkit.deform import DeformationMap, Morphism
 from cfkit.dsl import Document, parse_document
@@ -114,7 +114,7 @@ _AFFINE_MONOMIALS = frozenset({(), ((D, 1),), ((L1, 1),), ((L2, 1),)})
 
 def require_affine(s: MultiPoly) -> None:
     """Spectral parameters must be affine in d, l, m."""
-    if not _AFFINE_MONOMIALS.issuperset(s._terms):
+    if not _AFFINE_MONOMIALS.issuperset(mono for mono, _ in s.terms()):
         raise ValueError(f"spectral parameter must be affine in d, l, m: {s}")
 
 
@@ -168,13 +168,15 @@ def action_eval(table, first: tuple, second: tuple, s) -> tuple:
 def product_at(algebra, x: tuple, y: tuple, s) -> tuple:
     """The product ``x_s y`` at any affine ``s``, composed of cfkit's rules:
     ``x`` as a left and ``y`` as a right argument, contracted against the
-    table at ``s``.  cfkit itself multiplies only at ``s = l``."""
+    sparse table at ``s``.  cfkit itself multiplies only at ``s = l``."""
     s = MultiPoly.const(0) + s
     n = algebra.rank
     if len(x) != n or len(y) != n:
         raise ValueError("element rank does not match algebra rank")
     require_affine(s)
-    return spectral_eval(_table_at(algebra.table, s), n, _as_left(x, s), _as_right(y, s))
+    return spectral_eval(
+        _sparse(_table_at(algebra.table, s)), n, _as_left(x, s), _as_right(y, s)
+    )
 
 
 def member(sub: Submodule, v: tuple) -> bool:

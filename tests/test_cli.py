@@ -10,7 +10,7 @@ from cfkit import cli, corpus
 from cfkit.algebra import CheckReport, Violation, element_text
 from cfkit.cli import MAX_ANSATZ_DEGREE, MAX_ENTRY_DEGREE
 from cfkit.dsl import parse_document
-from cfkit.poly import MultiPoly
+from cfkit.poly import MAX_UNKNOWN, MultiPoly
 from helpers import FOREIGN
 from test_actions import reference_check_b1_b2_direct
 
@@ -274,6 +274,86 @@ class TestAnsatzDegreeBudget:
     def test_budget_boundary(self):
         assert run(["constraints", *self.SV, "--degree", str(MAX_ANSATZ_DEGREE)]) == 0
         assert run(["constraints", *self.SV, "--degree", str(MAX_ANSATZ_DEGREE + 1)]) == 3
+
+
+def _abelian_pair(q_rank: int, r_rank: int) -> str:
+    """A document whose pair ``P`` joins two abelian algebras of the ranks
+    given, with no actions: ``constraints`` needs q_rank * r_rank unknowns
+    per coefficient of an entry."""
+    def gens(prefix, n):
+        return ", ".join(f"{prefix}{i}" for i in range(n))
+
+    return (
+        f"algebra Ra : lie {{ gens {gens('X', r_rank)}; }}\n"
+        f"algebra Qa : lie {{ gens {gens('W', q_rank)}; }}\n"
+        "matched P : lie { R = Ra; Q = Qa; }\n"
+    )
+
+
+class TestUnknownIndexCap:
+    """``u0`` to ``u{MAX_UNKNOWN}`` are the unknowns a polynomial can hold:
+    past them a document or a system is bad input, and an ansatz that would
+    need more is over a budget."""
+
+    def test_table_entry_past_the_cap_exits_2(self, workdir, capsys):
+        Path("t.cfk").write_text("algebra A : lie { gens X; [X, X] = (d + u99999999) X; }")
+        assert run(["check", "t.cfk"]) == 2
+        assert capsys.readouterr().err == (
+            f"t.cfk:1:41: error: unknown index is over the cap of u{MAX_UNKNOWN}\n"
+        )
+
+    def test_solve_at_the_cap(self, workdir):
+        top = f"u{MAX_UNKNOWN}"
+        system = {"unknowns": [top], "equations": [_equation(f"{top} - 1")]}
+        Path("sys.json").write_text(json.dumps(system))
+        assert run(["solve", "sys.json", "--grid-num", "1", "--json", "r.json"]) == 0
+        assert json.loads(Path("r.json").read_text())["solutions"] == [{top: "1"}]
+
+    @pytest.mark.parametrize(
+        "system, error",
+        [
+            (
+                {"unknowns": [f"u{MAX_UNKNOWN + 1}"], "equations": []},
+                f"ValueError: unknown index {MAX_UNKNOWN + 1} is over the cap of {MAX_UNKNOWN}",
+            ),
+            (
+                {"unknowns": ["u0"], "equations": [_equation(f"u0 - u{MAX_UNKNOWN + 1}")]},
+                f"ParseError: 1:6: error: unknown index is over the cap of u{MAX_UNKNOWN}",
+            ),
+        ],
+        ids=["listed", "in-an-equation"],
+    )
+    def test_solve_past_the_cap_exits_2(self, workdir, capsys, system, error):
+        Path("sys.json").write_text(json.dumps(system))
+        assert run(["solve", "sys.json"]) == 2
+        err = capsys.readouterr().err
+        assert f"bad system sys.json: {error}" in err
+        assert "Traceback" not in err
+
+    def test_constraints_at_the_cap(self, workdir):
+        # 12 * 17 * (4 + 1) = 1020 unknowns, u0 to u1019
+        Path("t.cfk").write_text(_abelian_pair(12, 17))
+        assert run(["constraints", "t.cfk", "--pair", "P", "--degree", "4", "--json", "r.json"]) == 0
+        unknowns = json.loads(Path("r.json").read_text())["system"]["unknowns"]
+        assert len(unknowns) == 1020 and unknowns[-1] == "u1019"
+
+    def test_constraints_past_the_cap_exits_3_before_the_ansatz(
+        self, workdir, monkeypatch, capsys
+    ):
+        def built(*args):
+            raise AssertionError("an ansatz was built")
+
+        monkeypatch.setattr(cli.cons.AnsatzSpec, "uniform", built)
+        # 5 * 41 * (4 + 1) = 1025 unknowns
+        Path("t.cfk").write_text(_abelian_pair(5, 41))
+        argv = ["constraints", "t.cfk", "--pair", "P", "--degree", "4", "--json", "r.json"]
+        assert run(argv) == 3
+        message = (
+            f"the ansatz needs 1025 unknowns, over the cap of {MAX_UNKNOWN + 1}"
+            f" (u0 to u{MAX_UNKNOWN})"
+        )
+        assert json.loads(Path("r.json").read_text())["error"] == message
+        assert capsys.readouterr().err == message + "\n"
 
 
 class TestSolveCap:

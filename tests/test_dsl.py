@@ -27,7 +27,7 @@ from cfkit.dsl import (
     try_parse,
 )
 from cfkit.cli import _parse_params
-from cfkit.poly import D, L1, L2, MultiPoly, unknown, var_name
+from cfkit.poly import D, L1, L2, MAX_UNKNOWN, MultiPoly, unknown, var_name
 
 # the benchmark's generator of rank-scale documents
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -235,6 +235,23 @@ class TestDiagnostics:
         # leading zeros do not count: a padded literal at the cap is read
         _, diags = try_parse(text.replace(long, "0" * 5000 + "7" * MAX_DIGITS))
         assert not any("literal" in x.message for x in diags)
+
+    @pytest.mark.parametrize(
+        "index", [MAX_UNKNOWN + 1, 99999999, "0" * 5000 + "7" * MAX_DIGITS],
+        ids=["next", "eight-digits", "padded-at-the-literal-cap"],
+    )
+    def test_unknown_index_over_the_cap_rejected_at_its_token(self, index):
+        text = f"algebra A : lie {{ gens X;\n[X, X] = (d + u{index}) X; }}"
+        _, diags = try_parse(text)
+        assert [(x.line, x.col, x.message) for x in diags] == [
+            (2, 15, f"unknown index is over the cap of u{MAX_UNKNOWN}")
+        ]
+        with pytest.raises(ParseError):
+            parse_poly_text(f"u{index} + 1")
+
+    def test_unknown_index_at_the_cap_parses(self):
+        top = MultiPoly.var(unknown(MAX_UNKNOWN))
+        assert parse_poly_text(f"u{MAX_UNKNOWN}^2 - u0{MAX_UNKNOWN}") == top**2 - top
 
     def test_too_long_param_value_and_denominator_rejected(self):
         long = "3" * 5000
@@ -653,7 +670,10 @@ def _reference_primary(p: _Parser) -> MultiPoly:
         if name == "m":
             return MultiPoly.var(L2)
         if len(name) > 1 and name[0] == "u" and name[1:].isdecimal():
-            return MultiPoly.var(unknown(p.integer(tok, name[1:])))
+            index = p.integer(tok, name[1:])
+            if index > MAX_UNKNOWN:
+                p.fail(f"unknown index is over the cap of u{MAX_UNKNOWN}", tok)
+            return MultiPoly.var(unknown(index))
         if name in p.params:
             p.used_params.add(name)
             return MultiPoly.const(p.params[name])
@@ -689,6 +709,7 @@ _CAP_LEAVES = (
     "((2^64)^64)^64",  # past it at the third exponent
     "(d^32)^2", "(d^33)^2", "d^64*l", "u2^64*3",  # power and product degree
     "7" * (MAX_DIGITS + 1), "0" * 700 + "7" * MAX_DIGITS,  # digits
+    f"u{MAX_UNKNOWN}", f"u{MAX_UNKNOWN + 1}",  # unknown index
     "d^x", "d^", "()", ")", "l^-1", "2^0065",  # malformed
 )
 _EXPONENTS = ("2", "3", "1", "064", "64", "65", "0000065", "99999", "0")

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfkit.poly import D, L1, L2, MultiPoly, _mono_mul, scalar_text, unknown, var_name
+from cfkit.poly import (
+    D, L1, L2, MAX_DEGREE, MAX_UNKNOWN, DegreeOverflow, MultiPoly, _monomial, _pack,
+    scalar_text, unknown, var_name,
+)
 from cfkit.structure import hermite_normal_form, poly_deg, poly_divmod
 
 d = MultiPoly.var(D)
@@ -428,7 +431,8 @@ def reference_substitute(p: MultiPoly, var: int, replacement) -> MultiPoly:
     for _ in range(p.degree(var)):
         powers.append(powers[-1] * replacement)
     out = MultiPoly.zero()
-    for mono, num in p._terms.items():
+    for key, num in p._terms.items():
+        mono = _monomial(key)
         rest = tuple((v, e) for v, e in mono if v != var)
         out = out + MultiPoly({rest: num}) * powers[dict(mono).get(var, 0)]
     return out / p._den
@@ -496,9 +500,10 @@ class TestOnePassSubstitution:
 
     @given(a=monomials, b=monomials)
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_monomial_merge(self, a, b):
-        assert _mono_mul(a, b) == reference_mono_mul(a, b)
-        assert _mono_mul(b, a) == reference_mono_mul(a, b)
+    def test_packed_product(self, a, b):
+        assert _monomial(_pack(a) + _pack(b)) == reference_mono_mul(a, b)
+        product = MultiPoly({a: 3}) * MultiPoly({b: Fraction(1, 2)})
+        assert list(product.terms()) == [(reference_mono_mul(a, b), Fraction(3, 2))]
 
 
 # -- one-pass subtraction against adding the negation ------------------------
@@ -557,3 +562,92 @@ class TestOnePassSubtraction:
         assert_same_stored(zero - p, -p)
         assert_same_stored(0 - p, -p)
         assert zero - zero is zero
+
+
+# -- packed monomial keys ----------------------------------------------------
+
+TOP = unknown(MAX_UNKNOWN)
+PACKED_VARIABLES = (*EVERY_VARIABLE, unknown(97), TOP)
+
+
+def reference_order(terms: dict) -> list:
+    """The nonzero terms of a dict of tuple monomials in the canonical order:
+    descending by total degree, then by the exponent vector over
+    d, l, m, u0, u1, ... compared lexicographically."""
+    def key(item):
+        exps = dict(item[0])
+        vec = tuple(exps.get(v, 0) for v in range(TOP + 1))
+        return (sum(vec), vec)
+
+    return sorted(ref(terms).items(), key=key, reverse=True)
+
+
+class TestPackedKeys:
+    @given(
+        terms=term_maps(PACKED_VARIABLES, mixed_scalars),
+        other=term_maps(PACKED_VARIABLES, mixed_scalars),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_terms_and_leading_in_graded_lex_order(self, terms, other):
+        for poly, plain in (
+            (MultiPoly(terms), ref(terms)),
+            (MultiPoly(terms) * MultiPoly(other), ref_mul(ref(terms), ref(other))),
+        ):
+            expected = reference_order(plain)
+            assert list(poly.terms()) == expected
+            if expected:
+                assert poly.leading() == expected[0]
+            assert poly.variables() == {v for mono in plain for v, _ in mono}
+
+    def test_degree_guard_at_its_boundary(self):
+        top = MultiPoly.var(D, MAX_DEGREE)
+        assert MAX_DEGREE == 32767
+        assert top.degree() == MAX_DEGREE
+        assert list((MultiPoly.var(D, 16383) * MultiPoly.var(L1, 16384)).terms()) == [
+            (((D, 16383), (L1, 16384)), 1)
+        ]
+        assert MultiPoly.var(D, MAX_DEGREE - 1) * d == top
+        with pytest.raises(DegreeOverflow):
+            MultiPoly.var(D, MAX_DEGREE + 1)
+        with pytest.raises(DegreeOverflow):
+            MultiPoly({((D, 1), (TOP, MAX_DEGREE)): 1})
+        with pytest.raises(DegreeOverflow):
+            top * l
+        with pytest.raises(DegreeOverflow):
+            (d + 1) * MultiPoly.var(L2, MAX_DEGREE)
+        with pytest.raises(DegreeOverflow):
+            (d**2 + l).substitute(D, MultiPoly.var(L1, 16384))
+        assert (d**2 * l + l).substitute(D, MultiPoly.var(L1, 16383)) == (
+            MultiPoly.var(L1, MAX_DEGREE) + l
+        )
+
+    def test_unknown_index_cap(self):
+        assert unknown(MAX_UNKNOWN) == TOP
+        assert var_name(TOP) == f"u{MAX_UNKNOWN}"
+        top = MultiPoly.var(TOP, 2)
+        assert top.variables() == {TOP} and top.degree(TOP) == 2
+        assert str(top * d) == f"d*u{MAX_UNKNOWN}^2"
+        for bad in (MAX_UNKNOWN + 1, 10**8):
+            with pytest.raises(ValueError, match="over the cap"):
+                unknown(bad)
+        for var in (TOP + 1, 3 + 10**8, -1):
+            with pytest.raises(ValueError):
+                MultiPoly.var(var)
+            with pytest.raises(ValueError):
+                MultiPoly({((var, 1),): 1})
+
+    @pytest.mark.parametrize(
+        "mono",
+        [((D, 1), (D, 1)), ((L1, 1), (D, 1)), ((D, 0),), ((D, -1),)],
+        ids=["repeated", "unsorted", "zero-exponent", "negative-exponent"],
+    )
+    def test_malformed_monomial_is_refused(self, mono):
+        with pytest.raises(ValueError, match="malformed monomial"):
+            MultiPoly({mono: 1})
+
+    def test_constant_one_is_shared_and_skipped(self):
+        one = MultiPoly.const(1)
+        assert one is MultiPoly.const(Fraction(2, 2)) is MultiPoly.var(D, 0)
+        p = d / 3 + l
+        assert one * p is p and p * one is p and p * 1 is p
+        assert one * 1 is one and one * one is one
