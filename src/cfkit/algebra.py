@@ -8,19 +8,19 @@ Two rewriting rules extend a basis product table to arbitrary elements at a
 spectral parameter ``s``: a ``d``-polynomial multiplying the left argument
 is re-evaluated at ``-s`` (:func:`_as_left`), one multiplying the right
 argument at ``d + s`` (:func:`_as_right`), and the table's ``l`` is set to
-``s`` (:func:`_table_at`, the stored table itself at ``s = l``).  The kernel,
-:func:`spectral_eval`, is the bilinear contraction of arguments already
-rewritten against a table already at ``s``, read as its nonzero structure
-constants only (:func:`_sparse`, after D'Andrea and Kac): row ``i`` lists
-``(j, ((k, c_ij^k), ...))`` for each entry with a nonzero coefficient, so a
-contraction walks no zero entry and no zero coefficient of a sparse table.
-:func:`_products` multiplies every ordered pair of a list of elements at
-``l``, rewriting each element once as a left and once as a right argument,
-so each argument and table is rewritten once, however many products it
-enters.
+``s``.  The kernel sees each only as its nonzero entries, from that first
+rewrite on: a table as its nonzero structure constants at ``s``
+(:func:`_sparse`, after D'Andrea and Kac), row ``i`` mapping each ``j`` to
+``((k, c_ij^k), ...)``, and an argument as its nonzero ``(index,
+coordinate)`` pairs, so a unit vector is one pair.  :func:`spectral_eval`
+is the bilinear contraction of the two argument lists against the table;
+it walks no zero and tests nothing for zero.  :func:`_products` multiplies
+every ordered pair of a list of elements at ``l``, rewriting each element
+once as a left and once as a right argument, so each argument and table is
+rewritten once, however many products it enters.
 
 The axiom checks build, once per check, the sparse table at ``l``, ``m`` and
-``l + m`` and the pair products already rewritten as arguments, the
+``l + m`` and the nonzero pair products already rewritten as arguments, the
 structure constants c_jk(d+l, m), c_ij(-l-m, l) and c_ik(d+m, l); each
 product of an identity is one contraction of a unit vector against them,
 and each residual subtracts only at coordinates where some product is
@@ -44,13 +44,15 @@ _PD = MultiPoly.var(D)
 _PL1 = MultiPoly.var(L1)
 _PL2 = MultiPoly.var(L2)
 _PLM = _PL1 + _PL2
+_ONE = MultiPoly.const(1)
 
 Element = tuple[MultiPoly, ...]
 Table = tuple[tuple[Element, ...], ...]
-#: A table's nonzero structure constants: row ``i`` holds
-#: ``(j, ((k, coefficient), ...))`` for each entry ``[i][j]`` with a
-#: nonzero coefficient, listing only its nonzero ones.
-Sparse = tuple[tuple[tuple[int, tuple[tuple[int, MultiPoly], ...]], ...], ...]
+#: The nonzero coordinates of an element, as ``(index, coordinate)`` pairs.
+Pairs = tuple[tuple[int, MultiPoly], ...]
+#: A table's nonzero structure constants: row ``i`` maps each ``j`` whose
+#: entry ``[i][j]`` has a nonzero coefficient to that entry's nonzero pairs.
+Sparse = tuple[dict[int, Pairs], ...]
 
 
 def element_text(coords: Element, names: tuple[str, ...]) -> str:
@@ -154,41 +156,40 @@ def _table(shape: tuple[int, int, int], entries: dict | None = None) -> Table:
     return tuple(tuple(entries.get((i, j), zero) for j in range(cols)) for i in range(rows))
 
 
-def _sparse(table: Table) -> Sparse:
-    """The nonzero structure constants of ``table``, row by row."""
+def _sparse(table: Table, s: MultiPoly = _PL1) -> Sparse:
+    """The nonzero structure constants of ``table`` with ``l`` set to ``s``,
+    row by row: entry ``[i][j]`` lists the product of the i-th and j-th
+    basis vectors at ``s``.  Only nonzero coefficients are rewritten, and at
+    ``s = l`` each is taken as stored."""
+    at = (lambda c: c) if s == _PL1 else (lambda c: c.substitute(L1, s))
     return tuple(
-        tuple(
-            (j, nonzero)
+        {
+            j: nonzero
             for j, entry in enumerate(row)
-            if (nonzero := tuple((k, c) for k, c in enumerate(entry) if c))
-        )
+            if (nonzero := tuple((k, at(c)) for k, c in enumerate(entry) if c))
+        }
         for row in table
     )
 
 
-def spectral_eval(
-    table: Sparse,
-    out_rank: int,
-    left: tuple[MultiPoly, ...],
-    right: tuple[MultiPoly, ...],
-) -> tuple[MultiPoly, ...]:
+def spectral_eval(table: Sparse, out_rank: int, left: Pairs, right: Pairs) -> Element:
     """The bilinear contraction ``sum_ij left_i * right_j * table[i][j]``.
 
     ``table`` holds the nonzero structure constants (:func:`_sparse`) of the
     products of the i-th left and j-th right basis vectors, as coordinates
-    ``k < out_rank``.  All three are taken as already at the spectral
-    parameter: the table from :func:`_table_at`, the arguments from
-    :func:`_as_left` and :func:`_as_right`.  Nothing is substituted here, so
-    a caller that contracts one argument or table many times rewrites it
-    once.
+    ``k < out_rank``; ``left`` and ``right`` are the arguments' nonzero
+    ``(index, coordinate)`` pairs.  All three are taken as already at the
+    spectral parameter: the table from :func:`_sparse`, the arguments from
+    :func:`_as_left` and :func:`_as_right`.  Nothing is substituted or
+    tested for zero here, so a caller that contracts one argument or table
+    many times rewrites it once, and a unit vector is one pair.
     """
     out = [MultiPoly.zero()] * out_rank
-    for i, a in enumerate(left):
-        if not a:
-            continue
-        for j, entry in table[i]:
-            b = right[j]
-            if not b:
+    for i, a in left:
+        row = table[i]
+        for j, b in right:
+            entry = row.get(j)
+            if entry is None:
                 continue
             factor = a * b
             for k, coeff in entry:
@@ -196,35 +197,20 @@ def spectral_eval(
     return tuple(out)
 
 
-def _as_left(coords: tuple[MultiPoly, ...], s: MultiPoly) -> tuple[MultiPoly, ...]:
-    """A left argument at ``s``: a ``d``-polynomial multiplying the left
-    factor is re-evaluated at the negated spectral parameter, ``d -> -s``."""
-    if not any(coords):
-        return coords
+def _as_left(pairs, s: MultiPoly) -> Pairs:
+    """The nonzero ``(index, coordinate)`` pairs of a left argument at ``s``:
+    a ``d``-polynomial multiplying the left factor is re-evaluated at the
+    negated spectral parameter, ``d -> -s``."""
     minus_s = -s
-    return tuple(c.substitute(D, minus_s) if c else c for c in coords)
+    return tuple((i, c.substitute(D, minus_s)) for i, c in pairs if c)
 
 
-def _as_right(coords: tuple[MultiPoly, ...], s: MultiPoly) -> tuple[MultiPoly, ...]:
-    """A right argument at ``s``: a ``d``-polynomial multiplying the right
-    factor is re-evaluated at ``d`` shifted by the parameter, ``d -> d + s``."""
-    if not any(coords):
-        return coords
+def _as_right(pairs, s: MultiPoly) -> Pairs:
+    """The nonzero ``(index, coordinate)`` pairs of a right argument at
+    ``s``: a ``d``-polynomial multiplying the right factor is re-evaluated at
+    ``d`` shifted by the parameter, ``d -> d + s``."""
     shifted = _PD + s
-    return tuple(c.substitute(D, shifted) if c else c for c in coords)
-
-
-def _table_at(table: Table, s: MultiPoly) -> Table:
-    """``table`` with ``l`` set to ``s``: entry ``[i][j]`` is the product of
-    the i-th and j-th basis vectors at ``s``.  At ``s = l`` this is the
-    stored table itself; otherwise zero coefficients, most of a sparse
-    table, are kept as they are."""
-    if s == _PL1:
-        return table
-    return tuple(
-        tuple(tuple(c.substitute(L1, s) if c else c for c in entry) for entry in row)
-        for row in table
-    )
+    return tuple((i, c.substitute(D, shifted)) for i, c in pairs if c)
 
 
 def _products(table: Table, n: int, elements):
@@ -233,8 +219,8 @@ def _products(table: Table, n: int, elements):
     coefficient vectors of length ``n``.  Each element is rewritten once as
     a left and once as a right argument, however many pairs it enters."""
     sparse = _sparse(table)
-    left = [_as_left(x, _PL1) for x in elements]
-    right = [_as_right(x, _PL1) for x in elements]
+    left = [_as_left(enumerate(x), _PL1) for x in elements]
+    right = [_as_right(enumerate(x), _PL1) for x in elements]
     for i, x in enumerate(left):
         for j, y in enumerate(right):
             yield i, j, spectral_eval(sparse, n, x, y)
@@ -252,9 +238,10 @@ def _violations(identity: str, names, rows) -> tuple[Violation, ...]:
 
 class _AxiomTables(NamedTuple):
     """What the axiom checks contract unit vectors against, each built once
-    per check: the sparse table at ``l``, ``m`` and ``l + m``, and the pair
-    products already rewritten as kernel arguments (the structure constants
-    of D'Andrea and Kac's form of the identities)."""
+    per check: the sparse table at ``l``, ``m`` and ``l + m``, and the
+    nonzero pair products already rewritten as kernel arguments, one dict
+    per row (the structure constants of D'Andrea and Kac's form of the
+    identities)."""
 
     l: Sparse
     m: Sparse
@@ -265,14 +252,14 @@ class _AxiomTables(NamedTuple):
 
 
 def _axiom_tables(table: Table) -> _AxiomTables:
-    at_m = _table_at(table, _PL2)
+    at_l, at_m = _sparse(table), _sparse(table, _PL2)
     return _AxiomTables(
-        _sparse(table),
-        _sparse(at_m),
-        _sparse(_table_at(table, _PLM)),
-        [[_as_right(entry, _PL1) for entry in row] for row in at_m],
-        [[_as_left(entry, _PLM) for entry in row] for row in table],
-        [[_as_right(entry, _PL2) for entry in row] for row in table],
+        at_l,
+        at_m,
+        _sparse(table, _PLM),
+        [{k: _as_right(entry, _PL1) for k, entry in row.items()} for row in at_m],
+        [{j: _as_left(entry, _PLM) for j, entry in row.items()} for row in at_l],
+        [{k: _as_right(entry, _PL2) for k, entry in row.items()} for row in at_l],
     )
 
 
@@ -285,9 +272,9 @@ def _jacobiator(at: _AxiomTables, unit, i, j, k) -> Element:
     off the call.
     """
     n = len(unit)
-    lhs = spectral_eval(at.l, n, unit[i], at.jk[j][k])
-    mid = spectral_eval(at.lm, n, at.ij[i][j], unit[k])
-    rhs = spectral_eval(at.m, n, unit[j], at.ik[i][k])
+    lhs = spectral_eval(at.l, n, unit[i], at.jk[j].get(k, ()))
+    mid = spectral_eval(at.lm, n, at.ij[i].get(j, ()), unit[k])
+    rhs = spectral_eval(at.m, n, unit[j], at.ik[i].get(k, ()))
     return tuple(a - b - c if b or c else a for a, b, c in zip(lhs, mid, rhs))
 
 
@@ -315,7 +302,7 @@ def _jacobi_violations(algebra: ConformalAlgebra, skew_holds: bool):
     runs as it is when skew-symmetry fails.
     """
     n = algebra.rank
-    unit = [algebra.basis_element(i) for i in range(n)]
+    unit = [((i, _ONE),) for i in range(n)]
     jacobiator = partial(_jacobiator, _axiom_tables(algebra.table), unit)
     triples = product(range(n), repeat=3)
     if skew_holds:
@@ -338,11 +325,11 @@ def check_associativity(algebra: ConformalAlgebra) -> CheckReport:
         raise ValueError("associativity applies to associative kind only")
     n = algebra.rank
     at = _axiom_tables(algebra.table)
-    unit = [algebra.basis_element(i) for i in range(n)]
+    unit = [((i, _ONE),) for i in range(n)]
 
     def associator(i, j, k):
-        outer = spectral_eval(at.lm, n, at.ij[i][j], unit[k])
-        inner = spectral_eval(at.l, n, unit[i], at.jk[j][k])
+        outer = spectral_eval(at.lm, n, at.ij[i].get(j, ()), unit[k])
+        inner = spectral_eval(at.l, n, unit[i], at.jk[j].get(k, ()))
         return tuple(a - b if b else a for a, b in zip(outer, inner))
 
     return CheckReport(_violations("associativity", algebra.basis, (
@@ -353,14 +340,18 @@ def check_associativity(algebra: ConformalAlgebra) -> CheckReport:
 def check_axioms(algebra: ConformalAlgebra) -> CheckReport:
     """Skew-symmetry plus Jacobi for Lie kind, associativity otherwise.
 
-    Skew-symmetry reads c_ij(d, l) + c_ji(d, -l-d) straight off the table.
+    Skew-symmetry reads c_ij(d, l) + c_ji(d, -l-d) straight off the table,
+    the second term through the kernel on two unit vectors.
     """
     if algebra.kind == LIE:
-        table = algebra.table
-        at_neg = _table_at(table, -_PL1 - _PD)
+        table, n = algebra.table, algebra.rank
+        unit = [((i, _ONE),) for i in range(n)]
+        at_neg = _sparse(table, -_PL1 - _PD)
         skew = _violations("skew-symmetry", algebra.basis, (
-            (i, j, tuple(a + b for a, b in zip(table[i][j], at_neg[j][i])))
-            for i, j in product(range(algebra.rank), repeat=2)
+            (i, j, tuple(a + b for a, b in zip(
+                table[i][j], spectral_eval(at_neg, n, unit[j], unit[i])
+            )))
+            for i, j in product(range(n), repeat=2)
         ))
         jacobi = _jacobi_violations(algebra, skew_holds=not skew)
         return merge_reports([("skew", CheckReport(skew)), ("jacobi", CheckReport(jacobi))])

@@ -63,25 +63,33 @@ def _reduce(row: list[MultiPoly], by: PolyRow, col: int) -> list[MultiPoly]:
 
 
 def poly_det(matrix: PolyMatrix) -> MultiPoly:
-    """Determinant by cofactor expansion (ranks here are tiny)."""
+    """Determinant by fraction-free (Bareiss) elimination over the d-ring:
+    step ``k`` replaces each entry below and right of the pivot by a 2 x 2
+    minor divided exactly by the previous pivot, and a row swap flips the
+    sign, so the work is cubic in the rank, not factorial."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return MultiPoly.const(1)
-    if n == 1:
-        return matrix[0][0]
-    acc = MultiPoly.zero()
-    sign = 1
-    for j in range(n):
-        entry = matrix[0][j]
-        if not entry.is_zero:
-            minor = tuple(
-                tuple(row[c] for c in range(n) if c != j) for row in matrix[1:]
-            )
-            acc = acc + sign * entry * poly_det(minor)
-        sign = -sign
-    return acc
+    rows = [list(row) for row in matrix]
+    sign, prev = 1, MultiPoly.const(1)
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if not rows[r][k].is_zero), None)
+        if pivot is None:
+            return MultiPoly.zero()
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        for row in rows[k + 1:]:
+            for j in range(k + 1, n):
+                row[j] = row[j] * top[k] - row[k] * top[j]
+                if prev != 1:
+                    row[j], rem = poly_divmod(row[j], prev)
+                    assert rem.is_zero, "a Bareiss step divides exactly"
+        prev = top[k]
+    return sign * rows[-1][-1]
 
 
 # -- Hermite normal form -----------------------------------------------------

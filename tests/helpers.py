@@ -5,14 +5,15 @@ Also the references that tests check cfkit against:
 table entries on every call, ``action_eval``, the evaluation of one action
 table through it, which reads the argument and carrier ranks off the table,
 ``product_at``, one product at any spectral parameter composed of cfkit's
-own rules, and ``member``, submodule membership; and builders of elements
-and algebras that cfkit itself never needs."""
+own rules, ``member``, submodule membership, and ``reference_det``, the
+determinant by cofactor expansion; and builders of elements and algebras
+that cfkit itself never needs."""
 
 from fractions import Fraction
 
 from cfkit import corpus
 from cfkit.algebra import (
-    ConformalAlgebra, _as_left, _as_right, _sparse, _table, _table_at, spectral_eval,
+    ConformalAlgebra, _as_left, _as_right, _sparse, _table, spectral_eval,
 )
 from cfkit.deform import DeformationMap, Morphism
 from cfkit.dsl import Document, parse_document
@@ -175,7 +176,7 @@ def product_at(algebra, x: tuple, y: tuple, s) -> tuple:
         raise ValueError("element rank does not match algebra rank")
     require_affine(s)
     return spectral_eval(
-        _sparse(_table_at(algebra.table, s)), n, _as_left(x, s), _as_right(y, s)
+        _sparse(algebra.table, s), n, _as_left(enumerate(x), s), _as_right(enumerate(y), s)
     )
 
 
@@ -193,3 +194,17 @@ def member(sub: Submodule, v: tuple) -> bool:
         if not coords[col].is_zero:
             return False
     return all(c.is_zero for c in coords)
+
+
+def reference_det(matrix) -> MultiPoly:
+    """The determinant by cofactor expansion along the first row: factorial
+    time, so for small matrices only."""
+    n = len(matrix)
+    if n == 0:
+        return MultiPoly.const(1)
+    acc = MultiPoly.zero()
+    for j, entry in enumerate(matrix[0]):
+        if not entry.is_zero:
+            minor = tuple(row[:j] + row[j + 1:] for row in matrix[1:])
+            acc = acc + (-1) ** j * entry * reference_det(minor)
+    return acc

@@ -19,7 +19,8 @@ from cfkit.algebra import (
     ConformalAlgebra,
     LIE,
     Violation,
-    _table_at,
+    _sparse,
+    _table,
     check_axioms,
     merge_reports,
 )
@@ -573,10 +574,23 @@ CHECK_PARAMETERS = (
 )
 
 
+def _dense_at(table, s):
+    """``_sparse(table, s)`` as a dense table of the stored shape, after
+    checking that it lists no zero entry and no zero coefficient."""
+    shape = (len(table), len(table[0]), len(table[0][0]))
+    entries = {}
+    for i, row in enumerate(_sparse(table, s)):
+        for j, pairs in row.items():
+            assert pairs and all(c for _, c in pairs), (i, j)
+            coords = dict(pairs)
+            entries[i, j] = tuple(coords.get(k, MultiPoly.zero()) for k in range(shape[2]))
+    return _table(shape, entries)
+
+
 @pytest.mark.parametrize("s", CHECK_PARAMETERS, ids=str)
 class TestTableAt:
-    """``_table_at`` is the reference kernel on two unit vectors, entry for
-    entry."""
+    """``_sparse`` at ``s`` is the reference kernel on two unit vectors, entry
+    for entry, and lists only nonzero entries and coefficients."""
 
     def test_bundled_algebras(self, s):
         labels = []
@@ -587,7 +601,7 @@ class TestTableAt:
                       for y in basis)
                 for x in basis
             )
-            assert _table_at(alg.table, s) == expected, label
+            assert _dense_at(alg.table, s) == expected, label
             labels.append(label)
         assert len(labels) >= 10
 
@@ -600,7 +614,7 @@ class TestTableAt:
                 rows, cols = _carrier_basis(ranks[left]), _carrier_basis(ranks[right])
                 expected = tuple(tuple(action_eval(act, x, y, s) for y in cols)
                                  for x in rows)
-                assert _table_at(act, s) == expected, f"{label}.{field}"
+                assert _dense_at(act, s) == expected, f"{label}.{field}"
                 kinds.add(pair.kind)
         assert kinds == {LIE, ASSOCIATIVE}
 

@@ -651,6 +651,21 @@ WITNESSES = (
 )
 
 
+def dense_morphism(n: int, last: str) -> str:
+    """A morphism of the abelian algebra of rank ``n`` onto itself, every
+    matrix entry nonzero: the product of the lower triangular matrix of ones
+    and the unit upper triangular one with ``d`` above the diagonal, its
+    last row multiplied by ``last``, so its determinant is ``last``."""
+    rows = []
+    for i in range(n):
+        scale = last if i == n - 1 else "1"
+        entries = (f"{i + 1}*d" if i < j else f"{j}*d + 1" for j in range(n))
+        terms = (f"({scale}*({entry})) X{j}" for j, entry in enumerate(entries))
+        rows.append(f"X{i} -> {' + '.join(terms)};")
+    gens = ", ".join(f"X{i}" for i in range(n))
+    return f"algebra A : lie {{ gens {gens}; }}\nmorphism h : A -> A {{ {' '.join(rows)} }}\n"
+
+
 class TestMorphismReport:
     @pytest.mark.parametrize("argv", [["morphism", "t.cfk", "--name", "h"], ["check", "t.cfk"]])
     def test_rank_mismatch_is_no_isomorphism(self, workdir, monkeypatch, argv):
@@ -673,6 +688,17 @@ class TestMorphismReport:
         assert run(argv + ["--json", "r.json"]) == 0
         assert json.loads(Path("r.json").read_text())["checks"][0]["is_isomorphism"] is True
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("last, iso", [("1", True), ("d", False)])
+    def test_dense_rank_12_morphism_is_decided_in_seconds(self, workdir, last, iso):
+        """A rank-12 morphism of an abelian algebra with every matrix entry
+        nonzero: cofactor expansion would take hours on it.  Its determinant
+        is ``last``, so it is an isomorphism exactly when ``last`` is 1."""
+        Path("t.cfk").write_text(dense_morphism(12, last))
+        started = time.monotonic()
+        assert run(["morphism", "t.cfk", "--name", "h", "--json", "r.json"]) == 0
+        assert time.monotonic() - started < 10
+        assert json.loads(Path("r.json").read_text())["checks"][0]["is_isomorphism"] is iso
 
 
 class TestEquivWitness:

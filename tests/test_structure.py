@@ -17,7 +17,9 @@ from cfkit.structure import (
     span,
 )
 
-from helpers import abelian, element, member, product_at, sv_doc, vir_algebra, wab_doc
+from helpers import (
+    abelian, element, member, product_at, reference_det, sv_doc, vir_algebra, wab_doc,
+)
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
@@ -42,6 +44,32 @@ class TestDivmod:
     def test_by_larger(self):
         q, r = poly_divmod(d, d**2)
         assert q.is_zero and r == d
+
+
+class TestDeterminant:
+    def test_matches_cofactor_expansion(self):
+        """Seeded square d-matrices up to 5 x 5, a third of their entries
+        zero, so that pivots are missing, rows swap and some are singular."""
+        rng = random.Random(7)
+        seen = {"zero": 0, "nonzero": 0}
+        for _ in range(400):
+            n = rng.randint(0, 5)
+            matrix = tuple(
+                tuple(
+                    zero if rng.random() < 1 / 3
+                    else sum((rng.randint(-3, 3) * d**e for e in range(3)), zero)
+                    for _ in range(n)
+                )
+                for _ in range(n)
+            )
+            det = poly_det(matrix)
+            assert det == reference_det(matrix), matrix
+            seen["zero" if det.is_zero else "nonzero"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_refuses_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            poly_det(((one, zero),))
 
 
 class TestHermiteNormalForm:
