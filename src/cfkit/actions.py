@@ -23,7 +23,7 @@ for the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 
@@ -37,7 +37,6 @@ from .algebra import (
     _table,
     _violations,
     check_axioms,
-    merge_reports,
 )
 from .poly import D, L1, MultiPoly
 
@@ -157,9 +156,13 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
     E's axioms restricted to R, to Q and to mixed triples are exactly the
     axioms of the components, the module laws of the actions and the cross
     conditions, so this check is independent of how nested spectral
-    substitutions are read.  Violations carry the prefix ``E:``.
+    substitutions are read.  :func:`check_axioms` is the one axiom check
+    and names each identity where its residual is formed; this prefixes
+    each name with ``E:``.
     """
-    return merge_reports([("E", mp.axioms)])
+    return CheckReport(tuple(
+        replace(v, identity=f"E:{v.identity}") for v in mp.axioms.violations
+    ))
 
 
 def check_b1_b2_direct(mp: MatchedPair) -> CheckReport:

@@ -19,12 +19,14 @@ every ordered pair of a list of elements at ``l``, rewriting each element
 once as a left and once as a right argument, so each argument and table is
 rewritten once, however many products it enters.
 
-The axiom checks build, once per check, the sparse table at ``l``, ``m`` and
-``l + m`` and the nonzero pair products already rewritten as arguments, the
-structure constants c_jk(d+l, m), c_ij(-l-m, l) and c_ik(d+m, l); each
-product of an identity is one contraction of a unit vector against them,
-and each residual subtracts only at coordinates where some product is
-nonzero.
+:func:`check_axioms` is the one axiom check, for either kind.  It builds,
+once per call, the sparse table at ``l``, ``m`` and ``l + m`` and the
+nonzero pair products already rewritten as arguments, the structure
+constants c_jk(d+l, m), c_ij(-l-m, l) and c_ik(d+m, l); each product of an
+identity is one contraction of a unit vector against them, and each
+residual subtracts only at coordinates where some product is nonzero.  Each
+identity is named where its residual is formed, prefix included, so no
+report is rebuilt to rename its violations.
 """
 
 from __future__ import annotations
@@ -89,17 +91,6 @@ class CheckReport:
     @property
     def status(self) -> str:
         return "pass" if self.passed else "fail"
-
-
-def merge_reports(parts: list[tuple[str, CheckReport]]) -> CheckReport:
-    """Combine sub-reports, prefixing each violation's identity name."""
-    merged = []
-    for prefix, report in parts:
-        for v in report.violations:
-            merged.append(
-                Violation(f"{prefix}:{v.identity}", v.indices, v.residual, v.basis)
-            )
-    return CheckReport(tuple(merged))
 
 
 @dataclass(frozen=True)
@@ -278,9 +269,21 @@ def _jacobiator(at: _AxiomTables, unit, i, j, k) -> Element:
     return tuple(a - b - c if b or c else a for a, b, c in zip(lhs, mid, rhs))
 
 
-def _jacobi_violations(algebra: ConformalAlgebra, skew_holds: bool):
+def _associator(at: _AxiomTables, unit, i, j, k) -> Element:
+    """[[e_i_l e_j]_{l+m} e_k] - [e_i_l [e_j_m e_k]]: one contraction per
+    product, of a unit vector against a rewritten pair product, and one
+    subtraction at each coordinate where the inner product is nonzero."""
+    n = len(unit)
+    outer = spectral_eval(at.lm, n, at.ij[i].get(j, ()), unit[k])
+    inner = spectral_eval(at.l, n, unit[i], at.jk[j].get(k, ()))
+    return tuple(a - b if b else a for a, b in zip(outer, inner))
+
+
+def _jacobi_violations(jacobiator, names: tuple[str, ...], skew_holds: bool):
     """Violations of J(a,b,c)(l,m) = [a_l[b_m c]] - [[a_l b]_{l+m} c] - [b_m[a_l c]]
-    on basis triples, in the lexicographic order of the full n^3 loop.
+    on basis triples, in the lexicographic order of the full n^3 loop;
+    ``jacobiator(i, j, k)`` is :func:`_jacobiator` bound to one check's
+    tables.
 
     If skew-symmetry holds on the basis table, it holds on all elements by
     sesquilinearity, and J is alternating up to invertible substitutions:
@@ -301,9 +304,7 @@ def _jacobi_violations(algebra: ConformalAlgebra, skew_holds: bool):
     one, so residuals and their order are those of the full loop, which
     runs as it is when skew-symmetry fails.
     """
-    n = algebra.rank
-    unit = [((i, _ONE),) for i in range(n)]
-    jacobiator = partial(_jacobiator, _axiom_tables(algebra.table), unit)
+    n = len(names)
     triples = product(range(n), repeat=3)
     if skew_holds:
         triples = sorted({
@@ -313,46 +314,35 @@ def _jacobi_violations(algebra: ConformalAlgebra, skew_holds: bool):
             for perm in permutations(rep)
         })
     return _violations(
-        "jacobi", algebra.basis, ((*t, jacobiator(*t)) for t in triples)
+        "jacobi:jacobi", names, ((*t, jacobiator(*t)) for t in triples)
     )
 
 
-def check_associativity(algebra: ConformalAlgebra) -> CheckReport:
-    """[[a_l b]_{l+m} c] - [a_l [b_m c]] on basis triples: one contraction per
-    product, of a unit vector against a rewritten pair product, and one
-    subtraction at each coordinate where the inner product is nonzero."""
-    if algebra.kind != ASSOCIATIVE:
-        raise ValueError("associativity applies to associative kind only")
-    n = algebra.rank
-    at = _axiom_tables(algebra.table)
-    unit = [((i, _ONE),) for i in range(n)]
-
-    def associator(i, j, k):
-        outer = spectral_eval(at.lm, n, at.ij[i].get(j, ()), unit[k])
-        inner = spectral_eval(at.l, n, unit[i], at.jk[j].get(k, ()))
-        return tuple(a - b if b else a for a, b in zip(outer, inner))
-
-    return CheckReport(_violations("associativity", algebra.basis, (
-        (i, j, k, associator(i, j, k)) for i, j, k in product(range(n), repeat=3)
-    )))
-
-
 def check_axioms(algebra: ConformalAlgebra) -> CheckReport:
-    """Skew-symmetry plus Jacobi for Lie kind, associativity otherwise.
+    """The one axiom check: skew-symmetry plus Jacobi for Lie kind,
+    associativity otherwise.
 
-    Skew-symmetry reads c_ij(d, l) + c_ji(d, -l-d) straight off the table,
-    the second term through the kernel on two unit vectors.
+    The tables of :func:`_axiom_tables` and the unit vectors are built once
+    per call, for either kind, and each identity is named where its residual
+    is formed: ``skew:skew-symmetry``, ``jacobi:jacobi`` or
+    ``assoc:associativity``.  Skew-symmetry reads c_ij(d, l) + c_ji(d, -l-d)
+    straight off the table, the second term through the kernel on two unit
+    vectors.
     """
-    if algebra.kind == LIE:
-        table, n = algebra.table, algebra.rank
-        unit = [((i, _ONE),) for i in range(n)]
-        at_neg = _sparse(table, -_PL1 - _PD)
-        skew = _violations("skew-symmetry", algebra.basis, (
-            (i, j, tuple(a + b for a, b in zip(
-                table[i][j], spectral_eval(at_neg, n, unit[j], unit[i])
-            )))
-            for i, j in product(range(n), repeat=2)
-        ))
-        jacobi = _jacobi_violations(algebra, skew_holds=not skew)
-        return merge_reports([("skew", CheckReport(skew)), ("jacobi", CheckReport(jacobi))])
-    return merge_reports([("assoc", check_associativity(algebra))])
+    table, n, names = algebra.table, algebra.rank, algebra.basis
+    at = _axiom_tables(table)
+    unit = [((i, _ONE),) for i in range(n)]
+    if algebra.kind == ASSOCIATIVE:
+        associator = partial(_associator, at, unit)
+        return CheckReport(_violations("assoc:associativity", names, (
+            (*t, associator(*t)) for t in product(range(n), repeat=3)
+        )))
+    at_neg = _sparse(table, -_PL1 - _PD)
+    skew = _violations("skew:skew-symmetry", names, (
+        (i, j, tuple(a + b for a, b in zip(
+            table[i][j], spectral_eval(at_neg, n, unit[j], unit[i])
+        )))
+        for i, j in product(range(n), repeat=2)
+    ))
+    jacobi = partial(_jacobiator, at, unit)
+    return CheckReport(skew + _jacobi_violations(jacobi, names, skew_holds=not skew))

@@ -44,6 +44,7 @@ from .deform import (
     _morphism_residuals,
     deformed_algebra,
 )
+from .dsl import parse_poly_text
 from .poly import (
     D,
     L1,
@@ -187,14 +188,6 @@ class ConstraintSystem:
         return tuple(var_name(v) for v in self.unknowns)
 
 
-def _monomial_text(mono: Monomial) -> str:
-    if not mono:
-        return "1"
-    return "*".join(
-        var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in mono
-    )
-
-
 def _normalize(poly: MultiPoly) -> MultiPoly:
     lead = poly.leading()[1]
     return poly if lead == 1 else poly / lead
@@ -232,7 +225,8 @@ def _compile(residuals, unknowns, pair_names, coord_names) -> ConstraintSystem:
                     Equation(
                         eq_poly,
                         Provenance(
-                            pair_names[i], pair_names[j], coord_names[k], _monomial_text(dl)
+                            pair_names[i], pair_names[j], coord_names[k],
+                            str(MultiPoly({dl: 1})),
                         ),
                     )
                 )
@@ -300,12 +294,13 @@ def linear_eliminate(system: ConstraintSystem) -> EliminationResult:
     then replaced everywhere by the rest of the equation, which may still
     mention other unknowns.  Unknowns whose substitution chain resolves to a
     constant are additionally reported as a partial assignment.  An equation
-    reducing to a nonzero constant marks the system unsatisfiable.
+    reducing to a nonzero constant marks the system unsatisfiable, whether
+    it is given so or a substitution makes it one.
     """
     equations = list(system.equations)
     known = list(system.unknowns)
     records: list[SubstitutionRecord] = []
-    unsat: Provenance | None = None
+    unsat = next((eq.provenance for eq in equations if eq.poly.constant_value()), None)
     while unsat is None:
         target = None
         for eq in equations:
@@ -592,8 +587,6 @@ def system_to_json(system: ConstraintSystem) -> dict:
 
 
 def system_from_json(data: dict) -> ConstraintSystem:
-    from .dsl import parse_poly_text
-
     unknowns = []
     for name in data["unknowns"]:
         if not name.startswith("u") or not name[1:].isdecimal():

@@ -52,7 +52,7 @@ from .algebra import (
     _PD, _PL1, _PL2, KINDS, ConformalAlgebra, _table, element_text,
 )
 from .deform import DeformationMap, Morphism
-from .poly import D, L1, MAX_UNKNOWN, MultiPoly, Scalar, scalar_text, unknown
+from .poly import D, L1, MAX_UNKNOWN, MultiPoly, Scalar, scalar_text, unknown, var_name
 
 _RESERVED = {"d", "l", "m"}
 
@@ -266,8 +266,6 @@ class _Parser:
         poly = _as_poly(self._poly_sum())
         bad = sorted(poly.variables() - allow)
         if bad:
-            from .poly import var_name
-
             names = ", ".join(var_name(v) for v in bad)
             self.fail(f"variable {names} not allowed in {what}", start)
         return poly

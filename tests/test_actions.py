@@ -22,7 +22,6 @@ from cfkit.algebra import (
     _sparse,
     _table,
     check_axioms,
-    merge_reports,
 )
 from cfkit.deform import check_deformation_map, deformed_algebra
 from cfkit.poly import D, L1, L2, MultiPoly
@@ -157,7 +156,11 @@ def reference_check_matched_pair(mp: MatchedPair) -> CheckReport:
         parts.append(("Q-bimodule", check_bimodule(mp.R, mp.rhu, mp.lhd)))
         parts.append(("R-bimodule", check_bimodule(mp.Q, mp.rhd, mp.lhu)))
     parts.append(("E", check_axioms(build_bicrossed(mp))))
-    return merge_reports(parts)
+    return CheckReport(tuple(
+        Violation(f"{prefix}:{v.identity}", v.indices, v.residual, v.basis)
+        for prefix, report in parts
+        for v in report.violations
+    ))
 
 
 def corpus_lie_pairs():

@@ -14,7 +14,6 @@ from cfkit.algebra import (
     ConformalAlgebra,
     LIE,
     _products,
-    check_associativity,
     check_axioms,
     element_text,
 )
@@ -371,19 +370,15 @@ class TestJacobi:
 class TestAssociativity:
     def test_four_generator_example_passes(self):
         alg = assoc4_doc().find("algebra", "E4")
-        assert check_associativity(alg).passed
+        assert check_axioms(alg).passed
 
     def test_zero_product_passes(self):
-        assert check_associativity(abelian(ASSOCIATIVE, ("A", "B"))).passed
+        assert check_axioms(abelian(ASSOCIATIVE, ("A", "B"))).passed
 
     def test_corrupted_fails(self):
         alg = load_fixture("negative").find("algebra", "BadE")
-        report = check_associativity(alg)
+        report = check_axioms(alg)
         assert not report.passed
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            check_associativity(vir_algebra())
 
     def test_hoisted_loop_matches_full_loop(self):
         fixtures = [
@@ -393,16 +388,28 @@ class TestAssociativity:
         ]
         randoms = [random_algebra(seed, ASSOCIATIVE)[1] for seed in range(100)]
         for alg in fixtures + randoms:
-            assert texts(check_associativity(alg)) == reference_associativity(alg)
+            expected = [f"assoc:{t}" for t in reference_associativity(alg)]
+            assert texts(check_axioms(alg)) == expected
 
 
 class TestCheckAxioms:
-    def test_dispatch(self):
-        assert check_axioms(vir_algebra()).passed
+    def test_dispatch(self, monkeypatch):
         assert check_axioms(abelian(LIE, ("A", "B", "C"))).passed
         assert check_axioms(sv_doc().find("algebra", "SV")).passed
-        assert check_axioms(assoc4_doc().find("algebra", "E4")).passed
         assert not check_axioms(bad_vir()).passed
+        # either kind builds its axiom tables once per call
+        builds = []
+        inner = algebra_module._axiom_tables
+
+        def counting(table):
+            builds.append(table)
+            return inner(table)
+
+        monkeypatch.setattr(algebra_module, "_axiom_tables", counting)
+        for algebra in (vir_algebra(), assoc4_doc().find("algebra", "E4")):
+            builds.clear()
+            assert check_axioms(algebra).passed
+            assert builds == [algebra.table]
 
 
 class TestTableRefused:

@@ -550,6 +550,14 @@ class TestSolveCap:
         report = json.loads(Path("s.json").read_text())
         assert report["solutions"] == [{"u0": "0"}]
 
+    def test_given_constant_equation_is_unsatisfiable(self, workdir):
+        system = {"unknowns": ["u0"], "equations": [_equation("1"), _equation("2")]}
+        Path("sys.json").write_text(json.dumps(system))
+        assert run(["solve", "sys.json", "--json", "r.json"]) == 0
+        report = json.loads(Path("r.json").read_text())
+        assert report["elimination"]["unsatisfiable"] is True
+        assert report["solutions"] == []
+
 
 class TestOutputs:
     def test_bicrossed_writes_serialized_algebra(self, workdir):

@@ -149,6 +149,15 @@ class TestLinearEliminate:
         sys_ = system([unknown(0), unknown(1)], [u0 - 1, u0 - 2])
         result = linear_eliminate(sys_)
         assert result.unsatisfiable is not None
+        # a system given a nonzero constant equation is refused before any
+        # substitution; a zero one is no constraint
+        given = ConstraintSystem(
+            (unknown(0),), (eq(u0 - 1), eq(MultiPoly.const(1), "constant"))
+        )
+        result = linear_eliminate(given)
+        assert result.unsatisfiable == Provenance("constant", "constant", "constant", "1")
+        assert not result.records
+        assert linear_eliminate(system([unknown(0)], [MultiPoly.zero()])).unsatisfiable is None
 
     def test_sv_eliminates_second_row_coefficients(self):
         pair = sv_doc().find("matched", "SVP")
