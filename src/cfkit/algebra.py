@@ -204,11 +204,12 @@ def _as_right(pairs, s: MultiPoly) -> Pairs:
     return tuple((i, c.substitute(D, shifted)) for i, c in pairs if c)
 
 
-def _products(table: Table, n: int, elements):
+def _products(table: Table, elements):
     """Yield ``(i, j, [x_i _l x_j])`` for every ordered pair of ``elements``,
     coordinate tuples multiplied through ``table`` (stored at ``l``) into
-    coefficient vectors of length ``n``.  Each element is rewritten once as
-    a left and once as a right argument, however many pairs it enters."""
+    coefficient vectors of its width.  Each element is rewritten once as a
+    left and once as a right argument, however many pairs it enters."""
+    n = len(table)
     sparse = _sparse(table)
     left = [_as_left(enumerate(x), _PL1) for x in elements]
     right = [_as_right(enumerate(x), _PL1) for x in elements]

@@ -16,9 +16,12 @@ invertible map of Q, a ``deform`` or ``equiv`` map not defined on
 ``--pair``, or a ``--json`` or ``-o`` path that cannot be written), 3 a
 resource cap was exceeded (a table coefficient over the (d, l)-degree
 budget, a ``constraints --degree`` over its budget, a ``constraints``
-ansatz with more unknowns than the index cap allows, the grid-search
-unknown cap, point budget or power-table budget in ``solve`` and ``equiv``,
-or the derived-series depth in ``structure``).
+ansatz with more unknowns than the index cap allows, the elimination's
+substitution budget, the grid-search unknown cap, point budget or
+power-table budget in ``solve`` and ``equiv``, a monomial over the
+polynomial degree guard, or the derived-series depth in ``structure``).
+Every cap but the depth raises :class:`cfkit.poly.CapExceeded`, whose
+message is printed to stderr and kept as the report's ``error``.
 Reports are byte-identical across runs for identical inputs, except for the
 ``timings`` field, which golden comparisons drop.
 """
@@ -41,7 +44,7 @@ from .algebra import CheckReport, LIE, check_axioms, element_text
 from .dsl import (
     MAX_DIGITS, Document, Item, ParseError, item_tables, serialize, try_parse,
 )
-from .poly import MAX_UNKNOWN, scalar_text
+from .poly import MAX_UNKNOWN, CapExceeded, scalar_text
 
 SCHEMA = 1
 
@@ -66,12 +69,6 @@ MAX_ANSATZ_DEGREE = 4
 
 class _InputError(Exception):
     pass
-
-
-class DegreeCapExceeded(ValueError):
-    """A table coefficient's (d, l)-degree is above :data:`MAX_ENTRY_DEGREE`,
-    a ``constraints --degree`` above :data:`MAX_ANSATZ_DEGREE`, or an ansatz
-    with more unknowns than ``u0`` to ``u{MAX_UNKNOWN}``."""
 
 
 def _write(path: str, text: str) -> None:
@@ -137,7 +134,7 @@ def _require_degree_budget(document: Document) -> None:
                 for j, entry in enumerate(row):
                     degree = max((coeff.degree() for coeff in entry), default=-1)
                     if degree > MAX_ENTRY_DEGREE:
-                        raise DegreeCapExceeded(
+                        raise CapExceeded(
                             f"{item.kind} {item.name}: {spell.format(left[i], right[j])}"
                             f" has (d, l)-degree {degree},"
                             f" over the budget of {MAX_ENTRY_DEGREE}"
@@ -268,12 +265,12 @@ def cmd_constraints(args, report: dict) -> None:
     document = _load(args, report)
     pair = _find(document, "matched", args.pair)
     if args.degree > MAX_ANSATZ_DEGREE:
-        raise DegreeCapExceeded(
+        raise CapExceeded(
             f"--degree {args.degree} is over the budget of {MAX_ANSATZ_DEGREE}"
         )
     count = pair.Q.rank * pair.R.rank * (args.degree + 1)
     if count > MAX_UNKNOWN + 1:
-        raise DegreeCapExceeded(
+        raise CapExceeded(
             f"the ansatz needs {count} unknowns, over the cap of {MAX_UNKNOWN + 1}"
             f" (u0 to u{MAX_UNKNOWN})"
         )
@@ -308,10 +305,13 @@ def cmd_solve(args, report: dict) -> None:
         raise _InputError(f"bad system {args.system}: {type(exc).__name__}: {exc}")
     _inputs(report, {Path(args.system).name: json.dumps(data)}, {})
     elimination = cons.linear_eliminate(system)
-    values = cons.grid_values(args.grid_num, args.grid_den)
-    partials = cons.grid_search(elimination.system, values, cap=args.cap)
-    solutions = [cons.assignment_text(elimination.extend(p)) for p in partials]
     report["elimination"] = _elimination(elimination)
+    solutions = []
+    # a refuted system has no solution to search for, whatever its size
+    if elimination.unsatisfiable is None:
+        values = cons.grid_values(args.grid_num, args.grid_den)
+        partials = cons.grid_search(elimination.system, values, cap=args.cap)
+        solutions = [cons.assignment_text(elimination.extend(p)) for p in partials]
     report["solutions"] = solutions
     report["grid"] = {"num": args.grid_num, "den": args.grid_den}
     print(f"solve: {len(solutions)} solutions")
@@ -483,10 +483,8 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    except (cons.GridCapExceeded, DegreeCapExceeded) as exc:
-        if isinstance(exc, DegreeCapExceeded):
-            # the entry it names is the one thing to edit in the input
-            print(str(exc), file=sys.stderr)
+    except CapExceeded as exc:
+        print(str(exc), file=sys.stderr)
         report["error"] = str(exc)
         capped = True
     report["timings"] = {"total_ms": int((time.monotonic() - started) * 1000)}

@@ -12,19 +12,20 @@ automorphism between two deformed algebras, which is how
 :func:`search_equivalence_diagonal` looks for equivalence witnesses.
 
 Solving is deliberately modest: repeated elimination through equations that
-are degree one in some unknown with a constant leading coefficient, then an
-exhaustive search of a finite rational grid, capped in the number of
-residual unknowns, in the number of grid points and in the cells of the
-power tables its integer forms read.  The search is exact
-integer arithmetic: each equation is cleared to an integer form, every
-unknown by its own value's denominator, so no integer outgrows the values
-visited, and each is tested once, on the prefix of the point that assigns
-its last unknown, so a failing prefix prunes every point that extends it.  The point budget still counts every
-point of the grid, |values|^k, pruned or not, and is checked before any value
-is built: :func:`grid_values` counts the grid without listing it.  So is the
-table budget, which the equations' exponents alone determine.  Residual nonlinear systems
-are reported as-is; non-existence claims never extend beyond the searched
-grid.
+are degree one in some unknown with a constant leading coefficient, capped
+in the terms its substitutions form, then an exhaustive search of a finite
+rational grid, capped in the number of residual unknowns, in the number of
+grid points and in the cells of the power tables its integer forms read.
+The search is exact integer arithmetic: each equation is cleared to an
+integer form, every unknown by its own value's denominator, so no integer
+outgrows the values visited, and each is tested once, on the prefix of the
+point that assigns its last unknown, so a failing prefix prunes every point
+that extends it.  The point budget still counts every point of the grid,
+|values|^k, pruned or not, and is checked before any value is built:
+:func:`grid_values` counts the grid without listing it.  So is the table
+budget, which the equations' exponents alone determine.  Residual nonlinear
+systems are reported as-is; non-existence claims never extend beyond the
+searched grid.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import comb, gcd
 
 from .actions import MatchedPair
 from .deform import (
@@ -48,6 +49,7 @@ from .dsl import parse_poly_text
 from .poly import (
     D,
     L1,
+    CapExceeded,
     Monomial,
     MultiPoly,
     _monomial,
@@ -60,14 +62,15 @@ from .poly import (
 Assignment = dict[int, Fraction]
 
 
-class GridCapExceeded(ValueError):
-    """Too many residual unknowns or grid points for an exhaustive search."""
-
-
 #: Most grid points one search may cover, counted as |values|^k whether or
 #: not pruning skips them: 400 times the corpus's largest search, 7^4 = 2401
 #: points.
 MAX_GRID_POINTS = 10**6
+
+#: Most terms one elimination may form in the powers of its replacements,
+#: bounded before each step.  The corpus's largest count is 223; one of
+#: 11 238 513 took 71 s and 1.7 GB (Python 3.11, 2-core x86 host).
+MAX_SUBSTITUTION_CELLS = 10**6
 
 #: Most residual unknowns a grid search takes by default.
 MAX_UNKNOWNS = 6
@@ -296,10 +299,17 @@ def linear_eliminate(system: ConstraintSystem) -> EliminationResult:
     constant are additionally reported as a partial assignment.  An equation
     reducing to a nonzero constant marks the system unsatisfiable, whether
     it is given so or a substitution makes it one.
+
+    A replacement of T terms, substituted for an unknown of degree e,
+    forms powers holding at most C(e + T, T) terms.  These bounds are
+    summed, before each step, over every equation holding the unknown and
+    across the whole elimination; :class:`CapExceeded` refuses the step
+    that takes the sum past :data:`MAX_SUBSTITUTION_CELLS`.
     """
     equations = list(system.equations)
     known = list(system.unknowns)
     records: list[SubstitutionRecord] = []
+    cells = 0
     unsat = next((eq.provenance for eq in equations if eq.poly.constant_value()), None)
     while unsat is None:
         target = None
@@ -318,6 +328,16 @@ def linear_eliminate(system: ConstraintSystem) -> EliminationResult:
         if not target:
             break
         eq, var, replacement = target
+        width = len(replacement._terms)
+        for other in equations:
+            top = other.poly.degree(var)
+            if top > 0:
+                cells += comb(top + width, width)
+        if cells > MAX_SUBSTITUTION_CELLS:
+            raise CapExceeded(
+                f"substituting for {var_name(var)} takes the elimination to"
+                f" {cells} power terms, over the budget of {MAX_SUBSTITUTION_CELLS}"
+            )
         records.append(SubstitutionRecord(var, replacement, eq.provenance))
         known.remove(var)
         updated: list[Equation] = []
@@ -369,7 +389,7 @@ class _Grid(Sequence):
             # than any search may visit.  Past this check min(N, Dmax) is at
             # most MAX_GRID_POINTS / 4, so the sieve stays small and the
             # count fits an index
-            raise GridCapExceeded(
+            raise CapExceeded(
                 f"a grid of numerators up to {num} and denominators up to {den}"
                 f" has more than {MAX_GRID_POINTS} values"
             )
@@ -429,11 +449,11 @@ def _check_grid(k: int, size: int, cap: int) -> None:
     """Refuse a search of ``k`` unknowns over ``size`` values past the cap on
     unknowns or the point budget."""
     if k > cap:
-        raise GridCapExceeded(
+        raise CapExceeded(
             f"{k} unknowns exceed the exhaustive-search cap of {cap}"
         )
     if size**k > MAX_GRID_POINTS:
-        raise GridCapExceeded(
+        raise CapExceeded(
             f"{size}^{k} grid points exceed the exhaustive-search budget"
             f" of {MAX_GRID_POINTS}"
         )
@@ -497,7 +517,7 @@ def grid_search(
     shapes = {shape for form, _ in forms for _, factors in form for _, shape in factors}
     weight = sum(e for _, e in shapes)
     if size * weight > MAX_TABLE_CELLS:
-        raise GridCapExceeded(
+        raise CapExceeded(
             f"{size}*{weight} power-table cells exceed the exhaustive-search"
             f" budget of {MAX_TABLE_CELLS}"
         )
@@ -538,7 +558,7 @@ def search_equivalence_diagonal(
     one deformed by ``psi``, in grid order.
 
     The morphism identity over ``diag(u0, ..., u_{n-1})`` is compiled,
-    eliminated and grid-searched, so :class:`GridCapExceeded` bounds the
+    eliminated and grid-searched, so :class:`CapExceeded` bounds the
     work.  An empty result means "not found within the searched family".
     """
     n = mp.Q.rank
@@ -568,7 +588,7 @@ def search_equivalence_diagonal(
         if all(full[u] in index for u in unknowns):
             found.append([index[full[u]] for u in unknowns])
     return [
-        Morphism(mp.Q, mp.Q, diagonal([MultiPoly.const(nonzero[k]) for k in ks]))
+        Morphism(source, target, diagonal([MultiPoly.const(nonzero[k]) for k in ks]))
         for ks in sorted(found)
     ]
 

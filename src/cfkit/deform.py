@@ -90,7 +90,7 @@ def _graph_products(mp: MatchedPair, matrix: Matrix):
     """
     nr, nq = mp.R.rank, mp.Q.rank
     graph = [tuple(matrix[i]) + mp.Q.basis_element(i) for i in range(nq)]
-    for i, j, prod in _products(mp.bicrossed.table, nr + nq, graph):
+    for i, j, prod in _products(mp.bicrossed.table, graph):
         yield i, j, prod[:nr], prod[nr:]
 
 
@@ -140,7 +140,7 @@ def _morphism_residuals(
     """Yield ``(i, j, h(e_i e_j) - h(e_i) h(e_j))`` for the map ``h`` given by
     ``matrix``; symbolic entries carrying ansatz unknowns ride along inertly.
     The products ``h(e_i) h(e_j)`` are :func:`_products` of the rows."""
-    for i, j, prod in _products(target.table, target.rank, matrix):
+    for i, j, prod in _products(target.table, matrix):
         lhs = apply_matrix(matrix, source.table[i][j])
         yield i, j, tuple(a - b for a, b in zip(lhs, prod))
 

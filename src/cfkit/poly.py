@@ -32,7 +32,8 @@ two monomials is the sum of their keys.  No monomial of total degree
 ``2^15`` or more is ever formed: every exponent and every total degree is
 then below ``2^15``, a sum of two keys carries from no field into the next,
 and a key whose bit 15 is set marks a product over the degree guard, which
-raises :class:`DegreeOverflow` instead of yielding wrong exponents.  Keys
+raises :class:`CapExceeded`, the package's one exception for every resource
+cap, instead of yielding wrong exponents.  Keys
 are decoded back to ``(variable, exponent)`` tuples only where a term is
 handed out (:meth:`MultiPoly.terms`, :meth:`MultiPoly.leading`, rendering),
 through two bounded memos of the decoded monomial and its sort key; degrees,
@@ -72,8 +73,8 @@ _FIELD = (1 << _BITS) - 1
 _OVER = MAX_DEGREE + 1  # bit 15: set in a key exactly when its degree is over
 
 
-class DegreeOverflow(ArithmeticError):
-    """A monomial of total degree over :data:`MAX_DEGREE` would be formed."""
+class CapExceeded(ValueError):
+    """A computation would go over a resource cap: the CLI exits 3 with the message."""
 
 
 def unknown(k: int) -> int:
@@ -118,7 +119,7 @@ def _pack(mono: Monomial) -> int:
             raise ValueError(f"malformed monomial {mono!r}")
         degree += exp
         if degree > MAX_DEGREE:
-            raise DegreeOverflow(f"monomial {mono!r} is over the degree guard {MAX_DEGREE}")
+            raise CapExceeded(f"monomial {mono!r} is over the degree guard {MAX_DEGREE}")
         key |= exp << _shift(var)
         last = var
     return key | degree
@@ -130,7 +131,7 @@ def _guard(keys) -> None:
     is set exactly when its degree is over."""
     for key in keys:
         if key & _OVER:
-            raise DegreeOverflow(f"a product is over the degree guard {MAX_DEGREE}")
+            raise CapExceeded(f"a product is over the degree guard {MAX_DEGREE}")
 
 
 @lru_cache(maxsize=4096)

@@ -175,7 +175,7 @@ def derived_subalgebra(algebra: ConformalAlgebra, sub: Submodule) -> Submodule:
     if any(len(row) != algebra.rank for row in sub.generators):
         raise ValueError("element rank does not match algebra rank")
     rows: list[PolyRow] = []
-    for _, _, prod in _products(algebra.table, algebra.rank, sub.generators):
+    for _, _, prod in _products(algebra.table, sub.generators):
         split = [c.coefficient_list(L1) for c in prod]
         depth = max((len(s) for s in split), default=0)
         for t in range(depth):

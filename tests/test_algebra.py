@@ -251,7 +251,7 @@ class TestKernelMatchesReference:
     def test_products_at_l(self, case):
         algebra, x, y = case
         elements = (x, y)
-        products = list(_products(algebra.table, algebra.rank, elements))
+        products = list(_products(algebra.table, elements))
         assert [(i, j) for i, j, _ in products] == list(product(range(2), repeat=2))
         for i, j, prod in products:
             expected = reference_spectral_eval(

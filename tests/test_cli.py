@@ -365,9 +365,46 @@ class TestSolveCap:
         Path("sys.json").write_text(json.dumps(system))
         assert run(["solve", "sys.json", "--json", "r.json"]) == 3
         report = json.loads(Path("r.json").read_text())
-        assert "error" in report
-        # a grid cap is reported in the report only
-        assert capsys.readouterr().err == ""
+        message = "7 unknowns exceed the exhaustive-search cap of 6"
+        assert report["error"] == message
+        # every cap is printed as well as reported
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_degree_guard_exits_3(self, workdir, capsys):
+        # u0 -> -u1^63 and u1 -> -u2^63 take u0^64 to degree 254 016
+        polys = ["u0 + u1^63", "u1 + u2^63", "u0^64"]
+        system = {"unknowns": ["u0", "u1", "u2"], "equations": [_equation(p) for p in polys]}
+        Path("sys.json").write_text(json.dumps(system))
+        assert run(["solve", "sys.json", "--json", "r.json"]) == 3
+        message = "a product is over the degree guard 32767"
+        assert json.loads(Path("r.json").read_text())["error"] == message
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_substitution_budget_exits_3_at_once(self, workdir, capsys):
+        # u0 -> -(u1 + ... + u5) in u0^64: powers of up to C(69, 5) terms
+        sums = " + ".join(f"u{k}" for k in range(6))
+        system = {
+            "unknowns": [f"u{k}" for k in range(6)],
+            "equations": [_equation(sums), _equation("u0^64")],
+        }
+        Path("sys.json").write_text(json.dumps(system))
+        started = time.monotonic()
+        assert run(["solve", "sys.json"]) == 3
+        assert time.monotonic() - started < 1.0
+        assert capsys.readouterr().err == (
+            "substituting for u0 takes the elimination to 11238519 power terms,"
+            " over the budget of 1000000\n"
+        )
+
+    def test_refuted_system_skips_the_search(self, workdir):
+        # 7 unknowns are over the search's cap, but a refuted system is not searched
+        system = {"unknowns": [f"u{k}" for k in range(7)], "equations": [_equation("1")]}
+        Path("sys.json").write_text(json.dumps(system))
+        assert run(["solve", "sys.json", "--json", "r.json"]) == 0
+        report = json.loads(Path("r.json").read_text())
+        assert report["elimination"]["unsatisfiable"] is True
+        assert report["solutions"] == []
+        assert "error" not in report
 
     def test_fine_grid_stays_small(self, workdir):
         # 16001 values with denominators up to 8000, whose common denominator

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -8,8 +9,8 @@ import pytest
 
 import cfkit.constraints
 from cfkit.constraints import (
+    MAX_SUBSTITUTION_CELLS,
     AnsatzSpec,
-    GridCapExceeded,
     compile_deformation_constraints,
     grid_search,
     grid_values,
@@ -21,7 +22,7 @@ from cfkit.constraints import (
 )
 from cfkit.constraints import ConstraintSystem, Equation, Provenance
 from cfkit.deform import DeformationMap, check_deformation_map
-from cfkit.poly import D, MultiPoly, unknown
+from cfkit.poly import D, CapExceeded, MultiPoly, unknown
 
 from helpers import assoc4_doc, sv_doc, wab_doc
 
@@ -227,6 +228,32 @@ class TestLinearEliminate:
             )
         assert seen["unresolved"] and seen["chained"]
 
+    def test_substitution_budget_accumulates(self, monkeypatch):
+        # u0 -> -u1 meets u0 + u1 and u0^2: C(2, 1) + C(3, 1) = 5 terms; then
+        # u1 -> -u2 meets u1 + u2 and u1^2: 5 more
+        sys_ = system([unknown(k) for k in range(3)], [u0 + u1, u1 + u2, u0 * u0])
+        monkeypatch.setattr(cfkit.constraints, "MAX_SUBSTITUTION_CELLS", 10)
+        assert linear_eliminate(sys_).system.equations[0].poly == u2 * u2
+        monkeypatch.setattr(cfkit.constraints, "MAX_SUBSTITUTION_CELLS", 9)
+        message = "^substituting for u1 takes the elimination to 10 power terms,"
+        with pytest.raises(CapExceeded, match=message + " over the budget of 9$"):
+            linear_eliminate(sys_)
+
+    def test_substitution_budget(self):
+        # u0 -> -(u1 + ... + uk) in u0^64 forms powers of at most C(64 + k, k)
+        # terms: 814 385 pass at k = 4, 11 238 513 are refused at once at k = 5
+        def summands(k):
+            us = [MultiPoly.var(unknown(i)) for i in range(k + 1)]
+            return system([unknown(i) for i in range(k + 1)], [sum(us[1:], u0), u0**64])
+
+        assert 814385 + 5 <= MAX_SUBSTITUTION_CELLS < 11238513 + 6
+        assert linear_eliminate(summands(4)).records[0].var == unknown(0)
+        started = time.monotonic()
+        message = "^substituting for u0 takes the elimination to 11238519 power terms"
+        with pytest.raises(CapExceeded, match=message):
+            linear_eliminate(summands(5))
+        assert time.monotonic() - started < 1.0
+
 
 def reference_resolve(records, known):
     """The forward fixed-point loop the reverse pass replaced."""
@@ -278,7 +305,8 @@ class TestGrid:
 
     def test_cap(self):
         sys_ = system([unknown(k) for k in range(7)], [])
-        with pytest.raises(GridCapExceeded):
+        message = "^7 unknowns exceed the exhaustive-search cap of 6$"
+        with pytest.raises(CapExceeded, match=message):
             grid_search(sys_, grid_values(1, 1))
 
     def test_point_budget_enumerates_nothing(self, monkeypatch):
@@ -289,7 +317,7 @@ class TestGrid:
 
         monkeypatch.setattr(cfkit.constraints, "_satisfies", visited)
         sys_ = system([unknown(k) for k in range(6)], [])
-        with pytest.raises(GridCapExceeded, match="799\\^6 grid points"):
+        with pytest.raises(CapExceeded, match="799\\^6 grid points"):
             grid_search(sys_, grid_values(25, 25))
 
     def test_four_generator_relation(self):

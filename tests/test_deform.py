@@ -248,6 +248,19 @@ class TestEquivalence:
         )
         assert check_equivalence(pair, psi, phi, inverse).passed
 
+    def test_witness_maps_the_deformed_algebras(self):
+        doc = sv_doc(a=0, b=5)
+        pair = doc.find("matched", "SVP")
+        phi = doc.find("defmap", "psib")
+        psi = doc.find("defmap", "psi1")
+        source, target = deformed_algebra(pair, phi), deformed_algebra(pair, psi)
+        assert source != pair.Q
+        witnesses = search_equivalence_diagonal(pair, phi, psi, grid_values(25, 1))
+        assert witnesses
+        for w in witnesses:
+            assert (w.source, w.target) == (source, target)
+            assert check_morphism(w).passed
+
     def test_no_diagonal_witness_for_zero_twist(self):
         doc = sv_doc(a=0, b=0)
         pair = doc.find("matched", "SVP")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfkit.poly import (
-    D, L1, L2, MAX_DEGREE, MAX_UNKNOWN, DegreeOverflow, MultiPoly, _monomial, _pack,
+    D, L1, L2, MAX_DEGREE, MAX_UNKNOWN, CapExceeded, MultiPoly, _monomial, _pack,
     scalar_text, unknown, var_name,
 )
 from cfkit.structure import hermite_normal_form, poly_deg, poly_divmod
@@ -607,15 +607,17 @@ class TestPackedKeys:
             (((D, 16383), (L1, 16384)), 1)
         ]
         assert MultiPoly.var(D, MAX_DEGREE - 1) * d == top
-        with pytest.raises(DegreeOverflow):
+        packed = "^monomial .* is over the degree guard 32767$"
+        product = "^a product is over the degree guard 32767$"
+        with pytest.raises(CapExceeded, match=packed):
             MultiPoly.var(D, MAX_DEGREE + 1)
-        with pytest.raises(DegreeOverflow):
+        with pytest.raises(CapExceeded, match=packed):
             MultiPoly({((D, 1), (TOP, MAX_DEGREE)): 1})
-        with pytest.raises(DegreeOverflow):
+        with pytest.raises(CapExceeded, match=product):
             top * l
-        with pytest.raises(DegreeOverflow):
+        with pytest.raises(CapExceeded, match=product):
             (d + 1) * MultiPoly.var(L2, MAX_DEGREE)
-        with pytest.raises(DegreeOverflow):
+        with pytest.raises(CapExceeded, match=product):
             (d**2 + l).substitute(D, MultiPoly.var(L1, 16384))
         assert (d**2 * l + l).substitute(D, MultiPoly.var(L1, 16383)) == (
             MultiPoly.var(L1, MAX_DEGREE) + l
