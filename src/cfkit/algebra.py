@@ -22,9 +22,11 @@ rewritten once, however many products it enters.
 :func:`check_axioms` is the one axiom check, for either kind.  It builds,
 once per call, the sparse table at ``l``, ``m`` and ``l + m`` and the
 nonzero pair products already rewritten as arguments, the structure
-constants c_jk(d+l, m), c_ij(-l-m, l) and c_ik(d+m, l); each product of an
-identity is one contraction of a unit vector against them, and each
-residual subtracts only at coordinates where some product is nonzero.  Each
+constants c_jk(d+l, m), c_ij(-l-m, l) and c_ik(d+m, l); each product of a
+Jacobi or associativity identity is one contraction of a unit vector against
+them, skew-symmetry is read off the table at ``l`` and ``-l-d`` with no
+contraction, and each residual adds or subtracts only at coordinates where
+some term is nonzero.  Each
 identity is named where its residual is formed, prefix included, so no
 report is rebuilt to rename its violations.
 """
@@ -116,11 +118,6 @@ class ConformalAlgebra:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def basis_element(self, i: int) -> Element:
-        coords = [MultiPoly.zero()] * self.rank
-        coords[i] = MultiPoly.const(1)
-        return tuple(coords)
 
 
 def _check_table(table: Table, shape: tuple[int, int, int], what: str) -> None:
@@ -327,8 +324,8 @@ def check_axioms(algebra: ConformalAlgebra) -> CheckReport:
     per call, for either kind, and each identity is named where its residual
     is formed: ``skew:skew-symmetry``, ``jacobi:jacobi`` or
     ``assoc:associativity``.  Skew-symmetry reads c_ij(d, l) + c_ji(d, -l-d)
-    straight off the table, the second term through the kernel on two unit
-    vectors.
+    straight off the table and its sparse form at ``-l-d``, adding only at
+    the coordinates where c_ji is nonzero.
     """
     table, n, names = algebra.table, algebra.rank, algebra.basis
     at = _axiom_tables(table)
@@ -339,11 +336,13 @@ def check_axioms(algebra: ConformalAlgebra) -> CheckReport:
             (*t, associator(*t)) for t in product(range(n), repeat=3)
         )))
     at_neg = _sparse(table, -_PL1 - _PD)
+
+    def skew_sum(i, j) -> Element:
+        c_ji = dict(at_neg[j].get(i, ()))
+        return tuple(a + c_ji[k] if k in c_ji else a for k, a in enumerate(table[i][j]))
+
     skew = _violations("skew:skew-symmetry", names, (
-        (i, j, tuple(a + b for a, b in zip(
-            table[i][j], spectral_eval(at_neg, n, unit[j], unit[i])
-        )))
-        for i, j in product(range(n), repeat=2)
+        (i, j, skew_sum(i, j)) for i, j in product(range(n), repeat=2)
     ))
     jacobi = partial(_jacobiator, at, unit)
     return CheckReport(skew + _jacobi_violations(jacobi, names, skew_holds=not skew))

@@ -40,7 +40,9 @@ from . import constraints as cons
 from . import deform as dfm
 from . import structure as struct
 from .actions import check_b1_b2_direct, check_matched_pair
-from .algebra import CheckReport, LIE, check_axioms, element_text
+from .algebra import (
+    LIE, CheckReport, ConformalAlgebra, _violations, check_axioms, element_text,
+)
 from .dsl import (
     MAX_DIGITS, Document, Item, ParseError, item_tables, serialize, try_parse,
 )
@@ -252,13 +254,15 @@ def cmd_deform(args, report: dict) -> None:
     document = _load(args, report)
     pair = _find(document, "matched", args.pair)
     mapping = _defmap(document, args.map, pair, args.pair)
-    deformation = dfm.check_deformation_map(pair, mapping)
+    table, residuals = dfm._graph(pair, mapping.matrix)  # one pass for both
+    deformation = CheckReport(_violations("deformation", pair.R.basis, residuals))
     report["checks"].append(_entry(f"deformation_map:{args.map}", deformation))
     if deformation.passed:
         # the graph is a subalgebra exactly when the map passes
         report["checks"].append(_entry(f"graph_embedding:{args.map}", deformation))
     # the deformed table is still produced on failure, for diagnostics
-    _output(args, report, document, f"{args.map}_Q", dfm.deformed_algebra(pair, mapping))
+    twisted = ConformalAlgebra(pair.kind, pair.Q.basis, table)
+    _output(args, report, document, f"{args.map}_Q", twisted)
 
 
 def cmd_constraints(args, report: dict) -> None:

@@ -41,7 +41,7 @@ from .deform import (
     DeformationMap,
     Matrix,
     Morphism,
-    _deformation_residuals,
+    _graph,
     _morphism_residuals,
     deformed_algebra,
 )
@@ -247,7 +247,7 @@ def compile_deformation_constraints(
     """
     if ansatz.q_rank != mp.Q.rank or ansatz.r_rank != mp.R.rank:
         raise ValueError("ansatz shape does not match the matched pair")
-    residuals = _deformation_residuals(mp, ansatz.symbolic_matrix())
+    _, residuals = _graph(mp, ansatz.symbolic_matrix())
     return _compile(residuals, ansatz.unknowns, mp.Q.basis, mp.R.basis)
 
 

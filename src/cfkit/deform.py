@@ -1,13 +1,14 @@
 """Deformation maps, deformed algebras, and equivalence.
 
 A deformation map ``φ: Q -> R`` is a module homomorphism, stored as a matrix
-of ``d``-polynomials.  Every identity here is read off the products of graph
-elements ``(φe_i, e_i)`` in the bicrossed product ``E = R ⋈ Q``, coordinate
-tuples split into an R part ``r`` and a Q part ``q``: ``φ`` is a deformation
-map when ``φ(q) = r``, which is when the graph is a subalgebra of ``E``,
-``q`` is the deformed product, and ``α`` makes two maps equivalent when it
-is a morphism between their deformed algebras.  Residuals are subtracted
-coordinate by coordinate.  Only
+of ``d``-polynomials.  :func:`_graph` takes the products of the graph
+elements ``(φe_i, e_i)`` in the bicrossed product ``E = R ⋈ Q`` once, split
+into an R part ``r`` and a Q part ``q``, and both halves of the deformation
+statement are read off that one pass: ``φ`` is a deformation map when
+``φ(q) = r``, which is when the graph is a subalgebra of ``E`` (after Agore
+and Militaru), and ``q`` is the deformed product.  ``α`` makes two maps
+equivalent when it is a morphism between their deformed algebras.  Residuals
+are subtracted coordinate by coordinate.  Only
 :func:`build_bicrossed` expands the cross actions, once per pair
 (``mp.bicrossed``).  Every product here, of graph elements or of morphism
 images, is taken by :func:`cfkit.algebra._products`, which rewrites each
@@ -80,29 +81,25 @@ def apply_matrix(matrix: Matrix, coords: tuple[MultiPoly, ...]) -> tuple[MultiPo
     return tuple(out)
 
 
-def _graph_products(mp: MatchedPair, matrix: Matrix):
-    """Yield ``(i, j, r_part, q_part)`` for every pair of Q-basis indices.
-
-    The two parts split the product, at spectral parameter ``l``, of the
-    graph elements ``(φe_i, e_i)`` and ``(φe_j, e_j)`` inside the bicrossed
-    product, where ``φ`` is ``matrix``: :func:`_products` of the graph
-    elements against E's table.
-    """
+def _graph(mp: MatchedPair, matrix: Matrix):
+    """The products at ``l`` of the graph elements ``(φe_i, e_i)``, ``φ``
+    being ``matrix``, taken once by :func:`_products`: the raw table of
+    their Q parts ``q``, which is the deformed table, and a lazy generator of
+    the residuals ``(i, j, φ(q) - r)``, ``r`` their R parts, so a caller
+    that reads only the table forms none.  Ansatz unknowns in a symbolic
+    matrix ride along inertly, as every substitution acts on ``d`` and ``l``
+    alone."""
     nr, nq = mp.R.rank, mp.Q.rank
-    graph = [tuple(matrix[i]) + mp.Q.basis_element(i) for i in range(nq)]
-    for i, j, prod in _products(mp.bicrossed.table, graph):
-        yield i, j, prod[:nr], prod[nr:]
-
-
-def _deformation_residuals(mp: MatchedPair, matrix: Matrix):
-    """Residuals ``φ(q_part) - r_part`` of the deformation identity.
-
-    Works for symbolic matrices whose entries carry ansatz unknowns; all
-    substitutions act on ``d`` and ``l`` alone, so unknowns ride along
-    inertly.
-    """
-    for i, j, r_part, q_part in _graph_products(mp, matrix):
-        yield i, j, tuple(a - b for a, b in zip(apply_matrix(matrix, q_part), r_part))
+    zero, one = MultiPoly.zero(), MultiPoly.const(1)
+    graph = [tuple(row) + (zero,) * i + (one,) + (zero,) * (nq - 1 - i)
+             for i, row in enumerate(matrix)]
+    products = list(_products(mp.bicrossed.table, graph))
+    table = tuple(tuple(p[nr:] for *_, p in products[i * nq:(i + 1) * nq]) for i in range(nq))
+    residuals = (
+        (i, j, tuple(a - b for a, b in zip(apply_matrix(matrix, p[nr:]), p[:nr])))
+        for i, j, p in products
+    )
+    return table, residuals
 
 
 def _require_pair(mp: MatchedPair, dm: DeformationMap) -> None:
@@ -114,24 +111,20 @@ def check_deformation_map(mp: MatchedPair, dm: DeformationMap) -> CheckReport:
     """The quadratic identity a map must satisfy to twist Q into a complement:
     the graph is closed under the bicrossed product."""
     _require_pair(mp, dm)
-    return CheckReport(
-        _violations("deformation", mp.R.basis, _deformation_residuals(mp, dm.matrix))
-    )
+    _, residuals = _graph(mp, dm.matrix)
+    return CheckReport(_violations("deformation", mp.R.basis, residuals))
 
 
 def deformed_algebra(mp: MatchedPair, dm: DeformationMap) -> ConformalAlgebra:
-    """Q with the product of the graph carried back to it: the table of the
-    Q parts of the graph products.
+    """Q with the product of the graph carried back to it: the table half
+    of :func:`_graph`, whose residuals it never forms.
 
     Computed unconditionally so that a failing candidate can still be
     inspected; when the map passes its check the output passes the axioms.
     """
     _require_pair(mp, dm)
-    nq = mp.Q.rank
-    table = [[None] * nq for _ in range(nq)]
-    for i, j, _, q_part in _graph_products(mp, dm.matrix):
-        table[i][j] = q_part
-    return ConformalAlgebra(mp.kind, mp.Q.basis, tuple(tuple(row) for row in table))
+    table, _ = _graph(mp, dm.matrix)
+    return ConformalAlgebra(mp.kind, mp.Q.basis, table)
 
 
 def _morphism_residuals(

@@ -82,6 +82,13 @@ def abelian(kind: str, names: tuple[str, ...]) -> ConformalAlgebra:
     return ConformalAlgebra(kind, tuple(names), _table((n, n, n)))
 
 
+def basis_element(algebra, i: int) -> tuple:
+    """The i-th basis vector of ``algebra`` as a coordinate tuple."""
+    coords = [MultiPoly.zero()] * algebra.rank
+    coords[i] = MultiPoly.const(1)
+    return tuple(coords)
+
+
 def element(algebra, coeffs: dict) -> tuple:
     """The element with coefficient ``coeffs[name]`` on each named basis
     vector and zero elsewhere."""

@@ -29,8 +29,8 @@ from cfkit.poly import D, L1, L2, MultiPoly
 from cfkit import corpus
 from cfkit.dsl import parse_document
 from helpers import (
-    abelian, action_eval, add, assoc4_doc, element, neg, nfold_doc, product_at,
-    reference_spectral_eval, sub, sv_doc, vir_algebra, wab_doc,
+    abelian, action_eval, add, assoc4_doc, basis_element, element, neg, nfold_doc,
+    product_at, reference_spectral_eval, sub, sv_doc, vir_algebra, wab_doc,
 )
 from test_deform import explicit_graph_embedding
 
@@ -73,9 +73,9 @@ def check_module(side: str, alg: ConformalAlgebra, act) -> CheckReport:
     names = tuple(f"v{i}" for i in range(rank))
     violations = []
     for i in range(alg.rank):
-        ei = alg.basis_element(i)
+        ei = basis_element(alg, i)
         for j in range(alg.rank):
-            ej = alg.basis_element(j)
+            ej = basis_element(alg, j)
             for k, vk in enumerate(carrier):
                 if alg.kind == LIE and side == LEFT:
                     residual = add(
@@ -129,11 +129,11 @@ def check_bimodule(alg: ConformalAlgebra, left, right) -> CheckReport:
     violations = list(check_module(LEFT, alg, left).violations)
     violations.extend(check_module(RIGHT, alg, right).violations)
     for i in range(alg.rank):
-        ei = alg.basis_element(i)
+        ei = basis_element(alg, i)
         for k, vk in enumerate(carrier):
             lv = action_eval(left, ei, vk, _PL1)
             for j in range(alg.rank):
-                ej = alg.basis_element(j)
+                ej = basis_element(alg, j)
                 residual = sub(
                     action_eval(right, lv, ej, _PL1 + _PL2),
                     action_eval(left, ei, action_eval(right, vk, ej, _PL2), _PL1),
@@ -184,14 +184,15 @@ def split_current_pair():
 class TestActionEval:
     def test_wab_action(self):
         pair = wab_doc(2, 0).find("matched", "WP")
-        w = pair.Q.basis_element(0)
-        big_l = pair.R.basis_element(0)
+        w = basis_element(pair.Q, 0)
+        big_l = basis_element(pair.R, 0)
         out = action_eval(pair.lhd, w, big_l, l)
         assert out == (d + 2 * l,)
 
     def test_trivial_action_is_zero(self):
         pair = _matched_pair(LIE, vir_algebra(), abelian(LIE, ("W",)), {})
-        out = action_eval(pair.lhd, pair.Q.basis_element(0), pair.R.basis_element(0), l)
+        w, big_l = basis_element(pair.Q, 0), basis_element(pair.R, 0)
+        out = action_eval(pair.lhd, w, big_l, l)
         assert not any(out)
 
     def test_sv_constant_action(self):
@@ -203,8 +204,9 @@ class TestActionEval:
 
     def test_dimension_mismatch(self):
         pair = nfold_doc().find("matched", "NP")
+        big_l = basis_element(pair.R, 0)
         with pytest.raises(ValueError):
-            action_eval(pair.lhd, pair.R.basis_element(0), pair.R.basis_element(0), l)
+            action_eval(pair.lhd, big_l, big_l, l)
 
 
 # the reference laws must hold on the bundled actions and catch broken ones
@@ -494,8 +496,8 @@ def reference_build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
     def pad(r_part, q_part):
         return tuple(r_part or (zero,) * nr) + tuple(q_part or (zero,) * nq)
 
-    r_basis = [mp.R.basis_element(i) for i in range(nr)]
-    q_basis = [mp.Q.basis_element(i) for i in range(nq)]
+    r_basis = [basis_element(mp.R, i) for i in range(nr)]
+    q_basis = [basis_element(mp.Q, i) for i in range(nq)]
     table = [[None] * n for _ in range(n)]
     for i in range(nr):
         for j in range(nr):
@@ -629,8 +631,8 @@ def reference_check_b1_b2_direct(mp: MatchedPair) -> CheckReport:
     """``check_b1_b2_direct`` with every nested term evaluated afresh for
     each triple, before its inner evaluations were tabulated."""
     violations = []
-    r_basis = [mp.R.basis_element(i) for i in range(mp.R.rank)]
-    q_basis = [mp.Q.basis_element(i) for i in range(mp.Q.rank)]
+    r_basis = [basis_element(mp.R, i) for i in range(mp.R.rank)]
+    q_basis = [basis_element(mp.Q, i) for i in range(mp.Q.rank)]
     s_l = -_PL1 - _PD
     s_m = -_PL2 - _PD
     s_lm = -_PL1 - _PL2 - _PD
@@ -706,8 +708,8 @@ class TestCrossLeftOffTheLieLocus:
             got = {v.indices: v.residual for v in got if v.identity == "cross-left"}
             want = {v.indices: v.residual for v in want if v.identity == "cross-left"}
             zero = (MultiPoly.zero(),) * pair.R.rank
-            r_basis = [pair.R.basis_element(i) for i in range(pair.R.rank)]
-            for x, x_el in enumerate(pair.Q.basis_element(i) for i in range(pair.Q.rank)):
+            r_basis = [basis_element(pair.R, i) for i in range(pair.R.rank)]
+            for x, x_el in enumerate(basis_element(pair.Q, i) for i in range(pair.Q.rank)):
                 for a, a_el in enumerate(r_basis):
                     y = action_eval(pair.rhd, x_el, a_el, -_PL1 - _PD)
                     for b, b_el in enumerate(r_basis):

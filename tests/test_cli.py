@@ -773,21 +773,41 @@ class TestForeignMap:
 
 
 class TestDeformReport:
-    def test_residuals_are_computed_once(self, workdir, monkeypatch):
+    """``cfkit deform`` takes the graph products once and reads both the
+    report and the twisted table off them, on a failing map too."""
+
+    DOC = (
+        VIR + "algebra Q : lie { gens W; }\n"
+        "matched P : lie { R = Vir; Q = Q; W <| L = (l) W; }\n"
+        "defmap phi on P { W -> 0; }\ndefmap psi on P { W -> (d + 1) L; }\n"
+    )
+
+    def _deform(self, monkeypatch, name):
         from cfkit import deform
 
-        calls = _counting(monkeypatch, deform, "check_deformation_map")
-        Path("t.cfk").write_text(
-            VIR + "algebra Q : lie { gens W; }\n"
-            "matched P : lie { R = Vir; Q = Q; W <| L = (l) W; }\n"
-            "defmap phi on P { W -> 0; }\n"
-        )
-        assert run(["deform", "t.cfk", "--pair", "P", "--map", "phi", "--json", "r.json"]) == 0
-        checks = json.loads(Path("r.json").read_text())["checks"]
-        assert [(c["name"], c["status"]) for c in checks] == [
+        passes = _counting(monkeypatch, deform, "_products")
+        Path("t.cfk").write_text(self.DOC)
+        code = run(["deform", "t.cfk", "--pair", "P", "--map", name, "--json", "r.json"])
+        return code, json.loads(Path("r.json").read_text()), len(passes)
+
+    def test_residuals_are_computed_once(self, workdir, monkeypatch):
+        code, report, passes = self._deform(monkeypatch, "phi")
+        assert code == 0
+        assert [(c["name"], c["status"]) for c in report["checks"]] == [
             ("deformation_map:phi", "pass"), ("graph_embedding:phi", "pass")
         ]
-        assert len(calls) == 1
+        assert passes == 1
+
+    def test_failing_map_takes_one_pass_and_keeps_its_table(self, workdir, monkeypatch):
+        code, report, passes = self._deform(monkeypatch, "psi")
+        assert code == 1
+        assert [(c["name"], c["status"]) for c in report["checks"]] == [
+            ("deformation_map:psi", "fail")
+        ]
+        assert report["output"] == (
+            "algebra psi_Q : lie {\n  gens W;\n  [W, W] = (d + 2*l) W;\n}\n"
+        )
+        assert passes == 1
 
 
 class TestReportPipeline:

@@ -11,13 +11,14 @@ from cfkit.algebra import (
     Violation,
     check_axioms,
 )
-from cfkit import constraints
+from cfkit import constraints, deform
 from cfkit.constraints import grid_values, search_equivalence_diagonal
 from cfkit.deform import (
     DeformationMap,
     Morphism,
-    _deformation_residuals,
+    _graph,
     _is_invertible,
+    _morphism_residuals,
     apply_matrix,
     check_deformation_map,
     check_equivalence,
@@ -33,6 +34,7 @@ from helpers import (
     action_eval,
     add,
     assoc4_doc,
+    basis_element,
     identity_morphism,
     neg,
     nfold_doc,
@@ -60,7 +62,7 @@ class TestApplyMap:
 
     def test_zero_map(self):
         pair = wab_doc(1, 0).find("matched", "WP")
-        out = apply_matrix(zero_map(pair).matrix, pair.Q.basis_element(0))
+        out = apply_matrix(zero_map(pair).matrix, basis_element(pair.Q, 0))
         assert all(c.is_zero for c in out)
 
     def test_sv_family_image(self):
@@ -125,6 +127,15 @@ class TestDeformedAlgebra:
         assert twisted.table[y][y] == (2 * (d + 2 * l), d + 2 * l)
         assert twisted.table[y][m] == (MultiPoly.zero(), 2 * d + 2)
         assert twisted.table[m][m] == (MultiPoly.zero(), MultiPoly.zero())
+
+    def test_forms_no_residual(self, monkeypatch):
+        # only the residuals call apply_matrix, so the table half forms none
+        _, pair, phi = wab_map(2, 0, 1)
+        assert not check_deformation_map(pair, phi).passed
+        calls, inner = [], deform.apply_matrix
+        monkeypatch.setattr(deform, "apply_matrix", lambda *a: calls.append(a) or inner(*a))
+        deformed_algebra(pair, phi)
+        assert calls == []
 
     def test_four_generator_table(self):
         doc = assoc4_doc(p=1, q=1)
@@ -336,16 +347,7 @@ class TestBicrossedInterplay:
         phi = doc.find("defmap", "phiab")
         big = build_bicrossed(pair)
         twisted = deformed_algebra(pair, phi)
-        nr = pair.R.rank
-        embed = tuple(
-            tuple(phi.matrix[i])
-            + tuple(
-                MultiPoly.const(1) if j == i else MultiPoly.zero()
-                for j in range(pair.Q.rank)
-            )
-            for i in range(pair.Q.rank)
-        )
-        morph = Morphism(twisted, big, embed)
+        morph = Morphism(twisted, big, graph_matrix(pair, phi))
         assert check_morphism(morph).passed
 
 
@@ -360,7 +362,7 @@ _NEG = -l - d
 
 
 def reference_residuals(mp, matrix):
-    q_basis = [mp.Q.basis_element(i) for i in range(mp.Q.rank)]
+    q_basis = [basis_element(mp.Q, i) for i in range(mp.Q.rank)]
     images = [apply_matrix(matrix, q) for q in q_basis]
     out = []
     for i, (x, fx) in enumerate(zip(q_basis, images)):
@@ -385,7 +387,7 @@ def reference_residuals(mp, matrix):
 
 
 def reference_table(mp, matrix):
-    q_basis = [mp.Q.basis_element(i) for i in range(mp.Q.rank)]
+    q_basis = [basis_element(mp.Q, i) for i in range(mp.Q.rank)]
     images = [apply_matrix(matrix, q) for q in q_basis]
     table = []
     for i, x in enumerate(q_basis):
@@ -402,7 +404,7 @@ def reference_table(mp, matrix):
 
 
 def reference_equivalence(mp, phi, psi, alpha):
-    q_basis = [mp.Q.basis_element(i) for i in range(mp.Q.rank)]
+    q_basis = [basis_element(mp.Q, i) for i in range(mp.Q.rank)]
     a_img = [apply_matrix(alpha.matrix, q) for q in q_basis]
     psi_a = [apply_matrix(psi.matrix, e) for e in a_img]
     phi_img = [apply_matrix(phi.matrix, q) for q in q_basis]
@@ -435,23 +437,24 @@ def reference_equivalence(mp, phi, psi, alpha):
     return tuple(violations)
 
 
+def graph_matrix(mp, dm):
+    """The matrix of the graph embedding ``e_i -> (φe_i, e_i)`` of Q into E."""
+    return tuple(tuple(row) + basis_element(mp.Q, i) for i, row in enumerate(dm.matrix))
+
+
 def explicit_graph_embedding(mp, dm):
     """Morphism check of ``x -> (φx, x)`` into the bicrossed product, then
     closure of the graph, both evaluated in the bicrossed product itself."""
     big = build_bicrossed(mp)
     nq, nr = mp.Q.rank, mp.R.rank
     twisted = ConformalAlgebra(mp.kind, mp.Q.basis, reference_table(mp, dm.matrix))
-    embed = tuple(
-        tuple(dm.matrix[i])
-        + tuple(MultiPoly.const(1) if j == i else MultiPoly.zero() for j in range(nq))
-        for i in range(nq)
-    )
+    embed = graph_matrix(mp, dm)
     morph = Morphism(twisted, big, embed)
     violations = list(check_morphism(morph).violations)
     for i in range(nq):
-        gi = apply_matrix(embed, twisted.basis_element(i))
+        gi = apply_matrix(embed, basis_element(twisted, i))
         for j in range(nq):
-            gj = apply_matrix(embed, twisted.basis_element(j))
+            gj = apply_matrix(embed, basis_element(twisted, j))
             prod = product_at(big, gi, gj, l)
             residual = sub(prod[:nr], apply_matrix(dm.matrix, prod[nr:]))
             if any(residual):
@@ -516,14 +519,32 @@ class TestGraphProductsMatchHandExpansion:
         maps = _random_maps(pair, random.Random(f"residuals:{label}"))
         failing = 0
         for dm in maps:
-            want = reference_residuals(pair, dm.matrix)
-            assert list(_deformation_residuals(pair, dm.matrix)) == want
-            assert deformed_algebra(pair, dm).table == reference_table(pair, dm.matrix)
+            table, residuals = _graph(pair, dm.matrix)
+            assert list(residuals) == reference_residuals(pair, dm.matrix)
+            assert table == reference_table(pair, dm.matrix)
+            assert deformed_algebra(pair, dm).table == table
             # the graph is a subalgebra exactly when the map passes
             passed = check_deformation_map(pair, dm).passed
             assert (explicit_graph_embedding(pair, dm) == ()) == passed
             failing += not passed
         assert failing  # the comparison must see failing maps
+
+    def test_residuals_are_the_graph_embeddings_morphism_residuals(self, label):
+        """g: Q_φ -> E, e_i -> (φe_i, e_i), maps e_i ·_φ e_j = q to (φ(q), q),
+        so its morphism residual is (φ(q) - r, 0): the deformation residual
+        in its R part, zero in its Q part."""
+        pair = BENCH_PAIRS[label]()
+        maps = [zero_map(pair), *_random_maps(pair, random.Random(f"embedding:{label}"))]
+        nr, nq = pair.R.rank, pair.Q.rank
+        outcomes = set()
+        for dm in maps:
+            residuals = list(_graph(pair, dm.matrix)[1])
+            twisted = deformed_algebra(pair, dm)
+            morphism = list(_morphism_residuals(twisted, pair.bicrossed, graph_matrix(pair, dm)))
+            assert [(i, j, res[:nr]) for i, j, res in morphism] == residuals
+            assert all(not any(res[nr:]) and len(res) == nr + nq for *_, res in morphism)
+            outcomes.add(check_deformation_map(pair, dm).passed)
+        assert outcomes == {True, False}
 
     def test_equivalence_residuals(self, label):
         pair = BENCH_PAIRS[label]()
