@@ -238,6 +238,7 @@ class _AxiomTables(NamedTuple):
     jk: list  # c_jk(d+l, m): [e_j _m e_k] as a right argument at l
     ij: list  # c_ij(-l-m, l): [e_i _l e_j] as a left argument at l+m
     ik: list  # c_ik(d+m, l): [e_i _l e_k] as a right argument at m
+    zero: Element  # shared by every triple whose three pair products vanish
 
 
 def _axiom_tables(table: Table) -> _AxiomTables:
@@ -249,6 +250,7 @@ def _axiom_tables(table: Table) -> _AxiomTables:
         [{k: _as_right(entry, _PL1) for k, entry in row.items()} for row in at_m],
         [{j: _as_left(entry, _PLM) for j, entry in row.items()} for row in at_l],
         [{k: _as_right(entry, _PL2) for k, entry in row.items()} for row in at_l],
+        (MultiPoly.zero(),) * len(table),
     )
 
 
@@ -257,13 +259,18 @@ def _jacobiator(at: _AxiomTables, unit, i, j, k) -> Element:
     - [e_j_m [e_i_l e_k]]: one contraction per product, of a unit vector
     against a pair product rewritten once per check (``at``), and
     subtractions only at coordinates where the second or third product is
-    nonzero.  The triple comes last, so the orbit-count test can read it
+    nonzero.  Each product contracts one of [e_j e_k], [e_i e_j] and
+    [e_i e_k], so where all three vanish the shared zero is returned with no
+    contraction.  The triple comes last, so the orbit-count test can read it
     off the call.
     """
+    jk, ij, ik = at.jk[j].get(k, ()), at.ij[i].get(j, ()), at.ik[i].get(k, ())
+    if not (jk or ij or ik):
+        return at.zero
     n = len(unit)
-    lhs = spectral_eval(at.l, n, unit[i], at.jk[j].get(k, ()))
-    mid = spectral_eval(at.lm, n, at.ij[i].get(j, ()), unit[k])
-    rhs = spectral_eval(at.m, n, unit[j], at.ik[i].get(k, ()))
+    lhs = spectral_eval(at.l, n, unit[i], jk)
+    mid = spectral_eval(at.lm, n, ij, unit[k])
+    rhs = spectral_eval(at.m, n, unit[j], ik)
     return tuple(a - b - c if b or c else a for a, b, c in zip(lhs, mid, rhs))
 
 

@@ -4,18 +4,24 @@ The ring of polynomials in ``d`` over the rationals is Euclidean, so
 submodules of a free module have a unique row-style Hermite normal form:
 echelon by pivot column, monic pivots, entries above each pivot reduced to
 smaller degree.  Division works on :class:`MultiPoly` values directly, one
-leading term at a time, and one row-reduction step serves the echelon pass
-and the reduction above each pivot.  Storing that form makes submodule
-equality a syntactic comparison, ``==`` on :class:`Submodule`, which the
-derived series and solvability verdicts build on.  Generators, like every
-element, are coordinate tuples: the rows of that form.  Each term of the
-series is spanned by the spectral coefficients of the pairwise products of
-the previous term's generators, all taken in one pass of
-:func:`cfkit.algebra._products`.
+leading term at a time.  The form is built one row at a time (after Kannan
+and Bachem): each row read is reduced against the pivots found so far and,
+where a remainder is left, swaps with that pivot, as in Euclid's algorithm;
+pivots are made monic and the entries above them reduced once, at the end.
+Once every column has a constant pivot the span is the full module, and no
+further row is read.  Storing that form makes submodule equality a
+syntactic comparison, ``==`` on :class:`Submodule`, which the derived
+series and solvability verdicts build on.  Generators, like every element,
+are coordinate tuples: the rows of that form.  Each term of the series is
+spanned by the spectral coefficients of the pairwise products of the
+previous term's generators, taken lazily from one pass of
+:func:`cfkit.algebra._products`, so no product past the full module is
+computed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -95,38 +101,41 @@ def poly_det(matrix: PolyMatrix) -> MultiPoly:
 # -- Hermite normal form -----------------------------------------------------
 
 
-def hermite_normal_form(matrix: PolyMatrix) -> PolyMatrix:
-    """Canonical row form under invertible row operations over the d-ring."""
-    rows = [list(r) for r in matrix if any(not e.is_zero for e in r)]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    pivot = 0
-    for col in range(ncols):
-        if pivot >= len(rows):
-            break
-        while True:
-            live = [r for r in range(pivot, len(rows)) if not rows[r][col].is_zero]
-            if not live:
+def hermite_normal_form(rows: Iterable[PolyRow]) -> PolyMatrix:
+    """Canonical row form under invertible row operations over the d-ring,
+    built from ``rows`` one row at a time; the identity, reading no further
+    row, once every column has a constant pivot."""
+    pivots: dict[int, list[MultiPoly]] = {}
+    width, units = None, 0
+    for row in rows:
+        width = len(row) if width is None else width
+        if len(row) != width:
+            raise ValueError("ragged matrix")
+        row, col = list(row), 0
+        while row is not None:
+            col = next((c for c in range(col, width) if row[c]), None)
+            if col is None:
                 break
-            best = min(live, key=lambda r: poly_deg(rows[r][col]))
-            rows[pivot], rows[best] = rows[best], rows[pivot]
-            for r in range(pivot + 1, len(rows)):
-                rows[r] = _reduce(rows[r], rows[pivot], col)
-            if all(rows[r][col].is_zero for r in range(pivot + 1, len(rows))):
-                break
-        if rows[pivot][col].is_zero:
-            continue
-        lead = rows[pivot][col].leading()[1]
+            top = pivots.get(col)
+            if top is not None:
+                row = _reduce(row, top, col)
+                if not row[col]:
+                    continue
+            # a new pivot, or Euclid's swap: the remainder becomes the pivot
+            pivots[col], row = row, top
+            # a constant pivot divides every entry, so it is never replaced
+            if poly_deg(pivots[col][col]) == 0:
+                units += 1
+                if units == width:
+                    return full_submodule(width).generators
+    out: list[list[MultiPoly]] = []
+    for col in sorted(pivots):
+        top = pivots[col]
+        lead = top[col].leading()[1]
         if lead != 1:
-            rows[pivot] = [x / lead for x in rows[pivot]]
-        for r in range(pivot):
-            rows[r] = _reduce(rows[r], rows[pivot], col)
-        pivot += 1
-    result = [tuple(r) for r in rows[:pivot] if any(not e.is_zero for e in r)]
-    return tuple(result)
+            top = [x / lead for x in top]
+        out = [_reduce(r, top, col) for r in out] + [top]
+    return tuple(tuple(r) for r in out)
 
 
 @dataclass(frozen=True)
@@ -150,15 +159,26 @@ def full_submodule(rank: int) -> Submodule:
     return Submodule(rank, rows)
 
 
-def span(ambient_rank: int, rows: list[PolyRow]) -> Submodule:
-    """Canonical submodule generated by rows of d-polynomial coordinates."""
-    for row in rows:
-        if len(row) != ambient_rank:
-            raise ValueError("vector rank does not match ambient rank")
-        for c in row:
-            if not c.variables() <= {D}:
-                raise ValueError(f"spectral variable leaked into a generator: {c}")
-    return Submodule(ambient_rank, hermite_normal_form(tuple(rows)))
+def _checked(ambient_rank: int, row: PolyRow) -> PolyRow:
+    if len(row) != ambient_rank:
+        raise ValueError("vector rank does not match ambient rank")
+    for c in row:
+        if not c.variables() <= {D}:
+            raise ValueError(f"spectral variable leaked into a generator: {c}")
+    return row
+
+
+def span(ambient_rank: int, rows: Iterable[PolyRow]) -> Submodule:
+    """Canonical submodule generated by rows of d-polynomial coordinates.
+
+    Every row read is checked.  The Hermite form reads no row past the full
+    module, so a generator's later rows are never computed; a collection,
+    computed already, is checked in full.
+    """
+    checked = (_checked(ambient_rank, row) for row in rows)
+    if isinstance(rows, Collection):
+        checked = list(checked)
+    return Submodule(ambient_rank, hermite_normal_form(checked))
 
 
 def derived_subalgebra(algebra: ConformalAlgebra, sub: Submodule) -> Submodule:
@@ -174,15 +194,15 @@ def derived_subalgebra(algebra: ConformalAlgebra, sub: Submodule) -> Submodule:
         raise ValueError("submodule does not live in the algebra's module")
     if any(len(row) != algebra.rank for row in sub.generators):
         raise ValueError("element rank does not match algebra rank")
-    rows: list[PolyRow] = []
-    for _, _, prod in _products(algebra.table, sub.generators):
-        split = [c.coefficient_list(L1) for c in prod]
-        depth = max((len(s) for s in split), default=0)
-        for t in range(depth):
-            row = tuple(s[t] if t < len(s) else MultiPoly.zero() for s in split)
-            if any(row):
-                rows.append(row)
-    return span(algebra.rank, rows)
+
+    def rows():
+        for _, _, prod in _products(algebra.table, sub.generators):
+            split = [c.coefficient_list(L1) for c in prod]
+            depth = max((len(s) for s in split), default=0)
+            for t in range(depth):
+                yield tuple(s[t] if t < len(s) else MultiPoly.zero() for s in split)
+
+    return span(algebra.rank, rows())
 
 
 @dataclass(frozen=True)

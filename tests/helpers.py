@@ -5,9 +5,11 @@ Also the references that tests check cfkit against:
 table entries on every call, ``action_eval``, the evaluation of one action
 table through it, which reads the argument and carrier ranks off the table,
 ``product_at``, one product at any spectral parameter composed of cfkit's
-own rules, ``member``, submodule membership, and ``reference_det``, the
-determinant by cofactor expansion; and builders of elements and algebras
-that cfkit itself never needs."""
+own rules, ``member``, submodule membership, ``reference_det``, the
+determinant by cofactor expansion, and ``reference_hermite_normal_form``,
+the column-by-column Hermite form that reads every row; and builders of
+elements and algebras that cfkit itself never needs, ``bundled`` among
+them, every declaration of one kind in the corpus fixtures."""
 
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from cfkit.algebra import (
 from cfkit.deform import DeformationMap, Morphism
 from cfkit.dsl import Document, parse_document
 from cfkit.poly import D, L1, L2, MultiPoly
-from cfkit.structure import Submodule, _reduce
+from cfkit.structure import Submodule, _reduce, poly_deg
 
 #: ``psi2`` is a map of ``P2``, not of ``P``: a map of another pair, which
 #: ``P``'s checks refuse rather than read through its first rows
@@ -35,6 +37,17 @@ def load_fixture(name: str, **params) -> Document:
     text = (corpus.fixture_dir(name) / "input.cfk").read_text()
     bound = {k: Fraction(str(v)) for k, v in params.items()}
     return parse_document(text, bound)
+
+
+def bundled(kind: str):
+    """Every ``kind`` declaration of the corpus fixtures, at generic parameters."""
+    params = {p: Fraction(k + 2, 3) for k, p in enumerate(
+        ("a", "b", "c", "p", "q", "r", "s", "a1", "a2", "a3", "ai"))}
+    for name in corpus.fixture_names():
+        text = (corpus.fixture_dir(name) / "input.cfk").read_text()
+        for item in parse_document(text, params).items:
+            if item.kind == kind:
+                yield f"{name}:{item.name}", item.value
 
 
 def wab_doc(a, b, c=0) -> Document:
@@ -215,3 +228,39 @@ def reference_det(matrix) -> MultiPoly:
             minor = tuple(row[:j] + row[j + 1:] for row in matrix[1:])
             acc = acc + (-1) ** j * entry * reference_det(minor)
     return acc
+
+
+def reference_hermite_normal_form(matrix) -> tuple:
+    """The Hermite form column by column over every row at once: in each
+    column the row of least-degree entry becomes the pivot and reduces the
+    rows below it until they are zero there, then the pivot is made monic
+    and reduces the rows above it."""
+    rows = [list(r) for r in matrix if any(not e.is_zero for e in r)]
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    pivot = 0
+    for col in range(ncols):
+        if pivot >= len(rows):
+            break
+        while True:
+            live = [r for r in range(pivot, len(rows)) if not rows[r][col].is_zero]
+            if not live:
+                break
+            best = min(live, key=lambda r: poly_deg(rows[r][col]))
+            rows[pivot], rows[best] = rows[best], rows[pivot]
+            for r in range(pivot + 1, len(rows)):
+                rows[r] = _reduce(rows[r], rows[pivot], col)
+            if all(rows[r][col].is_zero for r in range(pivot + 1, len(rows))):
+                break
+        if rows[pivot][col].is_zero:
+            continue
+        lead = rows[pivot][col].leading()[1]
+        if lead != 1:
+            rows[pivot] = [x / lead for x in rows[pivot]]
+        for r in range(pivot):
+            rows[r] = _reduce(rows[r], rows[pivot], col)
+        pivot += 1
+    return tuple(tuple(r) for r in rows[:pivot] if any(not e.is_zero for e in r))

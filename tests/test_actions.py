@@ -26,10 +26,8 @@ from cfkit.algebra import (
 from cfkit.deform import check_deformation_map, deformed_algebra
 from cfkit.poly import D, L1, L2, MultiPoly
 
-from cfkit import corpus
-from cfkit.dsl import parse_document
 from helpers import (
-    abelian, action_eval, add, assoc4_doc, basis_element, element, neg, nfold_doc,
+    abelian, action_eval, add, assoc4_doc, basis_element, bundled, element, neg, nfold_doc,
     product_at, reference_spectral_eval, sub, sv_doc, vir_algebra, wab_doc,
 )
 from test_deform import explicit_graph_embedding
@@ -529,17 +527,6 @@ def reference_build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
                 table[nr + i][j] = pad(r_part, q_part)
     names = mp.R.basis + mp.Q.basis
     return ConformalAlgebra(mp.kind, names, tuple(tuple(row) for row in table))
-
-
-def bundled(kind: str):
-    """Every ``kind`` declaration of the corpus fixtures, at generic parameters."""
-    params = {p: Fraction(k + 2, 3) for k, p in enumerate(
-        ("a", "b", "c", "p", "q", "r", "s", "a1", "a2", "a3", "ai"))}
-    for name in corpus.fixture_names():
-        text = (corpus.fixture_dir(name) / "input.cfk").read_text()
-        for item in parse_document(text, params).items:
-            if item.kind == kind:
-                yield f"{name}:{item.name}", item.value
 
 
 class TestBicrossedMatchesEvaluation:

@@ -1,9 +1,16 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cfkit import algebra as algebra_module
+from cfkit import structure as structure_module
 from cfkit.algebra import ConformalAlgebra, LIE, check_axioms
+from cfkit.dsl import parse_document
 from cfkit.poly import D, L1, MultiPoly
 from cfkit.structure import (
     Submodule,
@@ -12,14 +19,20 @@ from cfkit.structure import (
     hermite_normal_form,
     is_abelian,
     is_solvable,
+    poly_deg,
     poly_det,
     poly_divmod,
     span,
 )
 
 from helpers import (
-    abelian, element, member, product_at, reference_det, sv_doc, vir_algebra, wab_doc,
+    abelian, bundled, element, member, product_at, reference_det,
+    reference_hermite_normal_form, sv_doc, vir_algebra, wab_doc,
 )
+
+# the benchmark's generator of rank-scale documents
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
@@ -88,6 +101,18 @@ class TestHermiteNormalForm:
         got = hermite_normal_form(((one, d**2 + d + 1), (zero, d**2)))
         assert got == ((one, d + 1), (zero, d**2))
 
+    def test_ragged_rows_refused_after_zero_rows(self):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            hermite_normal_form(((zero, zero, zero), (one,)))
+
+    def test_reads_no_row_past_the_full_module(self):
+        def rows():
+            yield (d, one)
+            yield (one, zero)  # swaps with the pivot d, which then reduces to (0, 1)
+            raise AssertionError("a row past the full module was read")
+
+        assert hermite_normal_form(rows()) == full_submodule(2).generators
+
     def test_idempotent_and_row_space_preserved(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -136,6 +161,14 @@ class TestSpanAndMembership:
     def test_spectral_leakage_rejected(self):
         with pytest.raises(ValueError):
             span(1, [(l,)])
+        # a list is checked in full, past the row that spans the full module
+        with pytest.raises(ValueError, match="spectral variable leaked"):
+            span(1, [(one,), (l,)])
+        # a generator is checked row by row, as far as it is read
+        with pytest.raises(ValueError, match="spectral variable leaked"):
+            span(2, iter([elem(1, 0), (l, zero)]))
+        with pytest.raises(ValueError, match="ambient rank"):
+            span(2, iter([elem(d, 0), elem(1)]))
 
 
 class TestDerivedSubalgebra:
@@ -189,6 +222,129 @@ class TestDerivedSubalgebra:
         for t in range(depth):
             vec = tuple(s[t] if t < len(s) else zero for s in splits)
             assert member(derived, vec)
+
+
+def rank_scale_d(seed: int) -> list[ConformalAlgebra]:
+    """The twisted algebra ``D`` of every rank-scale document of ``seed``."""
+    return [
+        parse_document(text).find("algebra", "D")
+        for text in workloads.describe_inputs("rank-scale", seed)
+    ]
+
+
+class TestDerivedSeriesExit:
+    def test_rank8_stops_at_the_full_module(self, monkeypatch):
+        alg = rank_scale_d(1)[-1]
+        assert alg.rank == 8
+        products, checked, read = [], [], []
+        kernel = algebra_module.spectral_eval
+        check = structure_module._checked
+        normal_form = structure_module.hermite_normal_form
+        monkeypatch.setattr(
+            algebra_module, "spectral_eval", lambda *a: products.append(a) or kernel(*a)
+        )
+        monkeypatch.setattr(
+            structure_module, "_checked", lambda *a: checked.append(a) or check(*a)
+        )
+        monkeypatch.setattr(
+            structure_module, "hermite_normal_form",
+            lambda rows: normal_form(read.append(row) or row for row in rows),
+        )
+        assert derived_subalgebra(alg, full_submodule(8)) == full_submodule(8)
+        assert 0 < len(products) <= 8
+        # every row the Hermite form read was computed and checked, no other
+        assert len(read) == len(checked) > 0
+
+
+@st.composite
+def d_matrices(draw):
+    """A shape, a width and a d-polynomial matrix of that shape, its rows
+    shuffled: zero rows among random ones; combinations of fewer rows than
+    columns; or a triangular matrix of full rank, scrambled by unimodular
+    row operations and extended by combinations of its rows, whose Hermite
+    form has only constant pivots (the identity) or some non-constant one."""
+    shape = draw(st.sampled_from(["zero-rows", "deficient", "full-constant", "full-nonconstant"]))
+    rng = draw(st.randoms(use_true_random=False))
+    width = rng.randint(1, 4)
+
+    def poly(degree=2):
+        return sum((rng.randint(-2, 2) * d**e for e in range(degree + 1)), zero)
+
+    def combination(rows):
+        factors = [poly(1) for _ in rows]
+        return [sum((f * r[c] for f, r in zip(factors, rows)), zero) for c in range(width)]
+
+    if shape == "zero-rows":
+        rows = [[poly() for _ in range(width)] for _ in range(rng.randint(0, 4))]
+        rows += [[zero] * width for _ in range(rng.randint(1, 3))]
+    elif shape == "deficient":
+        basis = [[poly() for _ in range(width)] for _ in range(rng.randint(0, width - 1))]
+        rows = [combination(basis) for _ in range(rng.randint(1, 5))]
+    else:
+        diagonal = [MultiPoly.const(rng.choice([-2, -1, Fraction(1, 2), 1, 3])) for _ in range(width)]
+        if shape == "full-nonconstant":
+            diagonal[rng.randrange(width)] = d + rng.randint(-2, 2)
+        rows = [[diagonal[r] if c == r else poly() if c > r else zero for c in range(width)]
+                for r in range(width)]
+        for _ in range(rng.randint(0, 6)):
+            i, j = rng.randrange(width), rng.randrange(width)
+            if i != j:
+                factor = poly(1)
+                rows[i] = [a + factor * b for a, b in zip(rows[i], rows[j])]
+        rows += [combination(rows) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rows)
+    return shape, width, tuple(tuple(r) for r in rows)
+
+
+class TestHermiteMatchesReference:
+    @given(matrix=d_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_column_by_column_form(self, matrix):
+        shape, width, rows = matrix
+        want = reference_hermite_normal_form(rows)
+        assert hermite_normal_form(rows) == want
+        assert hermite_normal_form(iter(rows)) == want
+        if shape == "deficient":
+            assert len(want) < width
+        elif shape == "full-constant":
+            assert want == full_submodule(width).generators
+        elif shape == "full-nonconstant":
+            assert len(want) == width
+            assert any(poly_deg(row[c]) > 0 for c, row in enumerate(want))
+
+
+def reference_series(algebra: ConformalAlgebra, max_depth: int = 10) -> tuple:
+    """The derived series as :func:`is_solvable` walks it, each term the
+    reference Hermite form of every product row of every ordered pair of
+    the previous term's generators."""
+    current = full_submodule(algebra.rank)
+    series = [current]
+    while not current.is_zero and len(series) <= max_depth:
+        rows = []
+        for x in current.generators:
+            for y in current.generators:
+                split = [c.coefficient_list(L1) for c in product_at(algebra, x, y, l)]
+                depth = max(map(len, split), default=0)
+                rows += [tuple(s[t] if t < len(s) else zero for s in split) for t in range(depth)]
+        nxt = Submodule(algebra.rank, reference_hermite_normal_form(rows))
+        if nxt == current:
+            break
+        current = nxt
+        series.append(current)
+    return tuple(series)
+
+
+class TestSeriesMatchesReference:
+    def test_bundled_and_rank_scale(self):
+        algebras = [(label, alg) for label, alg in bundled("algebra") if alg.kind == LIE] + [
+            (f"rank-scale:{seed}:{alg.rank}", alg) for seed in (1, 2, 3) for alg in rank_scale_d(seed)
+        ]
+        verdicts = set()
+        for label, alg in algebras:
+            verdict = is_solvable(alg)
+            assert verdict.series == reference_series(alg), label
+            verdicts.add(verdict.verdict)
+        assert verdicts == {"solvable", "not_solvable"}
 
 
 class TestSolvability:
