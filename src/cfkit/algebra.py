@@ -8,34 +8,32 @@ Two rewriting rules extend a basis product table to arbitrary elements at a
 spectral parameter ``s``: a ``d``-polynomial multiplying the left argument
 is re-evaluated at ``-s`` (:func:`_as_left`), one multiplying the right
 argument at ``d + s`` (:func:`_as_right`), and the table's ``l`` is set to
-``s``.  The kernel sees each only as its nonzero entries, from that first
-rewrite on: a table as its nonzero structure constants at ``s``
-(:func:`_sparse`, after D'Andrea and Kac), row ``i`` mapping each ``j`` to
-``((k, c_ij^k), ...)``, and an argument as its nonzero ``(index,
-coordinate)`` pairs, so a unit vector is one pair.  :func:`spectral_eval`
-is the bilinear contraction of the two argument lists against the table;
-it walks no zero and tests nothing for zero.  :func:`_products` multiplies
-every ordered pair of a list of elements at ``l``, rewriting each element
-once as a left and once as a right argument, so each argument and table is
-rewritten once, however many products it enters.
+``s``.  The kernel sees each only as its nonzero entries: a table as its
+nonzero structure constants (after D'Andrea and Kac), collected at ``l`` in
+the walk of :func:`_check_table` that validates it, kept by the algebra and
+rewritten at another ``s`` by :func:`_sparse`; and an argument as its
+nonzero ``(index, coordinate)`` pairs, so a unit vector is one pair.
+:func:`spectral_eval` is the bilinear contraction of the two argument lists
+against the constants; it walks no zero and tests nothing for zero.
+:func:`_products` multiplies every ordered pair of a list of elements at
+``l``, rewriting each element once as a left and once as a right argument.
 
 :func:`check_axioms` is the one axiom check, for either kind.  It builds,
-once per call, the sparse table at ``l``, ``m`` and ``l + m`` and the
+once per call, the stored constants at ``m`` and ``l + m`` and the
 nonzero pair products already rewritten as arguments, the structure
 constants c_jk(d+l, m), c_ij(-l-m, l) and c_ik(d+m, l); each product of a
 Jacobi or associativity identity is one contraction of a unit vector against
-them, skew-symmetry is read off the table at ``l`` and ``-l-d`` with no
-contraction, and each residual adds or subtracts only at coordinates where
-some term is nonzero.  Each
-identity is named where its residual is formed, prefix included, so no
-report is rebuilt to rename its violations.
+them, skew-symmetry is read off the constants at ``l`` and ``-l-d`` with
+no contraction, and each residual adds or subtracts only at coordinates
+where some term is nonzero.  Each identity is named where its residual is
+formed, prefix included, so no report is rebuilt to rename its violations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 from typing import NamedTuple
 
 from .poly import D, L1, L2, MultiPoly
@@ -106,6 +104,8 @@ class ConformalAlgebra:
     kind: str
     basis: tuple[str, ...]
     table: Table
+    #: ``table``'s nonzero structure constants at ``l``, from :func:`_check_table`
+    constants: Sparse = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -113,27 +113,31 @@ class ConformalAlgebra:
         n = len(self.basis)
         if len(set(self.basis)) != n:
             raise ValueError("basis names must be distinct")
-        _check_table(self.table, (n, n, n), "table")
+        object.__setattr__(self, "constants", _check_table(self.table, (n, n, n), "table"))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
 
-def _check_table(table: Table, shape: tuple[int, int, int], what: str) -> None:
+def _check_table(table: Table, shape: tuple[int, int, int], what: str) -> Sparse:
     """Raise unless ``table`` is rows x columns x entry length as in
-    ``shape`` and its coefficients use no variable but ``d`` and ``l``."""
+    ``shape`` and its coefficients use no variable but ``d`` and ``l``; return
+    its nonzero structure constants at ``l``, collected in the same walk."""
     rows, cols, width = shape
     if len(table) != rows or any(
         len(row) != cols or any(len(entry) != width for entry in row) for row in table
     ):
         raise ValueError(f"{what} shape must be {rows} x {cols} x {width}")
+    constants = tuple({j: nonzero for j, entry in enumerate(row)
+                       if (nonzero := tuple((k, c) for k, c in enumerate(entry) if c))}
+                      for row in table)
     # zero coefficients, most of a sparse table, hold no variable
-    for row in table:
-        for entry in row:
-            for coeff in entry:
-                if coeff and not coeff.variables() <= {D, L1}:
-                    raise ValueError(f"{what} entry {coeff} uses variables other than d, l")
+    for row in constants:
+        for _, coeff in chain.from_iterable(row.values()):
+            if not coeff.variables() <= {D, L1}:
+                raise ValueError(f"{what} entry {coeff} uses variables other than d, l")
+    return constants
 
 
 def _table(shape: tuple[int, int, int], entries: dict | None = None) -> Table:
@@ -144,19 +148,13 @@ def _table(shape: tuple[int, int, int], entries: dict | None = None) -> Table:
     return tuple(tuple(entries.get((i, j), zero) for j in range(cols)) for i in range(rows))
 
 
-def _sparse(table: Table, s: MultiPoly = _PL1) -> Sparse:
-    """The nonzero structure constants of ``table`` with ``l`` set to ``s``,
-    row by row: entry ``[i][j]`` lists the product of the i-th and j-th
-    basis vectors at ``s``.  Only nonzero coefficients are rewritten, and at
-    ``s = l`` each is taken as stored."""
-    at = (lambda c: c) if s == _PL1 else (lambda c: c.substitute(L1, s))
+def _sparse(constants: Sparse, s: MultiPoly) -> Sparse:
+    """Nonzero structure constants stored at ``l`` (:func:`_check_table`),
+    with ``l`` set to ``s``: entry ``[i][j]`` lists the product of the i-th
+    and j-th basis vectors at ``s``.  Only stored nonzeros are rewritten."""
     return tuple(
-        {
-            j: nonzero
-            for j, entry in enumerate(row)
-            if (nonzero := tuple((k, at(c)) for k, c in enumerate(entry) if c))
-        }
-        for row in table
+        {j: tuple((k, c.substitute(L1, s)) for k, c in entry) for j, entry in row.items()}
+        for row in constants
     )
 
 
@@ -201,18 +199,17 @@ def _as_right(pairs, s: MultiPoly) -> Pairs:
     return tuple((i, c.substitute(D, shifted)) for i, c in pairs if c)
 
 
-def _products(table: Table, elements):
+def _products(algebra: ConformalAlgebra, elements):
     """Yield ``(i, j, [x_i _l x_j])`` for every ordered pair of ``elements``,
-    coordinate tuples multiplied through ``table`` (stored at ``l``) into
-    coefficient vectors of its width.  Each element is rewritten once as a
-    left and once as a right argument, however many pairs it enters."""
-    n = len(table)
-    sparse = _sparse(table)
+    coordinate tuples multiplied through the algebra's stored constants at
+    ``l``.  Each element is rewritten once as a left and once as a right
+    argument, however many pairs it enters."""
+    constants, n = algebra.constants, algebra.rank
     left = [_as_left(enumerate(x), _PL1) for x in elements]
     right = [_as_right(enumerate(x), _PL1) for x in elements]
     for i, x in enumerate(left):
         for j, y in enumerate(right):
-            yield i, j, spectral_eval(sparse, n, x, y)
+            yield i, j, spectral_eval(constants, n, x, y)
 
 
 def _violations(identity: str, names, rows) -> tuple[Violation, ...]:
@@ -227,10 +224,10 @@ def _violations(identity: str, names, rows) -> tuple[Violation, ...]:
 
 class _AxiomTables(NamedTuple):
     """What the axiom checks contract unit vectors against, each built once
-    per check: the sparse table at ``l``, ``m`` and ``l + m``, and the
-    nonzero pair products already rewritten as kernel arguments, one dict
-    per row (the structure constants of D'Andrea and Kac's form of the
-    identities)."""
+    per check: the stored constants at ``l`` and their rewrites at ``m`` and
+    ``l + m``, and the nonzero pair products already rewritten as kernel
+    arguments, one dict per row (the structure constants of D'Andrea and
+    Kac's form of the identities)."""
 
     l: Sparse
     m: Sparse
@@ -241,16 +238,16 @@ class _AxiomTables(NamedTuple):
     zero: Element  # shared by every triple whose three pair products vanish
 
 
-def _axiom_tables(table: Table) -> _AxiomTables:
-    at_l, at_m = _sparse(table), _sparse(table, _PL2)
+def _axiom_tables(algebra: ConformalAlgebra) -> _AxiomTables:
+    at_l, at_m = algebra.constants, _sparse(algebra.constants, _PL2)
     return _AxiomTables(
         at_l,
         at_m,
-        _sparse(table, _PLM),
+        _sparse(at_l, _PLM),
         [{k: _as_right(entry, _PL1) for k, entry in row.items()} for row in at_m],
         [{j: _as_left(entry, _PLM) for j, entry in row.items()} for row in at_l],
         [{k: _as_right(entry, _PL2) for k, entry in row.items()} for row in at_l],
-        (MultiPoly.zero(),) * len(table),
+        (MultiPoly.zero(),) * algebra.rank,
     )
 
 
@@ -331,25 +328,29 @@ def check_axioms(algebra: ConformalAlgebra) -> CheckReport:
     per call, for either kind, and each identity is named where its residual
     is formed: ``skew:skew-symmetry``, ``jacobi:jacobi`` or
     ``assoc:associativity``.  Skew-symmetry reads c_ij(d, l) + c_ji(d, -l-d)
-    straight off the table and its sparse form at ``-l-d``, adding only at
-    the coordinates where c_ji is nonzero.
+    straight off the stored constants and their rewrite at ``-l-d``, only
+    for the pairs where one of them is nonzero.
     """
-    table, n, names = algebra.table, algebra.rank, algebra.basis
-    at = _axiom_tables(table)
+    n, names = algebra.rank, algebra.basis
+    at = _axiom_tables(algebra)
     unit = [((i, _ONE),) for i in range(n)]
     if algebra.kind == ASSOCIATIVE:
         associator = partial(_associator, at, unit)
         return CheckReport(_violations("assoc:associativity", names, (
             (*t, associator(*t)) for t in product(range(n), repeat=3)
         )))
-    at_neg = _sparse(table, -_PL1 - _PD)
+    at_neg = _sparse(at.l, -_PL1 - _PD)
 
     def skew_sum(i, j) -> Element:
-        c_ji = dict(at_neg[j].get(i, ()))
-        return tuple(a + c_ji[k] if k in c_ji else a for k, a in enumerate(table[i][j]))
+        out = list(at.zero)
+        for k, c in at.l[i].get(j, ()) + at_neg[j].get(i, ()):
+            out[k] = out[k] + c
+        return tuple(out)
 
+    # the sum is zero unless c_ij or c_ji is nonzero
+    stored = {(i, j) for i, row in enumerate(at.l) for j in row}
     skew = _violations("skew:skew-symmetry", names, (
-        (i, j, skew_sum(i, j)) for i, j in product(range(n), repeat=2)
+        (i, j, skew_sum(i, j)) for i, j in sorted(stored | {(j, i) for i, j in stored})
     ))
     jacobi = partial(_jacobiator, at, unit)
     return CheckReport(skew + _jacobi_violations(jacobi, names, skew_holds=not skew))

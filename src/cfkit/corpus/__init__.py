@@ -39,7 +39,7 @@ def fixture_dir(name: str) -> Path:
 
 def fixture_lines(name: str) -> list[list[str]]:
     lines = []
-    for raw in (fixture_dir(name) / "params.txt").read_text().splitlines():
+    for raw in (fixture_dir(name) / "params.txt").read_text(encoding="utf-8").splitlines():
         raw = raw.strip()
         if raw and not raw.startswith("#"):
             lines.append(shlex.split(raw))
@@ -57,7 +57,7 @@ def _run_line(workdir: Path, argv: list[str]) -> dict:
         os.chdir(cwd)
     report = {}
     if report_path.exists():
-        report = json.loads(report_path.read_text())
+        report = json.loads(report_path.read_text(encoding="utf-8"))
         report.pop("timings", None)
     return {"args": argv, "exit": code, "report": report}
 
@@ -72,7 +72,7 @@ def run_fixture(name: str) -> list[dict]:
 
 def _golden(name: str) -> dict:
     path = fixture_dir(name) / "expected.json"
-    return json.loads(path.read_text()) if path.exists() else {"reports": []}
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"reports": []}
 
 
 def fixture_notes(name: str) -> list[str]:

@@ -93,7 +93,7 @@ def _graph(mp: MatchedPair, matrix: Matrix):
     zero, one = MultiPoly.zero(), MultiPoly.const(1)
     graph = [tuple(row) + (zero,) * i + (one,) + (zero,) * (nq - 1 - i)
              for i, row in enumerate(matrix)]
-    products = list(_products(mp.bicrossed.table, graph))
+    products = list(_products(mp.bicrossed, graph))
     table = tuple(tuple(p[nr:] for *_, p in products[i * nq:(i + 1) * nq]) for i in range(nq))
     residuals = (
         (i, j, tuple(a - b for a, b in zip(apply_matrix(matrix, p[nr:]), p[:nr])))
@@ -133,7 +133,7 @@ def _morphism_residuals(
     """Yield ``(i, j, h(e_i e_j) - h(e_i) h(e_j))`` for the map ``h`` given by
     ``matrix``; symbolic entries carrying ansatz unknowns ride along inertly.
     The products ``h(e_i) h(e_j)`` are :func:`_products` of the rows."""
-    for i, j, prod in _products(target.table, matrix):
+    for i, j, prod in _products(target, matrix):
         lhs = apply_matrix(matrix, source.table[i][j])
         yield i, j, tuple(a - b for a, b in zip(lhs, prod))
 

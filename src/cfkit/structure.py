@@ -196,7 +196,7 @@ def derived_subalgebra(algebra: ConformalAlgebra, sub: Submodule) -> Submodule:
         raise ValueError("element rank does not match algebra rank")
 
     def rows():
-        for _, _, prod in _products(algebra.table, sub.generators):
+        for _, _, prod in _products(algebra, sub.generators):
             split = [c.coefficient_list(L1) for c in prod]
             depth = max((len(s) for s in split), default=0)
             for t in range(depth):
@@ -246,6 +246,4 @@ def is_solvable(algebra: ConformalAlgebra, max_depth: int = 10) -> Solvability:
 
 
 def is_abelian(algebra: ConformalAlgebra) -> bool:
-    return all(
-        coeff.is_zero for row in algebra.table for entry in row for coeff in entry
-    )
+    return not any(algebra.constants)

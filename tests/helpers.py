@@ -189,14 +189,15 @@ def action_eval(table, first: tuple, second: tuple, s) -> tuple:
 def product_at(algebra, x: tuple, y: tuple, s) -> tuple:
     """The product ``x_s y`` at any affine ``s``, composed of cfkit's rules:
     ``x`` as a left and ``y`` as a right argument, contracted against the
-    sparse table at ``s``.  cfkit itself multiplies only at ``s = l``."""
+    stored constants rewritten at ``s``.  cfkit itself multiplies only at
+    ``s = l``."""
     s = MultiPoly.const(0) + s
     n = algebra.rank
     if len(x) != n or len(y) != n:
         raise ValueError("element rank does not match algebra rank")
     require_affine(s)
     return spectral_eval(
-        _sparse(algebra.table, s), n, _as_left(enumerate(x), s), _as_right(enumerate(y), s)
+        _sparse(algebra.constants, s), n, _as_left(enumerate(x), s), _as_right(enumerate(y), s)
     )
 
 

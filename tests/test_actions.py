@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfkit.actions
 from cfkit.actions import (
@@ -19,6 +21,7 @@ from cfkit.algebra import (
     ConformalAlgebra,
     LIE,
     Violation,
+    _check_table,
     _sparse,
     _table,
     check_axioms,
@@ -566,12 +569,15 @@ CHECK_PARAMETERS = (
 )
 
 
-def _dense_at(table, s):
-    """``_sparse(table, s)`` as a dense table of the stored shape, after
+def _shape(table) -> tuple[int, int, int]:
+    return len(table), len(table[0]), len(table[0][0])
+
+
+def _dense_at(constants, shape, s):
+    """``_sparse(constants, s)`` as a dense table of ``shape``, after
     checking that it lists no zero entry and no zero coefficient."""
-    shape = (len(table), len(table[0]), len(table[0][0]))
     entries = {}
-    for i, row in enumerate(_sparse(table, s)):
+    for i, row in enumerate(_sparse(constants, s)):
         for j, pairs in row.items():
             assert pairs and all(c for _, c in pairs), (i, j)
             coords = dict(pairs)
@@ -579,23 +585,103 @@ def _dense_at(table, s):
     return _table(shape, entries)
 
 
+def _reference_at(table, s):
+    """Every entry of ``table`` at ``s``, from the reference kernel on two
+    unit vectors."""
+    rows, cols, width = _shape(table)
+    return tuple(
+        tuple(reference_spectral_eval(table, width, x, y, s) for y in _carrier_basis(cols))
+        for x in _carrier_basis(rows)
+    )
+
+
+def _nonzero_read(table):
+    """The nonzero entries and coefficients of a dense table, read off it in
+    row, column and coordinate order: one list of ``(j, ((k, c), ...))`` per
+    row, so that a comparison also pins the order."""
+    return [
+        [(j, tuple((k, c) for k, c in enumerate(entry) if not c.is_zero))
+         for j, entry in enumerate(row) if not all(c.is_zero for c in entry)]
+        for row in table
+    ]
+
+
+def _in_order(constants):
+    return [list(row.items()) for row in constants]
+
+
+_half = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+#: a table coefficient: zero, in ``d`` only, in ``l`` only, or in both
+_coefficients = st.one_of(
+    st.just(MultiPoly.zero()),
+    st.builds(lambda a, b: a + b * d, _half, _half),
+    st.builds(lambda a, b: a * l + b * l**2, _half, _half),
+    st.builds(lambda a, b: a * d * l + b, _half, _half),
+)
+
+
+@st.composite
+def random_tables(draw):
+    """A table of 1 to 3 rows, columns and coordinates; about a third of
+    its entries are zero, and a quarter of the others' coefficients."""
+    rows, cols, width = (draw(st.integers(1, 3)) for _ in range(3))
+    zero = (MultiPoly.zero(),) * width
+    return tuple(
+        tuple(
+            zero if draw(st.integers(0, 2)) == 0
+            else tuple(draw(_coefficients) for _ in range(width))
+            for _ in range(cols)
+        )
+        for _ in range(rows)
+    )
+
+
+def test_stored_constants_of_bundled_algebras():
+    """The constants an algebra stores are the nonzero entries and
+    coefficients of its dense table, in row, column and coordinate order."""
+    labels = []
+    for label, alg in bundled("algebra"):
+        assert _in_order(alg.constants) == _nonzero_read(alg.table), label
+        labels.append(label)
+    for label, pair in bundled("matched"):
+        big = pair.bicrossed
+        assert _in_order(big.constants) == _nonzero_read(big.table), label
+        labels.append(label)
+    assert len(labels) >= 20
+
+
+@given(table=random_tables())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_stored_constants_of_random_tables(table):
+    """The same for tables with zero entries and coefficients, and entries
+    in ``d`` only or ``l`` only: what ``_check_table`` returns, and what a
+    square one's algebra stores."""
+    rows, cols, width = _shape(table)
+    assert _in_order(_check_table(table, (rows, cols, width), "table")) == _nonzero_read(table)
+    if rows == cols == width:
+        alg = ConformalAlgebra(LIE, tuple(f"E{i}" for i in range(rows)), table)
+        assert _in_order(alg.constants) == _nonzero_read(table)
+
+
 @pytest.mark.parametrize("s", CHECK_PARAMETERS, ids=str)
 class TestTableAt:
-    """``_sparse`` at ``s`` is the reference kernel on two unit vectors, entry
-    for entry, and lists only nonzero entries and coefficients."""
+    """``_sparse`` at ``s`` of the stored constants is the reference kernel
+    on two unit vectors, entry for entry, and lists only nonzero entries and
+    coefficients."""
 
     def test_bundled_algebras(self, s):
         labels = []
         for label, alg in bundled("algebra"):
-            basis = _carrier_basis(alg.rank)
-            expected = tuple(
-                tuple(reference_spectral_eval(alg.table, alg.rank, x, y, s)
-                      for y in basis)
-                for x in basis
-            )
-            assert _dense_at(alg.table, s) == expected, label
+            at = _dense_at(alg.constants, _shape(alg.table), s)
+            assert at == _reference_at(alg.table, s), label
             labels.append(label)
         assert len(labels) >= 10
+
+    @given(table=random_tables())
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    def test_random_tables(self, s, table):
+        constants = _check_table(table, _shape(table), "table")
+        assert _dense_at(constants, _shape(table), s) == _reference_at(table, s)
 
     def test_bundled_action_tables(self, s):
         kinds = set()
@@ -606,7 +692,8 @@ class TestTableAt:
                 rows, cols = _carrier_basis(ranks[left]), _carrier_basis(ranks[right])
                 expected = tuple(tuple(action_eval(act, x, y, s) for y in cols)
                                  for x in rows)
-                assert _dense_at(act, s) == expected, f"{label}.{field}"
+                constants = _check_table(act, _shape(act), field)
+                assert _dense_at(constants, _shape(act), s) == expected, f"{label}.{field}"
                 kinds.add(pair.kind)
         assert kinds == {LIE, ASSOCIATIVE}
 

@@ -251,7 +251,7 @@ class TestKernelMatchesReference:
     def test_products_at_l(self, case):
         algebra, x, y = case
         elements = (x, y)
-        products = list(_products(algebra.table, elements))
+        products = list(_products(algebra, elements))
         assert [(i, j) for i, j, _ in products] == list(product(range(2), repeat=2))
         for i, j, prod in products:
             expected = reference_spectral_eval(
@@ -401,15 +401,15 @@ class TestCheckAxioms:
         builds = []
         inner = algebra_module._axiom_tables
 
-        def counting(table):
-            builds.append(table)
-            return inner(table)
+        def counting(algebra):
+            builds.append(algebra)
+            return inner(algebra)
 
         monkeypatch.setattr(algebra_module, "_axiom_tables", counting)
         for algebra in (vir_algebra(), assoc4_doc().find("algebra", "E4")):
             builds.clear()
             assert check_axioms(algebra).passed
-            assert builds == [algebra.table]
+            assert builds == [algebra]
 
 
 class TestTableRefused:

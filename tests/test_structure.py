@@ -390,6 +390,23 @@ class TestSolvability:
             is_solvable(abelian(ASSOCIATIVE, ("A",)))
 
 
+@pytest.mark.parametrize("label", ["sv:SV", "negative:BadVir"])
+def test_checks_read_no_dense_table(label):
+    """After validation the checks read only the stored constants: with the
+    dense ``table`` gone, a passing and a failing algebra get the same
+    axiom report, derived series and abelian verdict."""
+    alg = dict(bundled("algebra"))[label]
+
+    def results():
+        solvability = is_solvable(alg)
+        return check_axioms(alg), solvability, solvability.series, is_abelian(alg)
+
+    expected = results()
+    assert expected[0].passed == (label == "sv:SV")
+    object.__setattr__(alg, "table", None)
+    assert results() == expected
+
+
 def random_unimodular(rng, n):
     """Product of elementary operations: always unit determinant."""
     rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
