@@ -7,19 +7,21 @@ only fill in the report they are given.
 
 Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
 (parse or reference errors, an exponent, a power's or product's degree, a
-numeric literal or an unknown's index over the parser's caps, an unknown's
-index over the cap in a ``solve`` system, a ``--param`` value with an
-exponent or more digits than the literal cap, a ``--param`` name the
-document never uses, or an integer option below its least value, or a file
-that is not UTF-8, or an ``equiv --alpha`` witness that is not a square,
-invertible map of Q, a ``deform`` or ``equiv`` map not defined on
-``--pair``, or a ``--json`` or ``-o`` path that cannot be written), 3 a
-resource cap was exceeded (a table coefficient over the (d, l)-degree
-budget, a ``constraints --degree`` over its budget, a ``constraints``
-ansatz with more unknowns than the index cap allows, the elimination's
-substitution budget, the grid-search unknown cap, point budget or
-power-table budget in ``solve`` and ``equiv``, a monomial over the
-polynomial degree guard, or the derived-series depth in ``structure``).
+numeric literal, an unknown's index or an expression's nesting of
+parentheses and unary signs over the parser's caps, an unknown's index over
+the cap in a ``solve`` system, a ``solve`` file nested too deeply for
+``json`` to read, a ``--param`` value with an exponent or more digits than
+the literal cap, a ``--param`` name the document never uses, or an integer
+option below its least value, or a file that is not UTF-8, or an
+``equiv --alpha`` witness that is not a square, invertible map of Q, a
+``deform`` or ``equiv`` map not defined on ``--pair``, or a ``--json`` or
+``-o`` path that cannot be written), 3 a resource cap was exceeded (a table
+coefficient over the (d, l)-degree budget, a ``constraints --degree`` over
+its budget, a ``constraints`` ansatz with more unknowns than the index cap
+allows, the elimination's substitution budget, the grid-search unknown cap,
+point budget or power-table budget in ``solve`` and ``equiv``, a monomial
+over the polynomial degree guard, or the derived-series depth in
+``structure``).
 Every cap but the depth raises :class:`cfkit.poly.CapExceeded`, whose
 message is printed to stderr and kept as the report's ``error``.
 Reports are byte-identical across runs for identical inputs, except for the
@@ -299,7 +301,7 @@ def cmd_constraints(args, report: dict) -> None:
 def cmd_solve(args, report: dict) -> None:
     try:
         data = json.loads(Path(args.system).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise _InputError(f"cannot read system {args.system}: {exc}")
     if isinstance(data, dict) and "system" in data:
         data = data["system"]

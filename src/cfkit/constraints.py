@@ -4,12 +4,15 @@ Each candidate map entry is a d-polynomial with undetermined rational
 coefficients ``u0, u1, ...``.  Running an identity symbolically and
 collecting the coefficient of every (d, l)-monomial of every residual
 coordinate yields a finite system of polynomial equations in the unknowns
-alone.  This subsumes ad-hoc specializations like setting the spectral
-variable to zero or comparing degrees: every such consequence is one of the
-collected coefficients.  Two identities are compiled: the deformation
-identity of a candidate map, and the morphism identity of a diagonal
-automorphism between two deformed algebras, which is how
-:func:`search_equivalence_diagonal` looks for equivalence witnesses.
+alone.  Each coefficient is read off ``coefficient_list(D)`` and then
+``coefficient_list(L1)``, already a polynomial in the unknowns, and a
+coordinate's equations come by descending total degree t, each degree's l^t
+first, then descending powers of d.  This subsumes ad-hoc specializations
+like setting the spectral variable to zero or comparing degrees: every such
+consequence is one of the collected coefficients.  Two identities are
+compiled: the deformation identity of a candidate map, and the morphism
+identity of a diagonal automorphism between two deformed algebras, which is
+how :func:`search_equivalence_diagonal` looks for equivalence witnesses.
 
 Solving is deliberately modest: repeated elimination through equations that
 are degree one in some unknown with a constant leading coefficient, capped
@@ -34,7 +37,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .actions import MatchedPair
 from .deform import (
@@ -50,9 +53,7 @@ from .poly import (
     D,
     L1,
     CapExceeded,
-    Monomial,
     MultiPoly,
-    _monomial,
     is_unknown,
     scalar_text,
     unknown,
@@ -200,22 +201,21 @@ def _compile(residuals, unknowns, pair_names, coord_names) -> ConstraintSystem:
     """Collect every (d, l)-monomial coefficient of every residual coordinate
     as a normalized equation in the unknowns, dropping repeats.  A residual
     ``(i, j, coords)`` comes from the pair of generators ``pair_names[i]``,
-    ``pair_names[j]``."""
+    ``pair_names[j]``.  The coefficient of d^a l^b is read off
+    ``coefficient_list(D)``, then ``coefficient_list(L1)``, and the equations
+    of a coordinate come in descending ``(a + b, a == 0, a)``."""
     equations: list[Equation] = []
     seen: set[MultiPoly] = set()
     for i, j, residual in residuals:
         for k, coord in enumerate(residual):
-            buckets: dict[Monomial, dict] = {}
-            for mono, coeff in coord.terms():
-                dl = tuple((v, e) for v, e in mono if v in (D, L1))
-                rest = tuple((v, e) for v, e in mono if v not in (D, L1))
-                buckets.setdefault(dl, {})[rest] = coeff
-            for dl in sorted(
-                buckets, key=lambda m: (sum(e for _, e in m), m), reverse=True
-            ):
-                eq_poly = MultiPoly(buckets[dl])
-                if eq_poly.is_zero:
-                    continue
+            split = [
+                (a, b, part)
+                for a, by_d in enumerate(coord.coefficient_list(D))
+                for b, part in enumerate(by_d.coefficient_list(L1))
+                if part
+            ]
+            split.sort(key=lambda p: (p[0] + p[1], p[0] == 0, p[0]), reverse=True)
+            for a, b, eq_poly in split:
                 if not all(is_unknown(v) for v in eq_poly.variables()):
                     raise AssertionError("collected equation still has d/l variables")
                 if eq_poly.degree() > 2:
@@ -224,15 +224,9 @@ def _compile(residuals, unknowns, pair_names, coord_names) -> ConstraintSystem:
                 if eq_poly in seen:
                     continue
                 seen.add(eq_poly)
-                equations.append(
-                    Equation(
-                        eq_poly,
-                        Provenance(
-                            pair_names[i], pair_names[j], coord_names[k],
-                            str(MultiPoly({dl: 1})),
-                        ),
-                    )
-                )
+                monomial = str(MultiPoly.var(D, a) * MultiPoly.var(L1, b))
+                provenance = Provenance(pair_names[i], pair_names[j], coord_names[k], monomial)
+                equations.append(Equation(eq_poly, provenance))
     return ConstraintSystem(tuple(unknowns), tuple(equations))
 
 
@@ -328,7 +322,7 @@ def linear_eliminate(system: ConstraintSystem) -> EliminationResult:
         if not target:
             break
         eq, var, replacement = target
-        width = len(replacement._terms)
+        width = len(list(replacement.terms()))
         for other in equations:
             top = other.poly.degree(var)
             if top > 0:
@@ -472,10 +466,14 @@ def _integer_form(poly: MultiPoly, place: dict[int, int]):
     the last position of its unknowns, 0 if it has none.
     """
     tops = {v: poly.degree(v) for v in sorted(poly.variables())}
+    terms = list(poly.terms())
+    # the lcm of the denominators is the common one that ``poly`` stores
+    den = lcm(*(coeff.denominator for _, coeff in terms))
     form = []
-    for key, num in poly._terms.items():
-        held = dict(_monomial(key))
-        form.append((num, tuple((place[v], (held.get(v, 0), e)) for v, e in tops.items())))
+    for mono, coeff in terms:
+        held = dict(mono)
+        factors = tuple((place[v], (held.get(v, 0), e)) for v, e in tops.items())
+        form.append((int(coeff * den), factors))
     return form, max((place[v] + 1 for v in tops), default=0)
 
 

@@ -66,6 +66,10 @@ _DECLARATIONS = ("algebra", "matched", "defmap", "morphism", "param")
 #: polynomial computed and carried through every later check.
 MAX_EXPONENT = 64
 
+#: Most parentheses and unary signs open at once in an expression, which the
+#: parser recurses through: more is an input error, not a ``RecursionError``.
+MAX_NESTING = 64
+
 #: Most significant digits a numeric literal may have: the smallest limit
 #: Python lets ``int()`` conversion be set to, so a longer literal is an input
 #: error instead of a ``ValueError`` from ``int()``.
@@ -193,6 +197,7 @@ class _Parser:
         self.diagnostics: list[Diagnostic] = []
         self.items: list[Item] = []
         self.by_kind: dict[tuple[str, str], object] = {}
+        self.depth = 0
 
     # basic machinery
 
@@ -278,6 +283,15 @@ class _Parser:
             acc = acc + rhs if op == "+" else acc - rhs
         return acc
 
+    def nested(self, tok: _Token, parse):
+        """``parse()`` one level deeper, refused at ``tok`` past :data:`MAX_NESTING`."""
+        self.within_cap(self.depth + 1, MAX_NESTING, "nesting depth", tok)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     def within_cap(self, value: int, cap: int, what: str, tok: _Token) -> None:
         """Refuse at ``tok`` a ``what`` of ``value`` above ``cap``, before the
         power or product it measures is formed."""
@@ -308,7 +322,7 @@ class _Parser:
         tok = self.peek()
         if tok.text in ("-", "+"):
             self.advance()
-            inner = self._poly_factor()
+            inner = self.nested(tok, self._poly_factor)
             return -inner if tok.text == "-" else inner
         base = self._poly_primary()
         if self.peek().text == "^":
@@ -332,7 +346,7 @@ class _Parser:
         if tok.kind == "number":
             return self.integer(tok, tok.text)
         if tok.text == "(":
-            inner = self._poly_sum()
+            inner = self.nested(tok, self._poly_sum)
             self.expect(")")
             return inner
         if tok.kind == "ident":

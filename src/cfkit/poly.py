@@ -33,12 +33,12 @@ two monomials is the sum of their keys.  No monomial of total degree
 then below ``2^15``, a sum of two keys carries from no field into the next,
 and a key whose bit 15 is set marks a product over the degree guard, which
 raises :class:`CapExceeded`, the package's one exception for every resource
-cap, instead of yielding wrong exponents.  Keys
-are decoded back to ``(variable, exponent)`` tuples only where a term is
-handed out (:meth:`MultiPoly.terms`, :meth:`MultiPoly.leading`, rendering),
-through two bounded memos of the decoded monomial and its sort key; degrees,
-variables, substitution and coefficient lists read the key's fields with
-shifts and masks.
+cap, instead of yielding wrong exponents.  Keys are decoded only in this
+module, back to ``(variable, exponent)`` tuples where a term is handed out
+(:meth:`MultiPoly.terms`, :meth:`MultiPoly.leading`, rendering), through two
+bounded memos of the decoded monomial and its sort key; degrees, variables,
+substitution and coefficient lists read the key's fields with shifts and
+masks, and other modules read terms only through these methods.
 """
 
 from __future__ import annotations

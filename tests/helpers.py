@@ -6,8 +6,10 @@ table entries on every call, ``action_eval``, the evaluation of one action
 table through it, which reads the argument and carrier ranks off the table,
 ``product_at``, one product at any spectral parameter composed of cfkit's
 own rules, ``member``, submodule membership, ``reference_det``, the
-determinant by cofactor expansion, and ``reference_hermite_normal_form``,
-the column-by-column Hermite form that reads every row; and builders of
+determinant by cofactor expansion, ``reference_hermite_normal_form``,
+the column-by-column Hermite form that reads every row, and
+``reference_compile``, the constraint compiler that decodes every term's
+monomial and buckets it by its (d, l) part; and builders of
 elements and algebras that cfkit itself never needs, ``bundled`` among
 them, every declaration of one kind in the corpus fixtures."""
 
@@ -17,9 +19,10 @@ from cfkit import corpus
 from cfkit.algebra import (
     ConformalAlgebra, _as_left, _as_right, _sparse, _table, spectral_eval,
 )
+from cfkit.constraints import ConstraintSystem, Equation, Provenance, _normalize
 from cfkit.deform import DeformationMap, Morphism
 from cfkit.dsl import Document, parse_document
-from cfkit.poly import D, L1, L2, MultiPoly
+from cfkit.poly import D, L1, L2, MultiPoly, is_unknown
 from cfkit.structure import Submodule, _reduce, poly_deg
 
 #: ``psi2`` is a map of ``P2``, not of ``P``: a map of another pair, which
@@ -265,3 +268,44 @@ def reference_hermite_normal_form(matrix) -> tuple:
             rows[r] = _reduce(rows[r], rows[pivot], col)
         pivot += 1
     return tuple(tuple(r) for r in rows[:pivot] if any(not e.is_zero for e in r))
+
+
+def reference_compile(residuals, unknowns, pair_names, coord_names) -> ConstraintSystem:
+    """``constraints._compile`` by decoding: each term of a residual
+    coordinate goes to the bucket of its monomial's (d, l) part, the rest of
+    the monomial keyed inside it, and each bucket is packed back into a
+    polynomial; buckets come by descending total degree, then by their
+    ``(variable, exponent)`` tuples, descending."""
+    equations: list[Equation] = []
+    seen: set[MultiPoly] = set()
+    for i, j, residual in residuals:
+        for k, coord in enumerate(residual):
+            buckets: dict[tuple, dict] = {}
+            for mono, coeff in coord.terms():
+                dl = tuple((v, e) for v, e in mono if v in (D, L1))
+                rest = tuple((v, e) for v, e in mono if v not in (D, L1))
+                buckets.setdefault(dl, {})[rest] = coeff
+            for dl in sorted(
+                buckets, key=lambda m: (sum(e for _, e in m), m), reverse=True
+            ):
+                eq_poly = MultiPoly(buckets[dl])
+                if eq_poly.is_zero:
+                    continue
+                if not all(is_unknown(v) for v in eq_poly.variables()):
+                    raise AssertionError("collected equation still has d/l variables")
+                if eq_poly.degree() > 2:
+                    raise AssertionError("compiled equations must be quadratic")
+                eq_poly = _normalize(eq_poly)
+                if eq_poly in seen:
+                    continue
+                seen.add(eq_poly)
+                equations.append(
+                    Equation(
+                        eq_poly,
+                        Provenance(
+                            pair_names[i], pair_names[j], coord_names[k],
+                            str(MultiPoly({dl: 1})),
+                        ),
+                    )
+                )
+    return ConstraintSystem(tuple(unknowns), tuple(equations))

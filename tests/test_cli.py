@@ -554,11 +554,20 @@ class TestSolveCap:
                 {"unknowns": ["u0", "u0"], "equations": []},
                 "ValueError: unknown u0 is listed twice",
             ),
+            (
+                {"unknowns": ["u0"], "equations": [_equation("(" * 400 + "u0" + ")" * 400)]},
+                "ParseError: 1:65: error: nesting depth 65 exceeds the cap 64",
+            ),
+            (
+                {"unknowns": ["u0"], "equations": [_equation("-" * 1000 + "u0")]},
+                "ParseError: 1:65: error: nesting depth 65 exceeds the cap 64",
+            ),
         ],
         ids=[
             "unknown-name", "superscript-digit", "no-unknowns", "bad-equation",
             "not-an-object", "unlisted-unknown", "unlisted-unknown-squared",
-            "spectral-variable", "duplicate-unknown",
+            "spectral-variable", "duplicate-unknown", "nested-parentheses",
+            "nested-minus-signs",
         ],
     )
     def test_malformed_system_exits_2(self, workdir, capsys, system, error):
@@ -566,6 +575,13 @@ class TestSolveCap:
         assert run(["solve", "sys.json"]) == 2
         err = capsys.readouterr().err
         assert f"bad system sys.json: {error}" in err
+        assert "Traceback" not in err
+
+    def test_json_nested_past_the_recursion_limit_exits_2(self, workdir, capsys):
+        Path("sys.json").write_text("[" * 100000 + "]" * 100000)
+        assert run(["solve", "sys.json"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read system sys.json: maximum recursion depth" in err
         assert "Traceback" not in err
 
     def test_solve_takes_no_param(self, workdir):

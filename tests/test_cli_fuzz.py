@@ -63,6 +63,10 @@ def _algebra(entry: str) -> bytes:
 @example(case=("vir", 0, _algebra("((((2^64)^64)^64)^64)")))
 # a byte that is not UTF-8
 @example(case=("vir", 0, _algebra("(d)") + b"\xff"))
+# nesting past the parser's recursion, even at the raised recursion limit
+# hypothesis runs under: 1000 parentheses, 5000 unary minus signs
+@example(case=("vir", 0, _algebra("(" * 1000 + "l" + ")" * 1000)))
+@example(case=("vir", 0, _algebra("-" * 5000 + "l")))
 def test_check_on_mutated_corpus_input(case):
     name, line, data = case
     argv = corpus.fixture_lines(name)[line]

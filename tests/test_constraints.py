@@ -1,16 +1,23 @@
+import hashlib
+import json
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfkit.constraints
 from cfkit.constraints import (
     MAX_SUBSTITUTION_CELLS,
     AnsatzSpec,
+    _compile,
     compile_deformation_constraints,
     grid_search,
     grid_values,
@@ -21,10 +28,17 @@ from cfkit.constraints import (
     assignment_text,
 )
 from cfkit.constraints import ConstraintSystem, Equation, Provenance
-from cfkit.deform import DeformationMap, check_deformation_map
-from cfkit.poly import D, CapExceeded, MultiPoly, unknown
+from cfkit.deform import (
+    DeformationMap, _graph, _morphism_residuals, check_deformation_map, deformed_algebra,
+)
+from cfkit.dsl import parse_document
+from cfkit.poly import D, L1, L2, MAX_UNKNOWN, CapExceeded, MultiPoly, unknown
 
-from helpers import assoc4_doc, sv_doc, wab_doc
+from helpers import assoc4_doc, bundled, reference_compile, sv_doc, wab_doc
+
+# the benchmark's generator of rank-scale documents
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 d = MultiPoly.var(D)
 u0, u1, u2, u3 = (MultiPoly.var(unknown(k)) for k in range(4))
@@ -93,6 +107,159 @@ class TestCompile:
         pair = wab_doc(1, 0).find("matched", "WP")
         with pytest.raises(ValueError):
             compile_deformation_constraints(pair, AnsatzSpec.uniform(2, 2, 0))
+
+
+def compiled(compile_, residuals, unknowns, pair_names, coord_names):
+    """The system ``compile_`` builds, or the message of its AssertionError."""
+    try:
+        return compile_(residuals, unknowns, pair_names, coord_names)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def assert_compiles_as_reference(residuals, unknowns, pair_names, coord_names):
+    rows = list(residuals)
+    got = compiled(_compile, rows, unknowns, pair_names, coord_names)
+    want = compiled(reference_compile, rows, unknowns, pair_names, coord_names)
+    assert got == want
+    if isinstance(want, ConstraintSystem):
+        assert system_to_json(got) == system_to_json(want)
+    return want
+
+
+# unknowns at both ends of the index range, u1020 among them
+_POOL = tuple(unknown(k) for k in (0, 1, 5, MAX_UNKNOWN - 1, MAX_UNKNOWN))
+
+
+@st.composite
+def residual_rows(draw):
+    """Residual rows ``(i, j, coords)`` over two generator and two coordinate
+    names: coordinates in d, l and the unknowns of ``_POOL``, quadratic in
+    the unknowns, with fractional coefficients, zero coordinates and
+    repeated equations, and now and then a cubic term or one in ``m``."""
+    fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+    def coord():
+        poly = MultiPoly.zero()
+        for _ in range(draw(st.integers(0, 4))):
+            term = MultiPoly.const(draw(fractions))
+            term *= MultiPoly.var(D, draw(st.integers(0, 3)))
+            term *= MultiPoly.var(L1, draw(st.integers(0, 3)))
+            for u in draw(st.lists(st.sampled_from(_POOL), max_size=2)):
+                term *= MultiPoly.var(u)
+            poly += term
+        odd = draw(st.sampled_from([None] * 18 + ["cubic", "m"]))
+        if odd == "cubic":
+            poly += MultiPoly.var(draw(st.sampled_from(_POOL)), 3)
+        elif odd == "m":
+            poly += MultiPoly.var(L2) * MultiPoly.var(_POOL[0])
+        return poly
+
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        coords = [coord(), coord()]
+        if draw(st.booleans()):
+            # a multiple of an earlier coordinate, maybe shifted in d and l:
+            # every equation it gives is a repeat
+            pick = draw(st.integers(0, len(rows) * 2 + 1))
+            source = ([c for _, _, cs in rows for c in cs] + coords)[pick]
+            shift = MultiPoly.var(D, draw(st.integers(0, 1))) * MultiPoly.var(
+                L1, draw(st.integers(0, 1))
+            )
+            coords[draw(st.integers(0, 1))] = source * draw(fractions) * shift
+        rows.append((i, j, tuple(coords)))
+    return rows
+
+
+class TestCompileMatchesReference:
+    """``_compile`` against the decode-and-bucket compiler of
+    ``helpers.reference_compile``: the same equations in the same order with
+    the same provenance, or the same AssertionError."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_bundled_pairs(self, degree):
+        for _, pair in bundled("matched"):
+            ansatz = AnsatzSpec(pair.Q.rank, pair.R.rank, degree)
+            _, residuals = _graph(pair, ansatz.symbolic_matrix())
+            assert_compiles_as_reference(residuals, ansatz.unknowns, pair.Q.basis, pair.R.basis)
+
+    def test_sv_diagonal_morphism_systems(self):
+        sizes = []
+        for params in ({"a": 0, "b": 5}, {"a": 0, "b": 0}, {"a": 2, "b": 1}):
+            doc = sv_doc(**params)
+            pair = doc.find("matched", "SVP")
+            maps = [doc.find("defmap", name) for name in ("phiab", "psi1", "psib", "zero")]
+            n = pair.Q.rank
+            unknowns = tuple(unknown(k) for k in range(n))
+            symbolic = tuple(
+                tuple(MultiPoly.var(unknowns[i]) if i == j else MultiPoly.zero() for j in range(n))
+                for i in range(n)
+            )
+            for phi in maps:
+                for psi in maps:
+                    source, target = deformed_algebra(pair, phi), deformed_algebra(pair, psi)
+                    residuals = _morphism_residuals(source, target, symbolic)
+                    system_ = assert_compiles_as_reference(
+                        residuals, unknowns, pair.Q.basis, pair.Q.basis
+                    )
+                    sizes.append(len(system_.equations))
+        assert len(set(sizes)) > 1
+
+    @given(rows=residual_rows())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_random_residual_rows(self, rows):
+        assert_compiles_as_reference(rows, _POOL, ("W1", "W2"), ("L", "N"))
+
+    @pytest.mark.parametrize(
+        "coord, message",
+        [
+            (MultiPoly.var(_POOL[-1], 3), "compiled equations must be quadratic"),
+            (MultiPoly.var(L2) * MultiPoly.var(_POOL[0]), "collected equation still has d/l"),
+        ],
+        ids=["cubic", "m"],
+    )
+    def test_refusals(self, coord, message):
+        rows = [(0, 0, (MultiPoly.var(_POOL[0]), MultiPoly.var(D) * coord))]
+        with pytest.raises(AssertionError, match=message):
+            _compile(rows, _POOL, ("W",), ("L", "N"))
+        assert_compiles_as_reference(rows, _POOL, ("W",), ("L", "N"))
+
+    def test_equation_order_and_repeats(self):
+        # by descending total degree, l^t first, then descending powers of d;
+        # the constant coefficient repeats d^3's and is dropped
+        u0, u1, u5, u1019, u1020 = (MultiPoly.var(u) for u in _POOL)
+        d_, l_ = MultiPoly.var(D), MultiPoly.var(L1)
+        coord = (
+            d_**3 * u0 * u1 / 2 + l_**2 * u0 + d_**2 * u1 + d_ * l_ * u5
+            + l_ * u1019 + d_ * u1020 + 3 * u0 * u1
+        )
+        system_ = _compile([(0, 0, (coord,))], _POOL, ("W",), ("L",))
+        assert [(str(e.poly), e.provenance.monomial) for e in system_.equations] == [
+            ("u0*u1", "d^3"), ("u0", "l^2"), ("u1", "d^2"), ("u5", "d*l"),
+            ("u1019", "l"), ("u1020", "d"),
+        ]
+
+
+class TestWideAnsatz:
+    """The wide ansatz that no corpus line or bench workload reaches: the
+    rank-8 n-fold pair at degree 2."""
+
+    @pytest.fixture(scope="class")
+    def doc(self):
+        scalars = tuple(Fraction(i + 1, 2) for i in range(8))
+        return parse_document(workloads._rank_doc_text(8, Fraction(1, 3), scalars))
+
+    def test_system_is_pinned(self, doc):
+        ansatz = AnsatzSpec(8, 1, 2)
+        system_ = compile_deformation_constraints(doc.find("matched", "NP"), ansatz)
+        assert len(system_.equations) == 644
+        text = json.dumps(system_to_json(system_), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "58b6ce517c36e11fb8441ddf854508c5bfb4b81676fe2f73da2cd4f10ac17fb9"
+        )
+        # the closed-form map Wi -> ai L satisfies it
+        assert verify_assignment(system_, ansatz.coefficients_of(doc.find("defmap", "phi")))
 
 
 class TestVerifyAssignment:

@@ -13,6 +13,7 @@ from cfkit import corpus
 from cfkit.dsl import (
     MAX_DIGITS,
     MAX_EXPONENT,
+    MAX_NESTING,
     MAX_POWER_BITS,
     Diagnostic,
     Document,
@@ -268,6 +269,30 @@ class TestDiagnostics:
     def test_exponent_at_cap_parses(self):
         doc = parse_document(f"algebra A : lie {{ gens X; [X, X] = (d^{MAX_EXPONENT}) X; }}")
         assert doc.find("algebra", "A").table[0][0] == (MultiPoly.var(D, MAX_EXPONENT),)
+
+    @pytest.mark.parametrize(
+        "opener, closer", [("(", ")"), ("-", ""), ("-(", ")")], ids=["parens", "minus", "mixed"]
+    )
+    def test_nesting_cap(self, opener, closer):
+        def nested(levels):
+            return opener * levels + "l" + closer * levels
+
+        # MAX_NESTING levels parse, and their minus signs, an even number, cancel
+        depth = MAX_NESTING // len(opener)
+        doc = parse_document(f"algebra A : lie {{ gens X; [X, X] = {nested(depth)} X; }}")
+        assert doc.find("algebra", "A").table[0][0] == (MultiPoly.var(L1),)
+        # the token that opens level MAX_NESTING + 1 is refused, nothing after it read
+        text = f"algebra A : lie {{ gens X; [X, X] = {nested(depth + 1)} X; }}"
+        _, diags = try_parse(text)
+        col = text.index("=") + 3 + MAX_NESTING
+        assert [(x.col, x.message) for x in diags] == [
+            (col, f"nesting depth {MAX_NESTING + 1} exceeds the cap {MAX_NESTING}")
+        ]
+        with pytest.raises(ParseError):
+            parse_poly_text(nested(depth + 1))
+        # a failed declaration leaves no depth behind for the next one
+        _, diags = try_parse(text + f"algebra B : lie {{ gens Y; [Y, Y] = {nested(depth)} Y; }}")
+        assert len(diags) == 1
 
     def test_duplicate_names(self):
         _, diags = try_parse(
