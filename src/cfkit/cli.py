@@ -285,13 +285,21 @@ def cmd_constraints(args, report: dict) -> None:
     system_json = cons.system_to_json(system)
     report["system"] = system_json
     elimination = cons.linear_eliminate(system)
+    # an equation that elimination left unchanged is the same object, so its
+    # text is the one already rendered for the system
+    texts = {
+        id(eq.poly): item["poly"]
+        for eq, item in zip(system.equations, system_json["equations"])
+    }
     report["elimination"] = {
         **_elimination(elimination),
         "records": [
             {"unknown": cons.var_name(rec.var), "replacement": str(rec.replacement)}
             for rec in elimination.records
         ],
-        "residual_equations": [str(eq.poly) for eq in elimination.system.equations],
+        "residual_equations": [
+            texts.get(id(eq.poly)) or str(eq.poly) for eq in elimination.system.equations
+        ],
     }
     if args.out:
         _write(args.out, json.dumps(system_json, indent=2, sort_keys=True) + "\n")

@@ -31,8 +31,12 @@ terms;`` with ``[a, b]`` as the product's spelling, go through one entry
 parser and one entry renderer.  ``serialize`` produces a canonical rendering
 that parses back to an identical document.
 
-The lexer is one search over the text for a pattern with no alternative for
-blanks, so the search itself skips them.  The expression parser folds
+The lexer is one ``findall`` over the text for a pattern with no alternative
+for blanks, so the search itself skips them; a token is its text alone, and
+its kind is read off its first character.  Lines and columns are found only
+for a diagnostic, by walking the same pattern once per document with
+``finditer``, which also refuses unexpected characters.  The parser keeps a
+token it may report later as its index.  The expression parser folds
 constants: numbers and parameters are ``int`` or ``Fraction`` values, and
 ``*``, ``/``, ``+``, ``-`` and unary minus combine them as such.  A value
 becomes a ``MultiPoly`` where it meets a variable, where it is the base of a
@@ -45,7 +49,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .actions import _LAYOUT, MatchedPair, _layout, _matched_pair
 from .algebra import (
@@ -126,53 +129,65 @@ class Document:
 # -- lexer --------------------------------------------------------------------
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident" | "number" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+#: The punctuators, two-character ones first: the lexeme pattern tries them in order.
+_PUNCT = ("->", "<|", "|>", "<~", "~>", *"{}()[],;:=+-*/^")
 
-
-# One alternative per lexeme, tried in order; blanks match none, so the search
-# skips them.  ``\d`` is ``str.isdecimal`` and ``\w`` is ``str.isalnum`` or
-# ``_``.
+# A newline, a comment, or one lexeme in the only group, tried in that order;
+# blanks match none, so the search skips them.  ``\d`` is ``str.isdecimal``
+# and ``\w`` is ``str.isalnum`` or ``_``; the last alternative is any other
+# character, which starts no token.
 _LEXEME = re.compile(
-    r"(?P<newline>\n)|(?P<comment>#[^\n]*)"
-    r"|(?P<punct>->|<\||\|>|<~|~>|[{}()\[\],;:=+\-*/^])"
-    r"|(?P<number>\d+)|(?P<ident>\w+)|(?P<other>[^ \t\r])"
+    r"\n|#[^\n]*|(" + "|".join(map(re.escape, _PUNCT)) + r"|\d+|\w+|[^ \t\r])"
 )
 
 
-def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
-    tokens: list[_Token] = []
-    diagnostics: list[Diagnostic] = []
+def _is_name(tok: str) -> bool:
+    """Whether ``tok`` is an identifier: ``\\w`` also takes ``²`` and ``Ⅻ``,
+    which start no name."""
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _is_token(lexeme: str) -> bool:
+    return lexeme in _PUNCT or lexeme.isdecimal() or _is_name(lexeme)
+
+
+def _lex(text: str) -> tuple[list[str], list[tuple[int, int]] | None, list[Diagnostic]]:
+    """The tokens of ``text``, eof (``""``) last, their lines and columns, and
+    its unexpected characters; the positions are found only for such a text."""
+    tokens = list(filter(None, _LEXEME.findall(text)))
+    if all(map(_is_token, set(tokens))):
+        tokens.append("")
+        return tokens, None, []
+    return _located(text)
+
+
+def _located(text: str) -> tuple[list[str], list[tuple[int, int]], list[Diagnostic]]:
+    """``_lex(text)`` with every position found: the same search, walked
+    with ``finditer``, for diagnostics only."""
+    tokens, places, diagnostics = [], [], []
     line, line_start, pos = 1, 0, 0
     while pos is not None:
         resume, pos = pos, None
         for match in _LEXEME.finditer(text, resume):
-            kind, start = match.lastgroup, match.start()
-            if kind == "punct" or kind == "number" or kind == "ident" and (
-                # ``\w`` also takes ``²`` and ``Ⅻ``, which start no name
-                text[start].isalpha() or text[start] == "_"
-            ):
-                tokens.append(
-                    tuple.__new__(_Token, (kind, match.group(), line, start - line_start + 1))
-                )
-            elif kind == "newline":
+            lexeme, start = match[1], match.start()
+            if lexeme is None and text[start] == "\n":
                 line, line_start = line + 1, start + 1
-            elif kind == "comment":
+            elif lexeme is None:
                 # the column stays at the ``#``, where an eof after it is placed
                 line_start += match.end() - start
+            elif _is_token(lexeme):
+                tokens.append(lexeme)
+                places.append((line, start - line_start + 1))
             else:
-                diagnostics.append(Diagnostic(
-                    "error", f"unexpected character {text[start]!r}", line,
-                    start - line_start + 1, 1,
-                ))
-                if kind == "ident":
-                    pos = start + 1  # lex the rest of the run afresh
+                col = start - line_start + 1
+                message = f"unexpected character {lexeme[0]!r}"
+                diagnostics.append(Diagnostic("error", message, line, col, 1))
+                if len(lexeme) > 1:
+                    pos = start + 1  # a ``\w`` run: lex the rest of it afresh
                     break
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens, diagnostics
+    tokens.append("")
+    places.append((line, len(text) - line_start + 1))
+    return tokens, places, diagnostics
 
 
 # -- parser -------------------------------------------------------------------
@@ -188,61 +203,65 @@ def _as_poly(value: MultiPoly | Scalar) -> MultiPoly:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], params: dict[str, Fraction]):
+    def __init__(self, text: str, params: dict[str, Fraction]):
+        self.text = text
+        # the places, when ``_lex`` finds none, are found at the first error
+        self.tokens, self.places, self.diagnostics = _lex(text)
         # a second eof past the first, so ``peek(1)`` indexes directly
-        self.tokens = [*tokens, tokens[-1]]
+        self.tokens.append("")
         self.pos = 0
         self.params = dict(params)
         self.used_params: set[str] = set()
-        self.diagnostics: list[Diagnostic] = []
         self.items: list[Item] = []
         self.by_kind: dict[tuple[str, str], object] = {}
         self.depth = 0
 
-    # basic machinery
+    # basic machinery; a token kept for a later diagnostic is kept as its index
 
-    def peek(self, ahead: int = 0) -> _Token:
+    def peek(self, ahead: int = 0) -> str:
         return self.tokens[self.pos + ahead]
 
-    def advance(self) -> _Token:
+    def advance(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok:
             self.pos += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None) -> None:
-        tok = tok or self.peek()
+    def error(self, message: str, at: int | None = None) -> None:
+        """Report ``message`` at the token of index ``at``, the next token by
+        default; the first report finds every token's line and column."""
+        at = self.pos if at is None else at
         if len(self.diagnostics) < _MAX_DIAGNOSTICS:
-            self.diagnostics.append(
-                Diagnostic(
-                    "error", message, tok.line, tok.col, max(1, len(tok.text))
-                )
-            )
+            if self.places is None:
+                self.places = _located(self.text)[1]
+            line, col = self.places[at]
+            length = max(1, len(self.tokens[at]))
+            self.diagnostics.append(Diagnostic("error", message, line, col, length))
 
-    def fail(self, message: str, tok: _Token | None = None):
-        self.error(message, tok)
+    def fail(self, message: str, at: int | None = None):
+        self.error(message, at)
         raise _Bail()
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.fail(f"expected {text!r}, found {tok.text!r}", tok)
-        return self.advance()
+    def expect(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            self.fail(f"expected {text!r}, found {self.peek()!r}")
+        self.pos += 1
 
-    def expect_ident(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(f"expected {what}, found {tok.text!r}", tok)
-        return self.advance()
+    def expect_ident(self, what: str) -> int:
+        """The index of the next token, read past when it is a name."""
+        if not _is_name(self.tokens[self.pos]):
+            self.fail(f"expected {what}, found {self.peek()!r}")
+        self.pos += 1
+        return self.pos - 1
 
-    def integer(self, tok: _Token, digits: str) -> int:
-        """``int(digits)`` for digits read from ``tok``, refused at the token
-        when too long, before any conversion."""
+    def integer(self, at: int, digits: str) -> int:
+        """``int(digits)`` for digits read from token ``at``, refused at the
+        token when too long, before any conversion."""
         digits = digits.lstrip("0") or "0"
         if len(digits) > MAX_DIGITS:
             self.fail(
                 f"numeric literal of {len(digits)} digits exceeds the cap {MAX_DIGITS}",
-                tok,
+                at,
             )
         return int(digits)
 
@@ -252,14 +271,14 @@ class _Parser:
         depth = 0
         while True:
             tok = self.peek()
-            if tok.kind == "eof":
+            if not tok:
                 return
-            if depth == 0 and tok.text in _DECLARATIONS:
+            if depth == 0 and tok in _DECLARATIONS:
                 return
             self.advance()
-            if tok.text == "{":
+            if tok == "{":
                 depth += 1
-            elif tok.text == "}":
+            elif tok == "}":
                 if depth <= 1:
                     return
                 depth -= 1
@@ -267,7 +286,7 @@ class _Parser:
     # polynomial expressions, folding constants as the module docstring says
 
     def parse_poly(self, allow: frozenset[int], what: str) -> MultiPoly:
-        start = self.peek()
+        start = self.pos
         poly = _as_poly(self._poly_sum())
         bad = sorted(poly.variables() - allow)
         if bad:
@@ -277,96 +296,97 @@ class _Parser:
 
     def _poly_sum(self) -> MultiPoly | Scalar:
         acc = self._poly_product()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
+        while self.tokens[self.pos] in ("+", "-"):
+            op = self.advance()
             rhs = self._poly_product()
             acc = acc + rhs if op == "+" else acc - rhs
         return acc
 
-    def nested(self, tok: _Token, parse):
-        """``parse()`` one level deeper, refused at ``tok`` past :data:`MAX_NESTING`."""
-        self.within_cap(self.depth + 1, MAX_NESTING, "nesting depth", tok)
+    def nested(self, at: int, parse):
+        """``parse()`` one level deeper, refused at ``at`` past :data:`MAX_NESTING`."""
+        self.within_cap(self.depth + 1, MAX_NESTING, "nesting depth", at)
         self.depth += 1
         try:
             return parse()
         finally:
             self.depth -= 1
 
-    def within_cap(self, value: int, cap: int, what: str, tok: _Token) -> None:
-        """Refuse at ``tok`` a ``what`` of ``value`` above ``cap``, before the
-        power or product it measures is formed."""
+    def within_cap(self, value: int, cap: int, what: str, at: int) -> None:
+        """Refuse at token ``at`` a ``what`` of ``value`` above ``cap``, before
+        the power or product it measures is formed."""
         if value > cap:
-            self.fail(f"{what} {value} exceeds the cap {cap}", tok)
+            self.fail(f"{what} {value} exceeds the cap {cap}", at)
 
     def _poly_product(self) -> MultiPoly | Scalar:
         acc = self._poly_factor()
-        while self.peek().text in ("*", "/"):
-            op_tok = self.advance()
-            tok = self.peek()
+        while self.tokens[self.pos] in ("*", "/"):
+            op_at = self.pos
+            self.pos = rhs_at = op_at + 1
             rhs = self._poly_factor()
-            if op_tok.text == "*":
+            if self.tokens[op_at] == "*":
                 # a scalar has degree at most 0, so only two polynomials can
                 # pass the cap that each of them is already within
                 if type(acc) is MultiPoly and type(rhs) is MultiPoly:
                     degree = acc.degree() + rhs.degree()
-                    self.within_cap(degree, MAX_EXPONENT, "product of degree", op_tok)
+                    self.within_cap(degree, MAX_EXPONENT, "product of degree", op_at)
                 acc = acc * rhs
             else:
                 value = rhs.constant_value() if type(rhs) is MultiPoly else rhs
                 if value is None or value == 0:
-                    self.fail("division is only by nonzero constants", tok)
+                    self.fail("division is only by nonzero constants", rhs_at)
                 acc = acc / value if type(acc) is MultiPoly else Fraction(acc) / value
         return acc
 
     def _poly_factor(self) -> MultiPoly | Scalar:
-        tok = self.peek()
-        if tok.text in ("-", "+"):
-            self.advance()
-            inner = self.nested(tok, self._poly_factor)
-            return -inner if tok.text == "-" else inner
+        at = self.pos
+        tok = self.tokens[at]
+        if tok in ("-", "+"):
+            self.pos += 1
+            inner = self.nested(at, self._poly_factor)
+            return -inner if tok == "-" else inner
         base = self._poly_primary()
-        if self.peek().text == "^":
-            self.advance()
+        if self.tokens[self.pos] == "^":
+            self.pos += 1
             exp_tok = self.peek()
-            if exp_tok.kind != "number":
-                self.fail("exponent must be a number", exp_tok)
-            exponent = self.integer(exp_tok, exp_tok.text)
+            if not exp_tok.isdecimal():
+                self.fail("exponent must be a number")
+            exponent = self.integer(self.pos, exp_tok)
             if exponent > MAX_EXPONENT:
-                self.fail(f"exponent {exp_tok.text} exceeds the cap {MAX_EXPONENT}", exp_tok)
-            base = _as_poly(base)
-            self.within_cap(base.degree() * exponent, MAX_EXPONENT, "power of degree", exp_tok)
+                self.fail(f"exponent {exp_tok} exceeds the cap {MAX_EXPONENT}")
+            base, at = _as_poly(base), self.pos
+            self.within_cap(base.degree() * exponent, MAX_EXPONENT, "power of degree", at)
             bits = base.bit_length() * exponent
-            self.within_cap(bits, MAX_POWER_BITS, "power of coefficient bit length", exp_tok)
-            self.advance()
+            self.within_cap(bits, MAX_POWER_BITS, "power of coefficient bit length", at)
+            self.pos += 1
             return base ** exponent
         return base
 
     def _poly_primary(self) -> MultiPoly | Scalar:
+        at = self.pos
         tok = self.advance()
-        if tok.kind == "number":
-            return self.integer(tok, tok.text)
-        if tok.text == "(":
-            inner = self.nested(tok, self._poly_sum)
+        if tok.isdecimal():
+            return self.integer(at, tok)
+        if tok == "(":
+            inner = self.nested(at, self._poly_sum)
             self.expect(")")
             return inner
-        if tok.kind == "ident":
-            name = tok.text
-            if name == "d":
-                return _PD
-            if name == "l":
-                return _PL1
-            if name == "m":
-                return _PL2
-            if len(name) > 1 and name[0] == "u" and name[1:].isdecimal():
-                index = self.integer(tok, name[1:])
+        if tok == "d":
+            return _PD
+        if tok == "l":
+            return _PL1
+        if tok == "m":
+            return _PL2
+        if _is_name(tok):
+            if len(tok) > 1 and tok[0] == "u" and tok[1:].isdecimal():
+                index = self.integer(at, tok[1:])
                 if index > MAX_UNKNOWN:
-                    self.fail(f"unknown index is over the cap of u{MAX_UNKNOWN}", tok)
+                    self.fail(f"unknown index is over the cap of u{MAX_UNKNOWN}", at)
                 return MultiPoly.var(unknown(index))
-            if name in self.params:
-                self.used_params.add(name)
-                return self.params[name]
-            self.fail(f"unbound parameter {name!r}", tok)
-        self.fail(f"expected a polynomial, found {tok.text!r}", tok)
+            if tok in self.params:
+                self.used_params.add(tok)
+                return self.params[tok]
+            self.fail(f"unbound parameter {tok!r}", at)
+        self.fail(f"expected a polynomial, found {tok!r}", at)
 
     # coefficient-vector right-hand sides
 
@@ -374,35 +394,32 @@ class _Parser:
         self, gens: tuple[str, ...], allow: frozenset[int], what: str
     ) -> list[MultiPoly]:
         vec = [MultiPoly.zero()] * len(gens)
-        if self.peek().text == "0" and self.peek(1).text == ";":
-            self.advance()
+        if self.peek() == "0" and self.peek(1) == ";":
+            self.pos += 1
             return vec
         sign = 1
         while True:
+            # a generator is a name, so a token among ``gens`` is one
             tok = self.peek()
-            if tok.kind == "ident" and tok.text in gens and self.peek(1).text in (
-                ";",
-                "+",
-                "-",
-            ):
-                self.advance()
+            if tok in gens and self.peek(1) in (";", "+", "-"):
+                self.pos += 1
                 coeff = MultiPoly.const(sign)
             else:
                 coeff = self.parse_poly(allow, what)
                 if sign < 0:
                     coeff = -coeff
-                gen_tok = self.expect_ident("a generator name")
-                if gen_tok.text not in gens:
-                    self.fail(f"unknown generator {gen_tok.text!r}", gen_tok)
-                tok = gen_tok
-            idx = gens.index(tok.text)
+                at = self.expect_ident("a generator name")
+                tok = self.tokens[at]
+                if tok not in gens:
+                    self.fail(f"unknown generator {tok!r}", at)
+            idx = gens.index(tok)
             vec[idx] = vec[idx] + coeff
             nxt = self.peek()
-            if nxt.text == "+":
-                self.advance()
+            if nxt == "+":
+                self.pos += 1
                 sign = 1
-            elif nxt.text == "-":
-                self.advance()
+            elif nxt == "-":
+                self.pos += 1
                 sign = -1
             else:
                 return vec
@@ -412,14 +429,14 @@ class _Parser:
     def parse_document(self) -> Document | None:
         while True:
             tok = self.peek()
-            if tok.kind == "eof":
+            if not tok:
                 break
             try:
-                if tok.text in _DECLARATIONS:
-                    getattr(self, f"parse_{tok.text}")()
+                if tok in _DECLARATIONS:
+                    getattr(self, f"parse_{tok}")()
                 else:
-                    self.advance()
-                    self.fail(f"expected a declaration, found {tok.text!r}", tok)
+                    self.pos += 1
+                    self.fail(f"expected a declaration, found {tok!r}", self.pos - 1)
             except _Bail:
                 self.sync_decl()
             if len(self.diagnostics) >= _MAX_DIAGNOSTICS:
@@ -428,120 +445,121 @@ class _Parser:
             return None
         return Document(tuple(self.items), frozenset(self.used_params))
 
-    def register(self, kind: str, name_tok: _Token, value: object, refs=()) -> None:
-        key = (kind, name_tok.text)
-        if key in self.by_kind:
-            self.fail(f"duplicate {kind} name {name_tok.text!r}", name_tok)
-        self.by_kind[key] = value
-        self.items.append(Item(kind, name_tok.text, value, tuple(refs)))
+    def register(self, kind: str, at: int, value: object, refs=()) -> None:
+        name = self.tokens[at]
+        if (kind, name) in self.by_kind:
+            self.fail(f"duplicate {kind} name {name!r}", at)
+        self.by_kind[kind, name] = value
+        self.items.append(Item(kind, name, value, tuple(refs)))
 
-    def lookup(self, kind: str, name_tok: _Token):
-        value = self.by_kind.get((kind, name_tok.text))
+    def lookup(self, kind: str, at: int):
+        value = self.by_kind.get((kind, self.tokens[at]))
         if value is None:
-            self.fail(f"unknown {kind} {name_tok.text!r}", name_tok)
+            self.fail(f"unknown {kind} {self.tokens[at]!r}", at)
         return value
 
     def parse_param(self) -> None:
         self.expect("param")
-        name_tok = self.expect_ident("a parameter name")
-        name = name_tok.text
+        at = self.expect_ident("a parameter name")
+        name = self.tokens[at]
         if name in _RESERVED or (len(name) > 1 and name[0] == "u" and name[1:].isdecimal()):
-            self.fail(f"{name!r} is reserved and cannot be a parameter", name_tok)
+            self.fail(f"{name!r} is reserved and cannot be a parameter", at)
         self.expect("=")
         value = self._parse_rational()
         self.expect(";")
         # command-line bindings take precedence over in-file defaults
         self.params.setdefault(name, value)
         self.used_params.add(name)
-        self.register("param", name_tok, self.params[name])
+        self.register("param", at, self.params[name])
 
     def _parse_rational(self) -> Fraction:
         sign = 1
-        if self.peek().text == "-":
-            self.advance()
+        if self.peek() == "-":
+            self.pos += 1
             sign = -1
         num_tok = self.peek()
-        if num_tok.kind != "number":
-            self.fail("expected a rational constant", num_tok)
-        value = Fraction(self.integer(num_tok, num_tok.text))
-        self.advance()
-        if self.peek().text == "/":
-            self.advance()
+        if not num_tok.isdecimal():
+            self.fail("expected a rational constant")
+        value = Fraction(self.integer(self.pos, num_tok))
+        self.pos += 1
+        if self.peek() == "/":
+            self.pos += 1
             den_tok = self.peek()
-            den = self.integer(den_tok, den_tok.text) if den_tok.kind == "number" else 0
+            den = self.integer(self.pos, den_tok) if den_tok.isdecimal() else 0
             if den == 0:
-                self.fail("expected a nonzero denominator", den_tok)
-            self.advance()
+                self.fail("expected a nonzero denominator")
+            self.pos += 1
             value /= den
         return sign * value
 
-    def _check_gen_name(self, tok: _Token) -> None:
-        name = tok.text
+    def _check_gen_name(self, at: int) -> None:
+        name = self.tokens[at]
         if name in _RESERVED:
-            self.fail(f"{name!r} is reserved and cannot name a generator", tok)
+            self.fail(f"{name!r} is reserved and cannot name a generator", at)
         if name in self.params:
-            self.fail(f"{name!r} is already a parameter name", tok)
+            self.fail(f"{name!r} is already a parameter name", at)
 
-    def _header(self, keyword: str, what: str) -> tuple[_Token, str]:
-        """``keyword name : kind {``; the name token and the kind."""
+    def _header(self, keyword: str, what: str) -> tuple[int, str]:
+        """``keyword name : kind {``; the name's token index and the kind."""
         self.expect(keyword)
-        name_tok = self.expect_ident(what)
+        name_at = self.expect_ident(what)
         self.expect(":")
-        kind_tok = self.expect_ident("a kind (lie or assoc)")
-        if kind_tok.text not in KINDS:
-            self.fail(f"unknown kind {kind_tok.text!r}", kind_tok)
+        kind_at = self.expect_ident("a kind (lie or assoc)")
+        kind = self.tokens[kind_at]
+        if kind not in KINDS:
+            self.fail(f"unknown kind {kind!r}", kind_at)
         self.expect("{")
-        return name_tok, kind_tok.text
+        return name_at, kind
 
     def _entry(self, operands, bases, entries: dict, what: str, duplicate: str) -> None:
-        """The rest of ``left op right = terms;`` once both operand tokens
-        are read: ``bases`` are the left, right and output generators, and
-        the entry lands in ``entries[i, j]``."""
-        for tok, basis in zip(operands, bases):
-            if tok.text not in basis:
-                self.fail(f"unknown generator {tok.text!r}", tok)
+        """The rest of ``left op right = terms;`` once both operand tokens,
+        whose indexes are ``operands``, are read: ``bases`` are the left,
+        right and output generators, and the entry lands in ``entries[i, j]``."""
+        for at, basis in zip(operands, bases):
+            if self.tokens[at] not in basis:
+                self.fail(f"unknown generator {self.tokens[at]!r}", at)
         self.expect("=")
         vec = self.parse_terms(bases[2], frozenset({D, L1}), what)
         self.expect(";")
-        key = tuple(basis.index(tok.text) for tok, basis in zip(operands, bases))
+        key = tuple(basis.index(self.tokens[at]) for at, basis in zip(operands, bases))
         if key in entries:
             self.fail(duplicate, operands[0])
         entries[key] = tuple(vec)
 
     def parse_algebra(self) -> None:
-        name_tok, kind = self._header("algebra", "an algebra name")
+        name_at, kind = self._header("algebra", "an algebra name")
         self.expect("gens")
         gens = []
         while True:
-            gen_tok = self.expect_ident("a generator name")
-            self._check_gen_name(gen_tok)
-            if gen_tok.text in gens:
-                self.fail(f"duplicate generator {gen_tok.text!r}", gen_tok)
-            gens.append(gen_tok.text)
-            if self.peek().text == ",":
-                self.advance()
+            at = self.expect_ident("a generator name")
+            self._check_gen_name(at)
+            if self.tokens[at] in gens:
+                self.fail(f"duplicate generator {self.tokens[at]!r}", at)
+            gens.append(self.tokens[at])
+            if self.peek() == ",":
+                self.pos += 1
                 continue
             break
         self.expect(";")
         gens = tuple(gens)
         entries = {}
-        while self.peek().text == "[":
-            self.advance()
-            a_tok = self.expect_ident("a generator name")
+        while self.peek() == "[":
+            self.pos += 1
+            a_at = self.expect_ident("a generator name")
             self.expect(",")
-            b_tok = self.expect_ident("a generator name")
+            b_at = self.expect_ident("a generator name")
             self.expect("]")
             self._entry(
-                (a_tok, b_tok), (gens, gens, gens), entries, "a product table",
-                f"duplicate product entry [{a_tok.text}, {b_tok.text}]",
+                (a_at, b_at), (gens, gens, gens), entries, "a product table",
+                f"duplicate product entry [{self.tokens[a_at]}, {self.tokens[b_at]}]",
             )
         self.expect("}")
         n = len(gens)
         table = _table((n, n, n), entries)
-        self.register("algebra", name_tok, ConformalAlgebra(kind, gens, table))
+        self.register("algebra", name_at, ConformalAlgebra(kind, gens, table))
 
     def parse_matched(self) -> None:
-        name_tok, kind = self._header("matched", "a matched-pair name")
+        name_at, kind = self._header("matched", "a matched-pair name")
         parts, refs = {}, []
         for part in ("R", "Q"):
             self.expect(part)
@@ -549,27 +567,27 @@ class _Parser:
             refs.append(self.expect_ident("an algebra name"))
             parts[part] = self.lookup("algebra", refs[-1])
             self.expect(";")
-        for tok, alg in zip(refs, parts.values()):
+        for at, alg in zip(refs, parts.values()):
             if alg.kind != kind:
-                self.fail(f"algebra {tok.text!r} has the wrong kind", tok)
+                self.fail(f"algebra {self.tokens[at]!r} has the wrong kind", at)
         if set(parts["R"].basis) & set(parts["Q"].basis):
-            self.fail("R and Q generator names must not overlap", name_tok)
+            self.fail("R and Q generator names must not overlap", name_at)
         arrows = {row[1]: row for row in _LAYOUT}
         entries = {}
-        while self.peek().kind == "ident" and self.peek(1).text in arrows:
-            left_tok = self.advance()
-            row = arrows[self.advance().text]
+        while self.peek(1) in arrows and _is_name(self.peek()):
+            left_at, row = self.pos, arrows[self.peek(1)]
+            self.pos += 2
             if row not in _layout(kind):
-                self.fail(f"action {row[1]!r} is for associative pairs", left_tok)
-            right_tok = self.expect_ident("a generator name")
+                self.fail(f"action {row[1]!r} is for associative pairs", left_at)
+            right_at = self.expect_ident("a generator name")
             attr, _, *operands = row
             self._entry(
-                (left_tok, right_tok), tuple(parts[c].basis for c in operands),
+                (left_at, right_at), tuple(parts[c].basis for c in operands),
                 entries.setdefault(attr, {}), "an action table", "duplicate action entry",
             )
         self.expect("}")
         pair = _matched_pair(kind, parts["R"], parts["Q"], entries)
-        self.register("matched", name_tok, pair, refs=tuple(tok.text for tok in refs))
+        self.register("matched", name_at, pair, refs=tuple(self.tokens[at] for at in refs))
 
     def _parse_map_rows(
         self, src_basis: tuple[str, ...], tgt_basis: tuple[str, ...], what: str
@@ -580,58 +598,52 @@ class _Parser:
         zero_row = (MultiPoly.zero(),) * len(tgt_basis)
         rows = {name: zero_row for name in src_basis}
         assigned = set()
-        while self.peek().kind == "ident" and self.peek(1).text == "->":
-            src_tok = self.advance()
-            self.advance()  # ->
-            if src_tok.text not in src_basis:
-                self.fail(f"unknown generator {src_tok.text!r}", src_tok)
-            if src_tok.text in assigned:
-                self.fail(f"duplicate map row for {src_tok.text!r}", src_tok)
-            assigned.add(src_tok.text)
+        while self.peek(1) == "->" and _is_name(self.peek()):
+            src_at, src = self.pos, self.peek()
+            self.pos += 2
+            if src not in src_basis:
+                self.fail(f"unknown generator {src!r}", src_at)
+            if src in assigned:
+                self.fail(f"duplicate map row for {src!r}", src_at)
+            assigned.add(src)
             vec = self.parse_terms(tgt_basis, allow, what)
             self.expect(";")
-            rows[src_tok.text] = tuple(vec)
+            rows[src] = tuple(vec)
         self.expect("}")
         return tuple(rows[name] for name in src_basis)
 
     def parse_defmap(self) -> None:
         self.expect("defmap")
-        name_tok = self.expect_ident("a map name")
+        name_at = self.expect_ident("a map name")
         self.expect("on")
-        pair_tok = self.expect_ident("a matched-pair name")
-        pair = self.lookup("matched", pair_tok)
+        pair_at = self.expect_ident("a matched-pair name")
+        pair = self.lookup("matched", pair_at)
         matrix = self._parse_map_rows(pair.Q.basis, pair.R.basis, "a deformation map")
         self.register(
-            "defmap", name_tok, DeformationMap(pair, matrix), refs=(pair_tok.text,)
+            "defmap", name_at, DeformationMap(pair, matrix), refs=(self.tokens[pair_at],)
         )
 
     def parse_morphism(self) -> None:
         self.expect("morphism")
-        name_tok = self.expect_ident("a morphism name")
+        name_at = self.expect_ident("a morphism name")
         self.expect(":")
-        src_tok = self.expect_ident("an algebra name")
-        source = self.lookup("algebra", src_tok)
+        src_at = self.expect_ident("an algebra name")
+        source = self.lookup("algebra", src_at)
         self.expect("->")
-        tgt_tok = self.expect_ident("an algebra name")
-        target = self.lookup("algebra", tgt_tok)
+        tgt_at = self.expect_ident("an algebra name")
+        target = self.lookup("algebra", tgt_at)
         if source.kind != target.kind:
-            self.fail("morphism endpoints must have the same kind", tgt_tok)
+            self.fail("morphism endpoints must have the same kind", tgt_at)
         matrix = self._parse_map_rows(source.basis, target.basis, "a morphism")
-        self.register(
-            "morphism",
-            name_tok,
-            Morphism(source, target, matrix),
-            refs=(src_tok.text, tgt_tok.text),
-        )
+        refs = (self.tokens[src_at], self.tokens[tgt_at])
+        self.register("morphism", name_at, Morphism(source, target, matrix), refs)
 
 
 def try_parse(
     text: str, params: dict[str, Fraction] | None = None
 ) -> tuple[Document | None, list[Diagnostic]]:
     """Parse source text; collect diagnostics instead of stopping at the first."""
-    tokens, diagnostics = _lex(text)
-    parser = _Parser(tokens, params or {})
-    parser.diagnostics.extend(diagnostics)
+    parser = _Parser(text, params or {})
     document = parser.parse_document()
     if parser.diagnostics:
         return None, parser.diagnostics
@@ -647,14 +659,12 @@ def parse_document(text: str, params: dict[str, Fraction] | None = None) -> Docu
 
 def parse_poly_text(text: str) -> MultiPoly:
     """Parse a bare polynomial in the normative rendering (d, l, m, u0...)."""
-    tokens, diagnostics = _lex(text)
-    parser = _Parser(tokens, {})
-    parser.diagnostics.extend(diagnostics)
+    parser = _Parser(text, {})
     try:
         poly = _as_poly(parser._poly_sum())
     except _Bail:
         poly = None
-    if parser.diagnostics or parser.peek().kind != "eof" or poly is None:
+    if parser.diagnostics or parser.peek() or poly is None:
         raise ParseError(
             parser.diagnostics
             or [Diagnostic("error", "trailing input after polynomial", 1, 1, 1)]

@@ -1,15 +1,19 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import cfkit
 from cfkit import cli, corpus
 from cfkit.algebra import CheckReport, Violation, element_text
 from cfkit.cli import MAX_ANSATZ_DEGREE, MAX_ENTRY_DEGREE
-from cfkit.dsl import parse_document
+from cfkit.dsl import MAX_NESTING, parse_document
 from cfkit.poly import MAX_UNKNOWN, MultiPoly
 from helpers import FOREIGN
 from test_actions import reference_check_b1_b2_direct
@@ -931,3 +935,43 @@ class TestIntegerOptions:
             run(["solve", "sys.json", "--grid-num", "two"])
         assert exc.value.code == 2
         assert "argument --grid-num: invalid int value: 'two'" in capsys.readouterr().err
+
+
+class TestNestingCapAtTheDefaultRecursionLimit:
+    """The parser's nesting cap, met in a fresh interpreter: in this process
+    hypothesis may have raised the recursion limit, which would hide a
+    ``RecursionError`` below the cap."""
+
+    PREFIX = "algebra Vir : lie { gens L; [L, L] = "
+
+    def check(self, tmp_path, entry: str) -> subprocess.CompletedProcess:
+        path = tmp_path / "nested.cfk"
+        path.write_text(f"{self.PREFIX}{entry} L; }}\n", encoding="utf-8")
+        src = str(Path(cfkit.__file__).resolve().parents[1])
+        paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        return subprocess.run(
+            [sys.executable, "-m", "cfkit.cli", "check", path.name],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+
+    def test_nesting_at_the_cap_parses(self, tmp_path):
+        done = self.check(tmp_path, "(" * MAX_NESTING + "d + 2*l" + ")" * MAX_NESTING)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "axioms:Vir: pass\n", "")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "(" * (MAX_NESTING + 1) + "d + 2*l" + ")" * (MAX_NESTING + 1),
+            "(" * 1000 + "d + 2*l" + ")" * 1000,
+            "-" * 5000 + "(d + 2*l)",
+        ],
+        ids=["one-past-the-cap", "1000-parentheses", "5000-minus-signs"],
+    )
+    def test_the_opener_past_the_cap_is_refused_at_its_column(self, tmp_path, entry):
+        done = self.check(tmp_path, entry)
+        col = len(self.PREFIX) + MAX_NESTING + 1
+        message = f"nesting depth {MAX_NESTING + 1} exceeds the cap {MAX_NESTING}"
+        assert done.returncode == 2
+        assert done.stderr == f"nested.cfk:1:{col}: error: {message}\n"
+        assert "Traceback" not in done.stderr

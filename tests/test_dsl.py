@@ -24,6 +24,7 @@ from cfkit.dsl import (
     serialize,
     _Bail,
     _lex,
+    _located,
     _Parser,
     try_parse,
 )
@@ -380,6 +381,19 @@ PINNED_DIAGNOSTICS = {
         _A + _B + "matched P : lie { R = A; Q = B; W <| X = (m) W; }",
         "3:42: error: variable m not allowed in an action table",
     ),
+    # positions are found only for a diagnostic: after a comment, past a
+    # name that holds numerals, and at the ``#`` of a trailing comment
+    "error-after-comment": (
+        "algebra A : lie { # gens first\n  gens X; [X, X] = (d X; }",
+        "2:23: error: expected ')', found 'X'",
+    ),
+    "numerals-inside-name": (
+        "algebra A : lie { gens Xa; [Xa, Xa] = (d) Xa²Ⅻ; }",
+        "1:43: error: unknown generator 'Xa²Ⅻ'",
+    ),
+    "eof-after-trailing-comment": (
+        "algebra A : lie { gens X; # open", "1:27: error: expected '}', found ''"
+    ),
 }
 
 
@@ -390,6 +404,19 @@ def test_pinned_diagnostic_text(text, expected):
     doc, diags = try_parse(text)
     assert doc is None
     assert [x.text() for x in diags] == [expected]
+
+
+def test_lexer_and_parser_diagnostics_in_order():
+    # ``²`` inside a name stays in it; at the start of one it is refused and
+    # the rest of the run lexed afresh, so the generator ``U`` is declared
+    text = "algebra A : lie {\n  # W, V²W and U\n  gens W, V²W, ²U;\n  [W, U] = (d) V²W\n}\n"
+    assert try_parse(text) == (None, [
+        Diagnostic("error", "unexpected character '²'", 3, 16, 1),
+        Diagnostic("error", "expected ';', found '}'", 5, 1, 1),
+    ])
+    assert try_parse(text.replace("²U", "U").replace("V²W\n", "V²W;\n"))[1] == []
+    _, diags = try_parse("algebra A : lie { gens Xa; [Xa, Xa] = (d) Xa²Ⅻ; }")
+    assert [(x.col, x.length) for x in diags] == [(43, 4)]
 
 
 # -- reference: the character-at-a-time lexer ---------------------------------
@@ -482,8 +509,31 @@ def _random_texts(count: int):
         yield text + "# trailing comment" if n % 4 == 0 else text
 
 
-def _lexed(lex, text):
-    tokens, diagnostics = lex(text)
+def _kind(tok: str) -> str:
+    """A token's kind, read off its first character."""
+    if not tok:
+        return "eof"
+    if tok[0].isdecimal():
+        return "number"
+    return "ident" if tok[0].isalpha() or tok[0] == "_" else "punct"
+
+
+def _lexed(text):
+    """``_lex(text)`` in the reference's terms: each token's kind, text,
+    line and column, the positions found by ``_located``, and the
+    diagnostics."""
+    tokens, lexed_places, diagnostics = _lex(text)
+    located, places, located_diagnostics = _located(text)
+    assert located == tokens and located_diagnostics == diagnostics
+    # positions are found while lexing only for a text that needs them
+    assert lexed_places == (places if diagnostics else None)
+    return [
+        (_kind(tok), tok, *place) for tok, place in zip(tokens, places, strict=True)
+    ], diagnostics
+
+
+def _reference_lexed(text):
+    tokens, diagnostics = reference_lex(text)
     return [(t.kind, t.text, t.line, t.col) for t in tokens], diagnostics
 
 
@@ -491,12 +541,12 @@ class TestLexerMatchesReference:
     def test_fixtures(self):
         for name in corpus.fixture_names():
             text = (corpus.fixture_dir(name) / "input.cfk").read_text()
-            assert _lexed(_lex, text) == _lexed(reference_lex, text), name
+            assert _lexed(text) == _reference_lexed(text), name
 
     def test_random_texts(self):
         seen = set()
         for text in _random_texts(12_000):
-            assert _lexed(_lex, text) == _lexed(reference_lex, text), repr(text)
+            assert _lexed(text) == _reference_lexed(text), repr(text)
             seen.update(text)
         assert seen >= set("²٣Ⅻé\t\r#") | _SINGLE
 
@@ -505,12 +555,12 @@ class TestLexerMatchesReference:
         [("X # note", (1, 3)), ("X\n  # note", (2, 3)), ("#", (1, 1)), ("a²Ⅻ", (1, 4))],
     )
     def test_eof_position(self, text, eof):
-        tokens, _ = _lex(text)
-        assert (tokens[-1].line, tokens[-1].col) == eof
+        tokens, places, _ = _located(text)
+        assert tokens[-1] == "" and places[-1] == eof
 
     def test_numerals_that_are_not_letters_start_no_identifier(self):
-        tokens, diagnostics = _lex("²a Ⅻ1 a²Ⅻ ٣")
-        assert [(t.kind, t.text) for t in tokens] == [
+        tokens, _, diagnostics = _lex("²a Ⅻ1 a²Ⅻ ٣")
+        assert [(_kind(tok), tok) for tok in tokens] == [
             ("ident", "a"), ("number", "1"), ("ident", "a²Ⅻ"), ("number", "٣"), ("eof", "")
         ]
         assert [(x.message, x.col) for x in diagnostics] == [
@@ -619,7 +669,7 @@ def reference_poly(parser: _Parser, allow: frozenset[int], what: str) -> MultiPo
     """``_Parser.parse_poly`` before it folded constants: every number,
     variable and parameter is a ``MultiPoly``, combined by ring operations.
     Kept as the reference of the differential tests below."""
-    start = parser.peek()
+    start = parser.pos
     poly = _reference_sum(parser)
     bad = sorted(poly.variables() - allow)
     if bad:
@@ -630,8 +680,8 @@ def reference_poly(parser: _Parser, allow: frozenset[int], what: str) -> MultiPo
 
 def _reference_sum(p: _Parser) -> MultiPoly:
     acc = _reference_product(p)
-    while p.peek().text in ("+", "-"):
-        op = p.advance().text
+    while p.peek() in ("+", "-"):
+        op = p.advance()
         rhs = _reference_product(p)
         acc = acc + rhs if op == "+" else acc - rhs
     return acc
@@ -639,71 +689,72 @@ def _reference_sum(p: _Parser) -> MultiPoly:
 
 def _reference_product(p: _Parser) -> MultiPoly:
     acc = _reference_factor(p)
-    while p.peek().text in ("*", "/"):
-        op_tok = p.advance()
-        tok = p.peek()
+    while p.peek() in ("*", "/"):
+        op_at = p.pos
+        op = p.advance()
+        rhs_at = p.pos
         rhs = _reference_factor(p)
-        if op_tok.text == "*":
+        if op == "*":
             degree = acc.degree() + rhs.degree()
-            p.within_cap(degree, MAX_EXPONENT, "product of degree", op_tok)
+            p.within_cap(degree, MAX_EXPONENT, "product of degree", op_at)
             acc = acc * rhs
         else:
             value = rhs.constant_value()
             if value is None or value == 0:
-                p.fail("division is only by nonzero constants", tok)
+                p.fail("division is only by nonzero constants", rhs_at)
             acc = acc / value
     return acc
 
 
 def _reference_factor(p: _Parser) -> MultiPoly:
     tok = p.peek()
-    if tok.text in ("-", "+"):
+    if tok in ("-", "+"):
         p.advance()
         inner = _reference_factor(p)
-        return -inner if tok.text == "-" else inner
+        return -inner if tok == "-" else inner
     base = _reference_primary(p)
-    if p.peek().text == "^":
+    if p.peek() == "^":
         p.advance()
-        exp_tok = p.peek()
-        if exp_tok.kind != "number":
-            p.fail("exponent must be a number", exp_tok)
-        exponent = p.integer(exp_tok, exp_tok.text)
+        exp_at, exp_tok = p.pos, p.peek()
+        if _kind(exp_tok) != "number":
+            p.fail("exponent must be a number", exp_at)
+        exponent = p.integer(exp_at, exp_tok)
         if exponent > MAX_EXPONENT:
-            p.fail(f"exponent {exp_tok.text} exceeds the cap {MAX_EXPONENT}", exp_tok)
-        p.within_cap(base.degree() * exponent, MAX_EXPONENT, "power of degree", exp_tok)
+            p.fail(f"exponent {exp_tok} exceeds the cap {MAX_EXPONENT}", exp_at)
+        p.within_cap(base.degree() * exponent, MAX_EXPONENT, "power of degree", exp_at)
         bits = base.bit_length() * exponent
-        p.within_cap(bits, MAX_POWER_BITS, "power of coefficient bit length", exp_tok)
+        p.within_cap(bits, MAX_POWER_BITS, "power of coefficient bit length", exp_at)
         p.advance()
         return base ** exponent
     return base
 
 
 def _reference_primary(p: _Parser) -> MultiPoly:
+    at = p.pos
     tok = p.advance()
-    if tok.kind == "number":
-        return MultiPoly.const(p.integer(tok, tok.text))
-    if tok.text == "(":
+    if _kind(tok) == "number":
+        return MultiPoly.const(p.integer(at, tok))
+    if tok == "(":
         inner = _reference_sum(p)
         p.expect(")")
         return inner
-    if tok.kind == "ident":
-        name = tok.text
-        if name == "d":
+    if _kind(tok) == "ident":
+        if tok == "d":
             return MultiPoly.var(D)
-        if name == "l":
+        if tok == "l":
             return MultiPoly.var(L1)
-        if name == "m":
+        if tok == "m":
             return MultiPoly.var(L2)
-        if len(name) > 1 and name[0] == "u" and name[1:].isdecimal():
-            index = p.integer(tok, name[1:])
+        if len(tok) > 1 and tok[0] == "u" and tok[1:].isdecimal():
+            index = p.integer(at, tok[1:])
             if index > MAX_UNKNOWN:
-                p.fail(f"unknown index is over the cap of u{MAX_UNKNOWN}", tok)
+                p.fail(f"unknown index is over the cap of u{MAX_UNKNOWN}", at)
             return MultiPoly.var(unknown(index))
-        if name in p.params:
-            p.used_params.add(name)
-            return MultiPoly.const(p.params[name])
-        p.fail(f"unbound parameter {name!r}", tok)
-    p.fail(f"expected a polynomial, found {tok.text!r}", tok)
+        if tok in p.params:
+            p.used_params.add(tok)
+            return MultiPoly.const(p.params[tok])
+        p.fail(f"unbound parameter {tok!r}", at)
+    p.fail(f"expected a polynomial, found {tok!r}", at)
 
 
 _PARAMS = {"a": Fraction(1, 2), "b": Fraction(-3, 4), "c": Fraction(0), "e": Fraction(7)}
@@ -716,9 +767,7 @@ _ALLOW = (
 def _parsed(parse, text: str, allow: frozenset[int]):
     """What ``parse`` makes of ``text`` as one polynomial: its value, the
     diagnostics' text, the token it stopped at and the parameters it read."""
-    tokens, diagnostics = _lex(text)
-    parser = _Parser(tokens, _PARAMS)
-    parser.diagnostics.extend(diagnostics)
+    parser = _Parser(text, _PARAMS)
     try:
         value = parse(parser, allow, "an expression")
     except _Bail:
