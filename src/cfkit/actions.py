@@ -7,41 +7,42 @@ action sits is written down once, in the layout table :data:`_LAYOUT`: the
 pair field, the arrow that spells it, the components of its two operands
 and the component its values lie in.  The pair's validation, the ``.cfk``
 parser and serializer and :func:`build_bicrossed` all read it.  A pair
-stores each action as a plain table, and :data:`_LAYOUT` gives its shape:
-the ranks of its two operands' components and of its carrier.  The
-bicrossed product ``E = R ⋈ Q`` is built by placing tables: R's and Q's on
-the diagonal, each action's into the carrier coordinates of its operands'
-block, and for a Lie pair the remaining block by skew-symmetry.  A matched
-pair is decided by one test: ``E`` must satisfy the Lie (or associative)
-conformal axioms, which contain the axioms of R and Q, the module laws and
-the cross conditions.  A pair builds its ``E`` and checks E's axioms once.
-The direct check of a Lie pair's two cross identities is a projection of
-that report: the R and Q parts of E's Jacobiator on mixed triples.  The CLI
-reports it beside the verdict and compares the two, never substituting one
-for the other.
+takes each action as a plain table of the shape :data:`_LAYOUT` gives, and
+keeps, as an algebra does, the nonzero structure constants that the walk
+validating it returns; no dense action table is read after that.  The
+bicrossed product ``E = R ⋈ Q`` is built by placing stored constants: R's
+and Q's on the diagonal, each action's into the carrier coordinates of its
+operands' block, and for a Lie pair the remaining block by skew-symmetry.
+A matched pair is decided by one test: ``E`` must satisfy the Lie (or
+associative) conformal axioms, which contain the axioms of R and Q, the
+module laws and the cross conditions.  A pair builds its ``E`` and checks
+E's axioms once.  The direct check of a Lie pair's two cross identities is a
+projection of that report: the R and Q parts of E's Jacobiator on mixed
+triples.  The CLI reports it beside the verdict and compares the two, never
+substituting one for the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
 
 from .algebra import (
+    _PD,
+    _PL1,
     ASSOCIATIVE,
     CheckReport,
     ConformalAlgebra,
     LIE,
+    Sparse,
     Table,
     _check_table,
     _table,
     _violations,
     check_axioms,
 )
-from .poly import D, L1, MultiPoly
-
-_PD = MultiPoly.var(D)
-_PL1 = MultiPoly.var(L1)
+from .poly import L1, MultiPoly
 
 #: The cross actions of a matched pair, one row each: the :class:`MatchedPair`
 #: field, the arrow of its infix notation ``x op y``, the components x and y
@@ -78,6 +79,8 @@ class MatchedPair:
     rhd: Table
     lhu: Table | None = None
     rhu: Table | None = None
+    #: each action's nonzero structure constants at ``l``, by field name
+    constants: dict[str, Sparse] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (LIE, ASSOCIATIVE):
@@ -87,11 +90,14 @@ class MatchedPair:
         if self.kind == LIE and (self.lhu is not None or self.rhu is not None):
             raise ValueError("harpoon actions are for the associative kind")
         ranks = {"R": self.R.rank, "Q": self.Q.rank}
-        for field, _, left, right, carrier in _layout(self.kind):
-            table = getattr(self, field)
+        constants = {}
+        for attr, _, left, right, carrier in _layout(self.kind):
+            table = getattr(self, attr)
             if table is None:
-                raise ValueError(f"{self.kind} pairs need the {field} action")
-            _check_table(table, (ranks[left], ranks[right], ranks[carrier]), field)
+                raise ValueError(f"{self.kind} pairs need the {attr} action")
+            shape = (ranks[left], ranks[right], ranks[carrier])
+            constants[attr] = _check_table(table, shape, attr)
+        object.__setattr__(self, "constants", constants)
 
     @cached_property
     def bicrossed(self) -> ConformalAlgebra:
@@ -114,40 +120,40 @@ def _matched_pair(
     ``entries[field][i, j]`` where given and zero elsewhere."""
     ranks = {"R": R.rank, "Q": Q.rank}
     return MatchedPair(kind, R, Q, **{
-        field: _table((ranks[left], ranks[right], ranks[carrier]), entries.get(field))
-        for field, _, left, right, carrier in _layout(kind)
+        attr: _table((ranks[left], ranks[right], ranks[carrier]), entries.get(attr))
+        for attr, _, left, right, carrier in _layout(kind)
     })
 
 
 def build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
     """Algebra on R + Q (R basis first) defined by the pair's actions.
 
-    Each table is placed as it stands: R's and Q's on the diagonal, each
-    action's into the carrier coordinates of its operands' block.  A Lie
-    pair has no action on R x Q; skew-symmetry gives that block from Q x R,
-    ``[a_l x] = -[x_{-l-d} a]``.
+    Stored constants are placed as they stand: R's and Q's on the diagonal,
+    each action's into the carrier coordinates of its operands' block.  A
+    Lie pair has no action on R x Q; skew-symmetry gives that block from the
+    placed Q x R entries, ``[a_l x] = -[x_{-l-d} a]``.
     """
     nr = mp.R.rank
     n = nr + mp.Q.rank
     at = {"R": 0, "Q": nr}
-    zero = MultiPoly.zero()
-    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    blocks = [("R", "R", "R", mp.R.table), ("Q", "Q", "Q", mp.Q.table)] + [
-        (left, right, carrier, getattr(mp, field))
-        for field, _, left, right, carrier in _layout(mp.kind)
+    placed = {}  # (i, j) -> {k: nonzero coefficient of e_k in [e_i e_j]}
+    blocks = [("R", "R", "R", mp.R.constants), ("Q", "Q", "Q", mp.Q.constants)] + [
+        (left, right, carrier, mp.constants[attr])
+        for attr, _, left, right, carrier in _layout(mp.kind)
     ]
-    for left, right, carrier, block in blocks:
-        k = at[carrier]
-        for i, row in enumerate(block):
-            for j, entry in enumerate(row):
-                table[at[left] + i][at[right] + j][k : k + len(entry)] = entry
+    for left, right, carrier, constants in blocks:
+        for i, row in enumerate(constants):
+            for j, pairs in row.items():
+                entry = placed.setdefault((at[left] + i, at[right] + j), {})
+                entry.update((at[carrier] + k, c) for k, c in pairs)
     if mp.kind == LIE:
         neg = -_PL1 - _PD
-        for i in range(nr):
-            for j in range(nr, n):
-                table[i][j] = [-c.substitute(L1, neg) for c in table[j][i]]
-    names = mp.R.basis + mp.Q.basis
-    return ConformalAlgebra(mp.kind, names, tuple(tuple(map(tuple, row)) for row in table))
+        for (i, j), entry in list(placed.items()):
+            if i >= nr > j:
+                placed[j, i] = {k: -c.substitute(L1, neg) for k, c in entry.items()}
+    zero = MultiPoly.zero()
+    entries = {ij: tuple(entry.get(k, zero) for k in range(n)) for ij, entry in placed.items()}
+    return ConformalAlgebra(mp.kind, mp.R.basis + mp.Q.basis, _table((n, n, n), entries))
 
 
 def check_matched_pair(mp: MatchedPair) -> CheckReport:

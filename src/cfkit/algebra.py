@@ -2,7 +2,10 @@
 
 An element of a free module is the tuple of its coordinates, one
 polynomial per basis vector; table entries, products and residuals are
-all such tuples.
+all such tuples.  A validated table is read only through its stored
+constants (below), kept by its algebra or, for an action, by its matched
+pair: the bicrossed product places them, the ``.cfk`` serializer renders
+them with :func:`pairs_text` and the CLI's degree budget reads their degrees.
 
 Two rewriting rules extend a basis product table to arbitrary elements at a
 spectral parameter ``s``: a ``d``-polynomial multiplying the left argument
@@ -59,14 +62,13 @@ Sparse = tuple[dict[int, Pairs], ...]
 
 def element_text(coords: Element, names: tuple[str, ...]) -> str:
     """Canonical rendering ``(poly) name + ...``, or ``0``."""
-    parts = []
-    for coeff, name in zip(coords, names):
-        if coeff.is_zero:
-            continue
-        if coeff == 1:
-            parts.append(name)
-        else:
-            parts.append(f"({coeff}) {name}")
+    return pairs_text([(k, c) for k, c in enumerate(coords) if c], names)
+
+
+def pairs_text(pairs: Pairs, names: tuple[str, ...]) -> str:
+    """:func:`element_text` of the element whose nonzero ``(index,
+    coordinate)`` pairs are ``pairs``, in index order."""
+    parts = [names[k] if c == 1 else f"({c}) {names[k]}" for k, c in pairs]
     return " + ".join(parts) if parts else "0"
 
 

@@ -131,12 +131,12 @@ def _load(args, report: dict) -> Document:
 def _require_degree_budget(document: Document) -> None:
     """Refuse a table coefficient over the (d, l)-degree budget, naming its
     declaration and entry, before any check multiplies table entries.  Only
-    degrees are read; nothing is multiplied."""
+    the degrees of the stored constants are read; nothing is multiplied."""
     for item in document.items:
-        for table, spell, left, right, _ in item_tables(item):
-            for i, row in enumerate(table):
-                for j, entry in enumerate(row):
-                    degree = max((coeff.degree() for coeff in entry), default=-1)
+        for constants, spell, left, right, _ in item_tables(item):
+            for i, row in enumerate(constants):
+                for j, pairs in row.items():
+                    degree = max(coeff.degree() for _, coeff in pairs)
                     if degree > MAX_ENTRY_DEGREE:
                         raise CapExceeded(
                             f"{item.kind} {item.name}: {spell.format(left[i], right[j])}"
@@ -149,7 +149,7 @@ def _find(document: Document, kind: str, name: str):
     try:
         return document.find(kind, name)
     except KeyError as exc:
-        raise _InputError(str(exc))
+        raise _InputError(exc.args[0])
 
 
 def _defmap(document: Document, name: str, pair, pair_name: str):
@@ -215,16 +215,16 @@ def _elimination(result: cons.EliminationResult) -> dict:
     }
 
 
-def _output(args, report: dict, document: Document, name: str, algebra) -> None:
-    """Serialize a constructed algebra into the report (and ``-o``), then
-    compare it with the ``--expect`` declaration."""
+def _output(args, report: dict, name: str, algebra, expected) -> None:
+    """Serialize a constructed algebra into the report (and ``-o``), then compare
+    it with ``expected``, the ``--expect`` declaration found before any write."""
     text = serialize(Document((Item("algebra", name, algebra),)))
     if args.out:
         _write(args.out, text)
     report["output"] = text
     if args.expect:
         report["checks"].append(_message_entry(
-            f"expect:{args.expect}", _find(document, "algebra", args.expect) == algebra,
+            f"expect:{args.expect}", expected == algebra,
             "table-mismatch", "constructed table differs from declaration",
         ))
 
@@ -248,14 +248,16 @@ def cmd_check(args, report: dict) -> None:
 def cmd_bicrossed(args, report: dict) -> None:
     document = _load(args, report)
     pair = _find(document, "matched", args.pair)
+    expected = args.expect and _find(document, "algebra", args.expect)
     report["checks"].extend(_item_checks("matched", args.pair, pair))
-    _output(args, report, document, f"{args.pair}_E", pair.bicrossed)
+    _output(args, report, f"{args.pair}_E", pair.bicrossed, expected)
 
 
 def cmd_deform(args, report: dict) -> None:
     document = _load(args, report)
     pair = _find(document, "matched", args.pair)
     mapping = _defmap(document, args.map, pair, args.pair)
+    expected = args.expect and _find(document, "algebra", args.expect)
     table, residuals = dfm._graph(pair, mapping.matrix)  # one pass for both
     deformation = CheckReport(_violations("deformation", pair.R.basis, residuals))
     report["checks"].append(_entry(f"deformation_map:{args.map}", deformation))
@@ -264,7 +266,7 @@ def cmd_deform(args, report: dict) -> None:
         report["checks"].append(_entry(f"graph_embedding:{args.map}", deformation))
     # the deformed table is still produced on failure, for diagnostics
     twisted = ConformalAlgebra(pair.kind, pair.Q.basis, table)
-    _output(args, report, document, f"{args.map}_Q", twisted)
+    _output(args, report, f"{args.map}_Q", twisted, expected)
 
 
 def cmd_constraints(args, report: dict) -> None:

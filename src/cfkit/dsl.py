@@ -52,7 +52,7 @@ from fractions import Fraction
 
 from .actions import _LAYOUT, MatchedPair, _layout, _matched_pair
 from .algebra import (
-    _PD, _PL1, _PL2, KINDS, ConformalAlgebra, _table, element_text,
+    _PD, _PL1, _PL2, KINDS, ConformalAlgebra, _table, element_text, pairs_text,
 )
 from .deform import DeformationMap, Morphism
 from .poly import D, L1, MAX_UNKNOWN, MultiPoly, Scalar, scalar_text, unknown, var_name
@@ -662,13 +662,12 @@ def parse_poly_text(text: str) -> MultiPoly:
     parser = _Parser(text, {})
     try:
         poly = _as_poly(parser._poly_sum())
+        if parser.peek():
+            parser.fail("trailing input after polynomial")
     except _Bail:
-        poly = None
-    if parser.diagnostics or parser.peek() or poly is None:
-        raise ParseError(
-            parser.diagnostics
-            or [Diagnostic("error", "trailing input after polynomial", 1, 1, 1)]
-        )
+        pass
+    if parser.diagnostics:
+        raise ParseError(parser.diagnostics)
     return poly
 
 
@@ -676,33 +675,21 @@ def parse_poly_text(text: str) -> MultiPoly:
 
 
 def item_tables(item: Item):
-    """The product and action tables ``item`` declares, each as
-    ``(table, spell, left, right, carrier)``: entry ``[i][j]`` of ``table``
-    is written ``spell.format(left[i], right[j])`` and its values lie in
-    the ``carrier`` generators.  Other kinds of item declare none."""
+    """The stored constants of each product and action table ``item``
+    declares, as ``(constants, spell, left, right, carrier)``: nonzero entry
+    ``constants[i][j]`` is written ``spell.format(left[i], right[j])`` and
+    its pairs index the ``carrier`` generators.  Other items declare none."""
     if item.kind == "algebra":
         alg: ConformalAlgebra = item.value
-        yield alg.table, "[{}, {}]", alg.basis, alg.basis, alg.basis
+        yield alg.constants, "[{}, {}]", alg.basis, alg.basis, alg.basis
     elif item.kind == "matched":
         pair: MatchedPair = item.value
         parts = {"R": pair.R.basis, "Q": pair.Q.basis}
         for attr, op, left, right, carrier in _layout(pair.kind):
             yield (
-                getattr(pair, attr), f"{{}} {op} {{}}",
+                pair.constants[attr], f"{{}} {op} {{}}",
                 parts[left], parts[right], parts[carrier],
             )
-
-
-def _entry_lines(table, spell: str, left, right, out) -> list[str]:
-    """One ``  spell = terms;`` line per nonzero entry of ``table``, whose
-    rows and columns are the ``left`` and ``right`` generators; ``spell``
-    is a format of the two generator names."""
-    return [
-        f"  {spell.format(a, b)} = {element_text(table[i][j], out)};"
-        for i, a in enumerate(left)
-        for j, b in enumerate(right)
-        if any(table[i][j])
-    ]
 
 
 def serialize(document: Document) -> str:
@@ -718,8 +705,11 @@ def serialize(document: Document) -> str:
                 lines.append("  gens " + ", ".join(item.value.basis) + ";")
             else:
                 lines += [f"  R = {item.refs[0]};", f"  Q = {item.refs[1]};"]
-            for table in item_tables(item):
-                lines += _entry_lines(*table)
+            for constants, spell, left, right, out in item_tables(item):
+                lines += (
+                    f"  {spell.format(left[i], right[j])} = {pairs_text(pairs, out)};"
+                    for i, row in enumerate(constants) for j, pairs in row.items()
+                )
         elif item.kind in ("defmap", "morphism"):
             mapping = item.value
             if item.kind == "defmap":

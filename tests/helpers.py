@@ -42,13 +42,19 @@ def load_fixture(name: str, **params) -> Document:
     return parse_document(text, bound)
 
 
-def bundled(kind: str):
-    """Every ``kind`` declaration of the corpus fixtures, at generic parameters."""
+def bundled_documents():
+    """``(name, document)`` of every corpus fixture, at generic parameters."""
     params = {p: Fraction(k + 2, 3) for k, p in enumerate(
         ("a", "b", "c", "p", "q", "r", "s", "a1", "a2", "a3", "ai"))}
     for name in corpus.fixture_names():
         text = (corpus.fixture_dir(name) / "input.cfk").read_text()
-        for item in parse_document(text, params).items:
+        yield name, parse_document(text, params)
+
+
+def bundled(kind: str):
+    """Every ``kind`` declaration of the corpus fixtures, at generic parameters."""
+    for name, document in bundled_documents():
+        for item in document.items:
             if item.kind == kind:
                 yield f"{name}:{item.name}", item.value
 

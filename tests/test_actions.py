@@ -389,6 +389,17 @@ class TestBicrossedBuiltOnce:
         assert hash(first) == hash_before == hash(second)
 
 
+def test_stored_action_constants_are_not_a_field():
+    """A pair's stored constants are not passed, compared, hashed or shown."""
+    first = wab_doc(1, 0).find("matched", "WP")
+    second = wab_doc(1, 0).find("matched", "WP")
+    object.__setattr__(second, "constants", {})
+    assert first == second and hash(first) == hash(second)
+    assert "constants" not in repr(first)
+    with pytest.raises(TypeError):
+        MatchedPair(LIE, first.R, first.Q, first.lhd, first.rhd, constants={})
+
+
 class TestAxiomsCheckedOnce:
     def test_one_check_per_pair(self, monkeypatch):
         calls = []
@@ -646,6 +657,8 @@ def test_stored_constants_of_bundled_algebras():
     for label, pair in bundled("matched"):
         big = pair.bicrossed
         assert _in_order(big.constants) == _nonzero_read(big.table), label
+        for attr, *_ in _layout(pair.kind):
+            assert _in_order(pair.constants[attr]) == _nonzero_read(getattr(pair, attr)), label
         labels.append(label)
     assert len(labels) >= 20
 

@@ -186,6 +186,32 @@ class TestCheck:
         assert run(["bicrossed", "t.cfk", "--pair", "P", "--expect", "Nope"]) == 2
 
 
+class TestUnknownNames:
+    """A name the document does not declare is bad input: exit 2, its lookup
+    message alone on stderr, and no output file, whichever name it is."""
+
+    DOC = VIR + (
+        "algebra Q : lie { gens W; }\nmatched P : lie { R = Vir; Q = Q; }\n"
+        "defmap phi on P { W -> 0; }\n"
+    )
+
+    OUT = ["-o", "out.cfk"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bicrossed", "--pair", "NOPE", *OUT], "no matched named 'NOPE'"),
+        (["structure", "--algebra", "NOPE"], "no algebra named 'NOPE'"),
+        (["deform", "--pair", "P", "--map", "NOPE", *OUT], "no defmap named 'NOPE'"),
+        (["bicrossed", "--pair", "P", "--expect", "NOPE", *OUT], "no algebra named 'NOPE'"),
+        (["deform", "--pair", "P", "--map", "phi", "--expect", "NOPE", *OUT],
+         "no algebra named 'NOPE'"),
+    ], ids=["pair", "algebra", "map", "bicrossed-expect", "deform-expect"])
+    def test_exits_2_with_the_message_and_no_file(self, workdir, capsys, argv, message):
+        Path("t.cfk").write_text(self.DOC)
+        assert run([argv[0], "t.cfk", *argv[1:]]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not Path("out.cfk").exists()
+
+
 class TestDeterminism:
     def test_reports_identical_modulo_timings(self, workdir):
         Path("t.cfk").write_text(VIR)
@@ -588,6 +614,14 @@ class TestSolveCap:
         assert "cannot read system sys.json: maximum recursion depth" in err
         assert "Traceback" not in err
 
+    def test_trailing_input_is_placed_at_its_token(self, workdir, capsys):
+        system = {"unknowns": ["u0", "u1"], "equations": [_equation("u0 u1")]}
+        Path("sys.json").write_text(json.dumps(system))
+        assert run(["solve", "sys.json"]) == 2
+        assert capsys.readouterr().err == (
+            "bad system sys.json: ParseError: 1:4: error: trailing input after polynomial\n"
+        )
+
     def test_solve_takes_no_param(self, workdir):
         Path("sys.json").write_text(json.dumps({"unknowns": [], "equations": []}))
         with pytest.raises(SystemExit) as exc:
@@ -855,6 +889,24 @@ class TestReportPipeline:
                 "residual": "direct and normative verdicts disagree",
             }],
         }
+
+    def test_convention_mismatch_on_a_pair_whose_r_is_not_skew(self, workdir):
+        # E fails outside the two cross identities, in R's own skew-symmetry,
+        # so the direct check passes a pair the normative check fails
+        Path("t.cfk").write_text(
+            BAD.replace("Bad", "R") + "algebra Q : lie { gens W; }\n"
+            "matched P : lie { R = R; Q = Q; }\n"
+        )
+        assert run(["check", "t.cfk", "--json", "r.json"]) == 1
+        checks = json.loads(Path("r.json").read_text())["checks"]
+        assert [(c["name"], c["status"]) for c in checks] == [
+            ("axioms:R", "fail"), ("axioms:Q", "pass"), ("matched_pair:P", "fail"),
+            ("cross_compat_direct:P", "pass"), ("convention-mismatch:P", "fail"),
+        ]
+        assert [v["identity"] for v in checks[2]["violations"]] == [
+            "E:skew:skew-symmetry", "E:jacobi:jacobi"
+        ]
+        assert checks[3]["convention_match"] is False
 
     def test_structure_depth_cap_exits_3(self, workdir):
         # QYM at a = 0 is solvable(2): one derived step does not reach zero

@@ -661,6 +661,16 @@ class TestPolyText:
         with pytest.raises(ParseError):
             parse_poly_text("d + ;")
 
+    @pytest.mark.parametrize("text, place", [
+        ("u0 u1", (1, 4, 2)), ("u0\n  + u1 ;", (2, 8, 1)),
+    ], ids=["same-line", "next-line"])
+    def test_trailing_input_is_reported_at_its_token(self, text, place):
+        with pytest.raises(ParseError) as exc:
+            parse_poly_text(text)
+        assert [(x.line, x.col, x.length, x.message) for x in exc.value.diagnostics] == [
+            (*place, "trailing input after polynomial")
+        ]
+
 
 # -- reference: the parser that builds a MultiPoly per literal ----------------
 

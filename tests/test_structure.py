@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfkit import algebra as algebra_module
+from cfkit import cli
 from cfkit import structure as structure_module
+from cfkit.actions import _LAYOUT, build_bicrossed
 from cfkit.algebra import ConformalAlgebra, LIE, check_axioms
-from cfkit.dsl import parse_document
-from cfkit.poly import D, L1, MultiPoly
+from cfkit.dsl import parse_document, serialize
+from cfkit.poly import D, L1, CapExceeded, MultiPoly
 from cfkit.structure import (
     Submodule,
     derived_subalgebra,
@@ -26,7 +28,7 @@ from cfkit.structure import (
 )
 
 from helpers import (
-    abelian, bundled, element, member, product_at, reference_det,
+    abelian, bundled, bundled_documents, element, member, product_at, reference_det,
     reference_hermite_normal_form, sv_doc, vir_algebra, wab_doc,
 )
 
@@ -404,6 +406,49 @@ def test_checks_read_no_dense_table(label):
     expected = results()
     assert expected[0].passed == (label == "sv:SV")
     object.__setattr__(alg, "table", None)
+    assert results() == expected
+
+
+def test_placement_rendering_and_budget_read_no_dense_table():
+    """After validation, placement, rendering and the degree budget read only
+    the stored constants: with the dense ``table`` of every bundled algebra
+    and every action table of every bundled pair gone, Lie and associative,
+    ``build_bicrossed``, ``serialize`` and the CLI's degree budget give what
+    they gave before, on two entries over the budget too."""
+    pair = "algebra Q : lie { gens W; }\nmatched S : lie { R = R; Q = Q; W <| L = (l^17) W; }"
+    documents = [doc for _, doc in bundled_documents()] + [
+        parse_document(f"algebra R : lie {{ gens L;{product} }}\n{pair}")
+        for product in (" [L, L] = (d^17) L;", "")
+    ]
+
+    def budget(document):
+        try:
+            cli._require_degree_budget(document)
+        except CapExceeded as exc:
+            return str(exc)
+
+    def results():
+        return [
+            ([build_bicrossed(item.value) for item in doc.items if item.kind == "matched"],
+             serialize(doc), budget(doc))
+            for doc in documents
+        ]
+
+    expected = results()
+    assert [budget for *_, budget in expected[-2:]] == [
+        "algebra R: [L, L] has (d, l)-degree 17, over the budget of 16",
+        "matched S: W <| L has (d, l)-degree 17, over the budget of 16",
+    ]
+    kinds = set()
+    for doc in documents:
+        for item in doc.items:
+            if item.kind == "algebra":
+                object.__setattr__(item.value, "table", None)
+            elif item.kind == "matched":
+                kinds.add(item.value.kind)
+                for attr, *_ in _LAYOUT:
+                    object.__setattr__(item.value, attr, None)
+    assert kinds == {"lie", "assoc"}
     assert results() == expected
 
 
