@@ -35,10 +35,10 @@ and a key whose bit 15 is set marks a product over the degree guard, which
 raises :class:`CapExceeded`, the package's one exception for every resource
 cap, instead of yielding wrong exponents.  Keys are decoded only in this
 module, back to ``(variable, exponent)`` tuples where a term is handed out
-(:meth:`MultiPoly.terms`, :meth:`MultiPoly.leading`, rendering), through two
-bounded memos of the decoded monomial and its sort key; degrees, variables,
-substitution and coefficient lists read the key's fields with shifts and
-masks, and other modules read terms only through these methods.
+(:meth:`MultiPoly.terms`, :meth:`MultiPoly.leading`, rendering), through
+bounded memos of the decoded monomial, its sort key and its text; degrees,
+variables, substitution and coefficient lists read the key's fields with
+shifts and masks, and other modules read terms only through these methods.
 """
 
 from __future__ import annotations
@@ -161,6 +161,14 @@ def _grlex(key: int) -> tuple[int, ...]:
         out.append(key & _FIELD)
         key >>= _BITS
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _body(key: int) -> str:
+    """The text of a key's monomial, ``d*l^2``; empty for the constant one."""
+    return "*".join(
+        var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in _monomial(key)
+    )
 
 
 #: Rendered in chunks of 600 digits, below 640: the lowest int-to-str digit
@@ -468,24 +476,31 @@ class MultiPoly:
         return bool(self._terms)
 
     def __str__(self) -> str:
+        """Terms in canonical order, each coefficient's magnitude rendered
+        from its numerator and the common denominator, reduced by their gcd:
+        no ``Fraction`` is built."""
         if not self._terms:
             return "0"
+        terms, den = self._terms, self._den
         chunks: list[str] = []
-        for mono, coeff in self.terms():
-            body = "*".join(
-                var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in mono
-            )
-            mag = abs(coeff)
+        for key in sorted(terms, key=_grlex, reverse=True):
+            num = terms[key]
+            g = gcd(num, den)
+            mag, mag_den = abs(num) // g, den // g
+            mag_text = _int_text(mag)
+            if mag_den != 1:
+                mag_text = f"{mag_text}/{_int_text(mag_den)}"
+            body = _body(key)
             if not body:
-                text = scalar_text(mag)
-            elif mag == 1:
+                text = mag_text
+            elif mag == mag_den == 1:
                 text = body
             else:
-                text = f"{scalar_text(mag)}*{body}"
+                text = f"{mag_text}*{body}"
             if not chunks:
-                chunks.append(("-" if coeff < 0 else "") + text)
+                chunks.append(("-" if num < 0 else "") + text)
             else:
-                chunks.append(("- " if coeff < 0 else "+ ") + text)
+                chunks.append(("- " if num < 0 else "+ ") + text)
         return " ".join(chunks)
 
     def __repr__(self) -> str:

@@ -391,6 +391,27 @@ class TestAssociativity:
             expected = [f"assoc:{t}" for t in reference_associativity(alg)]
             assert texts(check_axioms(alg)) == expected
 
+    def test_vanishing_pair_products_are_not_contracted(self, monkeypatch):
+        # a triple whose [e_i e_j] and [e_j e_k] both vanish has a zero associator
+        calls = []
+        inner = algebra_module.spectral_eval
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(algebra_module, "spectral_eval", counting)
+        assert check_axioms(abelian(ASSOCIATIVE, ("A", "B"))).passed
+        assert calls == []
+        alg = assoc4_doc().find("algebra", "E4")
+        assert check_axioms(alg).passed
+        live = [
+            (i, j, k) for i, j, k in product(range(alg.rank), repeat=3)
+            if j in alg.constants[i] or k in alg.constants[j]
+        ]
+        assert 0 < len(live) < alg.rank**3
+        assert len(calls) == 2 * len(live)
+
 
 class TestCheckAxioms:
     def test_dispatch(self, monkeypatch):

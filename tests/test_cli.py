@@ -5,18 +5,24 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cfkit
 from cfkit import cli, corpus
-from cfkit.algebra import CheckReport, Violation, element_text
+from cfkit import deform as deform_module
+from cfkit.algebra import CheckReport, Violation, check_axioms, element_text
 from cfkit.cli import MAX_ANSATZ_DEGREE, MAX_ENTRY_DEGREE
 from cfkit.dsl import MAX_NESTING, parse_document
 from cfkit.poly import MAX_UNKNOWN, MultiPoly
 from helpers import FOREIGN
 from test_actions import reference_check_b1_b2_direct
+
+# the benchmark's generator of rank-scale documents
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 VIR = "algebra Vir : lie {\n  gens L;\n  [L, L] = (d + 2*l) L;\n}\n"
 BAD = "algebra Bad : lie {\n  gens L;\n  [L, L] = (d + 3*l) L;\n}\n"
@@ -862,6 +868,124 @@ class TestDeformReport:
             "algebra psi_Q : lie {\n  gens W;\n  [W, W] = (d + 2*l) W;\n}\n"
         )
         assert passes == 1
+
+
+def _fixture_text(name: str) -> str:
+    return (corpus.fixture_dir(name) / "input.cfk").read_text()
+
+
+def _rank_text(seed: int, k: int) -> str:
+    """The ``k``-th ``rank-scale`` document of ``seed``."""
+    return workloads._rank_doc_text(*workloads._rank_docs(seed)[k])
+
+
+# both maps pass on AP here: phi4 needs p*s = q*r
+ASSOC_TWISTS = {"p": "1", "q": "2", "r": "3/2", "s": "3"}
+NFOLD = {"b": "2", "a1": "1", "a2": "0", "a3": "-2"}
+
+
+class TestGraphCertificate:
+    """``cfkit check`` passes an algebra equal to the twist of a map that
+    passed on a pair that passed, both earlier in the call, without calling
+    ``check_axioms``; every ``axioms`` entry is still the full check's."""
+
+    def _check(self, text, params=None, names=()):
+        """Run ``check``; return the report, the parsed document and the
+        algebras ``check_axioms`` was called on."""
+        params = params or {}
+        Path("t.cfk").write_text(text)
+        argv = ["check", "t.cfk", *names, "--json", "r.json"]
+        argv += [arg for k, v in params.items() for arg in ("--param", f"{k}={v}")]
+        with pytest.MonkeyPatch.context() as patch:
+            axioms = _counting(patch, cli, "check_axioms")
+            graphs = _counting(patch, deform_module, "_graph")
+            code = run(argv)
+        report = json.loads(Path("r.json").read_text())
+        assert code == (0 if all(c["status"] == "pass" for c in report["checks"]) else 1)
+        document = parse_document(text, {k: Fraction(v) for k, v in params.items()})
+        for entry in report["checks"]:
+            kind, _, name = entry["name"].partition(":")
+            if kind == "axioms":
+                full = check_axioms(document.find("algebra", name))
+                assert entry == cli._entry(entry["name"], full), name
+        # the certificate adds no graph pass: one per map checked, as before
+        maps = [c for c in report["checks"] if c["name"].startswith("deformation_map:")]
+        assert len(graphs) == len(maps)
+        return report, document, [args[0] for args in axioms]
+
+    def _uncertified(self, report, checked):
+        """Every algebra entry took check_axioms, once."""
+        entries = [c for c in report["checks"] if c["name"].startswith("axioms:")]
+        assert len(checked) == len(entries)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rank_scale_twist_is_certified(self, workdir, seed):
+        for k in range(len(workloads._rank_docs(seed))):
+            report, doc, checked = self._check(_rank_text(seed, k))
+            assert [(c["name"], c["status"]) for c in report["checks"]] == [
+                (name, "pass") for name in workloads._RANK_CHECKS["check"]
+            ]
+            assert checked == [doc.find("algebra", n) for n in ("E", "VirR", "Q")]
+
+    def test_nfold_twist_is_certified(self, workdir):
+        report, doc, checked = self._check(_fixture_text("nfold"), NFOLD)
+        assert all(c["status"] == "pass" for c in report["checks"])
+        assert checked == [doc.find("algebra", n) for n in ("E3", "VirR", "Q3")]
+
+    def test_associative_twists_are_certified(self, workdir):
+        report, doc, checked = self._check(_fixture_text("assoc4"), ASSOC_TWISTS)
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert status["matched_pair:AP"] == "pass"
+        assert status["deformation_map:phi2"] == status["deformation_map:phi4"] == "pass"
+        assert status["axioms:Qb"] == status["axioms:Qbd"] == "pass"
+        names = ("E4", "A2", "Q2", "Q1", "Q11")
+        assert checked == [doc.find("algebra", n) for n in names]
+
+    def test_changed_coefficient_is_checked(self, workdir):
+        text = _rank_text(1, 1)
+        changed = text.replace("[W1, W1] = (a1*d + 2*a1*l)", "[W1, W1] = (a1*d + 3*a1*l)")
+        assert changed != text
+        report, doc, checked = self._check(changed)
+        self._uncertified(report, checked)
+        assert checked[-1] == doc.find("algebra", "D")
+        assert report["checks"][-1]["status"] == "fail"
+
+    def test_failing_map_is_not_trusted(self, workdir):
+        # T is the map's twist at a = 2, c = 1; Qc is its twist where it passes
+        text = _fixture_text("wab") + "algebra T : lie { gens W; [W, W] = (2*d + 4*l) W; }\n"
+        params = {"a": "2", "b": "0", "c": "1"}
+        report, doc, checked = self._check(text, params)
+        self._uncertified(report, checked)
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert status["matched_pair:WP"] == "pass"
+        assert status["deformation_map:phi"] == "fail"
+        pair, phi = doc.find("matched", "WP"), doc.find("defmap", "phi")
+        assert deform_module.deformed_algebra(pair, phi).table == doc.find("algebra", "T").table
+        assert checked[-2:] == [doc.find("algebra", "Qc"), doc.find("algebra", "T")]
+
+    def test_failing_pair_is_not_trusted(self, workdir):
+        # the zero map passes on any pair, and T is its twist, Q's zero table
+        text = SHARED_NAME + "defmap phi on P { W -> 0; }\nalgebra T : lie { gens W; }\n"
+        report, doc, checked = self._check(text)
+        self._uncertified(report, checked)
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert status["matched_pair:P"] == "fail"
+        assert status["deformation_map:phi"] == "pass"
+        assert checked[-1] == doc.find("algebra", "T")
+
+    def test_algebra_before_its_map_is_checked(self, workdir):
+        blocks = _rank_text(1, 1).split("\n\n")
+        assert blocks[-2].startswith("defmap") and blocks[-1].startswith("algebra D")
+        text = "\n\n".join(blocks[:-2] + [blocks[-1], blocks[-2]]) + "\n"
+        report, doc, checked = self._check(text)
+        self._uncertified(report, checked)
+        assert all(c["status"] == "pass" for c in report["checks"])
+        assert checked[-1] == doc.find("algebra", "D")
+
+    def test_unchecked_pair_is_not_trusted(self, workdir):
+        report, doc, checked = self._check(_rank_text(1, 1), names=("D",))
+        assert [(c["name"], c["status"]) for c in report["checks"]] == [("axioms:D", "pass")]
+        assert checked == [doc.find("algebra", "D")]
 
 
 class TestReportPipeline:

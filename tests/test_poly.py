@@ -9,7 +9,9 @@ from cfkit.poly import (
     D, L1, L2, MAX_DEGREE, MAX_UNKNOWN, CapExceeded, MultiPoly, _monomial, _pack,
     scalar_text, unknown, var_name,
 )
+from cfkit.dsl import item_tables
 from cfkit.structure import hermite_normal_form, poly_deg, poly_divmod
+from helpers import bundled_documents
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
@@ -178,6 +180,56 @@ class TestRendering:
             ((L1, 1),),
             (),
         ]
+
+
+def reference_text(p: MultiPoly) -> str:
+    """The rendering read off ``terms()``: each coefficient handed out as a
+    scalar, its magnitude taken by ``abs``."""
+    if p.is_zero:
+        return "0"
+    chunks = []
+    for mono, coeff in p.terms():
+        body = "*".join(var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in mono)
+        mag = abs(coeff)
+        if not body:
+            text = scalar_text(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{scalar_text(mag)}*{body}"
+        if not chunks:
+            chunks.append(("-" if coeff < 0 else "") + text)
+        else:
+            chunks.append(("- " if coeff < 0 else "+ ") + text)
+    return " ".join(chunks)
+
+
+class TestRenderingMatchesReference:
+    """``str`` renders from the integer numerators and the common
+    denominator; the text is the one read off ``terms()``."""
+
+    def test_corpus_coefficients(self):
+        seen = set()
+        for _, document in bundled_documents():
+            for item in document.items:
+                for constants, *_ in item_tables(item):
+                    seen.update(c for row in constants for pairs in row.values()
+                                for _, c in pairs)
+                if item.kind in ("defmap", "morphism"):
+                    seen.update(c for row in item.value.matrix for c in row)
+        assert any(c._den > 1 for c in seen)
+        for coeff in seen:
+            assert str(coeff) == reference_text(coeff)
+
+    @given(
+        p=term_maps(variables=(D, L1, L2, unknown(0)), values=mixed_scalars).map(MultiPoly),
+        const=mixed_scalars,
+        scale=st.sampled_from((1, -1, Fraction(1, 7), 10**620, Fraction(-1, 10**640))),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_random_polynomials(self, p, const, scale):
+        for q in (p, p + const, (p + const) * scale, -(p + const)):
+            assert str(q) == reference_text(q)
 
 
 class TestEvaluate:
