@@ -7,12 +7,11 @@ action sits is written down once, in the layout table :data:`_LAYOUT`: the
 pair field, the arrow that spells it, the components of its two operands
 and the component its values lie in.  The pair's validation, the ``.cfk``
 parser and serializer and :func:`build_bicrossed` all read it.  A pair
-takes each action as a plain table of the shape :data:`_LAYOUT` gives, and
-keeps, as an algebra does, the nonzero structure constants that the walk
-validating it returns; no dense action table is read after that.  The
-bicrossed product ``E = R ⋈ Q`` is built by placing stored constants: R's
-and Q's on the diagonal, each action's into the carrier coordinates of its
-operands' block, and for a Lie pair the remaining block by skew-symmetry.
+takes each action as an algebra takes its product, as entries in the shape
+:data:`_LAYOUT` gives, and keeps only its constants.  The bicrossed product
+``E = R ⋈ Q`` is built by placing stored constants: R's and Q's on the
+diagonal, each action's into the carrier coordinates of its operands' block,
+and for a Lie pair the remaining block by skew-symmetry.
 A matched pair is decided by one test: ``E`` must satisfy the Lie (or
 associative) conformal axioms, which contain the axioms of R and Q, the
 module laws and the cross conditions.  A pair builds its ``E`` and checks
@@ -36,9 +35,7 @@ from .algebra import (
     ConformalAlgebra,
     LIE,
     Sparse,
-    Table,
-    _check_table,
-    _table,
+    _constants,
     _violations,
     check_axioms,
 )
@@ -69,18 +66,18 @@ class MatchedPair:
 
     For the Lie kind the actions are ``lhd`` (right action of R on Q) and
     ``rhd`` (left action of Q on R).  The associative kind adds ``rhu``
-    (left action of R on Q) and ``lhu`` (right action of Q on R).
+    (left action of R on Q) and ``lhu`` (right action of Q on R).  Each is
+    given as entries and kept as its constants, which ``==`` compares; the
+    hash reads the kind and the two algebras alone.
     """
 
     kind: str
     R: ConformalAlgebra
     Q: ConformalAlgebra
-    lhd: Table
-    rhd: Table
-    lhu: Table | None = None
-    rhu: Table | None = None
-    #: each action's nonzero structure constants at ``l``, by field name
-    constants: dict[str, Sparse] = field(init=False, compare=False, repr=False)
+    lhd: Sparse = field(hash=False)
+    rhd: Sparse = field(hash=False)
+    lhu: Sparse | None = field(default=None, hash=False)
+    rhu: Sparse | None = field(default=None, hash=False)
 
     def __post_init__(self):
         if self.kind not in (LIE, ASSOCIATIVE):
@@ -90,14 +87,12 @@ class MatchedPair:
         if self.kind == LIE and (self.lhu is not None or self.rhu is not None):
             raise ValueError("harpoon actions are for the associative kind")
         ranks = {"R": self.R.rank, "Q": self.Q.rank}
-        constants = {}
         for attr, _, left, right, carrier in _layout(self.kind):
-            table = getattr(self, attr)
-            if table is None:
+            entries = getattr(self, attr)
+            if entries is None:
                 raise ValueError(f"{self.kind} pairs need the {attr} action")
             shape = (ranks[left], ranks[right], ranks[carrier])
-            constants[attr] = _check_table(table, shape, attr)
-        object.__setattr__(self, "constants", constants)
+            object.__setattr__(self, attr, _constants(entries, shape, attr))
 
     @cached_property
     def bicrossed(self) -> ConformalAlgebra:
@@ -113,47 +108,36 @@ class MatchedPair:
         return check_axioms(self.bicrossed)
 
 
-def _matched_pair(
-    kind: str, R: ConformalAlgebra, Q: ConformalAlgebra, entries: dict[str, dict]
-) -> MatchedPair:
-    """The ``kind`` pair over R and Q whose action ``field`` has entry
-    ``entries[field][i, j]`` where given and zero elsewhere."""
-    ranks = {"R": R.rank, "Q": Q.rank}
-    return MatchedPair(kind, R, Q, **{
-        attr: _table((ranks[left], ranks[right], ranks[carrier]), entries.get(attr))
-        for attr, _, left, right, carrier in _layout(kind)
-    })
-
-
 def build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
     """Algebra on R + Q (R basis first) defined by the pair's actions.
 
     Stored constants are placed as they stand: R's and Q's on the diagonal,
     each action's into the carrier coordinates of its operands' block.  A
     Lie pair has no action on R x Q; skew-symmetry gives that block from the
-    placed Q x R entries, ``[a_l x] = -[x_{-l-d} a]``.
+    placed Q x R entries, ``[a_l x] = -[x_{-l-d} a]``.  The algebra orders
+    the placed entries.
     """
     nr = mp.R.rank
     n = nr + mp.Q.rank
     at = {"R": 0, "Q": nr}
-    placed = {}  # (i, j) -> {k: nonzero coefficient of e_k in [e_i e_j]}
+    zero = MultiPoly.zero()
+    placed = {}  # (i, j) -> the coordinates of [e_i e_j]
     blocks = [("R", "R", "R", mp.R.constants), ("Q", "Q", "Q", mp.Q.constants)] + [
-        (left, right, carrier, mp.constants[attr])
+        (left, right, carrier, getattr(mp, attr))
         for attr, _, left, right, carrier in _layout(mp.kind)
     ]
     for left, right, carrier, constants in blocks:
         for i, row in enumerate(constants):
             for j, pairs in row.items():
-                entry = placed.setdefault((at[left] + i, at[right] + j), {})
-                entry.update((at[carrier] + k, c) for k, c in pairs)
+                entry = placed.setdefault((at[left] + i, at[right] + j), [zero] * n)
+                for k, c in pairs:
+                    entry[at[carrier] + k] = c
     if mp.kind == LIE:
         neg = -_PL1 - _PD
         for (i, j), entry in list(placed.items()):
             if i >= nr > j:
-                placed[j, i] = {k: -c.substitute(L1, neg) for k, c in entry.items()}
-    zero = MultiPoly.zero()
-    entries = {ij: tuple(entry.get(k, zero) for k in range(n)) for ij, entry in placed.items()}
-    return ConformalAlgebra(mp.kind, mp.R.basis + mp.Q.basis, _table((n, n, n), entries))
+                placed[j, i] = [-c.substitute(L1, neg) if c else c for c in entry]
+    return ConformalAlgebra(mp.kind, mp.R.basis + mp.Q.basis, placed)
 
 
 def check_matched_pair(mp: MatchedPair) -> CheckReport:

@@ -2,20 +2,22 @@
 
 An element of a free module is the tuple of its coordinates, one
 polynomial per basis vector; table entries, products and residuals are
-all such tuples.  A validated table is read only through its stored
-constants (below), kept by its algebra or, for an action, by its matched
-pair: the bicrossed product places them, the ``.cfk`` serializer renders
-them with :func:`pairs_text` and the CLI's degree budget reads their degrees.
+all such tuples.  A table is given as its entries ``{(i, j): coordinates}``,
+a missing entry being zero, and stored only as its nonzero structure
+constants (after D'Andrea and Kac) in canonical order (:func:`_constants`),
+an algebra's and each of a matched pair's actions': equality compares them,
+the bicrossed product places them, the ``.cfk`` serializer renders them with
+:func:`pairs_text` and the CLI's degree budget reads their degrees.  The
+dense ``ConformalAlgebra.table`` is a view for readers outside cfkit.
 
 Two rewriting rules extend a basis product table to arbitrary elements at a
 spectral parameter ``s``: a ``d``-polynomial multiplying the left argument
 is re-evaluated at ``-s`` (:func:`_as_left`), one multiplying the right
 argument at ``d + s`` (:func:`_as_right`), and the table's ``l`` is set to
 ``s``.  The kernel sees each only as its nonzero entries: a table as its
-nonzero structure constants (after D'Andrea and Kac), collected at ``l`` in
-the walk of :func:`_check_table` that validates it, kept by the algebra and
-rewritten at another ``s`` by :func:`_sparse`; and an argument as its
-nonzero ``(index, coordinate)`` pairs, so a unit vector is one pair.
+stored constants, rewritten at another ``s`` by :func:`_sparse`; and an
+argument as its nonzero ``(index, coordinate)`` pairs, so a unit vector is
+one pair.
 :func:`spectral_eval` is the bilinear contraction of the two argument lists
 against the constants; it walks no zero and tests nothing for zero.
 :func:`_products` multiplies every ordered pair of a list of elements at
@@ -34,9 +36,9 @@ formed, prefix included, so no report is rebuilt to rename its violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import partial
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from typing import NamedTuple
 
 from .poly import D, L1, L2, MultiPoly
@@ -53,6 +55,7 @@ _ONE = MultiPoly.const(1)
 
 Element = tuple[MultiPoly, ...]
 Table = tuple[tuple[Element, ...], ...]
+Entries = dict[tuple[int, int], Element]  # [e_i e_j] at (i, j), zero if missing
 #: The nonzero coordinates of an element, as ``(index, coordinate)`` pairs.
 Pairs = tuple[tuple[int, MultiPoly], ...]
 #: A table's nonzero structure constants: row ``i`` maps each ``j`` whose
@@ -97,61 +100,69 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class ConformalAlgebra:
-    """Free finite-rank module with a spectral product table.
-
-    ``table[i][j][k]`` is the coefficient polynomial (in ``d`` and ``l``)
-    of the k-th basis element in the product of basis elements i and j.
-    """
+    """Free finite-rank module with a spectral product table, given as its
+    entries in ``d`` and ``l`` and stored as its canonical constants
+    (:func:`_constants`), which ``==`` compares; the hash reads the kind and
+    basis alone."""
 
     kind: str
     basis: tuple[str, ...]
-    table: Table
-    #: ``table``'s nonzero structure constants at ``l``, from :func:`_check_table`
-    constants: Sparse = field(init=False, compare=False, repr=False)
+    entries: InitVar[Entries]
+    constants: Sparse = field(init=False, hash=False)
 
-    def __post_init__(self):
+    def __post_init__(self, entries: Entries):
         if self.kind not in KINDS:
             raise ValueError(f"unknown algebra kind {self.kind!r}")
         n = len(self.basis)
         if len(set(self.basis)) != n:
             raise ValueError("basis names must be distinct")
-        object.__setattr__(self, "constants", _check_table(self.table, (n, n, n), "table"))
+        object.__setattr__(self, "constants", _constants(entries, (n, n, n), "table"))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
+    @property
+    def table(self) -> Table:
+        """The dense table, ``table[i][j]`` the product of basis elements i
+        and j: a read-only view, built from the constants on each read."""
+        n = self.rank
+        return tuple(tuple(_element(row.get(j, ()), n) for j in range(n))
+                     for row in self.constants)
 
-def _check_table(table: Table, shape: tuple[int, int, int], what: str) -> Sparse:
-    """Raise unless ``table`` is rows x columns x entry length as in
-    ``shape`` and its coefficients use no variable but ``d`` and ``l``; return
-    its nonzero structure constants at ``l``, collected in the same walk."""
+
+def _constants(entries: Entries, shape: tuple[int, int, int], what: str) -> Sparse:
+    """Raise unless each entry lies in the rows x columns of ``shape``, has
+    its entry length of coordinates and uses no variable but ``d`` and ``l``;
+    return the nonzero constants at ``l`` in (i, j, k) order, read off the
+    given entries alone."""
     rows, cols, width = shape
-    if len(table) != rows or any(
-        len(row) != cols or any(len(entry) != width for entry in row) for row in table
-    ):
-        raise ValueError(f"{what} shape must be {rows} x {cols} x {width}")
-    constants = tuple({j: nonzero for j, entry in enumerate(row)
-                       if (nonzero := tuple((k, c) for k, c in enumerate(entry) if c))}
-                      for row in table)
-    # zero coefficients, most of a sparse table, hold no variable
-    for row in constants:
-        for _, coeff in chain.from_iterable(row.values()):
+    constants = tuple({} for _ in range(rows))
+    for (i, j), coords in sorted(entries.items()):  # keys are distinct
+        if not (0 <= i < rows and 0 <= j < cols) or len(coords) != width:
+            raise ValueError(
+                f"{what} entry ({i}, {j}) does not fit the shape {rows} x {cols} x {width}"
+            )
+        nonzero = tuple((k, c) for k, c in enumerate(coords) if c)
+        for _, coeff in nonzero:
             if not coeff.variables() <= {D, L1}:
                 raise ValueError(f"{what} entry {coeff} uses variables other than d, l")
+        if nonzero:
+            constants[i][j] = nonzero
     return constants
 
 
-def _table(shape: tuple[int, int, int], entries: dict | None = None) -> Table:
-    """A table of ``shape`` holding ``entries[i, j]`` where given, else zero."""
-    rows, cols, width = shape
-    entries = entries or {}
-    zero = (MultiPoly.zero(),) * width
-    return tuple(tuple(entries.get((i, j), zero) for j in range(cols)) for i in range(rows))
+def _element(pairs: Pairs, rank: int) -> Element:
+    """The element of ``rank`` coordinates whose nonzero ``(index,
+    coordinate)`` pairs are ``pairs``."""
+    coords = [MultiPoly.zero()] * rank
+    for k, c in pairs:
+        coords[k] = c
+    return tuple(coords)
 
 
 def _sparse(constants: Sparse, s: MultiPoly) -> Sparse:
-    """Nonzero structure constants stored at ``l`` (:func:`_check_table`),
+    """Nonzero structure constants stored at ``l`` (:func:`_constants`),
     with ``l`` set to ``s``: entry ``[i][j]`` lists the product of the i-th
     and j-th basis vectors at ``s``.  Only stored nonzeros are rewritten."""
     return tuple(

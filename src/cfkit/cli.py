@@ -234,10 +234,11 @@ def _output(args, report: dict, name: str, algebra, expected) -> None:
 
 
 def _deformation(pair, matrix) -> tuple:
-    """The twisted table of the map ``matrix`` on ``pair`` and the map's
+    """The twisted algebra of the map ``matrix`` on ``pair`` and the map's
     deformation report, both read off one :func:`cfkit.deform._graph` pass."""
-    table, residuals = dfm._graph(pair, matrix)
-    return table, CheckReport(_violations("deformation", pair.R.basis, residuals))
+    entries, residuals = dfm._graph(pair, matrix)
+    report = CheckReport(_violations("deformation", pair.R.basis, residuals))
+    return ConformalAlgebra(pair.kind, pair.Q.basis, entries), report
 
 
 def cmd_check(args, report: dict) -> None:
@@ -284,15 +285,15 @@ def cmd_check(args, report: dict) -> None:
     else:
         items = [item for item in document.items if item.kind != "param"]
     matched = []  # the pairs whose matched_pair check passed
-    twists = []  # (kind, twisted table) of each map that passed on one of them
+    twists = []  # (kind, constants) of the twist of each map that passed on one of them
     for item in items:
         kind, name, value = item.kind, item.name, item.value
         if kind == "defmap":
-            table, deformation = _deformation(value.pair, value.matrix)
+            twisted, deformation = _deformation(value.pair, value.matrix)
             report["checks"].append(_entry(f"deformation_map:{name}", deformation))
             if deformation.passed and any(value.pair is pair for pair in matched):
-                twists.append((value.pair.kind, table))
-        elif kind == "algebra" and (value.kind, value.table) in twists:
+                twists.append((twisted.kind, twisted.constants))
+        elif kind == "algebra" and (value.kind, value.constants) in twists:
             report["checks"].append(_entry(f"axioms:{name}", CheckReport()))
         else:
             report["checks"].extend(_item_checks(kind, name, value))
@@ -314,13 +315,12 @@ def cmd_deform(args, report: dict) -> None:
     pair = _find(document, "matched", args.pair)
     mapping = _defmap(document, args.map, pair, args.pair)
     expected = args.expect and _find(document, "algebra", args.expect)
-    table, deformation = _deformation(pair, mapping.matrix)
+    twisted, deformation = _deformation(pair, mapping.matrix)
     report["checks"].append(_entry(f"deformation_map:{args.map}", deformation))
     if deformation.passed:
         # the graph is a subalgebra exactly when the map passes
         report["checks"].append(_entry(f"graph_embedding:{args.map}", deformation))
     # the deformed table is still produced on failure, for diagnostics
-    twisted = ConformalAlgebra(pair.kind, pair.Q.basis, table)
     _output(args, report, f"{args.map}_Q", twisted, expected)
 
 

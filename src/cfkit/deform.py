@@ -6,7 +6,8 @@ elements ``(φe_i, e_i)`` in the bicrossed product ``E = R ⋈ Q`` once, split
 into an R part ``r`` and a Q part ``q``, and both halves of the deformation
 statement are read off that one pass: ``φ`` is a deformation map when
 ``φ(q) = r``, which is when the graph is a subalgebra of ``E`` (after Agore
-and Militaru), and ``q`` is the deformed product.  ``α`` makes two maps
+and Militaru), and ``q`` is the deformed product, whose raw entries only
+:func:`deformed_algebra` and the CLI wrap in an algebra.  ``α`` makes two maps
 equivalent when it is a morphism between their deformed algebras.  Residuals
 are subtracted coordinate by coordinate.  Only
 :func:`build_bicrossed` expands the cross actions, once per pair
@@ -26,6 +27,7 @@ from .actions import MatchedPair
 from .algebra import (
     CheckReport,
     ConformalAlgebra,
+    _element,
     _products,
     _violations,
 )
@@ -83,23 +85,23 @@ def apply_matrix(matrix: Matrix, coords: tuple[MultiPoly, ...]) -> tuple[MultiPo
 
 def _graph(mp: MatchedPair, matrix: Matrix):
     """The products at ``l`` of the graph elements ``(φe_i, e_i)``, ``φ``
-    being ``matrix``, taken once by :func:`_products`: the raw table of
-    their Q parts ``q``, which is the deformed table, and a lazy generator of
-    the residuals ``(i, j, φ(q) - r)``, ``r`` their R parts, so a caller
-    that reads only the table forms none.  Ansatz unknowns in a symbolic
-    matrix ride along inertly, as every substitution acts on ``d`` and ``l``
-    alone."""
+    being ``matrix``, taken once by :func:`_products`: the deformed table's
+    raw entries ``{(i, j): q}``, ``q`` their nonzero Q parts, and a lazy
+    generator of the residuals ``(i, j, φ(q) - r)``, ``r`` their R parts, so
+    a caller that reads only the entries forms none.  Ansatz unknowns in a
+    symbolic matrix ride along inertly, as every substitution acts on ``d``
+    and ``l`` alone; so the entries are not validated here."""
     nr, nq = mp.R.rank, mp.Q.rank
     zero, one = MultiPoly.zero(), MultiPoly.const(1)
     graph = [tuple(row) + (zero,) * i + (one,) + (zero,) * (nq - 1 - i)
              for i, row in enumerate(matrix)]
     products = list(_products(mp.bicrossed, graph))
-    table = tuple(tuple(p[nr:] for *_, p in products[i * nq:(i + 1) * nq]) for i in range(nq))
+    entries = {(i, j): q for i, j, p in products if any(q := p[nr:])}
     residuals = (
         (i, j, tuple(a - b for a, b in zip(apply_matrix(matrix, p[nr:]), p[:nr])))
         for i, j, p in products
     )
-    return table, residuals
+    return entries, residuals
 
 
 def _require_pair(mp: MatchedPair, dm: DeformationMap) -> None:
@@ -116,7 +118,7 @@ def check_deformation_map(mp: MatchedPair, dm: DeformationMap) -> CheckReport:
 
 
 def deformed_algebra(mp: MatchedPair, dm: DeformationMap) -> ConformalAlgebra:
-    """Q with the product of the graph carried back to it: the table half
+    """Q with the product of the graph carried back to it: the entries half
     of :func:`_graph`, whose residuals it never forms.
 
     Computed unconditionally so that a failing candidate can still be
@@ -132,9 +134,10 @@ def _morphism_residuals(
 ):
     """Yield ``(i, j, h(e_i e_j) - h(e_i) h(e_j))`` for the map ``h`` given by
     ``matrix``; symbolic entries carrying ansatz unknowns ride along inertly.
-    The products ``h(e_i) h(e_j)`` are :func:`_products` of the rows."""
+    The products ``h(e_i) h(e_j)`` are :func:`_products` of the rows, and
+    ``e_i e_j`` is read off the source's stored constants."""
     for i, j, prod in _products(target, matrix):
-        lhs = apply_matrix(matrix, source.table[i][j])
+        lhs = apply_matrix(matrix, _element(source.constants[i].get(j, ()), source.rank))
         yield i, j, tuple(a - b for a, b in zip(lhs, prod))
 
 

@@ -22,14 +22,15 @@ bound to rationals before parsing.  Declarations:
     }
     param a = 1;
 
-Missing bracket, action, or map entries default to zero.  The four action
-arrows are ``<|`` ``|>`` ``<~`` ``~>``; each line reads exactly like the
-infix notation it encodes.  Which arrow is which action, and which
-generators its operands and terms name, is read off the layout table in
-:mod:`cfkit.actions`.  Product and action entries, ``left op right =
-terms;`` with ``[a, b]`` as the product's spelling, go through one entry
-parser and one entry renderer.  ``serialize`` produces a canonical rendering
-that parses back to an identical document.
+Missing bracket, action, or map entries default to zero: the parser hands
+each table to its algebra or pair as the entries it read, and fills no
+zeros in.  The four action arrows are ``<|`` ``|>`` ``<~`` ``~>``; each
+line reads exactly like the infix notation it encodes.  Which arrow is
+which action, and which generators its operands and terms name, is read off
+the layout table in :mod:`cfkit.actions`.  Product and action entries,
+``left op right = terms;`` with ``[a, b]`` as the product's spelling, go
+through one entry parser and one entry renderer.  ``serialize`` produces a
+canonical rendering that parses back to an identical document.
 
 The lexer is one ``findall`` over the text for a pattern with no alternative
 for blanks, so the search itself skips them; a token is its text alone, and
@@ -50,9 +51,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .actions import _LAYOUT, MatchedPair, _layout, _matched_pair
+from .actions import _LAYOUT, MatchedPair, _layout
 from .algebra import (
-    _PD, _PL1, _PL2, KINDS, ConformalAlgebra, _table, element_text, pairs_text,
+    _PD, _PL1, _PL2, KINDS, ConformalAlgebra, element_text, pairs_text,
 )
 from .deform import DeformationMap, Morphism
 from .poly import D, L1, MAX_UNKNOWN, MultiPoly, Scalar, scalar_text, unknown, var_name
@@ -554,9 +555,7 @@ class _Parser:
                 f"duplicate product entry [{self.tokens[a_at]}, {self.tokens[b_at]}]",
             )
         self.expect("}")
-        n = len(gens)
-        table = _table((n, n, n), entries)
-        self.register("algebra", name_at, ConformalAlgebra(kind, gens, table))
+        self.register("algebra", name_at, ConformalAlgebra(kind, gens, entries))
 
     def parse_matched(self) -> None:
         name_at, kind = self._header("matched", "a matched-pair name")
@@ -586,7 +585,9 @@ class _Parser:
                 entries.setdefault(attr, {}), "an action table", "duplicate action entry",
             )
         self.expect("}")
-        pair = _matched_pair(kind, parts["R"], parts["Q"], entries)
+        pair = MatchedPair(kind, parts["R"], parts["Q"], **{
+            attr: entries.get(attr, {}) for attr, *_ in _layout(kind)
+        })
         self.register("matched", name_at, pair, refs=tuple(self.tokens[at] for at in refs))
 
     def _parse_map_rows(
@@ -687,7 +688,7 @@ def item_tables(item: Item):
         parts = {"R": pair.R.basis, "Q": pair.Q.basis}
         for attr, op, left, right, carrier in _layout(pair.kind):
             yield (
-                pair.constants[attr], f"{{}} {op} {{}}",
+                getattr(pair, attr), f"{{}} {op} {{}}",
                 parts[left], parts[right], parts[carrier],
             )
 

@@ -9,16 +9,19 @@ own rules, ``member``, submodule membership, ``reference_det``, the
 determinant by cofactor expansion, ``reference_hermite_normal_form``,
 the column-by-column Hermite form that reads every row, and
 ``reference_compile``, the constraint compiler that decodes every term's
-monomial and buckets it by its (d, l) part; and builders of
-elements and algebras that cfkit itself never needs, ``bundled`` among
-them, every declaration of one kind in the corpus fixtures."""
+monomial and buckets it by its (d, l) part, and ``reference_constants``,
+the walk over a dense table that cfkit once validated every table with;
+and builders of elements, tables and algebras that cfkit itself never
+needs, ``bundled`` among them, every declaration of one kind in the corpus
+fixtures, and ``entries`` and ``action_table``, which turn a dense table
+into the entries cfkit takes and a pair's stored action back into a dense
+table."""
 
 from fractions import Fraction
 
 from cfkit import corpus
-from cfkit.algebra import (
-    ConformalAlgebra, _as_left, _as_right, _sparse, _table, spectral_eval,
-)
+from cfkit.actions import MatchedPair, _layout
+from cfkit.algebra import ConformalAlgebra, _as_left, _as_right, _sparse, spectral_eval
 from cfkit.constraints import ConstraintSystem, Equation, Provenance, _normalize
 from cfkit.deform import DeformationMap, Morphism
 from cfkit.dsl import Document, parse_document
@@ -100,8 +103,62 @@ def identity_morphism(algebra) -> Morphism:
 
 def abelian(kind: str, names: tuple[str, ...]) -> ConformalAlgebra:
     """The algebra on ``names`` whose products all vanish."""
-    n = len(names)
-    return ConformalAlgebra(kind, tuple(names), _table((n, n, n)))
+    return ConformalAlgebra(kind, tuple(names), {})
+
+
+def entries(table) -> dict:
+    """Every entry of a dense table, zero ones included, keyed ``(i, j)``."""
+    return {(i, j): entry for i, row in enumerate(table) for j, entry in enumerate(row)}
+
+
+def action_table(pair, attr: str) -> tuple:
+    """The dense table of the pair's action ``attr``, built from the stored
+    constants in the shape the layout gives."""
+    ranks = {"R": pair.R.rank, "Q": pair.Q.rank}
+    _, _, left, right, carrier = next(row for row in _layout(pair.kind) if row[0] == attr)
+    zero = MultiPoly.zero()
+    constants = getattr(pair, attr)
+    return tuple(
+        tuple(
+            tuple(dict(constants[i].get(j, ())).get(k, zero) for k in range(ranks[carrier]))
+            for j in range(ranks[right])
+        )
+        for i in range(ranks[left])
+    )
+
+
+def pair_with(pair, **fields):
+    """The pair rebuilt from its algebras and the entries of its stored
+    actions, with ``fields`` given instead where named."""
+    given = {"R": pair.R, "Q": pair.Q}
+    given.update((attr, entries(action_table(pair, attr))) for attr, *_ in _layout(pair.kind))
+    return MatchedPair(pair.kind, **{**given, **fields})
+
+
+def trivial_pair(R, Q):
+    """The pair of R and Q, of R's kind, whose actions all vanish."""
+    return MatchedPair(R.kind, R, Q, **{attr: {} for attr, *_ in _layout(R.kind)})
+
+
+def reference_constants(table, shape: tuple, what: str) -> tuple:
+    """The dense walk that once validated every table: raise unless
+    ``table`` is rows x columns x entry length as in ``shape`` and its
+    coefficients use no variable but ``d`` and ``l``, and return its nonzero
+    structure constants at ``l`` in row, column and coordinate order."""
+    rows, cols, width = shape
+    if len(table) != rows or any(
+        len(row) != cols or any(len(entry) != width for entry in row) for row in table
+    ):
+        raise ValueError(f"{what} shape must be {rows} x {cols} x {width}")
+    constants = tuple({j: nonzero for j, entry in enumerate(row)
+                       if (nonzero := tuple((k, c) for k, c in enumerate(entry) if c))}
+                      for row in table)
+    for row in constants:
+        for pairs in row.values():
+            for _, coeff in pairs:
+                if not coeff.variables() <= {D, L1}:
+                    raise ValueError(f"{what} entry {coeff} uses variables other than d, l")
+    return constants
 
 
 def basis_element(algebra, i: int) -> tuple:

@@ -20,8 +20,8 @@ from cfkit.algebra import (
 from cfkit.poly import D, L1, L2, MultiPoly, unknown
 
 from helpers import (
-    abelian, assoc4_doc, basis_element, element, load_fixture, product_at, reference_spectral_eval,
-    require_affine, scale, sub, sv_doc, vir_algebra, wab_doc,
+    abelian, assoc4_doc, basis_element, element, entries, load_fixture, product_at,
+    reference_spectral_eval, require_affine, scale, sub, sv_doc, vir_algebra, wab_doc,
 )
 
 d = MultiPoly.var(D)
@@ -54,11 +54,11 @@ def kernel_cases(draw):
         tuple(tuple(draw(dl_polys) for _ in range(n)) for _ in range(n)) for _ in range(n)
     )
     x, y = (tuple(draw(d_polys) for _ in range(n)) for _ in range(2))
-    return ConformalAlgebra(LIE, tuple(f"E{i}" for i in range(n)), table), x, y
+    return ConformalAlgebra(LIE, tuple(f"E{i}" for i in range(n)), entries(table)), x, y
 
 
 def bad_vir():
-    return ConformalAlgebra(LIE, ("L",), (((d + 3 * l,),),))
+    return ConformalAlgebra(LIE, ("L",), {(0, 0): (d + 3 * l,)})
 
 
 def reference_jacobi(algebra):
@@ -166,7 +166,7 @@ def random_algebra(seed, kind=LIE):
     n = 1 + seed % 4
     shape = ("skew", "raw", "diagonal")[seed % 3] if kind == LIE else "raw"
     names = tuple(f"E{i}" for i in range(n))
-    return shape, ConformalAlgebra(kind, names, random_table(rng, n, shape))
+    return shape, ConformalAlgebra(kind, names, entries(random_table(rng, n, shape)))
 
 
 class TestProductEval:
@@ -288,7 +288,7 @@ class TestSkewSymmetry:
     def test_kind_mismatch(self):
         # [A_l A] = A fails skew-symmetry but is associative: skew-symmetry is
         # checked on Lie tables only
-        table = (((MultiPoly.const(1),),),)
+        table = {(0, 0): (MultiPoly.const(1),)}
         assert not skew_part(ConformalAlgebra(LIE, ("A",), table)).passed
         assoc = ConformalAlgebra(ASSOCIATIVE, ("A",), table)
         assert check_axioms(assoc).passed
@@ -434,17 +434,21 @@ class TestCheckAxioms:
 
 
 class TestTableRefused:
-    """A table of the wrong shape, or one whose coefficients use ``m``, is
-    refused by name."""
+    """An entry outside the table's rows and columns, one with the wrong
+    number of coordinates, or one whose coefficients use ``m``, is refused
+    by name."""
 
-    @pytest.mark.parametrize("table, message", [
-        ((((d, d), (d, d)), ((d, d),)), "table shape must be 2 x 2 x 2"),
-        ((((d + m,),),), "table entry d + m uses variables other than d, l"),
-    ], ids=["ragged", "m-coefficient"])
-    def test_algebra(self, table, message):
-        names = ("A", "B")[:len(table)]
+    @pytest.mark.parametrize("entry, message", [
+        ({(2, 0): (d, d)}, "table entry (2, 0) does not fit the shape 2 x 2 x 2"),
+        ({(0, 2): (d, d)}, "table entry (0, 2) does not fit the shape 2 x 2 x 2"),
+        ({(0, -1): (d, d)}, "table entry (0, -1) does not fit the shape 2 x 2 x 2"),
+        ({(1, 1): (d, d, d)}, "table entry (1, 1) does not fit the shape 2 x 2 x 2"),
+        ({(1, 0): (d,)}, "table entry (1, 0) does not fit the shape 2 x 2 x 2"),
+        ({(0, 0): (d + m, d)}, "table entry d + m uses variables other than d, l"),
+    ], ids=["row", "column", "negative-column", "coordinate", "short", "m-coefficient"])
+    def test_algebra(self, entry, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ConformalAlgebra(LIE, names, table)
+            ConformalAlgebra(LIE, ("A", "B"), {(0, 1): (d, l), **entry})
 
 
 class TestElementText:

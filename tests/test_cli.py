@@ -15,9 +15,9 @@ from cfkit import cli, corpus
 from cfkit import deform as deform_module
 from cfkit.algebra import CheckReport, Violation, check_axioms, element_text
 from cfkit.cli import MAX_ANSATZ_DEGREE, MAX_ENTRY_DEGREE
-from cfkit.dsl import MAX_NESTING, parse_document
+from cfkit.dsl import MAX_NESTING, Document, Item, parse_document, serialize
 from cfkit.poly import MAX_UNKNOWN, MultiPoly
-from helpers import FOREIGN
+from helpers import FOREIGN, load_fixture
 from test_actions import reference_check_b1_b2_direct
 
 # the benchmark's generator of rank-scale documents
@@ -277,6 +277,20 @@ class TestDegreeBudget:
         )
         assert run(["bicrossed", "t.cfk", "--pair", "P"]) == 3
         assert "matched P: W <| L has (d, l)-degree 20" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("algebra A : lie { gens X, Y; [X, Y] = (d^18) X; [X, X] = (l^17) Y; }",
+         "algebra A: [X, X] has (d, l)-degree 17"),
+        (VIR + "algebra Q : lie { gens W; }\nalgebra R2 : lie { gens L, K; }\n"
+         "matched P : lie { R = R2; Q = Q; W <| K = (d^18) W; W <| L = (l^17) W; }",
+         "matched P: W <| L has (d, l)-degree 17"),
+    ], ids=["product", "action"])
+    def test_lower_column_of_a_row_is_named_first(self, workdir, capsys, text, message):
+        """Two entries of one row over the budget, written highest column
+        first: the error names the lower column, as in index order."""
+        Path("t.cfk").write_text(text + "\n")
+        assert run(["check", "t.cfk"]) == 3
+        assert capsys.readouterr().err.startswith(message + ",")
 
     def test_budget_boundary(self, workdir, capsys):
         # d^15*l has degree 16, the budget: it is checked, and fails skew-symmetry
@@ -872,6 +886,84 @@ class TestDeformReport:
 
 def _fixture_text(name: str) -> str:
     return (corpus.fixture_dir(name) / "input.cfk").read_text()
+
+
+def _top_level_terms(rhs: str) -> list[str]:
+    """The terms of a canonical right-hand side, split at each ``+`` outside
+    parentheses."""
+    terms, depth, start = [], 0, 0
+    for at, ch in enumerate(rhs):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if depth == 0 and rhs.startswith(" + ", at):
+            terms.append(rhs[start:at])
+            start = at + 3
+    return terms + [rhs[start:]]
+
+
+def _backwards(text: str, kinds: tuple[str, ...]) -> str:
+    """Canonical ``.cfk`` text with the entries of each declaration of
+    ``kinds`` written in reverse order, and the terms of each entry too."""
+    lines, out, entries, kind = text.splitlines(), [], [], None
+    for line in lines:
+        if line.endswith("{") or line == "}":
+            kind = line.split()[0]
+        is_entry = " = " in line and line.lstrip()[:2] not in ("R ", "Q ")
+        if kind in kinds and is_entry:
+            left, rhs = line.rstrip(";").split(" = ")
+            entries.append(f"{left} = {' + '.join(reversed(_top_level_terms(rhs)))};")
+            continue
+        out += reversed(entries)
+        entries = []
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+#: fixture -> (pair, its declared bicrossed product, parameters)
+_ORDER_CASES = {
+    "sv": ("SVP", "SV", {"a": 2, "b": 1, "c": Fraction(1, 2), "ai": Fraction(1, 2)}),
+    "assoc4": ("AP", "E4", {"p": 1, "q": 2, "r": Fraction(3, 2), "s": 3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_CASES))
+class TestCanonicalOrder:
+    """Nothing but the constructor orders a table's entries: entries and
+    terms written out of index order are stored, rendered and compared as
+    the same text in order.  Each case starts from the fixture as the
+    serializer writes it at its parameters."""
+
+    def test_backwards_entries_serialize_byte_identically(self, name):
+        text = serialize(load_fixture(name, **_ORDER_CASES[name][2]))
+        flipped = _backwards(text, ("algebra", "matched"))
+        assert flipped != text
+        assert serialize(parse_document(flipped)) == text
+
+    def test_backwards_and_in_order_pass_expect_against_each_other(self, workdir, name):
+        pair, big, params = _ORDER_CASES[name]
+        doc = load_fixture(name, **params)
+        text = serialize(doc)
+        want = serialize(Document((Item("algebra", f"{pair}_E", doc.find("algebra", big)),)))
+        for kinds in (("algebra",), ("matched",)):
+            Path("t.cfk").write_text(_backwards(text, kinds))
+            assert run(["bicrossed", "t.cfk", "--pair", pair, "--expect", big,
+                        "-o", "E.cfk", "--json", "r.json"]) == 0, kinds
+            expect = json.loads(Path("r.json").read_text())["checks"][-1]
+            assert expect == {"name": f"expect:{big}", "status": "pass", "violations": []}
+            assert Path("E.cfk").read_text() == want
+
+    def test_bicrossed_product_is_rendered_in_index_order(self, name):
+        pair, _, params = _ORDER_CASES[name]
+        text = serialize(load_fixture(name, **params))
+        for kinds in ((), ("algebra", "matched")):
+            mp = parse_document(_backwards(text, kinds)).find("matched", pair)
+            rendered = serialize(Document((Item("algebra", "E", mp.bicrossed),)))
+            keys = [
+                tuple(mp.bicrossed.basis.index(g) for g in line[3:].split("]")[0].split(", "))
+                for line in rendered.splitlines() if line.startswith("  [")
+            ]
+            # the R x Q block: a Lie pair's is filled last, by skew-symmetry
+            assert any(i < mp.R.rank <= j for i, j in keys)
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def _rank_text(seed: int, k: int) -> str:

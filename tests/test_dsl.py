@@ -585,14 +585,12 @@ def algebras(draw):
     kind = draw(st.sampled_from([LIE, ASSOCIATIVE]))
     rank = draw(st.integers(1, 2))
     basis = tuple(sorted(draw(st.sets(names, min_size=rank, max_size=rank))))
-    table = tuple(
-        tuple(
-            tuple(draw(table_polys()) if draw(st.booleans()) else MultiPoly.zero()
-                  for _ in range(rank))
-            for _ in range(rank)
-        )
-        for _ in range(rank)
-    )
+    table = {
+        (i, j): tuple(draw(table_polys()) if draw(st.booleans()) else MultiPoly.zero()
+                      for _ in range(rank))
+        for i in range(rank)
+        for j in range(rank)
+    }
     return ConformalAlgebra(kind, basis, table)
 
 

@@ -1,4 +1,5 @@
 import random
+import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfkit import algebra as algebra_module
-from cfkit import cli
+from cfkit import cli, corpus
 from cfkit import structure as structure_module
-from cfkit.actions import _LAYOUT, build_bicrossed
+from cfkit.actions import build_bicrossed
 from cfkit.algebra import ConformalAlgebra, LIE, check_axioms
 from cfkit.dsl import parse_document, serialize
 from cfkit.poly import D, L1, CapExceeded, MultiPoly
@@ -28,7 +29,7 @@ from cfkit.structure import (
 )
 
 from helpers import (
-    abelian, bundled, bundled_documents, element, member, product_at, reference_det,
+    abelian, bundled, bundled_documents, element, entries, member, product_at, reference_det,
     reference_hermite_normal_form, sv_doc, vir_algebra, wab_doc,
 )
 
@@ -392,11 +393,19 @@ class TestSolvability:
             is_solvable(abelian(ASSOCIATIVE, ("A",)))
 
 
+def _forbid_dense_view(monkeypatch):
+    """Make reading any algebra's ``table`` view fail the test."""
+    def read(algebra):
+        pytest.fail(f"the dense table of {algebra.basis} was read")
+
+    monkeypatch.setattr(ConformalAlgebra, "table", property(read))
+
+
 @pytest.mark.parametrize("label", ["sv:SV", "negative:BadVir"])
-def test_checks_read_no_dense_table(label):
-    """After validation the checks read only the stored constants: with the
-    dense ``table`` gone, a passing and a failing algebra get the same
-    axiom report, derived series and abelian verdict."""
+def test_checks_read_no_dense_table(label, monkeypatch):
+    """The checks read only the stored constants: with the dense ``table``
+    view made to fail when read, a passing and a failing algebra get the
+    same axiom report, derived series and abelian verdict."""
     alg = dict(bundled("algebra"))[label]
 
     def results():
@@ -405,16 +414,32 @@ def test_checks_read_no_dense_table(label):
 
     expected = results()
     assert expected[0].passed == (label == "sv:SV")
-    object.__setattr__(alg, "table", None)
+    _forbid_dense_view(monkeypatch)
     assert results() == expected
 
 
-def test_placement_rendering_and_budget_read_no_dense_table():
-    """After validation, placement, rendering and the degree budget read only
-    the stored constants: with the dense ``table`` of every bundled algebra
-    and every action table of every bundled pair gone, Lie and associative,
+def test_cli_checks_read_no_dense_table(monkeypatch, tmp_path):
+    """With the dense ``table`` view made to fail when read, every
+    ``check``, ``bicrossed --expect``, ``deform --expect`` and ``morphism``
+    call of the bundled fixtures gives its golden report through
+    ``cli.main``: only readers outside cfkit use the view."""
+    _forbid_dense_view(monkeypatch)
+    commands = set()
+    for name in corpus.fixture_names():
+        shutil.copy(corpus.fixture_dir(name) / "input.cfk", tmp_path / "input.cfk")
+        for argv, golden in zip(corpus.fixture_lines(name), corpus.fixture_reports(name)):
+            if argv[0] in ("check", "bicrossed", "deform", "morphism"):
+                assert corpus._run_line(tmp_path, argv) == golden, argv
+                commands.add(argv[0] + " --expect" * ("--expect" in argv))
+    assert commands == {"check", "bicrossed --expect", "deform --expect", "morphism"}
+
+
+def test_placement_rendering_and_budget_read_no_dense_table(monkeypatch):
+    """Placement, rendering and the degree budget read only the stored
+    constants: with the dense ``table`` view made to fail when read,
     ``build_bicrossed``, ``serialize`` and the CLI's degree budget give what
-    they gave before, on two entries over the budget too."""
+    they gave before on every bundled document, Lie and associative, and on
+    two entries over the budget too."""
     pair = "algebra Q : lie { gens W; }\nmatched S : lie { R = R; Q = Q; W <| L = (l^17) W; }"
     documents = [doc for _, doc in bundled_documents()] + [
         parse_document(f"algebra R : lie {{ gens L;{product} }}\n{pair}")
@@ -439,16 +464,9 @@ def test_placement_rendering_and_budget_read_no_dense_table():
         "algebra R: [L, L] has (d, l)-degree 17, over the budget of 16",
         "matched S: W <| L has (d, l)-degree 17, over the budget of 16",
     ]
-    kinds = set()
-    for doc in documents:
-        for item in doc.items:
-            if item.kind == "algebra":
-                object.__setattr__(item.value, "table", None)
-            elif item.kind == "matched":
-                kinds.add(item.value.kind)
-                for attr, *_ in _LAYOUT:
-                    object.__setattr__(item.value, attr, None)
+    kinds = {item.value.kind for doc in documents for item in doc.items if item.kind == "matched"}
     assert kinds == {"lie", "assoc"}
+    _forbid_dense_view(monkeypatch)
     assert results() == expected
 
 
@@ -510,7 +528,7 @@ def change_basis(algebra, change):
             )
             row.append(coords)
         table.append(tuple(row))
-    return ConformalAlgebra(algebra.kind, algebra.basis, tuple(table))
+    return ConformalAlgebra(algebra.kind, algebra.basis, entries(table))
 
 
 class TestBasisChangeInvariance:
