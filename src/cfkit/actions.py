@@ -7,11 +7,12 @@ action sits is written down once, in the layout table :data:`_LAYOUT`: the
 pair field, the arrow that spells it, the components of its two operands
 and the component its values lie in.  The pair's validation, the ``.cfk``
 parser and serializer and :func:`build_bicrossed` all read it.  A pair
-takes each action as an algebra takes its product, as entries in the shape
-:data:`_LAYOUT` gives, and keeps only its constants.  The bicrossed product
-``E = R ⋈ Q`` is built by placing stored constants: R's and Q's on the
-diagonal, each action's into the carrier coordinates of its operands' block,
-and for a Lie pair the remaining block by skew-symmetry.
+takes each action as an algebra takes its product, as entries
+``{(i, j): {k: c}}`` in the shape :data:`_LAYOUT` gives, and keeps only its
+constants.  The bicrossed product ``E = R ⋈ Q`` is built by placing stored
+constants: R's and Q's on the diagonal, each action's into the carrier
+coordinates of its operands' block, and for a Lie pair the remaining block
+by skew-symmetry.
 A matched pair is decided by one test: ``E`` must satisfy the Lie (or
 associative) conformal axioms, which contain the axioms of R and Q, the
 module laws and the cross conditions.  A pair builds its ``E`` and checks
@@ -84,6 +85,8 @@ class MatchedPair:
             raise ValueError(f"unknown pair kind {self.kind!r}")
         if self.R.kind != self.kind or self.Q.kind != self.kind:
             raise ValueError("component algebra kinds must match the pair kind")
+        if set(self.R.basis) & set(self.Q.basis):
+            raise ValueError("R and Q generator names must not overlap")
         if self.kind == LIE and (self.lhu is not None or self.rhu is not None):
             raise ValueError("harpoon actions are for the associative kind")
         ranks = {"R": self.R.rank, "Q": self.Q.rank}
@@ -111,17 +114,15 @@ class MatchedPair:
 def build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
     """Algebra on R + Q (R basis first) defined by the pair's actions.
 
-    Stored constants are placed as they stand: R's and Q's on the diagonal,
-    each action's into the carrier coordinates of its operands' block.  A
-    Lie pair has no action on R x Q; skew-symmetry gives that block from the
-    placed Q x R entries, ``[a_l x] = -[x_{-l-d} a]``.  The algebra orders
-    the placed entries.
+    Stored constants are placed as they stand, each coefficient ``c`` at
+    ``{carrier offset + k: c}``: R's and Q's on the diagonal, each action's
+    in its operands' block.  A Lie pair has no action on R x Q;
+    skew-symmetry gives that block from the placed Q x R entries,
+    ``[a_l x] = -[x_{-l-d} a]``.  The algebra orders the placed entries.
     """
     nr = mp.R.rank
-    n = nr + mp.Q.rank
     at = {"R": 0, "Q": nr}
-    zero = MultiPoly.zero()
-    placed = {}  # (i, j) -> the coordinates of [e_i e_j]
+    placed = {}  # (i, j) -> {k: c}, the nonzero coordinates of [e_i e_j]
     blocks = [("R", "R", "R", mp.R.constants), ("Q", "Q", "Q", mp.Q.constants)] + [
         (left, right, carrier, getattr(mp, attr))
         for attr, _, left, right, carrier in _layout(mp.kind)
@@ -129,14 +130,13 @@ def build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
     for left, right, carrier, constants in blocks:
         for i, row in enumerate(constants):
             for j, pairs in row.items():
-                entry = placed.setdefault((at[left] + i, at[right] + j), [zero] * n)
-                for k, c in pairs:
-                    entry[at[carrier] + k] = c
+                entry = placed.setdefault((at[left] + i, at[right] + j), {})
+                entry.update((at[carrier] + k, c) for k, c in pairs)
     if mp.kind == LIE:
         neg = -_PL1 - _PD
         for (i, j), entry in list(placed.items()):
             if i >= nr > j:
-                placed[j, i] = [-c.substitute(L1, neg) if c else c for c in entry]
+                placed[j, i] = {k: -c.substitute(L1, neg) for k, c in entry.items()}
     return ConformalAlgebra(mp.kind, mp.R.basis + mp.Q.basis, placed)
 
 

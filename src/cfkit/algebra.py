@@ -1,10 +1,10 @@
 """Conformal algebras: finite free basis, spectral product table, axiom checks.
 
 An element of a free module is the tuple of its coordinates, one
-polynomial per basis vector; table entries, products and residuals are
-all such tuples.  A table is given as its entries ``{(i, j): coordinates}``,
-a missing entry being zero, and stored only as its nonzero structure
-constants (after D'Andrea and Kac) in canonical order (:func:`_constants`),
+polynomial per basis vector; products and residuals are such tuples.  A
+table is given as its structure constants, entries ``{(i, j): {k: c}}``, a
+missing entry or coordinate being zero, and stored only as its nonzero ones
+(after D'Andrea and Kac) in canonical order (:func:`_constants`),
 an algebra's and each of a matched pair's actions': equality compares them,
 the bicrossed product places them, the ``.cfk`` serializer renders them with
 :func:`pairs_text` and the CLI's degree budget reads their degrees.  The
@@ -55,7 +55,7 @@ _ONE = MultiPoly.const(1)
 
 Element = tuple[MultiPoly, ...]
 Table = tuple[tuple[Element, ...], ...]
-Entries = dict[tuple[int, int], Element]  # [e_i e_j] at (i, j), zero if missing
+Entries = dict[tuple[int, int], dict[int, MultiPoly]]  # [e_i e_j] as {k: c}, 0 if missing
 #: The nonzero coordinates of an element, as ``(index, coordinate)`` pairs.
 Pairs = tuple[tuple[int, MultiPoly], ...]
 #: A table's nonzero structure constants: row ``i`` maps each ``j`` whose
@@ -126,39 +126,35 @@ class ConformalAlgebra:
     def table(self) -> Table:
         """The dense table, ``table[i][j]`` the product of basis elements i
         and j: a read-only view, built from the constants on each read."""
-        n = self.rank
-        return tuple(tuple(_element(row.get(j, ()), n) for j in range(n))
-                     for row in self.constants)
+        n, zero = self.rank, MultiPoly.zero()
+        return tuple(tuple(tuple(dict(row.get(j, ())).get(k, zero) for k in range(n))
+                           for j in range(n)) for row in self.constants)
 
 
 def _constants(entries: Entries, shape: tuple[int, int, int], what: str) -> Sparse:
-    """Raise unless each entry lies in the rows x columns of ``shape``, has
-    its entry length of coordinates and uses no variable but ``d`` and ``l``;
-    return the nonzero constants at ``l`` in (i, j, k) order, read off the
-    given entries alone."""
+    """Raise unless each entry lies in the rows x columns of ``shape``, maps
+    ``int`` coordinates below its entry width to coefficients and uses no
+    variable but ``d`` and ``l``; return the nonzero constants at ``l`` in
+    (i, j, k) order, read off the given coordinates alone."""
     rows, cols, width = shape
-    constants = tuple({} for _ in range(rows))
-    for (i, j), coords in sorted(entries.items()):  # keys are distinct
-        if not (0 <= i < rows and 0 <= j < cols) or len(coords) != width:
+    nonzero = []
+    for (i, j), coords in entries.items():
+        if not (isinstance(coords, dict) and type(i) is int and type(j) is int
+                and 0 <= i < rows and 0 <= j < cols
+                and all(type(k) is int and 0 <= k < width for k in coords)):
             raise ValueError(
                 f"{what} entry ({i}, {j}) does not fit the shape {rows} x {cols} x {width}"
             )
-        nonzero = tuple((k, c) for k, c in enumerate(coords) if c)
-        for _, coeff in nonzero:
+        pairs = tuple((k, c) for k, c in sorted(coords.items()) if c)
+        for _, coeff in pairs:
             if not coeff.variables() <= {D, L1}:
                 raise ValueError(f"{what} entry {coeff} uses variables other than d, l")
-        if nonzero:
-            constants[i][j] = nonzero
+        if pairs:
+            nonzero.append((i, j, pairs))
+    constants = tuple({} for _ in range(rows))
+    for i, j, pairs in sorted(nonzero):  # no two share (i, j), so no pairs are compared
+        constants[i][j] = pairs
     return constants
-
-
-def _element(pairs: Pairs, rank: int) -> Element:
-    """The element of ``rank`` coordinates whose nonzero ``(index,
-    coordinate)`` pairs are ``pairs``."""
-    coords = [MultiPoly.zero()] * rank
-    for k, c in pairs:
-        coords[k] = c
-    return tuple(coords)
 
 
 def _sparse(constants: Sparse, s: MultiPoly) -> Sparse:

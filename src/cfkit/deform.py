@@ -3,14 +3,14 @@
 A deformation map ``φ: Q -> R`` is a module homomorphism, stored as a matrix
 of ``d``-polynomials.  :func:`_graph` takes the products of the graph
 elements ``(φe_i, e_i)`` in the bicrossed product ``E = R ⋈ Q`` once, split
-into an R part ``r`` and a Q part ``q``, and both halves of the deformation
-statement are read off that one pass: ``φ`` is a deformation map when
-``φ(q) = r``, which is when the graph is a subalgebra of ``E`` (after Agore
-and Militaru), and ``q`` is the deformed product, whose raw entries only
-:func:`deformed_algebra` and the CLI wrap in an algebra.  ``α`` makes two maps
-equivalent when it is a morphism between their deformed algebras.  Residuals
-are subtracted coordinate by coordinate.  Only
-:func:`build_bicrossed` expands the cross actions, once per pair
+into an R part ``r`` and the nonzero coordinates ``q = {k: c}`` of a Q part,
+and both halves of the deformation statement are read off that one pass:
+``φ`` is a deformation map when ``φ(q) = r``, which is when the graph is a
+subalgebra of ``E`` (after Agore and Militaru), and ``q`` is the deformed
+product's entry, which only :func:`deformed_algebra` and the CLI wrap in an
+algebra.  ``α`` makes two maps equivalent when it is a morphism between
+their deformed algebras.  Residuals are subtracted coordinate by coordinate.
+Only :func:`build_bicrossed` expands the cross actions, once per pair
 (``mp.bicrossed``).  Every product here, of graph elements or of morphism
 images, is taken by :func:`cfkit.algebra._products`, which rewrites each
 element once for all the pairs it enters.  The morphism identity is read off
@@ -27,7 +27,6 @@ from .actions import MatchedPair
 from .algebra import (
     CheckReport,
     ConformalAlgebra,
-    _element,
     _products,
     _violations,
 )
@@ -71,13 +70,13 @@ class Morphism:
         _check_matrix(self.matrix, self.source.rank, self.target.rank, "morphism")
 
 
-def apply_matrix(matrix: Matrix, coords: tuple[MultiPoly, ...]) -> tuple[MultiPoly, ...]:
+def apply_matrix(matrix: Matrix, pairs) -> tuple[MultiPoly, ...]:
+    """The image under ``matrix`` of the element whose nonzero ``(index,
+    coordinate)`` pairs are ``pairs``."""
     cols = len(matrix[0]) if matrix else 0
     out = [MultiPoly.zero()] * cols
-    for xi, row in zip(coords, matrix):
-        if xi.is_zero:
-            continue
-        for j, entry in enumerate(row):
+    for i, xi in pairs:
+        for j, entry in enumerate(matrix[i]):
             if not entry.is_zero:
                 out[j] = out[j] + xi * entry
     return tuple(out)
@@ -85,21 +84,23 @@ def apply_matrix(matrix: Matrix, coords: tuple[MultiPoly, ...]) -> tuple[MultiPo
 
 def _graph(mp: MatchedPair, matrix: Matrix):
     """The products at ``l`` of the graph elements ``(φe_i, e_i)``, ``φ``
-    being ``matrix``, taken once by :func:`_products`: the deformed table's
-    raw entries ``{(i, j): q}``, ``q`` their nonzero Q parts, and a lazy
-    generator of the residuals ``(i, j, φ(q) - r)``, ``r`` their R parts, so
-    a caller that reads only the entries forms none.  Ansatz unknowns in a
-    symbolic matrix ride along inertly, as every substitution acts on ``d``
-    and ``l`` alone; so the entries are not validated here."""
+    being ``matrix``, taken once by :func:`_products` and split into their R
+    parts ``r`` and the nonzero coordinates ``q = {k: c}`` of their Q parts:
+    the deformed table's entries ``{(i, j): q}``, and a lazy generator of
+    the residuals ``(i, j, φ(q) - r)``, so a caller that reads only the
+    entries forms none.  Ansatz unknowns in a symbolic matrix ride along
+    inertly, as every substitution acts on ``d`` and ``l`` alone; so the
+    entries are validated only by an algebra built from them."""
     nr, nq = mp.R.rank, mp.Q.rank
     zero, one = MultiPoly.zero(), MultiPoly.const(1)
     graph = [tuple(row) + (zero,) * i + (one,) + (zero,) * (nq - 1 - i)
              for i, row in enumerate(matrix)]
-    products = list(_products(mp.bicrossed, graph))
-    entries = {(i, j): q for i, j, p in products if any(q := p[nr:])}
+    products = [(i, j, p[:nr], {k: c for k, c in enumerate(p[nr:]) if c})
+                for i, j, p in _products(mp.bicrossed, graph)]
+    entries = {(i, j): q for i, j, _, q in products if q}
     residuals = (
-        (i, j, tuple(a - b for a, b in zip(apply_matrix(matrix, p[nr:]), p[:nr])))
-        for i, j, p in products
+        (i, j, tuple(a - b for a, b in zip(apply_matrix(matrix, q.items()), r)))
+        for i, j, r, q in products
     )
     return entries, residuals
 
@@ -125,8 +126,8 @@ def deformed_algebra(mp: MatchedPair, dm: DeformationMap) -> ConformalAlgebra:
     inspected; when the map passes its check the output passes the axioms.
     """
     _require_pair(mp, dm)
-    table, _ = _graph(mp, dm.matrix)
-    return ConformalAlgebra(mp.kind, mp.Q.basis, table)
+    entries, _ = _graph(mp, dm.matrix)
+    return ConformalAlgebra(mp.kind, mp.Q.basis, entries)
 
 
 def _morphism_residuals(
@@ -137,7 +138,7 @@ def _morphism_residuals(
     The products ``h(e_i) h(e_j)`` are :func:`_products` of the rows, and
     ``e_i e_j`` is read off the source's stored constants."""
     for i, j, prod in _products(target, matrix):
-        lhs = apply_matrix(matrix, _element(source.constants[i].get(j, ()), source.rank))
+        lhs = apply_matrix(matrix, source.constants[i].get(j, ()))
         yield i, j, tuple(a - b for a, b in zip(lhs, prod))
 
 

@@ -22,10 +22,12 @@ bound to rationals before parsing.  Declarations:
     }
     param a = 1;
 
-Missing bracket, action, or map entries default to zero: the parser hands
-each table to its algebra or pair as the entries it read, and fills no
-zeros in.  The four action arrows are ``<|`` ``|>`` ``<~`` ``~>``; each
-line reads exactly like the infix notation it encodes.  Which arrow is
+Missing bracket, action, or map entries default to zero, and so do the
+generators a right-hand side leaves out: the parser hands each table to its
+algebra or pair as the entries it read, each the ``{index: coefficient}`` of
+its terms, terms naming one generator added up, and fills no zeros in; only
+a map row is made dense.  The four action arrows are ``<|`` ``|>`` ``<~``
+``~>``; each line reads exactly like the infix notation it encodes.  Which arrow is
 which action, and which generators its operands and terms name, is read off
 the layout table in :mod:`cfkit.actions`.  Product and action entries,
 ``left op right = terms;`` with ``[a, b]`` as the product's spelling, go
@@ -393,11 +395,11 @@ class _Parser:
 
     def parse_terms(
         self, gens: tuple[str, ...], allow: frozenset[int], what: str
-    ) -> list[MultiPoly]:
-        vec = [MultiPoly.zero()] * len(gens)
+    ) -> dict[int, MultiPoly]:
+        terms = {}
         if self.peek() == "0" and self.peek(1) == ";":
             self.pos += 1
-            return vec
+            return terms
         sign = 1
         while True:
             # a generator is a name, so a token among ``gens`` is one
@@ -414,7 +416,7 @@ class _Parser:
                 if tok not in gens:
                     self.fail(f"unknown generator {tok!r}", at)
             idx = gens.index(tok)
-            vec[idx] = vec[idx] + coeff
+            terms[idx] = terms[idx] + coeff if idx in terms else coeff
             nxt = self.peek()
             if nxt == "+":
                 self.pos += 1
@@ -423,7 +425,7 @@ class _Parser:
                 self.pos += 1
                 sign = -1
             else:
-                return vec
+                return terms
 
     # declarations
 
@@ -520,12 +522,12 @@ class _Parser:
             if self.tokens[at] not in basis:
                 self.fail(f"unknown generator {self.tokens[at]!r}", at)
         self.expect("=")
-        vec = self.parse_terms(bases[2], frozenset({D, L1}), what)
+        terms = self.parse_terms(bases[2], frozenset({D, L1}), what)
         self.expect(";")
         key = tuple(basis.index(self.tokens[at]) for at, basis in zip(operands, bases))
         if key in entries:
             self.fail(duplicate, operands[0])
-        entries[key] = tuple(vec)
+        entries[key] = terms
 
     def parse_algebra(self) -> None:
         name_at, kind = self._header("algebra", "an algebra name")
@@ -596,8 +598,8 @@ class _Parser:
         """``{ src -> terms; ... }``: a map's body, braces included."""
         self.expect("{")
         allow = frozenset({D})
-        zero_row = (MultiPoly.zero(),) * len(tgt_basis)
-        rows = {name: zero_row for name in src_basis}
+        zero = MultiPoly.zero()
+        rows = {name: (zero,) * len(tgt_basis) for name in src_basis}
         assigned = set()
         while self.peek(1) == "->" and _is_name(self.peek()):
             src_at, src = self.pos, self.peek()
@@ -607,9 +609,9 @@ class _Parser:
             if src in assigned:
                 self.fail(f"duplicate map row for {src!r}", src_at)
             assigned.add(src)
-            vec = self.parse_terms(tgt_basis, allow, what)
+            terms = self.parse_terms(tgt_basis, allow, what)
             self.expect(";")
-            rows[src] = tuple(vec)
+            rows[src] = tuple(terms.get(k, zero) for k in range(len(tgt_basis)))
         self.expect("}")
         return tuple(rows[name] for name in src_basis)
 

@@ -13,9 +13,9 @@ monomial and buckets it by its (d, l) part, and ``reference_constants``,
 the walk over a dense table that cfkit once validated every table with;
 and builders of elements, tables and algebras that cfkit itself never
 needs, ``bundled`` among them, every declaration of one kind in the corpus
-fixtures, and ``entries`` and ``action_table``, which turn a dense table
-into the entries cfkit takes and a pair's stored action back into a dense
-table."""
+fixtures, and ``entries``, ``constant_entries`` and ``action_table``,
+which turn a dense table or stored constants into the entries cfkit takes
+and a pair's stored action back into a dense table."""
 
 from fractions import Fraction
 
@@ -107,8 +107,15 @@ def abelian(kind: str, names: tuple[str, ...]) -> ConformalAlgebra:
 
 
 def entries(table) -> dict:
-    """Every entry of a dense table, zero ones included, keyed ``(i, j)``."""
-    return {(i, j): entry for i, row in enumerate(table) for j, entry in enumerate(row)}
+    """Every entry of a dense table, zero ones included, keyed ``(i, j)``, as
+    its nonzero coordinates ``{k: c}``."""
+    return {(i, j): {k: c for k, c in enumerate(entry) if c}
+            for i, row in enumerate(table) for j, entry in enumerate(row)}
+
+
+def constant_entries(constants) -> dict:
+    """The entries ``{(i, j): {k: c}}`` of stored constants, as they stand."""
+    return {(i, j): dict(pairs) for i, row in enumerate(constants) for j, pairs in row.items()}
 
 
 def action_table(pair, attr: str) -> tuple:
@@ -128,10 +135,12 @@ def action_table(pair, attr: str) -> tuple:
 
 
 def pair_with(pair, **fields):
-    """The pair rebuilt from its algebras and the entries of its stored
-    actions, with ``fields`` given instead where named."""
+    """The pair rebuilt from its algebras and its stored actions' constants,
+    with ``fields`` given instead where named."""
     given = {"R": pair.R, "Q": pair.Q}
-    given.update((attr, entries(action_table(pair, attr))) for attr, *_ in _layout(pair.kind))
+    given.update(
+        (attr, constant_entries(getattr(pair, attr))) for attr, *_ in _layout(pair.kind)
+    )
     return MatchedPair(pair.kind, **{**given, **fields})
 
 

@@ -179,7 +179,7 @@ def split_current_pair():
     """Current-algebra split with a nontrivial left cross action."""
     r = abelian(LIE, ("E",))
     q = abelian(LIE, ("F",))
-    return MatchedPair(LIE, r, q, {}, {(0, 0): (MultiPoly.const(-1),)})
+    return MatchedPair(LIE, r, q, {}, {(0, 0): {0: MultiPoly.const(-1)}})
 
 
 class TestActionEval:
@@ -249,8 +249,8 @@ class TestCheckBimodule:
 
     def test_both_trivial(self):
         a2 = assoc4_doc().find("algebra", "A2")
-        pair = trivial_pair(a2, a2)
-        assert check_bimodule(a2, action_table(pair, "rhu"), action_table(pair, "lhd")).passed
+        zero = ((MultiPoly.zero(),) * a2.rank,) * a2.rank
+        assert check_bimodule(a2, (zero,) * a2.rank, (zero,) * a2.rank).passed
 
     def test_wrong_side_copy_fails(self):
         pair = assoc4_doc().find("matched", "AP")
@@ -299,7 +299,7 @@ class TestBuildBicrossed:
                 assert all(c.is_zero for c in big.table[nr + i][nr + j][:nr])
 
     def test_direct_sum_fails_iff_component_fails(self):
-        bad = ConformalAlgebra(LIE, ("L",), {(0, 0): (d + 3 * l,)})
+        bad = ConformalAlgebra(LIE, ("L",), {(0, 0): {0: d + 3 * l}})
         good = abelian(LIE, ("W",))
         assert not check_axioms(build_bicrossed(trivial_pair(bad, good))).passed
         assert check_axioms(build_bicrossed(trivial_pair(vir_algebra(), good))).passed
@@ -315,7 +315,7 @@ class TestCheckMatchedPair:
 
     def test_sign_flip_fails(self):
         pair = wab_doc(2, 0).find("matched", "WP")
-        broken = pair_with(pair, lhd={(0, 0): (-action_table(pair, "lhd")[0][0][0],)})
+        broken = pair_with(pair, lhd={(0, 0): {0: -action_table(pair, "lhd")[0][0][0]}})
         assert not check_matched_pair(broken).passed
 
     def test_associative_pair_passes(self):
@@ -325,20 +325,37 @@ class TestCheckMatchedPair:
         assert check_matched_pair(split_current_pair()).passed
 
     @pytest.mark.parametrize("field, entry, message", [
-        ("lhd", {(1, 0): (d,)}, "lhd entry (1, 0) does not fit the shape 1 x 1 x 1"),
-        ("lhd", {(0, 1): (d,)}, "lhd entry (0, 1) does not fit the shape 1 x 1 x 1"),
-        ("lhd", {(-1, 0): (d,)}, "lhd entry (-1, 0) does not fit the shape 1 x 1 x 1"),
-        ("lhd", {(0, 0): (d, d)}, "lhd entry (0, 0) does not fit the shape 1 x 1 x 1"),
+        ("lhd", {(1, 0): {0: d}}, "lhd entry (1, 0) does not fit the shape 1 x 1 x 1"),
+        ("lhd", {(0, 1): {0: d}}, "lhd entry (0, 1) does not fit the shape 1 x 1 x 1"),
+        ("lhd", {(-1, 0): {0: d}}, "lhd entry (-1, 0) does not fit the shape 1 x 1 x 1"),
+        ("lhd", {(0, 0): {1: d}}, "lhd entry (0, 0) does not fit the shape 1 x 1 x 1"),
+        ("lhd", {(0, 0): {-1: d}}, "lhd entry (0, 0) does not fit the shape 1 x 1 x 1"),
+        ("lhd", {(0, 0): {0.0: d}}, "lhd entry (0, 0) does not fit the shape 1 x 1 x 1"),
+        ("lhd", {(0, 0): {"W": d}}, "lhd entry (0, 0) does not fit the shape 1 x 1 x 1"),
+        ("lhd", {(False, 0): {0: d}}, "lhd entry (False, 0) does not fit the shape 1 x 1 x 1"),
+        ("lhd", {(0, 0): (d,)}, "lhd entry (0, 0) does not fit the shape 1 x 1 x 1"),
         ("lhd", {(0, 0): ()}, "lhd entry (0, 0) does not fit the shape 1 x 1 x 1"),
-        ("rhd", {(0, 1): (d,)}, "rhd entry (0, 1) does not fit the shape 1 x 1 x 1"),
-        ("lhd", {(0, 0): (d + MultiPoly.var(L2),)},
+        ("rhd", {(0, 1): {0: d}}, "rhd entry (0, 1) does not fit the shape 1 x 1 x 1"),
+        ("lhd", {(0, 0): {0: d + MultiPoly.var(L2)}},
          "lhd entry d + m uses variables other than d, l"),
-    ], ids=["row", "column", "negative-row", "coordinate", "short", "rhd-column",
-            "m-coefficient"])
+    ], ids=["row", "column", "negative-row", "coordinate", "negative-coordinate",
+            "float-coordinate", "name-coordinate", "bool-row", "dense", "short",
+            "rhd-column", "m-coefficient"])
     def test_bad_action_table_is_named(self, field, entry, message):
         pair = wab_doc(2, 0).find("matched", "WP")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pair_with(pair, **{field: entry})
+
+    def test_overlapping_names_are_refused(self):
+        """R and Q that share a generator name are refused where the pair is
+        made, in the parser's words, not at its first check."""
+        vir = vir_algebra()
+        renamed = ConformalAlgebra(LIE, ("W",), {(0, 0): {0: d + 2 * l}})
+        with pytest.raises(ValueError, match="^R and Q generator names must not overlap$"):
+            trivial_pair(vir, vir_algebra())
+        with pytest.raises(ValueError, match="^R and Q generator names must not overlap$"):
+            pair_with(wab_doc(2, 0).find("matched", "WP"), Q=vir)
+        assert check_matched_pair(trivial_pair(vir, renamed)).passed
 
     @pytest.mark.parametrize("field", ["lhd", "rhd"])
     def test_missing_lie_action_is_named(self, field):
@@ -361,7 +378,7 @@ class TestDirectCompatibility:
         # whose module law is broken they can still hold vacuously; only the
         # normative check is the arbiter there
         pair = wab_doc(2, 0).find("matched", "WP")
-        broken = pair_with(pair, lhd={(0, 0): (-action_table(pair, "lhd")[0][0][0],)})
+        broken = pair_with(pair, lhd={(0, 0): {0: -action_table(pair, "lhd")[0][0][0]}})
         assert not check_matched_pair(broken).passed
 
     def test_lie_only(self):
@@ -402,7 +419,7 @@ def test_stored_action_constants_are_compared_not_hashed():
     first = wab_doc(1, 0).find("matched", "WP")
     assert first == wab_doc(1, 0).find("matched", "WP")
     assert first.lhd == ({0: ((0, action_table(first, "lhd")[0][0][0]),)},)
-    other = pair_with(first, lhd={(0, 0): (d,)})
+    other = pair_with(first, lhd={(0, 0): {0: d}})
     assert other != first and hash(other) == hash(first)
     assert not hasattr(first, "constants")
 
@@ -619,15 +636,35 @@ def _in_order(constants):
     return [list(row.items()) for row in constants]
 
 
-def _stored_from_entries(table, what, order):
-    """The constants ``_constants`` stores from every entry of the dense
-    ``table``, zero ones included, given in ``order``, which lists the
-    ``(i, j)`` keys; they must be the reference walk's, order included."""
-    given = entries(table)
+def _stored_from_entries(table, what, given):
+    """The constants ``_constants`` stores from ``given``, entries equal to
+    the dense ``table``; they must be the reference walk's, order included."""
     shape = _shape(table)
-    stored = _constants({key: given[key] for key in order}, shape, what)
+    stored = _constants(given, shape, what)
     assert _in_order(stored) == _in_order(reference_constants(table, shape, what))
     return stored
+
+
+def _backwards(table) -> dict:
+    """Every entry of the dense ``table``, zero ones included, with entries
+    and coordinates in reverse order."""
+    given = entries(table)
+    return {key: dict(reversed(given[key].items())) for key in reversed(given)}
+
+
+def _drawn_entries(data, table) -> dict:
+    """The entries of the dense ``table`` as a caller may give them: entries
+    and coordinates in drawn orders, and each zero entry and zero coefficient
+    given or left out as drawn."""
+    rows, cols, width = _shape(table)
+    given = {}
+    for i, j in data.draw(st.permutations([(i, j) for i in range(rows) for j in range(cols)])):
+        entry = table[i][j]
+        coords = {k: entry[k] for k in data.draw(st.permutations(range(width)))
+                  if entry[k] or data.draw(st.booleans())}
+        if coords or data.draw(st.booleans()):
+            given[i, j] = coords
+    return given
 
 
 _half = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -657,13 +694,14 @@ def random_tables(draw):
 
 
 def test_stored_constants_of_bundled_algebras():
-    """The constants stored from a table's entries, given in reverse order,
-    are what the reference walk reads off the dense table, in row, column
-    and coordinate order; so are those an algebra, a pair and E keep."""
+    """The constants stored from a table's entries, entries and coordinates
+    given in reverse order, are what the reference walk reads off the dense
+    table, in row, column and coordinate order; so are those an algebra, a
+    pair and E keep."""
     labels = []
     for label, alg in bundled("algebra"):
-        backwards = sorted(entries(alg.table), reverse=True)
-        assert _stored_from_entries(alg.table, "table", backwards) == alg.constants, label
+        stored = _stored_from_entries(alg.table, "table", _backwards(alg.table))
+        assert stored == alg.constants, label
         labels.append(label)
     for label, pair in bundled("matched"):
         big = pair.bicrossed
@@ -672,8 +710,7 @@ def test_stored_constants_of_bundled_algebras():
         ), label
         for attr, *_ in _layout(pair.kind):
             act = action_table(pair, attr)
-            backwards = sorted(entries(act), reverse=True)
-            assert _stored_from_entries(act, attr, backwards) == getattr(pair, attr), label
+            assert _stored_from_entries(act, attr, _backwards(act)) == getattr(pair, attr), label
         labels.append(label)
     assert len(labels) >= 20
 
@@ -682,15 +719,13 @@ def test_stored_constants_of_bundled_algebras():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_stored_constants_of_random_tables(table, data):
     """The same for tables with zero entries and coefficients, and entries
-    in ``d`` only or ``l`` only, their entries given in a drawn order: what
-    ``_constants`` returns, and what a square one's algebra stores."""
+    in ``d`` only or ``l`` only, given as :func:`_drawn_entries` draws them:
+    what ``_constants`` returns, and what a square one's algebra stores."""
     rows, cols, width = _shape(table)
-    order = data.draw(st.permutations(sorted(entries(table))))
-    stored = _stored_from_entries(table, "table", order)
+    given = _drawn_entries(data, table)
+    stored = _stored_from_entries(table, "table", given)
     if rows == cols == width:
-        given = entries(table)
-        alg = ConformalAlgebra(LIE, tuple(f"E{i}" for i in range(rows)),
-                               {key: given[key] for key in order})
+        alg = ConformalAlgebra(LIE, tuple(f"E{i}" for i in range(rows)), given)
         assert _in_order(alg.constants) == _in_order(stored)
         assert alg.table == table
 

@@ -58,7 +58,7 @@ def kernel_cases(draw):
 
 
 def bad_vir():
-    return ConformalAlgebra(LIE, ("L",), {(0, 0): (d + 3 * l,)})
+    return ConformalAlgebra(LIE, ("L",), {(0, 0): {0: d + 3 * l}})
 
 
 def reference_jacobi(algebra):
@@ -288,7 +288,7 @@ class TestSkewSymmetry:
     def test_kind_mismatch(self):
         # [A_l A] = A fails skew-symmetry but is associative: skew-symmetry is
         # checked on Lie tables only
-        table = {(0, 0): (MultiPoly.const(1),)}
+        table = {(0, 0): {0: MultiPoly.const(1)}}
         assert not skew_part(ConformalAlgebra(LIE, ("A",), table)).passed
         assoc = ConformalAlgebra(ASSOCIATIVE, ("A",), table)
         assert check_axioms(assoc).passed
@@ -434,21 +434,28 @@ class TestCheckAxioms:
 
 
 class TestTableRefused:
-    """An entry outside the table's rows and columns, one with the wrong
-    number of coordinates, or one whose coefficients use ``m``, is refused
-    by name."""
+    """An entry outside the table's rows and columns, a coordinate that is
+    not an ``int`` below the rank, an entry given as a coordinate tuple, or
+    a coefficient that uses ``m``, is refused by name."""
 
     @pytest.mark.parametrize("entry, message", [
-        ({(2, 0): (d, d)}, "table entry (2, 0) does not fit the shape 2 x 2 x 2"),
-        ({(0, 2): (d, d)}, "table entry (0, 2) does not fit the shape 2 x 2 x 2"),
-        ({(0, -1): (d, d)}, "table entry (0, -1) does not fit the shape 2 x 2 x 2"),
-        ({(1, 1): (d, d, d)}, "table entry (1, 1) does not fit the shape 2 x 2 x 2"),
+        ({(2, 0): {0: d}}, "table entry (2, 0) does not fit the shape 2 x 2 x 2"),
+        ({(0, 2): {0: d}}, "table entry (0, 2) does not fit the shape 2 x 2 x 2"),
+        ({(0, -1): {0: d}}, "table entry (0, -1) does not fit the shape 2 x 2 x 2"),
+        ({(1, 1): {2: d}}, "table entry (1, 1) does not fit the shape 2 x 2 x 2"),
+        ({(1, 1): {0: d, -1: d}}, "table entry (1, 1) does not fit the shape 2 x 2 x 2"),
+        ({(1, 1): {1.0: d}}, "table entry (1, 1) does not fit the shape 2 x 2 x 2"),
+        ({(1, 1): {"B": d}}, "table entry (1, 1) does not fit the shape 2 x 2 x 2"),
+        ({("A", 0): {0: d}}, "table entry (A, 0) does not fit the shape 2 x 2 x 2"),
+        ({(1, 0): (d, l)}, "table entry (1, 0) does not fit the shape 2 x 2 x 2"),
         ({(1, 0): (d,)}, "table entry (1, 0) does not fit the shape 2 x 2 x 2"),
-        ({(0, 0): (d + m, d)}, "table entry d + m uses variables other than d, l"),
-    ], ids=["row", "column", "negative-column", "coordinate", "short", "m-coefficient"])
+        ({(0, 0): {0: d + m, 1: d}}, "table entry d + m uses variables other than d, l"),
+    ], ids=["row", "column", "negative-column", "coordinate", "negative-coordinate",
+            "float-coordinate", "name-coordinate", "name-row", "dense", "short",
+            "m-coefficient"])
     def test_algebra(self, entry, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ConformalAlgebra(LIE, ("A", "B"), {(0, 1): (d, l), **entry})
+            ConformalAlgebra(LIE, ("A", "B"), {(0, 1): {0: d, 1: l}, **entry})
 
 
 class TestElementText:

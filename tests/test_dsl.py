@@ -74,6 +74,41 @@ class TestParse:
         )
         assert doc.find("algebra", "A").table[0][0] == (MultiPoly.const(3), -d)
 
+    def test_repeated_generator_terms_add_up(self):
+        """Terms naming one generator add up, in a product, an action and a
+        map row alike."""
+        doc = parse_document(
+            "algebra R : lie { gens L; [L, L] = (d) L + (l) L + (d) L; }\n"
+            "algebra Q : lie { gens W; }\n"
+            "matched P : lie { R = R; Q = Q; W <| L = (l) W - (2*d) W; }\n"
+            "defmap phi on P { W -> (d) L + (3) L; }"
+        )
+        pair = doc.find("matched", "P")
+        assert pair.R.constants == ({0: ((0, 2 * d + l),)},)
+        assert pair.lhd == ({0: ((0, l - 2 * d),)},)
+        assert doc.find("defmap", "phi").matrix == ((d + 3,),)
+
+    def test_cancelling_terms_store_and_serialize_nothing(self):
+        """Terms that cancel leave no stored constant and no serialized line,
+        where an entry of other terms keeps only those."""
+        doc = parse_document(
+            "algebra R : lie { gens L, M; [L, L] = (d) L - (d) L; "
+            "[L, M] = (l) M + (d) L - (d) L; }\n"
+            "algebra Q : lie { gens W; }\n"
+            "matched P : lie { R = R; Q = Q; W <| L = (l) W - (l) W; }\n"
+            "defmap phi on P { W -> (d) L - (d) L; }"
+        )
+        pair = doc.find("matched", "P")
+        assert pair.R.constants == ({1: ((1, l),)}, {})
+        assert pair.lhd == ({},)
+        assert doc.find("defmap", "phi").matrix == ((MultiPoly.zero(), MultiPoly.zero()),)
+        assert serialize(doc) == (
+            "algebra R : lie {\n  gens L, M;\n  [L, M] = (l) M;\n}\n\n"
+            "algebra Q : lie {\n  gens W;\n}\n\n"
+            "matched P : lie {\n  R = R;\n  Q = Q;\n}\n\n"
+            "defmap phi on P {\n}\n"
+        )
+
     def test_in_file_param(self):
         doc = parse_document("param a = 3/2; algebra A : lie { gens X; [X, X] = (a*l) X; }")
         assert doc.find("algebra", "A").table[0][0] == (Fraction(3, 2) * l,)
@@ -586,8 +621,8 @@ def algebras(draw):
     rank = draw(st.integers(1, 2))
     basis = tuple(sorted(draw(st.sets(names, min_size=rank, max_size=rank))))
     table = {
-        (i, j): tuple(draw(table_polys()) if draw(st.booleans()) else MultiPoly.zero()
-                      for _ in range(rank))
+        (i, j): {k: draw(table_polys()) if draw(st.booleans()) else MultiPoly.zero()
+                 for k in range(rank)}
         for i in range(rank)
         for j in range(rank)
     }

@@ -419,19 +419,20 @@ def test_checks_read_no_dense_table(label, monkeypatch):
 
 
 def test_cli_checks_read_no_dense_table(monkeypatch, tmp_path):
-    """With the dense ``table`` view made to fail when read, every
-    ``check``, ``bicrossed --expect``, ``deform --expect`` and ``morphism``
-    call of the bundled fixtures gives its golden report through
-    ``cli.main``: only readers outside cfkit use the view."""
+    """With the dense ``table`` view made to fail when read, every one of
+    the 58 calls of the bundled fixtures, of every command, gives its golden
+    report through ``cli.main``: only readers outside cfkit use the view."""
     _forbid_dense_view(monkeypatch)
-    commands = set()
+    commands = []
     for name in corpus.fixture_names():
         shutil.copy(corpus.fixture_dir(name) / "input.cfk", tmp_path / "input.cfk")
-        for argv, golden in zip(corpus.fixture_lines(name), corpus.fixture_reports(name)):
-            if argv[0] in ("check", "bicrossed", "deform", "morphism"):
-                assert corpus._run_line(tmp_path, argv) == golden, argv
-                commands.add(argv[0] + " --expect" * ("--expect" in argv))
-    assert commands == {"check", "bicrossed --expect", "deform --expect", "morphism"}
+        for argv, golden in zip(corpus.fixture_lines(name), corpus.fixture_reports(name),
+                                strict=True):
+            assert corpus._run_line(tmp_path, argv) == golden, argv
+            commands.append(argv[0])
+    assert len(commands) == 58
+    assert set(commands) == {"check", "bicrossed", "deform", "morphism", "equiv",
+                             "structure", "constraints", "solve"}
 
 
 def test_placement_rendering_and_budget_read_no_dense_table(monkeypatch):
