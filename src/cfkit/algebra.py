@@ -132,12 +132,15 @@ class ConformalAlgebra:
 
 
 def _constants(entries: Entries, shape: tuple[int, int, int], what: str) -> Sparse:
-    """Raise unless each entry lies in the rows x columns of ``shape``, maps
-    ``int`` coordinates below its entry width to coefficients and uses no
-    variable but ``d`` and ``l``; return the nonzero constants at ``l`` in
-    (i, j, k) order, read off the given coordinates alone."""
+    """Raise unless each entry is keyed by an ``(i, j)`` pair in the rows x
+    columns of ``shape``, maps ``int`` coordinates below its entry width to
+    :class:`MultiPoly` coefficients and uses no variable but ``d`` and
+    ``l``; return the nonzero constants at ``l`` in (i, j, k) order, read
+    off the given coordinates alone."""
     rows, cols, width = shape
     nonzero = []
+    if not all(type(key) is tuple and len(key) == 2 for key in entries):
+        raise ValueError(f"{what} entries must be keyed by (i, j) pairs")
     for (i, j), coords in entries.items():
         if not (isinstance(coords, dict) and type(i) is int and type(j) is int
                 and 0 <= i < rows and 0 <= j < cols
@@ -145,6 +148,8 @@ def _constants(entries: Entries, shape: tuple[int, int, int], what: str) -> Spar
             raise ValueError(
                 f"{what} entry ({i}, {j}) does not fit the shape {rows} x {cols} x {width}"
             )
+        if not all(isinstance(c, MultiPoly) for c in coords.values()):
+            raise ValueError(f"{what} entry ({i}, {j}) has a non-polynomial coefficient")
         pairs = tuple((k, c) for k, c in sorted(coords.items()) if c)
         for _, coeff in pairs:
             if not coeff.variables() <= {D, L1}:

@@ -3,7 +3,8 @@
 One argparse tree, built at import, parses every call; ``main`` runs the
 handler the subcommand names and owns the report's lifecycle: the clock,
 the exit code, the ``--json`` file and the printed check lines.  Handlers
-only fill in the report they are given.
+only fill in the report they are given and return nothing; the exit code is
+read off the finished report.
 
 ``check`` takes each declaration in document order.  An algebra whose table
 equals the twisted table of a map that passed on a pair that passed, both
@@ -26,10 +27,12 @@ coefficient over the (d, l)-degree budget, a ``constraints --degree`` over
 its budget, a ``constraints`` ansatz with more unknowns than the index cap
 allows, the elimination's substitution budget, the grid-search unknown cap,
 point budget or power-table budget in ``solve`` and ``equiv``, a monomial
-over the polynomial degree guard, or the derived-series depth in
-``structure``).
-Every cap but the depth raises :class:`cfkit.poly.CapExceeded`, whose
-message is printed to stderr and kept as the report's ``error``.
+over the polynomial degree guard, or a ``structure --max-depth`` below the
+derived steps its verdict needs).
+Every cap raises :class:`cfkit.poly.CapExceeded`, whose message is printed
+to stderr and kept as the report's ``error``, so exit 3 is exactly a report
+with an ``error``; a capped ``structure`` report also keeps its ``unknown``
+verdict and the derived series walked.
 Reports are byte-identical across runs for identical inputs, except for the
 ``timings`` field, which golden comparisons drop.
 """
@@ -65,15 +68,17 @@ EXIT_CAP = 3
 
 #: Largest (d, l)-degree a table coefficient may have for the CLI to check
 #: it.  Every check multiplies entries through the kernel, and its cost
-#: climbs steeply with their degree: a rank-one Lie table with one entry of
-#: degree 16 takes about 1 s to check and one of degree 24 about 5 s
-#: (Python 3.11, 2-core x86 host).
+#: climbs steeply with their degree: ``check_axioms`` on a rank-one Lie table
+#: whose one entry is ``(d+l+1)^16`` takes about 0.07 s, and with
+#: ``(d+l+1)^24`` about 0.5 s (Python 3.11.7, shared 2-core x86 host, least
+#: CPU time of three runs).
 MAX_ENTRY_DEGREE = 16
 
 #: Largest ``constraints --degree``.  The ansatz's unknowns grow with it,
-#: and compilation and elimination climb steeply: on ``sv``'s pair SVP,
-#: degree 4 takes 0.35 s, degree 6 2.2 s, degree 8 6.4 s and degree 16 over
-#: 100 s (Python 3.11, 2-core x86 host).  The corpus uses at most 2.
+#: and compilation and elimination climb steeply: on ``sv``'s pair SVP at
+#: a = b = 0, degree 4 takes 0.14-0.21 s, degree 6 0.65-1.1 s and degree 8
+#: 3.2-3.8 s over two rounds, and degree 16 91 s in one run (CPU time,
+#: Python 3.11.7, shared 2-core x86 host).  The corpus uses at most 2.
 MAX_ANSATZ_DEGREE = 4
 
 
@@ -423,8 +428,10 @@ def cmd_morphism(args, report: dict) -> None:
     report["checks"].extend(_item_checks("morphism", args.name, morphism))
 
 
-def cmd_structure(args, report: dict) -> bool:
-    """Fill in the structure report; true when the depth cap was hit."""
+def cmd_structure(args, report: dict) -> None:
+    """Fill in the structure report, then raise :class:`CapExceeded` when
+    ``--max-depth`` left the verdict unknown: the report keeps the walked
+    series and gains the cap's message as its ``error``."""
     document = _load(args, report)
     algebra = _find(document, "algebra", args.algebra)
     if algebra.kind != LIE:
@@ -441,7 +448,10 @@ def cmd_structure(args, report: dict) -> bool:
         "derived_series": series,
     }
     print(f"structure:{args.algebra}: {solv}")
-    return solv.verdict == "unknown"
+    if solv.verdict == "unknown":
+        raise CapExceeded(
+            f"algebra {args.algebra}: derived series undecided at --max-depth {args.max_depth}"
+        )
 
 
 def _int_at_least(least: int):
@@ -550,14 +560,13 @@ def main(argv: list[str] | None = None) -> int:
     # looked up per call, so a wrapper rebound on this module is what runs
     handler = globals()[f"cmd_{args.cmd}"]
     try:
-        capped = handler(args, report)
+        handler(args, report)
     except _InputError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
     except CapExceeded as exc:
         print(str(exc), file=sys.stderr)
         report["error"] = str(exc)
-        capped = True
     report["timings"] = {"total_ms": int((time.monotonic() - started) * 1000)}
     if args.json:
         try:
@@ -567,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_INPUT
     for entry in report["checks"]:
         print(f"{entry['name']}: {entry['status']}")
-    if capped:
+    if "error" in report:
         return EXIT_CAP
     return EXIT_FAIL if any(e["status"] != "pass" for e in report["checks"]) else EXIT_PASS
 

@@ -41,6 +41,8 @@ def _check_matrix(matrix: Matrix, rows: int, cols: int, what: str) -> None:
         raise ValueError(f"{what} matrix must be {rows}x{cols}")
     for row in matrix:
         for entry in row:
+            if not isinstance(entry, MultiPoly):
+                raise ValueError(f"{what} entry {entry!r} is not a polynomial")
             if not entry.variables() <= {D}:
                 raise ValueError(f"{what} entry {entry} must be univariate in d")
 

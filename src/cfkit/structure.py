@@ -10,13 +10,15 @@ where a remainder is left, swaps with that pivot, as in Euclid's algorithm;
 pivots are made monic and the entries above them reduced once, at the end.
 Once every column has a constant pivot the span is the full module, and no
 further row is read.  Storing that form makes submodule equality a
-syntactic comparison, ``==`` on :class:`Submodule`, which the derived
-series and solvability verdicts build on.  Generators, like every element,
-are coordinate tuples: the rows of that form.  Each term of the series is
-spanned by the spectral coefficients of the pairwise products of the
-previous term's generators, taken lazily from one pass of
+syntactic comparison, ``==`` on :class:`Submodule`, and a submodule's rank
+its number of generators.  Generators, like every element, are coordinate
+tuples: the rows of that form.  Each term of the derived series is spanned
+by the spectral coefficients of the pairwise products of the previous
+term's generators, taken lazily from one pass of
 :func:`cfkit.algebra._products`, so no product past the full module is
-computed.
+computed.  The series stops at zero or at its first repeated rank, after
+which no rank falls again, so the solvability verdict of a rank-n algebra
+is exact within n + 1 derived steps (proof at :func:`is_solvable`).
 """
 
 from __future__ import annotations
@@ -220,11 +222,26 @@ class Solvability:
 
 
 def is_solvable(algebra: ConformalAlgebra, max_depth: int = 10) -> Solvability:
-    """Iterate the derived series until zero, stabilization, or the cap.
+    """Walk the derived series until zero, its first repeated rank, or the cap.
 
-    Descending chains over the d-polynomial ring need not terminate, so a
-    series still strictly shrinking at ``max_depth`` is honestly reported
-    as unknown.
+    Each term lies in the one before, and its rank is its number of Hermite
+    generators, echelon rows being independent over K = Q(d).  Once two
+    consecutive terms have equal rank, every later term has that rank too,
+    so a nonzero term of repeated rank decides ``not_solvable``; that term
+    ends the series when it differs from the one before.  Ranks fall at
+    most n times, so n + 1 derived steps decide every rank-n algebra, and
+    ``unknown`` means only that ``max_depth`` was smaller than the steps
+    needed.
+
+    Proof.  Finite conformal algebras are free Q[d]-modules (after D'Andrea
+    and Kac).  Let M' ⊆ M be submodules of equal rank, and X = [a_λ b] for
+    a, b in M.  M/M' is torsion, so some p ≠ 0 puts p(d)a and p(d)b in M';
+    sesquilinearity gives [p(d)a_λ p(d)b] = p(-λ)p(d+λ)X, so q·X has its
+    λ-coefficients in V, the K-span of those of [M'_λ M'], for q =
+    p(-λ)p(d+λ) ≠ 0.  K[λ] is a domain and (K^n/V)[λ] is torsion-free over
+    it, so X itself has its λ-coefficients in V: the next terms after M'
+    and M span the same K-space, and so have equal rank.  A free module has
+    no torsion, so a term of rank 0 is zero.
     """
     if algebra.kind != LIE:
         raise ValueError("solvability applies to Lie kind only")
@@ -238,7 +255,9 @@ def is_solvable(algebra: ConformalAlgebra, max_depth: int = 10) -> Solvability:
         if depth == max_depth:
             break
         nxt = derived_subalgebra(algebra, current)
-        if nxt == current:
+        if len(nxt.generators) == len(current.generators):
+            if nxt != current:
+                series.append(nxt)
             return Solvability("not_solvable", series=tuple(series))
         current = nxt
         series.append(current)

@@ -7,7 +7,9 @@ table through it, which reads the argument and carrier ranks off the table,
 ``product_at``, one product at any spectral parameter composed of cfkit's
 own rules, ``member``, submodule membership, ``reference_det``, the
 determinant by cofactor expansion, ``reference_hermite_normal_form``,
-the column-by-column Hermite form that reads every row, and
+the column-by-column Hermite form that reads every row,
+``random_unimodular`` and ``change_basis``, a seeded basis change over the
+d-polynomial ring and the algebra rewritten in it, and
 ``reference_compile``, the constraint compiler that decodes every term's
 monomial and buckets it by its (d, l) part, and ``reference_constants``,
 the walk over a dense table that cfkit once validated every table with;
@@ -26,7 +28,7 @@ from cfkit.constraints import ConstraintSystem, Equation, Provenance, _normalize
 from cfkit.deform import DeformationMap, Morphism
 from cfkit.dsl import Document, parse_document
 from cfkit.poly import D, L1, L2, MultiPoly, is_unknown
-from cfkit.structure import Submodule, _reduce, poly_deg
+from cfkit.structure import Submodule, _reduce, poly_deg, poly_det
 
 #: ``psi2`` is a map of ``P2``, not of ``P``: a map of another pair, which
 #: ``P``'s checks refuse rather than read through its first rows
@@ -340,6 +342,68 @@ def reference_hermite_normal_form(matrix) -> tuple:
             rows[r] = _reduce(rows[r], rows[pivot], col)
         pivot += 1
     return tuple(tuple(r) for r in rows[:pivot] if any(not e.is_zero for e in r))
+
+
+def random_unimodular(rng, n):
+    """Product of elementary operations: always unit determinant."""
+    one, zero = MultiPoly.const(1), MultiPoly.zero()
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for _ in range(6):
+        kind = rng.randint(0, 2)
+        i, j = rng.randint(0, n - 1), rng.randint(0, n - 1)
+        if kind == 0 and i != j:
+            factor = MultiPoly.const(rng.randint(-2, 2)) + rng.randint(-1, 1) * _PD
+            rows[i] = [a + factor * b for a, b in zip(rows[i], rows[j])]
+        elif kind == 1:
+            unit = Fraction(rng.choice([1, -1, 2, Fraction(1, 2)]))
+            rows[i] = [unit * a for a in rows[i]]
+        elif i != j:
+            rows[i], rows[j] = rows[j], rows[i]
+    return tuple(tuple(r) for r in rows)
+
+
+def change_basis(algebra, change):
+    """Rewrite the product table in the basis given by the rows of ``change``.
+
+    The change matrix must be invertible over the d-polynomial ring, i.e.
+    have nonzero constant determinant; its inverse is then polynomial.
+    """
+    n = algebra.rank
+    det = poly_det(change).constant_value()
+    if det in (None, Fraction(0)):
+        raise ValueError("basis change must have unit determinant")
+    # adjugate / det gives the exact polynomial inverse
+    inv = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = tuple(
+                tuple(change[r][c] for c in range(n) if c != i)
+                for r in range(n)
+                if r != j
+            )
+            sign = 1 if (i + j) % 2 == 0 else -1
+            row.append(sign * poly_det(minor) / det)
+        inv.append(tuple(row))
+    inv = tuple(inv)
+    table = []
+    for i in range(n):
+        gi = change[i]
+        row = []
+        for j in range(n):
+            gj = change[j]
+            prod = product_at(algebra, gi, gj, MultiPoly.var(L1))
+            # express the product in the new basis: coords . inv
+            coords = tuple(
+                sum(
+                    (prod[k] * inv[k][t] for k in range(n)),
+                    MultiPoly.zero(),
+                )
+                for t in range(n)
+            )
+            row.append(coords)
+        table.append(tuple(row))
+    return ConformalAlgebra(algebra.kind, algebra.basis, entries(table))
 
 
 def reference_compile(residuals, unknowns, pair_names, coord_names) -> ConstraintSystem:

@@ -338,9 +338,14 @@ class TestCheckMatchedPair:
         ("rhd", {(0, 1): {0: d}}, "rhd entry (0, 1) does not fit the shape 1 x 1 x 1"),
         ("lhd", {(0, 0): {0: d + MultiPoly.var(L2)}},
          "lhd entry d + m uses variables other than d, l"),
+        ("lhd", {(0, 0): {0: 3}}, "lhd entry (0, 0) has a non-polynomial coefficient"),
+        ("rhd", {(0, 0): {0: Fraction(1, 2)}},
+         "rhd entry (0, 0) has a non-polynomial coefficient"),
+        ("lhd", {0: {0: d}}, "lhd entries must be keyed by (i, j) pairs"),
     ], ids=["row", "column", "negative-row", "coordinate", "negative-coordinate",
             "float-coordinate", "name-coordinate", "bool-row", "dense", "short",
-            "rhd-column", "m-coefficient"])
+            "rhd-column", "m-coefficient", "int-coefficient", "rhd-fraction-coefficient",
+            "int-key"])
     def test_bad_action_table_is_named(self, field, entry, message):
         pair = wab_doc(2, 0).find("matched", "WP")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -435,8 +435,9 @@ class TestCheckAxioms:
 
 class TestTableRefused:
     """An entry outside the table's rows and columns, a coordinate that is
-    not an ``int`` below the rank, an entry given as a coordinate tuple, or
-    a coefficient that uses ``m``, is refused by name."""
+    not an ``int`` below the rank, an entry given as a coordinate tuple, a
+    coefficient that uses ``m`` or is not a polynomial, or a key that is not
+    an ``(i, j)`` pair, is refused by name."""
 
     @pytest.mark.parametrize("entry, message", [
         ({(2, 0): {0: d}}, "table entry (2, 0) does not fit the shape 2 x 2 x 2"),
@@ -450,9 +451,14 @@ class TestTableRefused:
         ({(1, 0): (d, l)}, "table entry (1, 0) does not fit the shape 2 x 2 x 2"),
         ({(1, 0): (d,)}, "table entry (1, 0) does not fit the shape 2 x 2 x 2"),
         ({(0, 0): {0: d + m, 1: d}}, "table entry d + m uses variables other than d, l"),
+        ({(0, 0): {0: 3}}, "table entry (0, 0) has a non-polynomial coefficient"),
+        ({(0, 0): {0: d, 1: 0}}, "table entry (0, 0) has a non-polynomial coefficient"),
+        ({0: {0: d}}, "table entries must be keyed by (i, j) pairs"),
+        ({(0, 0, 0): {0: d}}, "table entries must be keyed by (i, j) pairs"),
     ], ids=["row", "column", "negative-column", "coordinate", "negative-coordinate",
             "float-coordinate", "name-coordinate", "name-row", "dense", "short",
-            "m-coefficient"])
+            "m-coefficient", "int-coefficient", "int-zero-coefficient", "int-key",
+            "triple-key"])
     def test_algebra(self, entry, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ConformalAlgebra(LIE, ("A", "B"), {(0, 1): {0: d, 1: l}, **entry})

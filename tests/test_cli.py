@@ -1124,18 +1124,24 @@ class TestReportPipeline:
         ]
         assert checks[3]["convention_match"] is False
 
-    def test_structure_depth_cap_exits_3(self, workdir):
-        # QYM at a = 0 is solvable(2): one derived step does not reach zero
+    def test_structure_depth_cap_exits_3(self, workdir, capsys):
+        # QYM at a = 0 is solvable(2): one derived step does not reach zero,
+        # and the cap goes the way of every other cap, through CapExceeded
         source = str(corpus.fixture_dir("sv") / "input.cfk")
         params = ["--param", "a=0", "--param", "b=0", "--param", "c=0", "--param", "ai=1"]
         argv = ["structure", source, "--algebra", "QYM", *params, "--json", "r.json"]
         assert run(argv) == 0
         report = json.loads(Path("r.json").read_text())
         assert report["structure"]["solvability"] == "solvable(2)"
-        assert run(argv + ["--max-depth", "1"]) == 3
-        report = json.loads(Path("r.json").read_text())
-        assert report["structure"]["solvability"] == "unknown"
         assert "error" not in report
+        capsys.readouterr()
+        assert run(argv + ["--max-depth", "1"]) == 3
+        message = "algebra QYM: derived series undecided at --max-depth 1"
+        assert capsys.readouterr().err == message + "\n"
+        report = json.loads(Path("r.json").read_text())
+        assert report["error"] == message
+        assert report["structure"]["solvability"] == "unknown"
+        assert len(report["structure"]["derived_series"]) == 2
 
     def test_one_parser_serves_every_call(self, workdir, monkeypatch):
         built = []

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,27 @@ class TestApplyMap:
         out = apply_matrix(phi.matrix, ((0, MultiPoly.const(1)),))
         assert out == (MultiPoly.const(2), d + 1)
         assert image(phi.matrix, (MultiPoly.const(1), MultiPoly.zero())) == out
+
+
+class TestMatrixRefused:
+    """A map or morphism matrix of the wrong shape, or with an entry that is
+    not a polynomial in ``d`` alone, is refused by name."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda pair, vir: DeformationMap(pair, ((3,),)),
+         "deformation entry 3 is not a polynomial"),
+        (lambda pair, vir: DeformationMap(pair, ((d, d),)), "deformation matrix must be 1x1"),
+        (lambda pair, vir: DeformationMap(pair, ((l,),)),
+         "deformation entry l must be univariate in d"),
+        (lambda pair, vir: Morphism(vir, vir, ((3,),)), "morphism entry 3 is not a polynomial"),
+        (lambda pair, vir: Morphism(vir, vir, ((Fraction(1, 2),),)),
+         "morphism entry Fraction(1, 2) is not a polynomial"),
+        (lambda pair, vir: Morphism(vir, vir, ()), "morphism matrix must be 1x1"),
+    ], ids=["map-int", "map-shape", "map-l", "morphism-int", "morphism-fraction",
+            "morphism-shape"])
+    def test_is_refused(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(wab_doc(1, 0).find("matched", "WP"), vir_algebra())
 
 
 class TestCheckDeformationMap:

@@ -29,8 +29,9 @@ from cfkit.structure import (
 )
 
 from helpers import (
-    abelian, bundled, bundled_documents, element, entries, member, product_at, reference_det,
-    reference_hermite_normal_form, sv_doc, vir_algebra, wab_doc,
+    abelian, bundled, bundled_documents, change_basis, element, member, product_at,
+    random_unimodular, reference_det, reference_hermite_normal_form, sv_doc, vir_algebra,
+    wab_doc,
 )
 
 # the benchmark's generator of rank-scale documents
@@ -337,7 +338,33 @@ def reference_series(algebra: ConformalAlgebra, max_depth: int = 10) -> tuple:
     return tuple(series)
 
 
+def basis_changes() -> list:
+    """Two seeded unimodular basis changes of every bundled Lie algebra of
+    rank at most 4, labelled, each with the algebra it rewrites."""
+    lie = [(label, alg) for label, alg in bundled("algebra") if alg.kind == LIE]
+    changed = []
+    for index, (label, alg) in enumerate(lie):
+        if alg.rank <= 4:
+            rng = random.Random(index)
+            for k in range(2):
+                change = random_unimodular(rng, alg.rank)
+                changed.append((f"{label}:change{k}", alg, change_basis(alg, change)))
+    return changed
+
+
 class TestSeriesMatchesReference:
+    """:func:`is_solvable` stops at the first repeated rank; the reference
+    walks on to a fixed point.  The two series agree term for term."""
+
+    def test_basis_changes(self):
+        verdicts = set()
+        for label, alg, changed in basis_changes():
+            verdict = is_solvable(changed)
+            assert verdict.series == reference_series(changed), label
+            assert verdict == is_solvable(alg), label
+            verdicts.add(verdict.verdict)
+        assert verdicts == {"solvable", "not_solvable"}
+
     def test_bundled_and_rank_scale(self):
         algebras = [(label, alg) for label, alg in bundled("algebra") if alg.kind == LIE] + [
             (f"rank-scale:{seed}:{alg.rank}", alg) for seed in (1, 2, 3) for alg in rank_scale_d(seed)
@@ -348,6 +375,36 @@ class TestSeriesMatchesReference:
             assert verdict.series == reference_series(alg), label
             verdicts.add(verdict.verdict)
         assert verdicts == {"solvable", "not_solvable"}
+
+
+class TestStepBound:
+    """Ranks fall at most n times and one more step sees a rank repeat, so
+    a rank-n algebra takes at most n + 1 derived terms, and a cap of n + 1
+    never leaves the verdict unknown."""
+
+    def test_at_most_rank_plus_one_derived_terms(self, monkeypatch):
+        algebras = [(label, alg) for label, alg in bundled("algebra") if alg.kind == LIE]
+        algebras += [(label, changed) for label, _, changed in basis_changes()]
+        algebras += [(f"rank-scale:{seed}:{alg.rank}", alg)
+                     for seed in (1, 2, 3) for alg in rank_scale_d(seed)]
+        calls = []
+        derived = structure_module.derived_subalgebra
+
+        def counting(algebra, sub):
+            calls.append(sub)
+            return derived(algebra, sub)
+
+        monkeypatch.setattr(structure_module, "derived_subalgebra", counting)
+        for label, alg in algebras:
+            calls.clear()
+            verdict = is_solvable(alg)
+            assert 0 < len(calls) <= alg.rank + 1, label
+            assert verdict.verdict != "unknown", label
+            # one step per fall of the rank, and one more to see it repeat
+            ranks = [len(term.generators) for term in verdict.series]
+            falls = sum(a > b for a, b in zip(ranks, ranks[1:]))
+            assert len(calls) == falls + (verdict.verdict == "not_solvable"), label
+            assert is_solvable(alg, max_depth=alg.rank + 1) == verdict, label
 
 
 class TestSolvability:
@@ -469,67 +526,6 @@ def test_placement_rendering_and_budget_read_no_dense_table(monkeypatch):
     assert kinds == {"lie", "assoc"}
     _forbid_dense_view(monkeypatch)
     assert results() == expected
-
-
-def random_unimodular(rng, n):
-    """Product of elementary operations: always unit determinant."""
-    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for _ in range(6):
-        kind = rng.randint(0, 2)
-        i, j = rng.randint(0, n - 1), rng.randint(0, n - 1)
-        if kind == 0 and i != j:
-            factor = MultiPoly.const(rng.randint(-2, 2)) + rng.randint(-1, 1) * d
-            rows[i] = [a + factor * b for a, b in zip(rows[i], rows[j])]
-        elif kind == 1:
-            scale = Fraction(rng.choice([1, -1, 2, Fraction(1, 2)]))
-            rows[i] = [scale * a for a in rows[i]]
-        elif i != j:
-            rows[i], rows[j] = rows[j], rows[i]
-    return tuple(tuple(r) for r in rows)
-
-
-def change_basis(algebra, change):
-    """Rewrite the product table in the basis given by the rows of ``change``.
-
-    The change matrix must be invertible over the d-polynomial ring, i.e.
-    have nonzero constant determinant; its inverse is then polynomial.
-    """
-    n = algebra.rank
-    det = poly_det(change).constant_value()
-    if det in (None, Fraction(0)):
-        raise ValueError("basis change must have unit determinant")
-    # adjugate / det gives the exact polynomial inverse
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(change[r][c] for c in range(n) if c != i)
-                for r in range(n)
-                if r != j
-            )
-            sign = 1 if (i + j) % 2 == 0 else -1
-            row.append(sign * poly_det(minor) / det)
-        inv.append(tuple(row))
-    inv = tuple(inv)
-    table = []
-    for i in range(n):
-        gi = change[i]
-        row = []
-        for j in range(n):
-            gj = change[j]
-            prod = product_at(algebra, gi, gj, l)
-            # express the product in the new basis: coords . inv
-            coords = tuple(
-                sum(
-                    (prod[k] * inv[k][t] for k in range(n)),
-                    MultiPoly.zero(),
-                )
-                for t in range(n)
-            )
-            row.append(coords)
-        table.append(tuple(row))
-    return ConformalAlgebra(algebra.kind, algebra.basis, entries(table))
 
 
 class TestBasisChangeInvariance:
