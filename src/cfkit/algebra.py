@@ -139,7 +139,9 @@ def _constants(entries: Entries, shape: tuple[int, int, int], what: str) -> Spar
     off the given coordinates alone."""
     rows, cols, width = shape
     nonzero = []
-    if not all(type(key) is tuple and len(key) == 2 for key in entries):
+    if not isinstance(entries, dict) or not all(
+        type(key) is tuple and len(key) == 2 for key in entries
+    ):
         raise ValueError(f"{what} entries must be keyed by (i, j) pairs")
     for (i, j), coords in entries.items():
         if not (isinstance(coords, dict) and type(i) is int and type(j) is int

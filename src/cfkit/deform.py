@@ -36,8 +36,12 @@ from .structure import poly_det
 Matrix = tuple[tuple[MultiPoly, ...], ...]
 
 
-def _check_matrix(matrix: Matrix, rows: int, cols: int, what: str) -> None:
-    if len(matrix) != rows or any(len(r) != cols for r in matrix):
+def _check_matrix(matrix: Matrix, rows: int, cols: int, what: str) -> Matrix:
+    """``matrix`` as a tuple of row tuples, refused by name unless it is a
+    ``rows`` x ``cols`` tuple or list of such rows of polynomials in ``d``."""
+    sequence = (tuple, list)
+    if not (isinstance(matrix, sequence) and len(matrix) == rows
+            and all(isinstance(r, sequence) and len(r) == cols for r in matrix)):
         raise ValueError(f"{what} matrix must be {rows}x{cols}")
     for row in matrix:
         for entry in row:
@@ -45,6 +49,7 @@ def _check_matrix(matrix: Matrix, rows: int, cols: int, what: str) -> None:
                 raise ValueError(f"{what} entry {entry!r} is not a polynomial")
             if not entry.variables() <= {D}:
                 raise ValueError(f"{what} entry {entry} must be univariate in d")
+    return tuple(map(tuple, matrix))
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,8 @@ class DeformationMap:
     matrix: Matrix  # Q rank rows, R rank columns
 
     def __post_init__(self):
-        _check_matrix(self.matrix, self.pair.Q.rank, self.pair.R.rank, "deformation")
+        matrix = _check_matrix(self.matrix, self.pair.Q.rank, self.pair.R.rank, "deformation")
+        object.__setattr__(self, "matrix", matrix)
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,8 @@ class Morphism:
     def __post_init__(self):
         if self.source.kind != self.target.kind:
             raise ValueError("morphism endpoints must have the same kind")
-        _check_matrix(self.matrix, self.source.rank, self.target.rank, "morphism")
+        matrix = _check_matrix(self.matrix, self.source.rank, self.target.rank, "morphism")
+        object.__setattr__(self, "matrix", matrix)
 
 
 def apply_matrix(matrix: Matrix, pairs) -> tuple[MultiPoly, ...]:

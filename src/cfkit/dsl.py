@@ -41,10 +41,17 @@ for a diagnostic, by walking the same pattern once per document with
 ``finditer``, which also refuses unexpected characters.  The parser keeps a
 token it may report later as its index.  The expression parser folds
 constants: numbers and parameters are ``int`` or ``Fraction`` values, and
-``*``, ``/``, ``+``, ``-`` and unary minus combine them as such.  A value
-becomes a ``MultiPoly`` where it meets a variable, where it is the base of a
-``^`` (so the power caps measure a polynomial), or at the end of the
-expression; from there on the polynomial's ring operations combine it.
+``*``, ``/``, ``+``, ``-`` and unary minus combine them as such.  A name is
+read by one lookup in a dict of the bound parameters and the variables ``d``,
+``l`` and ``m``, which shadow a parameter of their name; names of unknowns,
+``u<digits>``, stay out of it.  A folded constant that meets a polynomial
+goes through the polynomial's own operator, ``p * c``, ``p + c`` or
+``p.__rsub__(c)``, whichever side it stands on, so it takes
+:class:`~cfkit.poly.MultiPoly`'s scalar paths and never ``Fraction``'s
+fallback.  Otherwise a value becomes a ``MultiPoly`` only where it is the
+base of a ``^`` (so the power caps measure a polynomial) or at the end of
+the expression.  Generator names are resolved through a ``{name: index}``
+dict.
 """
 
 from __future__ import annotations
@@ -150,6 +157,16 @@ def _is_name(tok: str) -> bool:
     return tok[:1].isalpha() or tok[:1] == "_"
 
 
+def _is_unknown(tok: str) -> bool:
+    """Whether ``tok`` names an ansatz unknown, ``u<digits>``."""
+    return len(tok) > 1 and tok[0] == "u" and tok[1:].isdecimal()
+
+
+def _index(basis: tuple[str, ...]) -> dict[str, int]:
+    """Each generator name of ``basis`` to its index."""
+    return {name: i for i, name in enumerate(basis)}
+
+
 def _is_token(lexeme: str) -> bool:
     return lexeme in _PUNCT or lexeme.isdecimal() or _is_name(lexeme)
 
@@ -214,6 +231,13 @@ class _Parser:
         self.tokens.append("")
         self.pos = 0
         self.params = dict(params)
+        # each name an expression reads by one lookup: d, l and m shadow a
+        # parameter of their name, and u<digits> stays an unknown
+        self.atoms: dict[str, MultiPoly | Scalar] = {
+            name: value for name, value in self.params.items()
+            if _is_name(name) and not _is_unknown(name)
+        }
+        self.atoms.update(d=_PD, l=_PL1, m=_PL2)
         self.used_params: set[str] = set()
         self.items: list[Item] = []
         self.by_kind: dict[tuple[str, str], object] = {}
@@ -291,18 +315,21 @@ class _Parser:
     def parse_poly(self, allow: frozenset[int], what: str) -> MultiPoly:
         start = self.pos
         poly = _as_poly(self._poly_sum())
-        bad = sorted(poly.variables() - allow)
-        if bad:
-            names = ", ".join(var_name(v) for v in bad)
+        if not poly.variables() <= allow:
+            names = ", ".join(var_name(v) for v in sorted(poly.variables() - allow))
             self.fail(f"variable {names} not allowed in {what}", start)
         return poly
 
     def _poly_sum(self) -> MultiPoly | Scalar:
         acc = self._poly_product()
-        while self.tokens[self.pos] in ("+", "-"):
-            op = self.advance()
+        tokens = self.tokens
+        while (op := tokens[self.pos]) in ("+", "-"):
+            self.pos += 1
             rhs = self._poly_product()
-            acc = acc + rhs if op == "+" else acc - rhs
+            if type(acc) is MultiPoly or type(rhs) is not MultiPoly:
+                acc = acc + rhs if op == "+" else acc - rhs
+            else:
+                acc = rhs + acc if op == "+" else rhs.__rsub__(acc)
         return acc
 
     def nested(self, at: int, parse):
@@ -322,32 +349,42 @@ class _Parser:
 
     def _poly_product(self) -> MultiPoly | Scalar:
         acc = self._poly_factor()
-        while self.tokens[self.pos] in ("*", "/"):
+        tokens = self.tokens
+        while (op := tokens[self.pos]) in ("*", "/"):
             op_at = self.pos
-            self.pos = rhs_at = op_at + 1
+            self.pos += 1
             rhs = self._poly_factor()
-            if self.tokens[op_at] == "*":
-                # a scalar has degree at most 0, so only two polynomials can
-                # pass the cap that each of them is already within
-                if type(acc) is MultiPoly and type(rhs) is MultiPoly:
-                    degree = acc.degree() + rhs.degree()
-                    self.within_cap(degree, MAX_EXPONENT, "product of degree", op_at)
-                acc = acc * rhs
-            else:
+            if op == "/":
                 value = rhs.constant_value() if type(rhs) is MultiPoly else rhs
                 if value is None or value == 0:
-                    self.fail("division is only by nonzero constants", rhs_at)
+                    self.fail("division is only by nonzero constants", op_at + 1)
                 acc = acc / value if type(acc) is MultiPoly else Fraction(acc) / value
+            elif type(rhs) is not MultiPoly:
+                acc = acc * rhs
+            elif type(acc) is not MultiPoly:
+                acc = rhs * acc
+            else:
+                # a scalar has degree at most 0, so only two polynomials can
+                # pass the cap that each of them is already within
+                degree = acc.degree() + rhs.degree()
+                self.within_cap(degree, MAX_EXPONENT, "product of degree", op_at)
+                acc = acc * rhs
         return acc
 
     def _poly_factor(self) -> MultiPoly | Scalar:
         at = self.pos
         tok = self.tokens[at]
-        if tok in ("-", "+"):
+        base = self.atoms.get(tok)
+        if base is not None:
+            self.pos += 1
+            if type(base) is not MultiPoly:
+                self.used_params.add(tok)
+        elif tok in ("-", "+"):
             self.pos += 1
             inner = self.nested(at, self._poly_factor)
             return -inner if tok == "-" else inner
-        base = self._poly_primary()
+        else:
+            base = self._poly_primary()
         if self.tokens[self.pos] == "^":
             self.pos += 1
             exp_tok = self.peek()
@@ -373,29 +410,21 @@ class _Parser:
             inner = self.nested(at, self._poly_sum)
             self.expect(")")
             return inner
-        if tok == "d":
-            return _PD
-        if tok == "l":
-            return _PL1
-        if tok == "m":
-            return _PL2
+        if _is_unknown(tok):
+            index = self.integer(at, tok[1:])
+            if index > MAX_UNKNOWN:
+                self.fail(f"unknown index is over the cap of u{MAX_UNKNOWN}", at)
+            return MultiPoly.var(unknown(index))
         if _is_name(tok):
-            if len(tok) > 1 and tok[0] == "u" and tok[1:].isdecimal():
-                index = self.integer(at, tok[1:])
-                if index > MAX_UNKNOWN:
-                    self.fail(f"unknown index is over the cap of u{MAX_UNKNOWN}", at)
-                return MultiPoly.var(unknown(index))
-            if tok in self.params:
-                self.used_params.add(tok)
-                return self.params[tok]
             self.fail(f"unbound parameter {tok!r}", at)
         self.fail(f"expected a polynomial, found {tok!r}", at)
 
     # coefficient-vector right-hand sides
 
     def parse_terms(
-        self, gens: tuple[str, ...], allow: frozenset[int], what: str
+        self, gens: dict[str, int], allow: frozenset[int], what: str
     ) -> dict[int, MultiPoly]:
+        """``coefficient generator + ...``; ``gens`` indexes the generator names."""
         terms = {}
         if self.peek() == "0" and self.peek(1) == ";":
             self.pos += 1
@@ -415,7 +444,7 @@ class _Parser:
                 tok = self.tokens[at]
                 if tok not in gens:
                     self.fail(f"unknown generator {tok!r}", at)
-            idx = gens.index(tok)
+            idx = gens[tok]
             terms[idx] = terms[idx] + coeff if idx in terms else coeff
             nxt = self.peek()
             if nxt == "+":
@@ -465,15 +494,15 @@ class _Parser:
         self.expect("param")
         at = self.expect_ident("a parameter name")
         name = self.tokens[at]
-        if name in _RESERVED or (len(name) > 1 and name[0] == "u" and name[1:].isdecimal()):
+        if name in _RESERVED or _is_unknown(name):
             self.fail(f"{name!r} is reserved and cannot be a parameter", at)
         self.expect("=")
         value = self._parse_rational()
         self.expect(";")
         # command-line bindings take precedence over in-file defaults
-        self.params.setdefault(name, value)
+        value = self.atoms[name] = self.params.setdefault(name, value)
         self.used_params.add(name)
-        self.register("param", at, self.params[name])
+        self.register("param", at, value)
 
     def _parse_rational(self) -> Fraction:
         sign = 1
@@ -516,7 +545,7 @@ class _Parser:
 
     def _entry(self, operands, bases, entries: dict, what: str, duplicate: str) -> None:
         """The rest of ``left op right = terms;`` once both operand tokens,
-        whose indexes are ``operands``, are read: ``bases`` are the left,
+        whose indexes are ``operands``, are read: ``bases`` index the left,
         right and output generators, and the entry lands in ``entries[i, j]``."""
         for at, basis in zip(operands, bases):
             if self.tokens[at] not in basis:
@@ -524,7 +553,7 @@ class _Parser:
         self.expect("=")
         terms = self.parse_terms(bases[2], frozenset({D, L1}), what)
         self.expect(";")
-        key = tuple(basis.index(self.tokens[at]) for at, basis in zip(operands, bases))
+        key = tuple(basis[self.tokens[at]] for at, basis in zip(operands, bases))
         if key in entries:
             self.fail(duplicate, operands[0])
         entries[key] = terms
@@ -532,19 +561,18 @@ class _Parser:
     def parse_algebra(self) -> None:
         name_at, kind = self._header("algebra", "an algebra name")
         self.expect("gens")
-        gens = []
+        gens: dict[str, int] = {}
         while True:
             at = self.expect_ident("a generator name")
             self._check_gen_name(at)
             if self.tokens[at] in gens:
                 self.fail(f"duplicate generator {self.tokens[at]!r}", at)
-            gens.append(self.tokens[at])
+            gens[self.tokens[at]] = len(gens)
             if self.peek() == ",":
                 self.pos += 1
                 continue
             break
         self.expect(";")
-        gens = tuple(gens)
         entries = {}
         while self.peek() == "[":
             self.pos += 1
@@ -557,7 +585,7 @@ class _Parser:
                 f"duplicate product entry [{self.tokens[a_at]}, {self.tokens[b_at]}]",
             )
         self.expect("}")
-        self.register("algebra", name_at, ConformalAlgebra(kind, gens, entries))
+        self.register("algebra", name_at, ConformalAlgebra(kind, tuple(gens), entries))
 
     def parse_matched(self) -> None:
         name_at, kind = self._header("matched", "a matched-pair name")
@@ -573,6 +601,7 @@ class _Parser:
                 self.fail(f"algebra {self.tokens[at]!r} has the wrong kind", at)
         if set(parts["R"].basis) & set(parts["Q"].basis):
             self.fail("R and Q generator names must not overlap", name_at)
+        index = {part: _index(alg.basis) for part, alg in parts.items()}
         arrows = {row[1]: row for row in _LAYOUT}
         entries = {}
         while self.peek(1) in arrows and _is_name(self.peek()):
@@ -583,7 +612,7 @@ class _Parser:
             right_at = self.expect_ident("a generator name")
             attr, _, *operands = row
             self._entry(
-                (left_at, right_at), tuple(parts[c].basis for c in operands),
+                (left_at, right_at), tuple(index[c] for c in operands),
                 entries.setdefault(attr, {}), "an action table", "duplicate action entry",
             )
         self.expect("}")
@@ -600,6 +629,7 @@ class _Parser:
         allow = frozenset({D})
         zero = MultiPoly.zero()
         rows = {name: (zero,) * len(tgt_basis) for name in src_basis}
+        targets = _index(tgt_basis)
         assigned = set()
         while self.peek(1) == "->" and _is_name(self.peek()):
             src_at, src = self.pos, self.peek()
@@ -609,7 +639,7 @@ class _Parser:
             if src in assigned:
                 self.fail(f"duplicate map row for {src!r}", src_at)
             assigned.add(src)
-            terms = self.parse_terms(tgt_basis, allow, what)
+            terms = self.parse_terms(targets, allow, what)
             self.expect(";")
             rows[src] = tuple(terms.get(k, zero) for k in range(len(tgt_basis)))
         self.expect("}")

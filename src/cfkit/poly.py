@@ -13,6 +13,11 @@ multiplied out against a power of the replacement's numerators, scaled to
 one common denominator, and accumulated into a single dict of ``int``
 numerators, with no intermediate polynomial (the sparse accumulation of
 Monagan and Pearce, *Sparse polynomial arithmetic*).
+An ``int`` or ``Fraction`` operand takes a scalar path and is never made a
+polynomial first: a product scales the numerators by its numerator and the
+denominator by its denominator, a sum or difference changes the constant
+key's numerator alone, and either is reduced once.  A polynomial operand is
+recognised by one type test, so the polynomial paths pay no more.
 Arithmetic is exact, values are immutable, and all operations are pure
 functions, so polynomials can be shared freely between threads.
 
@@ -326,23 +331,29 @@ class MultiPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "MultiPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not MultiPoly:
+            if isinstance(other, (int, Fraction)):
+                return _plus_scalar(self, 1, other)
+            if not isinstance(other, MultiPoly):
+                return NotImplemented
         return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "MultiPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not MultiPoly:
+            if isinstance(other, (int, Fraction)):
+                return _plus_scalar(self, 1, -other)
+            if not isinstance(other, MultiPoly):
+                return NotImplemented
         return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not MultiPoly:
+            if isinstance(other, (int, Fraction)):
+                return _plus_scalar(self, -1, other)
+            if not isinstance(other, MultiPoly):
+                return NotImplemented
         return _combine(other, self, -1)
 
     def __neg__(self) -> "MultiPoly":
@@ -351,9 +362,11 @@ class MultiPoly:
         return _raw({key: -coeff for key, coeff in self._terms.items()}, self._den)
 
     def __mul__(self, other) -> "MultiPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not MultiPoly:
+            if isinstance(other, (int, Fraction)):
+                return _scale(self, other)
+            if not isinstance(other, MultiPoly):
+                return NotImplemented
         # the shared constant one: a unit vector's coordinate, most often
         if other is _ONE:
             return self
@@ -565,19 +578,43 @@ def _combine(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
     return _normal(out, den)
 
 
-def _coerce(value) -> "MultiPoly":
+def _scale(poly: MultiPoly, value: Scalar) -> MultiPoly:
+    """``poly * value`` for a scalar ``value``: the numerators times its
+    numerator over the denominator times its denominator, reduced once."""
+    num, den = value.numerator, value.denominator
+    if not num or not poly._terms:
+        return _ZERO
+    if num == den:  # in lowest terms, so the value is one
+        return poly
+    return _normal({key: c * num for key, c in poly._terms.items()}, poly._den * den)
+
+
+def _plus_scalar(poly: MultiPoly, sign: int, value: Scalar) -> MultiPoly:
+    """``sign * poly + value`` for ``sign`` in {1, -1} and a scalar
+    ``value``: over the product of the two denominators only the constant
+    key's numerator takes ``value`` in, and the result is reduced once."""
+    if not poly._terms:
+        return MultiPoly.const(value)
+    num, den = value.numerator, value.denominator
+    if not num:
+        return poly if sign > 0 else -poly
+    scale = sign * den
+    terms = poly._terms
+    out = dict(terms) if scale == 1 else {key: c * scale for key, c in terms.items()}
+    acc = out.get(0, 0) + num * poly._den
+    if acc:
+        out[0] = acc
+    else:
+        del out[0]
+    return _normal(out, poly._den * den)
+
+
+def _coerce_strict(value) -> MultiPoly:
     if isinstance(value, MultiPoly):
         return value
     if isinstance(value, (int, Fraction)):
         return MultiPoly.const(value)
-    return NotImplemented
-
-
-def _coerce_strict(value) -> MultiPoly:
-    poly = _coerce(value)
-    if poly is NotImplemented:
-        raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
-    return poly
+    raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
 
 
 def _mul_terms(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -436,8 +436,8 @@ class TestCheckAxioms:
 class TestTableRefused:
     """An entry outside the table's rows and columns, a coordinate that is
     not an ``int`` below the rank, an entry given as a coordinate tuple, a
-    coefficient that uses ``m`` or is not a polynomial, or a key that is not
-    an ``(i, j)`` pair, is refused by name."""
+    coefficient that uses ``m`` or is not a polynomial, a key that is not an
+    ``(i, j)`` pair, or entries that are not a dict, is refused by name."""
 
     @pytest.mark.parametrize("entry, message", [
         ({(2, 0): {0: d}}, "table entry (2, 0) does not fit the shape 2 x 2 x 2"),
@@ -462,6 +462,13 @@ class TestTableRefused:
     def test_algebra(self, entry, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ConformalAlgebra(LIE, ("A", "B"), {(0, 1): {0: d, 1: l}, **entry})
+
+    @pytest.mark.parametrize("entries", [
+        [((0, 0), {0: d})], (((0, 0), {0: d}),),
+    ], ids=["list-entries", "tuple-entries"])
+    def test_entries_not_a_dict(self, entries):
+        with pytest.raises(ValueError, match=r"^table entries must be keyed by \(i, j\) pairs$"):
+            ConformalAlgebra(LIE, ("A",), entries)
 
 
 class TestElementText:

@@ -405,6 +405,15 @@ class TestUnknownIndexCap:
         assert json.loads(Path("r.json").read_text())["error"] == message
         assert capsys.readouterr().err == message + "\n"
 
+    def test_constraints_one_past_the_cap_exits_3(self, workdir, capsys):
+        # 7 * 73 * (1 + 1) = 1022 unknowns: one more would be u1021
+        Path("t.cfk").write_text(_abelian_pair(7, 73))
+        assert run(["constraints", "t.cfk", "--pair", "P", "--degree", "1"]) == 3
+        assert capsys.readouterr().err == (
+            f"the ansatz needs 1022 unknowns, over the cap of {MAX_UNKNOWN + 1}"
+            f" (u0 to u{MAX_UNKNOWN})\n"
+        )
+
 
 class TestSolveCap:
     def test_cap_exceeded_exits_3(self, workdir, capsys):
@@ -510,6 +519,17 @@ class TestSolveCap:
             assert report["error"] == (
                 f"{size}^1 grid points exceed the exhaustive-search budget of 1000000"
             )
+
+    def test_grid_one_past_the_budget_exits_3(self, workdir, capsys):
+        # 2 * 500000 + 1 values: one past the budget, refused before searching
+        Path("sys.json").write_text(
+            json.dumps({"unknowns": ["u0"], "equations": [_equation("u0^2 - u0")]})
+        )
+        argv = ["solve", "sys.json", "--grid-num", "1", "--grid-den", "500000"]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            "1000001^1 grid points exceed the exhaustive-search budget of 1000000\n"
+        )
 
     @pytest.mark.parametrize(
         "num, den",
@@ -1142,6 +1162,16 @@ class TestReportPipeline:
         assert report["error"] == message
         assert report["structure"]["solvability"] == "unknown"
         assert len(report["structure"]["derived_series"]) == 2
+
+    def test_structure_at_the_exact_depth(self, workdir):
+        # QYM's series reaches zero in two steps: a cap of two decides it
+        source = str(corpus.fixture_dir("sv") / "input.cfk")
+        params = ["--param", "a=0", "--param", "b=0", "--param", "c=0", "--param", "ai=1"]
+        argv = ["structure", source, "--algebra", "QYM", *params, "--max-depth", "2"]
+        assert run(argv + ["--json", "r.json"]) == 0
+        report = json.loads(Path("r.json").read_text())
+        assert report["structure"]["solvability"] == "solvable(2)"
+        assert "error" not in report
 
     def test_one_parser_serves_every_call(self, workdir, monkeypatch):
         built = []

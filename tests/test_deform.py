@@ -77,8 +77,9 @@ class TestApplyMap:
 
 
 class TestMatrixRefused:
-    """A map or morphism matrix of the wrong shape, or with an entry that is
-    not a polynomial in ``d`` alone, is refused by name."""
+    """A map or morphism matrix of the wrong shape, or not a sequence of row
+    sequences, or with an entry that is not a polynomial in ``d`` alone, is
+    refused by name; list rows are kept as tuples."""
 
     @pytest.mark.parametrize("build, message", [
         (lambda pair, vir: DeformationMap(pair, ((3,),)),
@@ -90,11 +91,22 @@ class TestMatrixRefused:
         (lambda pair, vir: Morphism(vir, vir, ((Fraction(1, 2),),)),
          "morphism entry Fraction(1, 2) is not a polynomial"),
         (lambda pair, vir: Morphism(vir, vir, ()), "morphism matrix must be 1x1"),
+        (lambda pair, vir: DeformationMap(pair, 3), "deformation matrix must be 1x1"),
+        (lambda pair, vir: DeformationMap(pair, (3,)), "deformation matrix must be 1x1"),
+        (lambda pair, vir: Morphism(vir, vir, (d,)), "morphism matrix must be 1x1"),
     ], ids=["map-int", "map-shape", "map-l", "morphism-int", "morphism-fraction",
-            "morphism-shape"])
+            "morphism-shape", "map-not-rows", "map-int-row", "morphism-poly-row"])
     def test_is_refused(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(wab_doc(1, 0).find("matched", "WP"), vir_algebra())
+
+    def test_list_rows_are_stored_as_tuples(self):
+        vir = vir_algebra()
+        h = Morphism(vir, vir, [[d]])
+        assert h.matrix == ((d,),) and h == Morphism(vir, vir, ((d,),))
+        assert hash(h) == hash(Morphism(vir, vir, ((d,),)))
+        pair = wab_doc(1, 0).find("matched", "WP")
+        assert DeformationMap(pair, [(d,)]).matrix == ((d,),)
 
 
 class TestCheckDeformationMap:

@@ -130,6 +130,21 @@ class TestParse:
         # the record is not part of the document's value
         assert doc == Document(doc.items)
 
+    def test_params_named_like_variables_stay_variables(self):
+        # bindings named d or u3 shadow neither, and neither counts as read
+        params = {"d": Fraction(5), "u3": Fraction(7), "a": Fraction(2)}
+        doc, diagnostics = try_parse("algebra A : lie { gens X; [X, X] = (d + a*l) X; }", params)
+        assert diagnostics == []
+        assert doc.find("algebra", "A").table[0][0] == (d + 2 * l,)
+        assert doc.used_params == {"a"}
+        _, diagnostics = try_parse("algebra A : lie { gens X; [X, X] = (u3) X; }", params)
+        assert [x.message for x in diagnostics] == ["variable u3 not allowed in a product table"]
+        parser = _Parser("u3*d - d", params)
+        assert parser.parse_poly(frozenset({D, unknown(3)}), "an expression") == (
+            MultiPoly.var(unknown(3)) * d - d
+        )
+        assert parser.used_params == set()
+
 
 class TestDiagnostics:
     def test_unbound_parameter(self):
@@ -887,6 +902,11 @@ class TestParserMatchesReference:
     @example(expression=("-(3)/(0)", 0), allow=_ALLOW[1])
     @example(expression=("(d + 1 - d)/(l - l + 2) - -a*b", 0), allow=_ALLOW[1])
     @example(expression=("1/(d - d) + m", 0), allow=_ALLOW[1])
+    # a folded constant meeting a polynomial from the left, by each operator
+    @example(expression=("2*a*l", 0), allow=_ALLOW[1])
+    @example(expression=("a*b - l", 0), allow=_ALLOW[1])
+    @example(expression=("-a*(d - b)", 0), allow=_ALLOW[1])
+    @example(expression=("a/b*l^2", 0), allow=_ALLOW[1])
     def test_expressions(self, expression, allow):
         text = expression[0]
         assert _parsed(_Parser.parse_poly, text, allow) == _parsed(reference_poly, text, allow)

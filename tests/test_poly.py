@@ -616,6 +616,48 @@ class TestOnePassSubtraction:
         assert zero - zero is zero
 
 
+# -- scalar operands against their constant polynomials ----------------------
+
+# ints and Fractions, the units and zero always among them
+scalar_operands = st.one_of(
+    st.sampled_from((0, 1, -1, Fraction(0), Fraction(1), Fraction(-1))), scalars, mixed_scalars
+)
+
+
+class TestScalarPaths:
+    """``p * c``, ``p + c`` and ``p - c`` for an ``int`` or ``Fraction`` ``c``
+    scale or shift ``p``'s numerators directly; ``MultiPoly.const(c)`` in
+    ``c``'s place takes the polynomial paths they skip, and the Fraction
+    reference pins the value of both."""
+
+    @given(a=term_maps(EVERY_VARIABLE, mixed_scalars), c=scalar_operands)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_constant_path(self, a, c):
+        k, const = MultiPoly.const(c), ref({(): c})
+        for p, terms in ((MultiPoly(a), ref(a)), (MultiPoly.zero(), {})):
+            for got, via_const, want in [
+                (p * c, p * k, ref_mul(terms, const)),
+                (c * p, k * p, ref_mul(const, terms)),
+                (p + c, p + k, ref_add(terms, const)),
+                (c + p, k + p, ref_add(const, terms)),
+                (p - c, p - k, ref_sub(terms, const)),
+                (c - p, k - p, ref_sub(const, terms)),
+            ]:
+                assert_same_stored(got, via_const)
+                assert_stored_canonical(got)
+                assert dict(got.terms()) == want
+
+    def test_shared_constants(self):
+        p = d / 3 - 1
+        assert p * 1 is p
+        assert p * Fraction(1) is p
+        assert p + 0 is p
+        assert p * 0 is MultiPoly.zero()
+        assert MultiPoly.zero() + 1 is MultiPoly.const(1)
+        assert 1 - MultiPoly.zero() is MultiPoly.const(1)
+        assert MultiPoly.zero() * 5 is MultiPoly.zero()
+
+
 # -- packed monomial keys ----------------------------------------------------
 
 TOP = unknown(MAX_UNKNOWN)
