@@ -136,32 +136,37 @@ def _constants(entries: Entries, shape: tuple[int, int, int], what: str) -> Spar
     columns of ``shape``, maps ``int`` coordinates below its entry width to
     :class:`MultiPoly` coefficients and uses no variable but ``d`` and
     ``l``; return the nonzero constants at ``l`` in (i, j, k) order, read
-    off the given coordinates alone."""
+    off the given coordinates alone.  Each entry is validated, sorted and
+    kept in one pass over its coordinates, which names its first fault."""
     rows, cols, width = shape
-    nonzero = []
     if not isinstance(entries, dict) or not all(
         type(key) is tuple and len(key) == 2 for key in entries
     ):
         raise ValueError(f"{what} entries must be keyed by (i, j) pairs")
+    constants = tuple({} for _ in range(rows))
     for (i, j), coords in entries.items():
-        if not (isinstance(coords, dict) and type(i) is int and type(j) is int
-                and 0 <= i < rows and 0 <= j < cols
-                and all(type(k) is int and 0 <= k < width for k in coords)):
+        fits = (isinstance(coords, dict) and type(i) is int and type(j) is int
+                and 0 <= i < rows and 0 <= j < cols)
+        pairs = []
+        for k, c in (coords.items() if fits else ()):
+            if type(k) is not int or not 0 <= k < width:
+                fits = False
+                break
+            if not isinstance(c, MultiPoly):
+                raise ValueError(f"{what} entry ({i}, {j}) has a non-polynomial coefficient")
+            if c:
+                if not c.uses_only_up_to(L1):
+                    raise ValueError(f"{what} entry {c} uses variables other than d, l")
+                pairs.append((k, c))
+        if not fits:
             raise ValueError(
                 f"{what} entry ({i}, {j}) does not fit the shape {rows} x {cols} x {width}"
             )
-        if not all(isinstance(c, MultiPoly) for c in coords.values()):
-            raise ValueError(f"{what} entry ({i}, {j}) has a non-polynomial coefficient")
-        pairs = tuple((k, c) for k, c in sorted(coords.items()) if c)
-        for _, coeff in pairs:
-            if not coeff.variables() <= {D, L1}:
-                raise ValueError(f"{what} entry {coeff} uses variables other than d, l")
         if pairs:
-            nonzero.append((i, j, pairs))
-    constants = tuple({} for _ in range(rows))
-    for i, j, pairs in sorted(nonzero):  # no two share (i, j), so no pairs are compared
-        constants[i][j] = pairs
-    return constants
+            pairs.sort()  # no two share k, so no coefficients are compared
+            constants[i][j] = tuple(pairs)
+    # each row in column order, whatever order the entries came in
+    return tuple(dict(sorted(row.items())) for row in constants)
 
 
 def _sparse(constants: Sparse, s: MultiPoly) -> Sparse:

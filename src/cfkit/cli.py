@@ -6,11 +6,14 @@ the exit code, the ``--json`` file and the printed check lines.  Handlers
 only fill in the report they are given and return nothing; the exit code is
 read off the finished report.
 
-``check`` takes each declaration in document order.  An algebra whose table
-equals the twisted table of a map that passed on a pair that passed, both
-earlier in the same call, is certified by the graph theorem instead of
-re-walking its axioms (proof at :func:`cmd_check`); its entry is the one
-:func:`cfkit.algebra.check_axioms` would give.
+``check`` takes each declaration in document order, and decides each
+table's axioms at most once.  An algebra whose table equals the twisted
+table of a map that passed on a pair that passed, both earlier in the same
+call, is certified by the graph theorem instead of re-walking its axioms.
+A pair whose bicrossed product equals an algebra that passed earlier, and an
+algebra equal to the bicrossed product of a pair that passed earlier, are
+certified by that earlier check (proofs at :func:`cmd_check`).  Each
+certified entry is the one the full check would give.
 
 Exit codes: 0 all checks passed, 1 a semantic check failed, 2 bad input
 (parse or reference errors, an exponent, a power's or product's degree, a
@@ -189,15 +192,17 @@ def _message_entry(name: str, ok: bool, identity: str, message: str) -> dict:
     return {"name": name, "status": "pass" if ok else "fail", "violations": violations}
 
 
-def _item_checks(kind: str, name: str, value):
-    """The check entries of one declaration."""
+def _item_checks(kind: str, name: str, value, proven: bool = False):
+    """The check entries of one declaration; a ``proven`` algebra or pair,
+    one whose table :func:`cmd_check` has certified, takes the passing
+    report every check of it would give, and forms no table to get it."""
     if kind == "algebra":
-        yield _entry(f"axioms:{name}", check_axioms(value))
+        yield _entry(f"axioms:{name}", CheckReport() if proven else check_axioms(value))
     elif kind == "matched":
-        normative = check_matched_pair(value)
+        normative = CheckReport() if proven else check_matched_pair(value)
         yield _entry(f"matched_pair:{name}", normative)
         if value.kind == LIE:
-            direct = check_b1_b2_direct(value)
+            direct = CheckReport() if proven else check_b1_b2_direct(value)
             agree = direct.passed == normative.passed
             yield _entry(f"cross_compat_direct:{name}", direct, convention_match=agree)
             if not agree:
@@ -274,9 +279,27 @@ def cmd_check(args, report: dict) -> None:
       twisted algebra, for either kind.
 
     :func:`check_axioms` would thus report a pass with no violations, which
-    is the entry reported.  The certificate reads only reports and tables
-    this call has formed; every other algebra, one declared before its map
-    included, takes :func:`check_axioms`.
+    is the entry reported.
+
+    A pair and an algebra also certify each other, in either order, when
+    the pair's bicrossed product has the algebra's kind and constants and
+    the earlier of the two passed:
+
+    * :func:`check_axioms` reads only an algebra's kind and constants; its
+      basis names only label violations.  So two tables of one kind with
+      equal constants get reports that differ in labels alone, and both
+      pass or neither does.
+    * :func:`check_matched_pair` is the report of the bicrossed product's
+      axioms, each identity prefixed ``E:``, and
+      :func:`check_b1_b2_direct` is a projection of that report's Jacobi
+      violations.  Where the product passes, both are passes with no
+      violations, so their verdicts agree and ``convention_match`` is true.
+
+    A certified pair joins the pairs that passed, so the maps on it may
+    certify their twists.  A declared algebra never certifies another
+    declared algebra directly.  The certificates read only reports and
+    tables this call has formed; every other algebra or pair, one declared
+    before what would certify it included, is checked in full.
     """
     document = _load(args, report)
     # two declarations of different kinds may share a name: each is checked
@@ -290,21 +313,38 @@ def cmd_check(args, report: dict) -> None:
     else:
         items = [item for item in document.items if item.kind != "param"]
     matched = []  # the pairs whose matched_pair check passed
-    twists = []  # (kind, constants) of the twist of each map that passed on one of them
+    # the (kind, constants) of tables known to pass their axioms, by the
+    # kind of declaration each may certify: the twists of maps that passed
+    # on a pair in ``matched`` and those pairs' bicrossed products certify
+    # algebras, and the algebras that passed certify pairs
+    proven = {"algebra": [], "matched": []}
     for item in items:
         kind, name, value = item.kind, item.name, item.value
         if kind == "defmap":
             twisted, deformation = _deformation(value.pair, value.matrix)
             report["checks"].append(_entry(f"deformation_map:{name}", deformation))
             if deformation.passed and any(value.pair is pair for pair in matched):
-                twists.append((twisted.kind, twisted.constants))
-        elif kind == "algebra" and (value.kind, value.constants) in twists:
-            report["checks"].append(_entry(f"axioms:{name}", CheckReport()))
-        else:
-            report["checks"].extend(_item_checks(kind, name, value))
-            # the check just formed the pair's report, which it keeps
-            if kind == "matched" and value.axioms.passed:
+                proven["algebra"].append((twisted.kind, twisted.constants))
+            continue
+        table = _table(kind, value)
+        entries = list(_item_checks(kind, name, value, table in proven.get(kind, ())))
+        report["checks"].extend(entries)
+        if entries[0]["status"] == "pass":
+            if kind == "algebra":
+                proven["matched"].append(table)
+            elif kind == "matched":
                 matched.append(value)
+                proven["algebra"].append(table)
+
+
+def _table(kind: str, value):
+    """The ``(kind, constants)`` whose axioms decide an algebra or a pair
+    (its bicrossed product), or None for a morphism."""
+    if kind == "algebra":
+        return value.kind, value.constants
+    if kind == "matched":
+        return value.kind, value.bicrossed.constants
+    return None
 
 
 def cmd_bicrossed(args, report: dict) -> None:

@@ -47,7 +47,7 @@ def _check_matrix(matrix: Matrix, rows: int, cols: int, what: str) -> Matrix:
         for entry in row:
             if not isinstance(entry, MultiPoly):
                 raise ValueError(f"{what} entry {entry!r} is not a polynomial")
-            if not entry.variables() <= {D}:
+            if not entry.uses_only_up_to(D):
                 raise ValueError(f"{what} entry {entry} must be univariate in d")
     return tuple(map(tuple, matrix))
 

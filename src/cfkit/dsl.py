@@ -315,6 +315,11 @@ class _Parser:
     def parse_poly(self, allow: frozenset[int], what: str) -> MultiPoly:
         start = self.pos
         poly = _as_poly(self._poly_sum())
+        # ``allow`` is most often a prefix d, l, ... of the variable order,
+        # which the largest packed key alone tests; any other set is compared
+        top = len(allow) - 1
+        if max(allow) == top and poly.uses_only_up_to(top):
+            return poly
         if not poly.variables() <= allow:
             names = ", ".join(var_name(v) for v in sorted(poly.variables() - allow))
             self.fail(f"variable {names} not allowed in {what}", start)

@@ -44,6 +44,10 @@ module, back to ``(variable, exponent)`` tuples where a term is handed out
 bounded memos of the decoded monomial, its sort key and its text; degrees,
 variables, substitution and coefficient lists read the key's fields with
 shifts and masks, and other modules read terms only through these methods.
+Fields grow with the variable order, so whether any variable after ``v``
+occurs is read off the largest key alone (:meth:`MultiPoly.uses_only_up_to`):
+the table, map and generator validators and the ``.cfk`` parser test each
+coefficient so, with no set of its variables built.
 """
 
 from __future__ import annotations
@@ -299,6 +303,13 @@ class MultiPoly:
             present >>= _BITS
             var += 1
         return frozenset(out)
+
+    def uses_only_up_to(self, var: int) -> bool:
+        """Whether no variable after ``var`` in the variable order occurs,
+        ``variables() <= {0, ..., var}``, read off the largest key alone:
+        a key holding a later variable has a bit at ``16(var + 2)`` or
+        above, and one holding none has no such bit."""
+        return not max(self._terms, default=0) >> (_BITS * (var + 2))
 
     def degree(self, var: int | None = None) -> int:
         """Degree in ``var`` (total degree when ``var`` is None); -1 for zero."""

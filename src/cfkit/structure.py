@@ -41,7 +41,7 @@ def poly_deg(p: MultiPoly) -> int:
     """Degree in d; -1 for the zero polynomial."""
     if p.is_zero:
         return -1
-    if not p.variables() <= {D}:
+    if not p.uses_only_up_to(D):
         raise ValueError(f"expected a polynomial in d only: {p}")
     return p.degree(D)
 
@@ -165,7 +165,7 @@ def _checked(ambient_rank: int, row: PolyRow) -> PolyRow:
     if len(row) != ambient_rank:
         raise ValueError("vector rank does not match ambient rank")
     for c in row:
-        if not c.variables() <= {D}:
+        if not c.uses_only_up_to(D):
             raise ValueError(f"spectral variable leaked into a generator: {c}")
     return row
 

@@ -12,7 +12,9 @@ import pytest
 
 import cfkit
 from cfkit import cli, corpus
+from cfkit import actions as actions_module
 from cfkit import deform as deform_module
+from cfkit.actions import check_b1_b2_direct, check_matched_pair
 from cfkit.algebra import CheckReport, Violation, check_axioms, element_text
 from cfkit.cli import MAX_ANSATZ_DEGREE, MAX_ENTRY_DEGREE
 from cfkit.dsl import MAX_NESTING, Document, Item, parse_document, serialize
@@ -1098,6 +1100,97 @@ class TestGraphCertificate:
         report, doc, checked = self._check(_rank_text(1, 1), names=("D",))
         assert [(c["name"], c["status"]) for c in report["checks"]] == [("axioms:D", "pass")]
         assert checked == [doc.find("algebra", "D")]
+
+    # a pair and an algebra equal to its bicrossed product certify each other
+
+    def _check_pairs(self, text, params=None, names=()):
+        """``_check``, plus the tables ``actions.check_axioms`` was called on:
+        one per pair checked in full.  Every ``matched_pair`` and
+        ``cross_compat_direct`` entry must be the full check's."""
+        with pytest.MonkeyPatch.context() as patch:
+            pairs = _counting(patch, actions_module, "check_axioms")
+            report, document, checked = self._check(text, params, names)
+        _assert_pair_entries_are_full(report, document)
+        return report, document, checked, [args[0] for args in pairs]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rank_scale_pair_is_certified(self, workdir, seed):
+        for k in range(len(workloads._rank_docs(seed))):
+            report, doc, checked, pairs = self._check_pairs(_rank_text(seed, k))
+            assert [(c["name"], c["status"]) for c in report["checks"]] == [
+                (name, "pass") for name in workloads._RANK_CHECKS["check"]
+            ]
+            assert checked == [doc.find("algebra", n) for n in ("E", "VirR", "Q")]
+            assert pairs == []
+
+    def test_pair_before_its_algebra_certifies_it(self, workdir):
+        params, e, virr, q, np_, phi, d = _rank_text(1, 3).split("\n\n")
+        assert e.startswith("algebra E") and np_.startswith("matched NP")
+        text = "\n\n".join([params, virr, q, np_, e, phi, d])
+        report, doc, checked, pairs = self._check_pairs(text)
+        assert [(c["name"], c["status"]) for c in report["checks"]] == [
+            (name, "pass") for name in ("axioms:VirR", "axioms:Q", "matched_pair:NP",
+                                        "cross_compat_direct:NP", "axioms:E",
+                                        "deformation_map:phi", "axioms:D")
+        ]
+        assert checked == [doc.find("algebra", n) for n in ("VirR", "Q")]
+        assert pairs == [doc.find("matched", "NP").bicrossed]
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_changed_coefficient_of_e_checks_both(self, workdir, where):
+        text = _rank_text(1, 3)
+        changed = text.replace("[L, W2] = (d + l + b) W2;", "[L, W2] = (d + l + 2*b) W2;")
+        assert changed != text
+        if where == "last":
+            params, e, *rest = changed.split("\n\n")
+            changed = "\n\n".join([params, *rest[:3], e, *rest[3:]])
+        report, doc, checked, pairs = self._check_pairs(changed)
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert status["axioms:E"] == "fail" and status["matched_pair:NP"] == "pass"
+        assert doc.find("algebra", "E") in checked
+        assert pairs == [doc.find("matched", "NP").bicrossed]
+
+    def test_failing_algebra_certifies_nothing(self, workdir):
+        # E and NP's bicrossed product stay equal, and both fail
+        text = _rank_text(1, 3).replace("[L, L] = (d + 2*l) L;", "[L, L] = (d + 3*l) L;")
+        report, doc, checked, pairs = self._check_pairs(text)
+        self._uncertified(report, checked)
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert status["axioms:E"] == status["matched_pair:NP"] == "fail"
+        assert doc.find("matched", "NP").bicrossed.constants == doc.find("algebra", "E").constants
+        assert pairs == [doc.find("matched", "NP").bicrossed]
+
+    def test_corpus_pair_entries_are_the_full_checks(self, workdir):
+        certified = []
+        for name in corpus.fixture_names():
+            text = _fixture_text(name)
+            for i, argv in enumerate(corpus.fixture_lines(name)):
+                if argv[0] != "check":
+                    continue
+                args = cli._PARSER.parse_args(argv)
+                params = {k: str(v) for k, v in cli._parse_params(args.param).items()}
+                report, doc, _, pairs = self._check_pairs(text, params, args.names)
+                full = [c for c in report["checks"] if c["name"].startswith("matched_pair:")]
+                if len(pairs) < len(full):
+                    certified.append(f"{name}#{i}")
+        assert certified == [
+            "assoc4#0", "nfold#0", "sv#0", "wab#0", "wab#1", "wab#2", "wab#3"
+        ]
+
+
+def _assert_pair_entries_are_full(report: dict, document: Document) -> None:
+    """Each ``matched_pair`` and ``cross_compat_direct`` entry of a ``check``
+    report is the one the pair's full check gives."""
+    for entry in report["checks"]:
+        kind, _, name = entry["name"].partition(":")
+        if kind == "matched_pair":
+            full = cli._entry(entry["name"], check_matched_pair(document.find("matched", name)))
+            assert entry == full, name
+        elif kind == "cross_compat_direct":
+            pair = document.find("matched", name)
+            agree = check_b1_b2_direct(pair).passed == check_matched_pair(pair).passed
+            full = cli._entry(entry["name"], check_b1_b2_direct(pair), convention_match=agree)
+            assert entry == full, name
 
 
 class TestReportPipeline:

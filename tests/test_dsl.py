@@ -145,6 +145,24 @@ class TestParse:
         )
         assert parser.used_params == set()
 
+    @pytest.mark.parametrize("allow, refused, bad, accepted", [
+        ({D}, "d^2 + l", "l", "d^2"),
+        ({D, L1}, "d*l + m", "m", "d*l"),
+        ({D, unknown(3)}, "d + l", "l", "u3*d"),
+        ({L1}, "d", "d", "l"),
+        ({L1, L2}, "m*l - d", "d", "m*l"),
+    ], ids=["d", "d-l", "off-the-prefix", "l-without-d", "l-m-without-d"])
+    def test_allowed_variables(self, allow, refused, bad, accepted):
+        # a prefix d, l, ... takes the largest-key test, any other set the
+        # set comparison; both refuse the same variables
+        parser = _Parser(refused, {})
+        with pytest.raises(_Bail):
+            parser.parse_poly(frozenset(allow), "an expression")
+        assert [x.message for x in parser.diagnostics] == [
+            f"variable {bad} not allowed in an expression"
+        ]
+        assert _Parser(accepted, {}).parse_poly(frozenset(allow), "an expression")
+
 
 class TestDiagnostics:
     def test_unbound_parameter(self):

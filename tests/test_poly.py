@@ -747,3 +747,31 @@ class TestPackedKeys:
         p = d / 3 + l
         assert one * p is p and p * one is p and p * 1 is p
         assert one * 1 is one and one * one is one
+
+
+class TestUsesOnlyUpTo:
+    """The largest-key test of ``uses_only_up_to`` against the variable set
+    it replaces on the validators' and parser's fast path."""
+
+    @given(
+        terms=term_maps(PACKED_VARIABLES, mixed_scalars),
+        var=st.one_of(st.sampled_from(PACKED_VARIABLES), st.integers(D, TOP)),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_matches_the_variable_set(self, terms, var):
+        for poly in (MultiPoly(terms), MultiPoly(terms) + 1, MultiPoly(terms) * d):
+            assert poly.uses_only_up_to(var) == (poly.variables() <= set(range(var + 1)))
+
+    @pytest.mark.parametrize("var", [D, L1, L2, unknown(0), TOP])
+    def test_zero_and_constants_pass(self, var):
+        for poly in (MultiPoly.zero(), MultiPoly.const(1), MultiPoly.const(Fraction(-7, 3))):
+            assert poly.uses_only_up_to(var)
+
+    def test_each_variable_at_its_boundary(self):
+        for var in (D, L1, L2, unknown(0), unknown(1), unknown(97), TOP):
+            poly = MultiPoly.var(var) * 3 + d
+            assert poly.uses_only_up_to(var)
+            assert var == D or not poly.uses_only_up_to(var - 1)
+        # a high power of an earlier variable stays inside its own field
+        assert MultiPoly.var(L1, MAX_DEGREE).uses_only_up_to(L1)
+        assert not MultiPoly.var(L1, MAX_DEGREE).uses_only_up_to(D)
