@@ -29,8 +29,7 @@ from functools import cached_property
 from itertools import product
 
 from .algebra import (
-    _PD,
-    _PL1,
+    _NEG_LD,
     ASSOCIATIVE,
     CheckReport,
     ConformalAlgebra,
@@ -133,10 +132,9 @@ def build_bicrossed(mp: MatchedPair) -> ConformalAlgebra:
                 entry = placed.setdefault((at[left] + i, at[right] + j), {})
                 entry.update((at[carrier] + k, c) for k, c in pairs)
     if mp.kind == LIE:
-        neg = -_PL1 - _PD
         for (i, j), entry in list(placed.items()):
             if i >= nr > j:
-                placed[j, i] = {k: -c.substitute(L1, neg) for k, c in entry.items()}
+                placed[j, i] = {k: -c.substitute(L1, _NEG_LD) for k, c in entry.items()}
     return ConformalAlgebra(mp.kind, mp.R.basis + mp.Q.basis, placed)
 
 

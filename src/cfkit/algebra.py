@@ -12,12 +12,12 @@ dense ``ConformalAlgebra.table`` is a view for readers outside cfkit.
 
 Two rewriting rules extend a basis product table to arbitrary elements at a
 spectral parameter ``s``: a ``d``-polynomial multiplying the left argument
-is re-evaluated at ``-s`` (:func:`_as_left`), one multiplying the right
-argument at ``d + s`` (:func:`_as_right`), and the table's ``l`` is set to
-``s``.  The kernel sees each only as its nonzero entries: a table as its
-stored constants, rewritten at another ``s`` by :func:`_sparse`; and an
-argument as its nonzero ``(index, coordinate)`` pairs, so a unit vector is
-one pair.
+is re-evaluated at ``-s``, one multiplying the right argument at ``d + s``
+(:func:`_at_d`, whose replacements at the kernel's parameters are module
+constants, built once), and the table's ``l`` is set to ``s``.  The kernel
+sees each only as its nonzero entries: a table as its stored constants,
+rewritten at another ``s`` by :func:`_sparse`; and an argument as its
+nonzero ``(index, coordinate)`` pairs, so a unit vector is one pair.
 :func:`spectral_eval` is the bilinear contraction of the two argument lists
 against the constants; it walks no zero and tests nothing for zero.
 :func:`_products` multiplies every ordered pair of a list of elements at
@@ -26,12 +26,21 @@ against the constants; it walks no zero and tests nothing for zero.
 :func:`check_axioms` is the one axiom check, for either kind.  It builds,
 once per call, the stored constants at ``m`` and ``l + m`` and the
 nonzero pair products already rewritten as arguments, the structure
-constants c_jk(d+l, m), c_ij(-l-m, l) and c_ik(d+m, l); each product of a
-Jacobi or associativity identity is one contraction of a unit vector against
-them, skew-symmetry is read off the constants at ``l`` and ``-l-d`` with
-no contraction, and each residual adds or subtracts only at coordinates
-where some term is nonzero.  Each identity is named where its residual is
-formed, prefix included, so no report is rebuilt to rename its violations.
+constants c_jk(d+l, m), c_ij(-l-m, l) and c_ik(d+m, l).  Two of them take
+no substitution but an exchange of ``l`` and ``m``
+(:meth:`MultiPoly.exchange`): the constants at ``m`` are the stored ones
+exchanged, and c_jk(d+l, m) is c_ik(d+m, l) exchanged at the same indices.
+Both are exact because a stored constant uses only ``d`` and ``l``, so the
+exchange is the substitution ``l -> m``, and it takes c(d+m, l) to
+c(d+l, m): the inner products of the Jacobiator's outer terms trade places
+under (a, l) <-> (b, m), the symmetry of the Jacobi identity.  So each
+stored constant takes two exchanges and four substitutions, skew-symmetry's
+included.  Each product of a Jacobi or associativity identity is one
+contraction of a unit vector against them, skew-symmetry is read off the
+constants at ``l`` and ``-l-d`` with no contraction, and each residual adds
+or subtracts only at coordinates where some term is nonzero.  Each identity
+is named where its residual is formed, prefix included, so no report is
+rebuilt to rename its violations.
 """
 
 from __future__ import annotations
@@ -52,6 +61,11 @@ _PL1 = MultiPoly.var(L1)
 _PL2 = MultiPoly.var(L2)
 _PLM = _PL1 + _PL2
 _ONE = MultiPoly.const(1)
+#: The fixed replacements of the kernel's rewrites, built once: ``d`` in a
+#: left argument at ``l`` or ``l + m`` and in a right argument at ``l`` or
+#: ``m`` (:func:`_at_d`), and ``l`` in skew-symmetry's ``c_ji(d, -l-d)``.
+_NEG_L, _NEG_LM, _D_PLUS_L, _D_PLUS_M = -_PL1, -_PLM, _PD + _PL1, _PD + _PL2
+_NEG_LD = -_PL1 - _PD
 
 Element = tuple[MultiPoly, ...]
 Table = tuple[tuple[Element, ...], ...]
@@ -187,7 +201,7 @@ def spectral_eval(table: Sparse, out_rank: int, left: Pairs, right: Pairs) -> El
     ``k < out_rank``; ``left`` and ``right`` are the arguments' nonzero
     ``(index, coordinate)`` pairs.  All three are taken as already at the
     spectral parameter: the table from :func:`_sparse`, the arguments from
-    :func:`_as_left` and :func:`_as_right`.  Nothing is substituted or
+    :func:`_at_d`.  Nothing is substituted or
     tested for zero here, so a caller that contracts one argument or table
     many times rewrites it once, and a unit vector is one pair.
     """
@@ -204,20 +218,20 @@ def spectral_eval(table: Sparse, out_rank: int, left: Pairs, right: Pairs) -> El
     return tuple(out)
 
 
-def _as_left(pairs, s: MultiPoly) -> Pairs:
-    """The nonzero ``(index, coordinate)`` pairs of a left argument at ``s``:
-    a ``d``-polynomial multiplying the left factor is re-evaluated at the
-    negated spectral parameter, ``d -> -s``."""
-    minus_s = -s
-    return tuple((i, c.substitute(D, minus_s)) for i, c in pairs if c)
+def _at_d(pairs, r: MultiPoly) -> Pairs:
+    """The nonzero ``(index, coordinate)`` pairs of an argument with ``d``
+    set to ``r``: a ``d``-polynomial multiplying the left factor at the
+    spectral parameter ``s`` is re-evaluated at ``r = -s``, one multiplying
+    the right factor at ``r = d + s``."""
+    return tuple((i, c.substitute(D, r)) for i, c in pairs if c)
 
 
-def _as_right(pairs, s: MultiPoly) -> Pairs:
-    """The nonzero ``(index, coordinate)`` pairs of a right argument at
-    ``s``: a ``d``-polynomial multiplying the right factor is re-evaluated at
-    ``d`` shifted by the parameter, ``d -> d + s``."""
-    shifted = _PD + s
-    return tuple((i, c.substitute(D, shifted)) for i, c in pairs if c)
+def _exchanged(table) -> Sparse:
+    """``table``'s rows with ``l`` and ``m`` exchanged in every coefficient."""
+    return tuple(
+        {j: tuple((k, c.exchange(L1, L2)) for k, c in entry) for j, entry in row.items()}
+        for row in table
+    )
 
 
 def _products(algebra: ConformalAlgebra, elements):
@@ -226,8 +240,8 @@ def _products(algebra: ConformalAlgebra, elements):
     ``l``.  Each element is rewritten once as a left and once as a right
     argument, however many pairs it enters."""
     constants, n = algebra.constants, algebra.rank
-    left = [_as_left(enumerate(x), _PL1) for x in elements]
-    right = [_as_right(enumerate(x), _PL1) for x in elements]
+    left = [_at_d(enumerate(x), _NEG_L) for x in elements]
+    right = [_at_d(enumerate(x), _D_PLUS_L) for x in elements]
     for i, x in enumerate(left):
         for j, y in enumerate(right):
             yield i, j, spectral_eval(constants, n, x, y)
@@ -248,26 +262,29 @@ class _AxiomTables(NamedTuple):
     per check: the stored constants at ``l`` and their rewrites at ``m`` and
     ``l + m``, and the nonzero pair products already rewritten as kernel
     arguments, one dict per row (the structure constants of D'Andrea and
-    Kac's form of the identities)."""
+    Kac's form of the identities).  ``m`` and ``jk`` are exchanges of ``l``
+    and ``m`` in ``l`` and ``ik``, exact for constants in ``d`` and ``l``
+    alone (module docstring); the other three are substituted."""
 
     l: Sparse
-    m: Sparse
+    m: Sparse  # c(d, m): l exchanged with m
     lm: Sparse
-    jk: list  # c_jk(d+l, m): [e_j _m e_k] as a right argument at l
-    ij: list  # c_ij(-l-m, l): [e_i _l e_j] as a left argument at l+m
-    ik: list  # c_ik(d+m, l): [e_i _l e_k] as a right argument at m
+    jk: Sparse  # c_jk(d+l, m): [e_j _m e_k] as a right argument at l, ik exchanged
+    ij: Sparse  # c_ij(-l-m, l): [e_i _l e_j] as a left argument at l+m
+    ik: Sparse  # c_ik(d+m, l): [e_i _l e_k] as a right argument at m
     zero: Element  # shared by every triple whose three pair products vanish
 
 
 def _axiom_tables(algebra: ConformalAlgebra) -> _AxiomTables:
-    at_l, at_m = algebra.constants, _sparse(algebra.constants, _PL2)
+    at_l = algebra.constants
+    ik = tuple({k: _at_d(entry, _D_PLUS_M) for k, entry in row.items()} for row in at_l)
     return _AxiomTables(
         at_l,
-        at_m,
+        _exchanged(at_l),
         _sparse(at_l, _PLM),
-        [{k: _as_right(entry, _PL1) for k, entry in row.items()} for row in at_m],
-        [{j: _as_left(entry, _PLM) for j, entry in row.items()} for row in at_l],
-        [{k: _as_right(entry, _PL2) for k, entry in row.items()} for row in at_l],
+        _exchanged(ik),
+        tuple({j: _at_d(entry, _NEG_LM) for j, entry in row.items()} for row in at_l),
+        ik,
         (MultiPoly.zero(),) * algebra.rank,
     )
 
@@ -366,7 +383,7 @@ def check_axioms(algebra: ConformalAlgebra) -> CheckReport:
         return CheckReport(_violations("assoc:associativity", names, (
             (*t, associator(*t)) for t in product(range(n), repeat=3)
         )))
-    at_neg = _sparse(at.l, -_PL1 - _PD)
+    at_neg = _sparse(at.l, _NEG_LD)
 
     def skew_sum(i, j) -> Element:
         out = list(at.zero)

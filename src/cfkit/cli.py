@@ -21,11 +21,11 @@ numeric literal, an unknown's index or an expression's nesting of
 parentheses and unary signs over the parser's caps, an unknown's index over
 the cap in a ``solve`` system, a ``solve`` file nested too deeply for
 ``json`` to read, a ``--param`` value with an exponent or more digits than
-the literal cap, a ``--param`` name the document never uses, or an integer
-option below its least value, or a file that is not UTF-8, or an
-``equiv --alpha`` witness that is not a square, invertible map of Q, a
-``deform`` or ``equiv`` map not defined on ``--pair``, or a ``--json`` or
-``-o`` path that cannot be written), 3 a resource cap was exceeded (a table
+the literal cap, a ``--param`` name given twice or one the document never
+uses, or an integer option below its least value, or a file that is not
+UTF-8, or an ``equiv --alpha`` witness that is not a square, invertible map
+of Q, a ``deform`` or ``equiv`` map not defined on ``--pair``, or a
+``--json`` or ``-o`` path that cannot be written), 3 a resource cap was exceeded (a table
 coefficient over the (d, l)-degree budget, a ``constraints --degree`` over
 its budget, a ``constraints`` ansatz with more unknowns than the index cap
 allows, the elimination's substitution budget, the grid-search unknown cap,
@@ -103,6 +103,8 @@ def _parse_params(pairs: list[str]) -> dict[str, Fraction]:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise _InputError(f"bad --param {pair!r}, expected NAME=RATIONAL")
+        if name in params:
+            raise _InputError(f"--param {name} is given twice")
         # Fraction() expands an exponent into all of its digits, so a value
         # is held to the parser's literal cap before it is converted
         try:

@@ -8,11 +8,16 @@ common denominator kept in lowest terms, the representation of FLINT's
 numerators, so an integral polynomial has denominator ``1``.  Ring operations therefore run on
 ``int`` alone and reduce by one gcd per result; ``Fraction`` appears only
 where a coefficient is handed out, as an ``int`` when it is integral and as a
-``Fraction`` otherwise.  Substitution works the same way: each term is
-multiplied out against a power of the replacement's numerators, scaled to
-one common denominator, and accumulated into a single dict of ``int``
-numerators, with no intermediate polynomial (the sparse accumulation of
-Monagan and Pearce, *Sparse polynomial arithmetic*).
+``Fraction`` otherwise.  Substitution works the same way: one scan of the
+keys reads the variable's degree, and returns the polynomial itself when the
+variable does not occur; then each term is multiplied out against a power
+of the replacement's numerators, scaled to one common denominator, and
+accumulated into a single dict of ``int`` numerators, with no intermediate
+polynomial (the sparse accumulation of Monagan and Pearce, *Sparse
+polynomial arithmetic*).  An integral replacement, which every rewrite of
+the spectral kernel is, scales no term.  :meth:`MultiPoly.exchange` swaps
+two variables by trading their exponent fields in each key: it forms no
+product, so it keeps the numerators and the denominator as they stand.
 An ``int`` or ``Fraction`` operand takes a scalar path and is never made a
 polynomial first: a product scales the numerators by its numerator and the
 denominator by its denominator, a sum or difference changes the constant
@@ -418,27 +423,31 @@ class MultiPoly:
         ``r`` stored as ``R / rden`` and ``top`` the degree of ``var``, a term
         ``c * rest * var^e`` contributes ``c * rden^(top - e) * rest * R^e``,
         so every product lands over the one denominator
-        ``self._den * rden^top``, in one dict, reduced once at the end.
+        ``self._den * rden^top``, in one dict, reduced once at the end.  An
+        integral replacement (``rden == 1``) scales no term.  ``top`` is
+        read in a scan of the keys that returns ``self`` when ``var`` does
+        not occur, before any power is formed.
         """
         replacement = _coerce_strict(replacement)
-        top = self.degree(var)  # 0 when var does not occur, -1 for zero
         shift = _shift(var)
-        if top <= 0 or (
-            replacement._den == 1 and replacement._terms == {(1 << shift) | 1: 1}
-        ):
-            return self
+        top = 0
+        for key in self._terms:
+            exp = (key >> shift) & _FIELD
+            if exp > top:
+                top = exp
         rterms, rden = replacement._terms, replacement._den
-        # powers[k] holds the numerators of r^k over rden^k, scales[k] rden^k
+        if not top or (rden == 1 and rterms == {(1 << shift) | 1: 1}):
+            return self
+        # powers[k] holds the numerators of r^k over rden^k
         powers = [{0: 1}]
-        scales = [1]
         for _ in range(top):
             powers.append(_mul_terms(powers[-1], rterms))
-            scales.append(scales[-1] * rden)
         out: dict[int, int] = {}
         for key, coeff in self._terms.items():
             exp = (key >> shift) & _FIELD
             rest = key - (exp << shift) - exp
-            coeff *= scales[top - exp]
+            if rden != 1:
+                coeff *= rden ** (top - exp)
             for pkey, pnum in powers[exp].items():
                 key = rest + pkey
                 acc = out.get(key, 0) + coeff * pnum
@@ -447,7 +456,19 @@ class MultiPoly:
                 else:
                     del out[key]
         _guard(out)
-        return _normal(out, self._den * scales[top])
+        return _normal(out, self._den * rden**top)
+
+    def exchange(self, v: int, w: int) -> "MultiPoly":
+        """Swap the variables ``v`` and ``w``: each key's two exponent fields
+        trade places.  A monomial keeps its total degree and distinct
+        monomials stay distinct, so the numerators and the denominator are
+        kept as they stand, with no product, guard or reduction."""
+        sv, sw = _shift(v), _shift(w)
+        out = {}
+        for key, coeff in self._terms.items():
+            diff = ((key >> sw) & _FIELD) - ((key >> sv) & _FIELD)
+            out[key + (diff << sv) - (diff << sw)] = coeff
+        return _raw(out, self._den)
 
     def eval_at(self, var: int, value: Scalar) -> "MultiPoly":
         """Substitute the constant ``value`` for ``var``."""

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from cfkit import corpus
 from cfkit.actions import MatchedPair, _layout
-from cfkit.algebra import ConformalAlgebra, _as_left, _as_right, _sparse, spectral_eval
+from cfkit.algebra import ConformalAlgebra, _at_d, _sparse, spectral_eval
 from cfkit.constraints import ConstraintSystem, Equation, Provenance, _normalize
 from cfkit.deform import DeformationMap, Morphism
 from cfkit.dsl import Document, parse_document
@@ -265,16 +265,16 @@ def action_eval(table, first: tuple, second: tuple, s) -> tuple:
 
 def product_at(algebra, x: tuple, y: tuple, s) -> tuple:
     """The product ``x_s y`` at any affine ``s``, composed of cfkit's rules:
-    ``x`` as a left and ``y`` as a right argument, contracted against the
-    stored constants rewritten at ``s``.  cfkit itself multiplies only at
-    ``s = l``."""
+    ``x`` as a left argument (``d -> -s``) and ``y`` as a right one
+    (``d -> d + s``), contracted against the stored constants rewritten at
+    ``s``.  cfkit itself multiplies only at ``s = l``."""
     s = MultiPoly.const(0) + s
     n = algebra.rank
     if len(x) != n or len(y) != n:
         raise ValueError("element rank does not match algebra rank")
     require_affine(s)
     return spectral_eval(
-        _sparse(algebra.constants, s), n, _as_left(enumerate(x), s), _as_right(enumerate(y), s)
+        _sparse(algebra.constants, s), n, _at_d(enumerate(x), -s), _at_d(enumerate(y), _PD + s)
     )
 
 

@@ -1,7 +1,9 @@
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +21,16 @@ from cfkit.algebra import (
 )
 from cfkit.poly import D, L1, L2, MultiPoly, unknown
 
+from cfkit.dsl import parse_document
+
 from helpers import (
-    abelian, assoc4_doc, basis_element, element, entries, load_fixture, product_at,
+    abelian, assoc4_doc, basis_element, bundled, element, entries, load_fixture, product_at,
     reference_spectral_eval, require_affine, scale, sub, sv_doc, vir_algebra, wab_doc,
 )
+
+# the benchmark's generator of rank-scale documents
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 d = MultiPoly.var(D)
 l = MultiPoly.var(L1)
@@ -431,6 +439,58 @@ class TestCheckAxioms:
             builds.clear()
             assert check_axioms(algebra).passed
             assert builds == [algebra]
+
+
+def six_substitution_tables(algebra):
+    """The axiom tables with one substitution per table and stored constant,
+    as ``_axiom_tables`` built them before the exchange: the constants at
+    ``m`` by ``l -> m``, and c_jk(d+l, m) from them by ``d -> d + l``."""
+    def at(constants, s):
+        return tuple({j: tuple((k, c.substitute(L1, s)) for k, c in entry)
+                      for j, entry in row.items()} for row in constants)
+
+    def args(table, r):
+        return [{j: tuple((k, c.substitute(D, r)) for k, c in entry if c)
+                 for j, entry in row.items()} for row in table]
+
+    at_l, at_m = algebra.constants, at(algebra.constants, m)
+    return (at_l, at_m, at(at_l, l + m), args(at_m, d + l), args(at_l, -l - m),
+            args(at_l, d + m), (MultiPoly.zero(),) * algebra.rank)
+
+
+class TestAxiomTables:
+    """``_axiom_tables`` against the six-substitution construction it
+    replaced, field by field: the exchanges of ``l`` and ``m`` give the same
+    polynomials as the substitutions."""
+
+    @staticmethod
+    def assert_same(algebra):
+        got = algebra_module._axiom_tables(algebra)
+        want = six_substitution_tables(algebra)
+        for name, table, expected in zip(got._fields, got, want):
+            assert list(table) == list(expected), name
+
+    def test_bundled_algebras_and_bicrossed_products(self):
+        algebras = list(bundled("algebra"))
+        algebras += [(name, pair.bicrossed) for name, pair in bundled("matched")]
+        assert len(algebras) > 20
+        for name, algebra in algebras:
+            self.assert_same(algebra)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_rank_scale(self, n):
+        # E and D of each seed-1 rank-scale document of rank n
+        docs = [doc for doc in workloads._rank_docs(1) if doc[0] == n]
+        assert docs
+        for doc in docs:
+            document = parse_document(workloads._rank_doc_text(*doc))
+            for name in ("E", "D"):
+                self.assert_same(document.find("algebra", name))
+
+    @pytest.mark.parametrize("kind", [LIE, ASSOCIATIVE])
+    def test_seeded_random_tables(self, kind):
+        for seed in range(60):
+            self.assert_same(random_algebra(seed, kind)[1])
 
 
 class TestTableRefused:

@@ -1,13 +1,14 @@
-"""One table of the input caps of the ``.cfk`` parser and the CLI, each
-pinned at its boundary both ways (boundary-value analysis).
+"""One table of the input and resource caps of the ``.cfk`` parser, the
+CLI, the polynomial layer and the constraint search, each pinned at its
+boundary both ways (boundary-value analysis).
 
 A row names a cap and its value, the smallest input the cap refuses with
 the exit code and message ``cfkit check`` reports for it, and the largest
 input it accepts.  An input is a table coefficient of a rank-one Lie
 algebra, or a ``--param`` value that one scales; every accepted input is a
 nonzero multiple of ``d + 2*l``, a Lie bracket, so ``check`` passes it
-(exit 0).  Where a test elsewhere already pins a cap both ways through the
-CLI, the row names that test instead of repeating it.
+(exit 0).  Where tests elsewhere already pin a cap both ways, the row names
+them instead of repeating them.
 """
 
 import importlib
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from cfkit import cli, dsl
+from cfkit import cli, constraints, dsl, poly
 
 TEMPLATE = "{params}algebra A : lie {{ gens L; [L, L] = ({coeff}) L; }}\n"
 #: The largest numeric literal, 640 nines: 2127 bits.
@@ -32,6 +33,7 @@ class Row:
     accepted: str = ""
     param: bool = False  # the inputs are --param a=VALUE for the coefficient a*(d + 2*l)
     pinned_by: tuple[str, ...] = ()  # tests/<module>.py::<Class>::<test>
+    use: str = ""  # which use of the cap, where one cap has two rows
 
 
 ROWS = [
@@ -61,8 +63,28 @@ ROWS = [
     Row("cli.MAX_ENTRY_DEGREE", 16, pinned_by=(
         "tests/test_cli.py::TestDegreeBudget::test_budget_boundary",
     )),
+    Row("cli.MAX_ANSATZ_DEGREE", 4, pinned_by=(
+        "tests/test_cli.py::TestAnsatzDegreeBudget::test_budget_boundary",
+    )),
+    # an ansatz may use u0 to u{MAX_UNKNOWN}: 1021 unknowns pass, 1022 exit 3
+    Row("poly.MAX_UNKNOWN", 1020, use="ansatz", pinned_by=(
+        "tests/test_cli.py::TestUnknownIndexCap::test_constraints_at_the_cap",
+        "tests/test_cli.py::TestUnknownIndexCap::test_constraints_exactly_at_the_cap",
+        "tests/test_cli.py::TestUnknownIndexCap::test_constraints_one_past_the_cap_exits_3",
+    )),
+    # the guard every product and substitution keeps
+    Row("poly.MAX_DEGREE", 2**15 - 1, pinned_by=(
+        "tests/test_poly.py::TestPackedKeys::test_degree_guard_at_its_boundary",
+        "tests/test_cli.py::TestSolveCap::test_degree_guard_exits_3",
+    )),
+    Row("constraints.MAX_GRID_POINTS", 10**6, pinned_by=(
+        "tests/test_constraints.py::TestGrid::test_point_budget_boundary",
+        "tests/test_cli.py::TestSolveCap::test_grid_one_past_the_budget_exits_3",
+    )),
 ]
-IDS = [f"{row.cap}{'-param' if row.param else ''}" for row in ROWS]
+IDS = [f"{row.cap}{'-param' if row.param else ''}{'-' + row.use if row.use else ''}"
+       for row in ROWS]
+MODULES = {"cli": cli, "constraints": constraints, "dsl": dsl, "poly": poly}
 
 
 def _check(capsys, value: str, param: bool) -> tuple[int, str, str]:
@@ -84,7 +106,7 @@ def _check(capsys, value: str, param: bool) -> tuple[int, str, str]:
 @pytest.mark.parametrize("row", ROWS, ids=IDS)
 def test_row_is_the_caps_value(row):
     module, name = row.cap.split(".")
-    assert getattr({"cli": cli, "dsl": dsl}[module], name) == row.value
+    assert getattr(MODULES[module], name) == row.value
 
 
 @pytest.mark.parametrize("row", [r for r in ROWS if not r.pinned_by],

@@ -111,6 +111,22 @@ class TestCheck:
         assert run(["check", "t.cfk", "--param", "b=2", "--param", "c=1"]) == 2
         assert "--param c" in capsys.readouterr().err
 
+    def test_repeated_param_exits_2(self, workdir, capsys):
+        # refused before the file is read, as a duplicate ``param`` line is
+        # refused inside one; the last value used to win silently
+        assert run(["check", "missing.cfk", "--param", "a=1", "--param", "a=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith("--param a is given twice")
+        assert "missing.cfk" not in err and "Traceback" not in err
+        Path("t.cfk").write_text("param a = 1;\n" + VIR.replace("2*l", "b*l"))
+        # the same value twice, and a repeat after another name
+        for names in (["b=2", "b=2"], ["a=1", "b=2", "a=1"]):
+            argv = [arg for name in names for arg in ("--param", name)]
+            assert run(["check", "t.cfk", *argv]) == 2
+            assert capsys.readouterr().err.splitlines()[-1].endswith(
+                f"--param {names[-1][0]} is given twice")
+        assert run(["check", "t.cfk", "--param", "a=1", "--param", "b=2"]) == 0
+
     def test_exponent_over_cap_exits_2(self, workdir, capsys):
         Path("t.cfk").write_text(VIR.replace("(d + 2*l)", "(d^100000)"))
         started = time.monotonic()
@@ -388,6 +404,14 @@ class TestUnknownIndexCap:
         assert run(["constraints", "t.cfk", "--pair", "P", "--degree", "4", "--json", "r.json"]) == 0
         unknowns = json.loads(Path("r.json").read_text())["system"]["unknowns"]
         assert len(unknowns) == 1020 and unknowns[-1] == "u1019"
+
+    def test_constraints_exactly_at_the_cap(self, workdir):
+        # 1 * 1021 * (0 + 1) = 1021 unknowns, u0 to u1020: every index is used
+        Path("t.cfk").write_text(_abelian_pair(1, MAX_UNKNOWN + 1))
+        argv = ["constraints", "t.cfk", "--pair", "P", "--degree", "0", "--json", "r.json"]
+        assert run(argv) == 0
+        unknowns = json.loads(Path("r.json").read_text())["system"]["unknowns"]
+        assert len(unknowns) == MAX_UNKNOWN + 1 and unknowns[-1] == f"u{MAX_UNKNOWN}"
 
     def test_constraints_past_the_cap_exits_3_before_the_ansatz(
         self, workdir, monkeypatch, capsys

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import cfkit.constraints
 from cfkit.constraints import (
+    MAX_GRID_POINTS,
     MAX_SUBSTITUTION_CELLS,
     AnsatzSpec,
     _compile,
@@ -475,6 +476,18 @@ class TestGrid:
         message = "^7 unknowns exceed the exhaustive-search cap of 6$"
         with pytest.raises(CapExceeded, match=message):
             grid_search(sys_, grid_values(1, 1))
+
+    def test_point_budget_boundary(self):
+        # a grid of bounds has an odd number of values, so only a sequence of
+        # ten reaches the budget exactly: 10^6 points are walked, 11^6 refused
+        sys_ = system([unknown(k) for k in range(6)],
+                      [MultiPoly.var(unknown(k)) for k in range(6)])
+        values = tuple(map(Fraction, range(10)))
+        assert len(values) ** 6 == MAX_GRID_POINTS
+        assert grid_search(sys_, values) == [{unknown(k): 0 for k in range(6)}]
+        with pytest.raises(CapExceeded, match=r"^11\^6 grid points exceed the"
+                           r" exhaustive-search budget of 1000000$"):
+            grid_search(sys_, values + (Fraction(10),))
 
     def test_point_budget_enumerates_nothing(self, monkeypatch):
         # 799^6, about 2.6e17 points, is within the unknown cap of 6; the walk

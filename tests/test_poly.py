@@ -558,6 +558,115 @@ class TestOnePassSubstitution:
         assert list(product.terms()) == [(reference_mono_mul(a, b), Fraction(3, 2))]
 
 
+# -- each path of substitute, and exchange, against the forms they replace ---
+
+#: The kernel's rewrites, every one integral: ``d`` in arguments at ``l``,
+#: ``m`` and ``l + m``, and ``l`` in the tables at ``l + m`` and ``-l - d``.
+KERNEL_REWRITES = (
+    (D, d + l), (D, -l), (D, d + m), (D, -l - m), (L1, l + m), (L1, -l - d),
+)
+integral_replacements = term_maps(EVERY_VARIABLE, st.integers(-3, 3)).map(MultiPoly)
+fractional_replacements = st.builds(
+    lambda r, k: r + Fraction(1, k), integral_replacements, st.sampled_from((2, 3, 6))
+)
+
+
+class TestSubstitutePaths:
+    """``substitute`` scales no term for an integral replacement and every
+    term for a fractional one, and returns ``self`` when ``var`` is absent or
+    is the replacement; each path against the power-list form it replaced."""
+
+    @given(
+        terms=term_maps(EVERY_VARIABLE, mixed_scalars),
+        var=st.sampled_from(EVERY_VARIABLE),
+        replacement=st.one_of(integral_replacements, st.sampled_from(
+            [r for _, r in KERNEL_REWRITES])),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_integral_replacement(self, terms, var, replacement):
+        p = MultiPoly(terms)
+        assert replacement._den == 1
+        got = p.substitute(var, replacement)
+        assert got == reference_substitute(p, var, replacement)
+        assert_stored_canonical(got)
+
+    @given(
+        terms=term_maps(EVERY_VARIABLE, mixed_scalars),
+        var=st.sampled_from(EVERY_VARIABLE),
+        replacement=fractional_replacements,
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_fractional_replacement(self, terms, var, replacement):
+        p = MultiPoly(terms)
+        assert replacement._den != 1
+        got = p.substitute(var, replacement)
+        assert got == reference_substitute(p, var, replacement)
+        assert_stored_canonical(got)
+
+    @given(terms=term_maps(EVERY_VARIABLE, mixed_scalars), var=st.sampled_from(EVERY_VARIABLE))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_zero_absent_and_itself(self, terms, var):
+        p = MultiPoly(terms)
+        for zero in (MultiPoly.zero(), 0):
+            got = p.substitute(var, zero)
+            assert got == reference_substitute(p, var, zero)
+            assert_stored_canonical(got)
+        assert p.substitute(var, MultiPoly.var(var)) is p
+        free = p.eval_at(var, 2)  # var is absent from it
+        for replacement in (d + l, d / 3, MultiPoly.zero(), MultiPoly.var(var, 2)):
+            assert free.substitute(var, replacement) is free
+
+    def test_kernel_rewrites_of_bundled_constants(self):
+        coefficients = {
+            c
+            for _, document in bundled_documents()
+            for item in document.items
+            for constants, *_ in item_tables(item)
+            for row in constants for entry in row.values() for _, c in entry
+        }
+        assert len(coefficients) > 20
+        for c in coefficients:
+            for var, r in KERNEL_REWRITES:
+                assert c.substitute(var, r) == reference_substitute(c, var, r)
+
+
+class TestExchange:
+    """``exchange(v, w)`` against the three substitutions it stands for,
+    through a spare unknown: ``v -> u``, ``w -> v``, ``u -> w``."""
+
+    SPARE = unknown(3)
+
+    def through_spare(self, p, v, w):
+        spare = MultiPoly.var(self.SPARE)
+        return (p.substitute(v, spare).substitute(w, MultiPoly.var(v))
+                .substitute(self.SPARE, MultiPoly.var(w)))
+
+    @given(
+        terms=term_maps((D, L1, L2, *U[:3]), mixed_scalars),
+        both=term_maps((L1, L2), scalars),
+        pair=st.sampled_from([(L1, L2), (L2, L1), (D, L1), (D, L2), (L1, U[1]), (D, D)]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_matches_three_substitutions(self, terms, both, pair):
+        v, w = pair
+        # one factor holds l and m together in every term
+        for p in (MultiPoly(terms), MultiPoly(terms) * (l * m + MultiPoly(both))):
+            got = p.exchange(v, w)
+            assert got == self.through_spare(p, v, w)
+            assert_stored_canonical(got)
+            assert got._den == p._den and sorted(got._terms.values()) == sorted(p._terms.values())
+            assert got.degree() == p.degree() and got.exchange(v, w) == p
+
+    def test_cases_by_hand(self):
+        p = Fraction(3, 7) * d**2 * l - Fraction(1, 2) * m**3 + l * m**2 + 5
+        swapped = Fraction(3, 7) * d**2 * m - Fraction(1, 2) * l**3 + l**2 * m + 5
+        assert p.exchange(L1, L2) == swapped
+        assert MultiPoly.zero().exchange(L1, L2) == MultiPoly.zero()
+        top = MultiPoly.var(L1, MAX_DEGREE)
+        assert top.exchange(L1, L2) == MultiPoly.var(L2, MAX_DEGREE)
+        assert list(top.exchange(L1, L2).terms()) == [(((L2, MAX_DEGREE),), 1)]
+
+
 # -- one-pass subtraction against adding the negation ------------------------
 
 
