@@ -19,7 +19,10 @@ sees each only as its nonzero entries: a table as its stored constants,
 rewritten at another ``s`` by :func:`_sparse`; and an argument as its
 nonzero ``(index, coordinate)`` pairs, so a unit vector is one pair.
 :func:`spectral_eval` is the bilinear contraction of the two argument lists
-against the constants; it walks no zero and tests nothing for zero.
+against the constants; it walks no zero and tests no coefficient for zero.
+Both sums here, the contraction's and skew-symmetry's, store a
+coordinate's first term instead of adding it to the shared zero, which they
+tell by identity, so a coordinate with one term takes no addition.
 :func:`_products` multiplies every ordered pair of a list of elements at
 ``l``, rewriting each element once as a left and once as a right argument.
 
@@ -61,6 +64,7 @@ _PL1 = MultiPoly.var(L1)
 _PL2 = MultiPoly.var(L2)
 _PLM = _PL1 + _PL2
 _ONE = MultiPoly.const(1)
+_ZERO = MultiPoly.zero()
 #: The fixed replacements of the kernel's rewrites, built once: ``d`` in a
 #: left argument at ``l`` or ``l + m`` and in a right argument at ``l`` or
 #: ``m`` (:func:`_at_d`), and ``l`` in skew-symmetry's ``c_ji(d, -l-d)``.
@@ -203,9 +207,10 @@ def spectral_eval(table: Sparse, out_rank: int, left: Pairs, right: Pairs) -> El
     spectral parameter: the table from :func:`_sparse`, the arguments from
     :func:`_at_d`.  Nothing is substituted or
     tested for zero here, so a caller that contracts one argument or table
-    many times rewrites it once, and a unit vector is one pair.
+    many times rewrites it once, and a unit vector is one pair.  Each
+    output coordinate starts at its first term, not at zero plus it.
     """
-    out = [MultiPoly.zero()] * out_rank
+    out = [_ZERO] * out_rank
     for i, a in left:
         row = table[i]
         for j, b in right:
@@ -214,7 +219,8 @@ def spectral_eval(table: Sparse, out_rank: int, left: Pairs, right: Pairs) -> El
                 continue
             factor = a * b
             for k, coeff in entry:
-                out[k] = out[k] + factor * coeff
+                term = factor * coeff
+                out[k] = term if (prev := out[k]) is _ZERO else prev + term
     return tuple(out)
 
 
@@ -388,7 +394,7 @@ def check_axioms(algebra: ConformalAlgebra) -> CheckReport:
     def skew_sum(i, j) -> Element:
         out = list(at.zero)
         for k, c in at.l[i].get(j, ()) + at_neg[j].get(i, ()):
-            out[k] = out[k] + c
+            out[k] = c if (prev := out[k]) is _ZERO else prev + c
         return tuple(out)
 
     # the sum is zero unless c_ij or c_ji is nonzero

@@ -306,12 +306,11 @@ def cmd_check(args, report: dict) -> None:
     document = _load(args, report)
     # two declarations of different kinds may share a name: each is checked
     if args.names:
-        items = []
+        declared = {item.name for item in document.items}
         for name in args.names:
-            named = [item for item in document.items if item.name == name]
-            if not named:
+            if name not in declared:
                 raise _InputError(f"no declaration named {name!r}")
-            items += named
+        items = [item for item in document.items if item.name in args.names]
     else:
         items = [item for item in document.items if item.kind != "param"]
     matched = []  # the pairs whose matched_pair check passed

@@ -9,7 +9,9 @@ and both halves of the deformation statement are read off that one pass:
 subalgebra of ``E`` (after Agore and Militaru), and ``q`` is the deformed
 product's entry, which only :func:`deformed_algebra` and the CLI wrap in an
 algebra.  ``α`` makes two maps equivalent when it is a morphism between
-their deformed algebras.  Residuals are subtracted coordinate by coordinate.
+their deformed algebras.  Residuals are subtracted coordinate by coordinate,
+and :func:`apply_matrix` stores each image coordinate's first term instead
+of adding it to zero.
 Only :func:`build_bicrossed` expands the cross actions, once per pair
 (``mp.bicrossed``).  Every product here, of graph elements or of morphism
 images, is taken by :func:`cfkit.algebra._products`, which rewrites each
@@ -81,13 +83,16 @@ class Morphism:
 
 def apply_matrix(matrix: Matrix, pairs) -> tuple[MultiPoly, ...]:
     """The image under ``matrix`` of the element whose nonzero ``(index,
-    coordinate)`` pairs are ``pairs``."""
+    coordinate)`` pairs are ``pairs``; each coordinate starts at its first
+    term, so a coordinate one row reaches takes no addition."""
     cols = len(matrix[0]) if matrix else 0
-    out = [MultiPoly.zero()] * cols
+    zero = MultiPoly.zero()
+    out = [zero] * cols
     for i, xi in pairs:
         for j, entry in enumerate(matrix[i]):
             if not entry.is_zero:
-                out[j] = out[j] + xi * entry
+                term = xi * entry
+                out[j] = term if (prev := out[j]) is zero else prev + term
     return tuple(out)
 
 

@@ -11,7 +11,8 @@ where a coefficient is handed out, as an ``int`` when it is integral and as a
 ``Fraction`` otherwise.  Substitution works the same way: one scan of the
 keys reads the variable's degree, and returns the polynomial itself when the
 variable does not occur; then each term is multiplied out against a power
-of the replacement's numerators, scaled to one common denominator, and
+of the replacement's numerators, the first power being the replacement's
+own numerators with no product formed, scaled to one common denominator, and
 accumulated into a single dict of ``int`` numerators, with no intermediate
 polynomial (the sparse accumulation of Monagan and Pearce, *Sparse
 polynomial arithmetic*).  An integral replacement, which every rewrite of
@@ -22,7 +23,9 @@ An ``int`` or ``Fraction`` operand takes a scalar path and is never made a
 polynomial first: a product scales the numerators by its numerator and the
 denominator by its denominator, a sum or difference changes the constant
 key's numerator alone, and either is reduced once.  A polynomial operand is
-recognised by one type test, so the polynomial paths pay no more.
+recognised by one type test, so the polynomial paths pay no more; a constant
+polynomial factor, one term at the constant key, scales the other operand
+on the same path, with no term-by-term product or degree-guard scan.
 Arithmetic is exact, values are immutable, and all operations are pure
 functions, so polynomials can be shared freely between threads.
 
@@ -380,7 +383,7 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if type(other) is not MultiPoly:
             if isinstance(other, (int, Fraction)):
-                return _scale(self, other)
+                return _scale(self, other.numerator, other.denominator)
             if not isinstance(other, MultiPoly):
                 return NotImplemented
         # the shared constant one: a unit vector's coordinate, most often
@@ -388,9 +391,15 @@ class MultiPoly:
             return self
         if self is _ONE:
             return other
-        if not self._terms or not other._terms:
+        a, b = self._terms, other._terms
+        if not a or not b:
             return _ZERO
-        return _normal(_mul_terms(self._terms, other._terms), self._den * other._den)
+        # a constant factor, one term at the constant key, scales the other
+        if len(b) == 1 and 0 in b:
+            return _scale(self, b[0], other._den)
+        if len(a) == 1 and 0 in a:
+            return _scale(other, a[0], self._den)
+        return _normal(_mul_terms(a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -438,9 +447,9 @@ class MultiPoly:
         rterms, rden = replacement._terms, replacement._den
         if not top or (rden == 1 and rterms == {(1 << shift) | 1: 1}):
             return self
-        # powers[k] holds the numerators of r^k over rden^k
-        powers = [{0: 1}]
-        for _ in range(top):
+        # powers[k] holds the numerators of r^k over rden^k; r^1 is r itself
+        powers = [{0: 1}, rterms]
+        for _ in range(top - 1):
             powers.append(_mul_terms(powers[-1], rterms))
         out: dict[int, int] = {}
         for key, coeff in self._terms.items():
@@ -610,10 +619,11 @@ def _combine(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
     return _normal(out, den)
 
 
-def _scale(poly: MultiPoly, value: Scalar) -> MultiPoly:
-    """``poly * value`` for a scalar ``value``: the numerators times its
-    numerator over the denominator times its denominator, reduced once."""
-    num, den = value.numerator, value.denominator
+def _scale(poly: MultiPoly, num: int, den: int) -> MultiPoly:
+    """``poly * (num / den)`` for a constant in lowest terms, ``den > 0``:
+    the numerators times ``num`` over the denominator times ``den``,
+    reduced once.  An ``int``, a ``Fraction`` and a constant polynomial
+    factor all come here."""
     if not num or not poly._terms:
         return _ZERO
     if num == den:  # in lowest terms, so the value is one

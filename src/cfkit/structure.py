@@ -63,11 +63,12 @@ def poly_divmod(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
 
 def _reduce(row: list[MultiPoly], by: PolyRow, col: int) -> list[MultiPoly]:
     """``row`` minus the multiple of ``by`` that leaves its ``col`` entry the
-    remainder of dividing it by ``by[col]``."""
+    remainder of dividing it by ``by[col]``; an entry where ``by`` is zero
+    is kept as it stands."""
     if row[col].is_zero:
         return row
     q, _ = poly_divmod(row[col], by[col])
-    return row if q.is_zero else [x - q * y for x, y in zip(row, by)]
+    return row if q.is_zero else [x - q * y if y else x for x, y in zip(row, by)]
 
 
 def poly_det(matrix: PolyMatrix) -> MultiPoly:

@@ -8,7 +8,8 @@ input it accepts.  An input is a table coefficient of a rank-one Lie
 algebra, or a ``--param`` value that one scales; every accepted input is a
 nonzero multiple of ``d + 2*l``, a Lie bracket, so ``check`` passes it
 (exit 0).  Where tests elsewhere already pin a cap both ways, the row names
-them instead of repeating them.
+them instead of repeating them.  A cap that is a CLI flag is named
+``cfkit COMMAND --FLAG``, and its value is the flag's default.
 """
 
 import importlib
@@ -25,7 +26,7 @@ NINES = "9" * dsl.MAX_DIGITS
 
 @dataclass(frozen=True)
 class Row:
-    cap: str  # module.NAME
+    cap: str  # module.NAME, or cfkit COMMAND --FLAG
     value: int
     refused: str = ""  # a table coefficient, or a --param value
     exit: int = 0
@@ -72,6 +73,17 @@ ROWS = [
         "tests/test_cli.py::TestUnknownIndexCap::test_constraints_exactly_at_the_cap",
         "tests/test_cli.py::TestUnknownIndexCap::test_constraints_one_past_the_cap_exits_3",
     )),
+    # an index in a document or a solve system: u1020 is read, u1021 exits 2
+    Row("poly.MAX_UNKNOWN", 1020, use="document", pinned_by=(
+        "tests/test_dsl.py::TestDiagnostics::test_unknown_index_at_the_cap_parses",
+        "tests/test_dsl.py::TestDiagnostics"
+        "::test_unknown_index_over_the_cap_rejected_at_its_token",
+        "tests/test_cli.py::TestUnknownIndexCap::test_table_entry_one_past_the_cap_exits_2",
+    )),
+    Row("poly.MAX_UNKNOWN", 1020, use="system", pinned_by=(
+        "tests/test_cli.py::TestUnknownIndexCap::test_solve_at_the_cap",
+        "tests/test_cli.py::TestUnknownIndexCap::test_solve_past_the_cap_exits_2",
+    )),
     # the guard every product and substitution keeps
     Row("poly.MAX_DEGREE", 2**15 - 1, pinned_by=(
         "tests/test_poly.py::TestPackedKeys::test_degree_guard_at_its_boundary",
@@ -81,9 +93,34 @@ ROWS = [
         "tests/test_constraints.py::TestGrid::test_point_budget_boundary",
         "tests/test_cli.py::TestSolveCap::test_grid_one_past_the_budget_exits_3",
     )),
+    # _Grid._size counts a grid of N + Dmax - 1 = 500000 and refuses 500001
+    Row("constraints.MAX_GRID_POINTS", 10**6, use="grid-count", pinned_by=(
+        "tests/test_cli.py::TestSolveCap::test_grid_one_past_the_budget_exits_3",
+        "tests/test_cli.py::TestSolveCap::test_grid_count_one_past_its_bound_exits_3",
+    )),
+    Row("constraints.MAX_TABLE_CELLS", 8 * 10**6, pinned_by=(
+        "tests/test_cli.py::TestSolveCap::test_power_tables_exactly_at_the_budget",
+        "tests/test_cli.py::TestSolveCap::test_power_tables_are_budgeted_before_any_is_built",
+    )),
+    # exactly at a monkeypatched budget, and at the real one on either side
+    Row("constraints.MAX_SUBSTITUTION_CELLS", 10**6, pinned_by=(
+        "tests/test_constraints.py::TestLinearEliminate::test_substitution_budget_accumulates",
+        "tests/test_constraints.py::TestLinearEliminate::test_substitution_budget",
+        "tests/test_cli.py::TestSolveCap::test_substitution_budget_exits_3_at_once",
+    )),
+    # the residual unknowns a search takes: 6 searched by default, 7 exit 3
+    Row("cfkit solve --cap", 6, pinned_by=(
+        "tests/test_cli.py::TestSolveCap::test_cap_exactly_at_the_residual_unknowns",
+        "tests/test_cli.py::TestSolveCap::test_cap_exceeded_exits_3",
+    )),
+    # QYM of sv is solvable(2): decided at --max-depth 2, exit 3 at 1
+    Row("cfkit structure --max-depth", 10, pinned_by=(
+        "tests/test_cli.py::TestReportPipeline::test_structure_at_the_exact_depth",
+        "tests/test_cli.py::TestReportPipeline::test_structure_depth_cap_exits_3",
+    )),
 ]
-IDS = [f"{row.cap}{'-param' if row.param else ''}{'-' + row.use if row.use else ''}"
-       for row in ROWS]
+IDS = [f"{row.cap.removeprefix('cfkit ').replace(' ', '')}{'-param' if row.param else ''}"
+       f"{'-' + row.use if row.use else ''}" for row in ROWS]
 MODULES = {"cli": cli, "constraints": constraints, "dsl": dsl, "poly": poly}
 
 
@@ -103,10 +140,19 @@ def _check(capsys, value: str, param: bool) -> tuple[int, str, str]:
     return code, out, err
 
 
+def _value(cap: str) -> int:
+    """The constant ``module.NAME``, or the default of ``cfkit COMMAND --FLAG``."""
+    if cap.startswith("cfkit "):
+        _, command, flag = cap.split()
+        commands = next(a for a in cli._PARSER._actions if a.dest == "cmd").choices
+        return commands[command].get_default(flag.removeprefix("--").replace("-", "_"))
+    module, name = cap.split(".")
+    return getattr(MODULES[module], name)
+
+
 @pytest.mark.parametrize("row", ROWS, ids=IDS)
 def test_row_is_the_caps_value(row):
-    module, name = row.cap.split(".")
-    assert getattr(MODULES[module], name) == row.value
+    assert _value(row.cap) == row.value
 
 
 @pytest.mark.parametrize("row", [r for r in ROWS if not r.pinned_by],

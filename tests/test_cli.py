@@ -87,6 +87,23 @@ class TestCheck:
         assert lines.count("matched_pair:P: fail") == 1
         assert ("axioms:Vir: pass" in lines) == (not names)
 
+    def test_a_repeated_name_is_checked_once(self, workdir, capsys):
+        Path("t.cfk").write_text(VIR)
+        assert run(["check", "t.cfk", "Vir", "Vir", "--json", "r.json"]) == 0
+        assert capsys.readouterr().out == "axioms:Vir: pass\n"
+        checks = json.loads(Path("r.json").read_text())["checks"]
+        assert [c["name"] for c in checks] == ["axioms:Vir"]
+
+    def test_names_are_checked_in_document_order(self, workdir, capsys):
+        Path("t.cfk").write_text(SHARED_NAME)
+        assert run(["check", "t.cfk"]) == 1
+        every = capsys.readouterr().out
+        assert run(["check", "t.cfk", "P", "Vir"]) == 1
+        assert capsys.readouterr().out == every
+        assert every.splitlines()[:3] == [
+            "axioms:Vir: pass", "axioms:P: pass", "matched_pair:P: fail"
+        ]
+
     def test_bad_param_exits_2(self, workdir):
         Path("t.cfk").write_text(VIR)
         assert run(["check", "t.cfk", "--param", "a"]) == 2
@@ -370,6 +387,17 @@ class TestUnknownIndexCap:
             f"t.cfk:1:41: error: unknown index is over the cap of u{MAX_UNKNOWN}\n"
         )
 
+    def test_table_entry_one_past_the_cap_exits_2(self, workdir, capsys):
+        # the parser reads u1020, which a product table then refuses as a
+        # variable, and refuses u1021 at its token
+        for index, message in [
+            (MAX_UNKNOWN, f"t.cfk:1:36: error: variable u{MAX_UNKNOWN} not allowed in a product table"),
+            (MAX_UNKNOWN + 1, f"t.cfk:1:41: error: unknown index is over the cap of u{MAX_UNKNOWN}"),
+        ]:
+            Path("t.cfk").write_text(f"algebra A : lie {{ gens X; [X, X] = (d + u{index}) X; }}")
+            assert run(["check", "t.cfk"]) == 2
+            assert capsys.readouterr().err == message + "\n"
+
     def test_solve_at_the_cap(self, workdir):
         top = f"u{MAX_UNKNOWN}"
         system = {"unknowns": [top], "equations": [_equation(f"{top} - 1")]}
@@ -455,6 +483,18 @@ class TestSolveCap:
         # every cap is printed as well as reported
         assert capsys.readouterr().err == message + "\n"
 
+    def test_cap_exactly_at_the_residual_unknowns(self, workdir, capsys):
+        # seven unknowns, u0 eliminated: six are left, as many as the default
+        # cap, so they are searched, and --cap 5 refuses them
+        polys = ["u0 - u1*u2"] + [f"u{k}^2 - 1" for k in range(1, 7)]
+        system = {"unknowns": [f"u{k}" for k in range(7)], "equations": [_equation(p) for p in polys]}
+        Path("sys.json").write_text(json.dumps(system))
+        assert run(["solve", "sys.json", "--grid-num", "1", "--json", "r.json"]) == 0
+        assert len(json.loads(Path("r.json").read_text())["solutions"]) == 2**6
+        capsys.readouterr()
+        assert run(["solve", "sys.json", "--grid-num", "1", "--cap", "5"]) == 3
+        assert capsys.readouterr().err == "6 unknowns exceed the exhaustive-search cap of 5\n"
+
     def test_degree_guard_exits_3(self, workdir, capsys):
         # u0 -> -u1^63 and u1 -> -u2^63 take u0^64 to degree 254 016
         polys = ["u0 + u1^63", "u1 + u2^63", "u0^64"]
@@ -524,6 +564,23 @@ class TestSolveCap:
             "800001*4160 power-table cells exceed the exhaustive-search budget of 8000000"
         )
 
+    def test_power_tables_exactly_at_the_budget(self, workdir, capsys):
+        # 15625 values (--grid-num 7812) and tables of weight 512, degree 32
+        # times 16 exponents, are 8 000 000 cells and searched; weight 513,
+        # degree 27 times 19 exponents, is one unit past and refused
+        at = " + ".join(f"u0^{2 * k}" for k in range(2, 17)) + " - 15*u0^2"
+        past = " + ".join(f"u0^{k}" for k in range(9, 28))
+        argv = ["solve", "sys.json", "--grid-num", "7812", "--json", "r.json"]
+        Path("sys.json").write_text(json.dumps({"unknowns": ["u0"], "equations": [_equation(at)]}))
+        assert run(argv) == 0
+        solutions = json.loads(Path("r.json").read_text())["solutions"]
+        assert solutions == [{"u0": "-1"}, {"u0": "0"}, {"u0": "1"}]
+        Path("sys.json").write_text(json.dumps({"unknowns": ["u0"], "equations": [_equation(past)]}))
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            "15625*513 power-table cells exceed the exhaustive-search budget of 8000000\n"
+        )
+
     def test_grid_budget_is_checked_before_any_value_is_built(self, workdir):
         # 10 944 751 values: the old grid built about 18 M Fractions first
         Path("sys.json").write_text(
@@ -555,6 +612,17 @@ class TestSolveCap:
         assert run(argv) == 3
         assert capsys.readouterr().err == (
             "1000001^1 grid points exceed the exhaustive-search budget of 1000000\n"
+        )
+
+    @pytest.mark.parametrize("num, den", [("1", "500001"), ("500001", "1")])
+    def test_grid_count_one_past_its_bound_exits_3(self, workdir, capsys, num, den):
+        # N + Dmax - 1 = 500000 is counted (1000001 values, refused by the
+        # point budget above); at 500001 the count itself refuses the grid
+        Path("sys.json").write_text(json.dumps({"unknowns": ["u0"], "equations": []}))
+        assert run(["solve", "sys.json", "--grid-num", num, "--grid-den", den]) == 3
+        assert capsys.readouterr().err == (
+            f"a grid of numerators up to {num} and denominators up to {den}"
+            " has more than 1000000 values\n"
         )
 
     @pytest.mark.parametrize(

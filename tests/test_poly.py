@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfkit.poly import (
-    D, L1, L2, MAX_DEGREE, MAX_UNKNOWN, CapExceeded, MultiPoly, _monomial, _pack,
-    scalar_text, unknown, var_name,
+    D, L1, L2, MAX_DEGREE, MAX_UNKNOWN, CapExceeded, MultiPoly, _monomial, _mul_terms,
+    _normal, _pack, scalar_text, unknown, var_name,
 )
 from cfkit.dsl import item_tables
 from cfkit.structure import hermite_normal_form, poly_deg, poly_divmod
@@ -736,14 +736,23 @@ scalar_operands = st.one_of(
 class TestScalarPaths:
     """``p * c``, ``p + c`` and ``p - c`` for an ``int`` or ``Fraction`` ``c``
     scale or shift ``p``'s numerators directly; ``MultiPoly.const(c)`` in
-    ``c``'s place takes the polynomial paths they skip, and the Fraction
-    reference pins the value of both."""
+    ``c``'s place takes the polynomial paths of a sum or difference, and
+    scales on either side of a product too, where the term-by-term product
+    it skips pins its stored value.  The Fraction reference pins the value
+    of every path, and constant and one-term operands are among the ``p``."""
 
     @given(a=term_maps(EVERY_VARIABLE, mixed_scalars), c=scalar_operands)
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_matches_the_constant_path(self, a, c):
         k, const = MultiPoly.const(c), ref({(): c})
-        for p, terms in ((MultiPoly(a), ref(a)), (MultiPoly.zero(), {})):
+        # one term but no constant, so it takes the term-by-term product
+        monomial = {((L1, 2), (unknown(3), 1)): c or Fraction(-5, 6)}
+        for p, terms in (
+            (MultiPoly(a), ref(a)),
+            (MultiPoly.zero(), {}),
+            (k, const),
+            (MultiPoly(monomial), ref(monomial)),
+        ):
             for got, via_const, want in [
                 (p * c, p * k, ref_mul(terms, const)),
                 (c * p, k * p, ref_mul(const, terms)),
@@ -755,6 +764,9 @@ class TestScalarPaths:
                 assert_same_stored(got, via_const)
                 assert_stored_canonical(got)
                 assert dict(got.terms()) == want
+            skipped = _normal(_mul_terms(p._terms, k._terms), p._den * k._den)
+            assert_same_stored(p * k, skipped)
+            assert_same_stored(k * p, skipped)
 
     def test_shared_constants(self):
         p = d / 3 - 1
